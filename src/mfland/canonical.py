@@ -18,11 +18,11 @@ canonical point plus the group element connecting them.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .calculus import is_critical
+from .calculus import gradient_norm, is_critical
 from .errors import (
     DimensionError,
+    InvalidInput,
     InvalidSelection,
     NotCritical,
     NumericalFailure,
@@ -95,6 +95,8 @@ class CanonicalPoint:
         want = (X.n - X.r, k - sel.q)
         if C0.shape != want:
             raise DimensionError(f"C0 must be {want}, got {C0.shape}")
+        if not np.all(np.isfinite(C0)):
+            raise InvalidInput("C0 contains non-finite entries")
         object.__setattr__(self, "C0", _freeze(C0))
 
     @property
@@ -255,17 +257,17 @@ def reduce_to_canonical(X, p, tol=1e-8):
     cuts across a repeated-sigma eigenspace in a basis incompatible with the
     stored SVD).
     """
-    from .orbit import GroupElement
+    from .orbit import GroupElement, _block_diag
 
     if not is_critical(X, p, tol):
+        bound = tol * max(1.0, float(np.linalg.norm(X.X)))
         raise NotCritical(
-            "reduce_to_canonical requires a critical point "
-            f"(gradient norm {np.round(_grad_norm(X, p), 3)})"
+            "reduce_to_canonical requires a critical point: gradient norm "
+            f"{gradient_norm(X, p):.3e} exceeds tol * max(1, ||X||_F) = {bound:.3e}"
         )
     W, S, k = p.W, p.S, p.k
-    m, n, r = X.m, X.n, X.r
 
-    sW = np.linalg.svd(W, compute_uv=False)
+    Uw, sW, Vwt = np.linalg.svd(W)
     wmax = float(sW[0]) if sW.size else 0.0
     if wmax <= tol * max(1.0, p.norm()):
         q = 0
@@ -286,14 +288,11 @@ def reduce_to_canonical(X, p, tol=1e-8):
         _check_reduction(X, p, cp, g, tol)
         return cp, g
 
-    # (i) a well-conditioned column basis of W via pivoted QR.
-    _, R_qr, perm = scipy.linalg.qr(W, pivoting=True, mode="economic")
-    P = np.eye(k)[:, perm]
-    F = scipy.linalg.solve_triangular(R_qr[:q, :q], R_qr[:q, q:])
-    What = W[:, perm[:q]]
-
-    # (ii) orthonormalize: What = Uh diag(sh) Vht.
-    Uh, sh, Vht = np.linalg.svd(What, full_matrices=False)
+    # (i)-(ii) W = Uw diag(sW) Vwt gives an orthonormal basis Uh of the
+    # column space and W = [Uh, 0] C_full, C_full = [diag(sW[:q]) Vwt[:q];
+    # Vwt[q:]], up to the singular values below the rank cutoff.
+    Uh = Uw[:, :q]
+    SV = sW[:q, None] * Vwt[:q]
 
     # (iii) align Uh with the stored left singular vectors, one tied group of
     # sigmas at a time; record which indices the column space occupies.
@@ -314,20 +313,15 @@ def reduce_to_canonical(X, p, tol=1e-8):
         chosen = [g_idx[c] for c in chosen]
         sel_idx.extend(chosen)
         R_blocks.append(_polar_orthogonal(X.U[:, chosen].T @ grp_rot))
-    if sum(b.shape[1] for b in rot_cols) != q:
+    if len(sel_idx) != q:
         raise NumericalFailure(
             "column space of W does not split along the singular subspaces of X"
         )
     U_rot = np.hstack(rot_cols)
     Q = _polar_orthogonal(U_rot.T @ Uh)
 
-    # (iv) peel the invertible change of basis accumulated so far.
-    SV = sh[:, None] * Vht
-    C_full = np.block(
-        [[SV, SV @ F], [np.zeros((k - q, q)), np.eye(k - q)]]
-    ) @ P.T
-    D = scipy.linalg.block_diag(Q, np.eye(k - q))
-    A1 = D @ C_full
+    # (iv) peel the invertible change of basis A1 = blockdiag(Q, I) C_full.
+    A1 = np.vstack([Q @ SV, Vwt[q:]])
     S2 = A1 @ S
 
     # (v) absorb the mixed block of S2 with a unipotent factor, read off C0.
@@ -345,20 +339,12 @@ def reduce_to_canonical(X, p, tol=1e-8):
 
     # (vi) fold the within-group rotation into A so the canonical point uses
     # the stored singular-vector basis.
-    R = scipy.linalg.block_diag(*R_blocks) if R_blocks else np.eye(q)
-    R_tilde = scipy.linalg.block_diag(R, np.eye(k - q))
-    A = R_tilde @ E @ A1
+    A = _block_diag(*R_blocks, np.eye(k - q)) @ E @ A1
 
     cp = CanonicalPoint(X=X, selection=Selection(tuple(sel_idx)), k=k, C0=C0)
     g = GroupElement.from_matrix(A)
     _check_reduction(X, p, cp, g, tol)
     return cp, g
-
-
-def _grad_norm(X, p):
-    from .calculus import gradient_norm
-
-    return gradient_norm(X, p)
 
 
 def _check_reduction(X, p, cp, g, tol):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import gradient
 from .errors import InvalidInput, StiffnessFailure
 from .model import FactorPair, evaluate_J
 
@@ -39,15 +38,16 @@ class FlowTrajectory:
 
 
 def _rhs(X, W, S):
+    """-grad J at (W, S), with the residual E = W S - X it is built from."""
     E = W @ S - X.X
-    return -(E @ S.T), -(W.T @ E)
+    return -(E @ S.T), -(W.T @ E), E
 
 
-def _rk4_step(X, W, S, h):
-    k1W, k1S = _rhs(X, W, S)
-    k2W, k2S = _rhs(X, W + 0.5 * h * k1W, S + 0.5 * h * k1S)
-    k3W, k3S = _rhs(X, W + 0.5 * h * k2W, S + 0.5 * h * k2S)
-    k4W, k4S = _rhs(X, W + h * k3W, S + h * k3S)
+def _rk4_step(X, W, S, h, k1W, k1S):
+    """One RK4 step of size h from (W, S), whose slope (k1W, k1S) is given."""
+    k2W, k2S, _ = _rhs(X, W + 0.5 * h * k1W, S + 0.5 * h * k1S)
+    k3W, k3S, _ = _rhs(X, W + 0.5 * h * k2W, S + 0.5 * h * k2S)
+    k4W, k4S, _ = _rhs(X, W + h * k3W, S + h * k3S)
     Wn = W + (h / 6.0) * (k1W + 2 * k2W + 2 * k3W + k4W)
     Sn = S + (h / 6.0) * (k1S + 2 * k2S + 2 * k3S + k4S)
     return Wn, Sn
@@ -67,40 +67,47 @@ def integrate_flow(
     """Integrate gradient flow from p0 until the gradient norm drops below
     grad_tol * max(1, ||X||_F), time runs out, or the iterate diverges.
 
-    Raises StiffnessFailure if the accepted step size underflows h_min.
+    Raises InvalidInput for a non-finite or non-positive t_max or h0 and for
+    negative tolerances, and StiffnessFailure if the accepted step size
+    underflows h_min.
     """
-    if t_max <= 0:
-        raise InvalidInput(f"t_max must be positive, got {t_max}")
+    if not (np.isfinite(t_max) and t_max > 0):
+        raise InvalidInput(f"t_max must be positive and finite, got {t_max}")
+    if not (np.isfinite(h0) and h0 > 0):
+        raise InvalidInput(f"h0 must be positive and finite, got {h0}")
+    for name, val in (("grad_tol", grad_tol), ("atol", atol), ("rtol", rtol)):
+        if not val >= 0:
+            raise InvalidInput(f"{name} must be nonnegative, got {val}")
     W, S = p0.W.copy(), p0.S.copy()
     C_init = W.T @ W - S @ S.T
     scale = max(1.0, float(np.linalg.norm(X.X)))
 
     def snapshot(t):
-        p = FactorPair(W=W, S=S)
-        g = gradient(X, p)
+        """The sample at the current (W, S) and the slope of the next step."""
+        kW, kS, E = _rhs(X, W, S)
+        gnorm = float(np.sqrt(np.sum(kW**2) + np.sum(kS**2)))
         drift = float(np.linalg.norm(W.T @ W - S @ S.T - C_init))
-        return p, g.norm(), FlowSample(
-            t=float(t), J=evaluate_J(X, p), grad_norm=g.norm(), drift=drift
+        return kW, kS, FlowSample(
+            t=float(t), J=0.5 * float(np.sum(E * E)), grad_norm=gnorm, drift=drift
         )
 
     t = 0.0
     h = float(h0)
-    samples = []
-    p, gnorm, s0 = snapshot(t)
-    samples.append(s0)
+    k1W, k1S, samp = snapshot(t)
+    samples = [samp]
     status = "MaxTimeReached"
     steps = 0
 
-    if gnorm <= grad_tol * scale:
-        status = "Converged"
-        return FlowTrajectory(samples=tuple(samples), terminal=p, status=status,
-                              steps=0)
+    if samp.grad_norm <= grad_tol * scale:
+        return FlowTrajectory(samples=(samp,), terminal=FactorPair(W=W, S=S),
+                              status="Converged", steps=0)
 
     while steps < max_steps:
         h = min(h, t_max - t)
-        W1, S1 = _rk4_step(X, W, S, h)
-        Wh, Sh = _rk4_step(X, W, S, 0.5 * h)
-        W2, S2 = _rk4_step(X, Wh, Sh, 0.5 * h)
+        W1, S1 = _rk4_step(X, W, S, h, k1W, k1S)
+        Wh, Sh = _rk4_step(X, W, S, 0.5 * h, k1W, k1S)
+        kW, kS, _ = _rhs(X, Wh, Sh)
+        W2, S2 = _rk4_step(X, Wh, Sh, 0.5 * h, kW, kS)
         err = np.sqrt(np.sum((W1 - W2) ** 2) + np.sum((S1 - S2) ** 2)) / 15.0
         ynorm = np.sqrt(np.sum(W * W) + np.sum(S * S))
         tol_step = atol + rtol * ynorm
@@ -111,12 +118,14 @@ def integrate_flow(
             S = S2 + (S2 - S1) / 15.0
             t += h
             steps += 1
-            p, gnorm, samp = snapshot(t)
+            k1W, k1S, samp = snapshot(t)
             samples.append(samp)
-            if not np.isfinite(samp.J) or p.norm() > DIVERGENCE_NORM:
+            if not np.isfinite(samp.J) or (
+                np.sqrt(np.sum(W**2) + np.sum(S**2)) > DIVERGENCE_NORM
+            ):
                 status = "Diverged"
                 break
-            if gnorm <= grad_tol * scale:
+            if samp.grad_norm <= grad_tol * scale:
                 status = "Converged"
                 break
             if t >= t_max:
@@ -130,8 +139,8 @@ def integrate_flow(
                 f"step size underflowed ({h:.2e} < {h_min:.2e}) at t = {t:.3e}"
             )
 
-    return FlowTrajectory(samples=tuple(samples), terminal=p, status=status,
-                          steps=steps)
+    return FlowTrajectory(samples=tuple(samples), terminal=FactorPair(W=W, S=S),
+                          status=status, steps=steps)
 
 
 @dataclass(frozen=True)

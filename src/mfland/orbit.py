@@ -15,7 +15,6 @@ pushed far out along their orbit.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInput, SingularGroupElement
 from .model import FactorPair, TangentPair, _freeze
@@ -102,10 +101,18 @@ def action_matrix(g, m, n):
     Useful for realizing Hessian congruence explicitly:
     dense(L_A p) = M^T dense(p) M with M = action_matrix(g.inverse(), m, n).
     """
-    k = g.k
-    return scipy.linalg.block_diag(
-        np.kron(g.A.T, np.eye(m)), np.kron(np.eye(n), g.A_inv)
-    )
+    return _block_diag(np.kron(g.A.T, np.eye(m)), np.kron(np.eye(n), g.A_inv))
+
+
+def _block_diag(*blocks):
+    """Block-diagonal matrix with the given square blocks along its diagonal."""
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n))
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out
 
 
 def balance_residual(p, C=None):
@@ -144,5 +151,5 @@ def intersect_M0(cp):
         return None
     if cp.C0.size and np.linalg.norm(cp.C0) > 1e-12:
         return None
-    A = scipy.linalg.block_diag(np.diag(np.sqrt(lam)), np.eye(cp.k - cp.q))
+    A = _block_diag(np.diag(np.sqrt(lam)), np.eye(cp.k - cp.q))
     return GroupElement.from_matrix(A)

@@ -4,6 +4,7 @@ import pytest
 from mfland import (
     DimensionError,
     GroupElement,
+    InvalidInput,
     InvalidSelection,
     NotCritical,
     Selection,
@@ -15,6 +16,7 @@ from mfland import (
     classify_canonical,
     evaluate_J,
     first_defect,
+    gradient_norm,
     is_critical,
     is_maximal,
     load_data_matrix,
@@ -52,6 +54,14 @@ def test_selection_larger_than_k():
 def test_c0_shape_enforced():
     with pytest.raises(DimensionError):
         build_canonical(X323, Selection((0,)), 2, C0=np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_c0_must_be_finite(bad):
+    with pytest.raises(InvalidInput, match="C0"):
+        build_canonical(X323, Selection((0,)), 2, C0=np.array([[bad]]))
+    with pytest.raises(InvalidInput, match="C0"):
+        zero_family_point(X323, np.array([[1.0, bad]]), 2)
 
 
 # ------------------------------------------------------------ construction --
@@ -186,3 +196,17 @@ def test_reduce_rejects_non_critical():
     p_bad = type(p_bad)(p_bad.W + rng.standard_normal(p_bad.W.shape), p_bad.S)
     with pytest.raises(NotCritical):
         reduce_to_canonical(X323, p_bad)
+
+
+def test_not_critical_message_names_norm_and_threshold():
+    # A gradient norm of order 1e-7 is above the 1e-8 * ||X|| threshold but
+    # rounds to 0.0 at three decimals, so the message must not round it.
+    p = build_canonical(X323, Selection((0,)), 1).materialize()
+    p_near = type(p)(p.W + 1e-7, p.S)
+    gnorm = gradient_norm(X323, p_near)
+    bound = 1e-8 * np.linalg.norm(X323.X)
+    assert 1e-8 < gnorm < 1e-5 and gnorm > bound
+    with pytest.raises(NotCritical) as info:
+        reduce_to_canonical(X323, p_near)
+    assert f"{gnorm:.3e}" in str(info.value)
+    assert f"{bound:.3e}" in str(info.value)

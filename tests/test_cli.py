@@ -111,6 +111,26 @@ def test_bad_selection_is_exit_2(capsys, x_csv):
     assert "1-based" in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--t-max", "nan"), ("--t-max", "inf"), ("--grad-tol", "-1e-9"),
+])
+def test_bad_flow_argument_is_exit_2(capsys, x_csv, flag, value):
+    code, _, err = _run(capsys, "flow", "--x", x_csv, "--k", "1", f"{flag}={value}")
+    assert code == 2
+    assert flag[2:].replace("-", "_") in err
+
+
+def test_nonfinite_c0_is_exit_2(capsys, x_csv, tmp_path):
+    c0 = tmp_path / "c0.csv"
+    c0.write_text("nan\n")
+    for cmd in ("classify", "spectrum"):
+        code, _, err = _run(
+            capsys, cmd, "--x", x_csv, "--k", "2", "--select", "1", "--c0", str(c0)
+        )
+        assert code == 2
+        assert "C0" in err
+
+
 def test_scale_rejected_for_deficient(capsys, x_csv):
     code, _, err = _run(
         capsys, "spectrum", "--x", x_csv, "--k", "2", "--select", "1", "--scale", "3"

@@ -1,0 +1,49 @@
+"""The package runs on NumPy alone: scipy must never be imported."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = r"""
+import contextlib, io, json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"import of {name} refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+
+import numpy as np
+import mfland, mfland.cli
+from mfland import classify_limit, integrate_flow, load_data_matrix, random_balanced_pair
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = mfland.cli.main(["verify", "--seed", "0"])
+assert code == 0 and json.loads(out.getvalue())["all_passed"] is True
+
+X = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
+traj = integrate_flow(X, random_balanced_pair(X, 1, seed=0))
+assert traj.status == "Converged"
+assert classify_limit(X, traj).kind == "GlobalMinimum"
+
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+print("ok")
+"""
+
+
+def test_runs_without_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    env.pop("MFLAND_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

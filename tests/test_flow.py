@@ -75,3 +75,15 @@ def test_trajectory_samples_well_formed():
     assert all(b > a for a, b in zip(ts, ts[1:]))
     assert traj.t_final == ts[-1]
     assert traj.steps >= len(ts) - 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"t_max": np.nan}, {"t_max": np.inf}, {"t_max": 0.0},
+    {"grad_tol": -1e-9}, {"grad_tol": np.nan}, {"atol": -1.0}, {"rtol": -1.0},
+    {"h0": np.nan}, {"h0": np.inf}, {"h0": 0.0},
+])
+def test_invalid_arguments_rejected(kwargs):
+    p0 = random_pair(X21, 1, seed=5)
+    name = next(iter(kwargs))
+    with pytest.raises(InvalidInput, match=name):
+        integrate_flow(X21, p0, **kwargs)
