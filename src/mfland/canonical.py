@@ -30,8 +30,8 @@ from .errors import (
 )
 from .model import FactorPair, _freeze
 
-# Relative tolerance under which two singular values are treated as tied, so
-# that maximality is decided by value rather than by index.
+# Tolerance, relative to sigma_1, under which two singular values are treated
+# as tied, so that maximality is decided by value rather than by index.
 TIE_REL = 1e-9
 
 
@@ -171,7 +171,7 @@ def build_balanced(X, sel, k):
 
 
 def _tie_tol(X):
-    return TIE_REL * max(1.0, float(X.sigma[0]))
+    return TIE_REL * float(X.sigma[0])
 
 
 def first_defect(X, sel):

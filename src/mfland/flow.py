@@ -29,7 +29,7 @@ class FlowSample:
 class FlowTrajectory:
     samples: tuple
     terminal: FactorPair
-    status: str  # "Converged" | "MaxTimeReached" | "Diverged"
+    status: str  # "Converged" | "MaxTimeReached" | "MaxStepsReached" | "Diverged"
     steps: int
 
     @property
@@ -65,7 +65,8 @@ def integrate_flow(
     max_steps=200000,
 ):
     """Integrate gradient flow from p0 until the gradient norm drops below
-    grad_tol * max(1, ||X||_F), time runs out, or the iterate diverges.
+    grad_tol * max(1, ||X||_F), time runs out, max_steps steps have been
+    accepted, or the iterate diverges.
 
     Raises InvalidInput for a non-finite or non-positive t_max or h0 and for
     negative tolerances, and StiffnessFailure if the accepted step size
@@ -95,7 +96,7 @@ def integrate_flow(
     h = float(h0)
     k1W, k1S, samp = snapshot(t)
     samples = [samp]
-    status = "MaxTimeReached"
+    status = "MaxStepsReached"  # every other way out of the loop sets it
     steps = 0
 
     if samp.grad_norm <= grad_tol * scale:

@@ -1,25 +1,32 @@
 """Closed-form Hessian spectra at the canonical and balanced critical points.
 
-At a scaled canonical point (a W_c, a^-1 S_c) the Hessian block-diagonalizes
+Every point handled here is a diagonal orbit representative
+(U_sel D, [D^-1 diag(lambda) V_sel^T ; C0^T V0^T]) with one positive scale d_j
+per selected column: d_j = a gives the scaled canonical point
+(a W_c, a^-1 S_c) and d_j = sqrt(lambda_j) the balanced point.  The unused
+columns of W keep scale 1.  At such a point the Hessian block-diagonalizes
 over an adapted tangent basis built from outer products of singular vectors.
 Every block is either 1 x 1 or a symmetric 2 x 2 coupling one left direction
 with one right direction, so all k (m + n) eigenvalues (and unit
 eigenvectors) come out exactly.  The 2 x 2 families:
 
-  - sigma_lambda_pair   [[l_j^2/a^2, -s_i], [-s_i, a^2]]   (unselected s_i > 0
-        against selected column j); determinant l_j^2 - s_i^2 decides the sign
-        of the lower branch.
-  - sigma_omega_pair    [[w_l/a^2, -s_i], [-s_i, 0]]       (unselected s_i > 0
-        against a kernel row of S with weight w_l = gamma_l^2); the lower
-        branch is always negative.
-  - selected_cross_pair [[l_s^2/a^2, l_s], [l_s, a^2]]     (determinant zero:
-        branches 0 and l_s^2/a^2 + a^2).
-  - c0_cross_pair       [[w_l/a^2, g_l], [g_l, a^2]]       (determinant zero:
-        branches 0 and w_l/a^2 + a^2).
+  - sigma_lambda_pair   [[l_j^2/d_j^2, -s_i], [-s_i, d_j^2]]  (unselected
+        s_i > 0 against selected column j); determinant l_j^2 - s_i^2 decides
+        the sign of the lower branch.
+  - sigma_omega_pair    [[w_l, -s_i], [-s_i, 0]]              (unselected
+        s_i > 0 against a kernel row of S with weight w_l = gamma_l^2); the
+        lower branch is always negative.
+  - selected_cross_pair [[l_s^2/d_s^2, l_s d_j/d_s], [l_s d_j/d_s, d_j^2]]
+        (determinant zero: branches 0 and l_s^2/d_s^2 + d_j^2).
+  - c0_cross_pair       [[w_l, g_l d_j], [g_l d_j, d_j^2]]     (determinant
+        zero: branches 0 and w_l + d_j^2).
 
-plus 1 x 1 families for left kernel rows, dead coordinates, and the right
-kernel.  Balanced points get their negative eigenvalues in closed form and
-the rest from an eigendecomposition restricted to the orthogonal complement.
+plus 1 x 1 families for left kernel rows (l_j^2/d_j^2 or w_l), dead
+coordinates, and the right kernel (d_j^2 or 0).
+
+Each eigenvector is a pair of rank-one matrices and is stored as its factors
+(see :class:`EigPair`), so a spectrum costs O(k (m + n)) memory; the dense
+tangent pair is built only when ``EigPair.vector`` is read.
 """
 
 from dataclasses import dataclass
@@ -29,23 +36,30 @@ import numpy as np
 from .canonical import (
     CanonicalPoint,
     Selection,
-    _tie_tol,
     build_balanced,
     build_canonical,
     first_defect,
     selected_values,
     zero_family_point,
 )
-from .errors import DimensionError, InvalidInput, InvalidSelection, NotASaddle
+from .errors import InvalidInput, InvalidSelection, NotASaddle
 from .model import TangentPair
 
-# |value| <= INERTIA_REL * max(1, |largest value|) counts as zero.
+# |value| <= INERTIA_REL * max(sigma_1, |largest value|) counts as zero.
 INERTIA_REL = 1e-10
 
 
 @dataclass(frozen=True)
 class EigPair:
-    """One closed-form (or numerically completed) Hessian eigenpair.
+    """One closed-form Hessian eigenpair, its eigenvector kept as factors.
+
+    The unit eigenvector is the tangent pair (G, H) with
+    ``G = cl * outer(uG, cG)`` and ``H = cr * outer(cH, vH)``: ``uG`` and
+    ``vH`` are columns of ``X.U`` and of ``X.V`` (or of a rotated kernel
+    basis), ``cG`` and ``cH`` are length-k coefficient vectors, and a half
+    that vanishes has coefficient 0 and zero factors.  ``vector`` builds the
+    dense TangentPair on every access and does not keep it, so that walking
+    all the vectors of a spectrum never holds more than one of them.
 
     ``provenance`` names the construction family and its indices; for the
     2 x 2 families ``coupling`` is the ratio of the right-direction to the
@@ -54,9 +68,19 @@ class EigPair:
     """
 
     value: float
-    vector: TangentPair
+    cl: float
+    uG: np.ndarray
+    cG: np.ndarray
+    cr: float
+    cH: np.ndarray
+    vH: np.ndarray
     provenance: str
     coupling: float | None
+
+    @property
+    def vector(self):
+        return TangentPair(G=self.cl * np.outer(self.uG, self.cG),
+                           H=self.cr * np.outer(self.cH, self.vH))
 
 
 @dataclass(frozen=True)
@@ -71,10 +95,10 @@ class SpectrumReport:
         return np.array([e.value for e in self.eigpairs])
 
 
-def _report(eigpairs, point):
+def _report(X, eigpairs, point):
     eigpairs = sorted(eigpairs, key=lambda e: e.value)
     vals = np.array([e.value for e in eigpairs])
-    tol = INERTIA_REL * max(1.0, float(np.max(np.abs(vals))))
+    tol = INERTIA_REL * max(float(X.sigma[0]), float(np.max(np.abs(vals))))
     inertia = (
         int(np.count_nonzero(vals > tol)),
         int(np.count_nonzero(vals < -tol)),
@@ -112,11 +136,13 @@ def _split_pair(p11, p12, p22):
     return rho_hi, rho_lo
 
 
-def _canonical_eigpairs(cp, a=1.0):
-    """All k (m + n) closed-form eigenpairs at (a W_c, a^-1 S_c)."""
+def _canonical_eigpairs(cp, d=1.0):
+    """All k (m + n) closed-form eigenpairs at the diagonal representative of
+    cp whose selected columns carry the scales d (a scalar or q values)."""
     X, q, k = cp.X, cp.q, cp.k
     m, n, r = X.m, X.n, X.r
-    a2 = a * a
+    d = np.broadcast_to(np.asarray(d, dtype=float), (q,))
+    d2 = d * d
     idx = list(cp.selection.indices)
     lam = cp.lambdas
     chosen = set(idx)
@@ -139,38 +165,36 @@ def _canonical_eigpairs(cp, a=1.0):
     gtol = 1e-13 * max(1.0, gamma[0] if gamma.size else 0.0)
     omega = gamma**2
 
-    def ztilde(l):
-        out = np.zeros(k)
-        out[q:] = Z[:, l]
-        return out
+    # Row l: the coefficient vector of kernel direction l over all k slots.
+    ztilde = np.zeros((k - q, k))
+    ztilde[:, q:] = Z.T
 
-    G0 = np.zeros((X.m, k))
-    H0 = np.zeros((k, X.n))
+    # Factors of a vanishing half: shared, never written.
+    zm, zn, zk = np.zeros(m), np.zeros(n), np.zeros(k)
     out = []
 
-    def single(value, G, H, prov):
-        out.append(EigPair(value=float(value), vector=TangentPair(G=G, H=H),
-                           provenance=prov, coupling=None))
+    def left(value, uG, cG, prov):
+        """A 1 x 1 block over the direction (uG cG^T, 0)."""
+        out.append(EigPair(value=float(value), cl=1.0, uG=uG, cG=cG,
+                           cr=0.0, cH=zk, vH=zn, provenance=prov, coupling=None))
 
-    def mixed(p11, p12, p22, uG, cG_slot, cH_slot, vH, prov, exact_zero=False):
-        """Emit both branches of a 2 x 2 block over (uG cG_slot^T, cH_slot vH^T)."""
+    def right(value, cH, vH, prov):
+        """A 1 x 1 block over the direction (0, cH vH^T)."""
+        out.append(EigPair(value=float(value), cl=0.0, uG=zm, cG=zk,
+                           cr=1.0, cH=cH, vH=vH, provenance=prov, coupling=None))
+
+    def mixed(p11, p12, p22, uG, cG, cH, vH, prov, exact_zero=False):
+        """Emit both branches of a 2 x 2 block over (uG cG^T, cH vH^T)."""
         if exact_zero:
             rho_hi, rho_lo = p11 + p22, 0.0
         else:
             rho_hi, rho_lo = _split_pair(p11, p12, p22)
         for rho, tagb in ((rho_lo, "-"), (rho_hi, "+")):
             cl, cr = _pair_vectors(p11, p12, p22, rho)
-            out.append(
-                EigPair(
-                    value=float(rho),
-                    vector=TangentPair(
-                        G=cl * np.outer(uG, cG_slot),
-                        H=cr * np.outer(cH_slot, vH),
-                    ),
-                    provenance=f"{prov},branch={tagb}",
-                    coupling=float(cr / cl),
-                )
-            )
+            out.append(EigPair(value=float(rho), cl=cl, uG=uG, cG=cG,
+                               cr=cr, cH=cH, vH=vH,
+                               provenance=f"{prov},branch={tagb}",
+                               coupling=float(cr / cl)))
 
     ek = np.eye(k)
 
@@ -179,21 +203,19 @@ def _canonical_eigpairs(cp, a=1.0):
         s_i = X.sigma[i]
         u_i, v_i = X.U[:, i], X.V[:, i]
         for j in range(q):
-            mixed(lam[j] ** 2 / a2, -s_i, a2, u_i, ek[j], ek[j], v_i,
+            mixed(lam[j] ** 2 / d2[j], -s_i, d2[j], u_i, ek[j], ek[j], v_i,
                   f"sigma_lambda_pair(i={i},j={j})")
         for l in range(k - q):
-            mixed(omega[l] / a2, -s_i, 0.0, u_i, ztilde(l), ztilde(l), v_i,
+            mixed(omega[l], -s_i, 0.0, u_i, ztilde[l], ztilde[l], v_i,
                   f"sigma_omega_pair(i={i},l={l})")
 
     # Left kernel rows (sigma_i = 0) only feel S S^T.
     for i in us_m:
         u_i = X.U[:, i]
         for j in range(q):
-            single(lam[j] ** 2 / a2, np.outer(u_i, ek[j]), H0,
-                   f"left_kernel_lambda(i={i},j={j})")
+            left(lam[j] ** 2 / d2[j], u_i, ek[j], f"left_kernel_lambda(i={i},j={j})")
         for l in range(k - q):
-            single(omega[l] / a2, np.outer(u_i, ztilde(l)), H0,
-                   f"left_kernel_omega(i={i},l={l})")
+            left(omega[l], u_i, ztilde[l], f"left_kernel_omega(i={i},l={l})")
 
     # Selected columns coupled with selected rows and with the C0 block.
     for j in range(q):
@@ -201,34 +223,31 @@ def _canonical_eigpairs(cp, a=1.0):
         for s in range(q):
             if lam[s] > 0:
                 vb_s = X.V[:, idx[s]]
-                mixed(lam[s] ** 2 / a2, lam[s], a2, ub_j, ek[s], ek[j], vb_s,
+                mixed(lam[s] ** 2 / d2[s], lam[s] * (d[j] / d[s]), d2[j],
+                      ub_j, ek[s], ek[j], vb_s,
                       f"selected_cross_pair(j={j},s={s})", exact_zero=True)
             else:
-                single(0.0, np.outer(ub_j, ek[s]), H0,
-                       f"zero_lambda_column(j={j},s={s})")
+                left(0.0, ub_j, ek[s], f"zero_lambda_column(j={j},s={s})")
         for l in range(n - r):
             if l < k - q and gamma[l] > gtol:
-                mixed(omega[l] / a2, gamma[l], a2, ub_j, ztilde(l), ek[j],
+                mixed(omega[l], gamma[l] * d[j], d2[j], ub_j, ztilde[l], ek[j],
                       zeta[:, l], f"c0_cross_pair(j={j},l={l})",
                       exact_zero=True)
             else:
-                single(a2, G0, np.outer(ek[j], zeta[:, l]),
-                       f"right_kernel_selected(j={j},l={l})")
+                right(d2[j], ek[j], zeta[:, l],
+                      f"right_kernel_selected(j={j},l={l})")
         for l in range(k - q):
             if gamma[l] <= gtol:
-                single(0.0, np.outer(ub_j, ztilde(l)), H0,
-                       f"c0_dead_coord(j={j},l={l})")
+                left(0.0, ub_j, ztilde[l], f"c0_dead_coord(j={j},l={l})")
 
     # Rows of S carried by the zero columns of W never feel the Hessian.
     for lp in range(k - q):
-        zt = ztilde(lp)
+        zt = ztilde[lp]
         for s in range(q):
             if lam[s] > 0:
-                single(0.0, G0, np.outer(zt, X.V[:, idx[s]]),
-                       f"right_kernel_null(l={lp},s={s})")
+                right(0.0, zt, X.V[:, idx[s]], f"right_kernel_null(l={lp},s={s})")
         for l in range(n - r):
-            single(0.0, G0, np.outer(zt, zeta[:, l]),
-                   f"right_kernel_null(l={lp},z={l})")
+            right(0.0, zt, zeta[:, l], f"right_kernel_null(l={lp},z={l})")
 
     assert len(out) == k * (m + n), (len(out), k * (m + n))
     return out
@@ -237,7 +256,7 @@ def _canonical_eigpairs(cp, a=1.0):
 def spectrum_zero_family(X, C0, k):
     """Spectrum at the zero-family point (0, C0^T V0^T)."""
     cp = zero_family_point(X, np.asarray(C0, dtype=float), k)
-    return _report(_canonical_eigpairs(cp, a=1.0), cp.materialize())
+    return _report(X, _canonical_eigpairs(cp), cp.materialize())
 
 
 def spectrum_full_rank_scaled(X, sel, a=1.0):
@@ -247,7 +266,7 @@ def spectrum_full_rank_scaled(X, sel, a=1.0):
     if sel.q < 1:
         raise InvalidSelection("full-rank spectrum needs a nonempty selection")
     cp = build_canonical(X, sel, k=sel.q)
-    return _report(_canonical_eigpairs(cp, a=a), cp.materialize(scale=a))
+    return _report(X, _canonical_eigpairs(cp, d=a), cp.materialize(scale=a))
 
 
 def spectrum_deficient_rank(cp):
@@ -258,79 +277,20 @@ def spectrum_deficient_rank(cp):
         raise InvalidSelection(
             f"deficient-rank spectrum needs 1 <= q < k, got q={cp.q}, k={cp.k}"
         )
-    return _report(_canonical_eigpairs(cp, a=1.0), cp.materialize())
+    return _report(cp.X, _canonical_eigpairs(cp), cp.materialize())
 
 
 def spectrum_balanced(X, sel, k):
-    """Spectrum at the balanced point: closed-form negative part, numeric rest.
+    """Spectrum at the balanced point (U_sel sqrt(L), [sqrt(L) V_sel^T; 0]).
 
-    The negative eigenvalues all couple an unselected positive singular value
-    s_i either with a selected column (value lambda_j - s_i when that is
-    negative) or with an unused column of W (value -s_i); their eigenvectors
-    are (u_i e^T, e v_i^T) / sqrt(2).  The nonnegative part is completed with
-    a dense eigendecomposition on the orthogonal complement.
+    It is the diagonal representative with d_j = sqrt(lambda_j) and C0 = 0,
+    so every value is closed form: lambda_j +- s_i for unselected s_i > 0,
+    +-s_i against the unused columns, 0 and lambda_s + lambda_j for selected
+    pairs, lambda_j on the left kernel and on the right kernel, and 0.
     """
-    from .oracle import dense_hessian, flatten_tangent, unflatten_tangent
-
     p = build_balanced(X, sel, k)
-    q = sel.q
-    lam = selected_values(X, sel)
-    tie = _tie_tol(X)
-    chosen = set(sel.indices)
-    ek = np.eye(k)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-
-    neg = []
-    for i in [i for i in range(X.r) if i not in chosen]:
-        s_i = X.sigma[i]
-        u_i, v_i = X.U[:, i], X.V[:, i]
-        for j in range(q):
-            if s_i - lam[j] > tie:
-                neg.append(
-                    EigPair(
-                        value=float(lam[j] - s_i),
-                        vector=TangentPair(
-                            G=inv_sqrt2 * np.outer(u_i, ek[j]),
-                            H=inv_sqrt2 * np.outer(ek[j], v_i),
-                        ),
-                        provenance=f"balanced_sigma_lambda_pair(i={i},j={j})",
-                        coupling=1.0,
-                    )
-                )
-        for l in range(q, k):
-            neg.append(
-                EigPair(
-                    value=float(-s_i),
-                    vector=TangentPair(
-                        G=inv_sqrt2 * np.outer(u_i, ek[l]),
-                        H=inv_sqrt2 * np.outer(ek[l], v_i),
-                    ),
-                    provenance=f"balanced_sigma_pair(i={i},l={l})",
-                    coupling=1.0,
-                )
-            )
-
-    hess = dense_hessian(X, p)
-    N = hess.dim
-    eig = list(neg)
-    if neg:
-        Ncols = np.column_stack([flatten_tangent(e.vector) for e in neg])
-        Qfull, _ = np.linalg.qr(Ncols, mode="complete")
-        B = Qfull[:, len(neg):]
-    else:
-        B = np.eye(N)
-    evals, evecs = np.linalg.eigh(B.T @ hess.matrix @ B)
-    lifted = B @ evecs
-    for c in range(evals.size):
-        eig.append(
-            EigPair(
-                value=float(evals[c]),
-                vector=unflatten_tangent(lifted[:, c], X.m, X.n, k),
-                provenance="numeric_complement",
-                coupling=None,
-            )
-        )
-    return _report(eig, p)
+    cp = build_canonical(X, sel, k)
+    return _report(X, _canonical_eigpairs(cp, d=np.sqrt(cp.lambdas)), p)
 
 
 def lambda_min_closed_form(X, sel, k, C0=None, a=1.0):

@@ -1,5 +1,8 @@
-"""The package runs on NumPy alone: scipy must never be imported."""
+"""Dependency rules: the package runs on NumPy alone, so scipy must never be
+imported, and the closed-form modules never import the oracle that checks
+them."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -47,3 +50,19 @@ def test_runs_without_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_closed_form_modules_do_not_import_the_oracle():
+    """The oracle checks the closed forms, so they must not be built from it."""
+    for name in ("spectrum.py", "canonical.py"):
+        tree = ast.parse((SRC / "mfland" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert not any(part == "oracle" for n in names for part in n.split(".")), (
+                f"{name}:{node.lineno} imports the oracle"
+            )

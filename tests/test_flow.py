@@ -67,6 +67,16 @@ def test_short_horizon_reports_max_time():
         classify_limit(X21, traj)
 
 
+def test_step_cap_reports_max_steps():
+    p0 = random_pair(X21, 1, seed=5)
+    traj = integrate_flow(X21, p0, t_max=1e6, grad_tol=0.0, max_steps=300)
+    assert traj.status == "MaxStepsReached"
+    assert traj.steps == 300
+    assert traj.t_final < 1e6
+    with pytest.raises(InvalidInput):
+        classify_limit(X21, traj)
+
+
 def test_trajectory_samples_well_formed():
     p0 = random_balanced_pair(X21, 1, seed=6)
     traj = integrate_flow(X21, p0)

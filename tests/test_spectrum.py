@@ -5,6 +5,8 @@ than the observed agreement (~1e-13) so failures indicate real defects, not
 rounding noise.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,10 @@ from mfland import (
     NotASaddle,
     Selection,
     build_canonical,
+    classify_canonical,
     flatten_tangent,
     dense_hessian,
+    hessian_apply,
     lambda_min_balanced,
     lambda_min_closed_form,
     load_data_matrix,
@@ -135,7 +139,104 @@ def test_balanced_matches_oracle():
         _assert_match(X321, rep)
 
 
+def _haar(rng, n):
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q * np.sign(np.diag(R))
+
+
+def _landscape_matrix(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "tied":
+        sigma = np.array([2.0, 2.0, 1.0, 1.0])
+        return (_haar(rng, 4) * sigma) @ _haar(rng, 5)[:, :4].T
+    if kind == "rank-deficient":
+        return rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
+    if kind == "tall":
+        return rng.standard_normal((6, 3))
+    if kind == "rescaled":
+        return 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((3, 5))
+    return rng.standard_normal((4, 6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["tied", "rank-deficient", "tall", "rescaled", "generic"]),
+       st.integers(0, 2**16))
+def test_balanced_spectrum_is_closed_form_everywhere(kind, seed):
+    """Every k <= min(m, n) and 1 <= q <= min(k, r), against the dense oracle."""
+    X = load_data_matrix(_landscape_matrix(kind, seed))
+    s1 = float(X.sigma[0])
+    rng = np.random.default_rng(seed)
+    for k in range(1, X.m + 1):
+        for q in range(1, min(k, X.r) + 1):
+            sel = Selection(tuple(sorted(rng.choice(X.r, size=q, replace=False).tolist())))
+            rep = spectrum_balanced(X, sel, k)
+            assert len(rep.eigpairs) == k * (X.m + X.n)
+            hess = dense_hessian(X, rep.point)
+            ev, _ = numeric_spectrum(X, rep.point, hess)
+            assert np.max(np.abs(rep.values - ev)) <= 1e-12 * s1
+            V = np.column_stack([flatten_tangent(e.vector) for e in rep.eigpairs])
+            resid = np.linalg.norm(hess.matrix @ V - V * rep.values, axis=0)
+            assert np.max(resid) <= 1e-12 * s1
+            assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 1e-12
+            try:
+                lam_min = lambda_min_balanced(X, sel, k)
+            except NotASaddle:
+                continue
+            assert abs(rep.lambda_min - lam_min) <= 1e-12 * s1
+
+
+# ------------------------------------------------------- scale covariance --
+
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6])
+def test_classification_and_inertia_are_scale_covariant(c):
+    """X -> c X changes nothing discrete and, at the points that scale with
+    it (scale a -> sqrt(c) a, and the balanced point), multiplies every
+    eigenvalue by c."""
+    A = np.random.default_rng(3).standard_normal((4, 6))
+    X, Xc = load_data_matrix(A), load_data_matrix(c * A)
+    sel = Selection((0, 2))  # skips sigma_2: a saddle
+    for k in (2, 3):
+        res, res_c = (classify_canonical(build_canonical(Y, sel, k)) for Y in (X, Xc))
+        assert (res_c.kind, res_c.p) == (res.kind, res.p) == ("StrictSaddle", 2)
+        assert lambda_min_closed_form(Xc, sel, k, a=np.sqrt(c)) == pytest.approx(
+            c * res.lambda_min_closed_form, rel=1e-9)
+    pairs = [
+        (spectrum_full_rank_scaled(X, sel),
+         spectrum_full_rank_scaled(Xc, sel, a=np.sqrt(c))),
+        (spectrum_balanced(X, sel, 2), spectrum_balanced(Xc, sel, 2)),
+        (spectrum_balanced(X, sel, 3), spectrum_balanced(Xc, sel, 3)),
+    ]
+    assert pairs[0][1].inertia == (15, 1, 4)
+    for rep, rep_c in pairs:
+        assert rep_c.inertia == rep.inertia
+        assert rep_c.lambda_min == pytest.approx(c * rep.lambda_min, rel=1e-9)
+
+
 # --------------------------------------------------------- eigpair quality --
+
+def test_spectrum_memory_is_linear_in_N():
+    """N = 5000: eigenvectors are kept as factors and built one at a time."""
+    rng = np.random.default_rng(0)
+    X = load_data_matrix(rng.standard_normal((200, 300)))
+    cp = build_canonical(X, Selection((0, 1, 2, 3, 5)), 10,
+                         C0=rng.standard_normal((100, 5)))
+    tracemalloc.start()
+    try:
+        rep = spectrum_deficient_rank(cp)
+        norms = [e.vector.norm() for e in rep.eigpairs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.eigpairs) == 5000
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+    for e in rep.eigpairs[::97] + rep.eigpairs[-1:]:
+        v = e.vector
+        hv = hessian_apply(X, rep.point, v)
+        resid = np.sqrt(np.sum((hv.G - e.value * v.G) ** 2)
+                        + np.sum((hv.H - e.value * v.H) ** 2))
+        assert resid <= 1e-9
+
 
 def test_eigenpairs_are_genuine():
     rep = spectrum_deficient_rank(
