@@ -19,12 +19,10 @@ from .canonical import (
     Selection,
     build_balanced,
     build_canonical,
-    build_zero_family,
     classify_canonical,
     first_defect,
     is_maximal,
     reduce_to_canonical,
-    strict_saddle_test,
     zero_family_point,
 )
 from .errors import (

@@ -24,6 +24,7 @@ from .errors import (
     DimensionError,
     InvalidInput,
     InvalidSelection,
+    NotASaddle,
     NotCritical,
     NumericalFailure,
     RankAmbiguous,
@@ -132,19 +133,19 @@ def build_canonical(X, sel, k, C0=None):
     """Canonical critical point for a nonempty selection."""
     if sel.q < 1:
         raise InvalidSelection("build_canonical needs at least one selected index")
+    return _canonical_point(X, sel, k, C0)
+
+
+def zero_family_point(X, C0, k):
+    return _canonical_point(X, Selection(()), k, C0)
+
+
+def _canonical_point(X, sel, k, C0=None):
+    """The canonical point of any selection; C0 = 0 unless given."""
     _validate_selection(X, sel, k)
     if C0 is None:
         C0 = np.zeros((X.n - X.r, k - sel.q))
     return CanonicalPoint(X=X, selection=sel, k=k, C0=C0)
-
-
-def build_zero_family(X, C0, k):
-    """The zero-family point (0, C0^T V0^T) as a factor pair."""
-    return zero_family_point(X, C0, k).materialize()
-
-
-def zero_family_point(X, C0, k):
-    return CanonicalPoint(X=X, selection=Selection(()), k=k, C0=C0)
 
 
 def build_balanced(X, sel, k):
@@ -193,11 +194,6 @@ def is_maximal(X, sel):
     return first_defect(X, sel) is None
 
 
-def strict_saddle_test(X, sel):
-    """For a full-rank selection (q = k): is the canonical point a saddle?"""
-    return not is_maximal(X, sel)
-
-
 @dataclass(frozen=True)
 class ClassificationResult:
     kind: str  # "GlobalMinimum" | "StrictSaddle"
@@ -209,20 +205,21 @@ class ClassificationResult:
 def classify_canonical(cp):
     """Second-order type of a canonical point, with closed-form lambda_min.
 
-    Global minima are exactly q = m, or q = k < m with a maximal selection.
-    Everything else is a strict saddle.
+    A point is a global minimum exactly when ``lambda_min_closed_form``
+    finds no negative direction; everything else is a strict saddle.
     """
     from .spectrum import lambda_min_closed_form
 
     X = cp.X
     defect = first_defect(X, cp.selection) if cp.q else 0
     maximal = defect is None if cp.q else False
-    if cp.q == X.m or (cp.q == cp.k and maximal):
+    try:
+        lam_min = lambda_min_closed_form(X, cp.selection, cp.k, C0=cp.C0)
+    except NotASaddle:
         return ClassificationResult(
             kind="GlobalMinimum", p=None, lambda_min_closed_form=None,
             maximal=True,
         )
-    lam_min = lambda_min_closed_form(X, cp.selection, cp.k, C0=cp.C0)
     p = None if maximal else defect + 1
     return ClassificationResult(
         kind="StrictSaddle", p=p, lambda_min_closed_form=lam_min, maximal=maximal,

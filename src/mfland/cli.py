@@ -13,12 +13,7 @@ import sys
 
 import numpy as np
 
-from .canonical import (
-    Selection,
-    build_canonical,
-    classify_canonical,
-    zero_family_point,
-)
+from .canonical import Selection, _canonical_point, classify_canonical
 from .errors import InvalidInput, MflandError
 from .flow import classify_limit, integrate_flow, random_balanced_pair, random_pair
 from .model import load_data_matrix, read_matrix_csv, write_matrix_csv
@@ -97,12 +92,10 @@ def _load_X(args):
     return load_data_matrix(read_matrix_csv(args.x), rank_tol=args.rank_tol)
 
 
-def _load_C0(args, X, k, q):
-    if getattr(args, "c0", None):
-        C0 = read_matrix_csv(args.c0)
-    else:
-        C0 = np.zeros((X.n - X.r, k - q))
-    return C0
+def _load_point(args, X, k, sel):
+    """The canonical point of sel (empty: the zero family), C0 from --c0."""
+    C0 = read_matrix_csv(args.c0) if args.c0 else None
+    return _canonical_point(X, sel, k, C0)
 
 
 def _spectrum_payload(X, rep, family, sel, scale):
@@ -147,12 +140,11 @@ def _cmd_spectrum(args):
         else:
             if args.scale is not None and args.scale != 1.0:
                 raise InvalidInput("scaling is only supported when q = k")
-            cp = build_canonical(X, sel, k, C0=_load_C0(args, X, k, sel.q))
-            rep = spectrum_deficient_rank(cp)
+            rep = spectrum_deficient_rank(_load_point(args, X, k, sel))
             family = "canonical-deficient"
     else:
         sel = None
-        rep = spectrum_zero_family(X, _load_C0(args, X, k, 0), k)
+        rep = spectrum_zero_family(X, _load_point(args, X, k, Selection(())).C0, k)
         family = "zero"
     if args.format == "csv":
         lines = ["value,provenance,coupling"]
@@ -168,11 +160,8 @@ def _cmd_spectrum(args):
 def _cmd_classify(args):
     X = _load_X(args)
     k = args.k
-    if args.select:
-        sel = _parse_selection(args.select)
-        cp = build_canonical(X, sel, k, C0=_load_C0(args, X, k, sel.q))
-    else:
-        cp = zero_family_point(X, _load_C0(args, X, k, 0), k)
+    sel = _parse_selection(args.select) if args.select else Selection(())
+    cp = _load_point(args, X, k, sel)
     res = classify_canonical(cp)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -197,10 +186,7 @@ def _cmd_orbit(args):
     X = _load_X(args)
     k = args.k
     sel = _parse_selection(args.select) if args.select else Selection(())
-    if sel.q:
-        cp = build_canonical(X, sel, k, C0=_load_C0(args, X, k, sel.q))
-    else:
-        cp = zero_family_point(X, _load_C0(args, X, k, 0), k)
+    cp = _load_point(args, X, k, sel)
     if args.a:
         A = read_matrix_csv(args.a)
     elif args.scale is not None:
@@ -280,7 +266,7 @@ def _cmd_flow(args):
 
 
 def _cmd_verify(args):
-    from .verify import run_all, thread_count
+    from .verify import run_all
 
     X = _load_X(args) if args.x else None
     checks = run_all(X, seed=args.seed)
@@ -289,7 +275,6 @@ def _cmd_verify(args):
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
         "seed": args.seed,
-        "threads": thread_count(),
         "all_passed": ok,
         "checks": checks,
     }

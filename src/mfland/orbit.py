@@ -135,7 +135,7 @@ def inertia_of(X, p, zero_tol=None):
 
     evals = np.linalg.eigvalsh(dense_hessian(X, p).matrix)
     if zero_tol is None:
-        zero_tol = 1e-8 * max(1.0, float(np.max(np.abs(evals))))
+        zero_tol = 1e-8 * max(float(X.sigma[0]), float(np.max(np.abs(evals))))
     return inertia_from_values(evals, zero_tol)
 
 

@@ -36,6 +36,7 @@ import numpy as np
 from .canonical import (
     CanonicalPoint,
     Selection,
+    _canonical_point,
     build_balanced,
     build_canonical,
     first_defect,
@@ -293,70 +294,51 @@ def spectrum_balanced(X, sel, k):
     return _report(X, _canonical_eigpairs(cp, d=np.sqrt(cp.lambdas)), p)
 
 
+def _lambda_min(cp, d=1.0):
+    """Smallest Hessian eigenvalue at the diagonal representative of cp whose
+    selected columns carry the scales d, as in ``_canonical_eigpairs``.
+
+    With s the largest unselected singular value (0 if none), the point is a
+    minimum exactly when s = 0, or when q = k and the selection is maximal;
+    NotASaddle is raised there.  Otherwise the minimum is the lowest of the
+    lower branches at s: sigma_lambda_pair for every selected j and, when
+    q < k, sigma_omega_pair at the smallest kernel weight w.
+    """
+    X, sel, q, k = cp.X, cp.selection, cp.q, cp.k
+    chosen = set(sel.indices)
+    sigma_dag = max((float(X.sigma[i]) for i in range(X.m) if i not in chosen),
+                    default=0.0)
+    if sigma_dag == 0.0 or (q == k and first_defect(X, sel) is None):
+        raise NotASaddle("every unselected direction has nonnegative curvature: "
+                         "the canonical point is a global minimum")
+    d2 = np.broadcast_to(np.asarray(d, dtype=float), (q,)) ** 2
+    lam = cp.lambdas
+    lows = [_split_pair(lam[j] ** 2 / d2[j], -sigma_dag, d2[j])[1] for j in range(q)]
+    if q < k:
+        gs = np.linalg.svd(cp.C0, compute_uv=False)
+        w_min = float(gs[-1]) ** 2 if gs.size == k - q else 0.0
+        lows.append(_split_pair(w_min, -sigma_dag, 0.0)[1])
+    return float(min(lows))
+
+
 def lambda_min_closed_form(X, sel, k, C0=None, a=1.0):
-    """Smallest Hessian eigenvalue at a scaled canonical point, in closed form.
+    """Smallest Hessian eigenvalue at the scaled canonical point
+    (a W_c, a^-1 S_c) of sel (None for the zero family), in closed form.
 
-    Negative eigenvalues only arise from the two mixed families, so the
-    minimum is the worse of (evaluated at the largest unselected singular
-    value s):
-
-        sigma_omega branch:   w/(2 a^2) - sqrt(s^2 + (w/(2 a^2))^2)
-        sigma_lambda branch:  -(s^2 - l^2) / (l^2/(2 a^2) + a^2/2
-                                + sqrt(s^2 + (l^2/(2 a^2) - a^2/2)^2))
-
-    with w the smallest eigenvalue of C0^T C0 and l the smallest selected
-    value.  Raises NotASaddle when no negative direction exists.
+    That point is the diagonal representative with d_j = a and kernel block
+    C0 / a.  Raises NotASaddle when no negative direction exists.
     """
     if a == 0 or not np.isfinite(a):
         raise InvalidInput(f"scale must be a nonzero finite number, got {a}")
-    if sel is None:
-        sel = Selection(())
-    q = sel.q
-    if q == X.m:
-        raise NotASaddle("every singular value is selected; the point is a minimum")
-    sigma_dag = max(
-        float(X.sigma[i]) for i in range(X.m) if i not in set(sel.indices)
-    )
-    maximal = (first_defect(X, sel) is None) if q else False
-    a2 = a * a
-
-    terms = []
-    if q < k:
-        if C0 is None:
-            w_min = 0.0
-        else:
-            C0 = np.asarray(C0, dtype=float)
-            gs = np.linalg.svd(C0, compute_uv=False) if C0.size else np.zeros(0)
-            w_min = float(gs[-1] ** 2) if gs.size >= k - q else 0.0
-        half = w_min / (2.0 * a2)
-        terms.append(half - np.hypot(sigma_dag, half))
-    if q >= 1 and not maximal:
-        l2 = float(selected_values(X, sel)[-1]) ** 2
-        lo = l2 / (2.0 * a2) - 0.5 * a2
-        denom = l2 / (2.0 * a2) + 0.5 * a2 + np.hypot(sigma_dag, lo)
-        terms.append(-(sigma_dag**2 - l2) / denom)
-    if not terms:
-        raise NotASaddle(
-            "maximal full-rank selection: the canonical point is a minimum"
-        )
-    return float(min(terms))
+    if C0 is not None:
+        C0 = np.asarray(C0, dtype=float) / a
+    cp = _canonical_point(X, Selection(()) if sel is None else sel, k, C0)
+    return _lambda_min(cp, d=a)
 
 
 def lambda_min_balanced(X, sel, k):
     """Closed-form smallest eigenvalue at a balanced strict saddle."""
-    q = sel.q
     lam = selected_values(X, sel)
-    if np.any(lam <= 0) or q > min(k, X.r):
+    if np.any(lam <= 0) or sel.q > min(k, X.r):
         raise InvalidSelection("balanced points need positive selected values")
-    maximal = first_defect(X, sel) is None
-    if q == min(k, X.r):
-        if maximal:
-            raise NotASaddle("maximal balanced point is a global minimum")
-        sigma_dag = max(
-            float(X.sigma[i]) for i in range(X.m) if i not in set(sel.indices)
-        )
-        return float(lam[-1] - sigma_dag)
-    sigma_dag = max(
-        float(X.sigma[i]) for i in range(X.m) if i not in set(sel.indices)
-    )
-    return float(-sigma_dag)
+    return _lambda_min(_canonical_point(X, sel, k), d=np.sqrt(lam))

@@ -1,12 +1,8 @@
 """Self-contained invariant checks, runnable against any data matrix.
 
 Each check returns (name, passed, detail).  ``run_all`` executes the whole
-battery, optionally in a thread pool sized by the MFLAND_THREADS environment
-variable, and is what the command-line ``verify`` subcommand calls.
+battery in order, and is what the command-line ``verify`` subcommand calls.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -19,7 +15,7 @@ from . import (
     balance_residual,
     build_balanced,
     build_canonical,
-    build_zero_family,
+    classify_canonical,
     dense_hessian,
     evaluate_J,
     fd_validate,
@@ -44,7 +40,9 @@ from . import (
     spectrum_full_rank_scaled,
     spectrum_zero_family,
     transported_lambda_min_bound,
+    zero_family_point,
 )
+from .spectrum import _split_pair
 
 
 def _default_X(seed):
@@ -102,7 +100,7 @@ def check_hessian_symmetry(X, seed):
 def check_families_critical(X, seed):
     rng = np.random.default_rng(seed)
     k = min(2, X.m)
-    pts = [build_zero_family(X, rng.standard_normal((X.n - X.r, k)), k)]
+    pts = [zero_family_point(X, rng.standard_normal((X.n - X.r, k)), k).materialize()]
     sel = Selection((0,))
     pts.append(build_canonical(X, sel, k, C0=rng.standard_normal((X.n - X.r, k - 1))).materialize())
     if X.sigma[0] > 0:
@@ -173,10 +171,9 @@ def check_eigpair_quality(X, seed):
 
 def _saddle_selection(X):
     """A single-index selection that is a strict saddle at q = k = 1, if any."""
-    from .canonical import is_maximal
-
     sel = Selection((X.m - 1,))
-    return sel if X.m > 1 and not is_maximal(X, sel) else None
+    kind = classify_canonical(build_canonical(X, sel, 1)).kind
+    return sel if kind == "StrictSaddle" else None
 
 
 def check_lambda_min_formulas(X, seed):
@@ -287,10 +284,7 @@ def check_scaling_trichotomy(X, seed):
         lam = rng.uniform(0.1, 3.0)
         sig = rng.uniform(0.1, 3.0)
         a = rng.uniform(0.3, 3.0)
-        a2 = a * a
-        tr = lam**2 / a2 + a2
-        disc = np.hypot(lam**2 / a2 - a2, 2 * sig)
-        rho_lo = (lam**2 - sig**2) / (0.5 * (tr + disc))
+        rho_lo = _split_pair(lam**2 / a**2, -sig, a**2)[1]
         if lam < sig and not rho_lo < 0:
             worst_sign = False
         if lam > sig and not rho_lo > 0:
@@ -337,29 +331,16 @@ ALL_CHECKS = [
 ]
 
 
-def thread_count():
-    raw = os.environ.get("MFLAND_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_all(X=None, seed=0):
     """Run every check; returns a list of dicts in a deterministic order."""
     if X is None:
         X = _default_X(seed)
 
-    def run_one(item):
-        name, fn = item
+    out = []
+    for name, fn in ALL_CHECKS:
         try:
             passed, detail = fn(X, seed)
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"{type(exc).__name__}: {exc}"
-        return {"name": name, "passed": bool(passed), "detail": detail}
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_one, ALL_CHECKS))
-    return [run_one(item) for item in ALL_CHECKS]
+        out.append({"name": name, "passed": bool(passed), "detail": detail})
+    return out

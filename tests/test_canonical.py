@@ -12,7 +12,6 @@ from mfland import (
     balance_residual,
     build_balanced,
     build_canonical,
-    build_zero_family,
     classify_canonical,
     evaluate_J,
     first_defect,
@@ -21,7 +20,6 @@ from mfland import (
     is_maximal,
     load_data_matrix,
     reduce_to_canonical,
-    strict_saddle_test,
     zero_family_point,
 )
 
@@ -80,7 +78,7 @@ def test_canonical_with_c0_is_critical():
 
 def test_zero_family_is_critical():
     C0 = np.array([[0.5, -2.0]])
-    p = build_zero_family(X323, C0, 2)
+    p = zero_family_point(X323, C0, 2).materialize()
     assert np.all(p.W == 0.0)
     assert is_critical(X323, p)
     # S is supported on the kernel of X: W S has no overlap with X's range
@@ -110,8 +108,6 @@ def test_first_defect_and_maximality():
     assert first_defect(X323, Selection((0, 2))) == 1
     assert classify_canonical(build_canonical(X323, Selection((0, 2)), 2)).p == 2
     assert not is_maximal(X323, Selection((1, 2)))
-    assert strict_saddle_test(X323, Selection((1, 2)))
-    assert not strict_saddle_test(X323, Selection((0, 1)))
 
 
 def test_maximality_is_value_wise_under_ties():
@@ -128,6 +124,15 @@ def test_classify_kinds():
     assert res.kind == "StrictSaddle"
     assert res.lambda_min_closed_form < 0
     assert classify_canonical(zero_family_point(X323, np.zeros((1, 1)), 1)).kind == "StrictSaddle"
+
+
+def test_selecting_every_positive_sigma_is_a_minimum_for_any_k():
+    """q = r < k: no unselected sigma is positive, so no direction descends."""
+    X = load_data_matrix(np.diag([3.0, 2.0, 0.0]) @ np.eye(3, 4))
+    res = classify_canonical(build_canonical(X, Selection((0, 1)), 3))
+    assert (res.kind, res.p, res.lambda_min_closed_form) == ("GlobalMinimum", None, None)
+    res = classify_canonical(build_canonical(X, Selection((0,)), 3))
+    assert res.kind == "StrictSaddle" and res.lambda_min_closed_form < 0
 
 
 def test_deficient_rank_always_saddle():
@@ -185,7 +190,7 @@ def test_reduce_round_trip_random_orbit():
 def test_reduce_zero_family_branch():
     C0 = np.array([[1.5], [0.25]])
     X = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 4))
-    p = build_zero_family(X, C0, 1)
+    p = zero_family_point(X, C0, 1).materialize()
     cp, _ = reduce_to_canonical(X, p)
     assert cp.q == 0
 

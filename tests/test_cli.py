@@ -69,6 +69,25 @@ def test_classify(capsys, x_csv):
     assert doc["selection"] == [2]
 
 
+def test_classify_rank_deficient_minimum(capsys, tmp_path):
+    x = tmp_path / "x.csv"
+    x.write_text("3,0,0,0\n0,2,0,0\n0,0,0,0\n")
+    code, out, _ = _run(capsys, "classify", "--x", str(x), "--k", "3", "--select", "1,2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kind"] == "GlobalMinimum"
+    assert doc["p"] is None and doc["lambda_min_closed_form"] is None
+
+
+@pytest.mark.parametrize("cmd", [
+    ["classify"], ["spectrum"], ["orbit", "--scale", "2"],
+])
+def test_selection_larger_than_k_is_exit_2(capsys, x_csv, cmd):
+    code, _, err = _run(capsys, *cmd, "--x", x_csv, "--k", "1", "--select", "1,2")
+    assert code == 2
+    assert "q = 2 > min(k, m) = 1" in err
+
+
 def test_orbit_bound(capsys, x_csv, tmp_path):
     a = tmp_path / "a.csv"
     a.write_text("2\n")
@@ -136,6 +155,14 @@ def test_scale_rejected_for_deficient(capsys, x_csv):
         capsys, "spectrum", "--x", x_csv, "--k", "2", "--select", "1", "--scale", "3"
     )
     assert code == 2
+
+
+def test_verify_stdout_ignores_thread_variable(capsys, monkeypatch):
+    monkeypatch.delenv("MFLAND_THREADS", raising=False)
+    _, plain, _ = _run(capsys, "verify", "--seed", "0")
+    monkeypatch.setenv("MFLAND_THREADS", "4")
+    _, threaded, _ = _run(capsys, "verify", "--seed", "0")
+    assert plain == threaded
 
 
 def test_verify_passes(capsys):

@@ -19,6 +19,24 @@ GRAD_TOL = 1e-9
 DRIFT_TOL = 1e-8
 
 
+def test_rank_deficient_limit_is_a_global_minimum():
+    """A k = 3 flow over a rank-2 X reaches J = 0 with q = r = 2 < k.
+
+    Seed 0 ends with rank(W) = 2.  Starts whose limit keeps a third column of
+    W in the left kernel of X (seeds 1, 4, 6 here) still fail in
+    reduce_to_canonical with NumericalFailure.
+    """
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.standard_normal((10, 2)))
+    V, _ = np.linalg.qr(rng.standard_normal((15, 2)))
+    X = load_data_matrix((U * [10.0, 6.0]) @ V.T)
+    traj = integrate_flow(X, random_pair(X, 3, 0), grad_tol=GRAD_TOL)
+    assert traj.status == "Converged"
+    diag = classify_limit(X, traj)
+    assert (diag.q, diag.kind, diag.lambda_min) == (2, "GlobalMinimum", None)
+    assert diag.J < 1e-12
+
+
 def test_random_balanced_pair_starts_balanced():
     p0 = random_balanced_pair(X21, 2, seed=4)
     assert balance_residual(p0) < 1e-10

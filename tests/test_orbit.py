@@ -119,6 +119,17 @@ def test_inertia_invariant_under_transport():
         assert inertia_of(X321, moved, zero_tol=1e-8 * g.cond() ** 2) == base
 
 
+@pytest.mark.parametrize("c", [1e-10, 1.0, 1e6])
+def test_inertia_of_is_scale_covariant(c):
+    """The default zero floor is relative to sigma_1, so a small-scale X keeps
+    the closed-form inertia at the full-rank point a = sqrt(c)."""
+    X = load_data_matrix(c * np.random.default_rng(3).standard_normal((4, 6)))
+    sel = Selection((0, 2))
+    p = build_canonical(X, sel, 2).materialize(scale=np.sqrt(c))
+    assert spectrum_full_rank_scaled(X, sel, a=np.sqrt(c)).inertia == (15, 1, 4)
+    assert inertia_of(X, p) == (15, 1, 4)
+
+
 def test_orthogonal_transport_preserves_spectrum():
     cp = build_canonical(X321, Selection((0, 2)), 2)
     p = cp.materialize()

@@ -29,6 +29,8 @@ from mfland import (
     spectrum_zero_family,
     zero_family_point,
 )
+from mfland.canonical import _canonical_point
+from mfland.spectrum import _canonical_eigpairs, _report
 
 MATCH_TOL = 1e-8
 X21 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
@@ -280,6 +282,54 @@ def test_lambda_min_matches_report_minimum():
             rep = spectrum_deficient_rank(build_canonical(X321, sel, k, C0=C0))
         lam = lambda_min_closed_form(X321, sel, k, C0=C0)
         assert lam == pytest.approx(rep.lambda_min, abs=1e-10)
+
+
+@pytest.mark.parametrize("c", [1e4, 1e6])
+def test_lambda_min_survives_a_heavy_kernel_weight(c):
+    """w = c^2 >> sigma_dag = 1: the sigma_omega branch -s^2 / (w/2 + ...)
+    keeps its digits where w/2 - hypot(s, w/2) cancels to 0."""
+    X = load_data_matrix(np.diag([1.0, 1e-4, 0.0]) @ np.eye(3, 4))
+    C0 = np.array([[c], [0.0]])
+    lam = lambda_min_closed_form(X, Selection(()), 1, C0=C0)
+    rep = spectrum_zero_family(X, C0, 1)
+    oracle = _oracle_sorted(X, rep.point)[0]
+    assert lam < 0
+    assert lam == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert lam == pytest.approx(rep.lambda_min, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["tied", "rank-deficient", "tall", "rescaled", "generic"]),
+       st.integers(0, 2**16))
+def test_lambda_min_is_the_spectrum_minimum_everywhere(kind, seed):
+    """Every k, every 0 <= q <= k over all m indices, a != 1 and C0 at unit
+    scale: lambda_min_closed_form is the closed-form spectrum's minimum, and
+    it refuses exactly the points without a negative eigenvalue."""
+    X = load_data_matrix(_landscape_matrix(kind, seed))
+    s1 = float(X.sigma[0])
+    rng = np.random.default_rng(seed)
+    for k in range(1, X.m + 1):
+        for q in range(0, k + 1):
+            sel = Selection(tuple(sorted(rng.choice(X.m, size=q, replace=False).tolist())))
+            C0 = rng.standard_normal((X.n - X.r, k - q))
+            a = float(np.exp(rng.uniform(-1.0, 1.0)))
+            if q == k:
+                reps = [(spectrum_full_rank_scaled(X, sel, a=s), s) for s in (1.0, a)]
+            else:
+                rep = (spectrum_deficient_rank(_canonical_point(X, sel, k, C0)) if q
+                       else spectrum_zero_family(X, C0, k))
+                # (a W_c, a^-1 S_c) is the representative with d = a and C0 / a.
+                scaled = _canonical_eigpairs(_canonical_point(X, sel, k, C0 / a), d=a)
+                reps = [(rep, 1.0), (_report(X, scaled, None), a)]
+            for rep, s in reps:
+                try:
+                    lam = lambda_min_closed_form(X, sel, k, C0=None if q == k else C0, a=s)
+                except NotASaddle:
+                    assert rep.inertia[1] == 0
+                    assert rep.lambda_min >= -1e-14 * s1
+                    continue
+                assert rep.inertia[1] >= 1
+                assert abs(lam - rep.lambda_min) <= 1e-14 * s1
 
 
 def test_lambda_min_refuses_global_minimum():
