@@ -15,6 +15,7 @@ parametrization: ``reduce_to_canonical`` maps any critical point back to a
 canonical point plus the group element connecting them.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,13 +249,15 @@ def reduce_to_canonical(X, p, tol=1e-8):
 
     Returns ``(cp, g)`` with ``p approx (W_c A, A^{-1} S_c)``.  The rank of W
     is read off its singular values at relative threshold ``tol``; values
-    within a factor of 10 of the threshold raise RankAmbiguous.  A final
+    within a factor of 10 of the threshold raise RankAmbiguous.  Inside a
+    group of tied singular values the SVD of X is fixed only up to a
+    rotation, so ``cp.X`` may be a rebased SVD of the same X (same X, sigma
+    and r, other U and V columns inside a tied group); it is the input
+    object whenever no tied group needed a new basis.  A final
     reconstruction residual above 1e-8 * max(1, ||p||) raises
-    NumericalFailure (this can happen for critical points whose column space
-    cuts across a repeated-sigma eigenspace in a basis incompatible with the
-    stored SVD).
+    NumericalFailure.
     """
-    from .orbit import GroupElement, _block_diag
+    from .orbit import GroupElement
 
     if not is_critical(X, p, tol):
         bound = tol * max(1.0, float(np.linalg.norm(X.X)))
@@ -282,7 +285,7 @@ def reduce_to_canonical(X, p, tol=1e-8):
         C0 = X.V0.T @ S.T
         cp = zero_family_point(X, C0, k)
         g = GroupElement.identity(k)
-        _check_reduction(X, p, cp, g, tol)
+        _check_reduction(p, cp, g)
         return cp, g
 
     # (i)-(ii) W = Uw diag(sW) Vwt gives an orthonormal basis Uh of the
@@ -291,31 +294,28 @@ def reduce_to_canonical(X, p, tol=1e-8):
     Uh = Uw[:, :q]
     SV = sW[:q, None] * Vwt[:q]
 
-    # (iii) align Uh with the stored left singular vectors, one tied group of
-    # sigmas at a time; record which indices the column space occupies.
-    rot_cols, R_blocks, sel_idx = [], [], []
+    # (iii) rebase the SVD of X inside each tied group that the column space
+    # meets in part, so that it occupies the group's leading d columns.  The
+    # zero group turns U alone: its columns pair with no column of V.
+    U, V = X.U.copy(), X.V.copy()
+    rebased = False
+    sel_idx = []
     for g_idx in _sigma_groups(X):
-        B = X.U[:, g_idx].T @ Uh
-        Y, sv, _ = np.linalg.svd(B)
+        Y, sv, _ = np.linalg.svd(U[:, g_idx].T @ Uh)
         d = int(np.count_nonzero(sv > 0.5))
-        if d == 0:
-            continue
-        grp_rot = X.U[:, g_idx] @ Y[:, :d]
-        rot_cols.append(grp_rot)
-        # Inside a tied group any subset of columns carries the same value, so
-        # pick the d fixed columns the rotated subspace actually lies along
-        # (largest projections); for on-orbit inputs these are exact 0/1.
-        row_weight = np.linalg.norm(B, axis=1)
-        chosen = sorted(np.argsort(-row_weight)[:d])
-        chosen = [g_idx[c] for c in chosen]
-        sel_idx.extend(chosen)
-        R_blocks.append(_polar_orthogonal(X.U[:, chosen].T @ grp_rot))
+        if 0 < d < len(g_idx):
+            U[:, g_idx] = U[:, g_idx] @ Y
+            if X.sigma[g_idx[0]] > 0:
+                V[:, g_idx] = V[:, g_idx] @ Y
+            rebased = True
+        sel_idx.extend(g_idx[:d])
     if len(sel_idx) != q:
         raise NumericalFailure(
             "column space of W does not split along the singular subspaces of X"
         )
-    U_rot = np.hstack(rot_cols)
-    Q = _polar_orthogonal(U_rot.T @ Uh)
+    if rebased:
+        X = dataclasses.replace(X, U=_freeze(U), V=_freeze(V))
+    Q = _polar_orthogonal(X.U[:, sel_idx].T @ Uh)
 
     # (iv) peel the invertible change of basis A1 = blockdiag(Q, I) C_full.
     A1 = np.vstack([Q @ SV, Vwt[q:]])
@@ -323,37 +323,27 @@ def reduce_to_canonical(X, p, tol=1e-8):
 
     # (v) absorb the mixed block of S2 with a unipotent factor, read off C0.
     lam = X.sigma[sel_idx]
-    pos = lam > 0
     Sb = S2[q:, :]
-    Cbar = np.zeros((q, k - q))
-    if np.any(pos):
-        V_rot_pos = (X.X.T @ U_rot[:, pos]) / lam[pos]
-        Cbar[pos, :] = V_rot_pos.T @ Sb.T
     C0 = X.V0.T @ Sb.T
-    inv_lam = np.divide(1.0, lam, out=np.zeros_like(lam), where=pos)
+    inv_lam = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0)
     E = np.eye(k)
-    E[q:, :q] = -Cbar.T * inv_lam
-
-    # (vi) fold the within-group rotation into A so the canonical point uses
-    # the stored singular-vector basis.
-    A = _block_diag(*R_blocks, np.eye(k - q)) @ E @ A1
+    E[q:, :q] = -(Sb @ X.V[:, sel_idx]) * inv_lam
+    A = E @ A1
 
     cp = CanonicalPoint(X=X, selection=Selection(tuple(sel_idx)), k=k, C0=C0)
     g = GroupElement.from_matrix(A)
-    _check_reduction(X, p, cp, g, tol)
+    _check_reduction(p, cp, g)
     return cp, g
 
 
-def _check_reduction(X, p, cp, g, tol):
+def _check_reduction(p, cp, g):
     pc = cp.materialize()
-    scale = max(1.0, p.norm())
+    bound = 1e-8 * max(1.0, p.norm())
     err = np.sqrt(
         np.linalg.norm(pc.W @ g.A - p.W) ** 2
         + np.linalg.norm(g.A_inv @ pc.S - p.S) ** 2
     )
-    if err > 1e-8 * scale:
+    if err > bound:
         raise NumericalFailure(
-            f"orbit reconstruction residual {err:.3e} exceeds "
-            f"{1e-8 * scale:.3e}; the point may not be expressible in the "
-            "stored singular-vector basis"
+            f"orbit reconstruction residual {err:.3e} exceeds {bound:.3e}"
         )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -169,18 +171,58 @@ def test_reduce_identity_on_canonical():
     np.testing.assert_allclose(g.A, np.eye(2), atol=1e-10)
 
 
+def _rotated(X, groups, rng):
+    """The same X with its singular basis turned at random inside each group.
+
+    U and V turn together inside a group of positive sigma; a group of zero
+    sigma turns U alone.
+    """
+    U, V = X.U.copy(), X.V.copy()
+    for g in groups:
+        R, _ = np.linalg.qr(rng.standard_normal((len(g), len(g))))
+        U[:, g] = U[:, g] @ R
+        if X.sigma[g[0]] > 0:
+            V[:, g] = V[:, g] @ R
+    return dataclasses.replace(X, U=U, V=V)
+
+
+def _mixed(rng, s, n):
+    """diag(s) padded to m x n, in a random orthogonal frame on each side."""
+    P, _ = np.linalg.qr(rng.standard_normal((len(s), len(s))))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return load_data_matrix(P @ np.diag(s) @ np.eye(len(s), n) @ Q.T)
+
+
 def test_reduce_round_trip_random_orbit():
     rng = np.random.default_rng(12)
+    cases = []
     for seed in range(6):
         X = _random_X(seed)
-        k = 2
         C0 = rng.standard_normal((X.n - X.r, 1)) if X.n > X.r else None
-        sel = Selection((int(rng.integers(0, X.r)),))
-        cp0 = build_canonical(X, sel, k, C0=C0)
+        cases.append((X, X, Selection((int(rng.integers(0, X.r)),)), 2, C0))
+    # Tied and rank-deficient X: the point is canonical in a random basis of
+    # each tied group, so W spans a random subspace of a tied singular
+    # subspace; selections reaching the sigma = 0 group give rank(W) > r.
+    tied = _mixed(rng, [2.0, 2.0, 1.0], 4)
+    deficient = _mixed(rng, [3.0, 2.0, 2.0, 0.0, 0.0], 7)
+    for X, groups, sel, k in [
+        (tied, [[0, 1]], (0,), 1),
+        (tied, [[0, 1]], (1, 2), 2),
+        (tied, [[0, 1]], (0,), 2),
+        (deficient, [[1, 2], [3, 4]], (0, 1, 3, 4), 5),
+        (deficient, [[1, 2], [3, 4]], (0, 1, 2, 3), 4),
+        (deficient, [[1, 2], [3, 4]], (1, 3), 3),
+    ]:
+        C0 = rng.standard_normal((X.n - X.r, k - len(sel)))
+        cases.append((X, _rotated(X, groups, rng), Selection(sel), k, C0))
+    for X, X_basis, sel, k, C0 in cases:
+        cp0 = build_canonical(X_basis, sel, k, C0=C0)
         A = rng.standard_normal((k, k)) + 3.0 * np.eye(k)
         p = apply_group_action(cp0.materialize(), GroupElement.from_matrix(A))
         cp, g = reduce_to_canonical(X, p)
         assert cp.q == cp0.q
+        np.testing.assert_array_equal(cp.X.X, X.X)
+        np.testing.assert_array_equal(cp.X.sigma, X.sigma)
         np.testing.assert_allclose(sorted(cp.lambdas), sorted(cp0.lambdas), atol=1e-8)
         back = apply_group_action(cp.materialize(), g)
         np.testing.assert_allclose(back.W, p.W, atol=1e-8 * max(1.0, p.norm()))

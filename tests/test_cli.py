@@ -118,6 +118,17 @@ def test_flow_writes_trajectory(capsys, x_csv, tmp_path):
     assert rows[0, 0] == 0.0
 
 
+def test_flow_with_tied_top_sigma_classifies_its_limit(capsys, tmp_path):
+    x = tmp_path / "t.csv"
+    x.write_text("2,0,0,0\n0,2,0,0\n0,0,1,0\n")
+    code, out, _ = _run(capsys, "flow", "--x", str(x), "--k", "1", "--seed", "1")
+    assert code == 0
+    limit = json.loads(out)["limit"]
+    assert limit["kind"] == "GlobalMinimum"
+    assert limit["selection"] == [1]
+    assert limit["lambdas"] == [2]
+
+
 def test_missing_file_is_exit_2(capsys):
     code, _, err = _run(capsys, "spectrum", "--x", "/nonexistent.csv", "--k", "1")
     assert code == 2

@@ -20,21 +20,42 @@ DRIFT_TOL = 1e-8
 
 
 def test_rank_deficient_limit_is_a_global_minimum():
-    """A k = 3 flow over a rank-2 X reaches J = 0 with q = r = 2 < k.
+    """A k = 3 flow over a rank-2 X reaches J = 0 at a global minimum.
 
-    Seed 0 ends with rank(W) = 2.  Starts whose limit keeps a third column of
-    W in the left kernel of X (seeds 1, 4, 6 here) still fail in
-    reduce_to_canonical with NumericalFailure.
+    Seed 0 ends with rank(W) = 2, so q = r = 2 < k.  Seeds 4 and 6 keep a
+    third column of W in the left kernel of X: that column sits in the
+    sigma = 0 group, so q = 3 with lambdas (10, 6, 0).
     """
     rng = np.random.default_rng(0)
     U, _ = np.linalg.qr(rng.standard_normal((10, 2)))
     V, _ = np.linalg.qr(rng.standard_normal((15, 2)))
     X = load_data_matrix((U * [10.0, 6.0]) @ V.T)
-    traj = integrate_flow(X, random_pair(X, 3, 0), grad_tol=GRAD_TOL)
-    assert traj.status == "Converged"
-    diag = classify_limit(X, traj)
-    assert (diag.q, diag.kind, diag.lambda_min) == (2, "GlobalMinimum", None)
-    assert diag.J < 1e-12
+    for seed, lambdas in [(0, (10.0, 6.0)), (4, (10.0, 6.0, 0.0)), (6, (10.0, 6.0, 0.0))]:
+        traj = integrate_flow(X, random_pair(X, 3, seed), grad_tol=GRAD_TOL)
+        assert traj.status == "Converged"
+        diag = classify_limit(X, traj)
+        assert (diag.q, diag.kind, diag.lambda_min) == (len(lambdas), "GlobalMinimum", None)
+        assert diag.lambdas == pytest.approx(lambdas, abs=1e-9)
+        assert diag.J < 1e-12
+
+
+@pytest.mark.parametrize("init", [random_pair, random_balanced_pair])
+@pytest.mark.parametrize(
+    "sigma", [(2.0, 2.0, 1.0), (1.0, 1.0, 1.0)], ids=["2,2,1", "1,1,1"]
+)
+def test_tied_top_sigma_limit_is_a_global_minimum(sigma, init):
+    """k = 1 flows reach a unit vector in the tied top singular subspace.
+
+    That vector is a generic combination of the stored singular vectors, so
+    the reduction has to rebase the SVD of X inside the tied group.
+    """
+    X = load_data_matrix(np.diag(sigma) @ np.eye(3, 4))
+    for seed in range(3):
+        traj = integrate_flow(X, init(X, 1, seed), grad_tol=GRAD_TOL)
+        assert traj.status == "Converged"
+        diag = classify_limit(X, traj)
+        assert (diag.kind, diag.selection) == ("GlobalMinimum", (1,))
+        assert diag.lambdas == pytest.approx((sigma[0],), abs=1e-9)
 
 
 def test_random_balanced_pair_starts_balanced():
