@@ -113,7 +113,7 @@ def _spectrum_payload(X, rep, family, sel, scale):
         "selection": [i + 1 for i in sel.indices] if sel is not None else None,
         "scale": scale,
         "count": len(rep.eigpairs),
-        "eigenvalues": [float(v) for v in np.sort(rep.values)],
+        "eigenvalues": rep.values.tolist(),
         "inertia": list(rep.inertia),
         "lambda_min": rep.lambda_min,
         "eigenpairs": eigenpairs,

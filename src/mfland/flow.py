@@ -5,16 +5,33 @@ drift alongside J and the gradient norm at every accepted step.  Time
 stepping is classical RK4 with step-doubling error control: each step is
 taken once at h and twice at h/2, the Richardson estimate of the local error
 decides acceptance, and the extrapolated state is kept.
+
+A flow that passes its gradient test is reported Converged only once
+``reduce_to_canonical`` reconstructs its terminal point within the
+reduction's residual bound, so that every Converged limit classifies.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, StiffnessFailure
+from .canonical import classify_canonical, reduce_to_canonical
+from .errors import (
+    InvalidInput,
+    NotCritical,
+    NumericalFailure,
+    RankAmbiguous,
+    StiffnessFailure,
+)
 from .model import FactorPair, evaluate_J
+from .orbit import balance_residual
 
 DIVERGENCE_NORM = 1e12
+# The tolerance classify_limit reduces a limit at by default.
+LIMIT_TOL = 1e-6
+# How many times a converged point that the reduction refuses sends the flow
+# on with a gradient tolerance ten times tighter before it is Uncertified.
+TIGHTENINGS = 2
 
 
 @dataclass(frozen=True)
@@ -29,7 +46,8 @@ class FlowSample:
 class FlowTrajectory:
     samples: tuple
     terminal: FactorPair
-    status: str  # "Converged" | "MaxTimeReached" | "MaxStepsReached" | "Diverged"
+    # "Converged" | "Uncertified" | "MaxTimeReached" | "MaxStepsReached" | "Diverged"
+    status: str
     steps: int
 
     @property
@@ -68,6 +86,14 @@ def integrate_flow(
     grad_tol * max(1, ||X||_F), time runs out, max_steps steps have been
     accepted, or the iterate diverges.
 
+    A point that passes the gradient test is Converged when
+    ``reduce_to_canonical`` accepts it.  When the reduction fails its
+    residual bound (NumericalFailure), the flow goes on from that point with
+    the gradient tolerance divided by 10, at most TIGHTENINGS times, and
+    then stops as "Uncertified".  Any other refusal of the reduction
+    (NotCritical under a loose grad_tol, RankAmbiguous) leaves the point
+    Converged, and ``classify_limit`` raises it.
+
     Raises InvalidInput for a non-finite or non-positive t_max or h0 and for
     negative tolerances, and StiffnessFailure if the accepted step size
     underflows h_min.
@@ -82,6 +108,27 @@ def integrate_flow(
     W, S = p0.W.copy(), p0.S.copy()
     C_init = W.T @ W - S @ S.T
     scale = max(1.0, float(np.linalg.norm(X.X)))
+
+    gtol, tightened = grad_tol * scale, 0
+
+    def stop_status():
+        """The status to stop with at the current point (Converged, or
+        Uncertified once the tightenings are spent), or None to go on, with
+        gtol tightened when the reduction refused the point."""
+        nonlocal gtol, tightened
+        if samp.grad_norm > gtol:
+            return None
+        try:
+            reduce_to_canonical(X, FactorPair(W=W, S=S), tol=LIMIT_TOL)
+        except NumericalFailure:
+            if tightened == TIGHTENINGS:
+                return "Uncertified"
+            tightened += 1
+            gtol /= 10.0
+            return None
+        except (NotCritical, RankAmbiguous):
+            pass
+        return "Converged"
 
     def snapshot(t):
         """The sample at the current (W, S) and the slope of the next step."""
@@ -99,7 +146,7 @@ def integrate_flow(
     status = "MaxStepsReached"  # every other way out of the loop sets it
     steps = 0
 
-    if samp.grad_norm <= grad_tol * scale:
+    if stop_status() == "Converged":
         return FlowTrajectory(samples=(samp,), terminal=FactorPair(W=W, S=S),
                               status="Converged", steps=0)
 
@@ -126,8 +173,9 @@ def integrate_flow(
             ):
                 status = "Diverged"
                 break
-            if samp.grad_norm <= grad_tol * scale:
-                status = "Converged"
+            stop = stop_status()
+            if stop is not None:
+                status = stop
                 break
             if t >= t_max:
                 status = "MaxTimeReached"
@@ -157,11 +205,8 @@ class LimitDiagnosis:
     J: float
 
 
-def classify_limit(X, traj, tol=1e-6):
+def classify_limit(X, traj, tol=LIMIT_TOL):
     """Identify which critical-point family a converged trajectory reached."""
-    from .canonical import classify_canonical, reduce_to_canonical
-    from .orbit import balance_residual
-
     if traj.status != "Converged":
         raise InvalidInput(
             f"classify_limit needs a converged trajectory, status is {traj.status}"

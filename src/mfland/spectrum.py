@@ -24,11 +24,18 @@ eigenvectors) come out exactly.  The 2 x 2 families:
 plus 1 x 1 families for left kernel rows (l_j^2/d_j^2 or w_l), dead
 coordinates, and the right kernel (d_j^2 or 0).
 
-Each eigenvector is a pair of rank-one matrices and is stored as its factors
-(see :class:`EigPair`), so a spectrum costs O(k (m + n)) memory; the dense
-tangent pair is built only when ``EigPair.vector`` is read.
+A spectrum is built once, as aligned arrays over all k (m + n) eigenpairs:
+every family broadcasts its block entries over its index grid and the 2 x 2
+blocks are split by one elementwise evaluation.  Each eigenvector is a pair
+of rank-one matrices kept as indices into the singular bases and a table of
+coefficient vectors, so a spectrum costs O(k (m + n)) memory.  An
+:class:`EigPair` is made only when one is read from
+``SpectrumReport.eigpairs``, and its dense tangent pair only when
+``EigPair.vector`` is read.
 """
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +73,9 @@ class EigPair:
     2 x 2 families ``coupling`` is the ratio of the right-direction to the
     left-direction coefficient in the unit eigenvector, and the two branches
     of one block multiply to -1.
+
+    A spectrum does not hold EigPair objects: ``SpectrumReport.eigpairs``
+    makes one from its arrays each time an item is read.
     """
 
     value: float
@@ -84,21 +94,122 @@ class EigPair:
                            H=self.cr * np.outer(self.cH, self.vH))
 
 
+# Family codes: the family's name and the names of its two indices.
+_FAMILIES = (
+    ("sigma_lambda_pair", "i", "j"),
+    ("sigma_omega_pair", "i", "l"),
+    ("left_kernel_lambda", "i", "j"),
+    ("left_kernel_omega", "i", "l"),
+    ("selected_cross_pair", "j", "s"),
+    ("zero_lambda_column", "j", "s"),
+    ("c0_cross_pair", "j", "l"),
+    ("right_kernel_selected", "j", "l"),
+    ("c0_dead_coord", "j", "l"),
+    ("right_kernel_null", "l", "s"),
+    ("right_kernel_null", "l", "z"),
+)
+(_SIGMA_LAMBDA, _SIGMA_OMEGA, _LEFT_LAMBDA, _LEFT_OMEGA, _SELECTED_CROSS,
+ _ZERO_LAMBDA, _C0_CROSS, _RIGHT_SELECTED, _C0_DEAD, _RIGHT_NULL_S,
+ _RIGHT_NULL_Z) = range(len(_FAMILIES))
+
+# Block kinds: 1 x 1 over a left or a right direction, a 2 x 2 block, and a
+# 2 x 2 block whose determinant is exactly zero.
+_LEFT, _RIGHT, _PAIR, _ZERO_PAIR = range(4)
+
+# Fields of a block: kind, family, the two provenance indices, the entries
+# [[p11, p12], [p12, p22]], the column u of X.U, the rows cg and ch of the
+# coefficient table and the column v of the right basis (X.V, then zeta).
+# Index -1 (u, v) and the table's last row (cg, ch) stand for a zero factor.
+_FIELDS = ("kind", "family", "ia", "ib", "p11", "p12", "p22", "u", "cg", "ch", "v")
+
+
+class _EigPairs(Sequence):
+    """The eigenpairs of one spectrum as aligned arrays.
+
+    Per eigenpair: ``value``, ``cl``, ``cr``, ``coupling`` (NaN on 1 x 1
+    blocks), ``branch`` (-1 lower, +1 upper, 0 for 1 x 1) and ``block``, a
+    row of the block table, which holds the family, the provenance indices
+    and the factor indices (``_FIELDS``).  Item i is an :class:`EigPair`
+    made on read; slices return tuples of them.
+    """
+
+    def __init__(self, cols, blocks, bases):
+        for a in cols.values():
+            a.flags.writeable = False
+        self._cols = cols
+        self._blocks = blocks
+        self._bases = bases  # (U, V, zeta, coef, zero_m, zero_n)
+
+    @property
+    def values(self):
+        return self._cols["value"]
+
+    def take(self, order):
+        return _EigPairs({key: a[order] for key, a in self._cols.items()},
+                         self._blocks, self._bases)
+
+    def __len__(self):
+        return self._cols["value"].size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._pair, range(*i.indices(len(self)))))
+        j = operator.index(i)
+        if j < 0:
+            j += len(self)
+        if not 0 <= j < len(self):
+            raise IndexError(f"eigenpair index {i} out of range for {len(self)}")
+        return self._pair(j)
+
+    def __iter__(self):
+        return map(self._pair, range(len(self)))
+
+    def _pair(self, j):
+        c, b = self._cols, self._blocks
+        U, V, zeta, coef, zm, zn = self._bases
+        blk = c["block"][j]
+        name, ia, ib = _FAMILIES[b["family"][blk]]
+        prov = f"{name}({ia}={b['ia'][blk]},{ib}={b['ib'][blk]})"
+        branch = c["branch"][j]
+        if branch:
+            prov += ",branch=-" if branch < 0 else ",branch=+"
+        u, v = b["u"][blk], b["v"][blk]
+        if v < 0:
+            vH = zn
+        else:
+            vH = V[:, v] if v < V.shape[1] else zeta[:, v - V.shape[1]]
+        return EigPair(value=float(c["value"][j]), cl=float(c["cl"][j]),
+                       uG=U[:, u] if u >= 0 else zm, cG=coef[b["cg"][blk]],
+                       cr=float(c["cr"][j]), cH=coef[b["ch"][blk]], vH=vH,
+                       provenance=prov,
+                       coupling=float(c["coupling"][j]) if branch else None)
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
-    eigpairs: tuple
+    """A closed-form spectrum sorted by value.
+
+    ``eigpairs`` is a read-only sequence built once as arrays; indexing or
+    iterating it makes each :class:`EigPair` on read.  ``values`` is the
+    sorted value array it holds (read-only), or, when ``eigpairs`` has been
+    replaced by a plain tuple, the values of its items.
+    """
+
+    eigpairs: Sequence
     inertia: tuple  # (positive, negative, zero)
     lambda_min: float
     point: object  # the FactorPair the spectrum belongs to
 
     @property
     def values(self):
+        if isinstance(self.eigpairs, _EigPairs):
+            return self.eigpairs.values
         return np.array([e.value for e in self.eigpairs])
 
 
 def _report(X, eigpairs, point):
-    eigpairs = sorted(eigpairs, key=lambda e: e.value)
-    vals = np.array([e.value for e in eigpairs])
+    eigpairs = eigpairs.take(np.argsort(eigpairs.values, kind="stable"))
+    vals = eigpairs.values
     tol = INERTIA_REL * max(float(X.sigma[0]), float(np.max(np.abs(vals))))
     inertia = (
         int(np.count_nonzero(vals > tol)),
@@ -106,7 +217,7 @@ def _report(X, eigpairs, point):
         int(np.count_nonzero(np.abs(vals) <= tol)),
     )
     return SpectrumReport(
-        eigpairs=tuple(eigpairs),
+        eigpairs=eigpairs,
         inertia=inertia,
         lambda_min=float(vals[0]),
         point=point,
@@ -114,41 +225,51 @@ def _report(X, eigpairs, point):
 
 
 def _pair_vectors(p11, p12, p22, rho):
-    """Unit eigenvector of [[p11, p12], [p12, p22]] for eigenvalue rho.
+    """Unit eigenvectors of [[p11, p12], [p12, p22]] for eigenvalues rho,
+    elementwise.
 
     Returns (c_left, c_right).  Of the two analytically equivalent forms the
     better-conditioned one is used; p12 != 0 guarantees both components are
     nonzero.
     """
-    cand1 = (p12, rho - p11)
-    cand2 = (rho - p22, p12)
-    c = cand1 if cand1[0] ** 2 + cand1[1] ** 2 >= cand2[0] ** 2 + cand2[1] ** 2 else cand2
-    nrm = np.hypot(c[0], c[1])
-    return c[0] / nrm, c[1] / nrm
+    a1, b1 = p12, rho - p11
+    a2, b2 = rho - p22, p12
+    # Squares go through pow() (np.float_power), which can differ from x * x
+    # in the last bit.  That bit decides the near-ties (p11 = p22 at balanced
+    # points), and the JSON contract fixes the choice to pow()'s.
+    sq = np.float_power
+    first = sq(a1, 2.0) + sq(b1, 2.0) >= sq(a2, 2.0) + sq(b2, 2.0)
+    c0, c1 = np.where(first, a1, a2), np.where(first, b1, b2)
+    nrm = np.hypot(c0, c1)
+    return c0 / nrm, c1 / nrm
 
 
 def _split_pair(p11, p12, p22):
-    """Eigenvalues of [[p11, p12], [p12, p22]], stable against cancellation."""
+    """Eigenvalues (rho_hi, rho_lo) of [[p11, p12], [p12, p22]], elementwise
+    and stable against cancellation."""
     tr = p11 + p22
     disc = np.hypot(p11 - p22, 2.0 * p12)
     rho_hi = 0.5 * (tr + disc)
     det = p11 * p22 - p12 * p12
-    rho_lo = det / rho_hi if rho_hi != 0.0 else 0.5 * (tr - disc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho_lo = np.where(rho_hi != 0.0, det / rho_hi, 0.5 * (tr - disc))
     return rho_hi, rho_lo
 
 
 def _canonical_eigpairs(cp, d=1.0):
     """All k (m + n) closed-form eigenpairs at the diagonal representative of
-    cp whose selected columns carry the scales d (a scalar or q values)."""
+    cp whose selected columns carry the scales d (a scalar or q values),
+    unsorted: each loop nest of blocks in turn, row by row."""
     X, q, k = cp.X, cp.q, cp.k
     m, n, r = X.m, X.n, X.r
     d = np.broadcast_to(np.asarray(d, dtype=float), (q,))
     d2 = d * d
-    idx = list(cp.selection.indices)
+    idx = np.array(cp.selection.indices, dtype=np.intp)
     lam = cp.lambdas
-    chosen = set(idx)
-    us_r = [i for i in range(r) if i not in chosen]
-    us_m = [i for i in range(r, m) if i not in chosen]
+    unselected = np.ones(m, dtype=bool)
+    unselected[idx] = False
+    us_r = np.flatnonzero(unselected[:r])
+    us_m = r + np.flatnonzero(unselected[r:])
 
     # Adapted bases: rotate the kernel columns of V so that C0 = Y diag(gamma) Z^T
     # becomes diagonal across them.  With q = k there is no C0 and the raw
@@ -166,92 +287,96 @@ def _canonical_eigpairs(cp, d=1.0):
     gtol = 1e-13 * max(1.0, gamma[0] if gamma.size else 0.0)
     omega = gamma**2
 
-    # Row l: the coefficient vector of kernel direction l over all k slots.
-    ztilde = np.zeros((k - q, k))
-    ztilde[:, q:] = Z.T
+    # Coefficient table: e_j is row j, kernel direction l (its coefficients
+    # over all k slots) is row k + l, and the last row is zero.
+    coef = np.zeros((2 * k - q + 1, k))
+    coef[:k] = np.eye(k)
+    coef[k:-1, q:] = Z.T
+    zero_row = coef.shape[0] - 1
+    defaults = dict(p11=0.0, p12=0.0, p22=0.0, u=-1, cg=zero_row, ch=zero_row, v=-1)
 
-    # Factors of a vanishing half: shared, never written.
-    zm, zn, zk = np.zeros(m), np.zeros(n), np.zeros(k)
-    out = []
+    def grid(nrows, common, *parts):
+        """Blocks over a row-major grid whose rows run through the columns of
+        every part in turn.  A part is (ncols, fields); fields broadcast to
+        (nrows, ncols) and fall back on ``common`` and then the defaults."""
+        width = sum(ncols for ncols, _ in parts)
+        out = {key: np.empty((nrows, width), dtype=float if key[0] == "p" else np.intp)
+               for key in _FIELDS}
+        start = 0
+        for ncols, fields in parts:
+            fields = {**defaults, **common, **fields}
+            for key in _FIELDS:
+                out[key][:, start:start + ncols] = fields[key]
+            start += ncols
+        return {key: a.ravel() for key, a in out.items()}
 
-    def left(value, uG, cG, prov):
-        """A 1 x 1 block over the direction (uG cG^T, 0)."""
-        out.append(EigPair(value=float(value), cl=1.0, uG=uG, cG=cG,
-                           cr=0.0, cH=zk, vH=zn, provenance=prov, coupling=None))
+    jq, lk = np.arange(q), np.arange(k - q)
+    lam_w = np.float_power(lam, 2.0) / d2  # l_j^2 / d_j^2; pow() as in _pair_vectors
+    ln = np.arange(n - r)
+    g_n = np.zeros(n - r)  # gamma over the kernel columns, 0 past k - q
+    g_n[: min(k - q, n - r)] = gamma[: n - r]
+    live = g_n > gtol  # kernel columns coupled to the selected ones through C0
+    dead = np.flatnonzero(gamma <= gtol)
+    pos = lam > 0
+    jcol, idx_col = jq[:, None], idx[:, None]
 
-    def right(value, cH, vH, prov):
-        """A 1 x 1 block over the direction (0, cH vH^T)."""
-        out.append(EigPair(value=float(value), cl=0.0, uG=zm, cG=zk,
-                           cr=1.0, cH=cH, vH=vH, provenance=prov, coupling=None))
+    blocks = [
+        # Unselected positive singular values against every column of W / row of S.
+        grid(us_r.size, dict(kind=_PAIR, ia=us_r[:, None], u=us_r[:, None],
+                             v=us_r[:, None], p12=-X.sigma[us_r][:, None]),
+             (q, dict(family=_SIGMA_LAMBDA, ib=jq, p11=lam_w, p22=d2, cg=jq, ch=jq)),
+             (k - q, dict(family=_SIGMA_OMEGA, ib=lk, p11=omega, cg=k + lk,
+                          ch=k + lk))),
+        # Left kernel rows (sigma_i = 0) only feel S S^T.
+        grid(us_m.size, dict(kind=_LEFT, ia=us_m[:, None], u=us_m[:, None]),
+             (q, dict(family=_LEFT_LAMBDA, ib=jq, p11=lam_w, cg=jq)),
+             (k - q, dict(family=_LEFT_OMEGA, ib=lk, p11=omega, cg=k + lk))),
+        # Selected columns coupled with selected rows and with the C0 block.
+        grid(q, dict(ia=jcol, u=idx_col, p22=d2[:, None]),
+             (q, dict(kind=np.where(pos, _ZERO_PAIR, _LEFT),
+                      family=np.where(pos, _SELECTED_CROSS, _ZERO_LAMBDA), ib=jq,
+                      p11=lam_w, p12=lam * (d[:, None] / d), cg=jq,
+                      ch=np.where(pos, jcol, zero_row), v=np.where(pos, idx, -1))),
+             (n - r, dict(kind=np.where(live, _ZERO_PAIR, _RIGHT),
+                          family=np.where(live, _C0_CROSS, _RIGHT_SELECTED), ib=ln,
+                          p11=g_n**2,
+                          p12=g_n * d[:, None], u=np.where(live, idx_col, -1),
+                          cg=np.where(live, k + ln, zero_row), ch=jcol, v=n + ln)),
+             (dead.size, dict(kind=_LEFT, family=_C0_DEAD, ib=dead, cg=k + dead))),
+        # Rows of S carried by the zero columns of W never feel the Hessian.
+        grid(k - q, dict(kind=_RIGHT, ia=lk[:, None], ch=k + lk[:, None]),
+             (int(np.count_nonzero(pos)),
+              dict(family=_RIGHT_NULL_S, ib=jq[pos], v=idx[pos])),
+             (n - r, dict(family=_RIGHT_NULL_Z, ib=ln, v=n + ln))),
+    ]
+    b = {key: np.concatenate([blk[key] for blk in blocks]) for key in _FIELDS}
 
-    def mixed(p11, p12, p22, uG, cG, cH, vH, prov, exact_zero=False):
-        """Emit both branches of a 2 x 2 block over (uG cG^T, cH vH^T)."""
-        if exact_zero:
-            rho_hi, rho_lo = p11 + p22, 0.0
-        else:
-            rho_hi, rho_lo = _split_pair(p11, p12, p22)
-        for rho, tagb in ((rho_lo, "-"), (rho_hi, "+")):
-            cl, cr = _pair_vectors(p11, p12, p22, rho)
-            out.append(EigPair(value=float(rho), cl=cl, uG=uG, cG=cG,
-                               cr=cr, cH=cH, vH=vH,
-                               provenance=f"{prov},branch={tagb}",
-                               coupling=float(cr / cl)))
+    # Block values: (lower, upper) branch, or the 1 x 1 value twice.
+    kind, p11, p12, p22 = b["kind"], b["p11"], b["p12"], b["p22"]
+    lo = np.where(kind == _RIGHT, p22, p11)
+    hi = lo.copy()
+    split, zdet = kind == _PAIR, kind == _ZERO_PAIR
+    hi[split], lo[split] = _split_pair(p11[split], p12[split], p22[split])
+    hi[zdet], lo[zdet] = p11[zdet] + p22[zdet], 0.0
 
-    ek = np.eye(k)
+    # One eigenpair per 1 x 1 block, the lower then the upper branch per 2 x 2.
+    two = kind >= _PAIR
+    blk = np.repeat(np.arange(kind.size), np.where(two, 2, 1))
+    assert blk.size == k * (m + n), (blk.size, k * (m + n))
+    upper = np.zeros(blk.size, dtype=bool)
+    upper[1:] = blk[1:] == blk[:-1]
+    branch = np.where(two[blk], np.where(upper, 1, -1), 0).astype(np.int8)
+    value = np.where(upper, hi[blk], lo[blk])
+    cl = (kind[blk] != _RIGHT).astype(float)
+    cr = 1.0 - cl
+    coupling = np.full(blk.size, np.nan)
+    mix = branch != 0
+    bm = blk[mix]
+    cl[mix], cr[mix] = _pair_vectors(p11[bm], p12[bm], p22[bm], value[mix])
+    coupling[mix] = cr[mix] / cl[mix]
 
-    # Unselected positive singular values against every column of W / row of S.
-    for i in us_r:
-        s_i = X.sigma[i]
-        u_i, v_i = X.U[:, i], X.V[:, i]
-        for j in range(q):
-            mixed(lam[j] ** 2 / d2[j], -s_i, d2[j], u_i, ek[j], ek[j], v_i,
-                  f"sigma_lambda_pair(i={i},j={j})")
-        for l in range(k - q):
-            mixed(omega[l], -s_i, 0.0, u_i, ztilde[l], ztilde[l], v_i,
-                  f"sigma_omega_pair(i={i},l={l})")
-
-    # Left kernel rows (sigma_i = 0) only feel S S^T.
-    for i in us_m:
-        u_i = X.U[:, i]
-        for j in range(q):
-            left(lam[j] ** 2 / d2[j], u_i, ek[j], f"left_kernel_lambda(i={i},j={j})")
-        for l in range(k - q):
-            left(omega[l], u_i, ztilde[l], f"left_kernel_omega(i={i},l={l})")
-
-    # Selected columns coupled with selected rows and with the C0 block.
-    for j in range(q):
-        ub_j = X.U[:, idx[j]]
-        for s in range(q):
-            if lam[s] > 0:
-                vb_s = X.V[:, idx[s]]
-                mixed(lam[s] ** 2 / d2[s], lam[s] * (d[j] / d[s]), d2[j],
-                      ub_j, ek[s], ek[j], vb_s,
-                      f"selected_cross_pair(j={j},s={s})", exact_zero=True)
-            else:
-                left(0.0, ub_j, ek[s], f"zero_lambda_column(j={j},s={s})")
-        for l in range(n - r):
-            if l < k - q and gamma[l] > gtol:
-                mixed(omega[l], gamma[l] * d[j], d2[j], ub_j, ztilde[l], ek[j],
-                      zeta[:, l], f"c0_cross_pair(j={j},l={l})",
-                      exact_zero=True)
-            else:
-                right(d2[j], ek[j], zeta[:, l],
-                      f"right_kernel_selected(j={j},l={l})")
-        for l in range(k - q):
-            if gamma[l] <= gtol:
-                left(0.0, ub_j, ztilde[l], f"c0_dead_coord(j={j},l={l})")
-
-    # Rows of S carried by the zero columns of W never feel the Hessian.
-    for lp in range(k - q):
-        zt = ztilde[lp]
-        for s in range(q):
-            if lam[s] > 0:
-                right(0.0, zt, X.V[:, idx[s]], f"right_kernel_null(l={lp},s={s})")
-        for l in range(n - r):
-            right(0.0, zt, zeta[:, l], f"right_kernel_null(l={lp},z={l})")
-
-    assert len(out) == k * (m + n), (len(out), k * (m + n))
-    return out
+    cols = dict(value=value, cl=cl, cr=cr, coupling=coupling, branch=branch, block=blk)
+    return _EigPairs(cols, b, (X.U, X.V, zeta, coef, np.zeros(m), np.zeros(n)))
 
 
 def spectrum_zero_family(X, C0, k):
@@ -312,13 +437,12 @@ def _lambda_min(cp, d=1.0):
         raise NotASaddle("every unselected direction has nonnegative curvature: "
                          "the canonical point is a global minimum")
     d2 = np.broadcast_to(np.asarray(d, dtype=float), (q,)) ** 2
-    lam = cp.lambdas
-    lows = [_split_pair(lam[j] ** 2 / d2[j], -sigma_dag, d2[j])[1] for j in range(q)]
+    lows = _split_pair(np.float_power(cp.lambdas, 2.0) / d2, -sigma_dag, d2)[1]
     if q < k:
         gs = np.linalg.svd(cp.C0, compute_uv=False)
         w_min = float(gs[-1]) ** 2 if gs.size == k - q else 0.0
-        lows.append(_split_pair(w_min, -sigma_dag, 0.0)[1])
-    return float(min(lows))
+        lows = np.append(lows, _split_pair(w_min, -sigma_dag, 0.0)[1])
+    return float(np.min(lows))
 
 
 def lambda_min_closed_form(X, sel, k, C0=None, a=1.0):

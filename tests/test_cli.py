@@ -129,6 +129,20 @@ def test_flow_with_tied_top_sigma_classifies_its_limit(capsys, tmp_path):
     assert limit["lambdas"] == [2]
 
 
+def test_uncertified_flow_prints_no_limit(capsys, x_csv, monkeypatch):
+    from mfland import NumericalFailure, flow
+
+    def refuse(X, p, tol):
+        raise NumericalFailure("orbit reconstruction residual refused")
+
+    monkeypatch.setattr(flow, "reduce_to_canonical", refuse)
+    code, out, _ = _run(capsys, "flow", "--x", x_csv, "--k", "1", "--seed", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "Uncertified"
+    assert "limit" not in doc
+
+
 def test_missing_file_is_exit_2(capsys):
     code, _, err = _run(capsys, "spectrum", "--x", "/nonexistent.csv", "--k", "1")
     assert code == 2

@@ -3,15 +3,18 @@ import pytest
 
 from mfland import (
     InvalidInput,
+    NumericalFailure,
     balance_residual,
     build_balanced,
     classify_limit,
+    gradient_norm,
     integrate_flow,
     load_data_matrix,
     random_balanced_pair,
     random_pair,
     Selection,
 )
+from mfland import flow
 
 X21 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
 
@@ -22,15 +25,18 @@ DRIFT_TOL = 1e-8
 def test_rank_deficient_limit_is_a_global_minimum():
     """A k = 3 flow over a rank-2 X reaches J = 0 at a global minimum.
 
-    Seed 0 ends with rank(W) = 2, so q = r = 2 < k.  Seeds 4 and 6 keep a
-    third column of W in the left kernel of X: that column sits in the
-    sigma = 0 group, so q = 3 with lambdas (10, 6, 0).
+    Seed 0 ends with rank(W) = 2, so q = r = 2 < k.  Seeds 1, 4 and 6 keep
+    a third column of W in the left kernel of X: that column sits in the
+    sigma = 0 group, so q = 3 with lambdas (10, 6, 0).  At seed 1 the point
+    that first meets grad_tol fails the reduction's residual bound, and the
+    flow goes on at grad_tol / 10 before it reports Converged.
     """
     rng = np.random.default_rng(0)
     U, _ = np.linalg.qr(rng.standard_normal((10, 2)))
     V, _ = np.linalg.qr(rng.standard_normal((15, 2)))
     X = load_data_matrix((U * [10.0, 6.0]) @ V.T)
-    for seed, lambdas in [(0, (10.0, 6.0)), (4, (10.0, 6.0, 0.0)), (6, (10.0, 6.0, 0.0))]:
+    for seed, lambdas in [(0, (10.0, 6.0)), (1, (10.0, 6.0, 0.0)),
+                          (4, (10.0, 6.0, 0.0)), (6, (10.0, 6.0, 0.0))]:
         traj = integrate_flow(X, random_pair(X, 3, seed), grad_tol=GRAD_TOL)
         assert traj.status == "Converged"
         diag = classify_limit(X, traj)
@@ -56,6 +62,53 @@ def test_tied_top_sigma_limit_is_a_global_minimum(sigma, init):
         diag = classify_limit(X, traj)
         assert (diag.kind, diag.selection) == ("GlobalMinimum", (1,))
         assert diag.lambdas == pytest.approx((sigma[0],), abs=1e-9)
+
+
+@pytest.mark.parametrize("init", [random_pair, random_balanced_pair])
+def test_tied_bulk_limit_is_certified(init):
+    """20 x 30, k = 1, sigma_1 = sigma_2 in a random orthogonal frame: the
+    points that first meet grad_tol fail the reduction's residual bound, so
+    the flow tightens its tolerance and then classifies its limit."""
+    rng = np.random.default_rng(0)
+    s = np.linspace(np.sqrt(30) + np.sqrt(20), np.sqrt(30) - np.sqrt(20), 20)
+    U, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    V, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    X = load_data_matrix((U * np.concatenate([s[:1], s[:-1]])) @ V[:, :20].T)
+    traj = integrate_flow(X, init(X, 1, 0), grad_tol=GRAD_TOL)
+    assert traj.status == "Converged"
+    diag = classify_limit(X, traj)
+    assert (diag.kind, diag.selection) == ("GlobalMinimum", (1,))
+    assert diag.lambdas == pytest.approx((s[0],), rel=1e-9)
+
+
+def test_refused_limit_is_uncertified(monkeypatch):
+    """A point the reduction keeps refusing sends the flow on at grad_tol / 10
+    twice, along the same trajectory, and then stops Uncertified."""
+    p0 = random_pair(X21, 1, seed=5)
+    scale = max(1.0, float(np.linalg.norm(X21.X)))
+    reduce, grads = flow.reduce_to_canonical, []
+
+    def certify(X, p, tol):
+        grads.append(gradient_norm(X, p))
+        return reduce(X, p, tol=tol)
+
+    def refuse(X, p, tol):
+        grads.append(gradient_norm(X, p))
+        raise NumericalFailure("orbit reconstruction residual refused")
+
+    monkeypatch.setattr(flow, "reduce_to_canonical", certify)
+    ref = integrate_flow(X21, p0, grad_tol=GRAD_TOL)
+    assert (ref.status, len(grads)) == ("Converged", 1)
+    grads.clear()
+    monkeypatch.setattr(flow, "reduce_to_canonical", refuse)
+    traj = integrate_flow(X21, p0, grad_tol=GRAD_TOL)
+    assert traj.status == "Uncertified"
+    assert len(grads) == 3
+    assert all(g <= tol * scale for g, tol in zip(grads, (1e-9, 1e-10, 1e-11)))
+    assert traj.steps > ref.steps
+    assert [s.t for s in traj.samples[: len(ref.samples)]] == [s.t for s in ref.samples]
+    with pytest.raises(InvalidInput):
+        classify_limit(X21, traj)
 
 
 def test_random_balanced_pair_starts_balanced():

@@ -5,6 +5,7 @@ than the observed agreement (~1e-13) so failures indicate real defects, not
 rounding noise.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -29,8 +30,9 @@ from mfland import (
     spectrum_zero_family,
     zero_family_point,
 )
+from mfland import spectrum
 from mfland.canonical import _canonical_point
-from mfland.spectrum import _canonical_eigpairs, _report
+from mfland.spectrum import EigPair, _canonical_eigpairs, _report
 
 MATCH_TOL = 1e-8
 X21 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
@@ -246,10 +248,198 @@ def test_eigenpairs_are_genuine():
     )
     H = dense_hessian(X321, rep.point).matrix
     V = np.column_stack([flatten_tangent(e.vector) for e in rep.eigpairs])
-    vals = np.array([e.value for e in rep.eigpairs])
+    vals = rep.values
     assert np.max(np.abs(H @ V - V * vals)) < 1e-9
     gram = V.T @ V
     assert np.max(np.abs(gram - np.eye(V.shape[1]))) < 1e-9
+
+
+def _all_families_report():
+    """Selection (1, 3) of diag(3, 2, 1, 0, 0), k = 4, with one dead kernel
+    coordinate: every family occurs."""
+    X = load_data_matrix(np.diag([3.0, 2.0, 1.0, 0.0, 0.0]) @ np.eye(5, 6))
+    C0 = np.array([[0.7, 0.0], [-0.4, 0.0], [0.2, 0.0]])
+    return spectrum_deficient_rank(build_canonical(X, Selection((1, 3)), 4, C0=C0))
+
+
+def test_eigpairs_read_like_a_tuple():
+    rep = _all_families_report()
+    pairs = list(rep.eigpairs)
+    assert len(rep.eigpairs) == len(pairs) == 4 * (5 + 6)
+    assert all(isinstance(e, EigPair) for e in pairs)
+    for i in (0, 5, -1, np.int64(-2)):
+        assert rep.eigpairs[i].provenance == pairs[i].provenance
+        assert rep.eigpairs[i].value == pairs[i].value
+    part = rep.eigpairs[2:9:3]
+    assert isinstance(part, tuple)
+    assert [e.provenance for e in part] == [e.provenance for e in pairs[2:9:3]]
+    with pytest.raises(IndexError):
+        rep.eigpairs[len(pairs)]
+    fams = {e.provenance.split("(")[0] for e in pairs}
+    assert fams == {"sigma_lambda_pair", "sigma_omega_pair", "left_kernel_lambda",
+                    "left_kernel_omega", "selected_cross_pair", "zero_lambda_column",
+                    "c0_cross_pair", "right_kernel_selected", "c0_dead_coord",
+                    "right_kernel_null"}
+
+
+def test_values_are_the_sorted_read_only_eigenvalues():
+    rep = _all_families_report()
+    vals = rep.values
+    assert vals.tolist() == [e.value for e in rep.eigpairs]
+    assert np.all(np.diff(vals) >= 0)
+    with pytest.raises(ValueError):
+        vals[0] = 1.0
+
+
+def test_values_follow_a_replaced_eigpair_tuple():
+    rep = _all_families_report()
+    pairs = list(rep.eigpairs)
+    pairs[0] = dataclasses.replace(pairs[0], value=pairs[0].value - 1.0)
+    shifted = dataclasses.replace(rep, eigpairs=tuple(pairs))
+    assert shifted.values[0] == rep.values[0] - 1.0
+    assert shifted.values[1:].tolist() == rep.values[1:].tolist()
+    dropped = dataclasses.replace(rep, eigpairs=rep.eigpairs[1:])
+    assert len(dropped.values) == len(dropped.eigpairs) == len(rep.eigpairs) - 1
+    e = rep.eigpairs[-1]
+    moved = dataclasses.replace(e, value=2.5)
+    assert (moved.value, moved.provenance) == (2.5, e.provenance)
+    np.testing.assert_array_equal(moved.vector.G, e.vector.G)
+
+
+def test_spectrum_makes_no_eigpair_until_one_is_read(monkeypatch):
+    made = []
+
+    class Counting(EigPair):
+        def __init__(self, **fields):
+            made.append(fields["provenance"])
+            super().__init__(**fields)
+
+    monkeypatch.setattr(spectrum, "EigPair", Counting)
+    rng = np.random.default_rng(0)
+    X = load_data_matrix(rng.standard_normal((200, 300)))
+    rep = spectrum_deficient_rank(build_canonical(
+        X, Selection((0, 1, 2, 3, 5)), 10, C0=rng.standard_normal((100, 5))))
+    assert len(rep.eigpairs) == 5000 and rep.values.size == 5000
+    assert made == []
+    e = rep.eigpairs[-1]
+    assert type(e) is Counting and made == [e.provenance]
+
+
+def _reference_eigpairs(cp, d):
+    """The closed-form eigenpairs one block at a time with scalar arithmetic,
+    in emission order: (value, provenance, coupling, G, H) per eigenpair."""
+    X, q, k = cp.X, cp.q, cp.k
+    m, n, r = X.m, X.n, X.r
+    d = np.broadcast_to(np.asarray(d, dtype=float), (q,))
+    d2 = d * d
+    idx, lam = list(cp.selection.indices), cp.lambdas
+    us = [i for i in range(m) if i not in idx]
+    if k > q and n > r:
+        Y, gs, Zt = np.linalg.svd(cp.C0, full_matrices=True)
+        gamma = np.zeros(k - q)
+        gamma[: gs.size] = gs
+        Z, zeta = Zt.T, X.V0 @ Y
+    else:
+        Z, gamma, zeta = np.eye(k - q), np.zeros(k - q), X.V0
+    gtol = 1e-13 * max(1.0, gamma[0] if gamma.size else 0.0)
+    omega = gamma**2
+    ek = np.eye(k)
+    zt = np.zeros((k - q, k))
+    zt[:, q:] = Z.T
+    out = []
+
+    def one(value, G, H, prov):
+        out.append((float(value), prov, None, G, H))
+
+    def left(value, u, c, prov):
+        one(value, np.outer(u, c), np.zeros((k, n)), prov)
+
+    def right(value, c, v, prov):
+        one(value, np.zeros((m, k)), np.outer(c, v), prov)
+
+    def mixed(p11, p12, p22, u, cG, cH, v, prov, exact_zero=False):
+        if exact_zero:
+            hi, lo = p11 + p22, 0.0
+        else:
+            tr, disc = p11 + p22, np.hypot(p11 - p22, 2.0 * p12)
+            hi = 0.5 * (tr + disc)
+            det = p11 * p22 - p12 * p12
+            lo = det / hi if hi != 0.0 else 0.5 * (tr - disc)
+        for rho, tag in ((lo, "-"), (hi, "+")):
+            c1, c2 = (p12, rho - p11), (rho - p22, p12)
+            c = c1 if c1[0] ** 2 + c1[1] ** 2 >= c2[0] ** 2 + c2[1] ** 2 else c2
+            nrm = np.hypot(c[0], c[1])
+            cl, cr = c[0] / nrm, c[1] / nrm
+            out.append((float(rho), f"{prov},branch={tag}", float(cr / cl),
+                        cl * np.outer(u, cG), cr * np.outer(cH, v)))
+
+    for i in (i for i in us if i < r):
+        for j in range(q):
+            mixed(lam[j] ** 2 / d2[j], -X.sigma[i], d2[j], X.U[:, i], ek[j], ek[j],
+                  X.V[:, i], f"sigma_lambda_pair(i={i},j={j})")
+        for l in range(k - q):
+            mixed(omega[l], -X.sigma[i], 0.0, X.U[:, i], zt[l], zt[l], X.V[:, i],
+                  f"sigma_omega_pair(i={i},l={l})")
+    for i in (i for i in us if i >= r):
+        for j in range(q):
+            left(lam[j] ** 2 / d2[j], X.U[:, i], ek[j], f"left_kernel_lambda(i={i},j={j})")
+        for l in range(k - q):
+            left(omega[l], X.U[:, i], zt[l], f"left_kernel_omega(i={i},l={l})")
+    for j in range(q):
+        u = X.U[:, idx[j]]
+        for s in range(q):
+            if lam[s] > 0:
+                mixed(lam[s] ** 2 / d2[s], lam[s] * (d[j] / d[s]), d2[j], u, ek[s], ek[j],
+                      X.V[:, idx[s]], f"selected_cross_pair(j={j},s={s})", True)
+            else:
+                left(0.0, u, ek[s], f"zero_lambda_column(j={j},s={s})")
+        for l in range(n - r):
+            if l < k - q and gamma[l] > gtol:
+                mixed(omega[l], gamma[l] * d[j], d2[j], u, zt[l], ek[j], zeta[:, l],
+                      f"c0_cross_pair(j={j},l={l})", True)
+            else:
+                right(d2[j], ek[j], zeta[:, l], f"right_kernel_selected(j={j},l={l})")
+        for l in range(k - q):
+            if gamma[l] <= gtol:
+                left(0.0, u, zt[l], f"c0_dead_coord(j={j},l={l})")
+    for lp in range(k - q):
+        for s in range(q):
+            if lam[s] > 0:
+                right(0.0, zt[lp], X.V[:, idx[s]], f"right_kernel_null(l={lp},s={s})")
+        for l in range(n - r):
+            right(0.0, zt[lp], zeta[:, l], f"right_kernel_null(l={lp},z={l})")
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["tied", "rank-deficient", "tall", "rescaled", "generic"]),
+       st.integers(0, 2**16))
+def test_array_spectrum_equals_the_per_block_reference(kind, seed):
+    """Bit for bit, in emission order and after the stable sort by value,
+    which fixes the order of tied values."""
+    X = load_data_matrix(_landscape_matrix(kind, seed))
+    rng = np.random.default_rng(seed)
+    for k in range(1, X.m + 1):
+        q = int(rng.integers(0, k + 1))
+        sel = Selection(tuple(sorted(rng.choice(X.m, size=q, replace=False).tolist())))
+        C0 = rng.standard_normal((X.n - X.r, k - q))
+        if C0.size and rng.uniform() < 0.3:
+            C0[:, -1] = 0.0  # a dead kernel coordinate
+        cp = _canonical_point(X, sel, k, C0)
+        lam = cp.lambdas
+        d = np.sqrt(lam) if q and np.all(lam > 0) and rng.uniform() < 0.5 else \
+            float(np.exp(rng.uniform(-1.0, 1.0)))
+        ref = _reference_eigpairs(cp, d)
+        got = _canonical_eigpairs(cp, d)
+        assert [e.provenance for e in got] == [p for _, p, _, _, _ in ref]
+        assert got.values.tolist() == [v for v, _, _, _, _ in ref]
+        rep = _report(X, got, None)
+        order = sorted(range(len(ref)), key=lambda i: ref[i][0])
+        for e, i in zip(rep.eigpairs, order):
+            value, prov, coupling, G, H = ref[i]
+            assert (e.value, e.provenance, e.coupling) == (value, prov, coupling)
+            np.testing.assert_array_equal(e.vector.G, G)
+            np.testing.assert_array_equal(e.vector.H, H)
 
 
 def test_coupled_pair_vectors_multiply_to_minus_one():
