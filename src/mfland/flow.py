@@ -11,7 +11,7 @@ A flow that passes its gradient test is reported Converged only once
 reduction's residual bound, so that every Converged limit classifies.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,9 @@ class FlowTrajectory:
     # "Converged" | "Uncertified" | "MaxTimeReached" | "MaxStepsReached" | "Diverged"
     status: str
     steps: int
+    # The (cp, A) that reduce_to_canonical returned at LIMIT_TOL when it
+    # certified a Converged terminal point; classify_limit reuses it.
+    reduction: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def t_final(self):
@@ -87,11 +90,13 @@ def integrate_flow(
     accepted, or the iterate diverges.
 
     A point that passes the gradient test is Converged when
-    ``reduce_to_canonical`` accepts it.  When the reduction fails its
-    residual bound (NumericalFailure), the flow goes on from that point with
-    the gradient tolerance divided by 10, at most TIGHTENINGS times, and
-    then stops as "Uncertified".  Any other refusal of the reduction
-    (NotCritical under a loose grad_tol, RankAmbiguous) leaves the point
+    ``reduce_to_canonical`` accepts it at LIMIT_TOL.  When the reduction
+    finds the point not critical at LIMIT_TOL (NotCritical, under a
+    grad_tol looser than LIMIT_TOL), the flow goes on with the gradient
+    tolerance lowered to LIMIT_TOL.  When the reduction fails its residual
+    bound (NumericalFailure), the flow goes on from that point with the
+    gradient tolerance divided by 10, at most TIGHTENINGS times, and then
+    stops as "Uncertified".  A RankAmbiguous refusal leaves the point
     Converged, and ``classify_limit`` raises it.
 
     Raises InvalidInput for a non-finite or non-positive t_max or h0 and for
@@ -109,26 +114,34 @@ def integrate_flow(
     C_init = W.T @ W - S @ S.T
     scale = max(1.0, float(np.linalg.norm(X.X)))
 
-    gtol, tightened = grad_tol * scale, 0
+    gtol, tightened, reduction = grad_tol * scale, 0, None
 
     def stop_status():
         """The status to stop with at the current point (Converged, or
         Uncertified once the tightenings are spent), or None to go on, with
         gtol tightened when the reduction refused the point."""
-        nonlocal gtol, tightened
+        nonlocal gtol, tightened, reduction
         if samp.grad_norm > gtol:
             return None
         try:
-            reduce_to_canonical(X, FactorPair(W=W, S=S), tol=LIMIT_TOL)
+            reduction = reduce_to_canonical(X, FactorPair(W=W, S=S), tol=LIMIT_TOL)
+        except RankAmbiguous:
+            return "Converged"
+        except NotCritical:
+            if gtol > LIMIT_TOL * scale:
+                gtol = LIMIT_TOL * scale
+                return None
+            # Otherwise the reduction's own gradient norm differs from the
+            # flow's by rounding: tighten as for a residual refusal.
         except NumericalFailure:
-            if tightened == TIGHTENINGS:
-                return "Uncertified"
-            tightened += 1
-            gtol /= 10.0
-            return None
-        except (NotCritical, RankAmbiguous):
             pass
-        return "Converged"
+        else:
+            return "Converged"
+        if tightened == TIGHTENINGS:
+            return "Uncertified"
+        tightened += 1
+        gtol /= 10.0
+        return None
 
     def snapshot(t):
         """The sample at the current (W, S) and the slope of the next step."""
@@ -148,7 +161,7 @@ def integrate_flow(
 
     if stop_status() == "Converged":
         return FlowTrajectory(samples=(samp,), terminal=FactorPair(W=W, S=S),
-                              status="Converged", steps=0)
+                              status="Converged", steps=0, reduction=reduction)
 
     while steps < max_steps:
         h = min(h, t_max - t)
@@ -189,7 +202,7 @@ def integrate_flow(
             )
 
     return FlowTrajectory(samples=tuple(samples), terminal=FactorPair(W=W, S=S),
-                          status=status, steps=steps)
+                          status=status, steps=steps, reduction=reduction)
 
 
 @dataclass(frozen=True)
@@ -206,12 +219,20 @@ class LimitDiagnosis:
 
 
 def classify_limit(X, traj, tol=LIMIT_TOL):
-    """Identify which critical-point family a converged trajectory reached."""
+    """Identify which critical-point family a converged trajectory reached.
+
+    At the default tol this reads the reduction integrate_flow certified the
+    limit with, when the trajectory carries one for this X.
+    """
     if traj.status != "Converged":
         raise InvalidInput(
             f"classify_limit needs a converged trajectory, status is {traj.status}"
         )
-    cp, _ = reduce_to_canonical(X, traj.terminal, tol=tol)
+    cached = traj.reduction
+    if cached is not None and tol == LIMIT_TOL and cached[0].X.X is X.X:
+        cp = cached[0]  # integrate_flow's reduction, on this X at this tol
+    else:
+        cp, _ = reduce_to_canonical(X, traj.terminal, tol=tol)
     res = classify_canonical(cp)
     return LimitDiagnosis(
         status=traj.status,

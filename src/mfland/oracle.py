@@ -1,20 +1,23 @@
 """Independent numerical checks: dense Hessian, eigh spectrum, finite differences.
 
-Nothing in here knows about closed-form spectra.  The dense matrix is built
-column by column from the Hessian action in a frozen coordinate order, so any
-closed-form claim elsewhere in the package can be validated against plain
-``numpy.linalg.eigh`` on this matrix.
+Nothing in here knows about closed-form spectra.  The dense matrix is the
+Hessian action applied to stacked blocks of unit tangents, in the same frozen
+coordinate order, so any closed-form claim elsewhere in the package can be
+validated against plain ``numpy.linalg.eigh`` on this matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import hessian_apply, second_derivative
+from .calculus import _hessian_action, second_derivative
 from .errors import TooLarge
 from .model import TangentPair, evaluate_J, check_pair
 
 MAX_DENSE_DIM = 5000
+# Bytes that one intermediate of a block of unit tangents in dense_hessian may
+# take: per column none is larger than max(m, k) x max(n, k) (W H is m x n).
+_BLOCK_BYTES = 1 << 20
 
 
 def flatten_tangent(d):
@@ -33,7 +36,7 @@ class DenseHessian:
     """Symmetrized dense Hessian in the frozen tangent coordinates.
 
     ``asymmetry`` is the Frobenius norm of the skew part of the raw
-    column-assembled matrix before averaging; for a correct Hessian action it
+    assembled matrix before averaging; for a correct Hessian action it
     sits at rounding level.
     """
 
@@ -54,14 +57,31 @@ def dense_hessian(X, p):
     N = k * (m + n)
     if N > MAX_DENSE_DIM:
         raise TooLarge(f"dense Hessian would be {N} x {N} (limit {MAX_DENSE_DIM})")
+    W, S = p.W, p.S
+    E = W @ S - X.X
+    mk = m * k
+    # Each column of a block holds one unit entry, so every entry of every
+    # term of the action is a single product: the matrix is the same, bit
+    # for bit, as one built column by column.
+    b = max(1, _BLOCK_BYTES // (8 * max(m, k) * max(n, k)))
     A = np.empty((N, N))
-    e = np.zeros(N)
-    for c in range(N):
-        e[c] = 1.0
-        A[:, c] = flatten_tangent(hessian_apply(X, p, unflatten_tangent(e, m, n, k)))
-        e[c] = 0.0
+    for c0 in range(0, N, b):
+        nb = min(b, N - c0)
+        # The unit tangents of columns c0 .. c0 + nb - 1: the first ng set an
+        # entry of G, the rest an entry of H, both in column-major order.
+        ng = min(nb, max(0, mk - c0))
+        G = np.zeros((nb, m, k))
+        H = np.zeros((nb, k, n))
+        c = np.arange(c0, c0 + ng)
+        G[np.arange(ng), c % m, c // m] = 1.0
+        c = np.arange(c0 + ng, c0 + nb) - mk
+        H[np.arange(ng, nb), c % k, c // k] = 1.0
+        out_G, out_H = _hessian_action(W, S, E, G, H)
+        A[:mk, c0:c0 + nb] = np.swapaxes(out_G, 1, 2).reshape(nb, mk).T
+        A[mk:, c0:c0 + nb] = np.swapaxes(out_H, 1, 2).reshape(nb, k * n).T
     asym = float(np.linalg.norm(A - A.T))
-    sym = 0.5 * (A + A.T)
+    sym = A + A.T
+    sym *= 0.5
     return DenseHessian(matrix=sym, m=m, n=n, k=k, asymmetry=asym)
 
 

@@ -129,6 +129,18 @@ def test_flow_with_tied_top_sigma_classifies_its_limit(capsys, tmp_path):
     assert limit["lambdas"] == [2]
 
 
+def test_flow_with_loose_grad_tol_classifies_its_limit(capsys, x_csv):
+    """grad_tol 1e-5 is looser than the tolerance the limit is reduced at, so
+    the flow goes on until the reduction accepts its point."""
+    code, out, _ = _run(capsys, "flow", "--x", x_csv, "--k", "1", "--seed", "1",
+                        "--grad-tol", "1e-5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "Converged"
+    assert doc["limit"]["kind"] == "GlobalMinimum"
+    assert doc["limit"]["lambdas"] == [2]
+
+
 def test_uncertified_flow_prints_no_limit(capsys, x_csv, monkeypatch):
     from mfland import NumericalFailure, flow
 

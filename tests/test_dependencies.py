@@ -1,6 +1,6 @@
 """Dependency rules: the package runs on NumPy alone, so scipy must never be
-imported, and the closed-form modules never import the oracle that checks
-them."""
+imported, and the closed-form modules and the oracle that checks them are
+built independently: neither imports the other."""
 
 import ast
 import os
@@ -51,17 +51,34 @@ def test_runs_without_scipy():
     assert proc.stdout.strip() == "ok"
 
 
+def _imports(name):
+    """(line, dotted names) of every import statement in mfland/<name>."""
+    tree = ast.parse((SRC / "mfland" / name).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield node.lineno, [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            yield node.lineno, [a.name for a in node.names]
+
+
 def test_closed_form_modules_do_not_import_the_oracle():
     """The oracle checks the closed forms, so they must not be built from it."""
     for name in ("spectrum.py", "canonical.py"):
-        tree = ast.parse((SRC / "mfland" / name).read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [a.name for a in node.names]
-            elif isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            else:
-                continue
+        for line, names in _imports(name):
             assert not any(part == "oracle" for n in names for part in n.split(".")), (
-                f"{name}:{node.lineno} imports the oracle"
+                f"{name}:{line} imports the oracle"
             )
+
+
+def test_oracle_imports_only_calculus_errors_and_model():
+    """Nor is the oracle built from the closed forms: of the package it uses
+    only the derivatives, the errors and the model, never spectrum,
+    canonical, orbit or flow."""
+    modules = {p.stem for p in (SRC / "mfland").glob("*.py")}
+    allowed = {"calculus", "errors", "model"}
+    seen = set()
+    for line, names in _imports("oracle.py"):
+        used = {part for n in names for part in n.split(".")} & modules
+        assert used <= allowed, f"oracle.py:{line} imports {sorted(used - allowed)}"
+        seen |= used
+    assert "calculus" in seen  # the scan reads the oracle's imports at all

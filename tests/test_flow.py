@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,29 @@ def test_refused_limit_is_uncertified(monkeypatch):
     assert [s.t for s in traj.samples[: len(ref.samples)]] == [s.t for s in ref.samples]
     with pytest.raises(InvalidInput):
         classify_limit(X21, traj)
+
+
+@pytest.mark.parametrize("start", ["random", "saddle"])
+def test_classify_limit_reuses_the_certifying_reduction(monkeypatch, start):
+    """integrate_flow reduces its limit once to certify it, and classify_limit
+    reads that reduction instead of making a second one."""
+    if start == "random":
+        p0 = random_balanced_pair(X21, 1, seed=0)
+    else:
+        p0 = build_balanced(X21, Selection((1,)), 1)
+    reduce, calls = flow.reduce_to_canonical, []
+
+    def counted(X, p, tol):
+        calls.append(tol)
+        return reduce(X, p, tol=tol)
+
+    monkeypatch.setattr(flow, "reduce_to_canonical", counted)
+    traj = integrate_flow(X21, p0, grad_tol=GRAD_TOL)
+    diag = classify_limit(X21, traj)
+    assert calls == [flow.LIMIT_TOL]
+    fresh = classify_limit(X21, dataclasses.replace(traj, reduction=None))
+    assert len(calls) == 2
+    assert diag == fresh  # kind, selection, lambdas, lambda_min, ...
 
 
 def test_random_balanced_pair_starts_balanced():

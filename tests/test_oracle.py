@@ -1,8 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfland import (
     FactorPair,
+    Selection,
     TangentPair,
     TooLarge,
     dense_hessian,
@@ -14,6 +19,10 @@ from mfland import (
     numeric_spectrum,
     unflatten_tangent,
 )
+from mfland import oracle
+from mfland.calculus import _hessian_action
+from mfland.canonical import _canonical_point
+from mfland.oracle import MAX_DENSE_DIM
 
 
 def _setup(seed=0, m=3, n=4, k=2):
@@ -67,6 +76,129 @@ def test_size_guard():
     p = FactorPair(np.zeros((40, 63)), np.zeros((63, 40)))
     with pytest.raises(TooLarge):
         dense_hessian(X, p)
+
+
+def test_size_guard_allocates_nothing():
+    """One past MAX_DENSE_DIM is refused before any N-sized array exists."""
+    N = MAX_DENSE_DIM + 1
+    k = N // 3  # N = k (m + n) with a 1 x 2 X
+    X = load_data_matrix(np.array([[2.0, 1.0]]))
+    p = FactorPair(np.ones((1, k)), np.ones((k, 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            dense_hessian(X, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N, f"peak {peak} B"
+
+
+def test_dense_hessian_memory_is_the_matrix_and_one_block(monkeypatch):
+    """N = 1200: while the action runs on a block, the matrix and that block
+    are all that is live, so there is no N x N identity and no (N, m, n)
+    stack; the symmetrization adds one more N x N array."""
+    rng = np.random.default_rng(0)
+    X = load_data_matrix(rng.standard_normal((48, 72)))
+    p = FactorPair(rng.standard_normal((48, 10)), rng.standard_normal((10, 72)))
+    N = 10 * (48 + 72)
+    block_peaks = []
+
+    def action(*args):
+        tracemalloc.reset_peak()
+        out = _hessian_action(*args)
+        block_peaks.append(tracemalloc.get_traced_memory()[1])
+        return out
+
+    monkeypatch.setattr(oracle, "_hessian_action", action)
+    tracemalloc.start()
+    try:
+        h = dense_hessian(X, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.dim == N
+    assert len(block_peaks) > 1
+    assert max(block_peaks) < N * N * 8 + 4 * 2**20, f"{max(block_peaks) / 2**20:.1f} MB"
+    assert peak < 2 * N * N * 8 + 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def _per_column_reference(X, p):
+    """The dense Hessian built one hessian_apply call per column: (matrix,
+    asymmetry) exactly as the stacked assembly must reproduce them."""
+    m, n, k = X.m, X.n, p.k
+    N = k * (m + n)
+    A = np.empty((N, N))
+    e = np.zeros(N)
+    for c in range(N):
+        e[c] = 1.0
+        A[:, c] = flatten_tangent(hessian_apply(X, p, unflatten_tangent(e, m, n, k)))
+        e[c] = 0.0
+    return 0.5 * (A + A.T), float(np.linalg.norm(A - A.T))
+
+
+def _matrix(kind, rng):
+    if kind == "tied":
+        U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        V, _ = np.linalg.qr(rng.standard_normal((5, 4)))
+        return (U * [2.0, 2.0, 1.0, 1.0]) @ V.T
+    if kind == "rank-deficient":
+        return rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
+    if kind == "tall":
+        return rng.standard_normal((6, 3))
+    if kind == "square":
+        return rng.standard_normal((4, 4))
+    return rng.standard_normal((4, 6))
+
+
+KINDS = ["tied", "rank-deficient", "tall", "square", "generic"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(-6, 6), st.integers(1, 7),
+       st.integers(0, 2**16))
+def test_stacked_assembly_equals_the_per_column_loop(kind, exponent, b, seed):
+    """Bit for bit, at critical points (canonical, scaled) and at random
+    non-critical points, for every k <= min(m, n), with the default blocks
+    and with blocks of b columns, which split the matrix into many blocks and
+    put the G/H boundary inside one."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    X = load_data_matrix(scale * _matrix(kind, rng))
+    for k in range(1, X.m + 1):
+        q = int(rng.integers(0, k + 1))
+        sel = Selection(tuple(sorted(rng.choice(X.m, size=q, replace=False).tolist())))
+        C0 = np.sqrt(scale) * rng.standard_normal((X.n - X.r, k - q))
+        critical = _canonical_point(X, sel, k, C0).materialize(
+            float(np.exp(rng.uniform(-1.0, 1.0))))
+        generic = FactorPair(np.sqrt(scale) * rng.standard_normal((X.m, k)),
+                             np.sqrt(scale) * rng.standard_normal((k, X.n)))
+        small = 8 * b * max(X.m, k) * max(X.n, k)
+        for p in (critical, generic):
+            matrix, asymmetry = _per_column_reference(X, p)
+            with mock.patch.object(oracle, "_BLOCK_BYTES", small):
+                stacked = [dense_hessian(X, p)]
+            stacked.append(dense_hessian(X, p))
+            for h in stacked:
+                assert np.array_equal(h.matrix, matrix)
+                assert h.matrix.tobytes() == matrix.tobytes()  # signed zeros too
+                assert h.asymmetry == asymmetry
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(1, 5), st.integers(0, 2**16))
+def test_hessian_action_on_a_stack_is_per_slice_hessian_apply(kind, b, seed):
+    rng = np.random.default_rng(seed)
+    X = load_data_matrix(_matrix(kind, rng))
+    k = int(rng.integers(1, X.m + 1))
+    p = FactorPair(rng.standard_normal((X.m, k)), rng.standard_normal((k, X.n)))
+    G = rng.standard_normal((b, X.m, k))
+    H = rng.standard_normal((b, k, X.n))
+    out_G, out_H = _hessian_action(p.W, p.S, p.W @ p.S - X.X, G, H)
+    for i in range(b):
+        ref = hessian_apply(X, p, TangentPair(G=G[i], H=H[i]))
+        assert np.array_equal(out_G[i], ref.G)
+        assert np.array_equal(out_H[i], ref.H)
 
 
 def test_fd_validate_clean_point():
