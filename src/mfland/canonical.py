@@ -206,16 +206,16 @@ class ClassificationResult:
 def classify_canonical(cp):
     """Second-order type of a canonical point, with closed-form lambda_min.
 
-    A point is a global minimum exactly when ``lambda_min_closed_form``
-    finds no negative direction; everything else is a strict saddle.
+    A point is a global minimum exactly when its closed-form lambda_min
+    (``spectrum._lambda_min``) finds no negative direction; everything else
+    is a strict saddle.
     """
-    from .spectrum import lambda_min_closed_form
+    from .spectrum import _lambda_min
 
-    X = cp.X
-    defect = first_defect(X, cp.selection) if cp.q else 0
+    defect = first_defect(cp.X, cp.selection) if cp.q else 0
     maximal = defect is None if cp.q else False
     try:
-        lam_min = lambda_min_closed_form(X, cp.selection, cp.k, C0=cp.C0)
+        lam_min = _lambda_min(cp)
     except NotASaddle:
         return ClassificationResult(
             kind="GlobalMinimum", p=None, lambda_min_closed_form=None,

@@ -125,27 +125,29 @@ def _spectrum_payload(X, rep, family, sel, scale):
 def _cmd_spectrum(args):
     X = _load_X(args)
     k = args.k
+    sel = _parse_selection(args.select) if args.select else None
+    if args.balanced and sel is None:
+        raise InvalidInput("--balanced requires --select")
+    full_rank = sel is not None and sel.q == k and not args.balanced
     scale = args.scale if args.scale is not None else 1.0
+    if scale != 1.0 and not full_rank:
+        raise InvalidInput("--scale is only supported at a canonical point with q = k")
     if args.balanced:
-        if not args.select:
-            raise InvalidInput("--balanced requires --select")
-        sel = _parse_selection(args.select)
+        if args.c0:
+            raise InvalidInput("--c0 is not used with --balanced")
         rep = spectrum_balanced(X, sel, k)
         family = "balanced"
-    elif args.select:
-        sel = _parse_selection(args.select)
-        if sel.q == k:
+    else:
+        cp = _load_point(args, X, k, Selection(()) if sel is None else sel)
+        if sel is None:
+            rep = spectrum_zero_family(X, cp.C0, k)
+            family = "zero"
+        elif full_rank:
             rep = spectrum_full_rank_scaled(X, sel, a=scale)
             family = "canonical-full-rank"
         else:
-            if args.scale is not None and args.scale != 1.0:
-                raise InvalidInput("scaling is only supported when q = k")
-            rep = spectrum_deficient_rank(_load_point(args, X, k, sel))
+            rep = spectrum_deficient_rank(cp)
             family = "canonical-deficient"
-    else:
-        sel = None
-        rep = spectrum_zero_family(X, _load_point(args, X, k, Selection(())).C0, k)
-        family = "zero"
     if args.format == "csv":
         lines = ["value,provenance,coupling"]
         for e in rep.eigpairs:

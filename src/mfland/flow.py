@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import classify_canonical, reduce_to_canonical
+from .canonical import CanonicalPoint, classify_canonical, reduce_to_canonical
 from .errors import (
     InvalidInput,
     NotCritical,
@@ -27,7 +27,15 @@ from .model import FactorPair, evaluate_J
 from .orbit import balance_residual
 
 DIVERGENCE_NORM = 1e12
-# The tolerance classify_limit reduces a limit at by default.
+# Step control: a step is accepted when its local error estimate is at most
+# ATOL + RTOL * ||(W, S)||; the first step is H0, a step below H_MIN is a
+# StiffnessFailure, and the flow stops after MAX_STEPS accepted steps.
+ATOL = 1e-10
+RTOL = 1e-10
+H0 = 1e-2
+H_MIN = 1e-13
+MAX_STEPS = 200000
+# The tolerance a limit is reduced to its canonical point at.
 LIMIT_TOL = 1e-6
 # How many times a converged point that the reduction refuses sends the flow
 # on with a gradient tolerance ten times tighter before it is Uncertified.
@@ -49,9 +57,9 @@ class FlowTrajectory:
     # "Converged" | "Uncertified" | "MaxTimeReached" | "MaxStepsReached" | "Diverged"
     status: str
     steps: int
-    # The (cp, A) that reduce_to_canonical returned at LIMIT_TOL when it
-    # certified a Converged terminal point; classify_limit reuses it.
-    reduction: tuple | None = field(default=None, compare=False, repr=False)
+    # The canonical point with which reduce_to_canonical certified a
+    # Converged terminal point at LIMIT_TOL; classify_limit reuses it.
+    canonical: CanonicalPoint | None = field(default=None, compare=False, repr=False)
 
     @property
     def t_final(self):
@@ -74,74 +82,51 @@ def _rk4_step(X, W, S, h, k1W, k1S):
     return Wn, Sn
 
 
-def integrate_flow(
-    X,
-    p0,
-    t_max=200.0,
-    grad_tol=1e-9,
-    atol=1e-10,
-    rtol=1e-10,
-    h0=1e-2,
-    h_min=1e-13,
-    max_steps=200000,
-):
-    """Integrate gradient flow from p0 until the gradient norm drops below
-    grad_tol * max(1, ||X||_F), time runs out, max_steps steps have been
-    accepted, or the iterate diverges.
+def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
+    """Integrate gradient flow from p0 until the point is certified as a
+    limit, time runs out, MAX_STEPS steps have been accepted, or the iterate
+    diverges.
 
-    A point that passes the gradient test is Converged when
-    ``reduce_to_canonical`` accepts it at LIMIT_TOL.  When the reduction
-    finds the point not critical at LIMIT_TOL (NotCritical, under a
-    grad_tol looser than LIMIT_TOL), the flow goes on with the gradient
-    tolerance lowered to LIMIT_TOL.  When the reduction fails its residual
-    bound (NumericalFailure), the flow goes on from that point with the
-    gradient tolerance divided by 10, at most TIGHTENINGS times, and then
-    stops as "Uncertified".  A RankAmbiguous refusal leaves the point
-    Converged, and ``classify_limit`` raises it.
+    The gradient test starts at min(grad_tol, LIMIT_TOL) * max(1, ||X||_F).
+    A point that passes it is Converged when ``reduce_to_canonical`` accepts
+    it at LIMIT_TOL.  Each refusal (NotCritical or NumericalFailure) sends
+    the flow on from that point with the gradient tolerance divided by 10,
+    at most TIGHTENINGS times, and then stops it as "Uncertified".  A
+    RankAmbiguous refusal leaves the point Converged, and ``classify_limit``
+    raises it.
 
-    Raises InvalidInput for a non-finite or non-positive t_max or h0 and for
-    negative tolerances, and StiffnessFailure if the accepted step size
-    underflows h_min.
+    Raises InvalidInput for a non-finite or non-positive t_max and a
+    negative grad_tol, and StiffnessFailure if the accepted step size
+    underflows H_MIN.
     """
     if not (np.isfinite(t_max) and t_max > 0):
         raise InvalidInput(f"t_max must be positive and finite, got {t_max}")
-    if not (np.isfinite(h0) and h0 > 0):
-        raise InvalidInput(f"h0 must be positive and finite, got {h0}")
-    for name, val in (("grad_tol", grad_tol), ("atol", atol), ("rtol", rtol)):
-        if not val >= 0:
-            raise InvalidInput(f"{name} must be nonnegative, got {val}")
+    if not grad_tol >= 0:
+        raise InvalidInput(f"grad_tol must be nonnegative, got {grad_tol}")
     W, S = p0.W.copy(), p0.S.copy()
     C_init = W.T @ W - S @ S.T
     scale = max(1.0, float(np.linalg.norm(X.X)))
 
-    gtol, tightened, reduction = grad_tol * scale, 0, None
+    gtol, tightened, canonical = min(grad_tol, LIMIT_TOL) * scale, 0, None
 
     def stop_status():
         """The status to stop with at the current point (Converged, or
         Uncertified once the tightenings are spent), or None to go on, with
         gtol tightened when the reduction refused the point."""
-        nonlocal gtol, tightened, reduction
+        nonlocal gtol, tightened, canonical
         if samp.grad_norm > gtol:
             return None
         try:
-            reduction = reduce_to_canonical(X, FactorPair(W=W, S=S), tol=LIMIT_TOL)
+            canonical, _ = reduce_to_canonical(X, FactorPair(W=W, S=S), tol=LIMIT_TOL)
         except RankAmbiguous:
             return "Converged"
-        except NotCritical:
-            if gtol > LIMIT_TOL * scale:
-                gtol = LIMIT_TOL * scale
-                return None
-            # Otherwise the reduction's own gradient norm differs from the
-            # flow's by rounding: tighten as for a residual refusal.
-        except NumericalFailure:
-            pass
-        else:
-            return "Converged"
-        if tightened == TIGHTENINGS:
-            return "Uncertified"
-        tightened += 1
-        gtol /= 10.0
-        return None
+        except (NotCritical, NumericalFailure):
+            if tightened == TIGHTENINGS:
+                return "Uncertified"
+            tightened += 1
+            gtol /= 10.0
+            return None
+        return "Converged"
 
     def snapshot(t):
         """The sample at the current (W, S) and the slope of the next step."""
@@ -153,7 +138,7 @@ def integrate_flow(
         )
 
     t = 0.0
-    h = float(h0)
+    h = H0
     k1W, k1S, samp = snapshot(t)
     samples = [samp]
     status = "MaxStepsReached"  # every other way out of the loop sets it
@@ -161,9 +146,9 @@ def integrate_flow(
 
     if stop_status() == "Converged":
         return FlowTrajectory(samples=(samp,), terminal=FactorPair(W=W, S=S),
-                              status="Converged", steps=0, reduction=reduction)
+                              status="Converged", steps=0, canonical=canonical)
 
-    while steps < max_steps:
+    while steps < MAX_STEPS:
         h = min(h, t_max - t)
         W1, S1 = _rk4_step(X, W, S, h, k1W, k1S)
         Wh, Sh = _rk4_step(X, W, S, 0.5 * h, k1W, k1S)
@@ -171,7 +156,7 @@ def integrate_flow(
         W2, S2 = _rk4_step(X, Wh, Sh, 0.5 * h, kW, kS)
         err = np.sqrt(np.sum((W1 - W2) ** 2) + np.sum((S1 - S2) ** 2)) / 15.0
         ynorm = np.sqrt(np.sum(W * W) + np.sum(S * S))
-        tol_step = atol + rtol * ynorm
+        tol_step = ATOL + RTOL * ynorm
 
         if err <= tol_step:
             # accept, with local extrapolation
@@ -196,18 +181,17 @@ def integrate_flow(
 
         factor = 0.9 * (tol_step / max(err, 1e-300)) ** 0.2
         h *= min(5.0, max(0.2, factor))
-        if h < h_min:
+        if h < H_MIN:
             raise StiffnessFailure(
-                f"step size underflowed ({h:.2e} < {h_min:.2e}) at t = {t:.3e}"
+                f"step size underflowed ({h:.2e} < {H_MIN:.2e}) at t = {t:.3e}"
             )
 
     return FlowTrajectory(samples=tuple(samples), terminal=FactorPair(W=W, S=S),
-                          status=status, steps=steps, reduction=reduction)
+                          status=status, steps=steps, canonical=canonical)
 
 
 @dataclass(frozen=True)
 class LimitDiagnosis:
-    status: str
     kind: str
     q: int
     selection: tuple  # 1-based indices
@@ -218,24 +202,22 @@ class LimitDiagnosis:
     J: float
 
 
-def classify_limit(X, traj, tol=LIMIT_TOL):
+def classify_limit(X, traj):
     """Identify which critical-point family a converged trajectory reached.
 
-    At the default tol this reads the reduction integrate_flow certified the
-    limit with, when the trajectory carries one for this X.
+    This reads the canonical point integrate_flow certified the limit with,
+    and reduces the terminal point at LIMIT_TOL only when the trajectory
+    carries none for this X.
     """
     if traj.status != "Converged":
         raise InvalidInput(
             f"classify_limit needs a converged trajectory, status is {traj.status}"
         )
-    cached = traj.reduction
-    if cached is not None and tol == LIMIT_TOL and cached[0].X.X is X.X:
-        cp = cached[0]  # integrate_flow's reduction, on this X at this tol
-    else:
-        cp, _ = reduce_to_canonical(X, traj.terminal, tol=tol)
+    cp = traj.canonical
+    if cp is None or cp.X.X is not X.X:
+        cp, _ = reduce_to_canonical(X, traj.terminal, tol=LIMIT_TOL)
     res = classify_canonical(cp)
     return LimitDiagnosis(
-        status=traj.status,
         kind=res.kind,
         q=cp.q,
         selection=tuple(i + 1 for i in cp.selection.indices),

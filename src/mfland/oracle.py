@@ -15,6 +15,9 @@ from .errors import TooLarge
 from .model import TangentPair, evaluate_J, check_pair
 
 MAX_DENSE_DIM = 5000
+# Steps of fd_validate's central differences: first, then second order.
+FD_STEP_GRADIENT = 1e-5
+FD_STEP_SECOND = 1e-4
 # Bytes that one intermediate of a block of unit tangents in dense_hessian may
 # take: per column none is larger than max(m, k) x max(n, k) (W H is m x n).
 _BLOCK_BYTES = 1 << 20
@@ -85,12 +88,9 @@ def dense_hessian(X, p):
     return DenseHessian(matrix=sym, m=m, n=n, k=k, asymmetry=asym)
 
 
-def numeric_spectrum(X, p, hess=None):
+def numeric_spectrum(X, p):
     """Eigen-decomposition of the dense Hessian, eigenvalues ascending."""
-    if hess is None:
-        hess = dense_hessian(X, p)
-    evals, evecs = np.linalg.eigh(hess.matrix)
-    return evals, evecs
+    return np.linalg.eigh(dense_hessian(X, p).matrix)
 
 
 def inertia_from_values(evals, tol):
@@ -116,7 +116,7 @@ class FDReport:
         return self.max_gradient_rel_err < 1e-6 and self.max_second_rel_err < 1e-4
 
 
-def fd_validate(X, p, seed=0, trials=5, step_gradient=1e-5, step_second=1e-4):
+def fd_validate(X, p, seed=0, trials=5):
     """Central-difference check of the gradient and the quadratic form.
 
     Each trial draws a unit-norm tangent direction d and compares
@@ -144,12 +144,12 @@ def fd_validate(X, p, seed=0, trials=5, step_gradient=1e-5, step_second=1e-4):
                 X, FactorPair(W=p.W + t * d.G, S=p.S + t * d.H)
             )
 
-        eps = step_gradient
+        eps = FD_STEP_GRADIENT
         fd1 = (J_at(eps) - J_at(-eps)) / (2 * eps)
         an1 = inner(g, d)
         worst_g = max(worst_g, abs(fd1 - an1) / max(abs(an1), 1e-12))
 
-        t = step_second
+        t = FD_STEP_SECOND
         fd2 = (J_at(t) - 2 * J0 + J_at(-t)) / (t * t)
         an2 = second_derivative(X, p, d)
         worst_h = max(worst_h, abs(fd2 - an2) / max(abs(an2), 1e-12))
@@ -157,8 +157,8 @@ def fd_validate(X, p, seed=0, trials=5, step_gradient=1e-5, step_second=1e-4):
     return FDReport(
         trials=trials,
         seed=seed,
-        step_gradient=step_gradient,
-        step_second=step_second,
+        step_gradient=FD_STEP_GRADIENT,
+        step_second=FD_STEP_SECOND,
         max_gradient_rel_err=float(worst_g),
         max_second_rel_err=float(worst_h),
     )

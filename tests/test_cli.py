@@ -194,6 +194,39 @@ def test_scale_rejected_for_deficient(capsys, x_csv):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--k", "1"], ["--k", "1", "--select", "1", "--balanced"],
+], ids=["zero", "balanced"])
+def test_spectrum_scale_off_the_full_rank_point_is_exit_2(capsys, x_csv, flags):
+    """--scale would otherwise be printed for a spectrum taken at scale 1."""
+    code, out, err = _run(capsys, "spectrum", "--x", x_csv, *flags, "--scale", "2")
+    assert code == 2
+    assert out == ""
+    assert "--scale" in err
+
+
+def test_spectrum_c0_at_full_rank_is_checked_as_in_orbit(capsys, x_csv, tmp_path):
+    """At q = k the kernel block has no columns, so a C0 file cannot fit."""
+    c0 = tmp_path / "c0.csv"
+    c0.write_text("1\n")
+    point = ["--x", x_csv, "--k", "1", "--select", "1", "--c0", str(c0)]
+    code, _, err = _run(capsys, "spectrum", *point)
+    assert code == 2
+    assert "C0 must be (1, 0), got (1, 1)" in err
+    orbit_code, _, orbit_err = _run(capsys, "orbit", *point, "--scale", "2")
+    assert (code, err) == (orbit_code, orbit_err)
+
+
+def test_spectrum_c0_with_balanced_is_exit_2(capsys, x_csv, tmp_path):
+    c0 = tmp_path / "c0.csv"
+    c0.write_text("1\n")
+    code, out, err = _run(capsys, "spectrum", "--x", x_csv, "--k", "2", "--select", "1",
+                          "--balanced", "--c0", str(c0))
+    assert code == 2
+    assert out == ""
+    assert "--c0" in err
+
+
 def test_verify_stdout_ignores_thread_variable(capsys, monkeypatch):
     monkeypatch.delenv("MFLAND_THREADS", raising=False)
     _, plain, _ = _run(capsys, "verify", "--seed", "0")

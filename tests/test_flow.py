@@ -113,6 +113,25 @@ def test_refused_limit_is_uncertified(monkeypatch):
         classify_limit(X21, traj)
 
 
+def test_loose_grad_tol_reduces_only_below_limit_tol(monkeypatch):
+    """The gradient test starts at LIMIT_TOL when grad_tol is looser, so the
+    reduction only ever sees points it can find critical."""
+    p0 = random_balanced_pair(X21, 1, seed=1)
+    scale = max(1.0, float(np.linalg.norm(X21.X)))
+    reduce, grads = flow.reduce_to_canonical, []
+
+    def counted(X, p, tol):
+        grads.append(gradient_norm(X, p))
+        return reduce(X, p, tol=tol)
+
+    monkeypatch.setattr(flow, "reduce_to_canonical", counted)
+    traj = integrate_flow(X21, p0, grad_tol=1e-5)
+    assert (traj.status, traj.steps) == ("Converged", 236)
+    assert len(grads) == 3
+    assert all(g <= flow.LIMIT_TOL * scale for g in grads)
+    assert classify_limit(X21, traj).lambdas == pytest.approx((2.0,), abs=1e-9)
+
+
 @pytest.mark.parametrize("start", ["random", "saddle"])
 def test_classify_limit_reuses_the_certifying_reduction(monkeypatch, start):
     """integrate_flow reduces its limit once to certify it, and classify_limit
@@ -131,7 +150,7 @@ def test_classify_limit_reuses_the_certifying_reduction(monkeypatch, start):
     traj = integrate_flow(X21, p0, grad_tol=GRAD_TOL)
     diag = classify_limit(X21, traj)
     assert calls == [flow.LIMIT_TOL]
-    fresh = classify_limit(X21, dataclasses.replace(traj, reduction=None))
+    fresh = classify_limit(X21, dataclasses.replace(traj, canonical=None))
     assert len(calls) == 2
     assert diag == fresh  # kind, selection, lambdas, lambda_min, ...
 
@@ -184,9 +203,10 @@ def test_short_horizon_reports_max_time():
         classify_limit(X21, traj)
 
 
-def test_step_cap_reports_max_steps():
+def test_step_cap_reports_max_steps(monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 300)
     p0 = random_pair(X21, 1, seed=5)
-    traj = integrate_flow(X21, p0, t_max=1e6, grad_tol=0.0, max_steps=300)
+    traj = integrate_flow(X21, p0, t_max=1e6, grad_tol=0.0)
     assert traj.status == "MaxStepsReached"
     assert traj.steps == 300
     assert traj.t_final < 1e6
@@ -206,8 +226,7 @@ def test_trajectory_samples_well_formed():
 
 @pytest.mark.parametrize("kwargs", [
     {"t_max": np.nan}, {"t_max": np.inf}, {"t_max": 0.0},
-    {"grad_tol": -1e-9}, {"grad_tol": np.nan}, {"atol": -1.0}, {"rtol": -1.0},
-    {"h0": np.nan}, {"h0": np.inf}, {"h0": 0.0},
+    {"grad_tol": -1e-9}, {"grad_tol": np.nan},
 ])
 def test_invalid_arguments_rejected(kwargs):
     p0 = random_pair(X21, 1, seed=5)

@@ -176,7 +176,7 @@ def test_balanced_spectrum_is_closed_form_everywhere(kind, seed):
             rep = spectrum_balanced(X, sel, k)
             assert len(rep.eigpairs) == k * (X.m + X.n)
             hess = dense_hessian(X, rep.point)
-            ev, _ = numeric_spectrum(X, rep.point, hess)
+            ev = np.linalg.eigh(hess.matrix)[0]
             assert np.max(np.abs(rep.values - ev)) <= 1e-12 * s1
             V = np.column_stack([flatten_tangent(e.vector) for e in rep.eigpairs])
             resid = np.linalg.norm(hess.matrix @ V - V * rep.values, axis=0)
