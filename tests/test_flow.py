@@ -1,9 +1,13 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfland import (
+    DimensionError,
+    FactorPair,
     InvalidInput,
     NumericalFailure,
     balance_residual,
@@ -15,6 +19,7 @@ from mfland import (
     random_balanced_pair,
     random_pair,
     Selection,
+    StiffnessFailure,
 )
 from mfland import flow
 
@@ -85,7 +90,7 @@ def test_tied_bulk_limit_is_certified(init):
 
 def test_refused_limit_is_uncertified(monkeypatch):
     """A point the reduction keeps refusing sends the flow on at grad_tol / 10
-    twice, along the same trajectory, and then stops Uncertified."""
+    three times, along the same trajectory, and then stops Uncertified."""
     p0 = random_pair(X21, 1, seed=5)
     scale = max(1.0, float(np.linalg.norm(X21.X)))
     reduce, grads = flow.reduce_to_canonical, []
@@ -105,8 +110,8 @@ def test_refused_limit_is_uncertified(monkeypatch):
     monkeypatch.setattr(flow, "reduce_to_canonical", refuse)
     traj = integrate_flow(X21, p0, grad_tol=GRAD_TOL)
     assert traj.status == "Uncertified"
-    assert len(grads) == 3
-    assert all(g <= tol * scale for g, tol in zip(grads, (1e-9, 1e-10, 1e-11)))
+    assert len(grads) == 4
+    assert all(g <= tol * scale for g, tol in zip(grads, (1e-9, 1e-10, 1e-11, 1e-12)))
     assert traj.steps > ref.steps
     assert [s.t for s in traj.samples[: len(ref.samples)]] == [s.t for s in ref.samples]
     with pytest.raises(InvalidInput):
@@ -130,6 +135,19 @@ def test_loose_grad_tol_reduces_only_below_limit_tol(monkeypatch):
     assert len(grads) == 3
     assert all(g <= flow.LIMIT_TOL * scale for g in grads)
     assert classify_limit(X21, traj).lambdas == pytest.approx((2.0,), abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_loose_grad_tol_certifies_its_limit(k):
+    """At grad_tol = 1e-5 the gradient test starts at LIMIT_TOL, and the
+    residual bound of the reduction needs about 1e-9 * scale on this X: the
+    third tightening reaches it, so the flow certifies and classifies its
+    limit instead of stopping Uncertified."""
+    X = load_data_matrix(np.random.default_rng(0).standard_normal((4, 6)))
+    traj = integrate_flow(X, random_pair(X, k, seed=0), grad_tol=1e-5)
+    assert traj.status == "Converged"
+    diag = classify_limit(X, traj)
+    assert (diag.kind, diag.selection) == ("GlobalMinimum", tuple(range(1, k + 1)))
 
 
 @pytest.mark.parametrize("start", ["random", "saddle"])
@@ -227,9 +245,144 @@ def test_trajectory_samples_well_formed():
 @pytest.mark.parametrize("kwargs", [
     {"t_max": np.nan}, {"t_max": np.inf}, {"t_max": 0.0},
     {"grad_tol": -1e-9}, {"grad_tol": np.nan},
+    {"p0": FactorPair(W=np.ones((5, 1)), S=np.ones((1, 3)))},
+    {"p0": FactorPair(W=np.ones((2, 1)), S=np.ones((1, 6)))},
 ])
 def test_invalid_arguments_rejected(kwargs):
-    p0 = random_pair(X21, 1, seed=5)
-    name = next(iter(kwargs))
-    with pytest.raises(InvalidInput, match=name):
-        integrate_flow(X21, p0, **kwargs)
+    """A bad argument raises InvalidInput that names it; a start that does not
+    fit X raises DimensionError that names both shapes."""
+    args = {"p0": random_pair(X21, 1, seed=5), **kwargs}
+    if "p0" in kwargs:
+        p0 = kwargs["p0"]
+        error = DimensionError
+        match = re.escape(f"{p0.W.shape} x {p0.S.shape}") + ".* 2 x 3 "
+    else:
+        error, match = InvalidInput, next(iter(kwargs))
+    with pytest.raises(error, match=match):
+        integrate_flow(X21, **args)
+
+
+def test_step_counters_account_for_every_rhs_evaluation():
+    """One RHS evaluation at the start, ten per attempted step and one per
+    accepted step; a start that is already a limit evaluates it once."""
+    traj = integrate_flow(X21, random_pair(X21, 1, seed=2))
+    assert traj.status == "Converged" and traj.rejected > 0
+    assert traj.rhs_evals == 1 + 10 * (traj.steps + traj.rejected) + traj.steps
+    assert 0 < traj.h_min < traj.h_max
+    still = integrate_flow(X21, build_balanced(X21, Selection((1,)), 1), t_max=5.0)
+    assert (still.steps, still.rejected, still.rhs_evals) == (0, 0, 1)
+    assert still.h_min is None and still.h_max is None
+
+
+# ------------------------------------------- reference step-doubling loop --
+
+def _reference_rhs(X, W, S):
+    """-grad J at (W, S), with the residual E = W S - X it is built from."""
+    E = W @ S - X.X
+    return -(E @ S.T), -(W.T @ E), E
+
+
+def _reference_rk4_step(X, W, S, h, k1W, k1S, count):
+    """One RK4 step of size h from (W, S), whose slope (k1W, k1S) is given."""
+    count[0] += 3
+    k2W, k2S, _ = _reference_rhs(X, W + 0.5 * h * k1W, S + 0.5 * h * k1S)
+    k3W, k3S, _ = _reference_rhs(X, W + 0.5 * h * k2W, S + 0.5 * h * k2S)
+    k4W, k4S, _ = _reference_rhs(X, W + h * k3W, S + h * k3S)
+    Wn = W + (h / 6.0) * (k1W + 2 * k2W + 2 * k3W + k4W)
+    Sn = S + (h / 6.0) * (k1S + 2 * k2S + 2 * k3S + k4S)
+    return Wn, Sn
+
+
+def _reference_flow(X, p0, t_max):
+    """The step-doubling RK4 loop of integrate_flow on separate W and S
+    arrays, with no gradient test: integrate_flow at grad_tol = 0 never
+    reduces a point whose gradient is not exactly zero, so it stops where
+    this loop does."""
+    W, S = p0.W.copy(), p0.S.copy()
+    C_init = W.T @ W - S @ S.T
+    count, accepted, rejected = [0], [], 0
+
+    def snapshot(t):
+        count[0] += 1
+        kW, kS, E = _reference_rhs(X, W, S)
+        gnorm = float(np.sqrt(np.sum(kW**2) + np.sum(kS**2)))
+        drift = float(np.linalg.norm(W.T @ W - S @ S.T - C_init))
+        return kW, kS, (float(t), 0.5 * float(np.sum(E * E)), gnorm, drift)
+
+    t, h = 0.0, flow.H0
+    k1W, k1S, samp = snapshot(t)
+    samples, status = [samp], "MaxStepsReached"
+    while len(accepted) < flow.MAX_STEPS:
+        h = min(h, t_max - t)
+        W1, S1 = _reference_rk4_step(X, W, S, h, k1W, k1S, count)
+        Wh, Sh = _reference_rk4_step(X, W, S, 0.5 * h, k1W, k1S, count)
+        count[0] += 1
+        kW, kS, _ = _reference_rhs(X, Wh, Sh)
+        W2, S2 = _reference_rk4_step(X, Wh, Sh, 0.5 * h, kW, kS, count)
+        err = np.sqrt(np.sum((W1 - W2) ** 2) + np.sum((S1 - S2) ** 2)) / 15.0
+        ynorm = np.sqrt(np.sum(W * W) + np.sum(S * S))
+        tol_step = flow.ATOL + flow.RTOL * ynorm
+        if err <= tol_step:
+            W = W2 + (W2 - W1) / 15.0
+            S = S2 + (S2 - S1) / 15.0
+            t += h
+            accepted.append(h)
+            k1W, k1S, samp = snapshot(t)
+            samples.append(samp)
+            if not np.isfinite(samp[1]) or (
+                np.sqrt(np.sum(W**2) + np.sum(S**2)) > flow.DIVERGENCE_NORM
+            ):
+                status = "Diverged"
+                break
+            if t >= t_max:
+                status = "MaxTimeReached"
+                break
+        else:
+            rejected += 1
+        factor = 0.9 * (tol_step / max(err, 1e-300)) ** 0.2
+        h *= min(5.0, max(0.2, factor))
+        if h < flow.H_MIN:
+            raise StiffnessFailure("step size underflowed")
+    return status, samples, W, S, accepted, rejected, count[0]
+
+
+def _matrix(kind, rng):
+    if kind == "tied":
+        U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        V, _ = np.linalg.qr(rng.standard_normal((5, 4)))
+        return (U * [2.0, 2.0, 1.0, 1.0]) @ V.T
+    if kind == "rank-deficient":
+        return rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
+    if kind == "tall":
+        return rng.standard_normal((6, 3))
+    if kind == "square":
+        return rng.standard_normal((4, 4))
+    return rng.standard_normal((4, 6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["tied", "rank-deficient", "tall", "square", "generic"]),
+       st.integers(-3, 3), st.sampled_from([random_pair, random_balanced_pair]),
+       st.floats(0.1, 5.0), st.integers(0, 2**16))
+def test_flow_is_the_reference_loop_bit_for_bit(kind, exponent, init, tau, seed):
+    """integrate_flow on its flat buffers takes the steps of the loop on
+    separate arrays, float for float, for every k <= min(m, n).
+
+    The horizon is tau / sigma_1, capped at 5, so that each flow takes a
+    few hundred steps whatever the scale.  Samples and terminal factors are
+    compared as bytes, so signed zeros count too."""
+    rng = np.random.default_rng(seed)
+    X = load_data_matrix(10.0**exponent * _matrix(kind, rng))
+    t_max = min(5.0, tau / float(X.sigma[0]))
+    for k in range(1, X.m + 1):
+        # A start drawn from X's own stream can be X's exact factors.
+        p0 = init(X, k, seed + 1)
+        status, samples, W, S, accepted, rejected, evals = _reference_flow(X, p0, t_max)
+        traj = integrate_flow(X, p0, t_max=t_max, grad_tol=0.0)
+        assert (traj.status, traj.steps, traj.rejected) == (status, len(accepted), rejected)
+        assert traj.rhs_evals == evals
+        assert (traj.h_min, traj.h_max) == (min(accepted), max(accepted))
+        got = np.array([(s.t, s.J, s.grad_norm, s.drift) for s in traj.samples])
+        assert got.tobytes() == np.array(samples).tobytes()
+        assert traj.terminal.W.tobytes() == W.tobytes()
+        assert traj.terminal.S.tobytes() == S.tobytes()

@@ -1,7 +1,8 @@
-"""Byte-identity guard: stdout and exit code of eleven CLI commands.
+"""Byte-identity guard: stdout and exit code of twelve CLI commands.
 
-The commands and their seed-1 inputs are those of the benchmark's cli
-workload.  A refactor that keeps the CLI's behaviour keeps these bytes; a
+Eleven commands and their seed-1 inputs are those of the benchmark's cli
+workload.  The twelfth runs an imbalanced flow and also compares every
+sample of the trajectory CSV it writes.  A refactor that keeps the CLI's behaviour keeps these bytes; a
 deliberate contract change regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -33,7 +34,11 @@ COMMANDS = {
     "flow-generic": "flow --x A.csv --k 2 --seed {seed}",
     "flow-tied": "flow --x T.csv --k 1 --seed {seed}",
     "verify": "verify --seed {seed}",
+    "flow-random-trajectory":
+        "flow --x A.csv --k 2 --seed {seed} --init random --trajectory traj.csv",
 }
+# Commands whose output file is compared too, as golden/<name>.csv.
+OUTPUT_FILES = {"flow-random-trajectory": "traj.csv"}
 
 
 def write_inputs(directory):
@@ -67,6 +72,9 @@ def test_cli_bytes_match_golden(name, tmp_path, monkeypatch):
     exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == exit_codes[name]
     assert out == (GOLDEN / f"{name}.out").read_text()
+    if name in OUTPUT_FILES:
+        written = (tmp_path / OUTPUT_FILES[name]).read_bytes()
+        assert written == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 if __name__ == "__main__":
@@ -83,6 +91,10 @@ if __name__ == "__main__":
             for name in COMMANDS:
                 codes[name], out = run(name)
                 (GOLDEN / f"{name}.out").write_text(out)
+                if name in OUTPUT_FILES:
+                    (GOLDEN / f"{name}.csv").write_bytes(
+                        Path(OUTPUT_FILES[name]).read_bytes()
+                    )
         finally:
             os.chdir(cwd)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
