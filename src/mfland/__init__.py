@@ -62,6 +62,7 @@ from .model import (
 from .oracle import (
     DenseHessian,
     FDReport,
+    balanced_flow_exact,
     dense_hessian,
     fd_validate,
     flatten_tangent,

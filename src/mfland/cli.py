@@ -247,6 +247,10 @@ def _cmd_flow(args):
         "init": args.init,
         "status": traj.status,
         "steps": traj.steps,
+        "rejected": traj.rejected,
+        "rhs_evals": traj.rhs_evals,
+        "h_min": traj.h_min,
+        "h_max": traj.h_max,
         "t_final": traj.t_final,
         "J": traj.samples[-1].J,
         "grad_norm": traj.samples[-1].grad_norm,

@@ -2,12 +2,22 @@
 
 The flow conserves W^T W - S S^T exactly, so the integrator reports its
 drift alongside J and the gradient norm at every accepted step.  Time
-stepping is classical RK4 with step-doubling error control: each step is
-taken once at h and twice at h/2, the Richardson estimate of the local error
-decides acceptance, and the extrapolated state is kept.  The steps run on
-one flat (W, S) state in buffers allocated once per flow; the trajectory
-counts rejected steps and RHS evaluations and records the range of accepted
-step sizes.
+stepping is the Dormand-Prince 5(4) pair with first-same-as-last (FSAL):
+the seven stage slopes of a step cost six RHS evaluations, because the
+seventh, taken at the propagated fifth-order solution, is the first slope
+of the next step and gives that point's sample.  The difference of the two
+embedded solutions is the local error estimate that decides acceptance.
+The steps run on one flat (W, S) state in buffers allocated once per flow;
+the trajectory counts rejected steps and RHS evaluations and records the
+range of step sizes the controller chose.
+
+Near a limit the step size settles at the method's stability edge, where
+the error estimate lets the stiff modes of the Hessian hover at about the
+step tolerance.  So once the gradient norm is within ENDGAME_ZONE times the
+gradient test, the step tolerance is capped at
+ENDGAME_SHARE * gtol / (||(W, S)||^2 + ||W S - X||_F): the denominator
+bounds the largest Hessian eigenvalue, so the stiff modes stay below the
+gradient test instead of levelling off above it.
 
 A flow that passes its gradient test is reported Converged only once
 ``reduce_to_canonical`` reconstructs its terminal point within the
@@ -41,6 +51,11 @@ RTOL = 1e-10
 H0 = 1e-2
 H_MIN = 1e-13
 MAX_STEPS = 200000
+# The endgame rule: while the gradient norm is at most ENDGAME_ZONE * gtol,
+# the step tolerance is at most ENDGAME_SHARE * gtol divided by the bound
+# ||(W, S)||^2 + ||W S - X||_F on the Hessian's largest eigenvalue.
+ENDGAME_ZONE = 10.0
+ENDGAME_SHARE = 0.5
 # The tolerance a limit is reduced to its canonical point at.
 LIMIT_TOL = 1e-6
 # How many times a converged point that the reduction refuses sends the flow
@@ -48,6 +63,21 @@ LIMIT_TOL = 1e-6
 # From LIMIT_TOL, three reach 1e-9 * scale, about what the reduction's
 # residual bound needs on limits that two tightenings left Uncertified.
 TIGHTENINGS = 3
+
+# The Dormand-Prince 5(4) tableau over the rows (y, k1, ..., k7).  Row r < 6
+# gives the input of stage r + 2 as y + h * sum_j a_j k_j (row 5, stage 7, is
+# the fifth-order solution); row 6 holds the error weights b5 - b4.
+_DP = (
+    (1.0, 1 / 5),
+    (1.0, 3 / 40, 9 / 40),
+    (1.0, 44 / 45, -56 / 15, 32 / 9),
+    (1.0, 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (1.0, 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (1.0, 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (0.0, 71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+     -1 / 40),
+)
+_TABLEAU = np.array([row + (0.0,) * (8 - len(row)) for row in _DP])
 
 
 @dataclass(frozen=True)
@@ -65,9 +95,10 @@ class FlowTrajectory:
     # "Converged" | "Uncertified" | "MaxTimeReached" | "MaxStepsReached" | "Diverged"
     status: str
     steps: int
-    # Step control: rejected steps, RHS evaluations (1 at the start, 10 per
-    # attempted step and 1 per accepted step), and the smallest and largest
-    # accepted step size (None when no step was accepted).
+    # Step control: rejected steps, RHS evaluations (1 at the start and 6 per
+    # attempted step), and the smallest and largest accepted step size the
+    # controller chose (None when it chose none: a last step cut short to
+    # land on t_max does not count).
     rejected: int = 0
     rhs_evals: int = 0
     h_min: float | None = None
@@ -82,76 +113,82 @@ class FlowTrajectory:
 
 
 class _Buffer:
-    """One flat (W, S) vector of length k(m + n), with W, S and their
+    """A flat (W, S) vector y of length k(m + n), with W, S and their
     transposes as views into it."""
 
     __slots__ = ("y", "W", "S", "WT", "ST")
 
-    def __init__(self, m, k, n):
-        self.y = np.empty(k * (m + n))
-        self.W = self.y[: m * k].reshape(m, k)
-        self.S = self.y[m * k:].reshape(k, n)
+    def __init__(self, y, m, k):
+        self.y = y
+        self.W = y[: m * k].reshape(m, k)
+        self.S = y[m * k:].reshape(k, -1)
         self.WT, self.ST = self.W.T, self.S.T
 
 
-class _Stepper:
-    """RK4 on flat (W, S) buffers allocated once, counting RHS evaluations.
+class _Block:
+    """The rows (y, k1, ..., k7) of one step, a point and its stage slopes,
+    as one (8, N) array with a _Buffer per row and, for each stage from 2
+    to 7, the rows its input is built from."""
 
-    Every operation writes into a preallocated buffer, in the order of the
-    stage inputs y + (c h) k and of the combination
-    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), so the floats are those of the
-    same formulas on separate W and S arrays.
+    __slots__ = ("a", "rows", "inputs")
+
+    def __init__(self, m, k, n):
+        self.a = np.empty((8, k * (m + n)))
+        self.rows = [_Buffer(row, m, k) for row in self.a]
+        self.inputs = [self.a[:i] for i in range(2, 8)]
+
+
+class _Stepper:
+    """Dormand-Prince 5(4) with FSAL on flat (W, S) buffers allocated once,
+    counting RHS evaluations.
+
+    The current block holds the point y and its slope k1.  Each stage input,
+    the fifth-order solution and the error estimate are one product of a
+    row of h * tableau (with 1 for y) and the block's rows.  An attempt
+    writes the fifth-order solution into row 0 of the next block, so that
+    accepting it swaps the blocks and copies only its slope k7 into row 1.
     """
 
     def __init__(self, X, k):
         m, n = X.m, X.n
         self.X = X.X
-        self.shape = (m, k, n)
-        self.stage, self.k2, self.k3, self.k4 = (self.buffer() for _ in range(4))
-        self.E = np.empty((m, n))
-        self.sq = np.empty(k * (m + n))
-        self.sqW, self.sqS = self.sq[: m * k], self.sq[m * k:]
+        self.cur, self.nxt = _Block(m, k, n), _Block(m, k, n)
+        self.stage = _Buffer(np.empty(k * (m + n)), m, k)
+        self.coef = np.empty_like(_TABLEAU)
+        self.stage_coef = [self.coef[r, : r + 2] for r in range(6)]
+        self.diff = np.empty(k * (m + n))
+        # The residual X - W S of the latest RHS evaluation.
+        self.D = np.empty((m, n))
         self.rhs_evals = 0
 
-    def buffer(self):
-        return _Buffer(*self.shape)
-
     def rhs(self, y, slope):
-        """Write -grad J at y into slope, and the residual W S - X into E.
-
-        The slope is negated once it is built: negation is exact, so it
-        keeps the signed zeros that building it from X - W S would not.
-        """
+        """Write -grad J at y into slope, and the residual X - W S into D."""
         self.rhs_evals += 1
-        E = self.E
-        np.matmul(y.W, y.S, out=E)
-        np.subtract(E, self.X, out=E)
-        np.matmul(E, y.ST, out=slope.W)
-        np.matmul(y.WT, E, out=slope.S)
-        np.negative(slope.y, out=slope.y)
+        D = self.D
+        np.matmul(y.W, y.S, out=D)
+        np.subtract(self.X, D, out=D)
+        np.matmul(D, y.ST, out=slope.W)
+        np.matmul(y.WT, D, out=slope.S)
 
-    def sumsq(self, v):
-        """||W||^2 + ||S||^2 of the flat vector v, each factor summed in the
-        pairwise order of np.sum on it."""
-        np.multiply(v, v, out=self.sq)
-        return float(np.add.reduce(self.sqW) + np.add.reduce(self.sqS))
-
-    def rk4_step(self, y, h, k1, out):
-        """Write into out one RK4 step of size h from y, whose slope k1 is given."""
-        stage = self.stage
-        for c, k, slope in ((0.5 * h, k1, self.k2), (0.5 * h, self.k2, self.k3),
-                            (h, self.k3, self.k4)):
-            np.multiply(k.y, c, out=stage.y)
-            np.add(y.y, stage.y, out=stage.y)
+    def attempt(self, h):
+        """Take one step of size h from the current block and return the norm
+        of its local error estimate.  The fifth-order solution is left in
+        row 0 of the next block, its slope in row 7 of the current one and
+        its residual in D."""
+        cur, stage = self.cur, self.stage
+        np.multiply(_TABLEAU, h, out=self.coef)
+        self.coef[:6, 0] = 1.0
+        for c, rows, slope in zip(self.stage_coef, cur.inputs, cur.rows[2:7]):
+            np.matmul(c, rows, out=stage.y)
             self.rhs(stage, slope)
-        acc = out.y
-        np.multiply(self.k2.y, 2, out=acc)
-        np.add(k1.y, acc, out=acc)
-        np.multiply(self.k3.y, 2, out=self.k3.y)
-        np.add(acc, self.k3.y, out=acc)
-        np.add(acc, self.k4.y, out=acc)
-        np.multiply(acc, h / 6.0, out=acc)
-        np.add(y.y, acc, out=acc)
+        np.matmul(self.stage_coef[5], cur.inputs[5], out=self.nxt.a[0])
+        self.rhs(self.nxt.rows[0], cur.rows[7])
+        np.matmul(self.coef[6, 1:], cur.a[1:], out=self.diff)
+        return math.sqrt(np.dot(self.diff, self.diff))
+
+    def accept(self):
+        self.nxt.a[1] = self.cur.a[7]
+        self.cur, self.nxt = self.nxt, self.cur
 
 
 def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
@@ -177,10 +214,9 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
     if not grad_tol >= 0:
         raise InvalidInput(f"grad_tol must be nonnegative, got {grad_tol}")
     stepper = _Stepper(X, p0.k)
-    y, y1, yh, y2, y_next, k1, kh = (stepper.buffer() for _ in range(7))
+    y = stepper.cur.rows[0]
     y.W[...] = p0.W
     y.S[...] = p0.S
-    diff = np.empty_like(y.y)
     C_init = y.WT @ y.W - y.S @ y.ST
     scale = max(1.0, float(np.linalg.norm(X.X)))
 
@@ -207,31 +243,38 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
 
     def current():
         """The current point, copied out of the buffer the next step reuses."""
+        y = stepper.cur.rows[0]
         return FactorPair(W=y.W.copy(), S=y.S.copy())
 
     def snapshot(t):
-        """The sample at y, leaving the slope of the next step in k1."""
-        stepper.rhs(y, k1)
-        gnorm = math.sqrt(stepper.sumsq(k1.y))
+        """The sample at the current point from its slope and from the
+        residual D of the RHS evaluation that gave it."""
+        y, k1 = stepper.cur.rows[:2]
         drift = float(np.linalg.norm(y.WT @ y.W - y.S @ y.ST - C_init))
-        E = stepper.E  # the residual at y, squared in place: rhs rewrites it
-        np.multiply(E, E, out=E)
-        return FlowSample(t=float(t), J=0.5 * float(np.add.reduce(E, axis=None)),
-                          grad_norm=gnorm, drift=drift)
+        return FlowSample(t=float(t), J=0.5 * float(np.vdot(stepper.D, stepper.D)),
+                          grad_norm=math.sqrt(np.dot(k1.y, k1.y)), drift=drift)
+
+    def step_tol():
+        tol = ATOL + RTOL * math.sqrt(ysq)
+        if samp.grad_norm <= ENDGAME_ZONE * gtol:
+            tol = min(tol, ENDGAME_SHARE * gtol / (ysq + math.sqrt(2.0 * samp.J)))
+        return tol
 
     def trajectory(status):
+        chose = h_max > 0.0
         return FlowTrajectory(
             samples=tuple(samples), terminal=current(), status=status, steps=steps,
             rejected=rejected, rhs_evals=stepper.rhs_evals,
-            h_min=h_min if steps else None, h_max=h_max if steps else None,
+            h_min=h_min if chose else None, h_max=h_max if chose else None,
             canonical=canonical,
         )
 
     t = 0.0
     h = H0
+    stepper.rhs(y, stepper.cur.rows[1])
     samp = snapshot(t)
     samples = [samp]
-    ynorm = math.sqrt(stepper.sumsq(y.y))
+    ysq = float(np.dot(y.y, y.y))
     status = "MaxStepsReached"  # every other way out of the loop sets it
     steps = rejected = 0
     h_min, h_max = math.inf, 0.0
@@ -240,27 +283,22 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
         return trajectory("Converged")
 
     while steps < MAX_STEPS:
-        h = min(h, t_max - t)
-        stepper.rk4_step(y, h, k1, y1)
-        stepper.rk4_step(y, 0.5 * h, k1, yh)
-        stepper.rhs(yh, kh)
-        stepper.rk4_step(yh, 0.5 * h, kh, y2)
-        np.subtract(y2.y, y1.y, out=diff)
-        err = math.sqrt(stepper.sumsq(diff)) / 15.0
-        tol_step = ATOL + RTOL * ynorm
+        clipped = t_max - t < h
+        if clipped:
+            h = t_max - t
+        tol_step = step_tol()
+        err = stepper.attempt(h)
 
         if err <= tol_step:
-            # accept, with local extrapolation
-            np.divide(diff, 15.0, out=diff)
-            np.add(y2.y, diff, out=y_next.y)
-            y, y_next = y_next, y
-            t += h
+            stepper.accept()
+            t = t_max if clipped else t + h
             steps += 1
-            h_min, h_max = min(h_min, h), max(h_max, h)
+            if not clipped:
+                h_min, h_max = min(h_min, h), max(h_max, h)
             samp = snapshot(t)
             samples.append(samp)
-            ynorm = math.sqrt(stepper.sumsq(y.y))
-            if not math.isfinite(samp.J) or ynorm > DIVERGENCE_NORM:
+            ysq = float(np.dot(stepper.cur.a[0], stepper.cur.a[0]))
+            if not math.isfinite(samp.J) or ysq > DIVERGENCE_NORM ** 2:
                 status = "Diverged"
                 break
             stop = stop_status()

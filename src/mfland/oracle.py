@@ -1,9 +1,11 @@
-"""Independent numerical checks: dense Hessian, eigh spectrum, finite differences.
+"""Independent numerical checks: dense Hessian, eigh spectrum, finite
+differences, and the exact gradient flow from a balanced start.
 
-Nothing in here knows about closed-form spectra.  The dense matrix is the
-Hessian action applied to stacked blocks of unit tangents, in the same frozen
-coordinate order, so any closed-form claim elsewhere in the package can be
-validated against plain ``numpy.linalg.eigh`` on this matrix.
+Nothing in here knows about closed-form spectra or the flow integrator.  The
+dense matrix is the Hessian action applied to stacked blocks of unit
+tangents, in the same frozen coordinate order, so any closed-form claim
+elsewhere in the package can be validated against plain ``numpy.linalg.eigh``
+on this matrix.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import _hessian_action, second_derivative
-from .errors import TooLarge
+from .errors import InvalidInput, TooLarge
 from .model import TangentPair, evaluate_J, check_pair
 
 MAX_DENSE_DIM = 5000
@@ -21,6 +23,10 @@ FD_STEP_SECOND = 1e-4
 # Bytes that one intermediate of a block of unit tangents in dense_hessian may
 # take: per column none is larger than max(m, k) x max(n, k) (W H is m x n).
 _BLOCK_BYTES = 1 << 20
+# balanced_flow_exact: the largest sigma_1 * t it evaluates, and the
+# imbalance ||W^T W - S S^T||_F / ||(W, S)||^2 it accepts as balanced.
+EXACT_FLOW_MAX_SIGMA_T = 8.0
+EXACT_FLOW_BALANCE_TOL = 1e-10
 
 
 def flatten_tangent(d):
@@ -162,3 +168,55 @@ def fd_validate(X, p, seed=0, trials=5):
         max_gradient_rel_err=float(worst_g),
         max_second_rel_err=float(worst_h),
     )
+
+
+def balanced_flow_exact(X, p0, t):
+    """R(t) = Z Z^T, Z = [W; S^T], of the gradient flow at time t from a
+    balanced start p0 (W^T W = S S^T), as an (m + n) x (m + n) matrix.
+
+    On the balanced set R obeys the Riccati equation R' = G R + R G - R^2
+    with G = [[0, X], [X^T, 0]], so R(t) = Y K^-1 Y^T with Y = e^{G t} Z0 and
+    K = I + Z0^T (int_0^t e^{2 G s} ds) Z0.  Both are evaluated in G's
+    eigenbasis, built from an SVD of X taken here: +-sigma_i on
+    (u_i, +-v_i) / sqrt(2) and 0 on the kernel (0, v_j), j > m (X is stored
+    with m <= n).  The top-right m x n block of R is W S.
+
+    K's condition number grows like exp(2 sigma_1 t), so this naive
+    evaluation refuses sigma_1 * t > EXACT_FLOW_MAX_SIGMA_T with
+    InvalidInput, as it does a negative or non-finite t and an unbalanced
+    p0.
+    """
+    check_pair(X, p0)
+    t = float(t)
+    if not (np.isfinite(t) and t >= 0):
+        raise InvalidInput(f"t must be nonnegative and finite, got {t}")
+    Z0 = np.vstack([p0.W, p0.S.T])
+    imbalance = float(np.linalg.norm(p0.W.T @ p0.W - p0.S @ p0.S.T))
+    if imbalance > EXACT_FLOW_BALANCE_TOL * float(np.sum(Z0 * Z0)):
+        raise InvalidInput(
+            f"start is not balanced: ||W^T W - S S^T||_F = {imbalance:.3e} > "
+            f"{EXACT_FLOW_BALANCE_TOL:g} * ||(W, S)||^2"
+        )
+    m, n = X.m, X.n
+    U, s, Vt = np.linalg.svd(X.X)
+    sigma_t = float(s[0]) * t
+    if sigma_t > EXACT_FLOW_MAX_SIGMA_T:
+        raise InvalidInput(
+            f"sigma_1 * t = {sigma_t:.3e} > {EXACT_FLOW_MAX_SIGMA_T:g}: "
+            "K is too ill-conditioned for the exact flow"
+        )
+    V = Vt.T
+    Q = np.zeros((m + n, m + n))
+    Q[:m, :m] = Q[:m, m:2 * m] = U / np.sqrt(2.0)
+    Q[m:, :m] = V[:, :m] / np.sqrt(2.0)
+    Q[m:, m:2 * m] = -Q[m:, :m]
+    Q[m:, 2 * m:] = V[:, m:]
+    gamma = np.concatenate([s, -s, np.zeros(n - m)])
+    Zq = Q.T @ Z0
+    Y = Q @ (np.exp(gamma * t)[:, None] * Zq)
+    # int_0^t e^{2 gamma s} ds, which is t where gamma = 0
+    two_g = 2.0 * gamma
+    safe = np.where(two_g == 0.0, 1.0, two_g)
+    phi = np.where(two_g == 0.0, t, np.expm1(two_g * t) / safe)
+    K = np.eye(p0.k) + Zq.T @ (phi[:, None] * Zq)
+    return Y @ np.linalg.solve(K, Y.T)

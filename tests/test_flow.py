@@ -1,5 +1,7 @@
 import dataclasses
 import re
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +22,9 @@ from mfland import (
     random_pair,
     Selection,
     StiffnessFailure,
+    balanced_flow_exact,
 )
-from mfland import flow
+from mfland import flow, oracle
 
 X21 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
 
@@ -131,7 +134,7 @@ def test_loose_grad_tol_reduces_only_below_limit_tol(monkeypatch):
 
     monkeypatch.setattr(flow, "reduce_to_canonical", counted)
     traj = integrate_flow(X21, p0, grad_tol=1e-5)
-    assert (traj.status, traj.steps) == ("Converged", 236)
+    assert (traj.status, traj.steps) == ("Converged", 251)
     assert len(grads) == 3
     assert all(g <= flow.LIMIT_TOL * scale for g in grads)
     assert classify_limit(X21, traj).lambdas == pytest.approx((2.0,), abs=1e-9)
@@ -263,18 +266,72 @@ def test_invalid_arguments_rejected(kwargs):
 
 
 def test_step_counters_account_for_every_rhs_evaluation():
-    """One RHS evaluation at the start, ten per attempted step and one per
-    accepted step; a start that is already a limit evaluates it once."""
+    """One RHS evaluation at the start and six per attempted step; a start
+    that is already a limit evaluates it once."""
     traj = integrate_flow(X21, random_pair(X21, 1, seed=2))
     assert traj.status == "Converged" and traj.rejected > 0
-    assert traj.rhs_evals == 1 + 10 * (traj.steps + traj.rejected) + traj.steps
+    assert traj.rhs_evals == 1 + 6 * (traj.steps + traj.rejected)
     assert 0 < traj.h_min < traj.h_max
     still = integrate_flow(X21, build_balanced(X21, Selection((1,)), 1), t_max=5.0)
     assert (still.steps, still.rejected, still.rhs_evals) == (0, 0, 1)
     assert still.h_min is None and still.h_max is None
 
 
-# ------------------------------------------- reference step-doubling loop --
+def test_step_cut_short_at_t_max_is_not_in_the_step_range():
+    """A horizon just past an accepted time ends the flow with a step of
+    1e-9 that lands on t_max.  The controller did not choose it, so h_min
+    and h_max are those of the steps before it; a flow whose only step is
+    cut short reports no step range."""
+    p0 = random_pair(X21, 1, seed=5)
+    ref = integrate_flow(X21, p0, t_max=3.0, grad_tol=0.0)
+    t_cut = ref.samples[40].t
+    traj = integrate_flow(X21, p0, t_max=t_cut + 1e-9, grad_tol=0.0)
+    assert (traj.status, traj.steps, traj.t_final) == ("MaxTimeReached", 41, t_cut + 1e-9)
+    assert [s.t for s in traj.samples[:41]] == [s.t for s in ref.samples[:41]]
+    steps = np.diff([s.t for s in ref.samples[:41]])
+    assert traj.h_min == pytest.approx(steps.min(), rel=1e-12)
+    assert traj.h_max == pytest.approx(steps.max(), rel=1e-12)
+    assert traj.h_min > 1e-4
+    short = integrate_flow(X21, p0, t_max=1e-3, grad_tol=0.0)
+    assert (short.steps, short.t_final, short.h_min, short.h_max) == (1, 1e-3, None, None)
+
+
+def _haar(rng, n):
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q * np.sign(np.diag(R))
+
+
+def _fixed_spectrum(rng, m, n, sigma):
+    """U diag(sigma) V^T with Haar-random U and V."""
+    U, V = _haar(rng, m), _haar(rng, n)
+    return (U[:, : sigma.size] * sigma) @ V[:, : sigma.size].T
+
+
+def test_endgame_rule_lets_stiff_flows_converge(monkeypatch):
+    """A tied 20 x 30 X at k = 1 (sigma_1 = sigma_2 over a bulk spectrum) and
+    a rank-2 40 x 60 X at k = 3 in Haar frames: with the endgame cap on the
+    step tolerance the tied flows from both starts and the rank-2 flow from
+    a random start converge and classify.  Without it (ENDGAME_SHARE = inf)
+    all three end MaxTimeReached: near the limit the error estimate lets the
+    stiff modes hover at the step tolerance, and the gradient norm levels
+    off above the gradient test."""
+    rng = np.random.default_rng(1)
+    bulk = np.linspace(np.sqrt(30) + np.sqrt(20), np.sqrt(30) - np.sqrt(20), 20)
+    tied = load_data_matrix(_fixed_spectrum(rng, 20, 30, np.concatenate([bulk[:1], bulk[:-1]])))
+    rank2 = load_data_matrix(_fixed_spectrum(rng, 40, 60, np.array([10.0, 6.0])))
+    flows = [(tied, 1, random_balanced_pair, bulk[0]), (tied, 1, random_pair, bulk[0]),
+             (rank2, 3, random_pair, 10.0)]
+    for X, k, init, top in flows:
+        traj = integrate_flow(X, init(X, k, 1))
+        assert traj.status == "Converged"
+        diag = classify_limit(X, traj)
+        assert diag.kind == "GlobalMinimum" and diag.lambdas[0] == pytest.approx(top, rel=1e-9)
+    monkeypatch.setattr(flow, "ENDGAME_SHARE", np.inf)
+    assert [integrate_flow(X, init(X, k, 1)).status for X, k, init, _ in flows] == [
+        "MaxTimeReached"] * 3
+
+
+# ------------------------------------------------------- reference loops --
 
 def _reference_rhs(X, W, S):
     """-grad J at (W, S), with the residual E = W S - X it is built from."""
@@ -293,11 +350,10 @@ def _reference_rk4_step(X, W, S, h, k1W, k1S, count):
     return Wn, Sn
 
 
-def _reference_flow(X, p0, t_max):
-    """The step-doubling RK4 loop of integrate_flow on separate W and S
-    arrays, with no gradient test: integrate_flow at grad_tol = 0 never
-    reduces a point whose gradient is not exactly zero, so it stops where
-    this loop does."""
+def _rk4_flow(X, p0, t_max):
+    """The accuracy reference: classical RK4 with step-doubling error control
+    and local extrapolation on separate W and S arrays, at the step
+    tolerance ATOL + RTOL * ||(W, S)||, with no gradient test."""
     W, S = p0.W.copy(), p0.S.copy()
     C_init = W.T @ W - S @ S.T
     count, accepted, rejected = [0], [], 0
@@ -346,6 +402,101 @@ def _reference_flow(X, p0, t_max):
     return status, samples, W, S, accepted, rejected, count[0]
 
 
+# Dormand & Prince (1980): the stage coefficients a, the fifth-order weights
+# b5 (those of stage 7, as b5_7 = 0) and the embedded fourth-order weights b4.
+_DP_A = (
+    (Fraction(1, 5),),
+    (Fraction(3, 40), Fraction(9, 40)),
+    (Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)),
+    (Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561),
+     Fraction(-212, 729)),
+    (Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247),
+     Fraction(49, 176), Fraction(-5103, 18656)),
+)
+_DP_B5 = (Fraction(35, 384), 0, Fraction(500, 1113), Fraction(125, 192),
+          Fraction(-2187, 6784), Fraction(11, 84), 0)
+_DP_B4 = (Fraction(5179, 57600), 0, Fraction(7571, 16695), Fraction(393, 640),
+          Fraction(-92097, 339200), Fraction(187, 2100), Fraction(1, 40))
+
+
+def _dp5_flow(X, p0, t_max, gtol):
+    """Dormand-Prince 5(4) with FSAL, one fresh array per stage on the flat
+    vector y = (W, S), stopping as Converged where the gradient norm is at
+    most gtol.
+
+    Each stage input is the product of (1, h a_1, ..., h a_j) with the
+    stacked (y, k1, ..., kj); the error estimate is that of h (b5 - b4) with
+    (k1, ..., k7).  The step tolerance is ATOL + RTOL ||y||, capped at
+    ENDGAME_SHARE gtol / (||y||^2 + ||W S - X||_F) while the gradient norm
+    is at most ENDGAME_ZONE gtol.  A step cut short to land on t_max is not
+    one the controller chose."""
+    m, k = X.m, p0.k
+    A = [[float(a) for a in row] for row in _DP_A] + [[float(b) for b in _DP_B5[:6]]]
+    err_w = [float(b5 - b4) for b5, b4 in zip(_DP_B5, _DP_B4)]
+
+    def rhs(y):
+        W, S = y[: m * k].reshape(m, k), y[m * k:].reshape(k, -1)
+        D = X.X - W @ S
+        return np.concatenate([(D @ S.T).ravel(), (W.T @ D).ravel()]), D
+
+    y = np.concatenate([p0.W.ravel(), p0.S.ravel()])
+    C_init = p0.W.T @ p0.W - p0.S @ p0.S.T
+
+    def sample(t, y, k1, D):
+        W, S = y[: m * k].reshape(m, k), y[m * k:].reshape(k, -1)
+        drift = float(np.linalg.norm(W.T @ W - S @ S.T - C_init))
+        return (float(t), 0.5 * float(np.vdot(D, D)),
+                float(np.sqrt(np.dot(k1, k1))), drift)
+
+    k1, D = rhs(y)
+    t, h, evals, accepted, chosen, rejected = 0.0, flow.H0, 1, 0, [], 0
+    samples = [sample(t, y, k1, D)]
+    ysq = float(np.dot(y, y))
+    if samples[-1][2] <= gtol:
+        return "Converged", samples, y, accepted, chosen, rejected, evals
+    status = "MaxStepsReached"
+    while accepted < flow.MAX_STEPS:
+        clipped = t_max - t < h
+        if clipped:
+            h = t_max - t
+        _, J, gnorm, _ = samples[-1]
+        tol_step = flow.ATOL + flow.RTOL * np.sqrt(ysq)
+        if gnorm <= flow.ENDGAME_ZONE * gtol:
+            tol_step = min(tol_step, flow.ENDGAME_SHARE * gtol / (ysq + np.sqrt(2.0 * J)))
+        ks = [k1]
+        for row in A:
+            stage = np.array([1.0] + [h * a for a in row]) @ np.array([y] + ks)
+            slope, D = rhs(stage)
+            ks.append(slope)
+        evals += 6
+        diff = np.array([h * e for e in err_w]) @ np.array(ks)
+        err = float(np.sqrt(np.dot(diff, diff)))
+        if err <= tol_step:
+            y, k1 = stage, ks[-1]
+            t = t_max if clipped else t + h
+            accepted += 1
+            if not clipped:
+                chosen.append(h)
+            samples.append(sample(t, y, k1, D))
+            ysq = float(np.dot(y, y))
+            if not np.isfinite(samples[-1][1]) or ysq > flow.DIVERGENCE_NORM ** 2:
+                status = "Diverged"
+                break
+            if samples[-1][2] <= gtol:
+                status = "Converged"
+                break
+            if t >= t_max:
+                status = "MaxTimeReached"
+                break
+        else:
+            rejected += 1
+        factor = 0.9 * (tol_step / max(err, 1e-300)) ** 0.2
+        h *= min(5.0, max(0.2, factor))
+        if h < flow.H_MIN:
+            raise StiffnessFailure("step size underflowed")
+    return status, samples, y, accepted, chosen, rejected, evals
+
+
 def _matrix(kind, rng):
     if kind == "tied":
         U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
@@ -360,29 +511,99 @@ def _matrix(kind, rng):
     return rng.standard_normal((4, 6))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["tied", "rank-deficient", "tall", "square", "generic"]),
-       st.integers(-3, 3), st.sampled_from([random_pair, random_balanced_pair]),
-       st.floats(0.1, 5.0), st.integers(0, 2**16))
-def test_flow_is_the_reference_loop_bit_for_bit(kind, exponent, init, tau, seed):
-    """integrate_flow on its flat buffers takes the steps of the loop on
-    separate arrays, float for float, for every k <= min(m, n).
+KINDS = st.sampled_from(["tied", "rank-deficient", "tall", "square", "generic"])
+INITS = st.sampled_from([random_pair, random_balanced_pair])
 
-    The horizon is tau / sigma_1, capped at 5, so that each flow takes a
-    few hundred steps whatever the scale.  Samples and terminal factors are
+
+def _accept_every_limit(X, p, tol):
+    return None, None
+
+
+def _family(kind, exponent, tau, seed):
+    """X of the given kind scaled by 10^exponent, and the horizon
+    tau / sigma_1, capped at 50 so that each flow takes a few hundred steps
+    whatever the scale."""
+    X = load_data_matrix(10.0**exponent * _matrix(kind, np.random.default_rng(seed)))
+    return X, min(50.0, tau / float(X.sigma[0]))
+
+
+FAMILY = (KINDS, st.integers(-3, 3), INITS, st.floats(0.1, 100.0), st.integers(0, 2**16))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*FAMILY, st.sampled_from([0.0, 1e-9, 1e-7, 1e-5]))
+def test_flow_is_the_reference_loop_bit_for_bit(kind, exponent, init, tau, seed, grad_tol):
+    """integrate_flow on its flat buffers takes the steps of the plain
+    Dormand-Prince loop, float for float, for every k <= min(m, n).
+
+    Every limit is taken as certified, so a flow stops at its first point
+    that meets the gradient test; a loose grad_tol puts about a third of
+    the flows in the endgame zone.  Samples and terminal factors are
     compared as bytes, so signed zeros count too."""
-    rng = np.random.default_rng(seed)
-    X = load_data_matrix(10.0**exponent * _matrix(kind, rng))
-    t_max = min(5.0, tau / float(X.sigma[0]))
+    X, t_max = _family(kind, exponent, tau, seed)
+    gtol = min(grad_tol, flow.LIMIT_TOL) * max(1.0, float(np.linalg.norm(X.X)))
     for k in range(1, X.m + 1):
         # A start drawn from X's own stream can be X's exact factors.
         p0 = init(X, k, seed + 1)
-        status, samples, W, S, accepted, rejected, evals = _reference_flow(X, p0, t_max)
-        traj = integrate_flow(X, p0, t_max=t_max, grad_tol=0.0)
-        assert (traj.status, traj.steps, traj.rejected) == (status, len(accepted), rejected)
-        assert traj.rhs_evals == evals
-        assert (traj.h_min, traj.h_max) == (min(accepted), max(accepted))
+        status, samples, y, steps, chosen, rejected, evals = _dp5_flow(X, p0, t_max, gtol)
+        with mock.patch.object(flow, "reduce_to_canonical", _accept_every_limit):
+            traj = integrate_flow(X, p0, t_max=t_max, grad_tol=grad_tol)
+        assert (traj.status, traj.steps, traj.rejected) == (status, steps, rejected)
+        assert traj.rhs_evals == evals == 1 + 6 * (steps + rejected)
+        if chosen:
+            assert (traj.h_min, traj.h_max) == (min(chosen), max(chosen))
+        else:
+            assert traj.h_min is None and traj.h_max is None
         got = np.array([(s.t, s.J, s.grad_norm, s.drift) for s in traj.samples])
         assert got.tobytes() == np.array(samples).tobytes()
-        assert traj.terminal.W.tobytes() == W.tobytes()
-        assert traj.terminal.S.tobytes() == S.tobytes()
+        terminal = np.concatenate([traj.terminal.W.ravel(), traj.terminal.S.ravel()])
+        assert terminal.tobytes() == y.tobytes()
+
+
+# |J_DP5(t_max) - J_RK4(t_max)| <= AGREEMENT_TOL * sigma_1^2 at sigma_1 >= 1,
+# where the step tolerances of both, 1e-10 in absolute terms, are tight
+# relative to X; below sigma_1 = 1 the bound is that of sigma_1 = 1.
+AGREEMENT_TOL = 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(*FAMILY)
+def test_flow_agrees_with_the_rk4_reference(kind, exponent, init, tau, seed):
+    """Dormand-Prince and the step-doubling RK4 reference, both at the step
+    tolerance ATOL + RTOL ||(W, S)||, stop with the same status and agree
+    on J at the horizon."""
+    X, t_max = _family(kind, exponent, tau, seed)
+    unit = max(1.0, float(X.sigma[0])) ** 2
+    for k in range(1, X.m + 1):
+        p0 = init(X, k, seed + 1)
+        status, samples, *_ = _rk4_flow(X, p0, t_max)
+        traj = integrate_flow(X, p0, t_max=t_max, grad_tol=0.0)
+        assert traj.status == status
+        assert abs(traj.samples[-1].J - samples[-1][1]) <= AGREEMENT_TOL * unit
+
+
+# |J - J_exact| <= EXACT_TOL * max(1, sigma_1)^2 at every sample; like
+# AGREEMENT_TOL, it holds below sigma_1 = 1 at the bound of sigma_1 = 1.
+EXACT_TOL = 5e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(KINDS, st.integers(-3, 3), st.integers(0, 2**16))
+def test_flow_matches_the_exact_balanced_flow(kind, exponent, seed):
+    """From a balanced start, Dormand-Prince and the RK4 reference both follow
+    the oracle's exact Riccati solution in J, at every sample up to
+    sigma_1 t = EXACT_FLOW_MAX_SIGMA_T.  The start is drawn at unit scale and
+    scaled by 10^(exponent / 2), as the factors of 10^exponent X are."""
+    X, _ = _family(kind, exponent, 1.0, seed)
+    t_max = 0.999 * oracle.EXACT_FLOW_MAX_SIGMA_T / float(X.sigma[0])
+    unit = max(1.0, float(X.sigma[0])) ** 2
+    c = 10.0 ** (exponent / 2)
+    for k in range(1, X.m + 1):
+        p = random_balanced_pair(X, k, seed + 1)
+        p0 = FactorPair(W=c * p.W, S=c * p.S)
+        _, samples, *_ = _rk4_flow(X, p0, t_max)
+        traj = integrate_flow(X, p0, t_max=t_max, grad_tol=0.0)
+        for t, J in [(s.t, s.J) for s in traj.samples] + [s[:2] for s in samples]:
+            R = balanced_flow_exact(X, p0, min(t, t_max))
+            exact = 0.5 * float(np.sum((X.X - R[: X.m, X.m:]) ** 2))
+            assert abs(J - exact) <= EXACT_TOL * unit

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from mfland import (
     FactorPair,
+    InvalidInput,
     Selection,
     TangentPair,
     TooLarge,
+    balanced_flow_exact,
     dense_hessian,
     fd_validate,
     flatten_tangent,
@@ -17,6 +19,7 @@ from mfland import (
     inertia_from_values,
     load_data_matrix,
     numeric_spectrum,
+    random_balanced_pair,
     unflatten_tangent,
 )
 from mfland import oracle
@@ -212,3 +215,42 @@ def test_fd_validate_clean_point():
 def test_fd_validate_deterministic():
     X, p, _ = _setup(4)
     assert fd_validate(X, p, seed=9) == fd_validate(X, p, seed=9)
+
+
+@pytest.mark.parametrize("shape,k", [((3, 5), 2), ((4, 4), 3), ((2, 6), 2)])
+def test_balanced_flow_exact_solves_the_riccati_equation(shape, k):
+    """R(0) = Z0 Z0^T, and a central difference of R in t matches
+    G R + R G - R^2 at sigma_1 t = 0.5 and 4, where G = [[0, X], [X^T, 0]]."""
+    rng = np.random.default_rng(3)
+    X = load_data_matrix(rng.standard_normal(shape))
+    p0 = random_balanced_pair(X, k, seed=4)
+    Z0 = np.vstack([p0.W, p0.S.T])
+    assert np.allclose(balanced_flow_exact(X, p0, 0.0), Z0 @ Z0.T, rtol=0, atol=1e-13)
+    m, n = X.m, X.n
+    G = np.block([[np.zeros((m, m)), X.X], [X.X.T, np.zeros((n, n))]])
+    s1 = float(X.sigma[0])
+    for t in (0.5 / s1, 4.0 / s1):
+        R = balanced_flow_exact(X, p0, t)
+        dt = 1e-5 / s1
+        dR = (balanced_flow_exact(X, p0, t + dt) - balanced_flow_exact(X, p0, t - dt)) / (2 * dt)
+        rhs = G @ R + R @ G - R @ R
+        assert np.abs(dR - rhs).max() <= 1e-6 * s1 * max(1.0, np.abs(rhs).max())
+
+
+@pytest.mark.parametrize("case", ["negative t", "nan t", "past the bound", "unbalanced"])
+def test_balanced_flow_exact_refuses(case):
+    """A negative or non-finite t, sigma_1 t above EXACT_FLOW_MAX_SIGMA_T and
+    an unbalanced start are refused, each naming what failed."""
+    X = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
+    p0 = random_balanced_pair(X, 1, seed=0)
+    t, match = {
+        "negative t": (-1.0, "t must be"),
+        "nan t": (np.nan, "t must be"),
+        "past the bound": (1.01 * oracle.EXACT_FLOW_MAX_SIGMA_T / 2.0, "sigma_1 \\* t"),
+        "unbalanced": (1.0, "not balanced"),
+    }[case]
+    if case == "unbalanced":
+        p0 = FactorPair(W=p0.W, S=2.0 * p0.S)
+    with pytest.raises(InvalidInput, match=match):
+        balanced_flow_exact(X, p0, t)
+    balanced_flow_exact(X, random_balanced_pair(X, 1, seed=0), 0.99 * oracle.EXACT_FLOW_MAX_SIGMA_T / 2.0)
