@@ -21,7 +21,6 @@ from .canonical import (
     build_canonical,
     classify_canonical,
     first_defect,
-    is_maximal,
     reduce_to_canonical,
     zero_family_point,
 )
@@ -56,7 +55,6 @@ from .model import (
     load_data_matrix,
     read_matrix_csv,
     residual,
-    to_user_orientation,
     write_matrix_csv,
 )
 from .oracle import (

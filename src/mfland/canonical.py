@@ -82,19 +82,20 @@ class CanonicalPoint:
     """A canonical critical point, stored by its discrete data.
 
     ``C0`` has shape (n - r) x (k - q); it parametrizes the part of S living
-    in the kernel of X under the unused rows of W.
+    in the kernel of X under the unused rows of W.  None (the default) means
+    the zero block.
     """
 
     X: object
     selection: Selection
     k: int
-    C0: np.ndarray
+    C0: np.ndarray = None
 
     def __post_init__(self):
         X, sel, k = self.X, self.selection, self.k
         _validate_selection(X, sel, k)
-        C0 = np.asarray(self.C0, dtype=float)
         want = (X.n - X.r, k - sel.q)
+        C0 = np.zeros(want) if self.C0 is None else np.asarray(self.C0, dtype=float)
         if C0.shape != want:
             raise DimensionError(f"C0 must be {want}, got {C0.shape}")
         if not np.all(np.isfinite(C0)):
@@ -134,19 +135,11 @@ def build_canonical(X, sel, k, C0=None):
     """Canonical critical point for a nonempty selection."""
     if sel.q < 1:
         raise InvalidSelection("build_canonical needs at least one selected index")
-    return _canonical_point(X, sel, k, C0)
+    return CanonicalPoint(X, sel, k, C0)
 
 
 def zero_family_point(X, C0, k):
-    return _canonical_point(X, Selection(()), k, C0)
-
-
-def _canonical_point(X, sel, k, C0=None):
-    """The canonical point of any selection; C0 = 0 unless given."""
-    _validate_selection(X, sel, k)
-    if C0 is None:
-        C0 = np.zeros((X.n - X.r, k - sel.q))
-    return CanonicalPoint(X=X, selection=sel, k=k, C0=C0)
+    return CanonicalPoint(X, Selection(()), k, C0)
 
 
 def build_balanced(X, sel, k):
@@ -190,11 +183,6 @@ def first_defect(X, sel):
     return None
 
 
-def is_maximal(X, sel):
-    """True when the selection picks the q largest singular values by value."""
-    return first_defect(X, sel) is None
-
-
 @dataclass(frozen=True)
 class ClassificationResult:
     kind: str  # "GlobalMinimum" | "StrictSaddle"
@@ -217,14 +205,10 @@ def classify_canonical(cp):
     try:
         lam_min = _lambda_min(cp)
     except NotASaddle:
-        return ClassificationResult(
-            kind="GlobalMinimum", p=None, lambda_min_closed_form=None,
-            maximal=True,
-        )
-    p = None if maximal else defect + 1
-    return ClassificationResult(
-        kind="StrictSaddle", p=p, lambda_min_closed_form=lam_min, maximal=maximal,
-    )
+        return ClassificationResult(kind="GlobalMinimum", p=None,
+                                    lambda_min_closed_form=None, maximal=True)
+    return ClassificationResult(kind="StrictSaddle", p=None if maximal else defect + 1,
+                                lambda_min_closed_form=lam_min, maximal=maximal)
 
 
 def _sigma_groups(X):

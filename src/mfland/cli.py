@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .canonical import Selection, _canonical_point, classify_canonical
+from .canonical import CanonicalPoint, Selection, classify_canonical
 from .errors import InvalidInput, MflandError
 from .flow import classify_limit, integrate_flow, random_balanced_pair, random_pair
 from .model import load_data_matrix, read_matrix_csv, write_matrix_csv
@@ -92,10 +92,11 @@ def _load_X(args):
     return load_data_matrix(read_matrix_csv(args.x), rank_tol=args.rank_tol)
 
 
-def _load_point(args, X, k, sel):
-    """The canonical point of sel (empty: the zero family), C0 from --c0."""
+def _load_point(args, X):
+    """The point of --select (none: the zero family) at --k, C0 from --c0."""
+    sel = _parse_selection(args.select) if args.select else Selection(())
     C0 = read_matrix_csv(args.c0) if args.c0 else None
-    return _canonical_point(X, sel, k, C0)
+    return CanonicalPoint(X, sel, args.k, C0)
 
 
 def _spectrum_payload(X, rep, family, sel, scale):
@@ -138,7 +139,7 @@ def _cmd_spectrum(args):
         rep = spectrum_balanced(X, sel, k)
         family = "balanced"
     else:
-        cp = _load_point(args, X, k, Selection(()) if sel is None else sel)
+        cp = _load_point(args, X)
         if sel is None:
             rep = spectrum_zero_family(X, cp.C0, k)
             family = "zero"
@@ -161,9 +162,7 @@ def _cmd_spectrum(args):
 
 def _cmd_classify(args):
     X = _load_X(args)
-    k = args.k
-    sel = _parse_selection(args.select) if args.select else Selection(())
-    cp = _load_point(args, X, k, sel)
+    cp = _load_point(args, X)
     res = classify_canonical(cp)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -171,7 +170,7 @@ def _cmd_classify(args):
         "m": X.m,
         "n": X.n,
         "transposed": X.transposed,
-        "k": k,
+        "k": cp.k,
         "q": cp.q,
         "selection": [i + 1 for i in cp.selection.indices],
         "kind": res.kind,
@@ -186,9 +185,8 @@ def _cmd_classify(args):
 
 def _cmd_orbit(args):
     X = _load_X(args)
-    k = args.k
-    sel = _parse_selection(args.select) if args.select else Selection(())
-    cp = _load_point(args, X, k, sel)
+    cp = _load_point(args, X)
+    k = cp.k
     if args.a:
         A = read_matrix_csv(args.a)
     elif args.scale is not None:

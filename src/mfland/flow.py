@@ -7,9 +7,9 @@ the seven stage slopes of a step cost six RHS evaluations, because the
 seventh, taken at the propagated fifth-order solution, is the first slope
 of the next step and gives that point's sample.  The difference of the two
 embedded solutions is the local error estimate that decides acceptance.
-The steps run on one flat (W, S) state in buffers allocated once per flow;
-the trajectory counts rejected steps and RHS evaluations and records the
-range of step sizes the controller chose.
+The steps run on one (8, N) block of the flat (W, S) state and its stage
+slopes, allocated once per flow; the trajectory counts rejected steps and
+RHS evaluations and records the range of step sizes the controller chose.
 
 Near a limit the step size settles at the method's stability edge, where
 the error estimate lets the stiff modes of the Hessian hover at about the
@@ -21,9 +21,10 @@ gradient test instead of levelling off above it.
 
 A flow that passes its gradient test is reported Converged only once
 ``reduce_to_canonical`` reconstructs its terminal point within the
-reduction's residual bound, so that every Converged limit classifies.  Each
-refusal tightens the gradient test tenfold, at most three times, before the
-flow stops Uncertified.
+reduction's residual bound, so that every Converged limit carries its
+canonical point.  Each refusal (not critical, ambiguous rank, residual
+above the bound) tightens the gradient test tenfold, at most three times,
+before the flow stops Uncertified.
 """
 
 import math
@@ -31,7 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import CanonicalPoint, classify_canonical, reduce_to_canonical
+from .canonical import (
+    CanonicalPoint,
+    Selection,
+    _validate_selection,
+    classify_canonical,
+    reduce_to_canonical,
+)
 from .errors import (
     InvalidInput,
     NotCritical,
@@ -125,37 +132,26 @@ class _Buffer:
         self.WT, self.ST = self.W.T, self.S.T
 
 
-class _Block:
-    """The rows (y, k1, ..., k7) of one step, a point and its stage slopes,
-    as one (8, N) array with a _Buffer per row and, for each stage from 2
-    to 7, the rows its input is built from."""
-
-    __slots__ = ("a", "rows", "inputs")
-
-    def __init__(self, m, k, n):
-        self.a = np.empty((8, k * (m + n)))
-        self.rows = [_Buffer(row, m, k) for row in self.a]
-        self.inputs = [self.a[:i] for i in range(2, 8)]
-
-
 class _Stepper:
     """Dormand-Prince 5(4) with FSAL on flat (W, S) buffers allocated once,
     counting RHS evaluations.
 
-    The current block holds the point y and its slope k1.  Each stage input,
-    the fifth-order solution and the error estimate are one product of a
-    row of h * tableau (with 1 for y) and the block's rows.  An attempt
-    writes the fifth-order solution into row 0 of the next block, so that
-    accepting it swaps the blocks and copies only its slope k7 into row 1.
+    One (8, N) array holds the point y and the stage slopes k1, ..., k7, with
+    a _Buffer per row.  Each stage input and the error estimate are one
+    product of a row of h * tableau (with 1 for y) and the rows.  The input of
+    stage 7 is the fifth-order solution, so accepting a step copies it from
+    the stage buffer into row 0, and its slope k7 into row 1.
     """
 
     def __init__(self, X, k):
         m, n = X.m, X.n
         self.X = X.X
-        self.cur, self.nxt = _Block(m, k, n), _Block(m, k, n)
+        self.a = np.empty((8, k * (m + n)))
+        self.rows = [_Buffer(row, m, k) for row in self.a]
         self.stage = _Buffer(np.empty(k * (m + n)), m, k)
         self.coef = np.empty_like(_TABLEAU)
-        self.stage_coef = [self.coef[r, : r + 2] for r in range(6)]
+        self.stages = [(self.coef[r, : r + 2], self.a[: r + 2], self.rows[r + 2])
+                       for r in range(6)]
         self.diff = np.empty(k * (m + n))
         # The residual X - W S of the latest RHS evaluation.
         self.D = np.empty((m, n))
@@ -171,24 +167,21 @@ class _Stepper:
         np.matmul(y.WT, D, out=slope.S)
 
     def attempt(self, h):
-        """Take one step of size h from the current block and return the norm
-        of its local error estimate.  The fifth-order solution is left in
-        row 0 of the next block, its slope in row 7 of the current one and
-        its residual in D."""
-        cur, stage = self.cur, self.stage
+        """Take one step of size h from row 0 and return the norm of its local
+        error estimate.  The fifth-order solution is left in the stage
+        buffer, its slope in row 7 and its residual in D."""
+        stage = self.stage
         np.multiply(_TABLEAU, h, out=self.coef)
         self.coef[:6, 0] = 1.0
-        for c, rows, slope in zip(self.stage_coef, cur.inputs, cur.rows[2:7]):
+        for c, rows, slope in self.stages:
             np.matmul(c, rows, out=stage.y)
             self.rhs(stage, slope)
-        np.matmul(self.stage_coef[5], cur.inputs[5], out=self.nxt.a[0])
-        self.rhs(self.nxt.rows[0], cur.rows[7])
-        np.matmul(self.coef[6, 1:], cur.a[1:], out=self.diff)
+        np.matmul(self.coef[6, 1:], self.a[1:], out=self.diff)
         return math.sqrt(np.dot(self.diff, self.diff))
 
     def accept(self):
-        self.nxt.a[1] = self.cur.a[7]
-        self.cur, self.nxt = self.nxt, self.cur
+        self.a[0] = self.stage.y
+        self.a[1] = self.a[7]
 
 
 def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
@@ -198,23 +191,24 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
 
     The gradient test starts at min(grad_tol, LIMIT_TOL) * max(1, ||X||_F).
     A point that passes it is Converged when ``reduce_to_canonical`` accepts
-    it at LIMIT_TOL.  Each refusal (NotCritical or NumericalFailure) sends
-    the flow on from that point with the gradient tolerance divided by 10,
-    at most TIGHTENINGS times, and then stops it as "Uncertified".  A
-    RankAmbiguous refusal leaves the point Converged, and ``classify_limit``
-    raises it.
+    it at LIMIT_TOL, and the trajectory carries that reduction.  Each refusal
+    (NotCritical, NumericalFailure or RankAmbiguous) sends the flow on from
+    that point with the gradient tolerance divided by 10, at most TIGHTENINGS
+    times, and then stops it as "Uncertified".
 
-    Raises DimensionError when p0 does not fit X, InvalidInput for a
-    non-finite or non-positive t_max and a negative grad_tol, and
-    StiffnessFailure if the accepted step size underflows H_MIN.
+    Raises DimensionError when p0 does not fit X, InvalidSelection for
+    k = p0.k outside [1, min(m, n)], InvalidInput for a non-finite or
+    non-positive t_max and a negative grad_tol, and StiffnessFailure if the
+    accepted step size underflows H_MIN.
     """
     check_pair(X, p0)
+    _validate_selection(X, Selection(()), p0.k)
     if not (np.isfinite(t_max) and t_max > 0):
         raise InvalidInput(f"t_max must be positive and finite, got {t_max}")
     if not grad_tol >= 0:
         raise InvalidInput(f"grad_tol must be nonnegative, got {grad_tol}")
     stepper = _Stepper(X, p0.k)
-    y = stepper.cur.rows[0]
+    y = stepper.rows[0]
     y.W[...] = p0.W
     y.S[...] = p0.S
     C_init = y.WT @ y.W - y.S @ y.ST
@@ -223,17 +217,13 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
     gtol, tightened, canonical = min(grad_tol, LIMIT_TOL) * scale, 0, None
 
     def stop_status():
-        """The status to stop with at the current point (Converged, or
-        Uncertified once the tightenings are spent), or None to go on, with
-        gtol tightened when the reduction refused the point."""
+        """Converged, Uncertified, or None to go on; a refusal tightens gtol."""
         nonlocal gtol, tightened, canonical
         if samp.grad_norm > gtol:
             return None
         try:
             canonical, _ = reduce_to_canonical(X, current(), tol=LIMIT_TOL)
-        except RankAmbiguous:
-            return "Converged"
-        except (NotCritical, NumericalFailure):
+        except (NotCritical, NumericalFailure, RankAmbiguous):
             if tightened == TIGHTENINGS:
                 return "Uncertified"
             tightened += 1
@@ -243,13 +233,13 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
 
     def current():
         """The current point, copied out of the buffer the next step reuses."""
-        y = stepper.cur.rows[0]
+        y = stepper.rows[0]
         return FactorPair(W=y.W.copy(), S=y.S.copy())
 
     def snapshot(t):
         """The sample at the current point from its slope and from the
         residual D of the RHS evaluation that gave it."""
-        y, k1 = stepper.cur.rows[:2]
+        y, k1 = stepper.rows[:2]
         drift = float(np.linalg.norm(y.WT @ y.W - y.S @ y.ST - C_init))
         return FlowSample(t=float(t), J=0.5 * float(np.vdot(stepper.D, stepper.D)),
                           grad_norm=math.sqrt(np.dot(k1.y, k1.y)), drift=drift)
@@ -271,7 +261,7 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
 
     t = 0.0
     h = H0
-    stepper.rhs(y, stepper.cur.rows[1])
+    stepper.rhs(y, stepper.rows[1])
     samp = snapshot(t)
     samples = [samp]
     ysq = float(np.dot(y.y, y.y))
@@ -297,7 +287,7 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
                 h_min, h_max = min(h_min, h), max(h_max, h)
             samp = snapshot(t)
             samples.append(samp)
-            ysq = float(np.dot(stepper.cur.a[0], stepper.cur.a[0]))
+            ysq = float(np.dot(stepper.a[0], stepper.a[0]))
             if not math.isfinite(samp.J) or ysq > DIVERGENCE_NORM ** 2:
                 status = "Diverged"
                 break
@@ -336,9 +326,10 @@ class LimitDiagnosis:
 def classify_limit(X, traj):
     """Identify which critical-point family a converged trajectory reached.
 
-    This reads the canonical point integrate_flow certified the limit with,
-    and reduces the terminal point at LIMIT_TOL only when the trajectory
-    carries none for this X.
+    Every Converged trajectory of integrate_flow carries the canonical point
+    that certified its limit, and this reads it.  The terminal point is
+    reduced again at LIMIT_TOL only when a trajectory carries none for this X
+    (one built or altered by the caller).
     """
     if traj.status != "Converged":
         raise InvalidInput(
@@ -360,19 +351,24 @@ def classify_limit(X, traj):
     )
 
 
+def _start_rng(X, k, seed):
+    """The generator of a start with k columns, after checking k and seed."""
+    _validate_selection(X, Selection(()), k)
+    if seed < 0:
+        raise InvalidInput(f"seed must be a nonnegative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def random_balanced_pair(X, k, seed):
     """Random W with S = (W^T W)^{1/2} R, R row-orthonormal: starts on M_0."""
-    rng = np.random.default_rng(seed)
+    rng = _start_rng(X, k, seed)
     W = rng.standard_normal((X.m, k))
-    B = W.T @ W
-    evals, evecs = np.linalg.eigh(B)
+    evals, evecs = np.linalg.eigh(W.T @ W)
     root = evecs @ (np.sqrt(np.clip(evals, 0.0, None))[:, None] * evecs.T)
     Q, _ = np.linalg.qr(rng.standard_normal((X.n, k)))
     return FactorPair(W=W, S=root @ Q.T)
 
 
 def random_pair(X, k, seed):
-    rng = np.random.default_rng(seed)
-    return FactorPair(
-        W=rng.standard_normal((X.m, k)), S=rng.standard_normal((k, X.n))
-    )
+    rng = _start_rng(X, k, seed)
+    return FactorPair(W=rng.standard_normal((X.m, k)), S=rng.standard_normal((k, X.n)))

@@ -49,7 +49,6 @@ class DataMatrixSVD:
     V: np.ndarray
     r: int
     transposed: bool
-    rank_tol: float
 
     @property
     def m(self):
@@ -103,9 +102,7 @@ def load_data_matrix(X, rank_tol=DEFAULT_RANK_TOL):
         U[:, i] = sgn * col
         if i < r:
             V[:, i] = sgn * V[:, i]
-    for j in range(n):
-        if j < r:
-            continue
+    for j in range(r, n):
         col = V[:, j]
         if col[np.argmax(np.abs(col))] < 0:
             V[:, j] = -col
@@ -117,7 +114,6 @@ def load_data_matrix(X, rank_tol=DEFAULT_RANK_TOL):
         V=_freeze(V),
         r=r,
         transposed=transposed,
-        rank_tol=float(rank_tol),
     )
 
 
@@ -190,13 +186,6 @@ def evaluate_J(X, p):
 def inner(t1, t2):
     """Frobenius inner product on tangent pairs: <G1,G2> + <H1,H2>."""
     return float(np.sum(t1.G * t2.G) + np.sum(t1.H * t2.H))
-
-
-def to_user_orientation(X, W, S):
-    """Map a factor pair back to the orientation of the originally loaded X."""
-    if X.transposed:
-        return S.T.copy(), W.T.copy()
-    return W.copy(), S.copy()
 
 
 def read_matrix_csv(path):

@@ -12,12 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _hessian_action, second_derivative
+from .calculus import _hessian_action, gradient, second_derivative
 from .errors import InvalidInput, TooLarge
-from .model import TangentPair, evaluate_J, check_pair
+from .model import FactorPair, TangentPair, check_pair, evaluate_J, inner
 
 MAX_DENSE_DIM = 5000
-# Steps of fd_validate's central differences: first, then second order.
+# fd_validate's random directions, and the steps of its central
+# differences: first, then second order.
+FD_TRIALS = 5
 FD_STEP_GRADIENT = 1e-5
 FD_STEP_SECOND = 1e-4
 # Bytes that one intermediate of a block of unit tangents in dense_hessian may
@@ -50,9 +52,6 @@ class DenseHessian:
     """
 
     matrix: np.ndarray
-    m: int
-    n: int
-    k: int
     asymmetry: float
 
     @property
@@ -91,7 +90,7 @@ def dense_hessian(X, p):
     asym = float(np.linalg.norm(A - A.T))
     sym = A + A.T
     sym *= 0.5
-    return DenseHessian(matrix=sym, m=m, n=n, k=k, asymmetry=asym)
+    return DenseHessian(matrix=sym, asymmetry=asym)
 
 
 def numeric_spectrum(X, p):
@@ -110,10 +109,6 @@ def inertia_from_values(evals, tol):
 
 @dataclass(frozen=True)
 class FDReport:
-    trials: int
-    seed: int
-    step_gradient: float
-    step_second: float
     max_gradient_rel_err: float
     max_second_rel_err: float
 
@@ -122,33 +117,28 @@ class FDReport:
         return self.max_gradient_rel_err < 1e-6 and self.max_second_rel_err < 1e-4
 
 
-def fd_validate(X, p, seed=0, trials=5):
+def fd_validate(X, p, seed=0):
     """Central-difference check of the gradient and the quadratic form.
 
-    Each trial draws a unit-norm tangent direction d and compares
-    (J(p + eps d) - J(p - eps d)) / (2 eps) against <grad J, d>, then the
-    symmetric second difference against d2 J[d].  Relative errors are taken
-    against the analytic value.
+    Each of FD_TRIALS trials draws a unit-norm tangent direction d and
+    compares (J(p + eps d) - J(p - eps d)) / (2 eps) against <grad J, d>,
+    then the symmetric second difference against d2 J[d].  Relative errors
+    are taken against the analytic value.
     """
-    from .calculus import gradient
-    from .model import FactorPair, inner
-
     rng = np.random.default_rng(seed)
     m, n, k = X.m, X.n, p.k
     g = gradient(X, p)
     J0 = evaluate_J(X, p)
 
     worst_g, worst_h = 0.0, 0.0
-    for _ in range(trials):
+    for _ in range(FD_TRIALS):
         G = rng.standard_normal((m, k))
         H = rng.standard_normal((k, n))
         nrm = np.sqrt(np.sum(G * G) + np.sum(H * H))
         d = TangentPair(G=G / nrm, H=H / nrm)
 
         def J_at(t):
-            return evaluate_J(
-                X, FactorPair(W=p.W + t * d.G, S=p.S + t * d.H)
-            )
+            return evaluate_J(X, FactorPair(W=p.W + t * d.G, S=p.S + t * d.H))
 
         eps = FD_STEP_GRADIENT
         fd1 = (J_at(eps) - J_at(-eps)) / (2 * eps)
@@ -161,10 +151,6 @@ def fd_validate(X, p, seed=0, trials=5):
         worst_h = max(worst_h, abs(fd2 - an2) / max(abs(an2), 1e-12))
 
     return FDReport(
-        trials=trials,
-        seed=seed,
-        step_gradient=FD_STEP_GRADIENT,
-        step_second=FD_STEP_SECOND,
         max_gradient_rel_err=float(worst_g),
         max_second_rel_err=float(worst_h),
     )

@@ -101,32 +101,17 @@ def action_matrix(g, m, n):
     Useful for realizing Hessian congruence explicitly:
     dense(L_A p) = M^T dense(p) M with M = action_matrix(g.inverse(), m, n).
     """
-    return _block_diag(np.kron(g.A.T, np.eye(m)), np.kron(np.eye(n), g.A_inv))
+    k = g.k
+    M = np.zeros((k * (m + n), k * (m + n)))
+    M[: m * k, : m * k] = np.kron(g.A.T, np.eye(m))
+    M[m * k:, m * k:] = np.kron(np.eye(n), g.A_inv)
+    return M
 
 
-def _block_diag(*blocks):
-    """Block-diagonal matrix with the given square blocks along its diagonal."""
-    n = sum(len(b) for b in blocks)
-    out = np.zeros((n, n))
-    at = 0
-    for b in blocks:
-        out[at:at + len(b), at:at + len(b)] = b
-        at += len(b)
-    return out
-
-
-def balance_residual(p, C=None):
-    """|| W^T W - S S^T - C ||_F; with C = 0 this is the conserved quantity
-    of gradient flow, and a zero value places p in the balanced set."""
-    if C is None:
-        C = np.zeros((p.k, p.k))
-    else:
-        C = np.asarray(C, dtype=float)
-        if C.shape != (p.k, p.k):
-            raise InvalidInput(f"C must be {p.k} x {p.k}, got {C.shape}")
-        if not np.allclose(C, C.T, atol=1e-12, rtol=0.0):
-            raise InvalidInput("C must be symmetric")
-    return float(np.linalg.norm(p.W.T @ p.W - p.S @ p.S.T - C))
+def balance_residual(p):
+    """|| W^T W - S S^T ||_F, the size of the quantity gradient flow
+    conserves; a zero value places p in the balanced set."""
+    return float(np.linalg.norm(p.W.T @ p.W - p.S @ p.S.T))
 
 
 def inertia_of(X, p, zero_tol=None):
@@ -151,5 +136,5 @@ def intersect_M0(cp):
         return None
     if cp.C0.size and np.linalg.norm(cp.C0) > 1e-12:
         return None
-    A = _block_diag(np.diag(np.sqrt(lam)), np.eye(cp.k - cp.q))
+    A = np.diag(np.concatenate([np.sqrt(lam), np.ones(cp.k - cp.q)]))
     return GroupElement.from_matrix(A)

@@ -43,11 +43,9 @@ import numpy as np
 from .canonical import (
     CanonicalPoint,
     Selection,
-    _canonical_point,
     build_balanced,
     build_canonical,
     first_defect,
-    selected_values,
     zero_family_point,
 )
 from .errors import InvalidInput, InvalidSelection, NotASaddle
@@ -389,8 +387,6 @@ def spectrum_full_rank_scaled(X, sel, a=1.0):
     """Spectrum at (a W_c, a^-1 S_c) for a full-rank selection (q = k)."""
     if a == 0 or not np.isfinite(a):
         raise InvalidInput(f"scale must be a nonzero finite number, got {a}")
-    if sel.q < 1:
-        raise InvalidSelection("full-rank spectrum needs a nonempty selection")
     cp = build_canonical(X, sel, k=sel.q)
     return _report(X, _canonical_eigpairs(cp, d=a), cp.materialize(scale=a))
 
@@ -456,13 +452,14 @@ def lambda_min_closed_form(X, sel, k, C0=None, a=1.0):
         raise InvalidInput(f"scale must be a nonzero finite number, got {a}")
     if C0 is not None:
         C0 = np.asarray(C0, dtype=float) / a
-    cp = _canonical_point(X, Selection(()) if sel is None else sel, k, C0)
+    cp = CanonicalPoint(X, Selection(()) if sel is None else sel, k, C0)
     return _lambda_min(cp, d=a)
 
 
 def lambda_min_balanced(X, sel, k):
     """Closed-form smallest eigenvalue at a balanced strict saddle."""
-    lam = selected_values(X, sel)
-    if np.any(lam <= 0) or sel.q > min(k, X.r):
+    cp = CanonicalPoint(X, sel, k)
+    lam = cp.lambdas
+    if np.any(lam <= 0):
         raise InvalidSelection("balanced points need positive selected values")
-    return _lambda_min(_canonical_point(X, sel, k), d=np.sqrt(lam))
+    return _lambda_min(cp, d=np.sqrt(lam))

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import (
     GroupElement,
+    InvalidInput,
     Selection,
     TangentPair,
     action_matrix,
@@ -77,9 +78,8 @@ def check_svd_conventions(X, seed):
 
 def check_finite_differences(X, seed):
     p = random_pair(X, min(2, X.m), seed)
-    rep = fd_validate(X, p, seed=seed, trials=5)
-    ok = rep.max_gradient_rel_err < 1e-6 and rep.max_second_rel_err < 1e-4
-    return ok, (
+    rep = fd_validate(X, p, seed=seed)
+    return rep.ok, (
         f"grad={rep.max_gradient_rel_err:.2e} second={rep.max_second_rel_err:.2e}"
     )
 
@@ -332,7 +332,10 @@ ALL_CHECKS = [
 
 
 def run_all(X=None, seed=0):
-    """Run every check; returns a list of dicts in a deterministic order."""
+    """Run every check; returns a list of dicts in a deterministic order.
+    A negative seed raises InvalidInput before any check runs."""
+    if seed < 0:
+        raise InvalidInput(f"seed must be a nonnegative integer, got {seed}")
     if X is None:
         X = _default_X(seed)
 

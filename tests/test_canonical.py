@@ -19,7 +19,6 @@ from mfland import (
     first_defect,
     gradient_norm,
     is_critical,
-    is_maximal,
     load_data_matrix,
     reduce_to_canonical,
     zero_family_point,
@@ -105,19 +104,19 @@ def test_scaled_materialization_same_product():
 # ------------------------------------------------------- maximality / kind --
 
 def test_first_defect_and_maximality():
-    assert is_maximal(X323, Selection((0, 1)))
+    assert first_defect(X323, Selection((0, 1))) is None
     # lambda at position 1 is 1 < sigma_1 = 2 (0-based); classify reports p = 2
     assert first_defect(X323, Selection((0, 2))) == 1
     assert classify_canonical(build_canonical(X323, Selection((0, 2)), 2)).p == 2
-    assert not is_maximal(X323, Selection((1, 2)))
+    assert first_defect(X323, Selection((1, 2))) is not None
 
 
 def test_maximality_is_value_wise_under_ties():
     X = load_data_matrix(np.diag([2.0, 2.0, 1.0]) @ np.eye(3, 4))
     # selecting either copy of the tied value counts as maximal
-    assert is_maximal(X, Selection((0,)))
-    assert is_maximal(X, Selection((1,)))
-    assert not is_maximal(X, Selection((2,)))
+    assert first_defect(X, Selection((0,))) is None
+    assert first_defect(X, Selection((1,))) is None
+    assert first_defect(X, Selection((2,))) is not None
 
 
 def test_classify_kinds():

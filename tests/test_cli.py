@@ -176,6 +176,43 @@ def test_bad_flow_argument_is_exit_2(capsys, x_csv, flag, value):
     assert flag[2:].replace("-", "_") in err
 
 
+@pytest.fixture()
+def x46_csv(tmp_path):
+    path = tmp_path / "x46.csv"
+    np.savetxt(path, np.random.default_rng(0).standard_normal((4, 6)), delimiter=",")
+    return str(path)
+
+
+@pytest.mark.parametrize("init", ["balanced", "random"])
+@pytest.mark.parametrize("k", [5, 7])
+def test_flow_with_k_above_min_m_n_is_exit_2(capsys, x46_csv, monkeypatch, k, init):
+    """k outside [1, min(m, n)] is refused before the start is drawn or any
+    step is taken, with the message a canonical point gives."""
+    from mfland import flow
+
+    def no_step(self, h):
+        raise AssertionError("a step was attempted")
+
+    monkeypatch.setattr(flow._Stepper, "attempt", no_step)
+    code, out, err = _run(capsys, "flow", "--x", x46_csv, "--k", str(k), "--init", init)
+    assert (code, out) == (2, "")
+    assert err == f"error: k = {k} outside [1, min(m, n) = 4]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--x", "X", "--k", "1", "--init", "balanced"],
+    ["flow", "--x", "X", "--k", "1", "--init", "random"],
+    ["verify"],
+    ["verify", "--x", "X"],
+], ids=["flow-balanced", "flow-random", "verify", "verify-x"])
+def test_negative_seed_is_exit_2(capsys, x46_csv, argv):
+    """A negative seed is invalid input, not a crash or a failed check."""
+    argv = [x46_csv if a == "X" else a for a in argv]
+    code, out, err = _run(capsys, *argv, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be a nonnegative integer, got -1\n"
+
+
 def test_nonfinite_c0_is_exit_2(capsys, x_csv, tmp_path):
     c0 = tmp_path / "c0.csv"
     c0.write_text("nan\n")

@@ -1,14 +1,17 @@
 """Dependency rules: the package runs on NumPy alone, so scipy must never be
 imported, and the closed-form modules and the oracle that checks them are
-built independently: neither imports the other."""
+built independently: neither imports the other.  The benchmark under bench/
+reaches into the package by name, so every name it uses must exist."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = SRC.parent / "bench"
 
 SCRIPT = r"""
 import contextlib, io, json, sys
@@ -82,3 +85,84 @@ def test_oracle_imports_only_calculus_errors_and_model():
         assert used <= allowed, f"oracle.py:{line} imports {sorted(used - allowed)}"
         seen |= used
     assert "calculus" in seen  # the scan reads the oracle's imports at all
+
+
+def _dotted(node):
+    """"a.b.c" for a chain of attribute reads on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _constant(tree, name):
+    """The literal value assigned to a module-level name."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+
+
+def _bench_names():
+    """(where, dotted name) for every mfland name bench/*.py reaches: what it
+    imports from mfland, the attributes it reads on what those imports bind,
+    and the spans it wraps or reads by name (spans.LAYERS and
+    SPECTRUM_ENTRIES, and the <layer>.<function>.<metric> keys of
+    worker.PER_LAYER, whose verify checks are worker.VERIFY_CHECKS)."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in BENCH.glob("*.py")}
+    for stem, tree in sorted(trees.items()):
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.module or "").split(".")[0] == "mfland"):
+                for a in node.names:
+                    bound[a.asname or a.name] = f"{node.module}.{a.name}"
+                    yield f"{stem}:{node.lineno}", f"{node.module}.{a.name}"
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "mfland":
+                        bound[a.asname or "mfland"] = a.name if a.asname else "mfland"
+                        yield f"{stem}:{node.lineno}", a.name
+        for node in ast.walk(tree):
+            name = _dotted(node) if isinstance(node, ast.Attribute) else None
+            if name and name.split(".")[0] in bound:
+                head, _, rest = name.partition(".")
+                yield f"{stem}:{node.lineno}", f"{bound[head]}.{rest}"
+    spans, worker = trees["spans"], trees["worker"]
+    for layer in ast.literal_eval(_constant(spans, "LAYERS")):
+        yield "spans.LAYERS", f"mfland.{layer}"
+    for entry in ast.literal_eval(_constant(spans, "SPECTRUM_ENTRIES")):
+        yield "spans.SPECTRUM_ENTRIES", f"mfland.spectrum.{entry}"
+    for key in _constant(worker, "PER_LAYER").keys:
+        if isinstance(key, ast.Constant) and key.value.count(".") == 2:
+            yield "worker.PER_LAYER", "mfland." + key.value.rsplit(".", 1)[0]
+    for check in ast.literal_eval(_constant(worker, "VERIFY_CHECKS")):
+        yield "worker.VERIFY_CHECKS", f"mfland.verify.check_{check}"
+
+
+def _resolves(dotted):
+    """Whether the attribute chain resolves, importing submodules on the way."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[:i]))
+            except ImportError:
+                return False
+            if not hasattr(obj, part):
+                return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_mfland_name_the_benchmark_uses_exists():
+    """A cut to the package surface must not break the benchmark, whose own
+    tests are not part of this suite."""
+    names = list(_bench_names())
+    assert any(n == "mfland.canonical.build_canonical" for _, n in names)
+    missing = sorted({f"{where}: {name}" for where, name in names
+                      if not _resolves(name)})
+    assert not missing, "bench/ uses names mfland lacks:\n" + "\n".join(missing)

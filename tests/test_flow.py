@@ -11,7 +11,10 @@ from mfland import (
     DimensionError,
     FactorPair,
     InvalidInput,
+    InvalidSelection,
+    NotCritical,
     NumericalFailure,
+    RankAmbiguous,
     balance_residual,
     build_balanced,
     classify_limit,
@@ -91,9 +94,11 @@ def test_tied_bulk_limit_is_certified(init):
     assert diag.lambdas == pytest.approx((s[0],), rel=1e-9)
 
 
-def test_refused_limit_is_uncertified(monkeypatch):
-    """A point the reduction keeps refusing sends the flow on at grad_tol / 10
-    three times, along the same trajectory, and then stops Uncertified."""
+@pytest.mark.parametrize("refusal", [NumericalFailure, NotCritical, RankAmbiguous])
+def test_refused_limit_is_uncertified(monkeypatch, refusal):
+    """A point the reduction keeps refusing, for whatever reason, sends the
+    flow on at grad_tol / 10 three times, along the same trajectory, and then
+    stops Uncertified."""
     p0 = random_pair(X21, 1, seed=5)
     scale = max(1.0, float(np.linalg.norm(X21.X)))
     reduce, grads = flow.reduce_to_canonical, []
@@ -104,7 +109,7 @@ def test_refused_limit_is_uncertified(monkeypatch):
 
     def refuse(X, p, tol):
         grads.append(gradient_norm(X, p))
-        raise NumericalFailure("orbit reconstruction residual refused")
+        raise refusal("the reduction refused the point")
 
     monkeypatch.setattr(flow, "reduce_to_canonical", certify)
     ref = integrate_flow(X21, p0, grad_tol=GRAD_TOL)
@@ -119,6 +124,51 @@ def test_refused_limit_is_uncertified(monkeypatch):
     assert [s.t for s in traj.samples[: len(ref.samples)]] == [s.t for s in ref.samples]
     with pytest.raises(InvalidInput):
         classify_limit(X21, traj)
+
+
+def test_rank_ambiguous_refusal_tightens_and_then_certifies(monkeypatch):
+    """An ambiguous rank is refused like any other point: the flow goes on at
+    grad_tol / 10, and the limit it then certifies carries its reduction, so
+    classify_limit makes no second one."""
+    p0 = random_pair(X21, 1, seed=5)
+    scale = max(1.0, float(np.linalg.norm(X21.X)))
+    reduce, grads = flow.reduce_to_canonical, []
+
+    def ambiguous_once(X, p, tol):
+        grads.append(gradient_norm(X, p))
+        if len(grads) == 1:
+            raise RankAmbiguous("rank of W ambiguous", candidates=(0, 1))
+        return reduce(X, p, tol=tol)
+
+    monkeypatch.setattr(flow, "reduce_to_canonical", ambiguous_once)
+    traj = integrate_flow(X21, p0, grad_tol=GRAD_TOL)
+    assert traj.status == "Converged"
+    assert len(grads) == 2 and grads[1] <= 1e-10 * scale
+    assert traj.canonical is not None
+    diag = classify_limit(X21, traj)
+    assert len(grads) == 2
+    assert (diag.kind, diag.selection) == ("GlobalMinimum", (1,))
+
+
+def test_k_outside_the_range_is_refused_before_any_step(monkeypatch):
+    """k outside [1, min(m, n)] raises InvalidSelection from integrate_flow
+    before a step is attempted, and from the random starts before they draw;
+    the random starts also refuse a negative seed."""
+    message = re.escape("k = 3 outside [1, min(m, n) = 2]")
+
+    def no_step(self, h):
+        raise AssertionError("a step was attempted")
+
+    monkeypatch.setattr(flow._Stepper, "attempt", no_step)
+    with pytest.raises(InvalidSelection, match=message):
+        integrate_flow(X21, FactorPair(W=np.ones((2, 3)), S=np.ones((3, 3))))
+    for make in (random_pair, random_balanced_pair):
+        with pytest.raises(InvalidSelection, match=message):
+            make(X21, 3, 0)
+        with pytest.raises(InvalidSelection, match=re.escape("k = 0 outside")):
+            make(X21, 0, 0)
+        with pytest.raises(InvalidInput, match="seed must be .* got -1"):
+            make(X21, 1, -1)
 
 
 def test_loose_grad_tol_reduces_only_below_limit_tol(monkeypatch):

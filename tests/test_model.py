@@ -10,7 +10,6 @@ from mfland import (
     load_data_matrix,
     read_matrix_csv,
     residual,
-    to_user_orientation,
     write_matrix_csv,
 )
 
@@ -90,15 +89,6 @@ def test_objective_value():
     # W S recovers the top singular component exactly
     np.testing.assert_allclose(residual(X, p), np.array([[0.0, 0.0], [0.0, -1.0]]))
     assert evaluate_J(X, p) == pytest.approx(0.5)
-
-
-def test_user_orientation_round_trip():
-    A = np.arange(12, dtype=float).reshape(6, 2) + 1.0
-    X = load_data_matrix(A)
-    rng = np.random.default_rng(0)
-    p = FactorPair(rng.standard_normal((X.m, 2)), rng.standard_normal((2, X.n)))
-    Wu, Su = to_user_orientation(X, p.W, p.S)
-    np.testing.assert_allclose(Wu @ Su, (p.W @ p.S).T)
 
 
 def test_csv_round_trip_exact(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfland import (
+    CanonicalPoint,
     FactorPair,
     InvalidInput,
     Selection,
@@ -24,7 +25,6 @@ from mfland import (
 )
 from mfland import oracle
 from mfland.calculus import _hessian_action
-from mfland.canonical import _canonical_point
 from mfland.oracle import MAX_DENSE_DIM
 
 
@@ -172,7 +172,7 @@ def test_stacked_assembly_equals_the_per_column_loop(kind, exponent, b, seed):
         q = int(rng.integers(0, k + 1))
         sel = Selection(tuple(sorted(rng.choice(X.m, size=q, replace=False).tolist())))
         C0 = np.sqrt(scale) * rng.standard_normal((X.n - X.r, k - q))
-        critical = _canonical_point(X, sel, k, C0).materialize(
+        critical = CanonicalPoint(X, sel, k, C0).materialize(
             float(np.exp(rng.uniform(-1.0, 1.0))))
         generic = FactorPair(np.sqrt(scale) * rng.standard_normal((X.m, k)),
                              np.sqrt(scale) * rng.standard_normal((k, X.n)))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfland import (
+    CanonicalPoint,
     NotASaddle,
     Selection,
     build_canonical,
@@ -31,7 +32,6 @@ from mfland import (
     zero_family_point,
 )
 from mfland import spectrum
-from mfland.canonical import _canonical_point
 from mfland.spectrum import EigPair, _canonical_eigpairs, _report
 
 MATCH_TOL = 1e-8
@@ -425,7 +425,7 @@ def test_array_spectrum_equals_the_per_block_reference(kind, seed):
         C0 = rng.standard_normal((X.n - X.r, k - q))
         if C0.size and rng.uniform() < 0.3:
             C0[:, -1] = 0.0  # a dead kernel coordinate
-        cp = _canonical_point(X, sel, k, C0)
+        cp = CanonicalPoint(X, sel, k, C0)
         lam = cp.lambdas
         d = np.sqrt(lam) if q and np.all(lam > 0) and rng.uniform() < 0.5 else \
             float(np.exp(rng.uniform(-1.0, 1.0)))
@@ -506,10 +506,10 @@ def test_lambda_min_is_the_spectrum_minimum_everywhere(kind, seed):
             if q == k:
                 reps = [(spectrum_full_rank_scaled(X, sel, a=s), s) for s in (1.0, a)]
             else:
-                rep = (spectrum_deficient_rank(_canonical_point(X, sel, k, C0)) if q
+                rep = (spectrum_deficient_rank(CanonicalPoint(X, sel, k, C0)) if q
                        else spectrum_zero_family(X, C0, k))
                 # (a W_c, a^-1 S_c) is the representative with d = a and C0 / a.
-                scaled = _canonical_eigpairs(_canonical_point(X, sel, k, C0 / a), d=a)
+                scaled = _canonical_eigpairs(CanonicalPoint(X, sel, k, C0 / a), d=a)
                 reps = [(rep, 1.0), (_report(X, scaled, None), a)]
             for rep, s in reps:
                 try:
