@@ -73,7 +73,11 @@ def _validate_selection(X, sel, k):
 
 
 def selected_values(X, sel):
-    """The lambda vector: selected singular values, nonincreasing."""
+    """The lambda vector: selected singular values, nonincreasing.
+
+    Raises InvalidSelection for an index >= m (k = m, as m <= n, leaves only
+    the index check of _validate_selection to fail)."""
+    _validate_selection(X, sel, X.m)
     return X.sigma[list(sel.indices)] if sel.q else np.zeros(0)
 
 
@@ -173,7 +177,8 @@ def first_defect(X, sel):
     """Least 0-based position j with lambda_j < sigma_j (value-wise), or None.
 
     Comparisons use a tie tolerance so equal-up-to-rounding singular values
-    never produce a spurious defect.
+    never produce a spurious defect.  Raises InvalidSelection for an index
+    >= m.
     """
     lam = selected_values(X, sel)
     tol = _tie_tol(X)

@@ -8,8 +8,10 @@ seventh, taken at the propagated fifth-order solution, is the first slope
 of the next step and gives that point's sample.  The difference of the two
 embedded solutions is the local error estimate that decides acceptance.
 The steps run on one (8, N) block of the flat (W, S) state and its stage
-slopes, allocated once per flow; the trajectory counts rejected steps and
-RHS evaluations and records the range of step sizes the controller chose.
+slopes.  Every stage product and the two Gram products of each sample's
+drift write through np.dot into buffers allocated once per flow, so a step
+allocates no arrays.  The trajectory counts rejected steps and RHS
+evaluations and records the range of step sizes the controller chose.
 
 Near a limit the step size settles at the method's stability edge, where
 the error estimate lets the stiff modes of the Hessian hover at about the
@@ -29,6 +31,7 @@ before the flow stops Uncertified.
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -140,7 +143,10 @@ class _Stepper:
     a _Buffer per row.  Each stage input and the error estimate are one
     product of a row of h * tableau (with 1 for y) and the rows.  The input of
     stage 7 is the fifth-order solution, so accepting a step copies it from
-    the stage buffer into row 0, and its slope k7 into row 1.
+    the stage buffer into row 0, and its slope k7 into row 1.  Every product
+    of a step (the stage and error combinations and the three products of
+    each RHS evaluation) and each Gram product of the drift goes through
+    np.dot into one of these buffers.
     """
 
     def __init__(self, X, k):
@@ -155,33 +161,47 @@ class _Stepper:
         self.diff = np.empty(k * (m + n))
         # The residual X - W S of the latest RHS evaluation.
         self.D = np.empty((m, n))
+        # The two Gram products of the drift and its flat view.
+        self.G, self.H = np.empty((2, k, k))
+        self.flat = self.G.reshape(-1)
         self.rhs_evals = 0
 
     def rhs(self, y, slope):
         """Write -grad J at y into slope, and the residual X - W S into D."""
         self.rhs_evals += 1
-        D = self.D
-        np.matmul(y.W, y.S, out=D)
+        D, dot = self.D, np.dot
+        dot(y.W, y.S, out=D)
         np.subtract(self.X, D, out=D)
-        np.matmul(D, y.ST, out=slope.W)
-        np.matmul(y.WT, D, out=slope.S)
+        dot(D, y.ST, out=slope.W)
+        dot(y.WT, D, out=slope.S)
 
     def attempt(self, h):
         """Take one step of size h from row 0 and return the norm of its local
         error estimate.  The fifth-order solution is left in the stage
         buffer, its slope in row 7 and its residual in D."""
-        stage = self.stage
-        np.multiply(_TABLEAU, h, out=self.coef)
-        self.coef[:6, 0] = 1.0
+        stage, coef, rhs, dot, diff = self.stage, self.coef, self.rhs, np.dot, self.diff
+        np.multiply(_TABLEAU, h, out=coef)
+        coef[:6, 0] = 1.0
         for c, rows, slope in self.stages:
-            np.matmul(c, rows, out=stage.y)
-            self.rhs(stage, slope)
-        np.matmul(self.coef[6, 1:], self.a[1:], out=self.diff)
-        return math.sqrt(np.dot(self.diff, self.diff))
+            dot(c, rows, out=stage.y)
+            rhs(stage, slope)
+        dot(coef[6, 1:], self.a[1:], out=diff)
+        return math.sqrt(dot(diff, diff))
 
     def accept(self):
         self.a[0] = self.stage.y
         self.a[1] = self.a[7]
+
+    def drift(self, C):
+        """||W^T W - S S^T - C||_F at row 0, computed as np.linalg.norm does:
+        the square root of the dot product of the flat difference with
+        itself."""
+        y, G, H, dot = self.rows[0], self.G, self.H, np.dot
+        dot(y.WT, y.W, out=G)
+        dot(y.S, y.ST, out=H)
+        np.subtract(G, H, out=G)
+        np.subtract(G, C, out=G)
+        return math.sqrt(dot(self.flat, self.flat))
 
 
 def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
@@ -197,16 +217,16 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
     times, and then stops it as "Uncertified".
 
     Raises DimensionError when p0 does not fit X, InvalidSelection for
-    k = p0.k outside [1, min(m, n)], InvalidInput for a non-finite or
-    non-positive t_max and a negative grad_tol, and StiffnessFailure if the
-    accepted step size underflows H_MIN.
+    k = p0.k outside [1, min(m, n)], InvalidInput for a t_max that is not a
+    positive finite number and a grad_tol that is not a nonnegative number,
+    and StiffnessFailure if the accepted step size underflows H_MIN.
     """
     check_pair(X, p0)
     _validate_selection(X, Selection(()), p0.k)
-    if not (np.isfinite(t_max) and t_max > 0):
-        raise InvalidInput(f"t_max must be positive and finite, got {t_max}")
-    if not grad_tol >= 0:
-        raise InvalidInput(f"grad_tol must be nonnegative, got {grad_tol}")
+    if not (isinstance(t_max, Real) and math.isfinite(t_max) and t_max > 0):
+        raise InvalidInput(f"t_max must be positive and finite, got {t_max!r}")
+    if not (isinstance(grad_tol, Real) and grad_tol >= 0):
+        raise InvalidInput(f"grad_tol must be nonnegative, got {grad_tol!r}")
     stepper = _Stepper(X, p0.k)
     y = stepper.rows[0]
     y.W[...] = p0.W
@@ -239,10 +259,9 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
     def snapshot(t):
         """The sample at the current point from its slope and from the
         residual D of the RHS evaluation that gave it."""
-        y, k1 = stepper.rows[:2]
-        drift = float(np.linalg.norm(y.WT @ y.W - y.S @ y.ST - C_init))
+        k1 = stepper.rows[1].y
         return FlowSample(t=float(t), J=0.5 * float(np.vdot(stepper.D, stepper.D)),
-                          grad_norm=math.sqrt(np.dot(k1.y, k1.y)), drift=drift)
+                          grad_norm=math.sqrt(np.dot(k1, k1)), drift=stepper.drift(C_init))
 
     def step_tol():
         tol = ATOL + RTOL * math.sqrt(ysq)
@@ -354,8 +373,8 @@ def classify_limit(X, traj):
 def _start_rng(X, k, seed):
     """The generator of a start with k columns, after checking k and seed."""
     _validate_selection(X, Selection(()), k)
-    if seed < 0:
-        raise InvalidInput(f"seed must be a nonnegative integer, got {seed}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInput(f"seed must be a nonnegative integer, got {seed!r}")
     return np.random.default_rng(seed)
 
 

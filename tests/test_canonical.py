@@ -23,6 +23,7 @@ from mfland import (
     reduce_to_canonical,
     zero_family_point,
 )
+from mfland.canonical import selected_values
 
 X323 = load_data_matrix(np.diag([3.0, 2.0, 1.0]) @ np.eye(3, 4))
 
@@ -117,6 +118,17 @@ def test_maximality_is_value_wise_under_ties():
     assert first_defect(X, Selection((0,))) is None
     assert first_defect(X, Selection((1,))) is None
     assert first_defect(X, Selection((2,))) is not None
+
+
+def test_selection_index_beyond_m_is_invalid_selection():
+    """An index >= m is refused with InvalidSelection, not a NumPy
+    IndexError, by the exported first_defect and by selected_values."""
+    X = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
+    for read in (first_defect, selected_values):
+        with pytest.raises(InvalidSelection, match="index 5 out of range for m = 2"):
+            read(X, Selection((5,)))
+        with pytest.raises(InvalidSelection):
+            read(X, Selection((0, 2)))
 
 
 def test_classify_kinds():

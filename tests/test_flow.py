@@ -171,6 +171,27 @@ def test_k_outside_the_range_is_refused_before_any_step(monkeypatch):
             make(X21, 1, -1)
 
 
+@pytest.mark.parametrize("make", [random_pair, random_balanced_pair])
+@pytest.mark.parametrize("seed", [1.5, 2.0, "1", None])
+def test_non_integer_seed_is_invalid_input(make, seed):
+    """A seed that is not an integer raises InvalidInput that names it."""
+    message = re.escape(f"seed must be a nonnegative integer, got {seed!r}")
+    with pytest.raises(InvalidInput, match=message):
+        make(X21, 1, seed)
+
+
+@pytest.mark.parametrize("seed", [7, np.int64(7), np.uint32(7)])
+def test_integer_seeds_keep_their_starts(seed):
+    """Python and NumPy integers seed the start as default_rng(seed) does."""
+    rng = np.random.default_rng(7)
+    W, S = rng.standard_normal((2, 1)), rng.standard_normal((1, 3))
+    p = random_pair(X21, 1, seed)
+    assert (p.W.tobytes(), p.S.tobytes()) == (W.tobytes(), S.tobytes())
+    q = random_balanced_pair(X21, 1, seed)
+    ref = random_balanced_pair(X21, 1, 7)
+    assert (q.W.tobytes(), q.S.tobytes()) == (ref.W.tobytes(), ref.S.tobytes())
+
+
 def test_loose_grad_tol_reduces_only_below_limit_tol(monkeypatch):
     """The gradient test starts at LIMIT_TOL when grad_tol is looser, so the
     reduction only ever sees points it can find critical."""
@@ -298,6 +319,7 @@ def test_trajectory_samples_well_formed():
 @pytest.mark.parametrize("kwargs", [
     {"t_max": np.nan}, {"t_max": np.inf}, {"t_max": 0.0},
     {"grad_tol": -1e-9}, {"grad_tol": np.nan},
+    {"t_max": "1"}, {"t_max": None}, {"grad_tol": None}, {"grad_tol": "1e-9"},
     {"p0": FactorPair(W=np.ones((5, 1)), S=np.ones((1, 3)))},
     {"p0": FactorPair(W=np.ones((2, 1)), S=np.ones((1, 6)))},
 ])
@@ -604,6 +626,33 @@ def test_flow_is_the_reference_loop_bit_for_bit(kind, exponent, init, tau, seed,
             assert (traj.h_min, traj.h_max) == (min(chosen), max(chosen))
         else:
             assert traj.h_min is None and traj.h_max is None
+        got = np.array([(s.t, s.J, s.grad_norm, s.drift) for s in traj.samples])
+        assert got.tobytes() == np.array(samples).tobytes()
+        terminal = np.concatenate([traj.terminal.W.ravel(), traj.terminal.S.ravel()])
+        assert terminal.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("init", [random_pair, random_balanced_pair])
+def test_flow_is_the_reference_loop_bit_for_bit_at_workload_sizes(init):
+    """The benchmark's shapes, wider than the hypothesis family's: a 20 x 30 X
+    with the bulk spectrum at k = 5 and a rank-2 40 x 60 X at k = 3, both in
+    Haar frames.  Over a horizon of a few hundred steps integrate_flow takes
+    the steps of the plain Dormand-Prince loop, compared as bytes."""
+    rng = np.random.default_rng(3)
+    bulk = np.linspace(np.sqrt(30) + np.sqrt(20), np.sqrt(30) - np.sqrt(20), 20)
+    flows = [(load_data_matrix(_fixed_spectrum(rng, 20, 30, bulk)), 5),
+             (load_data_matrix(_fixed_spectrum(rng, 40, 60, np.array([10.0, 6.0]))), 3)]
+    t_max = 3.0
+    for X, k in flows:
+        p0 = init(X, k, 1)
+        gtol = GRAD_TOL * float(np.linalg.norm(X.X))
+        status, samples, y, steps, chosen, rejected, evals = _dp5_flow(X, p0, t_max, gtol)
+        with mock.patch.object(flow, "reduce_to_canonical", _accept_every_limit):
+            traj = integrate_flow(X, p0, t_max=t_max, grad_tol=GRAD_TOL)
+        assert status == "MaxTimeReached" and steps >= 200
+        assert (traj.status, traj.steps, traj.rejected, traj.rhs_evals) == (
+            status, steps, rejected, evals)
+        assert (traj.h_min, traj.h_max) == (min(chosen), max(chosen))
         got = np.array([(s.t, s.J, s.grad_norm, s.drift) for s in traj.samples])
         assert got.tobytes() == np.array(samples).tobytes()
         terminal = np.concatenate([traj.terminal.W.ravel(), traj.terminal.S.ravel()])
