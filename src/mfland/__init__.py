@@ -51,6 +51,7 @@ from .model import (
     FactorPair,
     TangentPair,
     evaluate_J,
+    inertia_from_values,
     inner,
     load_data_matrix,
     read_matrix_csv,
@@ -64,7 +65,6 @@ from .oracle import (
     dense_hessian,
     fd_validate,
     flatten_tangent,
-    inertia_from_values,
     numeric_spectrum,
     unflatten_tangent,
 )

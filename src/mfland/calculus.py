@@ -71,6 +71,5 @@ def gradient_norm(X, p):
 
 
 def is_critical(X, p, tol=1e-10):
-    """First-order test: both E S^T and W^T E vanish, scaled by max(1, ||X||)."""
-    scale = max(1.0, float(np.linalg.norm(X.X)))
-    return gradient_norm(X, p) <= tol * scale
+    """First-order test: both E S^T and W^T E vanish, in units of X.tol_scale."""
+    return gradient_norm(X, p) <= tol * X.tol_scale

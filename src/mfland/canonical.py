@@ -16,7 +16,9 @@ canonical point plus the group element connecting them.
 """
 
 import dataclasses
+import operator
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -41,13 +43,19 @@ TIE_REL = 1e-9
 class Selection:
     """Strictly increasing 0-based indices into the sorted singular values.
 
-    An empty selection designates the zero family (W = 0).
+    An empty selection designates the zero family (W = 0).  Indices must be
+    Python or NumPy integers; anything else raises InvalidSelection.
     """
 
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        try:
+            idx = tuple(operator.index(i) for i in self.indices)
+        except TypeError:
+            raise InvalidSelection(
+                f"selection indices must be integers, got {self.indices!r}"
+            ) from None
         if any(i < 0 for i in idx):
             raise InvalidSelection(f"negative selection index in {idx}")
         if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -60,6 +68,8 @@ class Selection:
 
 
 def _validate_selection(X, sel, k):
+    if not isinstance(k, (int, np.integer)):
+        raise InvalidSelection(f"k must be an integer, got {k!r}")
     if k < 1 or k > min(X.m, X.n):
         raise InvalidSelection(f"k = {k} outside [1, min(m, n) = {min(X.m, X.n)}]")
     if sel.q > min(k, X.m):
@@ -79,6 +89,12 @@ def selected_values(X, sel):
     the index check of _validate_selection to fail)."""
     _validate_selection(X, sel, X.m)
     return X.sigma[list(sel.indices)] if sel.q else np.zeros(0)
+
+
+def check_scale(a):
+    """Raise InvalidInput unless the orbit scale a is a nonzero finite real."""
+    if not (isinstance(a, Real) and a != 0 and np.isfinite(a)):
+        raise InvalidInput(f"scale must be a nonzero finite number, got {a!r}")
 
 
 @dataclass(frozen=True)
@@ -115,9 +131,8 @@ class CanonicalPoint:
         return selected_values(self.X, self.selection)
 
     def materialize(self, scale=1.0):
-        """The factor pair (a W_c, a^-1 S_c) for a scale a != 0."""
-        if scale == 0:
-            raise InvalidSelection("scale must be nonzero")
+        """The factor pair (a W_c, a^-1 S_c) for a nonzero finite scale a."""
+        check_scale(scale)
         X, q, k = self.X, self.q, self.k
         W = np.zeros((X.m, k))
         S = np.zeros((k, X.n))
@@ -128,6 +143,19 @@ class CanonicalPoint:
         if k > q:
             S[q:, :] = self.C0.T @ X.V0.T
         return FactorPair(W=scale * W, S=S / scale)
+
+    def balanced_scales(self):
+        """sqrt(lambda), the column scales that carry this point into the
+        balanced set M_0.  InvalidSelection unless every selected singular
+        value is positive and C0 = 0 (the empty selection: the origin)."""
+        lam = self.lambdas
+        if np.any(lam <= 0):
+            raise InvalidSelection(
+                "balanced points require strictly positive selected singular values"
+            )
+        if np.linalg.norm(self.C0) > 1e-12:
+            raise InvalidSelection("balanced points require C0 = 0")
+        return np.sqrt(lam)
 
     def objective_value(self):
         """J at the point: half the unexplained spectral energy."""
@@ -149,23 +177,20 @@ def zero_family_point(X, C0, k):
 def build_balanced(X, sel, k):
     """Balanced representative: W = U_sel sqrt(L), S = [sqrt(L) V_sel^T; 0].
 
-    Requires every selected singular value to be positive (q <= min(k, r)),
-    otherwise the square-root rescaling is undefined.
+    InvalidSelection where ``balanced_scales`` refuses (a selected sigma is
+    zero); the empty selection gives the origin.
     """
-    _validate_selection(X, sel, k)
-    if sel.q < 1:
-        raise InvalidSelection("balanced points need a nonempty selection")
-    lam = selected_values(X, sel)
-    if np.any(lam <= 0):
-        raise InvalidSelection(
-            "balanced points require strictly positive selected singular values"
-        )
-    idx = list(sel.indices)
-    root = np.sqrt(lam)
+    cp = CanonicalPoint(X, sel, k)
+    return _balanced_point(cp, cp.balanced_scales())
+
+
+def _balanced_point(cp, root):
+    """The balanced point of cp, whose balanced_scales() are root."""
+    X, k, q, idx = cp.X, cp.k, cp.q, list(cp.selection.indices)
     W = np.zeros((X.m, k))
     S = np.zeros((k, X.n))
-    W[:, : sel.q] = X.U[:, idx] * root
-    S[: sel.q, :] = root[:, None] * X.V[:, idx].T
+    W[:, :q] = X.U[:, idx] * root
+    S[:q, :] = root[:, None] * X.V[:, idx].T
     return FactorPair(W=W, S=S)
 
 
@@ -249,7 +274,7 @@ def reduce_to_canonical(X, p, tol=1e-8):
     from .orbit import GroupElement
 
     if not is_critical(X, p, tol):
-        bound = tol * max(1.0, float(np.linalg.norm(X.X)))
+        bound = tol * X.tol_scale
         raise NotCritical(
             "reduce_to_canonical requires a critical point: gradient norm "
             f"{gradient_norm(X, p):.3e} exceeds tol * max(1, ||X||_F) = {bound:.3e}"
@@ -265,8 +290,7 @@ def reduce_to_canonical(X, p, tol=1e-8):
         hi = int(np.count_nonzero(sW > 0.1 * tol * wmax))
         if lo != hi:
             raise RankAmbiguous(
-                f"rank of W ambiguous at tolerance {tol}: between {lo} and {hi}",
-                candidates=(lo, hi),
+                f"rank of W ambiguous at tolerance {tol}: between {lo} and {hi}"
             )
         q = lo
 

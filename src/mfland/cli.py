@@ -99,29 +99,11 @@ def _load_point(args, X):
     return CanonicalPoint(X, sel, args.k, C0)
 
 
-def _spectrum_payload(X, rep, family, sel, scale):
-    eigenpairs = [
-        {"value": e.value, "provenance": e.provenance, "coupling": e.coupling}
-        for e in rep.eigpairs
-    ]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spectrum",
-        "m": X.m,
-        "n": X.n,
-        "transposed": X.transposed,
-        "family": family,
-        "selection": [i + 1 for i in sel.indices] if sel is not None else None,
-        "scale": scale,
-        "count": len(rep.eigpairs),
-        "eigenvalues": rep.values.tolist(),
-        "inertia": list(rep.inertia),
-        "lambda_min": rep.lambda_min,
-        "eigenpairs": eigenpairs,
-    }
-
-
 # ------------------------------------------------------------- commands -----
+#
+# A command returns the fields of its report (main adds the schema version
+# and the command name in front) or its CSV text; verify also returns its
+# exit status.
 
 def _cmd_spectrum(args):
     X = _load_X(args)
@@ -154,19 +136,30 @@ def _cmd_spectrum(args):
         for e in rep.eigpairs:
             cpl = "" if e.coupling is None else _fmt_float(e.coupling)
             lines.append(f'{_fmt_float(e.value)},"{e.provenance}",{cpl}')
-        _emit("\n".join(lines), args.output)
-    else:
-        _emit(_render(_spectrum_payload(X, rep, family, sel, scale)), args.output)
-    return 0
+        return "\n".join(lines)
+    return {
+        "m": X.m,
+        "n": X.n,
+        "transposed": X.transposed,
+        "family": family,
+        "selection": [i + 1 for i in sel.indices] if sel is not None else None,
+        "scale": scale,
+        "count": len(rep.eigpairs),
+        "eigenvalues": rep.values.tolist(),
+        "inertia": list(rep.inertia),
+        "lambda_min": rep.lambda_min,
+        "eigenpairs": [
+            {"value": e.value, "provenance": e.provenance, "coupling": e.coupling}
+            for e in rep.eigpairs
+        ],
+    }
 
 
 def _cmd_classify(args):
     X = _load_X(args)
     cp = _load_point(args, X)
     res = classify_canonical(cp)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "classify",
+    return {
         "m": X.m,
         "n": X.n,
         "transposed": X.transposed,
@@ -179,8 +172,6 @@ def _cmd_classify(args):
         "lambda_min_closed_form": res.lambda_min_closed_form,
         "J": cp.objective_value(),
     }
-    _emit(_render(payload), args.output)
-    return 0
 
 
 def _cmd_orbit(args):
@@ -194,9 +185,6 @@ def _cmd_orbit(args):
     else:
         raise InvalidInput("orbit needs --a FILE or --scale VALUE")
     g = GroupElement.from_matrix(A)
-    if g.k != k:
-        raise InvalidInput(f"group element is {g.k} x {g.k}, expected {k} x {k}")
-
     base = cp.materialize()
     moved = apply_group_action(base, g)
     res = classify_canonical(cp)
@@ -205,9 +193,7 @@ def _cmd_orbit(args):
     else:
         lam_base = float(numeric_spectrum(X, base)[0][0])
     evs, _ = numeric_spectrum(X, moved)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "orbit",
+    return {
         "k": k,
         "selection": [i + 1 for i in cp.selection.indices],
         "kind": res.kind,
@@ -221,8 +207,6 @@ def _cmd_orbit(args):
             inertia_of(X, moved, zero_tol=1e-8 * g.cond() ** 2)
         ),
     }
-    _emit(_render(payload), args.output)
-    return 0
 
 
 def _cmd_flow(args):
@@ -238,9 +222,7 @@ def _cmd_flow(args):
     if args.trajectory:
         rows = [[s.t, s.J, s.grad_norm, s.drift] for s in traj.samples]
         write_matrix_csv(args.trajectory, np.array(rows))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "flow",
+    report = {
         "seed": args.seed,
         "init": args.init,
         "status": traj.status,
@@ -256,7 +238,7 @@ def _cmd_flow(args):
     }
     if traj.status == "Converged":
         diag = classify_limit(X, traj)
-        payload["limit"] = {
+        report["limit"] = {
             "kind": diag.kind,
             "q": diag.q,
             "selection": list(diag.selection),
@@ -265,8 +247,7 @@ def _cmd_flow(args):
             "lambda_min": diag.lambda_min,
             "balance_residual": diag.balance_residual,
         }
-    _emit(_render(payload), args.output)
-    return 0
+    return report
 
 
 def _cmd_verify(args):
@@ -275,15 +256,7 @@ def _cmd_verify(args):
     X = _load_X(args) if args.x else None
     checks = run_all(X, seed=args.seed)
     ok = all(c["passed"] for c in checks)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "seed": args.seed,
-        "all_passed": ok,
-        "checks": checks,
-    }
-    _emit(_render(payload), args.output)
-    return 0 if ok else 1
+    return {"seed": args.seed, "all_passed": ok, "checks": checks}, 0 if ok else 1
 
 
 # ----------------------------------------------------------------- main -----
@@ -301,11 +274,14 @@ def _build_parser():
         p.add_argument("--rank-tol", type=float, default=1e-10)
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
+    def point(p):
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--select", default=None, help="1-based singular value indices, e.g. 1,3")
+        p.add_argument("--c0", default=None, help="CSV for the kernel coupling block C0")
+
     p = sub.add_parser("spectrum", help="closed-form Hessian spectrum at a family point")
     common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--select", default=None, help="1-based singular value indices, e.g. 1,3")
-    p.add_argument("--c0", default=None, help="CSV for the kernel coupling block C0")
+    point(p)
     p.add_argument("--scale", type=float, default=None, help="orbit scale a (q = k only)")
     p.add_argument("--balanced", action="store_true", help="use the balanced representative")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -313,16 +289,12 @@ def _build_parser():
 
     p = sub.add_parser("classify", help="family membership and saddle type")
     common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--select", default=None)
-    p.add_argument("--c0", default=None)
+    point(p)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("orbit", help="transport a family point by A in GL(k)")
     common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--select", default=None)
-    p.add_argument("--c0", default=None)
+    point(p)
     p.add_argument("--a", default=None, help="CSV for the group element A")
     p.add_argument("--scale", type=float, default=None, help="use A = scale * I")
     p.set_defaults(fn=_cmd_orbit)
@@ -348,10 +320,18 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        report = args.fn(args)
+        code = 0
+        if isinstance(report, tuple):
+            report, code = report
+        if isinstance(report, dict):
+            report = _render({"schema_version": SCHEMA_VERSION,
+                              "command": args.command, **report})
     except MflandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(report, args.output)
+    return code
 
 
 if __name__ == "__main__":

@@ -22,15 +22,7 @@ class NotCritical(MflandError):
 
 
 class RankAmbiguous(MflandError):
-    """Numerical rank of W sits inside the tolerance window.
-
-    Carries the candidate ranks so callers can retry with a different
-    tolerance.
-    """
-
-    def __init__(self, message, candidates=()):
-        super().__init__(message)
-        self.candidates = tuple(candidates)
+    """Numerical rank of W sits inside the tolerance window."""
 
 
 class SingularGroupElement(MflandError):

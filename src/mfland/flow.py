@@ -49,7 +49,7 @@ from .errors import (
     RankAmbiguous,
     StiffnessFailure,
 )
-from .model import FactorPair, check_pair, evaluate_J
+from .model import FactorPair, check_pair, check_seed, evaluate_J
 from .orbit import balance_residual
 
 DIVERGENCE_NORM = 1e12
@@ -209,7 +209,7 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
     limit, time runs out, MAX_STEPS steps have been accepted, or the iterate
     diverges.
 
-    The gradient test starts at min(grad_tol, LIMIT_TOL) * max(1, ||X||_F).
+    The gradient test starts at min(grad_tol, LIMIT_TOL) * X.tol_scale.
     A point that passes it is Converged when ``reduce_to_canonical`` accepts
     it at LIMIT_TOL, and the trajectory carries that reduction.  Each refusal
     (NotCritical, NumericalFailure or RankAmbiguous) sends the flow on from
@@ -232,9 +232,7 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
     y.W[...] = p0.W
     y.S[...] = p0.S
     C_init = y.WT @ y.W - y.S @ y.ST
-    scale = max(1.0, float(np.linalg.norm(X.X)))
-
-    gtol, tightened, canonical = min(grad_tol, LIMIT_TOL) * scale, 0, None
+    gtol, tightened, canonical = min(grad_tol, LIMIT_TOL) * X.tol_scale, 0, None
 
     def stop_status():
         """Converged, Uncertified, or None to go on; a refusal tightens gtol."""
@@ -345,10 +343,8 @@ class LimitDiagnosis:
 def classify_limit(X, traj):
     """Identify which critical-point family a converged trajectory reached.
 
-    Every Converged trajectory of integrate_flow carries the canonical point
-    that certified its limit, and this reads it.  The terminal point is
-    reduced again at LIMIT_TOL only when a trajectory carries none for this X
-    (one built or altered by the caller).
+    It reads the canonical point with which integrate_flow certified the
+    limit: a trajectory that carries none for this X raises InvalidInput.
     """
     if traj.status != "Converged":
         raise InvalidInput(
@@ -356,7 +352,9 @@ def classify_limit(X, traj):
         )
     cp = traj.canonical
     if cp is None or cp.X.X is not X.X:
-        cp, _ = reduce_to_canonical(X, traj.terminal, tol=LIMIT_TOL)
+        raise InvalidInput(
+            "classify_limit needs the trajectory integrate_flow returned for this X"
+        )
     res = classify_canonical(cp)
     return LimitDiagnosis(
         kind=res.kind,
@@ -373,8 +371,7 @@ def classify_limit(X, traj):
 def _start_rng(X, k, seed):
     """The generator of a start with k columns, after checking k and seed."""
     _validate_selection(X, Selection(()), k)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInput(f"seed must be a nonnegative integer, got {seed!r}")
+    check_seed(seed)
     return np.random.default_rng(seed)
 
 

@@ -17,7 +17,10 @@ DEFAULT_RANK_TOL = 1e-10
 
 
 def _as_matrix(arr, name):
-    a = np.asarray(arr, dtype=float)
+    try:
+        a = np.asarray(arr, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} is not a numeric array: {exc}") from None
     if a.ndim != 2 or a.size == 0:
         raise InvalidInput(f"{name} must be a nonempty 2-D array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -57,6 +60,11 @@ class DataMatrixSVD:
     @property
     def n(self):
         return self.X.shape[1]
+
+    @property
+    def tol_scale(self):
+        """max(1, ||X||_F), the unit of every absolute tolerance on X."""
+        return max(1.0, float(np.linalg.norm(self.X)))
 
     @property
     def V0(self):
@@ -170,6 +178,21 @@ def check_pair(X, p):
             f"factor pair {p.W.shape} x {p.S.shape} does not fit a "
             f"{X.m} x {X.n} data matrix"
         )
+
+
+def check_seed(seed):
+    """Raise InvalidInput unless seed is a nonnegative Python or NumPy integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInput(f"seed must be a nonnegative integer, got {seed!r}")
+
+
+def inertia_from_values(evals, tol):
+    """(n_pos, n_neg, n_zero) with |value| <= tol counted as zero."""
+    evals = np.asarray(evals, dtype=float)
+    n_zero = int(np.count_nonzero(np.abs(evals) <= tol))
+    n_pos = int(np.count_nonzero(evals > tol))
+    n_neg = int(np.count_nonzero(evals < -tol))
+    return (n_pos, n_neg, n_zero)
 
 
 def residual(X, p):

@@ -14,7 +14,9 @@ import numpy as np
 
 from .calculus import _hessian_action, gradient, second_derivative
 from .errors import InvalidInput, TooLarge
-from .model import FactorPair, TangentPair, check_pair, evaluate_J, inner
+# inertia_from_values lives in the model, which the closed forms may import.
+from .model import (FactorPair, TangentPair, check_pair, check_seed, evaluate_J,
+                    inertia_from_values, inner)
 
 MAX_DENSE_DIM = 5000
 # fd_validate's random directions, and the steps of its central
@@ -98,15 +100,6 @@ def numeric_spectrum(X, p):
     return np.linalg.eigh(dense_hessian(X, p).matrix)
 
 
-def inertia_from_values(evals, tol):
-    """(n_pos, n_neg, n_zero) with |value| <= tol counted as zero."""
-    evals = np.asarray(evals, dtype=float)
-    n_zero = int(np.count_nonzero(np.abs(evals) <= tol))
-    n_pos = int(np.count_nonzero(evals > tol))
-    n_neg = int(np.count_nonzero(evals < -tol))
-    return (n_pos, n_neg, n_zero)
-
-
 @dataclass(frozen=True)
 class FDReport:
     max_gradient_rel_err: float
@@ -123,8 +116,10 @@ def fd_validate(X, p, seed=0):
     Each of FD_TRIALS trials draws a unit-norm tangent direction d and
     compares (J(p + eps d) - J(p - eps d)) / (2 eps) against <grad J, d>,
     then the symmetric second difference against d2 J[d].  Relative errors
-    are taken against the analytic value.
+    are taken against the analytic value.  Raises InvalidInput unless seed
+    is a nonnegative integer.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     m, n, k = X.m, X.n, p.k
     g = gradient(X, p)

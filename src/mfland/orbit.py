@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, SingularGroupElement
-from .model import FactorPair, TangentPair, _freeze
+from .errors import InvalidInput, InvalidSelection, SingularGroupElement
+from .model import FactorPair, TangentPair, _as_matrix, _freeze, inertia_from_values
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,12 @@ class GroupElement:
 
     @classmethod
     def from_matrix(cls, A):
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        try:
+            A = _as_matrix(A, "group element")
+        except InvalidInput as exc:
+            raise SingularGroupElement(str(exc)) from None
+        if A.shape[0] != A.shape[1]:
             raise SingularGroupElement(f"group elements are square, got {A.shape}")
-        if not np.all(np.isfinite(A)):
-            raise SingularGroupElement("group element contains non-finite entries")
         sv = np.linalg.svd(A, compute_uv=False)
         if sv[-1] <= 0 or sv[0] / sv[-1] > 1e14:
             raise SingularGroupElement(
@@ -116,7 +117,7 @@ def balance_residual(p):
 
 def inertia_of(X, p, zero_tol=None):
     """Numerical inertia (n_pos, n_neg, n_zero) of the dense Hessian at p."""
-    from .oracle import dense_hessian, inertia_from_values
+    from .oracle import dense_hessian
 
     evals = np.linalg.eigvalsh(dense_hessian(X, p).matrix)
     if zero_tol is None:
@@ -128,13 +129,13 @@ def intersect_M0(cp):
     """Group element carrying a canonical point into the balanced set M_0.
 
     One exists exactly when every selected singular value is positive and C0
-    vanishes; then A = blockdiag(sqrt(diag(lambda)), I) gives
-    W^T W - S S^T = 0 at L_A(p).  Returns None when the orbit misses M_0.
+    vanishes (``CanonicalPoint.balanced_scales``; the origin is balanced, with
+    A = I); then A = blockdiag(sqrt(diag(lambda)), I) gives W^T W - S S^T = 0
+    at L_A(p).  Returns None when the orbit misses M_0.
     """
-    lam = cp.lambdas
-    if np.any(lam <= 0):
+    try:
+        root = cp.balanced_scales()
+    except InvalidSelection:
         return None
-    if cp.C0.size and np.linalg.norm(cp.C0) > 1e-12:
-        return None
-    A = np.diag(np.concatenate([np.sqrt(lam), np.ones(cp.k - cp.q)]))
+    A = np.diag(np.concatenate([root, np.ones(cp.k - cp.q)]))
     return GroupElement.from_matrix(A)

@@ -43,13 +43,14 @@ import numpy as np
 from .canonical import (
     CanonicalPoint,
     Selection,
-    build_balanced,
+    _balanced_point,
     build_canonical,
+    check_scale,
     first_defect,
     zero_family_point,
 )
 from .errors import InvalidInput, InvalidSelection, NotASaddle
-from .model import TangentPair
+from .model import TangentPair, inertia_from_values
 
 # |value| <= INERTIA_REL * max(sigma_1, |largest value|) counts as zero.
 INERTIA_REL = 1e-10
@@ -209,14 +210,9 @@ def _report(X, eigpairs, point):
     eigpairs = eigpairs.take(np.argsort(eigpairs.values, kind="stable"))
     vals = eigpairs.values
     tol = INERTIA_REL * max(float(X.sigma[0]), float(np.max(np.abs(vals))))
-    inertia = (
-        int(np.count_nonzero(vals > tol)),
-        int(np.count_nonzero(vals < -tol)),
-        int(np.count_nonzero(np.abs(vals) <= tol)),
-    )
     return SpectrumReport(
         eigpairs=eigpairs,
-        inertia=inertia,
+        inertia=inertia_from_values(vals, tol),
         lambda_min=float(vals[0]),
         point=point,
     )
@@ -385,8 +381,7 @@ def spectrum_zero_family(X, C0, k):
 
 def spectrum_full_rank_scaled(X, sel, a=1.0):
     """Spectrum at (a W_c, a^-1 S_c) for a full-rank selection (q = k)."""
-    if a == 0 or not np.isfinite(a):
-        raise InvalidInput(f"scale must be a nonzero finite number, got {a}")
+    check_scale(a)
     cp = build_canonical(X, sel, k=sel.q)
     return _report(X, _canonical_eigpairs(cp, d=a), cp.materialize(scale=a))
 
@@ -408,11 +403,12 @@ def spectrum_balanced(X, sel, k):
     It is the diagonal representative with d_j = sqrt(lambda_j) and C0 = 0,
     so every value is closed form: lambda_j +- s_i for unselected s_i > 0,
     +-s_i against the unused columns, 0 and lambda_s + lambda_j for selected
-    pairs, lambda_j on the left kernel and on the right kernel, and 0.
+    pairs, lambda_j on the left kernel and on the right kernel, and 0.  The
+    empty selection gives the origin.
     """
-    p = build_balanced(X, sel, k)
-    cp = build_canonical(X, sel, k)
-    return _report(X, _canonical_eigpairs(cp, d=np.sqrt(cp.lambdas)), p)
+    cp = CanonicalPoint(X, sel, k)
+    root = cp.balanced_scales()
+    return _report(X, _canonical_eigpairs(cp, d=root), _balanced_point(cp, root))
 
 
 def _lambda_min(cp, d=1.0):
@@ -448,8 +444,7 @@ def lambda_min_closed_form(X, sel, k, C0=None, a=1.0):
     That point is the diagonal representative with d_j = a and kernel block
     C0 / a.  Raises NotASaddle when no negative direction exists.
     """
-    if a == 0 or not np.isfinite(a):
-        raise InvalidInput(f"scale must be a nonzero finite number, got {a}")
+    check_scale(a)
     if C0 is not None:
         C0 = np.asarray(C0, dtype=float) / a
     cp = CanonicalPoint(X, Selection(()) if sel is None else sel, k, C0)
@@ -459,7 +454,4 @@ def lambda_min_closed_form(X, sel, k, C0=None, a=1.0):
 def lambda_min_balanced(X, sel, k):
     """Closed-form smallest eigenvalue at a balanced strict saddle."""
     cp = CanonicalPoint(X, sel, k)
-    lam = cp.lambdas
-    if np.any(lam <= 0):
-        raise InvalidSelection("balanced points need positive selected values")
-    return _lambda_min(cp, d=np.sqrt(lam))
+    return _lambda_min(cp, d=cp.balanced_scales())

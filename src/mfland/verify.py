@@ -8,7 +8,6 @@ import numpy as np
 
 from . import (
     GroupElement,
-    InvalidInput,
     Selection,
     TangentPair,
     action_matrix,
@@ -43,6 +42,7 @@ from . import (
     transported_lambda_min_bound,
     zero_family_point,
 )
+from .model import check_seed
 from .spectrum import _split_pair
 
 
@@ -68,7 +68,7 @@ def _pair_err(a, b):
 
 def check_svd_conventions(X, seed):
     errs = []
-    errs.append(X.reconstruction_error() <= 1e-10 * max(1.0, np.linalg.norm(X.X)))
+    errs.append(X.reconstruction_error() <= 1e-10 * X.tol_scale)
     errs.append(X.m <= X.n)
     errs.append(np.all(np.diff(X.sigma) <= 0) and np.all(X.sigma[X.r:] == 0.0))
     errs.append(np.allclose(X.U.T @ X.U, np.eye(X.m), atol=1e-12))
@@ -106,8 +106,7 @@ def check_families_critical(X, seed):
     if X.sigma[0] > 0:
         pts.append(build_balanced(X, sel, k))
     worst = max(gradient_norm(X, p) for p in pts)
-    scale = max(1.0, float(np.linalg.norm(X.X)))
-    return worst <= 1e-10 * scale, f"worst gradient norm {worst:.2e}"
+    return worst <= 1e-10 * X.tol_scale, f"worst gradient norm {worst:.2e}"
 
 
 def check_degenerate_directions(X, seed):
@@ -333,9 +332,9 @@ ALL_CHECKS = [
 
 def run_all(X=None, seed=0):
     """Run every check; returns a list of dicts in a deterministic order.
-    A negative seed raises InvalidInput before any check runs."""
-    if seed < 0:
-        raise InvalidInput(f"seed must be a nonnegative integer, got {seed}")
+    A seed that is not a nonnegative integer raises InvalidInput before any
+    check runs."""
+    check_seed(seed)
     if X is None:
         X = _default_X(seed)
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mfland import (
+    CanonicalPoint,
     DimensionError,
+    FactorPair,
     GroupElement,
     InvalidInput,
     InvalidSelection,
@@ -18,9 +20,17 @@ from mfland import (
     evaluate_J,
     first_defect,
     gradient_norm,
+    intersect_M0,
     is_critical,
+    lambda_min_balanced,
+    lambda_min_closed_form,
     load_data_matrix,
+    numeric_spectrum,
+    random_balanced_pair,
+    random_pair,
     reduce_to_canonical,
+    spectrum_balanced,
+    spectrum_full_rank_scaled,
     zero_family_point,
 )
 from mfland.canonical import selected_values
@@ -268,3 +278,87 @@ def test_not_critical_message_names_norm_and_threshold():
         reduce_to_canonical(X323, p_near)
     assert f"{gnorm:.3e}" in str(info.value)
     assert f"{bound:.3e}" in str(info.value)
+
+
+# ------------------------------------------- one rule, every entry point ---
+
+@pytest.mark.parametrize("indices", [(1.9,), (1.0,), (np.float64(0.0),), "ab", None, 3])
+def test_selection_indices_must_be_integers(indices):
+    """A non-integer index is refused, not truncated to another selection."""
+    with pytest.raises(InvalidSelection, match="selection indices must be integers"):
+        Selection(indices)
+
+
+def test_selection_accepts_numpy_integers():
+    sel = Selection(np.array([0, 2], dtype=np.int64))
+    assert sel.indices == (0, 2) and all(type(i) is int for i in sel.indices)
+    assert Selection((np.uint8(1),)) == Selection((1,))
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, "1", None])
+@pytest.mark.parametrize("make", [
+    lambda k: CanonicalPoint(X323, Selection((0,)), k),
+    lambda k: build_balanced(X323, Selection((0,)), k),
+    lambda k: random_pair(X323, k, 0),
+    lambda k: random_balanced_pair(X323, k, 0),
+], ids=["CanonicalPoint", "build_balanced", "random_pair", "random_balanced_pair"])
+def test_k_must_be_an_integer(make, k):
+    with pytest.raises(InvalidSelection, match="k must be an integer"):
+        make(k)
+
+
+@pytest.mark.parametrize("a", [0, 0.0, np.nan, np.inf, -np.inf, "2", None])
+@pytest.mark.parametrize("entry", [
+    lambda a: build_canonical(X323, Selection((1,)), 1).materialize(a),
+    lambda a: spectrum_full_rank_scaled(X323, Selection((1,)), a=a),
+    lambda a: lambda_min_closed_form(X323, Selection((1,)), 1, a=a),
+], ids=["materialize", "spectrum_full_rank_scaled", "lambda_min_closed_form"])
+def test_orbit_scale_is_a_nonzero_finite_real(entry, a):
+    with pytest.raises(InvalidInput, match="scale must be a nonzero finite number"):
+        entry(a)
+
+
+XDEF = load_data_matrix(np.diag([2.0, 0.0]) @ np.eye(2, 3))  # sigma = (2, 0)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda sel: CanonicalPoint(XDEF, sel, 2).balanced_scales(),
+    lambda sel: build_balanced(XDEF, sel, 2),
+    lambda sel: spectrum_balanced(XDEF, sel, 2),
+    lambda sel: lambda_min_balanced(XDEF, sel, 2),
+], ids=["balanced_scales", "build_balanced", "spectrum_balanced", "lambda_min_balanced"])
+@pytest.mark.parametrize("sel", [Selection((1,)), Selection((0, 1))])
+def test_m0_refuses_a_zero_selected_sigma(entry, sel):
+    with pytest.raises(InvalidSelection, match="strictly positive"):
+        entry(sel)
+    assert intersect_M0(CanonicalPoint(XDEF, sel, 2)) is None
+
+
+def test_m0_refuses_a_nonzero_c0():
+    cp = CanonicalPoint(X323, Selection((0,)), 2, C0=[[0.5]])
+    with pytest.raises(InvalidSelection, match="C0 = 0"):
+        cp.balanced_scales()
+    assert intersect_M0(cp) is None
+    assert CanonicalPoint(X323, Selection((0,)), 2, C0=[[1e-13]]).balanced_scales() == [np.sqrt(3.0)]
+
+
+@pytest.mark.parametrize("X", [_random_X(4), XDEF], ids=["full-rank", "rank-deficient"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_m0_empty_selection_is_the_origin(X, k):
+    """The zero family's balanced point is the origin, where the Hessian has
+    the eigenvalues +-sigma_i (k times each) and k (n - m) zeros."""
+    empty = Selection(())
+    origin = FactorPair(np.zeros((X.m, k)), np.zeros((k, X.n)))
+    assert CanonicalPoint(X, empty, k).balanced_scales().size == 0
+    bal = build_balanced(X, empty, k)
+    assert not bal.W.any() and not bal.S.any()
+    rep = spectrum_balanced(X, empty, k)
+    assert not rep.point.W.any() and not rep.point.S.any()
+    expect = np.sort(np.concatenate([np.repeat(X.sigma, k), -np.repeat(X.sigma, k),
+                                     np.zeros(k * (X.n - X.m))]))
+    np.testing.assert_array_equal(rep.values, expect)
+    ev, _ = numeric_spectrum(X, origin)
+    np.testing.assert_allclose(rep.values, ev, rtol=0, atol=1e-12 * X.sigma[0])
+    assert lambda_min_balanced(X, empty, k) == -X.sigma[0]
+    g = intersect_M0(CanonicalPoint(X, empty, k))
+    np.testing.assert_array_equal(g.A, np.eye(k))

@@ -17,7 +17,9 @@ from mfland import (
     RankAmbiguous,
     balance_residual,
     build_balanced,
+    classify_canonical,
     classify_limit,
+    evaluate_J,
     gradient_norm,
     integrate_flow,
     load_data_matrix,
@@ -137,7 +139,7 @@ def test_rank_ambiguous_refusal_tightens_and_then_certifies(monkeypatch):
     def ambiguous_once(X, p, tol):
         grads.append(gradient_norm(X, p))
         if len(grads) == 1:
-            raise RankAmbiguous("rank of W ambiguous", candidates=(0, 1))
+            raise RankAmbiguous("rank of W ambiguous")
         return reduce(X, p, tol=tol)
 
     monkeypatch.setattr(flow, "reduce_to_canonical", ambiguous_once)
@@ -242,9 +244,27 @@ def test_classify_limit_reuses_the_certifying_reduction(monkeypatch, start):
     traj = integrate_flow(X21, p0, grad_tol=GRAD_TOL)
     diag = classify_limit(X21, traj)
     assert calls == [flow.LIMIT_TOL]
-    fresh = classify_limit(X21, dataclasses.replace(traj, canonical=None))
+    cp = flow.reduce_to_canonical(X21, traj.terminal, tol=flow.LIMIT_TOL)[0]
     assert len(calls) == 2
-    assert diag == fresh  # kind, selection, lambdas, lambda_min, ...
+    res = classify_canonical(cp)
+    assert diag == flow.LimitDiagnosis(
+        kind=res.kind, q=cp.q, selection=tuple(i + 1 for i in cp.selection.indices),
+        lambdas=tuple(float(v) for v in cp.lambdas), p=res.p,
+        lambda_min=res.lambda_min_closed_form,
+        balance_residual=balance_residual(traj.terminal),
+        J=evaluate_J(X21, traj.terminal),
+    )
+
+
+def test_classify_limit_needs_the_trajectory_integrate_flow_returned():
+    """classify_limit reads the certifying reduction, so a trajectory that
+    carries none for this X is refused."""
+    traj = integrate_flow(X21, random_balanced_pair(X21, 1, seed=0), grad_tol=GRAD_TOL)
+    assert traj.status == "Converged"
+    other = load_data_matrix(X21.X.copy())
+    for X, t in ((X21, dataclasses.replace(traj, canonical=None)), (other, traj)):
+        with pytest.raises(InvalidInput, match="integrate_flow returned for this X"):
+            classify_limit(X, t)
 
 
 def test_random_balanced_pair_starts_balanced():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,13 +7,20 @@ from hypothesis import given, settings, strategies as st
 from mfland import (
     DimensionError,
     FactorPair,
+    GroupElement,
     InvalidInput,
+    SingularGroupElement,
+    TangentPair,
     evaluate_J,
+    fd_validate,
     load_data_matrix,
+    random_balanced_pair,
+    random_pair,
     read_matrix_csv,
     residual,
     write_matrix_csv,
 )
+from mfland.verify import run_all
 
 RECON_TOL = 1e-12
 
@@ -124,3 +133,36 @@ def test_svd_properties_random(rows, cols, seed):
     recon = (X.U * X.sigma) @ X.V[:, : X.m].T
     np.testing.assert_allclose(recon, X.X, atol=1e-10 * max(1.0, np.linalg.norm(A)))
     assert np.all(X.sigma >= 0)
+
+
+X23 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
+
+
+@pytest.mark.parametrize("seed", [1.5, "1", None, -1])
+@pytest.mark.parametrize("entry", [
+    lambda seed: random_pair(X23, 1, seed),
+    lambda seed: random_balanced_pair(X23, 1, seed),
+    lambda seed: run_all(X23, seed=seed),
+    lambda seed: fd_validate(X23, random_pair(X23, 1, 0), seed=seed),
+], ids=["random_pair", "random_balanced_pair", "run_all", "fd_validate"])
+def test_seed_is_a_nonnegative_integer(entry, seed):
+    message = re.escape(f"seed must be a nonnegative integer, got {seed!r}")
+    with pytest.raises(InvalidInput, match=message):
+        entry(seed)
+
+
+@pytest.mark.parametrize("make, error, name", [
+    (lambda: load_data_matrix("abc"), InvalidInput, "X"),
+    (lambda: load_data_matrix([[1.0, "x"], [0.0, 1.0]]), InvalidInput, "X"),
+    (lambda: load_data_matrix([[1.0, 2.0], [3.0]]), InvalidInput, "X"),
+    (lambda: FactorPair(W="a", S=np.ones((1, 3))), InvalidInput, "W"),
+    (lambda: FactorPair(W=np.ones((2, 1)), S=[[None, 1.0, 2.0]]), InvalidInput, "S"),
+    (lambda: TangentPair(G=np.ones((2, 1)), H={"a": 1}), InvalidInput, "H"),
+    (lambda: GroupElement.from_matrix([[1, "x"], [0, 1]]), SingularGroupElement,
+     "group element"),
+    (lambda: GroupElement.from_matrix(np.zeros((0, 0))), SingularGroupElement,
+     "group element"),
+], ids=["X-str", "X-entry", "X-ragged", "W", "S", "H", "A-entry", "A-empty"])
+def test_non_numeric_matrix_is_refused_by_name(make, error, name):
+    with pytest.raises(error, match=f"^{name} "):
+        make()

@@ -74,6 +74,14 @@ def test_inertia_from_values():
     assert inertia_from_values(vals, tol=1e-16) == (3, 2, 1)
 
 
+def test_inertia_count_has_one_home():
+    """The closed-form spectra and the oracle count inertia with the same
+    function, which the oracle re-exports from the model."""
+    from mfland import model, spectrum
+    assert oracle.inertia_from_values is model.inertia_from_values
+    assert spectrum.inertia_from_values is model.inertia_from_values
+
+
 def test_size_guard():
     X = load_data_matrix(np.eye(40) + np.diag(np.arange(40.0)))
     p = FactorPair(np.zeros((40, 63)), np.zeros((63, 40)))
