@@ -61,6 +61,7 @@ from .model import (
 from .oracle import (
     DenseHessian,
     FDReport,
+    action_matrix,
     balanced_flow_exact,
     dense_hessian,
     fd_validate,
@@ -70,7 +71,6 @@ from .oracle import (
 )
 from .orbit import (
     GroupElement,
-    action_matrix,
     apply_group_action,
     balance_residual,
     induced_norm,

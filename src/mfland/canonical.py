@@ -12,7 +12,8 @@ square roots of lambda gives the balanced points with W^T W = S S^T.
 
 This module builds those representatives, classifies them, and inverts the
 parametrization: ``reduce_to_canonical`` maps any critical point back to a
-canonical point plus the group element connecting them.
+canonical point plus the group element connecting them.  The saddle rule
+(``_lambda_min``, with its 2 x 2 evaluator ``_split_pair``) lives here too.
 """
 
 import dataclasses
@@ -33,6 +34,7 @@ from .errors import (
     RankAmbiguous,
 )
 from .model import FactorPair, _freeze
+from .orbit import GroupElement, apply_group_action
 
 # Tolerance, relative to sigma_1, under which two singular values are treated
 # as tied, so that maximality is decided by value rather than by index.
@@ -213,6 +215,44 @@ def first_defect(X, sel):
     return None
 
 
+def _split_pair(p11, p12, p22):
+    """Eigenvalues (rho_hi, rho_lo) of [[p11, p12], [p12, p22]], elementwise
+    and stable against cancellation."""
+    tr = p11 + p22
+    disc = np.hypot(p11 - p22, 2.0 * p12)
+    rho_hi = 0.5 * (tr + disc)
+    det = p11 * p22 - p12 * p12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho_lo = np.where(rho_hi != 0.0, det / rho_hi, 0.5 * (tr - disc))
+    return rho_hi, rho_lo
+
+
+def _lambda_min(cp, d=1.0):
+    """Smallest Hessian eigenvalue at the diagonal representative of cp whose
+    selected columns carry the scales d, as in ``spectrum._canonical_eigpairs``.
+
+    With s the largest unselected singular value (0 if none), the point is a
+    minimum exactly when s = 0, or when q = k and the selection is maximal;
+    NotASaddle is raised there.  Otherwise the minimum is the lowest of the
+    lower branches at s: sigma_lambda_pair for every selected j and, when
+    q < k, sigma_omega_pair at the smallest kernel weight w.
+    """
+    X, sel, q, k = cp.X, cp.selection, cp.q, cp.k
+    chosen = set(sel.indices)
+    sigma_dag = max((float(X.sigma[i]) for i in range(X.m) if i not in chosen),
+                    default=0.0)
+    if sigma_dag == 0.0 or (q == k and first_defect(X, sel) is None):
+        raise NotASaddle("every unselected direction has nonnegative curvature: "
+                         "the canonical point is a global minimum")
+    d2 = np.broadcast_to(np.asarray(d, dtype=float), (q,)) ** 2
+    lows = _split_pair(np.float_power(cp.lambdas, 2.0) / d2, -sigma_dag, d2)[1]
+    if q < k:
+        gs = np.linalg.svd(cp.C0, compute_uv=False)
+        w_min = float(gs[-1]) ** 2 if gs.size == k - q else 0.0
+        lows = np.append(lows, _split_pair(w_min, -sigma_dag, 0.0)[1])
+    return float(np.min(lows))
+
+
 @dataclass(frozen=True)
 class ClassificationResult:
     kind: str  # "GlobalMinimum" | "StrictSaddle"
@@ -225,11 +265,9 @@ def classify_canonical(cp):
     """Second-order type of a canonical point, with closed-form lambda_min.
 
     A point is a global minimum exactly when its closed-form lambda_min
-    (``spectrum._lambda_min``) finds no negative direction; everything else
-    is a strict saddle.
+    (``_lambda_min``) finds no negative direction; everything else is a
+    strict saddle.
     """
-    from .spectrum import _lambda_min
-
     defect = first_defect(cp.X, cp.selection) if cp.q else 0
     maximal = defect is None if cp.q else False
     try:
@@ -271,8 +309,6 @@ def reduce_to_canonical(X, p, tol=1e-8):
     reconstruction residual above 1e-8 * max(1, ||p||) raises
     NumericalFailure.
     """
-    from .orbit import GroupElement
-
     if not is_critical(X, p, tol):
         bound = tol * X.tol_scale
         raise NotCritical(
@@ -297,9 +333,7 @@ def reduce_to_canonical(X, p, tol=1e-8):
     if q == 0:
         C0 = X.V0.T @ S.T
         cp = zero_family_point(X, C0, k)
-        g = GroupElement.identity(k)
-        _check_reduction(p, cp, g)
-        return cp, g
+        return _check_reduction(p, cp, GroupElement.identity(k))
 
     # (i)-(ii) W = Uw diag(sW) Vwt gives an orthonormal basis Uh of the
     # column space and W = [Uh, 0] C_full, C_full = [diag(sW[:q]) Vwt[:q];
@@ -344,19 +378,16 @@ def reduce_to_canonical(X, p, tol=1e-8):
     A = E @ A1
 
     cp = CanonicalPoint(X=X, selection=Selection(tuple(sel_idx)), k=k, C0=C0)
-    g = GroupElement.from_matrix(A)
-    _check_reduction(p, cp, g)
-    return cp, g
+    return _check_reduction(p, cp, GroupElement.from_matrix(A))
 
 
 def _check_reduction(p, cp, g):
-    pc = cp.materialize()
+    """(cp, g), or NumericalFailure unless L_A maps cp back onto p."""
+    pc = apply_group_action(cp.materialize(), g)
     bound = 1e-8 * max(1.0, p.norm())
-    err = np.sqrt(
-        np.linalg.norm(pc.W @ g.A - p.W) ** 2
-        + np.linalg.norm(g.A_inv @ pc.S - p.S) ** 2
-    )
+    err = np.sqrt(np.linalg.norm(pc.W - p.W) ** 2 + np.linalg.norm(pc.S - p.S) ** 2)
     if err > bound:
         raise NumericalFailure(
             f"orbit reconstruction residual {err:.3e} exceeds {bound:.3e}"
         )
+    return cp, g

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .canonical import CanonicalPoint, Selection, classify_canonical
+from .canonical import CanonicalPoint, Selection, check_scale, classify_canonical
 from .errors import InvalidInput, MflandError
 from .flow import classify_limit, integrate_flow, random_balanced_pair, random_pair
 from .model import load_data_matrix, read_matrix_csv, write_matrix_csv
@@ -79,6 +79,8 @@ def _emit(text, path):
 # ---------------------------------------------------------------- parsing ---
 
 def _parse_selection(raw):
+    if not raw:
+        return None
     try:
         one_based = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
@@ -92,11 +94,10 @@ def _load_X(args):
     return load_data_matrix(read_matrix_csv(args.x), rank_tol=args.rank_tol)
 
 
-def _load_point(args, X):
-    """The point of --select (none: the zero family) at --k, C0 from --c0."""
-    sel = _parse_selection(args.select) if args.select else Selection(())
+def _load_point(args, X, sel):
+    """The point of sel (None: the zero family) at --k, C0 from --c0."""
     C0 = read_matrix_csv(args.c0) if args.c0 else None
-    return CanonicalPoint(X, sel, args.k, C0)
+    return CanonicalPoint(X, Selection(()) if sel is None else sel, args.k, C0)
 
 
 # ------------------------------------------------------------- commands -----
@@ -108,7 +109,7 @@ def _load_point(args, X):
 def _cmd_spectrum(args):
     X = _load_X(args)
     k = args.k
-    sel = _parse_selection(args.select) if args.select else None
+    sel = _parse_selection(args.select)
     if args.balanced and sel is None:
         raise InvalidInput("--balanced requires --select")
     full_rank = sel is not None and sel.q == k and not args.balanced
@@ -121,7 +122,7 @@ def _cmd_spectrum(args):
         rep = spectrum_balanced(X, sel, k)
         family = "balanced"
     else:
-        cp = _load_point(args, X)
+        cp = _load_point(args, X, sel)
         if sel is None:
             rep = spectrum_zero_family(X, cp.C0, k)
             family = "zero"
@@ -157,7 +158,7 @@ def _cmd_spectrum(args):
 
 def _cmd_classify(args):
     X = _load_X(args)
-    cp = _load_point(args, X)
+    cp = _load_point(args, X, _parse_selection(args.select))
     res = classify_canonical(cp)
     return {
         "m": X.m,
@@ -176,11 +177,12 @@ def _cmd_classify(args):
 
 def _cmd_orbit(args):
     X = _load_X(args)
-    cp = _load_point(args, X)
+    cp = _load_point(args, X, _parse_selection(args.select))
     k = cp.k
     if args.a:
         A = read_matrix_csv(args.a)
     elif args.scale is not None:
+        check_scale(args.scale)
         A = args.scale * np.eye(k)
     else:
         raise InvalidInput("orbit needs --a FILE or --scale VALUE")

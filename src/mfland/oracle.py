@@ -1,11 +1,11 @@
 """Independent numerical checks: dense Hessian, eigh spectrum, finite
 differences, and the exact gradient flow from a balanced start.
 
-Nothing in here knows about closed-form spectra or the flow integrator.  The
-dense matrix is the Hessian action applied to stacked blocks of unit
-tangents, in the same frozen coordinate order, so any closed-form claim
-elsewhere in the package can be validated against plain ``numpy.linalg.eigh``
-on this matrix.
+Nothing in here knows about closed-form spectra or the flow integrator.  It
+owns the tangent coordinates: ``flatten_tangent``, ``action_matrix`` and the
+dense Hessian (the Hessian action on stacked blocks of unit tangents) share
+them, so any closed-form claim elsewhere in the package can be validated
+against plain ``numpy.linalg.eigh`` on that matrix.
 """
 
 from dataclasses import dataclass
@@ -42,6 +42,19 @@ def unflatten_tangent(v, m, n, k):
     G = v[: m * k].reshape((m, k), order="F")
     H = v[m * k:].reshape((k, n), order="F")
     return TangentPair(G=G, H=H)
+
+
+def action_matrix(g, m, n):
+    """Dense matrix of L_A on tangents in flatten_tangent's coordinates.
+
+    Useful for realizing Hessian congruence explicitly:
+    dense(L_A p) = M^T dense(p) M with M = action_matrix(g.inverse(), m, n).
+    """
+    k = g.k
+    M = np.zeros((k * (m + n), k * (m + n)))
+    M[: m * k, : m * k] = np.kron(g.A.T, np.eye(m))
+    M[m * k:, m * k:] = np.kron(np.eye(n), g.A_inv)
+    return M
 
 
 @dataclass(frozen=True)

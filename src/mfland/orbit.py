@@ -8,8 +8,8 @@ congruent (inertia is preserved) and the minimum eigenvalue obeys
 
     lambda_min(L_A p) <= lambda_min(p) / ||L_A||^2
 
-for saddle points, which is how negative curvature flattens when points are
-pushed far out along their orbit.
+for saddle points: negative curvature flattens as points are pushed far out
+along their orbit.  L_A's matrix on tangents is ``oracle.action_matrix``.
 """
 
 from dataclasses import dataclass
@@ -94,19 +94,6 @@ def transported_lambda_min_bound(lambda_min_at_p, g):
     """Upper bound lambda_min(p) / ||L_A||^2 for the transported saddle."""
     nrm = induced_norm(g)
     return float(lambda_min_at_p) / (nrm * nrm)
-
-
-def action_matrix(g, m, n):
-    """Dense matrix of L_A on flattened tangents (G column-major, then H).
-
-    Useful for realizing Hessian congruence explicitly:
-    dense(L_A p) = M^T dense(p) M with M = action_matrix(g.inverse(), m, n).
-    """
-    k = g.k
-    M = np.zeros((k * (m + n), k * (m + n)))
-    M[: m * k, : m * k] = np.kron(g.A.T, np.eye(m))
-    M[m * k:, m * k:] = np.kron(np.eye(n), g.A_inv)
-    return M
 
 
 def balance_residual(p):

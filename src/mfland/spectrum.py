@@ -26,7 +26,7 @@ coordinates, and the right kernel (d_j^2 or 0).
 
 A spectrum is built once, as aligned arrays over all k (m + n) eigenpairs:
 every family broadcasts its block entries over its index grid and the 2 x 2
-blocks are split by one elementwise evaluation.  Each eigenvector is a pair
+blocks are split by ``canonical._split_pair``.  Each eigenvector is a pair
 of rank-one matrices kept as indices into the singular bases and a table of
 coefficient vectors, so a spectrum costs O(k (m + n)) memory.  An
 :class:`EigPair` is made only when one is read from
@@ -44,12 +44,13 @@ from .canonical import (
     CanonicalPoint,
     Selection,
     _balanced_point,
+    _lambda_min,
+    _split_pair,
     build_canonical,
     check_scale,
-    first_defect,
     zero_family_point,
 )
-from .errors import InvalidInput, InvalidSelection, NotASaddle
+from .errors import InvalidInput, InvalidSelection
 from .model import TangentPair, inertia_from_values
 
 # |value| <= INERTIA_REL * max(sigma_1, |largest value|) counts as zero.
@@ -238,18 +239,6 @@ def _pair_vectors(p11, p12, p22, rho):
     return c0 / nrm, c1 / nrm
 
 
-def _split_pair(p11, p12, p22):
-    """Eigenvalues (rho_hi, rho_lo) of [[p11, p12], [p12, p22]], elementwise
-    and stable against cancellation."""
-    tr = p11 + p22
-    disc = np.hypot(p11 - p22, 2.0 * p12)
-    rho_hi = 0.5 * (tr + disc)
-    det = p11 * p22 - p12 * p12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho_lo = np.where(rho_hi != 0.0, det / rho_hi, 0.5 * (tr - disc))
-    return rho_hi, rho_lo
-
-
 def _canonical_eigpairs(cp, d=1.0):
     """All k (m + n) closed-form eigenpairs at the diagonal representative of
     cp whose selected columns carry the scales d (a scalar or q values),
@@ -409,32 +398,6 @@ def spectrum_balanced(X, sel, k):
     cp = CanonicalPoint(X, sel, k)
     root = cp.balanced_scales()
     return _report(X, _canonical_eigpairs(cp, d=root), _balanced_point(cp, root))
-
-
-def _lambda_min(cp, d=1.0):
-    """Smallest Hessian eigenvalue at the diagonal representative of cp whose
-    selected columns carry the scales d, as in ``_canonical_eigpairs``.
-
-    With s the largest unselected singular value (0 if none), the point is a
-    minimum exactly when s = 0, or when q = k and the selection is maximal;
-    NotASaddle is raised there.  Otherwise the minimum is the lowest of the
-    lower branches at s: sigma_lambda_pair for every selected j and, when
-    q < k, sigma_omega_pair at the smallest kernel weight w.
-    """
-    X, sel, q, k = cp.X, cp.selection, cp.q, cp.k
-    chosen = set(sel.indices)
-    sigma_dag = max((float(X.sigma[i]) for i in range(X.m) if i not in chosen),
-                    default=0.0)
-    if sigma_dag == 0.0 or (q == k and first_defect(X, sel) is None):
-        raise NotASaddle("every unselected direction has nonnegative curvature: "
-                         "the canonical point is a global minimum")
-    d2 = np.broadcast_to(np.asarray(d, dtype=float), (q,)) ** 2
-    lows = _split_pair(np.float_power(cp.lambdas, 2.0) / d2, -sigma_dag, d2)[1]
-    if q < k:
-        gs = np.linalg.svd(cp.C0, compute_uv=False)
-        w_min = float(gs[-1]) ** 2 if gs.size == k - q else 0.0
-        lows = np.append(lows, _split_pair(w_min, -sigma_dag, 0.0)[1])
-    return float(np.min(lows))
 
 
 def lambda_min_closed_form(X, sel, k, C0=None, a=1.0):

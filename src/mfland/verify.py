@@ -42,8 +42,8 @@ from . import (
     transported_lambda_min_bound,
     zero_family_point,
 )
+from .canonical import _split_pair
 from .model import check_seed
-from .spectrum import _split_pair
 
 
 def _default_X(seed):
@@ -288,12 +288,13 @@ def check_scaling_trichotomy(X, seed):
             worst_sign = False
         if lam > sig and not rho_lo > 0:
             worst_sign = False
-    # |lambda_min| shrinks as the scale runs away in either direction
+    # |lambda_min| shrinks as a grows past sqrt(lambda) <= sqrt(sigma_1)
     sel = _saddle_selection(X)
     if sel is None:
         mono = True
     else:
-        vals = [abs(lambda_min_closed_form(X, sel, 1, a=a)) for a in (1, 2, 4, 8)]
+        root = np.sqrt(X.sigma[0])
+        vals = [abs(lambda_min_closed_form(X, sel, 1, a=a * root)) for a in (1, 2, 4, 8)]
         mono = all(x > y for x, y in zip(vals, vals[1:]))
     return worst_sign and mono, f"trichotomy={worst_sign} monotone={mono}"
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -278,3 +279,26 @@ def test_verify_passes(capsys):
     doc = json.loads(out)
     assert doc["all_passed"] is True
     assert len(doc["checks"]) >= 10
+
+
+@pytest.mark.parametrize("scale, shown", [("inf", "inf"), ("nan", "nan"), ("0", "0.0")])
+def test_orbit_scale_is_checked_before_A_is_formed(capsys, x_csv, scale, shown):
+    """--scale follows the orbit-scale rule of the library, and is refused
+    before scale * I is formed, so NumPy has nothing to warn about."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "orbit", "--x", x_csv, "--k", "1",
+                              "--select", "2", "--scale", scale)
+    assert (code, out) == (2, "")
+    assert err == f"error: scale must be a nonzero finite number, got {shown}\n"
+
+
+def test_spectrum_parses_select_once(capsys, x46_csv, monkeypatch):
+    from mfland import cli
+
+    seen = []
+    parse = cli._parse_selection
+    monkeypatch.setattr(cli, "_parse_selection", lambda raw: seen.append(raw) or parse(raw))
+    code, _, _ = _run(capsys, "spectrum", "--x", x46_csv, "--k", "2", "--select", "1,3")
+    assert code == 0
+    assert seen == ["1,3"]

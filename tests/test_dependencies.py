@@ -87,6 +87,27 @@ def test_oracle_imports_only_calculus_errors_and_model():
     assert "calculus" in seen  # the scan reads the oracle's imports at all
 
 
+def test_closed_form_modules_import_only_at_module_top():
+    """canonical and spectrum state their dependencies up front: no import
+    hides inside a function."""
+    for name in ("canonical.py", "spectrum.py"):
+        tree = ast.parse((SRC / "mfland" / name).read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert id(node) in top, f"{name}:{node.lineno} imports below module level"
+
+
+def test_no_import_cycle_between_canonical_spectrum_and_orbit():
+    """spectrum is built on canonical (the saddle rule lives there), and
+    canonical on orbit (the group action), so neither may import back."""
+    for name, banned in (("canonical.py", {"spectrum"}),
+                         ("orbit.py", {"canonical", "spectrum"})):
+        for line, names in _imports(name):
+            used = {part for n in names for part in n.split(".")} & banned
+            assert not used, f"{name}:{line} imports {sorted(used)}"
+
+
 def _dotted(node):
     """"a.b.c" for a chain of attribute reads on a name, else None."""
     parts = []
