@@ -10,6 +10,7 @@ success, 1 when `verify` finds a failing check, 2 on invalid input.
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -79,12 +80,15 @@ def _emit(text, path):
 # ---------------------------------------------------------------- parsing ---
 
 def _parse_selection(raw):
-    if not raw:
+    """None when --select is absent; a --select that lists no index is refused."""
+    if raw is None:
         return None
     try:
         one_based = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise InvalidInput(f"could not parse selection {raw!r}; expect e.g. 1,3")
+    if not one_based:
+        raise InvalidInput(f"selection {raw!r} lists no index; expect e.g. 1,3")
     if any(i < 1 for i in one_based):
         raise InvalidInput("selection indices are 1-based")
     return Selection(tuple(sorted(i - 1 for i in one_based)))
@@ -240,15 +244,7 @@ def _cmd_flow(args):
     }
     if traj.status == "Converged":
         diag = classify_limit(X, traj)
-        report["limit"] = {
-            "kind": diag.kind,
-            "q": diag.q,
-            "selection": list(diag.selection),
-            "lambdas": list(diag.lambdas),
-            "p": diag.p,
-            "lambda_min": diag.lambda_min,
-            "balance_residual": diag.balance_residual,
-        }
+        report["limit"] = {f.name: getattr(diag, f.name) for f in fields(diag) if f.name != "J"}
     return report
 
 

@@ -25,8 +25,13 @@ A flow that passes its gradient test is reported Converged only once
 ``reduce_to_canonical`` reconstructs its terminal point within the
 reduction's residual bound, so that every Converged limit carries its
 canonical point.  Each refusal (not critical, ambiguous rank, residual
-above the bound) tightens the gradient test tenfold, at most three times,
-before the flow stops Uncertified.
+above the bound) tightens the gradient test tenfold and the flow steps on,
+a refused start too, at most three times before it stops Uncertified.
+One block of checks runs at the start, where only the gradient test
+applies, and after each accepted step, in the order Diverged, gradient
+test, MaxTimeReached.  MaxStepsReached ends the flow once MAX_STEPS steps
+are accepted, and StiffnessFailure once a step-size update, made after the
+checks, falls below H_MIN.
 """
 
 import math
@@ -137,7 +142,7 @@ class _Buffer:
 
 class _Stepper:
     """Dormand-Prince 5(4) with FSAL on flat (W, S) buffers allocated once,
-    counting RHS evaluations.
+    counting RHS evaluations; the only code that knows their layout.
 
     One (8, N) array holds the point y and the stage slopes k1, ..., k7, with
     a _Buffer per row.  Each stage input and the error estimate are one
@@ -146,11 +151,12 @@ class _Stepper:
     the stage buffer into row 0, and its slope k7 into row 1.  Every product
     of a step (the stage and error combinations and the three products of
     each RHS evaluation) and each Gram product of the drift goes through
-    np.dot into one of these buffers.
+    np.dot into one of these buffers.  Loading p0 evaluates its slope k1 and
+    fixes the invariant C = W^T W - S S^T that the drift is measured from.
     """
 
-    def __init__(self, X, k):
-        m, n = X.m, X.n
+    def __init__(self, X, p0):
+        m, n, k = X.m, X.n, p0.k
         self.X = X.X
         self.a = np.empty((8, k * (m + n)))
         self.rows = [_Buffer(row, m, k) for row in self.a]
@@ -165,6 +171,10 @@ class _Stepper:
         self.G, self.H = np.empty((2, k, k))
         self.flat = self.G.reshape(-1)
         self.rhs_evals = 0
+        y = self.rows[0]
+        y.W[...], y.S[...] = p0.W, p0.S
+        self.C = y.WT @ y.W - y.S @ y.ST
+        self.rhs(y, self.rows[1])
 
     def rhs(self, y, slope):
         """Write -grad J at y into slope, and the residual X - W S into D."""
@@ -192,29 +202,37 @@ class _Stepper:
         self.a[0] = self.stage.y
         self.a[1] = self.a[7]
 
-    def drift(self, C):
-        """||W^T W - S S^T - C||_F at row 0, computed as np.linalg.norm does:
-        the square root of the dot product of the flat difference with
-        itself."""
-        y, G, H, dot = self.rows[0], self.G, self.H, np.dot
+    def sample(self, t):
+        """The sample at the current point, from its slope k1 and the residual
+        D of the RHS evaluation that gave it, and its ||y||^2 as ysq.  The
+        drift ||W^T W - S S^T - C||_F is computed as np.linalg.norm does: the
+        square root of the dot product of the flat difference with itself."""
+        y, k1, G, H, dot = self.rows[0], self.a[1], self.G, self.H, np.dot
+        self.ysq = float(dot(y.y, y.y))
         dot(y.WT, y.W, out=G)
         dot(y.S, y.ST, out=H)
         np.subtract(G, H, out=G)
-        np.subtract(G, C, out=G)
-        return math.sqrt(dot(self.flat, self.flat))
+        np.subtract(G, self.C, out=G)
+        return FlowSample(t=float(t), J=0.5 * float(np.vdot(self.D, self.D)),
+                          grad_norm=math.sqrt(dot(k1, k1)),
+                          drift=math.sqrt(dot(self.flat, self.flat)))
+
+    def point(self):
+        """The current point, copied out of the buffer the next step reuses."""
+        y = self.rows[0]
+        return FactorPair(W=y.W.copy(), S=y.S.copy())
 
 
 def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
     """Integrate gradient flow from p0 until the point is certified as a
     limit, time runs out, MAX_STEPS steps have been accepted, or the iterate
-    diverges.
+    diverges; the module docstring gives the order of these checks.
 
-    The gradient test starts at min(grad_tol, LIMIT_TOL) * X.tol_scale.
-    A point that passes it is Converged when ``reduce_to_canonical`` accepts
-    it at LIMIT_TOL, and the trajectory carries that reduction.  Each refusal
-    (NotCritical, NumericalFailure or RankAmbiguous) sends the flow on from
-    that point with the gradient tolerance divided by 10, at most TIGHTENINGS
-    times, and then stops it as "Uncertified".
+    The gradient test starts at min(grad_tol, LIMIT_TOL) * X.tol_scale.  A
+    point that passes it is Converged when ``reduce_to_canonical`` accepts it
+    at LIMIT_TOL, and the trajectory carries that reduction.  Each refusal
+    (NotCritical, NumericalFailure or RankAmbiguous) divides the test by 10
+    and steps on, at most TIGHTENINGS times, before the flow is Uncertified.
 
     Raises DimensionError when p0 does not fit X, InvalidSelection for
     k = p0.k outside [1, min(m, n)], InvalidInput for a t_max that is not a
@@ -227,105 +245,67 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
         raise InvalidInput(f"t_max must be positive and finite, got {t_max!r}")
     if not (isinstance(grad_tol, Real) and grad_tol >= 0):
         raise InvalidInput(f"grad_tol must be nonnegative, got {grad_tol!r}")
-    stepper = _Stepper(X, p0.k)
-    y = stepper.rows[0]
-    y.W[...] = p0.W
-    y.S[...] = p0.S
-    C_init = y.WT @ y.W - y.S @ y.ST
+    stepper = _Stepper(X, p0)
     gtol, tightened, canonical = min(grad_tol, LIMIT_TOL) * X.tol_scale, 0, None
+    t, h, steps, rejected, h_min, h_max = 0.0, H0, 0, 0, math.inf, 0.0
+    samples = [stepper.sample(t)]
+    # moved: the point is new (the start, or the end of an accepted step), so
+    # the stop checks run on it; growth: the step-size factor of the last
+    # attempt, applied after those checks (1.0 leaves H0 as it is).
+    status, moved, growth = None, True, 1.0
+    while True:
+        if moved:
+            samp = samples[-1]
+            if steps and (not math.isfinite(samp.J) or stepper.ysq > DIVERGENCE_NORM ** 2):
+                status = "Diverged"
+            elif samp.grad_norm <= gtol:
+                try:
+                    canonical, _ = reduce_to_canonical(X, stepper.point(), tol=LIMIT_TOL)
+                    status = "Converged"
+                except (NotCritical, NumericalFailure, RankAmbiguous):
+                    if tightened == TIGHTENINGS:
+                        status = "Uncertified"
+                    tightened, gtol = tightened + 1, gtol / 10.0
+            if status is None and t >= t_max:
+                status = "MaxTimeReached"
+            if status is not None:
+                break
+        h *= growth
+        if h < H_MIN:
+            raise StiffnessFailure(
+                f"step size underflowed ({h:.2e} < {H_MIN:.2e}) at t = {t:.3e}"
+            )
+        if steps >= MAX_STEPS:
+            status = "MaxStepsReached"
+            break
 
-    def stop_status():
-        """Converged, Uncertified, or None to go on; a refusal tightens gtol."""
-        nonlocal gtol, tightened, canonical
-        if samp.grad_norm > gtol:
-            return None
-        try:
-            canonical, _ = reduce_to_canonical(X, current(), tol=LIMIT_TOL)
-        except (NotCritical, NumericalFailure, RankAmbiguous):
-            if tightened == TIGHTENINGS:
-                return "Uncertified"
-            tightened += 1
-            gtol /= 10.0
-            return None
-        return "Converged"
-
-    def current():
-        """The current point, copied out of the buffer the next step reuses."""
-        y = stepper.rows[0]
-        return FactorPair(W=y.W.copy(), S=y.S.copy())
-
-    def snapshot(t):
-        """The sample at the current point from its slope and from the
-        residual D of the RHS evaluation that gave it."""
-        k1 = stepper.rows[1].y
-        return FlowSample(t=float(t), J=0.5 * float(np.vdot(stepper.D, stepper.D)),
-                          grad_norm=math.sqrt(np.dot(k1, k1)), drift=stepper.drift(C_init))
-
-    def step_tol():
-        tol = ATOL + RTOL * math.sqrt(ysq)
-        if samp.grad_norm <= ENDGAME_ZONE * gtol:
-            tol = min(tol, ENDGAME_SHARE * gtol / (ysq + math.sqrt(2.0 * samp.J)))
-        return tol
-
-    def trajectory(status):
-        chose = h_max > 0.0
-        return FlowTrajectory(
-            samples=tuple(samples), terminal=current(), status=status, steps=steps,
-            rejected=rejected, rhs_evals=stepper.rhs_evals,
-            h_min=h_min if chose else None, h_max=h_max if chose else None,
-            canonical=canonical,
-        )
-
-    t = 0.0
-    h = H0
-    stepper.rhs(y, stepper.rows[1])
-    samp = snapshot(t)
-    samples = [samp]
-    ysq = float(np.dot(y.y, y.y))
-    status = "MaxStepsReached"  # every other way out of the loop sets it
-    steps = rejected = 0
-    h_min, h_max = math.inf, 0.0
-
-    if stop_status() == "Converged":
-        return trajectory("Converged")
-
-    while steps < MAX_STEPS:
         clipped = t_max - t < h
         if clipped:
             h = t_max - t
-        tol_step = step_tol()
+        ysq = stepper.ysq
+        tol_step = ATOL + RTOL * math.sqrt(ysq)
+        if samp.grad_norm <= ENDGAME_ZONE * gtol:
+            tol_step = min(tol_step, ENDGAME_SHARE * gtol / (ysq + math.sqrt(2.0 * samp.J)))
         err = stepper.attempt(h)
-
-        if err <= tol_step:
+        growth = min(5.0, max(0.2, 0.9 * (tol_step / max(err, 1e-300)) ** 0.2))
+        moved = err <= tol_step
+        if moved:
             stepper.accept()
             t = t_max if clipped else t + h
             steps += 1
             if not clipped:
                 h_min, h_max = min(h_min, h), max(h_max, h)
-            samp = snapshot(t)
-            samples.append(samp)
-            ysq = float(np.dot(stepper.a[0], stepper.a[0]))
-            if not math.isfinite(samp.J) or ysq > DIVERGENCE_NORM ** 2:
-                status = "Diverged"
-                break
-            stop = stop_status()
-            if stop is not None:
-                status = stop
-                break
-            if t >= t_max:
-                status = "MaxTimeReached"
-                break
+            samples.append(stepper.sample(t))
         else:
             rejected += 1
 
-        factor = 0.9 * (tol_step / max(err, 1e-300)) ** 0.2
-        h *= min(5.0, max(0.2, factor))
-        if h < H_MIN:
-            raise StiffnessFailure(
-                f"step size underflowed ({h:.2e} < {H_MIN:.2e}) at t = {t:.3e}"
-            )
-
-    return trajectory(status)
+    chose = h_max > 0.0
+    return FlowTrajectory(
+        samples=tuple(samples), terminal=stepper.point(), status=status, steps=steps,
+        rejected=rejected, rhs_evals=stepper.rhs_evals,
+        h_min=h_min if chose else None, h_max=h_max if chose else None,
+        canonical=canonical,
+    )
 
 
 @dataclass(frozen=True)

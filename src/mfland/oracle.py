@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import _hessian_action, gradient, second_derivative
-from .errors import InvalidInput, TooLarge
+from .errors import InvalidInput, NumericalFailure, TooLarge
 # inertia_from_values lives in the model, which the closed forms may import.
 from .model import (FactorPair, TangentPair, check_pair, check_seed, evaluate_J,
                     inertia_from_values, inner)
@@ -75,34 +75,40 @@ class DenseHessian:
 
 
 def dense_hessian(X, p):
+    """The DenseHessian at p; raises NumericalFailure when the assembled
+    matrix is not finite, as far out on an orbit, where it overflows."""
     check_pair(X, p)
     m, n, k = X.m, X.n, p.k
     N = k * (m + n)
     if N > MAX_DENSE_DIM:
         raise TooLarge(f"dense Hessian would be {N} x {N} (limit {MAX_DENSE_DIM})")
     W, S = p.W, p.S
-    E = W @ S - X.X
     mk = m * k
     # Each column of a block holds one unit entry, so every entry of every
     # term of the action is a single product: the matrix is the same, bit
     # for bit, as one built column by column.
     b = max(1, _BLOCK_BYTES // (8 * max(m, k) * max(n, k)))
     A = np.empty((N, N))
-    for c0 in range(0, N, b):
-        nb = min(b, N - c0)
-        # The unit tangents of columns c0 .. c0 + nb - 1: the first ng set an
-        # entry of G, the rest an entry of H, both in column-major order.
-        ng = min(nb, max(0, mk - c0))
-        G = np.zeros((nb, m, k))
-        H = np.zeros((nb, k, n))
-        c = np.arange(c0, c0 + ng)
-        G[np.arange(ng), c % m, c // m] = 1.0
-        c = np.arange(c0 + ng, c0 + nb) - mk
-        H[np.arange(ng, nb), c % k, c // k] = 1.0
-        out_G, out_H = _hessian_action(W, S, E, G, H)
-        A[:mk, c0:c0 + nb] = np.swapaxes(out_G, 1, 2).reshape(nb, mk).T
-        A[mk:, c0:c0 + nb] = np.swapaxes(out_H, 1, 2).reshape(nb, k * n).T
-    asym = float(np.linalg.norm(A - A.T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = W @ S - X.X
+        for c0 in range(0, N, b):
+            nb = min(b, N - c0)
+            # The unit tangents of columns c0 .. c0 + nb - 1: the first ng set
+            # an entry of G, the rest an entry of H, both in column-major order.
+            ng = min(nb, max(0, mk - c0))
+            G = np.zeros((nb, m, k))
+            H = np.zeros((nb, k, n))
+            c = np.arange(c0, c0 + ng)
+            G[np.arange(ng), c % m, c // m] = 1.0
+            c = np.arange(c0 + ng, c0 + nb) - mk
+            H[np.arange(ng, nb), c % k, c // k] = 1.0
+            out_G, out_H = _hessian_action(W, S, E, G, H)
+            A[:mk, c0:c0 + nb] = np.swapaxes(out_G, 1, 2).reshape(nb, mk).T
+            A[mk:, c0:c0 + nb] = np.swapaxes(out_H, 1, 2).reshape(nb, k * n).T
+        # Non-finite whenever A is: an inf or nan entry meets its transpose.
+        asym = float(np.linalg.norm(A - A.T))
+    if not np.isfinite(asym):
+        raise NumericalFailure(f"dense Hessian has non-finite entries (asymmetry {asym})")
     sym = A + A.T
     sym *= 0.5
     return DenseHessian(matrix=sym, asymmetry=asym)

@@ -302,3 +302,29 @@ def test_spectrum_parses_select_once(capsys, x46_csv, monkeypatch):
     code, _, _ = _run(capsys, "spectrum", "--x", x46_csv, "--k", "2", "--select", "1,3")
     assert code == 0
     assert seen == ["1,3"]
+
+
+@pytest.mark.parametrize("scale", ["1e300", "1e-200"])
+def test_orbit_point_that_overflows_is_exit_2(capsys, x46_csv, scale):
+    """A scale far out on the orbit overflows the dense Hessian of the moved
+    point: the oracle refuses it as a numerical failure, with one error line
+    and no NumPy warning, instead of a traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "orbit", "--x", x46_csv, "--k", "2",
+                              "--select", "1,3", "--scale", scale)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: dense Hessian has non-finite entries")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("select", [",", " , ", ""])
+@pytest.mark.parametrize("cmd", [["classify"], ["spectrum"], ["spectrum", "--balanced"],
+                                 ["orbit", "--scale", "2"]],
+                         ids=["classify", "spectrum", "spectrum-balanced", "orbit"])
+def test_select_that_lists_no_index_is_exit_2(capsys, x46_csv, cmd, select):
+    """A --select that lists no index is refused, not read as the empty
+    selection (the zero family or the origin)."""
+    code, out, err = _run(capsys, *cmd, "--x", x46_csv, "--k", "2", "--select", select)
+    assert (code, out) == (2, "")
+    assert err == f"error: selection {select!r} lists no index; expect e.g. 1,3\n"

@@ -128,6 +128,31 @@ def test_refused_limit_is_uncertified(monkeypatch, refusal):
         classify_limit(X21, traj)
 
 
+@pytest.mark.parametrize("refusal", [NumericalFailure, NotCritical, RankAmbiguous])
+def test_refused_start_tightens_and_steps_on(monkeypatch, refusal):
+    """A start that passes the gradient test but that the reduction refuses
+    is treated like a later limit: the flow tightens the test tenfold and
+    steps on.  From X21's exact balanced saddle, which the flow does not
+    leave, every accepted point passes the tightened test again, so the
+    reduction runs at the start and after each of three steps before the
+    flow stops Uncertified."""
+    p0 = build_balanced(X21, Selection((1,)), 1)
+    scale = max(1.0, float(np.linalg.norm(X21.X)))
+    grads = []
+
+    def refuse(X, p, tol):
+        grads.append(gradient_norm(X, p))
+        raise refusal("the reduction refused the point")
+
+    monkeypatch.setattr(flow, "reduce_to_canonical", refuse)
+    traj = integrate_flow(X21, p0, grad_tol=GRAD_TOL)
+    assert traj.status == "Uncertified"
+    assert (len(grads), traj.steps) == (4, 3)
+    assert grads[0] == traj.samples[0].grad_norm == gradient_norm(X21, p0)
+    assert all(g <= tol * scale for g, tol in zip(grads, (1e-9, 1e-10, 1e-11, 1e-12)))
+    assert traj.canonical is None
+
+
 def test_rank_ambiguous_refusal_tightens_and_then_certifies(monkeypatch):
     """An ambiguous rank is refused like any other point: the flow goes on at
     grad_tol / 10, and the limit it then certifies carries its reduction, so

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,16 +9,20 @@ from hypothesis import given, settings, strategies as st
 from mfland import (
     CanonicalPoint,
     FactorPair,
+    GroupElement,
     InvalidInput,
+    NumericalFailure,
     Selection,
     TangentPair,
     TooLarge,
+    apply_group_action,
     balanced_flow_exact,
     dense_hessian,
     fd_validate,
     flatten_tangent,
     hessian_apply,
     inertia_from_values,
+    inertia_of,
     load_data_matrix,
     numeric_spectrum,
     random_balanced_pair,
@@ -87,6 +92,21 @@ def test_size_guard():
     p = FactorPair(np.zeros((40, 63)), np.zeros((63, 40)))
     with pytest.raises(TooLarge):
         dense_hessian(X, p)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-200])
+def test_non_finite_dense_hessian_is_a_numerical_failure(scale):
+    """Far out on the orbit of a canonical point the Hessian overflows; the
+    oracle refuses the non-finite matrix without a NumPy warning, so neither
+    eigh nor an inertia count sees it."""
+    X = load_data_matrix(np.random.default_rng(0).standard_normal((3, 5)))
+    base = CanonicalPoint(X, Selection((0, 2)), 2).materialize()
+    far = apply_group_action(base, GroupElement.from_matrix(scale * np.eye(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (numeric_spectrum, inertia_of):
+            with pytest.raises(NumericalFailure, match="dense Hessian has non-finite entries"):
+                f(X, far)
 
 
 def test_size_guard_allocates_nothing():
