@@ -8,6 +8,7 @@ cutoff are stored as exact zeros.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -186,8 +187,18 @@ def check_seed(seed):
         raise InvalidInput(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+def check_zero_tol(tol):
+    """Raise InvalidInput unless the zero tolerance tol is a nonnegative
+    finite real."""
+    if not (isinstance(tol, Real) and np.isfinite(tol) and tol >= 0):
+        raise InvalidInput(
+            f"zero tolerance must be a nonnegative finite number, got {tol!r}")
+
+
 def inertia_from_values(evals, tol):
-    """(n_pos, n_neg, n_zero) with |value| <= tol counted as zero."""
+    """(n_pos, n_neg, n_zero) with |value| <= tol counted as zero; tol must
+    pass check_zero_tol."""
+    check_zero_tol(tol)
     evals = np.asarray(evals, dtype=float)
     n_zero = int(np.count_nonzero(np.abs(evals) <= tol))
     n_pos = int(np.count_nonzero(evals > tol))

@@ -3,9 +3,16 @@ differences, and the exact gradient flow from a balanced start.
 
 Nothing in here knows about closed-form spectra or the flow integrator.  It
 owns the tangent coordinates: ``flatten_tangent``, ``action_matrix`` and the
-dense Hessian (the Hessian action on stacked blocks of unit tangents) share
-them, so any closed-form claim elsewhere in the package can be validated
-against plain ``numpy.linalg.eigh`` on that matrix.
+dense Hessian share them, so any closed-form claim elsewhere in the package
+can be validated against plain ``numpy.linalg.eigh`` on that matrix.
+
+The dense Hessian is the Hessian action on stacked blocks of unit tangents:
+blocks of G-only tangents, then blocks of H-only tangents, each paired with
+one broadcast zero slice of the other factor.  Each block lands in contiguous
+rows of the transposed raw matrix A^T; one more N x N buffer then takes
+A - A^T, whose norm is the asymmetry, and is overwritten with (A + A^T) / 2.
+So assembly holds two N x N arrays at most, and the matrix is the same, bit
+for bit, as one built column by column with ``calculus.hessian_apply``.
 """
 
 from dataclasses import dataclass
@@ -84,32 +91,43 @@ def dense_hessian(X, p):
         raise TooLarge(f"dense Hessian would be {N} x {N} (limit {MAX_DENSE_DIM})")
     W, S = p.W, p.S
     mk = m * k
-    # Each column of a block holds one unit entry, so every entry of every
-    # term of the action is a single product: the matrix is the same, bit
-    # for bit, as one built column by column.
+    # Column c of the raw matrix A is the action on the c-th unit tangent,
+    # written in flatten_tangent's order to the contiguous row c of At = A^T.
+    # A block holds G-columns (c < mk) or H-columns only, and the other factor
+    # is one zero slice that the action broadcasts.  Each tangent holds one
+    # unit entry, so every entry of every term of the action is a single
+    # product: the matrix is the same, bit for bit, as one built column by
+    # column.
     b = max(1, _BLOCK_BYTES // (8 * max(m, k) * max(n, k)))
-    A = np.empty((N, N))
+    At = np.empty((N, N))
     with np.errstate(over="ignore", invalid="ignore"):
         E = W @ S - X.X
-        for c0 in range(0, N, b):
-            nb = min(b, N - c0)
-            # The unit tangents of columns c0 .. c0 + nb - 1: the first ng set
-            # an entry of G, the rest an entry of H, both in column-major order.
-            ng = min(nb, max(0, mk - c0))
-            G = np.zeros((nb, m, k))
-            H = np.zeros((nb, k, n))
-            c = np.arange(c0, c0 + ng)
-            G[np.arange(ng), c % m, c // m] = 1.0
-            c = np.arange(c0 + ng, c0 + nb) - mk
-            H[np.arange(ng, nb), c % k, c // k] = 1.0
-            out_G, out_H = _hessian_action(W, S, E, G, H)
-            A[:mk, c0:c0 + nb] = np.swapaxes(out_G, 1, 2).reshape(nb, mk).T
-            A[mk:, c0:c0 + nb] = np.swapaxes(out_H, 1, 2).reshape(nb, k * n).T
-        # Non-finite whenever A is: an inf or nan entry meets its transpose.
-        asym = float(np.linalg.norm(A - A.T))
+        zero_G, zero_H = np.zeros((1, m, k)), np.zeros((1, k, n))
+        for c0 in [*range(0, mk, b), *range(mk, N, b)]:
+            c1 = min(c0 + b, mk if c0 < mk else N)
+            rows = At[c0:c1]
+            i = np.arange(c1 - c0)
+            if c0 < mk:
+                G = np.zeros((c1 - c0, m, k))
+                c = np.arange(c0, c1)
+                G[i, c % m, c // m] = 1.0
+                out_G, out_H = _hessian_action(W, S, E, G, zero_H)
+            else:
+                H = np.zeros((c1 - c0, k, n))
+                c = np.arange(c0, c1) - mk
+                H[i, c % k, c // k] = 1.0
+                out_G, out_H = _hessian_action(W, S, E, zero_G, H)
+            rows[:, :mk].reshape(-1, k, m)[...] = np.swapaxes(out_G, 1, 2)
+            rows[:, mk:].reshape(-1, n, k)[...] = np.swapaxes(out_H, 1, 2)
+        # One N x N buffer holds A - A^T, then the symmetrized matrix.  The
+        # asymmetry is np.linalg.norm's sqrt(dot) over A - A^T in C order; it
+        # is non-finite whenever A is: an inf or nan entry meets its transpose.
+        sym = np.subtract(At.T, At, out=np.empty((N, N)))
+        flat = sym.reshape(-1)
+        asym = float(np.sqrt(np.dot(flat, flat)))
     if not np.isfinite(asym):
         raise NumericalFailure(f"dense Hessian has non-finite entries (asymmetry {asym})")
-    sym = A + A.T
+    np.add(At.T, At, out=sym)
     sym *= 0.5
     return DenseHessian(matrix=sym, asymmetry=asym)
 

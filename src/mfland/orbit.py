@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, InvalidSelection, SingularGroupElement
-from .model import FactorPair, TangentPair, _as_matrix, _freeze, inertia_from_values
+from .model import (FactorPair, TangentPair, _as_matrix, _freeze, check_zero_tol,
+                    inertia_from_values)
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,15 @@ def balance_residual(p):
 
 
 def inertia_of(X, p, zero_tol=None):
-    """Numerical inertia (n_pos, n_neg, n_zero) of the dense Hessian at p."""
+    """Numerical inertia (n_pos, n_neg, n_zero) of the dense Hessian at p.
+
+    A zero_tol of None counts |value| <= 1e-8 * max(sigma_1, |largest value|)
+    as zero; any other must pass check_zero_tol, which is checked before the
+    dense Hessian is built."""
     from .oracle import dense_hessian
 
+    if zero_tol is not None:
+        check_zero_tol(zero_tol)
     evals = np.linalg.eigvalsh(dense_hessian(X, p).matrix)
     if zero_tol is None:
         zero_tol = 1e-8 * max(float(X.sigma[0]), float(np.max(np.abs(evals))))

@@ -50,7 +50,7 @@ from .canonical import (
     check_scale,
     zero_family_point,
 )
-from .errors import InvalidInput, InvalidSelection
+from .errors import InvalidInput, InvalidSelection, NumericalFailure
 from .model import TangentPair, inertia_from_values
 
 # |value| <= INERTIA_REL * max(sigma_1, |largest value|) counts as zero.
@@ -239,10 +239,18 @@ def _pair_vectors(p11, p12, p22, rho):
     return c0 / nrm, c1 / nrm
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _canonical_eigpairs(cp, d=1.0):
     """All k (m + n) closed-form eigenpairs at the diagonal representative of
     cp whose selected columns carry the scales d (a scalar or q values),
-    unsorted: each loop nest of blocks in turn, row by row."""
+    unsorted: each loop nest of blocks in turn, row by row.
+
+    Far out on an orbit (d = 1e300 or 1e-200 at sigma_1 = 1) the block
+    entries overflow or divide by an underflowed d^2; instead of NumPy
+    warnings and NaN values this raises NumericalFailure when a value or an
+    eigenvector coefficient is not finite, an O(N) check on the finished
+    arrays.
+    """
     X, q, k = cp.X, cp.q, cp.k
     m, n, r = X.m, X.n, X.r
     d = np.broadcast_to(np.asarray(d, dtype=float), (q,))
@@ -357,6 +365,10 @@ def _canonical_eigpairs(cp, d=1.0):
     bm = blk[mix]
     cl[mix], cr[mix] = _pair_vectors(p11[bm], p12[bm], p22[bm], value[mix])
     coupling[mix] = cr[mix] / cl[mix]
+    if not (np.isfinite(value).all() and np.isfinite(cl).all() and np.isfinite(cr).all()):
+        scales = ", ".join(format(x, "g") for x in np.unique(d)) or "1"
+        raise NumericalFailure(
+            f"the closed-form spectrum at scale {scales} is not finite in float64")
 
     cols = dict(value=value, cl=cl, cr=cr, coupling=coupling, branch=branch, block=blk)
     return _EigPairs(cols, b, (X.U, X.V, zeta, coef, np.zeros(m), np.zeros(n)))

@@ -318,6 +318,20 @@ def test_orbit_point_that_overflows_is_exit_2(capsys, x46_csv, scale):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("scale", ["1e300", "1e-200"])
+def test_spectrum_scale_that_overflows_is_exit_2(capsys, x46_csv, scale):
+    """The closed-form spectrum far out on the orbit is refused as a numerical
+    failure with one error line naming the scale, not NumPy warnings and a
+    NaN that the renderer refuses."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "spectrum", "--x", x46_csv, "--k", "2",
+                              "--select", "1,3", "--scale", scale)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the closed-form spectrum at scale {float(scale):g} "
+                   "is not finite in float64\n")
+
+
 @pytest.mark.parametrize("select", [",", " , ", ""])
 @pytest.mark.parametrize("cmd", [["classify"], ["spectrum"], ["spectrum", "--balanced"],
                                  ["orbit", "--scale", "2"]],

@@ -216,6 +216,70 @@ def test_stacked_assembly_equals_the_per_column_loop(kind, exponent, b, seed):
                 assert h.asymmetry == asymmetry
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(-6, 6), st.integers(0, 2**16))
+def test_lapack_sees_the_per_column_matrix(kind, exponent, seed):
+    """numeric_spectrum and inertia_of hand eigh and eigvalsh the matrix of
+    the per-column loop, bytes and layout included, and return exactly what
+    LAPACK returns on it, at critical and at random points of every kind and
+    scale."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    X = load_data_matrix(scale * _matrix(kind, rng))
+    k = int(rng.integers(1, X.m + 1))
+    q = int(rng.integers(0, min(k, X.r) + 1))
+    sel = Selection(tuple(sorted(rng.choice(X.r, size=q, replace=False).tolist())))
+    critical = CanonicalPoint(X, sel, k).materialize()
+    generic = FactorPair(np.sqrt(scale) * rng.standard_normal((X.m, k)),
+                         np.sqrt(scale) * rng.standard_normal((k, X.n)))
+    seen = []
+
+    def spy(fn):
+        def call(a):
+            seen.append((a.copy(order="K"), a.flags.c_contiguous))
+            return fn(a)
+        return call
+
+    for p in (critical, generic):
+        matrix, _ = _per_column_reference(X, p)
+        seen.clear()
+        with mock.patch.object(np.linalg, "eigh", spy(np.linalg.eigh)), \
+                mock.patch.object(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh)):
+            evals, evecs = numeric_spectrum(X, p)
+            inertia = inertia_of(X, p)
+        assert len(seen) == 2
+        for a, c_order in seen:
+            assert c_order and a.tobytes() == matrix.tobytes()
+        ref_vals, ref_vecs = np.linalg.eigh(matrix)
+        assert evals.tobytes() == ref_vals.tobytes()
+        assert evecs.tobytes() == ref_vecs.tobytes()
+        ref = np.linalg.eigvalsh(matrix)
+        tol = 1e-8 * max(float(X.sigma[0]), float(np.max(np.abs(ref))))
+        assert inertia == inertia_from_values(ref, tol)
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, "1e-8"], ids=repr)
+def test_a_bad_zero_tolerance_is_refused_before_assembly(tol, monkeypatch):
+    """A negative, NaN, infinite or non-numeric tolerance once gave counts
+    that do not sum to N, (0, 0, 0) or a raw NumPy error; both inertia
+    counters now refuse it, inertia_of before it builds the dense Hessian.
+    zero_tol=None keeps inertia_of's default."""
+    X = load_data_matrix(np.random.default_rng(0).standard_normal((3, 5)))
+    p = CanonicalPoint(X, Selection((0, 2)), 2).materialize()
+    built = []
+    assemble = oracle.dense_hessian
+    monkeypatch.setattr(oracle, "dense_hessian", lambda *a: built.append(a) or assemble(*a))
+    match = "zero tolerance must be a nonnegative finite number"
+    with pytest.raises(InvalidInput, match=match):
+        inertia_from_values(np.array([-1.0, 0.0, 1.0]), tol)
+    with pytest.raises(InvalidInput, match=match):
+        inertia_of(X, p, zero_tol=tol)
+    assert built == []
+    for ok in (None, 0, 0.0, np.float64(1e-8)):
+        assert sum(inertia_of(X, p, zero_tol=ok)) == 16
+    assert len(built) == 4
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(KINDS), st.integers(1, 5), st.integers(0, 2**16))
 def test_hessian_action_on_a_stack_is_per_slice_hessian_apply(kind, b, seed):

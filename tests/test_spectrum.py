@@ -7,6 +7,7 @@ rounding noise.
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from mfland import (
     CanonicalPoint,
     NotASaddle,
+    NumericalFailure,
     Selection,
     build_canonical,
     classify_canonical,
@@ -533,6 +535,20 @@ def test_balanced_lambda_min_worked_cases():
     assert lambda_min_balanced(X21, Selection((1,)), 1) == pytest.approx(-1.0, abs=1e-12)
     assert lambda_min_balanced(X321, Selection((0,)), 2) == pytest.approx(-2.0, abs=1e-12)
     assert lambda_min_balanced(X321, Selection((1,)), 2) == pytest.approx(-3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-200])
+def test_spectrum_far_out_on_the_orbit_is_a_numerical_failure(scale):
+    """At a = 1e300 the block entries overflow and at 1e-200 they divide by
+    an underflowed a^2; either way the closed form refuses the spectrum as a
+    NumericalFailure that names the scale, without a NumPy warning."""
+    X = load_data_matrix(np.random.default_rng(0).standard_normal((3, 5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure) as info:
+            spectrum_full_rank_scaled(X, Selection((0, 2)), a=scale)
+    assert str(info.value) == (f"the closed-form spectrum at scale {scale:g} "
+                               "is not finite in float64")
 
 
 def test_scaling_kills_lambda_min():
