@@ -77,8 +77,8 @@ from .orbit import (
     inertia_of,
     intersect_M0,
     push_gradient,
-    push_tangent,
     transported_lambda_min_bound,
+    transported_zero_tol,
 )
 from .spectrum import (
     EigPair,

@@ -69,15 +69,16 @@ class Selection:
         return len(self.indices)
 
 
-def _validate_selection(X, sel, k):
+def _check_k(X, k):
+    """InvalidSelection unless k is an integer in [1, min(m, n)]."""
     if not isinstance(k, (int, np.integer)):
         raise InvalidSelection(f"k must be an integer, got {k!r}")
     if k < 1 or k > min(X.m, X.n):
         raise InvalidSelection(f"k = {k} outside [1, min(m, n) = {min(X.m, X.n)}]")
-    if sel.q > min(k, X.m):
-        raise InvalidSelection(
-            f"selection has q = {sel.q} > min(k, m) = {min(k, X.m)}"
-        )
+
+
+def _check_indices(X, sel):
+    """InvalidSelection unless every index of sel is below m."""
     if sel.indices and sel.indices[-1] >= X.m:
         raise InvalidSelection(
             f"selection index {sel.indices[-1]} out of range for m = {X.m}"
@@ -87,9 +88,8 @@ def _validate_selection(X, sel, k):
 def selected_values(X, sel):
     """The lambda vector: selected singular values, nonincreasing.
 
-    Raises InvalidSelection for an index >= m (k = m, as m <= n, leaves only
-    the index check of _validate_selection to fail)."""
-    _validate_selection(X, sel, X.m)
+    Raises InvalidSelection for an index >= m."""
+    _check_indices(X, sel)
     return X.sigma[list(sel.indices)] if sel.q else np.zeros(0)
 
 
@@ -115,7 +115,10 @@ class CanonicalPoint:
 
     def __post_init__(self):
         X, sel, k = self.X, self.selection, self.k
-        _validate_selection(X, sel, k)
+        _check_k(X, k)
+        if sel.q > min(k, X.m):
+            raise InvalidSelection(f"selection has q = {sel.q} > min(k, m) = {min(k, X.m)}")
+        _check_indices(X, sel)
         want = (X.n - X.r, k - sel.q)
         C0 = np.zeros(want) if self.C0 is None else np.asarray(self.C0, dtype=float)
         if C0.shape != want:
@@ -159,10 +162,14 @@ class CanonicalPoint:
             raise InvalidSelection("balanced points require C0 = 0")
         return np.sqrt(lam)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def objective_value(self):
-        """J at the point: half the unexplained spectral energy."""
+        """J at the point: half the unexplained spectral energy.
+        NumericalFailure when it is not finite in float64."""
         lam = self.lambdas
-        return 0.5 * float(np.sum(self.X.sigma**2) - np.sum(lam**2))
+        J = 0.5 * float(np.sum(self.X.sigma**2) - np.sum(lam**2))
+        _check_finite("J", None, J)
+        return J
 
 
 def build_canonical(X, sel, k, C0=None):
@@ -227,6 +234,16 @@ def _split_pair(p11, p12, p22):
     return rho_hi, rho_lo
 
 
+def _check_finite(what, d, *arrays):
+    """Raise NumericalFailure, naming the closed-form quantity what and the
+    orbit scales d (None: no scale), unless every entry of arrays is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        at = "" if d is None else " at scale " + (
+            ", ".join(format(x, "g") for x in np.unique(d)) or "1")
+        raise NumericalFailure(f"the closed-form {what}{at} is not finite in float64")
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _lambda_min(cp, d=1.0):
     """Smallest Hessian eigenvalue at the diagonal representative of cp whose
     selected columns carry the scales d, as in ``spectrum._canonical_eigpairs``.
@@ -235,7 +252,8 @@ def _lambda_min(cp, d=1.0):
     minimum exactly when s = 0, or when q = k and the selection is maximal;
     NotASaddle is raised there.  Otherwise the minimum is the lowest of the
     lower branches at s: sigma_lambda_pair for every selected j and, when
-    q < k, sigma_omega_pair at the smallest kernel weight w.
+    q < k, sigma_omega_pair at the smallest kernel weight w.  Far out on an
+    orbit the result can leave float64; NumericalFailure is raised then.
     """
     X, sel, q, k = cp.X, cp.selection, cp.q, cp.k
     chosen = set(sel.indices)
@@ -248,9 +266,11 @@ def _lambda_min(cp, d=1.0):
     lows = _split_pair(np.float_power(cp.lambdas, 2.0) / d2, -sigma_dag, d2)[1]
     if q < k:
         gs = np.linalg.svd(cp.C0, compute_uv=False)
-        w_min = float(gs[-1]) ** 2 if gs.size == k - q else 0.0
+        w_min = float(gs[-1] ** 2) if gs.size == k - q else 0.0
         lows = np.append(lows, _split_pair(w_min, -sigma_dag, 0.0)[1])
-    return float(np.min(lows))
+    lam_min = float(np.min(lows))
+    _check_finite("lambda_min", d, lam_min)
+    return lam_min
 
 
 @dataclass(frozen=True)
@@ -385,7 +405,7 @@ def _check_reduction(p, cp, g):
     """(cp, g), or NumericalFailure unless L_A maps cp back onto p."""
     pc = apply_group_action(cp.materialize(), g)
     bound = 1e-8 * max(1.0, p.norm())
-    err = np.sqrt(np.linalg.norm(pc.W - p.W) ** 2 + np.linalg.norm(pc.S - p.S) ** 2)
+    err = pc.distance(p)
     if err > bound:
         raise NumericalFailure(
             f"orbit reconstruction residual {err:.3e} exceeds {bound:.3e}"

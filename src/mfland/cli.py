@@ -9,6 +9,7 @@ success, 1 when `verify` finds a failing check, 2 on invalid input.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 
@@ -17,7 +18,7 @@ import numpy as np
 from .canonical import CanonicalPoint, Selection, check_scale, classify_canonical
 from .errors import InvalidInput, MflandError
 from .flow import classify_limit, integrate_flow, random_balanced_pair, random_pair
-from .model import load_data_matrix, read_matrix_csv, write_matrix_csv
+from .model import _open_text, load_data_matrix, read_matrix_csv, write_matrix_csv
 from .oracle import numeric_spectrum
 from .orbit import (
     GroupElement,
@@ -25,6 +26,7 @@ from .orbit import (
     induced_norm,
     inertia_of,
     transported_lambda_min_bound,
+    transported_zero_tol,
 )
 from .spectrum import (
     spectrum_balanced,
@@ -39,8 +41,8 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------- output ----
 
 def _fmt_float(x):
-    if x != x:
-        raise InvalidInput("refusing to serialize NaN")
+    if not math.isfinite(x):
+        raise InvalidInput(f"refusing to serialize {'NaN' if x != x else float(x)}")
     return format(float(x), ".17g")
 
 
@@ -73,7 +75,7 @@ def _emit(text, path):
     if path is None or path == "-":
         sys.stdout.write(text + "\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _open_text(path, "w") as fh:
             fh.write(text + "\n")
 
 
@@ -209,9 +211,7 @@ def _cmd_orbit(args):
         "transported_bound": transported_lambda_min_bound(lam_base, g),
         "lambda_min_transported": float(evs[0]),
         "inertia_base": list(inertia_of(X, base)),
-        "inertia_transported": list(
-            inertia_of(X, moved, zero_tol=1e-8 * g.cond() ** 2)
-        ),
+        "inertia_transported": list(inertia_of(X, moved, zero_tol=transported_zero_tol(g))),
     }
 
 
@@ -325,10 +325,10 @@ def main(argv=None):
         if isinstance(report, dict):
             report = _render({"schema_version": SCHEMA_VERSION,
                               "command": args.command, **report})
+        _emit(report, args.output)
     except MflandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.output)
     return code
 
 

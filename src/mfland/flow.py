@@ -42,8 +42,7 @@ import numpy as np
 
 from .canonical import (
     CanonicalPoint,
-    Selection,
-    _validate_selection,
+    _check_k,
     classify_canonical,
     reduce_to_canonical,
 )
@@ -240,7 +239,7 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
     and StiffnessFailure if the accepted step size underflows H_MIN.
     """
     check_pair(X, p0)
-    _validate_selection(X, Selection(()), p0.k)
+    _check_k(X, p0.k)
     if not (isinstance(t_max, Real) and math.isfinite(t_max) and t_max > 0):
         raise InvalidInput(f"t_max must be positive and finite, got {t_max!r}")
     if not (isinstance(grad_tol, Real) and grad_tol >= 0):
@@ -350,7 +349,7 @@ def classify_limit(X, traj):
 
 def _start_rng(X, k, seed):
     """The generator of a start with k columns, after checking k and seed."""
-    _validate_selection(X, Selection(()), k)
+    _check_k(X, k)
     check_seed(seed)
     return np.random.default_rng(seed)
 

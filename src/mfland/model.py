@@ -126,50 +126,55 @@ def load_data_matrix(X, rank_tol=DEFAULT_RANK_TOL):
     )
 
 
+class _Pair:
+    """Base of the frozen dataclasses FactorPair and TangentPair: two finite
+    real matrices, a x k then k x b, held in the subclass's two fields."""
+
+    def __post_init__(self):
+        n1, n2 = self.__dataclass_fields__
+        a, b = _as_matrix(getattr(self, n1), n1), _as_matrix(getattr(self, n2), n2)
+        if a.shape[1] != b.shape[0]:
+            raise DimensionError(
+                f"inner dimensions disagree: {n1} is {a.shape}, {n2} is {b.shape}")
+        object.__setattr__(self, n1, _freeze(a))
+        object.__setattr__(self, n2, _freeze(b))
+
+    @property
+    def _factors(self):
+        n1, n2 = self.__dataclass_fields__
+        return getattr(self, n1), getattr(self, n2)
+
+    @property
+    def k(self):
+        return self._factors[0].shape[1]
+
+    def norm(self):
+        a, b = self._factors
+        return float(np.sqrt(np.sum(a**2) + np.sum(b**2)))
+
+    def distance(self, other):
+        """sqrt(||a1 - b1||^2 + ||a2 - b2||^2) to a pair of this type and shapes."""
+        (a1, a2), (b1, b2) = self._factors, other._factors
+        if type(other) is not type(self) or (a1.shape, a2.shape) != (b1.shape, b2.shape):
+            raise DimensionError(f"distance from a {type(self).__name__} {a1.shape} x "
+                                 f"{a2.shape} to a {type(other).__name__} {b1.shape} x {b2.shape}")
+        return float(np.sqrt(np.linalg.norm(a1 - b1) ** 2 + np.linalg.norm(a2 - b2) ** 2))
+
+
 @dataclass(frozen=True)
-class FactorPair:
+class FactorPair(_Pair):
     """A point (W, S) of the search space, W: m x k and S: k x n."""
 
     W: np.ndarray
     S: np.ndarray
 
-    def __post_init__(self):
-        W = _as_matrix(self.W, "W")
-        S = _as_matrix(self.S, "S")
-        if W.shape[1] != S.shape[0]:
-            raise DimensionError(
-                f"inner dimensions disagree: W is {W.shape}, S is {S.shape}"
-            )
-        object.__setattr__(self, "W", _freeze(W))
-        object.__setattr__(self, "S", _freeze(S))
-
-    @property
-    def k(self):
-        return self.W.shape[1]
-
-    def norm(self):
-        return float(np.sqrt(np.sum(self.W**2) + np.sum(self.S**2)))
-
 
 @dataclass(frozen=True)
-class TangentPair:
+class TangentPair(_Pair):
     """A tangent direction (G, H) matching the shapes of some FactorPair."""
 
     G: np.ndarray
     H: np.ndarray
-
-    def __post_init__(self):
-        G = _as_matrix(self.G, "G")
-        H = _as_matrix(self.H, "H")
-        if G.shape[1] != H.shape[0]:
-            raise DimensionError(
-                f"inner dimensions disagree: G is {G.shape}, H is {H.shape}"
-            )
-        object.__setattr__(self, "G", _freeze(G))
-        object.__setattr__(self, "H", _freeze(H))
-
-    def norm(self):
-        return float(np.sqrt(np.sum(self.G**2) + np.sum(self.H**2)))
 
 
 def check_pair(X, p):
@@ -222,17 +227,24 @@ def inner(t1, t2):
     return float(np.sum(t1.G * t2.G) + np.sum(t1.H * t2.H))
 
 
+def _open_text(path, mode):
+    """The UTF-8 text file at path opened for reading ("r") or writing
+    ("w"); InvalidInput "cannot read PATH" or "cannot write PATH" when the
+    system refuses."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        verb = "read" if mode == "r" else "write"
+        raise InvalidInput(f"cannot {verb} {path}: {exc}") from exc
+
+
 def read_matrix_csv(path):
     """Read a dense matrix from CSV: one row per line, no header.
 
     Ragged rows, non-numeric fields, and unreadable paths raise InvalidInput.
     """
     rows = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InvalidInput(f"cannot read {path}: {exc}") from exc
-    with fh:
+    with _open_text(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -253,8 +265,10 @@ def read_matrix_csv(path):
 
 
 def write_matrix_csv(path, arr):
+    """Write arr as CSV at 17 significant digits; an unwritable path raises
+    InvalidInput."""
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_text(path, "w") as fh:
         for row in arr:
             fh.write(",".join(format(x, ".17g") for x in row))
             fh.write("\n")

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, InvalidSelection, SingularGroupElement
-from .model import (FactorPair, TangentPair, _as_matrix, _freeze, check_zero_tol,
-                    inertia_from_values)
+from .model import _as_matrix, _freeze, check_zero_tol, inertia_from_values
 
 
 @dataclass(frozen=True)
@@ -69,20 +68,17 @@ class GroupElement:
 
 
 def apply_group_action(p, g):
-    """L_A(W, S) = (W A, A^{-1} S)."""
+    """L_A(W, S) = (W A, A^{-1} S), a pair of the type of p: on a tangent
+    pair (G, H) it is the differential of the action, the same formula."""
     if p.k != g.k:
         raise InvalidInput(f"group element is {g.k} x {g.k} but the pair has k = {p.k}")
-    return FactorPair(W=p.W @ g.A, S=g.A_inv @ p.S)
-
-
-def push_tangent(d, g):
-    """The differential of L_A (same linear formula as the action itself)."""
-    return TangentPair(G=d.G @ g.A, H=g.A_inv @ d.H)
+    first, second = p._factors
+    return type(p)(first @ g.A, g.A_inv @ second)
 
 
 def push_gradient(d, g):
     """Gradient transport: grad J(L_A p) = (G A^{-T}, A^T H) for (G, H) = grad J(p)."""
-    return TangentPair(G=d.G @ g.A_inv.T, H=g.A.T @ d.H)
+    return apply_group_action(d, GroupElement(A=g.A_inv.T, A_inv=g.A.T))
 
 
 def induced_norm(g):
@@ -95,6 +91,11 @@ def transported_lambda_min_bound(lambda_min_at_p, g):
     """Upper bound lambda_min(p) / ||L_A||^2 for the transported saddle."""
     nrm = induced_norm(g)
     return float(lambda_min_at_p) / (nrm * nrm)
+
+
+def transported_zero_tol(g):
+    """1e-8 * cond(A)^2, the zero tolerance of ``inertia_of`` at a point L_A(p)."""
+    return 1e-8 * g.cond() ** 2
 
 
 def balance_residual(p):

@@ -44,13 +44,14 @@ from .canonical import (
     CanonicalPoint,
     Selection,
     _balanced_point,
+    _check_finite,
     _lambda_min,
     _split_pair,
     build_canonical,
     check_scale,
     zero_family_point,
 )
-from .errors import InvalidInput, InvalidSelection, NumericalFailure
+from .errors import InvalidInput, InvalidSelection
 from .model import TangentPair, inertia_from_values
 
 # |value| <= INERTIA_REL * max(sigma_1, |largest value|) counts as zero.
@@ -365,10 +366,7 @@ def _canonical_eigpairs(cp, d=1.0):
     bm = blk[mix]
     cl[mix], cr[mix] = _pair_vectors(p11[bm], p12[bm], p22[bm], value[mix])
     coupling[mix] = cr[mix] / cl[mix]
-    if not (np.isfinite(value).all() and np.isfinite(cl).all() and np.isfinite(cr).all()):
-        scales = ", ".join(format(x, "g") for x in np.unique(d)) or "1"
-        raise NumericalFailure(
-            f"the closed-form spectrum at scale {scales} is not finite in float64")
+    _check_finite("spectrum", d, value, cl, cr)
 
     cols = dict(value=value, cl=cl, cr=cr, coupling=coupling, branch=branch, block=blk)
     return _EigPairs(cols, b, (X.U, X.V, zeta, coef, np.zeros(m), np.zeros(n)))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mfland import (
     InvalidInput,
     InvalidSelection,
     NotCritical,
+    NumericalFailure,
     Selection,
     apply_group_action,
     balance_residual,
@@ -139,6 +141,52 @@ def test_selection_index_beyond_m_is_invalid_selection():
             read(X, Selection((5,)))
         with pytest.raises(InvalidSelection):
             read(X, Selection((0, 2)))
+
+
+X23 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CanonicalPoint(X23, Selection((5,)), 2.0), "k must be an integer, got 2.0"),
+    (lambda: CanonicalPoint(X23, Selection((5,)), 3), "k = 3 outside [1, min(m, n) = 2]"),
+    (lambda: CanonicalPoint(X23, Selection((0, 1, 5)), 2),
+     "selection has q = 3 > min(k, m) = 2"),
+    (lambda: CanonicalPoint(X23, Selection((0, 5)), 2),
+     "selection index 5 out of range for m = 2"),
+    (lambda: random_pair(X23, 0, 0), "k = 0 outside [1, min(m, n) = 2]"),
+    (lambda: random_balanced_pair(X23, 3, 0), "k = 3 outside [1, min(m, n) = 2]"),
+    (lambda: selected_values(X23, Selection((0, 1, 2))),
+     "selection index 2 out of range for m = 2"),
+], ids=["k-type", "k-range", "q", "index", "random_pair", "random_balanced_pair",
+        "selected_values"])
+def test_selection_rules_fire_in_order(make, message):
+    """A canonical point checks k, then q against k, then the indices; the
+    starts check k alone and selected_values the indices alone."""
+    with pytest.raises(InvalidSelection) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_objective_value_that_overflows_is_a_numerical_failure():
+    """sigma^2 overflows at 1e200 X: J is refused, without a NumPy warning,
+    instead of coming out as inf or NaN."""
+    X = load_data_matrix(1e200 * np.random.default_rng(0).standard_normal((4, 6)))
+    for sel in (Selection(()), Selection((0, 1))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure) as info:
+                CanonicalPoint(X, sel, 2).objective_value()
+        assert str(info.value) == "the closed-form J is not finite in float64"
+
+
+@pytest.mark.parametrize("sel", [Selection(()), Selection((0, 2))])
+def test_classify_that_overflows_is_a_numerical_failure(sel):
+    X = load_data_matrix(1e200 * np.random.default_rng(0).standard_normal((4, 6)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure) as info:
+            classify_canonical(CanonicalPoint(X, sel, 2))
+    assert str(info.value) == "the closed-form lambda_min at scale 1 is not finite in float64"
 
 
 def test_classify_kinds():

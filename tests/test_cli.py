@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mfland import Selection, load_data_matrix, spectrum_full_rank_scaled
+from mfland import InvalidInput, Selection, load_data_matrix, spectrum_full_rank_scaled
+from mfland import cli
 from mfland.cli import main
 
 
@@ -330,6 +331,45 @@ def test_spectrum_scale_that_overflows_is_exit_2(capsys, x46_csv, scale):
     assert (code, out) == (2, "")
     assert err == (f"error: the closed-form spectrum at scale {float(scale):g} "
                    "is not finite in float64\n")
+
+
+@pytest.fixture()
+def x46_huge_csv(tmp_path):
+    path = tmp_path / "x46-huge.csv"
+    np.savetxt(path, 1e200 * np.random.default_rng(0).standard_normal((4, 6)), delimiter=",")
+    return str(path)
+
+
+@pytest.mark.parametrize("select, quantity", [(["--select", "1,3"], "lambda_min at scale 1"),
+                                              (["--select", "1,2"], "J"),
+                                              ([], "lambda_min at scale 1")])
+def test_classify_that_overflows_is_exit_2(capsys, x46_huge_csv, select, quantity):
+    """At 1e200 X the closed-form scalars overflow: one error line naming the
+    quantity, not NumPy warnings and a NaN or an inf in the report."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "classify", "--x", x46_huge_csv, "--k", "2", *select)
+    assert (code, out) == (2, "")
+    assert err == f"error: the closed-form {quantity} is not finite in float64\n"
+
+
+@pytest.mark.parametrize("value, name", [(float("nan"), "NaN"), (float("inf"), "inf"),
+                                         (-np.inf, "-inf"), (np.float64("nan"), "NaN")])
+def test_renderer_refuses_non_finite_floats_by_name(value, name):
+    with pytest.raises(InvalidInput, match=f"^refusing to serialize {name}$"):
+        cli._render({"x": [1.0, value]})
+
+
+@pytest.mark.parametrize("cmd", [
+    ["spectrum", "--k", "2", "--select", "1,3", "--output"],
+    ["flow", "--k", "2", "--trajectory"],
+], ids=["output", "trajectory"])
+def test_unwritable_output_path_is_exit_2(capsys, tmp_path, x46_csv, cmd):
+    path = str(tmp_path / "missing" / "out.txt")
+    code, out, err = _run(capsys, *cmd[:1], "--x", x46_csv, *cmd[1:], path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("select", [",", " , ", ""])

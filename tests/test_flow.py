@@ -30,6 +30,7 @@ from mfland import (
     balanced_flow_exact,
 )
 from mfland import flow, oracle
+from matrix_kinds import KINDS as MATRIX_KINDS, matrix_of_kind
 
 X21 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
 
@@ -614,21 +615,7 @@ def _dp5_flow(X, p0, t_max, gtol):
     return status, samples, y, accepted, chosen, rejected, evals
 
 
-def _matrix(kind, rng):
-    if kind == "tied":
-        U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        V, _ = np.linalg.qr(rng.standard_normal((5, 4)))
-        return (U * [2.0, 2.0, 1.0, 1.0]) @ V.T
-    if kind == "rank-deficient":
-        return rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
-    if kind == "tall":
-        return rng.standard_normal((6, 3))
-    if kind == "square":
-        return rng.standard_normal((4, 4))
-    return rng.standard_normal((4, 6))
-
-
-KINDS = st.sampled_from(["tied", "rank-deficient", "tall", "square", "generic"])
+KINDS = st.sampled_from(MATRIX_KINDS)
 INITS = st.sampled_from([random_pair, random_balanced_pair])
 
 
@@ -640,7 +627,7 @@ def _family(kind, exponent, tau, seed):
     """X of the given kind scaled by 10^exponent, and the horizon
     tau / sigma_1, capped at 50 so that each flow takes a few hundred steps
     whatever the scale."""
-    X = load_data_matrix(10.0**exponent * _matrix(kind, np.random.default_rng(seed)))
+    X = load_data_matrix(10.0**exponent * matrix_of_kind(kind, np.random.default_rng(seed)))
     return X, min(50.0, tau / float(X.sigma[0]))
 
 

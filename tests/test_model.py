@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -166,3 +167,57 @@ def test_seed_is_a_nonnegative_integer(entry, seed):
 def test_non_numeric_matrix_is_refused_by_name(make, error, name):
     with pytest.raises(error, match=f"^{name} "):
         make()
+
+
+@pytest.mark.parametrize("pair, first, second", [(FactorPair, "W", "S"),
+                                                 (TangentPair, "G", "H")])
+def test_pair_error_texts(pair, first, second):
+    """Both pair types name the failing factor, the first one first."""
+    cases = [
+        (("a", {"a": 1}), InvalidInput, f"{first} is not a numeric array: "),
+        ((np.ones((2, 1)), {"a": 1}), InvalidInput, f"{second} is not a numeric array: "),
+        ((np.ones(2), np.ones((1, 3))), InvalidInput,
+         f"{first} must be a nonempty 2-D array, got shape (2,)"),
+        ((np.ones((2, 1)), np.zeros((1, 0))), InvalidInput,
+         f"{second} must be a nonempty 2-D array, got shape (1, 0)"),
+        ((np.array([[np.inf], [0.0]]), np.ones((1, 3))), InvalidInput,
+         f"{first} contains non-finite entries"),
+        ((np.ones((2, 1)), [[None, 1.0, 2.0]]), InvalidInput,
+         f"{second} contains non-finite entries"),
+        ((np.zeros((2, 2)), np.zeros((3, 4))), DimensionError,
+         f"inner dimensions disagree: {first} is (2, 2), {second} is (3, 4)"),
+    ]
+    for args, error, text in cases:
+        with pytest.raises(error) as info:
+            pair(*args)
+        assert str(info.value).startswith(text)
+        assert text.endswith(": ") or str(info.value) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([FactorPair, TangentPair]), st.integers(1, 5), st.integers(1, 4),
+       st.integers(1, 6), st.integers(-150, 150), st.integers(0, 2**32 - 1))
+def test_distance_is_the_two_norm_formula_bit_for_bit(pair, a, k, b, exponent, seed):
+    """distance is sqrt(||a1 - b1||^2 + ||a2 - b2||^2) with np.linalg.norm's
+    sums, as the orbit checks and the reduction residual wrote it, for any
+    scale, overflow to inf included; norm keeps its sum of squares."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    p, q = (pair(scale * rng.standard_normal((a, k)), scale * rng.standard_normal((k, b)))
+            for _ in range(2))
+    (p1, p2), (q1, q2) = (dataclasses.astuple(p), dataclasses.astuple(q))
+    with np.errstate(over="ignore"):
+        ref = float(np.sqrt(np.linalg.norm(p1 - q1) ** 2 + np.linalg.norm(p2 - q2) ** 2))
+        assert p.norm() == float(np.sqrt(np.sum(p1**2) + np.sum(p2**2)))
+        assert p.distance(q) == ref
+        assert q.distance(q) == 0.0
+
+
+def test_distance_needs_a_pair_of_the_same_type_and_shapes():
+    p = FactorPair(np.ones((2, 1)), np.ones((1, 3)))
+    with pytest.raises(DimensionError, match=re.escape(
+            "distance from a FactorPair (2, 1) x (1, 3) to a TangentPair (2, 1) x (1, 3)")):
+        p.distance(TangentPair(np.ones((2, 1)), np.ones((1, 3))))
+    with pytest.raises(DimensionError, match=re.escape(
+            "distance from a FactorPair (2, 1) x (1, 3) to a FactorPair (2, 2) x (2, 3)")):
+        p.distance(FactorPair(np.ones((2, 2)), np.ones((2, 3))))

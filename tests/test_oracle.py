@@ -31,6 +31,7 @@ from mfland import (
 from mfland import oracle
 from mfland.calculus import _hessian_action
 from mfland.oracle import MAX_DENSE_DIM
+from matrix_kinds import KINDS, matrix_of_kind
 
 
 def _setup(seed=0, m=3, n=4, k=2):
@@ -168,23 +169,6 @@ def _per_column_reference(X, p):
     return 0.5 * (A + A.T), float(np.linalg.norm(A - A.T))
 
 
-def _matrix(kind, rng):
-    if kind == "tied":
-        U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        V, _ = np.linalg.qr(rng.standard_normal((5, 4)))
-        return (U * [2.0, 2.0, 1.0, 1.0]) @ V.T
-    if kind == "rank-deficient":
-        return rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
-    if kind == "tall":
-        return rng.standard_normal((6, 3))
-    if kind == "square":
-        return rng.standard_normal((4, 4))
-    return rng.standard_normal((4, 6))
-
-
-KINDS = ["tied", "rank-deficient", "tall", "square", "generic"]
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(KINDS), st.integers(-6, 6), st.integers(1, 7),
        st.integers(0, 2**16))
@@ -195,7 +179,7 @@ def test_stacked_assembly_equals_the_per_column_loop(kind, exponent, b, seed):
     put the G/H boundary inside one."""
     rng = np.random.default_rng(seed)
     scale = 10.0**exponent
-    X = load_data_matrix(scale * _matrix(kind, rng))
+    X = load_data_matrix(scale * matrix_of_kind(kind, rng))
     for k in range(1, X.m + 1):
         q = int(rng.integers(0, k + 1))
         sel = Selection(tuple(sorted(rng.choice(X.m, size=q, replace=False).tolist())))
@@ -225,7 +209,7 @@ def test_lapack_sees_the_per_column_matrix(kind, exponent, seed):
     scale."""
     rng = np.random.default_rng(seed)
     scale = 10.0**exponent
-    X = load_data_matrix(scale * _matrix(kind, rng))
+    X = load_data_matrix(scale * matrix_of_kind(kind, rng))
     k = int(rng.integers(1, X.m + 1))
     q = int(rng.integers(0, min(k, X.r) + 1))
     sel = Selection(tuple(sorted(rng.choice(X.r, size=q, replace=False).tolist())))
@@ -284,7 +268,7 @@ def test_a_bad_zero_tolerance_is_refused_before_assembly(tol, monkeypatch):
 @given(st.sampled_from(KINDS), st.integers(1, 5), st.integers(0, 2**16))
 def test_hessian_action_on_a_stack_is_per_slice_hessian_apply(kind, b, seed):
     rng = np.random.default_rng(seed)
-    X = load_data_matrix(_matrix(kind, rng))
+    X = load_data_matrix(matrix_of_kind(kind, rng))
     k = int(rng.integers(1, X.m + 1))
     p = FactorPair(rng.standard_normal((X.m, k)), rng.standard_normal((k, X.n)))
     G = rng.standard_normal((b, X.m, k))

@@ -4,6 +4,7 @@ import pytest
 from mfland import (
     FactorPair,
     GroupElement,
+    InvalidInput,
     Selection,
     SingularGroupElement,
     TangentPair,
@@ -21,10 +22,10 @@ from mfland import (
     load_data_matrix,
     numeric_spectrum,
     push_gradient,
-    push_tangent,
     second_derivative,
     spectrum_full_rank_scaled,
     transported_lambda_min_bound,
+    transported_zero_tol,
     zero_family_point,
 )
 
@@ -77,13 +78,13 @@ def test_hessian_conjugation_identity():
     X, p, g, rng = _random_setup(3)
     d = TangentPair(rng.standard_normal((3, 2)), rng.standard_normal((2, 5)))
     lhs = hessian_apply(X, apply_group_action(p, g), d)
-    rhs = push_gradient(hessian_apply(X, p, push_tangent(d, g.inverse())), g)
+    rhs = push_gradient(hessian_apply(X, p, apply_group_action(d, g.inverse())), g)
     np.testing.assert_allclose(lhs.G, rhs.G, atol=1e-8)
     np.testing.assert_allclose(lhs.H, rhs.H, atol=1e-8)
     # and the quadratic form agrees along the pulled-back direction
     np.testing.assert_allclose(
         second_derivative(X, apply_group_action(p, g), d),
-        second_derivative(X, p, push_tangent(d, g.inverse())),
+        second_derivative(X, p, apply_group_action(d, g.inverse())),
         rtol=1e-10,
     )
 
@@ -116,7 +117,7 @@ def test_inertia_invariant_under_transport():
         A = rng.standard_normal((2, 2)) + 2.5 * np.eye(2)
         g = GroupElement.from_matrix(A)
         moved = apply_group_action(p, g)
-        assert inertia_of(X321, moved, zero_tol=1e-8 * g.cond() ** 2) == base
+        assert inertia_of(X321, moved, zero_tol=transported_zero_tol(g)) == base
 
 
 @pytest.mark.parametrize("c", [1e-10, 1.0, 1e6])
@@ -172,3 +173,38 @@ def test_intersect_M0_zero_family():
     g = intersect_M0(cp)
     np.testing.assert_allclose(g.A, np.eye(2), atol=1e-14)
     assert intersect_M0(zero_family_point(X321, np.array([[1.0, 0.0]]), 2)) is None
+
+
+def test_action_on_a_tangent_is_the_old_formula_bit_for_bit():
+    """apply_group_action moves a tangent pair by (G A, A^-1 H) and
+    push_gradient by (G A^-T, A^T H), the products push_tangent and
+    push_gradient formed, byte for byte."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 4))
+        scale = 10.0 ** rng.integers(-6, 7)
+        d = TangentPair(scale * rng.standard_normal((3, k)), scale * rng.standard_normal((k, 5)))
+        g = GroupElement.from_matrix(rng.standard_normal((k, k)) + 2.0 * np.eye(k))
+        moved, pushed = apply_group_action(d, g), push_gradient(d, g)
+        assert type(moved) is TangentPair and type(pushed) is TangentPair
+        assert moved.G.tobytes() == (d.G @ g.A).tobytes()
+        assert moved.H.tobytes() == (g.A_inv @ d.H).tobytes()
+        assert pushed.G.tobytes() == (d.G @ g.A_inv.T).tobytes()
+        assert pushed.H.tobytes() == (g.A.T @ d.H).tobytes()
+
+
+@pytest.mark.parametrize("move, pair", [(apply_group_action, FactorPair),
+                                        (apply_group_action, TangentPair),
+                                        (push_gradient, TangentPair)])
+def test_a_pair_of_another_k_is_invalid_input(move, pair):
+    g = GroupElement.from_matrix(np.diag([2.0, 1.0, 0.5]))
+    with pytest.raises(InvalidInput,
+                       match=r"^group element is 3 x 3 but the pair has k = 2$"):
+        move(pair(np.ones((3, 2)), np.ones((2, 5))), g)
+
+
+def test_transported_zero_tol_is_the_cond_squared_rule():
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        g = GroupElement.from_matrix(rng.standard_normal((2, 2)) + 2.5 * np.eye(2))
+        assert transported_zero_tol(g) == 1e-8 * g.cond() ** 2

@@ -551,6 +551,27 @@ def test_spectrum_far_out_on_the_orbit_is_a_numerical_failure(scale):
                                "is not finite in float64")
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-200])
+def test_lambda_min_far_out_on_the_orbit_is_a_numerical_failure(scale):
+    """The closed-form lambda_min at a = 1e300 or 1e-200 is refused as the
+    spectrum there is, with the same message and no NumPy warning."""
+    X = load_data_matrix(np.random.default_rng(0).standard_normal((3, 5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure) as info:
+            lambda_min_closed_form(X, Selection((0, 2)), 2, a=scale)
+    assert str(info.value) == (f"the closed-form lambda_min at scale {scale:g} "
+                               "is not finite in float64")
+
+
+def test_lambda_min_with_a_huge_C0_is_a_numerical_failure():
+    """The smallest kernel weight gamma^2 of C0 = 1e200 overflows: the closed
+    form raises NumericalFailure, not a raw OverflowError."""
+    X = load_data_matrix(np.random.default_rng(0).standard_normal((3, 5)))
+    with pytest.raises(NumericalFailure, match="^the closed-form lambda_min at scale 1 "):
+        lambda_min_closed_form(X, Selection((0,)), 2, C0=1e200 * np.ones((2, 1)))
+
+
 def test_scaling_kills_lambda_min():
     mags = [abs(lambda_min_closed_form(X21, Selection((1,)), 1, a=a)) for a in (1, 2, 4, 8)]
     assert all(x > y for x, y in zip(mags, mags[1:]))
