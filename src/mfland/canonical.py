@@ -336,10 +336,11 @@ def reduce_to_canonical(X, p, tol=1e-8):
             f"{gradient_norm(X, p):.3e} exceeds tol * max(1, ||X||_F) = {bound:.3e}"
         )
     W, S, k = p.W, p.S, p.k
+    scale = max(1.0, p.norm())
 
     Uw, sW, Vwt = np.linalg.svd(W)
     wmax = float(sW[0]) if sW.size else 0.0
-    if wmax <= tol * max(1.0, p.norm()):
+    if wmax <= tol * scale:
         q = 0
     else:
         lo = int(np.count_nonzero(sW > 10 * tol * wmax))
@@ -353,7 +354,7 @@ def reduce_to_canonical(X, p, tol=1e-8):
     if q == 0:
         C0 = X.V0.T @ S.T
         cp = zero_family_point(X, C0, k)
-        return _check_reduction(p, cp, GroupElement.identity(k))
+        return _check_reduction(p, scale, cp, GroupElement.identity(k))
 
     # (i)-(ii) W = Uw diag(sW) Vwt gives an orthonormal basis Uh of the
     # column space and W = [Uh, 0] C_full, C_full = [diag(sW[:q]) Vwt[:q];
@@ -398,13 +399,13 @@ def reduce_to_canonical(X, p, tol=1e-8):
     A = E @ A1
 
     cp = CanonicalPoint(X=X, selection=Selection(tuple(sel_idx)), k=k, C0=C0)
-    return _check_reduction(p, cp, GroupElement.from_matrix(A))
+    return _check_reduction(p, scale, cp, GroupElement.from_matrix(A))
 
 
-def _check_reduction(p, cp, g):
-    """(cp, g), or NumericalFailure unless L_A maps cp back onto p."""
+def _check_reduction(p, scale, cp, g):
+    """(cp, g), or NumericalFailure unless L_A maps cp within 1e-8 * scale of p."""
     pc = apply_group_action(cp.materialize(), g)
-    bound = 1e-8 * max(1.0, p.norm())
+    bound = 1e-8 * scale
     err = pc.distance(p)
     if err > bound:
         raise NumericalFailure(

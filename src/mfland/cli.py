@@ -96,8 +96,13 @@ def _parse_selection(raw):
     return Selection(tuple(sorted(i - 1 for i in one_based)))
 
 
+def _given(args, *names):
+    """The named SUPPRESS-default options that were given; the library's defaults stand."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _load_X(args):
-    return load_data_matrix(read_matrix_csv(args.x), rank_tol=args.rank_tol)
+    return load_data_matrix(read_matrix_csv(args.x), **_given(args, "rank_tol"))
 
 
 def _load_point(args, X, sel):
@@ -222,9 +227,7 @@ def _cmd_flow(args):
         p0 = random_balanced_pair(X, k, args.seed)
     else:
         p0 = random_pair(X, k, args.seed)
-    traj = integrate_flow(
-        X, p0, t_max=args.t_max, grad_tol=args.grad_tol
-    )
+    traj = integrate_flow(X, p0, **_given(args, "t_max", "grad_tol"))
     if args.trajectory:
         rows = [[s.t, s.J, s.grad_norm, s.drift] for s in traj.samples]
         write_matrix_csv(args.trajectory, np.array(rows))
@@ -269,7 +272,7 @@ def _build_parser():
 
     def common(p, need_x=True):
         p.add_argument("--x", required=need_x, help="data matrix CSV")
-        p.add_argument("--rank-tol", type=float, default=1e-10)
+        p.add_argument("--rank-tol", type=float, default=argparse.SUPPRESS)
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     def point(p):
@@ -302,8 +305,8 @@ def _build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init", choices=("balanced", "random"), default="balanced")
-    p.add_argument("--t-max", type=float, default=200.0)
-    p.add_argument("--grad-tol", type=float, default=1e-9)
+    p.add_argument("--t-max", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--grad-tol", type=float, default=argparse.SUPPRESS)
     p.add_argument("--trajectory", default=None, help="CSV path for (t, J, gradnorm, drift)")
     p.set_defaults(fn=_cmd_flow)
 

@@ -77,6 +77,12 @@ class DataMatrixSVD:
         return float(np.linalg.norm(approx - self.X))
 
 
+def _column_signs(M):
+    """Per column of M, the sign (+1 for 0) of its first largest-magnitude entry."""
+    lead = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]
+    return np.where(lead >= 0, 1.0, -1.0)
+
+
 def load_data_matrix(X, rank_tol=DEFAULT_RANK_TOL):
     """Build a :class:`DataMatrixSVD` from a dense array.
 
@@ -98,23 +104,16 @@ def load_data_matrix(X, rank_tol=DEFAULT_RANK_TOL):
 
     U, s, Vh = np.linalg.svd(X, full_matrices=True)
     V = Vh.T
-    m, n = X.shape
 
     r = int(np.count_nonzero(s > rank_tol * s[0]))
     sigma = s.copy()
     sigma[r:] = 0.0
 
     # Deterministic signs.  Paired columns flip together to keep U S V^T = X.
-    for i in range(m):
-        col = U[:, i]
-        sgn = 1.0 if col[np.argmax(np.abs(col))] >= 0 else -1.0
-        U[:, i] = sgn * col
-        if i < r:
-            V[:, i] = sgn * V[:, i]
-    for j in range(r, n):
-        col = V[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            V[:, j] = -col
+    sgn = _column_signs(U)
+    U *= sgn
+    V[:, :r] *= sgn[:r]
+    V[:, r:] *= _column_signs(V[:, r:])
 
     return DataMatrixSVD(
         X=_freeze(X),
@@ -209,6 +208,11 @@ def inertia_from_values(evals, tol):
     n_pos = int(np.count_nonzero(evals > tol))
     n_neg = int(np.count_nonzero(evals < -tol))
     return (n_pos, n_neg, n_zero)
+
+
+def _zero_floor(X, evals, rel):
+    """rel * max(sigma_1, max |evals|), the zero tolerance of a Hessian spectrum at X."""
+    return rel * max(float(X.sigma[0]), float(np.max(np.abs(evals))))
 
 
 def residual(X, p):

@@ -13,11 +13,15 @@ along their orbit.  L_A's matrix on tangents is ``oracle.action_matrix``.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInput, InvalidSelection, SingularGroupElement
-from .model import _as_matrix, _freeze, check_zero_tol, inertia_from_values
+from .model import _as_matrix, _freeze, _zero_floor, check_zero_tol, inertia_from_values
+
+# inertia_of's default zero floor, in units of max(sigma_1, |largest value|).
+_ORACLE_INERTIA_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -62,9 +66,13 @@ class GroupElement:
     def inverse(self):
         return GroupElement(A=self.A_inv, A_inv=self.A)
 
+    @cached_property
+    def _sv(self):
+        """Singular values of A, computed once per element."""
+        return np.linalg.svd(self.A, compute_uv=False)
+
     def cond(self):
-        sv = np.linalg.svd(self.A, compute_uv=False)
-        return float(sv[0] / sv[-1])
+        return float(self._sv[0] / self._sv[-1])
 
 
 def apply_group_action(p, g):
@@ -83,8 +91,7 @@ def push_gradient(d, g):
 
 def induced_norm(g):
     """Operator norm of L_A on tangent pairs: max(s_max(A), 1/s_min(A))."""
-    sv = np.linalg.svd(g.A, compute_uv=False)
-    return float(max(sv[0], 1.0 / sv[-1]))
+    return float(max(g._sv[0], 1.0 / g._sv[-1]))
 
 
 def transported_lambda_min_bound(lambda_min_at_p, g):
@@ -116,7 +123,7 @@ def inertia_of(X, p, zero_tol=None):
         check_zero_tol(zero_tol)
     evals = np.linalg.eigvalsh(dense_hessian(X, p).matrix)
     if zero_tol is None:
-        zero_tol = 1e-8 * max(float(X.sigma[0]), float(np.max(np.abs(evals))))
+        zero_tol = _zero_floor(X, evals, _ORACLE_INERTIA_REL)
     return inertia_from_values(evals, zero_tol)
 
 

@@ -34,7 +34,6 @@ coefficient vectors, so a spectrum costs O(k (m + n)) memory.  An
 ``EigPair.vector`` is read.
 """
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -52,7 +51,7 @@ from .canonical import (
     zero_family_point,
 )
 from .errors import InvalidInput, InvalidSelection
-from .model import TangentPair, inertia_from_values
+from .model import TangentPair, _zero_floor, inertia_from_values
 
 # |value| <= INERTIA_REL * max(sigma_1, |largest value|) counts as zero.
 INERTIA_REL = 1e-10
@@ -153,14 +152,8 @@ class _EigPairs(Sequence):
         return self._cols["value"].size
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._pair, range(*i.indices(len(self)))))
-        j = operator.index(i)
-        if j < 0:
-            j += len(self)
-        if not 0 <= j < len(self):
-            raise IndexError(f"eigenpair index {i} out of range for {len(self)}")
-        return self._pair(j)
+        j = range(len(self))[i]
+        return tuple(map(self._pair, j)) if isinstance(i, slice) else self._pair(j)
 
     def __iter__(self):
         return map(self._pair, range(len(self)))
@@ -211,10 +204,9 @@ class SpectrumReport:
 def _report(X, eigpairs, point):
     eigpairs = eigpairs.take(np.argsort(eigpairs.values, kind="stable"))
     vals = eigpairs.values
-    tol = INERTIA_REL * max(float(X.sigma[0]), float(np.max(np.abs(vals))))
     return SpectrumReport(
         eigpairs=eigpairs,
-        inertia=inertia_from_values(vals, tol),
+        inertia=inertia_from_values(vals, _zero_floor(X, vals, INERTIA_REL)),
         lambda_min=float(vals[0]),
         point=point,
     )

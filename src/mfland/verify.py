@@ -59,6 +59,22 @@ def _random_group(k, rng, cond_max=50.0):
             return GroupElement.from_matrix(A)
 
 
+def _draw(X, seed):
+    """A check's own generator, seeded afresh, and the k it works at."""
+    return np.random.default_rng(seed), min(2, X.m)
+
+
+def _tangent(rng, X, k):
+    """A random tangent pair at rank k, G drawn before H."""
+    return TangentPair(G=rng.standard_normal((X.m, k)), H=rng.standard_normal((k, X.n)))
+
+
+def _oracle_gap(X, rep):
+    """max |closed - numeric| over the eigenvalues of the spectrum rep."""
+    ev, _ = numeric_spectrum(X, rep.point)
+    return float(np.max(np.abs(rep.values - ev)))
+
+
 def check_svd_conventions(X, seed):
     errs = []
     errs.append(X.reconstruction_error() <= 1e-10 * X.tol_scale)
@@ -70,7 +86,8 @@ def check_svd_conventions(X, seed):
 
 
 def check_finite_differences(X, seed):
-    p = random_pair(X, min(2, X.m), seed)
+    _, k = _draw(X, seed)
+    p = random_pair(X, k, seed)
     rep = fd_validate(X, p, seed=seed)
     return rep.ok, (
         f"grad={rep.max_gradient_rel_err:.2e} second={rep.max_second_rel_err:.2e}"
@@ -78,12 +95,10 @@ def check_finite_differences(X, seed):
 
 
 def check_hessian_symmetry(X, seed):
-    rng = np.random.default_rng(seed)
-    k = min(2, X.m)
+    rng, k = _draw(X, seed)
     p = random_pair(X, k, seed)
     h = dense_hessian(X, p)
-    d1 = TangentPair(G=rng.standard_normal((X.m, k)), H=rng.standard_normal((k, X.n)))
-    d2 = TangentPair(G=rng.standard_normal((X.m, k)), H=rng.standard_normal((k, X.n)))
+    d1, d2 = _tangent(rng, X, k), _tangent(rng, X, k)
     lhs = float(np.sum(flatten_tangent(hessian_apply(X, p, d1)) * flatten_tangent(d2)))
     rhs = float(np.sum(flatten_tangent(d1) * flatten_tangent(hessian_apply(X, p, d2))))
     ok = h.asymmetry < 1e-10 and abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
@@ -91,8 +106,7 @@ def check_hessian_symmetry(X, seed):
 
 
 def check_families_critical(X, seed):
-    rng = np.random.default_rng(seed)
-    k = min(2, X.m)
+    rng, k = _draw(X, seed)
     pts = [zero_family_point(X, rng.standard_normal((X.n - X.r, k)), k).materialize()]
     sel = Selection((0,))
     pts.append(build_canonical(X, sel, k, C0=rng.standard_normal((X.n - X.r, k - 1))).materialize())
@@ -103,8 +117,7 @@ def check_families_critical(X, seed):
 
 
 def check_degenerate_directions(X, seed):
-    rng = np.random.default_rng(seed)
-    k = min(2, X.m)
+    rng, k = _draw(X, seed)
     p = build_canonical(X, Selection((0,)), k).materialize()
     worst = 0.0
     for _ in range(5):
@@ -117,25 +130,20 @@ def check_degenerate_directions(X, seed):
 
 
 def check_spectra_match_oracle(X, seed):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+    rng, k = _draw(X, seed)
     cases = []
-    k = min(2, X.m)
     cases.append(spectrum_zero_family(X, rng.standard_normal((X.n - X.r, k)), k))
     cases.append(spectrum_full_rank_scaled(X, Selection((0,)), a=1.5))
     if k > 1:
         cp = build_canonical(X, Selection((1,)), k, C0=rng.standard_normal((X.n - X.r, k - 1)))
         cases.append(spectrum_deficient_rank(cp))
     cases.append(spectrum_balanced(X, Selection((0,)), k))
-    for rep in cases:
-        ev, _ = numeric_spectrum(X, rep.point)
-        worst = max(worst, float(np.max(np.abs(rep.values - ev))))
+    worst = max(0.0, *(_oracle_gap(X, rep) for rep in cases))
     return worst < 1e-8, f"worst |closed - numeric| = {worst:.2e}"
 
 
 def check_eigpair_quality(X, seed):
-    rng = np.random.default_rng(seed)
-    k = min(2, X.m)
+    rng, k = _draw(X, seed)
     cp = build_canonical(X, Selection((0,)), k,
                          C0=rng.standard_normal((X.n - X.r, k - 1)))
     rep = (spectrum_deficient_rank(cp) if k > 1
@@ -169,8 +177,7 @@ def _saddle_selection(X):
 
 
 def check_lambda_min_formulas(X, seed):
-    rng = np.random.default_rng(seed)
-    k = min(2, X.m)
+    rng, k = _draw(X, seed)
     worst = 0.0
     C0 = rng.standard_normal((X.n - X.r, k))
     rep = spectrum_zero_family(X, C0, k)
@@ -186,15 +193,14 @@ def check_lambda_min_formulas(X, seed):
 
 
 def check_orbit_identities(X, seed):
-    rng = np.random.default_rng(seed)
-    k = min(2, X.m)
+    rng, k = _draw(X, seed)
     p = random_pair(X, k, seed)
     g = _random_group(k, rng)
     pg = apply_group_action(p, g)
     scale = max(1.0, evaluate_J(X, p))
     errs = [abs(evaluate_J(X, p) - evaluate_J(X, pg)) / scale]
     errs.append(push_gradient(gradient(X, p), g).distance(gradient(X, pg)))
-    d = TangentPair(G=rng.standard_normal((X.m, k)), H=rng.standard_normal((k, X.n)))
+    d = _tangent(rng, X, k)
     lhs = hessian_apply(X, pg, d)
     rhs = push_gradient(hessian_apply(X, p, apply_group_action(d, g.inverse())), g)
     errs.append(lhs.distance(rhs) / max(1.0, lhs.norm()))
@@ -212,8 +218,7 @@ def check_orbit_identities(X, seed):
 
 
 def check_congruence_inertia(X, seed):
-    rng = np.random.default_rng(seed)
-    k = min(2, X.m)
+    rng, k = _draw(X, seed)
     cp = build_canonical(X, Selection((X.m - 1,)), k,
                          C0=rng.standard_normal((X.n - X.r, k - 1)))
     p = cp.materialize()
@@ -235,7 +240,7 @@ def check_congruence_inertia(X, seed):
 
 
 def check_lambda_min_bound(X, seed):
-    rng = np.random.default_rng(seed)
+    rng, _ = _draw(X, seed)
     sel = _saddle_selection(X)
     if sel is None:
         return True, "skipped: X offers no q = k = 1 strict saddle"
@@ -253,7 +258,7 @@ def check_lambda_min_bound(X, seed):
 
 def check_balanced_set(X, seed):
     sel = Selection((0,))
-    k = min(2, X.m)
+    _, k = _draw(X, seed)
     cp = build_canonical(X, sel, k)  # C0 = 0
     g = intersect_M0(cp)
     if g is None:
@@ -262,15 +267,13 @@ def check_balanced_set(X, seed):
     res = balance_residual(bal)
     direct = build_balanced(X, sel, k)
     same = bal.distance(direct)
-    rep = spectrum_balanced(X, sel, k)
-    ev, _ = numeric_spectrum(X, rep.point)
-    dev = float(np.max(np.abs(rep.values - ev)))
+    dev = _oracle_gap(X, spectrum_balanced(X, sel, k))
     ok = res < 1e-10 and same < 1e-10 and dev < 1e-8
     return ok, f"residual={res:.2e} matches-direct={same:.2e} oracle={dev:.2e}"
 
 
 def check_scaling_trichotomy(X, seed):
-    rng = np.random.default_rng(seed)
+    rng, _ = _draw(X, seed)
     worst_sign = True
     for _ in range(50):
         lam = rng.uniform(0.1, 3.0)
@@ -293,11 +296,11 @@ def check_scaling_trichotomy(X, seed):
 
 
 def check_flow_conservation(X, seed):
-    k = min(2, X.m)
+    _, k = _draw(X, seed)
     out = []
     for p0, label in ((random_balanced_pair(X, k, seed), "balanced"),
                       (random_pair(X, k, seed + 1), "generic")):
-        traj = integrate_flow(X, p0, t_max=30.0, grad_tol=1e-9)
+        traj = integrate_flow(X, p0, t_max=30.0)
         drift = max(s.drift for s in traj.samples)
         Js = [s.J for s in traj.samples]
         mono = all(b <= a + 1e-9 for a, b in zip(Js, Js[1:]))

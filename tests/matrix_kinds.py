@@ -6,6 +6,12 @@ import numpy as np
 KINDS = ["tied", "rank-deficient", "tall", "square", "generic"]
 
 
+def haar(rng, n):
+    """A Haar-random n x n orthogonal matrix drawn from rng."""
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q * np.sign(np.diag(R))
+
+
 def matrix_of_kind(kind, rng):
     """A raw X of the given kind drawn from rng: tied singular values (2, 2,
     1, 1), rank 2, tall 6 x 3, square 4 x 4, or a generic 4 x 6."""

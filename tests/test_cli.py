@@ -157,6 +157,70 @@ def test_uncertified_flow_prints_no_limit(capsys, x_csv, monkeypatch):
     assert "limit" not in doc
 
 
+def _record_keywords(monkeypatch, name):
+    """Replace cli.<name> with a wrapper that records the keywords of each
+    call; returns the list they go into."""
+    seen, real = [], getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("flags,keywords", [
+    ([], {}),
+    (["--t-max", "50", "--grad-tol", "1e-8"], {"t_max": 50.0, "grad_tol": 1e-8}),
+    (["--grad-tol", "0"], {"grad_tol": 0.0}),
+], ids=["defaults", "both", "grad-tol"])
+def test_flow_leaves_its_defaults_to_integrate_flow(capsys, x_csv, monkeypatch,
+                                                    flags, keywords):
+    """integrate_flow's t_max and grad_tol are passed only when given, so the
+    library's defaults are the CLI's."""
+    seen = _record_keywords(monkeypatch, "integrate_flow")
+    code, _, _ = _run(capsys, "flow", "--x", x_csv, "--k", "1", *flags)
+    assert (code, seen) == (0, [keywords])
+
+
+@pytest.mark.parametrize("flags,keywords", [
+    ([], {}), (["--rank-tol", "1e-6"], {"rank_tol": 1e-6}),
+], ids=["default", "given"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--k", "1", "--select", "1"],
+    ["classify", "--k", "1", "--select", "1"],
+    ["orbit", "--k", "1", "--select", "1", "--scale", "2"],
+    ["flow", "--k", "1"],
+    ["verify"],
+], ids=lambda argv: argv[0])
+def test_rank_tol_is_passed_only_when_given(capsys, x_csv, monkeypatch, argv,
+                                            flags, keywords):
+    seen = _record_keywords(monkeypatch, "load_data_matrix")
+    code, _, _ = _run(capsys, *argv, "--x", x_csv, *flags)
+    assert (code, seen) == (0, [keywords])
+
+
+def test_orbit_takes_two_svds_of_A(capsys, x46_csv, tmp_path, monkeypatch):
+    """One in GroupElement.from_matrix's singularity check and one kept on
+    the element, which cond_A, induced_norm, the transported bound and the
+    transported zero tolerance all read."""
+    A = np.array([[1.2, 0.3], [-0.1, 0.9]])
+    a_csv = tmp_path / "a.csv"
+    np.savetxt(a_csv, A, delimiter=",")
+    real, svds_of_A = np.linalg.svd, []
+
+    def svd(M, *args, **kwargs):
+        if np.shape(M) == A.shape and np.array_equal(M, A):
+            svds_of_A.append(M)
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    code, _, _ = _run(capsys, "orbit", "--x", x46_csv, "--k", "2", "--select", "1,3",
+                      "--a", str(a_csv))
+    assert (code, len(svds_of_A)) == (0, 2)
+
+
 def test_missing_file_is_exit_2(capsys):
     code, _, err = _run(capsys, "spectrum", "--x", "/nonexistent.csv", "--k", "1")
     assert code == 2

@@ -30,7 +30,7 @@ from mfland import (
     balanced_flow_exact,
 )
 from mfland import flow, oracle
-from matrix_kinds import KINDS as MATRIX_KINDS, matrix_of_kind
+from matrix_kinds import KINDS as MATRIX_KINDS, haar, matrix_of_kind
 
 X21 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
 
@@ -103,7 +103,7 @@ def test_refused_limit_is_uncertified(monkeypatch, refusal):
     flow on at grad_tol / 10 three times, along the same trajectory, and then
     stops Uncertified."""
     p0 = random_pair(X21, 1, seed=5)
-    scale = max(1.0, float(np.linalg.norm(X21.X)))
+    scale = X21.tol_scale
     reduce, grads = flow.reduce_to_canonical, []
 
     def certify(X, p, tol):
@@ -138,7 +138,7 @@ def test_refused_start_tightens_and_steps_on(monkeypatch, refusal):
     reduction runs at the start and after each of three steps before the
     flow stops Uncertified."""
     p0 = build_balanced(X21, Selection((1,)), 1)
-    scale = max(1.0, float(np.linalg.norm(X21.X)))
+    scale = X21.tol_scale
     grads = []
 
     def refuse(X, p, tol):
@@ -159,7 +159,7 @@ def test_rank_ambiguous_refusal_tightens_and_then_certifies(monkeypatch):
     grad_tol / 10, and the limit it then certifies carries its reduction, so
     classify_limit makes no second one."""
     p0 = random_pair(X21, 1, seed=5)
-    scale = max(1.0, float(np.linalg.norm(X21.X)))
+    scale = X21.tol_scale
     reduce, grads = flow.reduce_to_canonical, []
 
     def ambiguous_once(X, p, tol):
@@ -224,7 +224,7 @@ def test_loose_grad_tol_reduces_only_below_limit_tol(monkeypatch):
     """The gradient test starts at LIMIT_TOL when grad_tol is looser, so the
     reduction only ever sees points it can find critical."""
     p0 = random_balanced_pair(X21, 1, seed=1)
-    scale = max(1.0, float(np.linalg.norm(X21.X)))
+    scale = X21.tol_scale
     reduce, grads = flow.reduce_to_canonical, []
 
     def counted(X, p, tol):
@@ -302,7 +302,7 @@ def test_flow_converges_to_global_minimum():
     p0 = random_balanced_pair(X21, 1, seed=0)
     traj = integrate_flow(X21, p0, grad_tol=GRAD_TOL)
     assert traj.status == "Converged"
-    assert traj.samples[-1].grad_norm < GRAD_TOL * max(1.0, np.linalg.norm(X21.X))
+    assert traj.samples[-1].grad_norm < GRAD_TOL * X21.tol_scale
     # best rank-one fit leaves half of sigma_2^2 behind
     assert traj.samples[-1].J == pytest.approx(0.5, abs=1e-6)
     diag = classify_limit(X21, traj)
@@ -414,14 +414,9 @@ def test_step_cut_short_at_t_max_is_not_in_the_step_range():
     assert (short.steps, short.t_final, short.h_min, short.h_max) == (1, 1e-3, None, None)
 
 
-def _haar(rng, n):
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    return Q * np.sign(np.diag(R))
-
-
 def _fixed_spectrum(rng, m, n, sigma):
     """U diag(sigma) V^T with Haar-random U and V."""
-    U, V = _haar(rng, m), _haar(rng, n)
+    U, V = haar(rng, m), haar(rng, n)
     return (U[:, : sigma.size] * sigma) @ V[:, : sigma.size].T
 
 

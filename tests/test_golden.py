@@ -1,9 +1,11 @@
-"""Byte-identity guard: stdout and exit code of twelve CLI commands.
+"""Byte-identity guard: stdout and exit code of thirteen CLI commands.
 
 Eleven commands and their seed-1 inputs are those of the benchmark's cli
-workload.  The twelfth runs an imbalanced flow and also compares every
-sample of the trajectory CSV it writes.  A refactor that keeps the CLI's behaviour keeps these bytes; a
-deliberate contract change regenerates them with
+workload.  The twelfth runs the verify battery on the tied T.csv, a
+non-default X.  The thirteenth runs an imbalanced flow and also compares
+every sample of the trajectory CSV it writes.  A refactor that keeps the
+CLI's behaviour keeps these bytes; a deliberate contract change
+regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -34,6 +36,7 @@ COMMANDS = {
     "flow-generic": "flow --x A.csv --k 2 --seed {seed}",
     "flow-tied": "flow --x T.csv --k 1 --seed {seed}",
     "verify": "verify --seed {seed}",
+    "verify-tied": "verify --x T.csv --seed {seed}",
     "flow-random-trajectory":
         "flow --x A.csv --k 2 --seed {seed} --init random --trajectory traj.csv",
 }

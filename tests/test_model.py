@@ -22,6 +22,7 @@ from mfland import (
     write_matrix_csv,
 )
 from mfland.verify import run_all
+from matrix_kinds import KINDS, matrix_of_kind
 
 RECON_TOL = 1e-12
 
@@ -211,6 +212,36 @@ def test_distance_is_the_two_norm_formula_bit_for_bit(pair, a, k, b, exponent, s
         assert p.norm() == float(np.sqrt(np.sum(p1**2) + np.sum(p2**2)))
         assert p.distance(q) == ref
         assert q.distance(q) == 0.0
+
+
+def _signs_column_by_column(U, V, r):
+    """The sign rule written as two per-column loops: U's columns with their
+    paired V columns, then V's kernel columns on their own."""
+    U, V = U.copy(), V.copy()
+    for i in range(U.shape[1]):
+        col = U[:, i]
+        sgn = 1.0 if col[np.argmax(np.abs(col))] >= 0 else -1.0
+        U[:, i] = sgn * col
+        if i < r:
+            V[:, i] = sgn * V[:, i]
+    for j in range(r, V.shape[1]):
+        col = V[:, j]
+        if col[np.argmax(np.abs(col))] < 0:
+            V[:, j] = -col
+    return U, V
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KINDS), st.floats(-6, 6), st.integers(0, 2**32 - 1))
+def test_sign_convention_is_the_per_column_rule_bit_for_bit(kind, exponent, seed):
+    """load_data_matrix's signs are those of the loops above, byte for byte,
+    on tied, rank-deficient, tall, square and generic X at any scale; the
+    last three give V kernel columns of width n - r, 0 for square X."""
+    X = load_data_matrix(10.0**exponent * matrix_of_kind(kind, np.random.default_rng(seed)))
+    U, _, Vh = np.linalg.svd(X.X, full_matrices=True)
+    U_ref, V_ref = _signs_column_by_column(U, Vh.T, X.r)
+    assert X.U.tobytes() == U_ref.tobytes()
+    assert X.V.tobytes() == V_ref.tobytes()
 
 
 def test_distance_needs_a_pair_of_the_same_type_and_shapes():

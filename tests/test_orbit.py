@@ -203,6 +203,22 @@ def test_a_pair_of_another_k_is_invalid_input(move, pair):
         move(pair(np.ones((3, 2)), np.ones((2, 5))), g)
 
 
+def test_cond_and_induced_norm_are_the_per_call_svd_formulas():
+    """cond and induced_norm read one decomposition kept on the element and
+    give what a fresh SVD of A gives, for built, inverted and identity
+    elements."""
+    rng = np.random.default_rng(11)
+    elements = [GroupElement.identity(1), GroupElement.identity(3)]
+    for k in (1, 2, 3):
+        g = GroupElement.from_matrix(rng.standard_normal((k, k)) + 2.0 * np.eye(k))
+        elements += [g, g.inverse()]
+    for g in elements:
+        sv = np.linalg.svd(g.A, compute_uv=False)
+        for _ in range(2):
+            assert g.cond() == float(sv[0] / sv[-1])
+            assert induced_norm(g) == float(max(sv[0], 1.0 / sv[-1]))
+
+
 def test_transported_zero_tol_is_the_cond_squared_rule():
     rng = np.random.default_rng(9)
     for _ in range(5):

@@ -35,6 +35,7 @@ from mfland import (
 )
 from mfland import spectrum
 from mfland.spectrum import EigPair, _canonical_eigpairs, _report
+from matrix_kinds import haar
 
 MATCH_TOL = 1e-8
 X21 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
@@ -145,16 +146,11 @@ def test_balanced_matches_oracle():
         _assert_match(X321, rep)
 
 
-def _haar(rng, n):
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    return Q * np.sign(np.diag(R))
-
-
 def _landscape_matrix(kind, seed):
     rng = np.random.default_rng(seed)
     if kind == "tied":
         sigma = np.array([2.0, 2.0, 1.0, 1.0])
-        return (_haar(rng, 4) * sigma) @ _haar(rng, 5)[:, :4].T
+        return (haar(rng, 4) * sigma) @ haar(rng, 5)[:, :4].T
     if kind == "rank-deficient":
         return rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
     if kind == "tall":
@@ -269,14 +265,20 @@ def test_eigpairs_read_like_a_tuple():
     pairs = list(rep.eigpairs)
     assert len(rep.eigpairs) == len(pairs) == 4 * (5 + 6)
     assert all(isinstance(e, EigPair) for e in pairs)
-    for i in (0, 5, -1, np.int64(-2)):
+    n = len(pairs)
+    for i in (0, 5, -1, np.int64(-2), n - 1, -n, np.int64(n - 1), np.int64(-n)):
         assert rep.eigpairs[i].provenance == pairs[i].provenance
         assert rep.eigpairs[i].value == pairs[i].value
-    part = rep.eigpairs[2:9:3]
-    assert isinstance(part, tuple)
-    assert [e.provenance for e in part] == [e.provenance for e in pairs[2:9:3]]
-    with pytest.raises(IndexError):
-        rep.eigpairs[len(pairs)]
+    for cut in (slice(2, 9, 3), slice(None, None, -2), slice(-3, 2, -4),
+                slice(np.int64(1), None, np.int64(5)), slice(n, None), slice(-n - 5, 3)):
+        part = rep.eigpairs[cut]
+        assert isinstance(part, tuple)
+        assert [e.provenance for e in part] == [e.provenance for e in pairs[cut]]
+    for i in (n, -n - 1, np.int64(n), np.int64(-n - 1)):
+        with pytest.raises(IndexError):
+            rep.eigpairs[i]
+    with pytest.raises(TypeError):
+        rep.eigpairs[1.0]
     fams = {e.provenance.split("(")[0] for e in pairs}
     assert fams == {"sigma_lambda_pair", "sigma_omega_pair", "left_kernel_lambda",
                     "left_kernel_omega", "selected_cross_pair", "zero_lambda_column",
