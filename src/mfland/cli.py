@@ -252,9 +252,10 @@ def _cmd_flow(args):
 
 
 def _cmd_verify(args):
-    from .verify import run_all
+    from .verify import _default_data, run_all
 
-    X = _load_X(args) if args.x else None
+    raw = read_matrix_csv(args.x) if args.x else _default_data(args.seed)
+    X = load_data_matrix(raw, **_given(args, "rank_tol"))
     checks = run_all(X, seed=args.seed)
     ok = all(c["passed"] for c in checks)
     return {"seed": args.seed, "all_passed": ok, "checks": checks}, 0 if ok else 1

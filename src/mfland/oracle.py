@@ -31,6 +31,8 @@ MAX_DENSE_DIM = 5000
 FD_TRIALS = 5
 FD_STEP_GRADIENT = 1e-5
 FD_STEP_SECOND = 1e-4
+# FDReport.ok's bounds on the two relative errors.
+_FD_TOL_GRADIENT, _FD_TOL_SECOND = 1e-6, 1e-4
 # Bytes that one intermediate of a block of unit tangents in dense_hessian may
 # take: per column none is larger than max(m, k) x max(n, k) (W H is m x n).
 _BLOCK_BYTES = 1 << 20
@@ -144,7 +146,8 @@ class FDReport:
 
     @property
     def ok(self):
-        return self.max_gradient_rel_err < 1e-6 and self.max_second_rel_err < 1e-4
+        return (self.max_gradient_rel_err < _FD_TOL_GRADIENT
+                and self.max_second_rel_err < _FD_TOL_SECOND)
 
 
 def fd_validate(X, p, seed=0):
@@ -153,14 +156,20 @@ def fd_validate(X, p, seed=0):
     Each of FD_TRIALS trials draws a unit-norm tangent direction d and
     compares (J(p + eps d) - J(p - eps d)) / (2 eps) against <grad J, d>,
     then the symmetric second difference against d2 J[d].  Relative errors
-    are taken against the analytic value.  Raises InvalidInput unless seed
-    is a nonnegative integer.
+    are taken against the analytic value, or against the difference's
+    resolution where that is larger: its error bound over FDReport.ok's bound,
+    so an error within the bound passes.  J(p + t d) is a quartic in t, so the
+    bound is a3 eps^2 or 2 a4 t^2, with a3 = <G S + W H, G H> and a4 =
+    ||G H||^2 / 2, plus the rounding of J, u (||W S|| + ||X||)^2, over eps or,
+    four times, over t^2.  Raises InvalidInput unless seed is a nonnegative
+    integer.
     """
     check_seed(seed)
     rng = np.random.default_rng(seed)
     m, n, k = X.m, X.n, p.k
     g = gradient(X, p)
     J0 = evaluate_J(X, p)
+    J_round = np.finfo(float).eps * (np.linalg.norm(p.W @ p.S) + np.linalg.norm(X.X)) ** 2
 
     worst_g, worst_h = 0.0, 0.0
     for _ in range(FD_TRIALS):
@@ -172,15 +181,20 @@ def fd_validate(X, p, seed=0):
         def J_at(t):
             return evaluate_J(X, FactorPair(W=p.W + t * d.G, S=p.S + t * d.H))
 
+        GH = d.G @ d.H
+        a3, a4 = float(np.sum((d.G @ p.S + p.W @ d.H) * GH)), 0.5 * float(np.sum(GH * GH))
+
         eps = FD_STEP_GRADIENT
         fd1 = (J_at(eps) - J_at(-eps)) / (2 * eps)
         an1 = inner(g, d)
-        worst_g = max(worst_g, abs(fd1 - an1) / max(abs(an1), 1e-12))
+        res1 = (abs(a3) * eps * eps + J_round / eps) / _FD_TOL_GRADIENT
+        worst_g = max(worst_g, abs(fd1 - an1) / max(abs(an1), res1, 1e-12))
 
         t = FD_STEP_SECOND
         fd2 = (J_at(t) - 2 * J0 + J_at(-t)) / (t * t)
         an2 = second_derivative(X, p, d)
-        worst_h = max(worst_h, abs(fd2 - an2) / max(abs(an2), 1e-12))
+        res2 = (2.0 * a4 * t * t + 4.0 * J_round / (t * t)) / _FD_TOL_SECOND
+        worst_h = max(worst_h, abs(fd2 - an2) / max(abs(an2), res2, 1e-12))
 
     return FDReport(
         max_gradient_rel_err=float(worst_g),

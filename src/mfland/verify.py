@@ -46,9 +46,9 @@ from .canonical import _split_pair
 from .model import check_seed
 
 
-def _default_X(seed):
-    rng = np.random.default_rng(seed)
-    return load_data_matrix(rng.standard_normal((4, 6)))
+def _default_data(seed):
+    check_seed(seed)
+    return np.random.default_rng(seed).standard_normal((4, 6))
 
 
 def _random_group(k, rng, cond_max=50.0):
@@ -333,7 +333,7 @@ def run_all(X=None, seed=0):
     check runs."""
     check_seed(seed)
     if X is None:
-        X = _default_X(seed)
+        X = load_data_matrix(_default_data(seed))
 
     out = []
     for name, fn in ALL_CHECKS:

@@ -1,15 +1,32 @@
-"""Small data matrices of every kind the package must handle, shared by the
-hypothesis tests of the flow and of the dense oracle."""
+"""The one home of the test inputs: the two worked matrices, Gaussian X,
+small data matrices of every kind the package must handle, and X of a fixed
+spectrum in Haar-random frames."""
 
 import numpy as np
 
+from mfland import load_data_matrix
+
+X21 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
+X321 = load_data_matrix(np.diag([3.0, 2.0, 1.0]) @ np.eye(3, 4))
+
 KINDS = ["tied", "rank-deficient", "tall", "square", "generic"]
+
+
+def gaussian(seed, m=3, n=5):
+    """An m x n X of standard normal entries drawn from default_rng(seed)."""
+    return load_data_matrix(np.random.default_rng(seed).standard_normal((m, n)))
 
 
 def haar(rng, n):
     """A Haar-random n x n orthogonal matrix drawn from rng."""
     Q, R = np.linalg.qr(rng.standard_normal((n, n)))
     return Q * np.sign(np.diag(R))
+
+
+def fixed_spectrum(rng, m, n, sigma):
+    """U diag(sigma) V^T with Haar-random U and V."""
+    U, V = haar(rng, m), haar(rng, n)
+    return (U[:, : sigma.size] * sigma) @ V[:, : sigma.size].T
 
 
 def matrix_of_kind(kind, rng):

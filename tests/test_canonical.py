@@ -36,12 +36,7 @@ from mfland import (
     zero_family_point,
 )
 from mfland.canonical import selected_values
-
-X323 = load_data_matrix(np.diag([3.0, 2.0, 1.0]) @ np.eye(3, 4))
-
-
-def _random_X(seed, m=3, n=5):
-    return load_data_matrix(np.random.default_rng(seed).standard_normal((m, n)))
+from matrix_kinds import X21, X321, fixed_spectrum, gaussian
 
 
 # --------------------------------------------------------------- selection --
@@ -55,60 +50,60 @@ def test_selection_must_increase():
 
 def test_selection_out_of_range():
     with pytest.raises(InvalidSelection):
-        build_canonical(X323, Selection((5,)), 1)
+        build_canonical(X321, Selection((5,)), 1)
 
 
 def test_selection_larger_than_k():
     with pytest.raises(InvalidSelection):
-        build_canonical(X323, Selection((0, 1)), 1)
+        build_canonical(X321, Selection((0, 1)), 1)
 
 
 def test_c0_shape_enforced():
     with pytest.raises(DimensionError):
-        build_canonical(X323, Selection((0,)), 2, C0=np.ones((3, 1)))
+        build_canonical(X321, Selection((0,)), 2, C0=np.ones((3, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_c0_must_be_finite(bad):
     with pytest.raises(InvalidInput, match="C0"):
-        build_canonical(X323, Selection((0,)), 2, C0=np.array([[bad]]))
+        build_canonical(X321, Selection((0,)), 2, C0=np.array([[bad]]))
     with pytest.raises(InvalidInput, match="C0"):
-        zero_family_point(X323, np.array([[1.0, bad]]), 2)
+        zero_family_point(X321, np.array([[1.0, bad]]), 2)
 
 
 # ------------------------------------------------------------ construction --
 
 def test_canonical_point_is_critical():
     for sel, k in [((0,), 1), ((1,), 2), ((0, 2), 2), ((0, 1, 2), 3)]:
-        cp = build_canonical(X323, Selection(sel), k)
-        assert is_critical(X323, cp.materialize())
+        cp = build_canonical(X321, Selection(sel), k)
+        assert is_critical(X321, cp.materialize())
 
 
 def test_canonical_with_c0_is_critical():
     rng = np.random.default_rng(7)
-    cp = build_canonical(X323, Selection((1,)), 3, C0=rng.standard_normal((1, 2)))
-    assert is_critical(X323, cp.materialize())
+    cp = build_canonical(X321, Selection((1,)), 3, C0=rng.standard_normal((1, 2)))
+    assert is_critical(X321, cp.materialize())
 
 
 def test_zero_family_is_critical():
     C0 = np.array([[0.5, -2.0]])
-    p = zero_family_point(X323, C0, 2).materialize()
+    p = zero_family_point(X321, C0, 2).materialize()
     assert np.all(p.W == 0.0)
-    assert is_critical(X323, p)
+    assert is_critical(X321, p)
     # S is supported on the kernel of X: W S has no overlap with X's range
-    np.testing.assert_allclose(X323.X @ p.S.T, 0.0, atol=1e-12)
+    np.testing.assert_allclose(X321.X @ p.S.T, 0.0, atol=1e-12)
 
 
 def test_objective_value_formula():
-    cp = build_canonical(X323, Selection((0, 2)), 2)
+    cp = build_canonical(X321, Selection((0, 2)), 2)
     # J = (sum of all sigma^2 - sum of selected sigma^2) / 2
     expect = 0.5 * (9 + 4 + 1 - 9 - 1)
     assert cp.objective_value() == pytest.approx(expect, abs=1e-12)
-    assert evaluate_J(X323, cp.materialize()) == pytest.approx(expect, abs=1e-12)
+    assert evaluate_J(X321, cp.materialize()) == pytest.approx(expect, abs=1e-12)
 
 
 def test_scaled_materialization_same_product():
-    cp = build_canonical(X323, Selection((0, 1)), 2)
+    cp = build_canonical(X321, Selection((0, 1)), 2)
     p1, p2 = cp.materialize(), cp.materialize(scale=3.0)
     np.testing.assert_allclose(p1.W @ p1.S, p2.W @ p2.S, atol=1e-12)
     assert not np.allclose(p1.W, p2.W)
@@ -117,11 +112,11 @@ def test_scaled_materialization_same_product():
 # ------------------------------------------------------- maximality / kind --
 
 def test_first_defect_and_maximality():
-    assert first_defect(X323, Selection((0, 1))) is None
+    assert first_defect(X321, Selection((0, 1))) is None
     # lambda at position 1 is 1 < sigma_1 = 2 (0-based); classify reports p = 2
-    assert first_defect(X323, Selection((0, 2))) == 1
-    assert classify_canonical(build_canonical(X323, Selection((0, 2)), 2)).p == 2
-    assert first_defect(X323, Selection((1, 2))) is not None
+    assert first_defect(X321, Selection((0, 2))) == 1
+    assert classify_canonical(build_canonical(X321, Selection((0, 2)), 2)).p == 2
+    assert first_defect(X321, Selection((1, 2))) is not None
 
 
 def test_maximality_is_value_wise_under_ties():
@@ -135,27 +130,23 @@ def test_maximality_is_value_wise_under_ties():
 def test_selection_index_beyond_m_is_invalid_selection():
     """An index >= m is refused with InvalidSelection, not a NumPy
     IndexError, by the exported first_defect and by selected_values."""
-    X = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
     for read in (first_defect, selected_values):
         with pytest.raises(InvalidSelection, match="index 5 out of range for m = 2"):
-            read(X, Selection((5,)))
+            read(X21, Selection((5,)))
         with pytest.raises(InvalidSelection):
-            read(X, Selection((0, 2)))
-
-
-X23 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
+            read(X21, Selection((0, 2)))
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: CanonicalPoint(X23, Selection((5,)), 2.0), "k must be an integer, got 2.0"),
-    (lambda: CanonicalPoint(X23, Selection((5,)), 3), "k = 3 outside [1, min(m, n) = 2]"),
-    (lambda: CanonicalPoint(X23, Selection((0, 1, 5)), 2),
+    (lambda: CanonicalPoint(X21, Selection((5,)), 2.0), "k must be an integer, got 2.0"),
+    (lambda: CanonicalPoint(X21, Selection((5,)), 3), "k = 3 outside [1, min(m, n) = 2]"),
+    (lambda: CanonicalPoint(X21, Selection((0, 1, 5)), 2),
      "selection has q = 3 > min(k, m) = 2"),
-    (lambda: CanonicalPoint(X23, Selection((0, 5)), 2),
+    (lambda: CanonicalPoint(X21, Selection((0, 5)), 2),
      "selection index 5 out of range for m = 2"),
-    (lambda: random_pair(X23, 0, 0), "k = 0 outside [1, min(m, n) = 2]"),
-    (lambda: random_balanced_pair(X23, 3, 0), "k = 3 outside [1, min(m, n) = 2]"),
-    (lambda: selected_values(X23, Selection((0, 1, 2))),
+    (lambda: random_pair(X21, 0, 0), "k = 0 outside [1, min(m, n) = 2]"),
+    (lambda: random_balanced_pair(X21, 3, 0), "k = 3 outside [1, min(m, n) = 2]"),
+    (lambda: selected_values(X21, Selection((0, 1, 2))),
      "selection index 2 out of range for m = 2"),
 ], ids=["k-type", "k-range", "q", "index", "random_pair", "random_balanced_pair",
         "selected_values"])
@@ -190,11 +181,11 @@ def test_classify_that_overflows_is_a_numerical_failure(sel):
 
 
 def test_classify_kinds():
-    assert classify_canonical(build_canonical(X323, Selection((0, 1)), 2)).kind == "GlobalMinimum"
-    res = classify_canonical(build_canonical(X323, Selection((1, 2)), 2))
+    assert classify_canonical(build_canonical(X321, Selection((0, 1)), 2)).kind == "GlobalMinimum"
+    res = classify_canonical(build_canonical(X321, Selection((1, 2)), 2))
     assert res.kind == "StrictSaddle"
     assert res.lambda_min_closed_form < 0
-    assert classify_canonical(zero_family_point(X323, np.zeros((1, 1)), 1)).kind == "StrictSaddle"
+    assert classify_canonical(zero_family_point(X321, np.zeros((1, 1)), 1)).kind == "StrictSaddle"
 
 
 def test_selecting_every_positive_sigma_is_a_minimum_for_any_k():
@@ -207,7 +198,7 @@ def test_selecting_every_positive_sigma_is_a_minimum_for_any_k():
 
 
 def test_deficient_rank_always_saddle():
-    res = classify_canonical(build_canonical(X323, Selection((0,)), 2))
+    res = classify_canonical(build_canonical(X321, Selection((0,)), 2))
     assert res.kind == "StrictSaddle"
     assert res.maximal  # maximal selection, yet a saddle because q < k
 
@@ -216,25 +207,25 @@ def test_deficient_rank_always_saddle():
 
 def test_balanced_point_same_orbit_and_balanced():
     sel = Selection((0, 1))
-    bal = build_balanced(X323, sel, 2)
+    bal = build_balanced(X321, sel, 2)
     assert balance_residual(bal) < 1e-12
-    assert is_critical(X323, bal)
-    cp = build_canonical(X323, sel, 2)
+    assert is_critical(X321, bal)
+    cp = build_canonical(X321, sel, 2)
     np.testing.assert_allclose(bal.W @ bal.S, cp.materialize().W @ cp.materialize().S, atol=1e-12)
 
 
 def test_balanced_reduction_recovers_selection():
     sel = Selection((0, 2))
-    bal = build_balanced(X323, sel, 2)
-    cp, _ = reduce_to_canonical(X323, bal)
+    bal = build_balanced(X321, sel, 2)
+    cp, _ = reduce_to_canonical(X321, bal)
     np.testing.assert_allclose(sorted(cp.lambdas), [1.0, 3.0], atol=1e-10)
 
 
 # --------------------------------------------------------------- reduction --
 
 def test_reduce_identity_on_canonical():
-    cp0 = build_canonical(X323, Selection((0, 1)), 2)
-    cp, g = reduce_to_canonical(X323, cp0.materialize())
+    cp0 = build_canonical(X321, Selection((0, 1)), 2)
+    cp, g = reduce_to_canonical(X321, cp0.materialize())
     assert cp.q == 2
     np.testing.assert_allclose(cp.lambdas, [3.0, 2.0], atol=1e-12)
     np.testing.assert_allclose(g.A, np.eye(2), atol=1e-10)
@@ -255,25 +246,18 @@ def _rotated(X, groups, rng):
     return dataclasses.replace(X, U=U, V=V)
 
 
-def _mixed(rng, s, n):
-    """diag(s) padded to m x n, in a random orthogonal frame on each side."""
-    P, _ = np.linalg.qr(rng.standard_normal((len(s), len(s))))
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return load_data_matrix(P @ np.diag(s) @ np.eye(len(s), n) @ Q.T)
-
-
 def test_reduce_round_trip_random_orbit():
     rng = np.random.default_rng(12)
     cases = []
     for seed in range(6):
-        X = _random_X(seed)
+        X = gaussian(seed)
         C0 = rng.standard_normal((X.n - X.r, 1)) if X.n > X.r else None
         cases.append((X, X, Selection((int(rng.integers(0, X.r)),)), 2, C0))
     # Tied and rank-deficient X: the point is canonical in a random basis of
     # each tied group, so W spans a random subspace of a tied singular
     # subspace; selections reaching the sigma = 0 group give rank(W) > r.
-    tied = _mixed(rng, [2.0, 2.0, 1.0], 4)
-    deficient = _mixed(rng, [3.0, 2.0, 2.0, 0.0, 0.0], 7)
+    tied = load_data_matrix(fixed_spectrum(rng, 3, 4, np.array([2.0, 2.0, 1.0])))
+    deficient = load_data_matrix(fixed_spectrum(rng, 5, 7, np.array([3.0, 2.0, 2.0, 0.0, 0.0])))
     for X, groups, sel, k in [
         (tied, [[0, 1]], (0,), 1),
         (tied, [[0, 1]], (1, 2), 2),
@@ -308,22 +292,22 @@ def test_reduce_zero_family_branch():
 
 def test_reduce_rejects_non_critical():
     rng = np.random.default_rng(3)
-    p_bad = build_canonical(X323, Selection((0,)), 1).materialize()
+    p_bad = build_canonical(X321, Selection((0,)), 1).materialize()
     p_bad = type(p_bad)(p_bad.W + rng.standard_normal(p_bad.W.shape), p_bad.S)
     with pytest.raises(NotCritical):
-        reduce_to_canonical(X323, p_bad)
+        reduce_to_canonical(X321, p_bad)
 
 
 def test_not_critical_message_names_norm_and_threshold():
     # A gradient norm of order 1e-7 is above the 1e-8 * ||X|| threshold but
     # rounds to 0.0 at three decimals, so the message must not round it.
-    p = build_canonical(X323, Selection((0,)), 1).materialize()
+    p = build_canonical(X321, Selection((0,)), 1).materialize()
     p_near = type(p)(p.W + 1e-7, p.S)
-    gnorm = gradient_norm(X323, p_near)
-    bound = 1e-8 * np.linalg.norm(X323.X)
+    gnorm = gradient_norm(X321, p_near)
+    bound = 1e-8 * np.linalg.norm(X321.X)
     assert 1e-8 < gnorm < 1e-5 and gnorm > bound
     with pytest.raises(NotCritical) as info:
-        reduce_to_canonical(X323, p_near)
+        reduce_to_canonical(X321, p_near)
     assert f"{gnorm:.3e}" in str(info.value)
     assert f"{bound:.3e}" in str(info.value)
 
@@ -345,10 +329,10 @@ def test_selection_accepts_numpy_integers():
 
 @pytest.mark.parametrize("k", [1.5, 2.0, "1", None])
 @pytest.mark.parametrize("make", [
-    lambda k: CanonicalPoint(X323, Selection((0,)), k),
-    lambda k: build_balanced(X323, Selection((0,)), k),
-    lambda k: random_pair(X323, k, 0),
-    lambda k: random_balanced_pair(X323, k, 0),
+    lambda k: CanonicalPoint(X321, Selection((0,)), k),
+    lambda k: build_balanced(X321, Selection((0,)), k),
+    lambda k: random_pair(X321, k, 0),
+    lambda k: random_balanced_pair(X321, k, 0),
 ], ids=["CanonicalPoint", "build_balanced", "random_pair", "random_balanced_pair"])
 def test_k_must_be_an_integer(make, k):
     with pytest.raises(InvalidSelection, match="k must be an integer"):
@@ -357,9 +341,9 @@ def test_k_must_be_an_integer(make, k):
 
 @pytest.mark.parametrize("a", [0, 0.0, np.nan, np.inf, -np.inf, "2", None])
 @pytest.mark.parametrize("entry", [
-    lambda a: build_canonical(X323, Selection((1,)), 1).materialize(a),
-    lambda a: spectrum_full_rank_scaled(X323, Selection((1,)), a=a),
-    lambda a: lambda_min_closed_form(X323, Selection((1,)), 1, a=a),
+    lambda a: build_canonical(X321, Selection((1,)), 1).materialize(a),
+    lambda a: spectrum_full_rank_scaled(X321, Selection((1,)), a=a),
+    lambda a: lambda_min_closed_form(X321, Selection((1,)), 1, a=a),
 ], ids=["materialize", "spectrum_full_rank_scaled", "lambda_min_closed_form"])
 def test_orbit_scale_is_a_nonzero_finite_real(entry, a):
     with pytest.raises(InvalidInput, match="scale must be a nonzero finite number"):
@@ -383,14 +367,14 @@ def test_m0_refuses_a_zero_selected_sigma(entry, sel):
 
 
 def test_m0_refuses_a_nonzero_c0():
-    cp = CanonicalPoint(X323, Selection((0,)), 2, C0=[[0.5]])
+    cp = CanonicalPoint(X321, Selection((0,)), 2, C0=[[0.5]])
     with pytest.raises(InvalidSelection, match="C0 = 0"):
         cp.balanced_scales()
     assert intersect_M0(cp) is None
-    assert CanonicalPoint(X323, Selection((0,)), 2, C0=[[1e-13]]).balanced_scales() == [np.sqrt(3.0)]
+    assert CanonicalPoint(X321, Selection((0,)), 2, C0=[[1e-13]]).balanced_scales() == [np.sqrt(3.0)]
 
 
-@pytest.mark.parametrize("X", [_random_X(4), XDEF], ids=["full-rank", "rank-deficient"])
+@pytest.mark.parametrize("X", [gaussian(4), XDEF], ids=["full-rank", "rank-deficient"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_m0_empty_selection_is_the_origin(X, k):
     """The zero family's balanced point is the origin, where the Hessian has

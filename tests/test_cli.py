@@ -4,15 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from mfland import InvalidInput, Selection, load_data_matrix, spectrum_full_rank_scaled
+from mfland import InvalidInput, Selection, spectrum_full_rank_scaled, write_matrix_csv
 from mfland import cli
 from mfland.cli import main
+from matrix_kinds import X21
 
 
 @pytest.fixture()
 def x_csv(tmp_path):
     path = tmp_path / "x.csv"
-    path.write_text("2,0,0\n0,1,0\n")
+    write_matrix_csv(path, X21.X)
     return str(path)
 
 
@@ -39,8 +40,7 @@ def test_spectrum_floats_round_trip_exactly(capsys, x_csv):
     )
     assert code == 0
     doc = json.loads(out)
-    X = load_data_matrix(np.array([[2.0, 0, 0], [0, 1, 0]]))
-    rep = spectrum_full_rank_scaled(X, Selection((1,)), a=2.0)
+    rep = spectrum_full_rank_scaled(X21, Selection((1,)), a=2.0)
     assert doc["lambda_min"] == rep.lambda_min  # exact, not approximate
     assert doc["eigenvalues"] == sorted(float(v) for v in rep.values)
 
@@ -56,10 +56,13 @@ def test_spectrum_csv_format(capsys, x_csv):
     assert len(lines) == 1 + 5
 
 
-def test_spectrum_deterministic_bytes(capsys, x_csv):
+def test_spectrum_deterministic_bytes(capsys, x_csv, tmp_path):
     _, out1, _ = _run(capsys, "spectrum", "--x", x_csv, "--k", "2")
     _, out2, _ = _run(capsys, "spectrum", "--x", x_csv, "--k", "2")
     assert out1 == out2
+    path = tmp_path / "out.json"
+    code, out3, _ = _run(capsys, "spectrum", "--x", x_csv, "--k", "2", "--output", str(path))
+    assert (code, out3, path.read_text()) == (0, "", out1)
 
 
 def test_classify(capsys, x_csv):
@@ -69,6 +72,8 @@ def test_classify(capsys, x_csv):
     assert doc["kind"] == "StrictSaddle"
     assert doc["lambda_min_closed_form"] == -1
     assert doc["selection"] == [2]
+    code, out, _ = _run(capsys, "classify", "--x", x_csv, "--k", "1")
+    assert (code, json.loads(out)["maximal"], '\n  "selection": [],\n' in out) == (0, False, True)
 
 
 def test_classify_rank_deficient_minimum(capsys, tmp_path):
@@ -188,17 +193,22 @@ def test_flow_leaves_its_defaults_to_integrate_flow(capsys, x_csv, monkeypatch,
     ([], {}), (["--rank-tol", "1e-6"], {"rank_tol": 1e-6}),
 ], ids=["default", "given"])
 @pytest.mark.parametrize("argv", [
-    ["spectrum", "--k", "1", "--select", "1"],
-    ["classify", "--k", "1", "--select", "1"],
-    ["orbit", "--k", "1", "--select", "1", "--scale", "2"],
-    ["flow", "--k", "1"],
-    ["verify"],
-], ids=lambda argv: argv[0])
+    ["spectrum", "--x", "X", "--k", "1", "--select", "1"],
+    ["classify", "--x", "X", "--k", "1", "--select", "1"],
+    ["orbit", "--x", "X", "--k", "1", "--select", "1", "--scale", "2"],
+    ["flow", "--x", "X", "--k", "1"],
+    ["verify", "--x", "X"],
+    ["verify", "--seed", "1"],
+], ids=["spectrum", "classify", "orbit", "flow", "verify", "verify-default-X"])
 def test_rank_tol_is_passed_only_when_given(capsys, x_csv, monkeypatch, argv,
                                             flags, keywords):
+    argv = [x_csv if a == "X" else a for a in argv]
     seen = _record_keywords(monkeypatch, "load_data_matrix")
-    code, _, _ = _run(capsys, *argv, "--x", x_csv, *flags)
+    code, out, _ = _run(capsys, *argv, *flags)
     assert (code, seen) == (0, [keywords])
+    assert out == _run(capsys, *argv)[1]
+    code, _, err = _run(capsys, *argv, "--rank-tol", "2")
+    assert (code, err) == (2, "error: rank_tol must lie in (0, 1), got 2.0\n")
 
 
 def test_orbit_takes_two_svds_of_A(capsys, x46_csv, tmp_path, monkeypatch):

@@ -30,9 +30,7 @@ from mfland import (
     balanced_flow_exact,
 )
 from mfland import flow, oracle
-from matrix_kinds import KINDS as MATRIX_KINDS, haar, matrix_of_kind
-
-X21 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
+from matrix_kinds import KINDS as MATRIX_KINDS, X21, fixed_spectrum, gaussian, matrix_of_kind
 
 GRAD_TOL = 1e-9
 DRIFT_TOL = 1e-8
@@ -245,7 +243,7 @@ def test_loose_grad_tol_certifies_its_limit(k):
     residual bound of the reduction needs about 1e-9 * scale on this X: the
     third tightening reaches it, so the flow certifies and classifies its
     limit instead of stopping Uncertified."""
-    X = load_data_matrix(np.random.default_rng(0).standard_normal((4, 6)))
+    X = gaussian(0, 4, 6)
     traj = integrate_flow(X, random_pair(X, k, seed=0), grad_tol=1e-5)
     assert traj.status == "Converged"
     diag = classify_limit(X, traj)
@@ -414,12 +412,6 @@ def test_step_cut_short_at_t_max_is_not_in_the_step_range():
     assert (short.steps, short.t_final, short.h_min, short.h_max) == (1, 1e-3, None, None)
 
 
-def _fixed_spectrum(rng, m, n, sigma):
-    """U diag(sigma) V^T with Haar-random U and V."""
-    U, V = haar(rng, m), haar(rng, n)
-    return (U[:, : sigma.size] * sigma) @ V[:, : sigma.size].T
-
-
 def test_endgame_rule_lets_stiff_flows_converge(monkeypatch):
     """A tied 20 x 30 X at k = 1 (sigma_1 = sigma_2 over a bulk spectrum) and
     a rank-2 40 x 60 X at k = 3 in Haar frames: with the endgame cap on the
@@ -430,8 +422,8 @@ def test_endgame_rule_lets_stiff_flows_converge(monkeypatch):
     off above the gradient test."""
     rng = np.random.default_rng(1)
     bulk = np.linspace(np.sqrt(30) + np.sqrt(20), np.sqrt(30) - np.sqrt(20), 20)
-    tied = load_data_matrix(_fixed_spectrum(rng, 20, 30, np.concatenate([bulk[:1], bulk[:-1]])))
-    rank2 = load_data_matrix(_fixed_spectrum(rng, 40, 60, np.array([10.0, 6.0])))
+    tied = load_data_matrix(fixed_spectrum(rng, 20, 30, np.concatenate([bulk[:1], bulk[:-1]])))
+    rank2 = load_data_matrix(fixed_spectrum(rng, 40, 60, np.array([10.0, 6.0])))
     flows = [(tied, 1, random_balanced_pair, bulk[0]), (tied, 1, random_pair, bulk[0]),
              (rank2, 3, random_pair, 10.0)]
     for X, k, init, top in flows:
@@ -667,8 +659,8 @@ def test_flow_is_the_reference_loop_bit_for_bit_at_workload_sizes(init):
     the steps of the plain Dormand-Prince loop, compared as bytes."""
     rng = np.random.default_rng(3)
     bulk = np.linspace(np.sqrt(30) + np.sqrt(20), np.sqrt(30) - np.sqrt(20), 20)
-    flows = [(load_data_matrix(_fixed_spectrum(rng, 20, 30, bulk)), 5),
-             (load_data_matrix(_fixed_spectrum(rng, 40, 60, np.array([10.0, 6.0]))), 3)]
+    flows = [(load_data_matrix(fixed_spectrum(rng, 20, 30, bulk)), 5),
+             (load_data_matrix(fixed_spectrum(rng, 40, 60, np.array([10.0, 6.0]))), 3)]
     t_max = 3.0
     for X, k in flows:
         p0 = init(X, k, 1)

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from mfland import (
     TooLarge,
     apply_group_action,
     balanced_flow_exact,
+    build_canonical,
     dense_hessian,
     fd_validate,
     flatten_tangent,
@@ -26,12 +28,13 @@ from mfland import (
     load_data_matrix,
     numeric_spectrum,
     random_balanced_pair,
+    random_pair,
     unflatten_tangent,
 )
 from mfland import oracle
 from mfland.calculus import _hessian_action
 from mfland.oracle import MAX_DENSE_DIM
-from matrix_kinds import KINDS, matrix_of_kind
+from matrix_kinds import KINDS, X21, gaussian, matrix_of_kind
 
 
 def _setup(seed=0, m=3, n=4, k=2):
@@ -100,7 +103,7 @@ def test_non_finite_dense_hessian_is_a_numerical_failure(scale):
     """Far out on the orbit of a canonical point the Hessian overflows; the
     oracle refuses the non-finite matrix without a NumPy warning, so neither
     eigh nor an inertia count sees it."""
-    X = load_data_matrix(np.random.default_rng(0).standard_normal((3, 5)))
+    X = gaussian(0)
     base = CanonicalPoint(X, Selection((0, 2)), 2).materialize()
     far = apply_group_action(base, GroupElement.from_matrix(scale * np.eye(2)))
     with warnings.catch_warnings():
@@ -248,7 +251,7 @@ def test_a_bad_zero_tolerance_is_refused_before_assembly(tol, monkeypatch):
     that do not sum to N, (0, 0, 0) or a raw NumPy error; both inertia
     counters now refuse it, inertia_of before it builds the dense Hessian.
     zero_tol=None keeps inertia_of's default."""
-    X = load_data_matrix(np.random.default_rng(0).standard_normal((3, 5)))
+    X = gaussian(0)
     p = CanonicalPoint(X, Selection((0, 2)), 2).materialize()
     built = []
     assemble = oracle.dense_hessian
@@ -288,6 +291,21 @@ def test_fd_validate_clean_point():
     assert rep.max_second_rel_err < 1e-4
 
 
+def test_fd_validate_resolves_critical_points_and_still_sees_an_offset(monkeypatch):
+    """Canonical points, where <grad J, d> is rounding noise, and verify's
+    start at seed 7, whose d2 J[d] lies below the second difference's
+    resolution, pass; a gradient offset by 1e-8 does not."""
+    A = gaussian([7, 4, 6], 4, 6)
+    crit = [build_canonical(A, Selection(sel), k).materialize()
+            for k in (1, 2, 3) for sel in combinations(range(4), min(k, 2))]
+    assert all(fd_validate(A, p).ok for p in crit)
+    assert fd_validate(A, random_pair(A, 2, 7), seed=7).ok
+    exact = oracle.gradient
+    monkeypatch.setattr(oracle, "gradient", lambda X, p: TangentPair(
+        G=exact(X, p).G + 1e-8, H=exact(X, p).H + 1e-8))
+    assert not any(fd_validate(A, p).ok for p in crit)
+
+
 def test_fd_validate_deterministic():
     X, p, _ = _setup(4)
     assert fd_validate(X, p, seed=9) == fd_validate(X, p, seed=9)
@@ -317,8 +335,7 @@ def test_balanced_flow_exact_solves_the_riccati_equation(shape, k):
 def test_balanced_flow_exact_refuses(case):
     """A negative or non-finite t, sigma_1 t above EXACT_FLOW_MAX_SIGMA_T and
     an unbalanced start are refused, each naming what failed."""
-    X = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
-    p0 = random_balanced_pair(X, 1, seed=0)
+    p0 = random_balanced_pair(X21, 1, seed=0)
     t, match = {
         "negative t": (-1.0, "t must be"),
         "nan t": (np.nan, "t must be"),
@@ -328,5 +345,5 @@ def test_balanced_flow_exact_refuses(case):
     if case == "unbalanced":
         p0 = FactorPair(W=p0.W, S=2.0 * p0.S)
     with pytest.raises(InvalidInput, match=match):
-        balanced_flow_exact(X, p0, t)
-    balanced_flow_exact(X, random_balanced_pair(X, 1, seed=0), 0.99 * oracle.EXACT_FLOW_MAX_SIGMA_T / 2.0)
+        balanced_flow_exact(X21, p0, t)
+    balanced_flow_exact(X21, random_balanced_pair(X21, 1, seed=0), 0.99 * oracle.EXACT_FLOW_MAX_SIGMA_T / 2.0)

@@ -31,25 +31,21 @@ from mfland import (
     spectrum_deficient_rank,
     spectrum_full_rank_scaled,
     spectrum_zero_family,
-    zero_family_point,
 )
 from mfland import spectrum
+from mfland.canonical import _split_pair
 from mfland.spectrum import EigPair, _canonical_eigpairs, _report
-from matrix_kinds import haar
+from matrix_kinds import KINDS, X21, X321, gaussian, matrix_of_kind
 
 MATCH_TOL = 1e-8
-X21 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
-X321 = load_data_matrix(np.diag([3.0, 2.0, 1.0]) @ np.eye(3, 4))
-
-
-def _oracle_sorted(X, p):
-    return numeric_spectrum(X, p)[0]
+# A kind of X, the exponent of its scale 10^e and the seed it is drawn from.
+LANDSCAPE = (st.sampled_from(KINDS), st.floats(-3, 3), st.integers(0, 2**16))
 
 
 def _assert_match(X, rep):
     assert len(rep.eigpairs) == rep.point.k * (X.m + X.n)
     np.testing.assert_allclose(
-        np.sort(rep.values), _oracle_sorted(X, rep.point), atol=MATCH_TOL
+        np.sort(rep.values), numeric_spectrum(X, rep.point)[0], atol=MATCH_TOL
     )
 
 
@@ -146,28 +142,33 @@ def test_balanced_matches_oracle():
         _assert_match(X321, rep)
 
 
-def _landscape_matrix(kind, seed):
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(0, 2**16))
+def test_closed_forms_match_the_oracle_everywhere(kind, seed):
+    """Every k <= m and 0 <= q <= min(k, r): the zero family at q = 0, the
+    full-rank point at a scale a != 1 at q = k, the deficient point with a
+    C0 in between, and the balanced point at every q >= 1."""
     rng = np.random.default_rng(seed)
-    if kind == "tied":
-        sigma = np.array([2.0, 2.0, 1.0, 1.0])
-        return (haar(rng, 4) * sigma) @ haar(rng, 5)[:, :4].T
-    if kind == "rank-deficient":
-        return rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
-    if kind == "tall":
-        return rng.standard_normal((6, 3))
-    if kind == "rescaled":
-        return 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((3, 5))
-    return rng.standard_normal((4, 6))
+    X = load_data_matrix(matrix_of_kind(kind, rng))
+    for k in range(1, X.m + 1):
+        for q in range(min(k, X.r) + 1):
+            sel = Selection(tuple(sorted(rng.choice(X.r, size=q, replace=False).tolist())))
+            C0 = rng.standard_normal((X.n - X.r, k - q))
+            if q == 0:
+                _assert_match(X, spectrum_zero_family(X, C0, k))
+                continue
+            _assert_match(X, spectrum_balanced(X, sel, k))
+            _assert_match(X, spectrum_full_rank_scaled(X, sel, a=float(rng.uniform(0.3, 2.5)))
+                          if q == k else spectrum_deficient_rank(build_canonical(X, sel, k, C0=C0)))
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["tied", "rank-deficient", "tall", "rescaled", "generic"]),
-       st.integers(0, 2**16))
-def test_balanced_spectrum_is_closed_form_everywhere(kind, seed):
+@given(*LANDSCAPE)
+def test_balanced_spectrum_is_closed_form_everywhere(kind, exponent, seed):
     """Every k <= min(m, n) and 1 <= q <= min(k, r), against the dense oracle."""
-    X = load_data_matrix(_landscape_matrix(kind, seed))
-    s1 = float(X.sigma[0])
     rng = np.random.default_rng(seed)
+    X = load_data_matrix(10.0**exponent * matrix_of_kind(kind, rng))
+    s1 = float(X.sigma[0])
     for k in range(1, X.m + 1):
         for q in range(1, min(k, X.r) + 1):
             sel = Selection(tuple(sorted(rng.choice(X.r, size=q, replace=False).tolist())))
@@ -216,12 +217,16 @@ def test_classification_and_inertia_are_scale_covariant(c):
 
 # --------------------------------------------------------- eigpair quality --
 
+def _large_point():
+    """A deficient point with N = k (m + n) = 5000 on a 200 x 300 Gaussian X."""
+    rng = np.random.default_rng(0)
+    return build_canonical(load_data_matrix(rng.standard_normal((200, 300))),
+                           Selection((0, 1, 2, 3, 5)), 10, C0=rng.standard_normal((100, 5)))
+
+
 def test_spectrum_memory_is_linear_in_N():
     """N = 5000: eigenvectors are kept as factors and built one at a time."""
-    rng = np.random.default_rng(0)
-    X = load_data_matrix(rng.standard_normal((200, 300)))
-    cp = build_canonical(X, Selection((0, 1, 2, 3, 5)), 10,
-                         C0=rng.standard_normal((100, 5)))
+    cp = _large_point()
     tracemalloc.start()
     try:
         rep = spectrum_deficient_rank(cp)
@@ -234,22 +239,10 @@ def test_spectrum_memory_is_linear_in_N():
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
     for e in rep.eigpairs[::97] + rep.eigpairs[-1:]:
         v = e.vector
-        hv = hessian_apply(X, rep.point, v)
+        hv = hessian_apply(cp.X, rep.point, v)
         resid = np.sqrt(np.sum((hv.G - e.value * v.G) ** 2)
                         + np.sum((hv.H - e.value * v.H) ** 2))
         assert resid <= 1e-9
-
-
-def test_eigenpairs_are_genuine():
-    rep = spectrum_deficient_rank(
-        build_canonical(X321, Selection((1,)), 3, C0=np.array([[0.7, -0.4]]))
-    )
-    H = dense_hessian(X321, rep.point).matrix
-    V = np.column_stack([flatten_tangent(e.vector) for e in rep.eigpairs])
-    vals = rep.values
-    assert np.max(np.abs(H @ V - V * vals)) < 1e-9
-    gram = V.T @ V
-    assert np.max(np.abs(gram - np.eye(V.shape[1]))) < 1e-9
 
 
 def _all_families_report():
@@ -319,10 +312,7 @@ def test_spectrum_makes_no_eigpair_until_one_is_read(monkeypatch):
             super().__init__(**fields)
 
     monkeypatch.setattr(spectrum, "EigPair", Counting)
-    rng = np.random.default_rng(0)
-    X = load_data_matrix(rng.standard_normal((200, 300)))
-    rep = spectrum_deficient_rank(build_canonical(
-        X, Selection((0, 1, 2, 3, 5)), 10, C0=rng.standard_normal((100, 5))))
+    rep = spectrum_deficient_rank(_large_point())
     assert len(rep.eigpairs) == 5000 and rep.values.size == 5000
     assert made == []
     e = rep.eigpairs[-1]
@@ -416,13 +406,12 @@ def _reference_eigpairs(cp, d):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["tied", "rank-deficient", "tall", "rescaled", "generic"]),
-       st.integers(0, 2**16))
-def test_array_spectrum_equals_the_per_block_reference(kind, seed):
+@given(*LANDSCAPE)
+def test_array_spectrum_equals_the_per_block_reference(kind, exponent, seed):
     """Bit for bit, in emission order and after the stable sort by value,
     which fixes the order of tied values."""
-    X = load_data_matrix(_landscape_matrix(kind, seed))
     rng = np.random.default_rng(seed)
+    X = load_data_matrix(10.0**exponent * matrix_of_kind(kind, rng))
     for k in range(1, X.m + 1):
         q = int(rng.integers(0, k + 1))
         sel = Selection(tuple(sorted(rng.choice(X.m, size=q, replace=False).tolist())))
@@ -460,24 +449,6 @@ def test_coupled_pair_vectors_multiply_to_minus_one():
 
 # ----------------------------------------------------------- lambda_min -----
 
-def test_lambda_min_matches_report_minimum():
-    for sel, k, C0 in [
-        ((1,), 1, None),
-        ((1, 2), 2, None),
-        ((0,), 2, np.array([[0.3]])),
-        ((), 1, np.array([[2.0]])),
-    ]:
-        sel = Selection(sel)
-        if sel.q == k:
-            rep = spectrum_full_rank_scaled(X321, sel, a=1.0)
-        elif sel.q == 0:
-            rep = spectrum_zero_family(X321, C0, k)
-        else:
-            rep = spectrum_deficient_rank(build_canonical(X321, sel, k, C0=C0))
-        lam = lambda_min_closed_form(X321, sel, k, C0=C0)
-        assert lam == pytest.approx(rep.lambda_min, abs=1e-10)
-
-
 @pytest.mark.parametrize("c", [1e4, 1e6])
 def test_lambda_min_survives_a_heavy_kernel_weight(c):
     """w = c^2 >> sigma_dag = 1: the sigma_omega branch -s^2 / (w/2 + ...)
@@ -486,22 +457,21 @@ def test_lambda_min_survives_a_heavy_kernel_weight(c):
     C0 = np.array([[c], [0.0]])
     lam = lambda_min_closed_form(X, Selection(()), 1, C0=C0)
     rep = spectrum_zero_family(X, C0, 1)
-    oracle = _oracle_sorted(X, rep.point)[0]
+    oracle = numeric_spectrum(X, rep.point)[0][0]
     assert lam < 0
     assert lam == pytest.approx(oracle, rel=1e-12, abs=0.0)
     assert lam == pytest.approx(rep.lambda_min, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["tied", "rank-deficient", "tall", "rescaled", "generic"]),
-       st.integers(0, 2**16))
-def test_lambda_min_is_the_spectrum_minimum_everywhere(kind, seed):
+@given(*LANDSCAPE)
+def test_lambda_min_is_the_spectrum_minimum_everywhere(kind, exponent, seed):
     """Every k, every 0 <= q <= k over all m indices, a != 1 and C0 at unit
     scale: lambda_min_closed_form is the closed-form spectrum's minimum, and
     it refuses exactly the points without a negative eigenvalue."""
-    X = load_data_matrix(_landscape_matrix(kind, seed))
-    s1 = float(X.sigma[0])
     rng = np.random.default_rng(seed)
+    X = load_data_matrix(10.0**exponent * matrix_of_kind(kind, rng))
+    s1 = float(X.sigma[0])
     for k in range(1, X.m + 1):
         for q in range(0, k + 1):
             sel = Selection(tuple(sorted(rng.choice(X.m, size=q, replace=False).tolist())))
@@ -544,11 +514,10 @@ def test_spectrum_far_out_on_the_orbit_is_a_numerical_failure(scale):
     """At a = 1e300 the block entries overflow and at 1e-200 they divide by
     an underflowed a^2; either way the closed form refuses the spectrum as a
     NumericalFailure that names the scale, without a NumPy warning."""
-    X = load_data_matrix(np.random.default_rng(0).standard_normal((3, 5)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailure) as info:
-            spectrum_full_rank_scaled(X, Selection((0, 2)), a=scale)
+            spectrum_full_rank_scaled(gaussian(0), Selection((0, 2)), a=scale)
     assert str(info.value) == (f"the closed-form spectrum at scale {scale:g} "
                                "is not finite in float64")
 
@@ -557,11 +526,10 @@ def test_spectrum_far_out_on_the_orbit_is_a_numerical_failure(scale):
 def test_lambda_min_far_out_on_the_orbit_is_a_numerical_failure(scale):
     """The closed-form lambda_min at a = 1e300 or 1e-200 is refused as the
     spectrum there is, with the same message and no NumPy warning."""
-    X = load_data_matrix(np.random.default_rng(0).standard_normal((3, 5)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailure) as info:
-            lambda_min_closed_form(X, Selection((0, 2)), 2, a=scale)
+            lambda_min_closed_form(gaussian(0), Selection((0, 2)), 2, a=scale)
     assert str(info.value) == (f"the closed-form lambda_min at scale {scale:g} "
                                "is not finite in float64")
 
@@ -569,15 +537,8 @@ def test_lambda_min_far_out_on_the_orbit_is_a_numerical_failure(scale):
 def test_lambda_min_with_a_huge_C0_is_a_numerical_failure():
     """The smallest kernel weight gamma^2 of C0 = 1e200 overflows: the closed
     form raises NumericalFailure, not a raw OverflowError."""
-    X = load_data_matrix(np.random.default_rng(0).standard_normal((3, 5)))
     with pytest.raises(NumericalFailure, match="^the closed-form lambda_min at scale 1 "):
-        lambda_min_closed_form(X, Selection((0,)), 2, C0=1e200 * np.ones((2, 1)))
-
-
-def test_scaling_kills_lambda_min():
-    mags = [abs(lambda_min_closed_form(X21, Selection((1,)), 1, a=a)) for a in (1, 2, 4, 8)]
-    assert all(x > y for x, y in zip(mags, mags[1:]))
-    assert mags[-1] < 0.1
+        lambda_min_closed_form(gaussian(0), Selection((0,)), 2, C0=1e200 * np.ones((2, 1)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -588,10 +549,6 @@ def test_scaling_kills_lambda_min():
 )
 def test_stable_block_sign_trichotomy(lam, sig, a):
     """The coupled block's small eigenvalue has the sign of lambda^2 - sigma^2."""
-    p11, p12, p22 = lam * lam / (a * a), -sig, a * a
-    tr, det = p11 + p22, p11 * p22 - p12 * p12
-    rho_plus = 0.5 * (tr + np.hypot(p11 - p22, 2 * p12))
-    rho_minus = det / rho_plus
-    expected = np.sign(lam * lam - sig * sig)
+    rho_minus = _split_pair(lam * lam / (a * a), -sig, a * a)[1]
     if abs(lam - sig) > 1e-9:
-        assert np.sign(rho_minus) == expected
+        assert np.sign(rho_minus) == np.sign(lam * lam - sig * sig)
