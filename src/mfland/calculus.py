@@ -30,24 +30,13 @@ def _check_tangent(p, d):
         )
 
 
-def _hessian_action(W, S, E, G, H):
-    """The Hessian action at (W, S) with residual E = W S - X on (G, H).
-
-    G and H may be stacks of shape (b, m, k) and (b, k, n); the action is
-    then applied to each pair of slices, with the same products in the same
-    order as for a single pair.
-    """
-    out_G = G @ (S @ S.T) + W @ H @ S.T + E @ np.swapaxes(H, -1, -2)
-    out_H = (W.T @ W) @ H + W.T @ G @ S + np.swapaxes(G, -1, -2) @ E
-    return out_G, out_H
-
-
 def hessian_apply(X, p, d):
     """Apply the Hessian of J at p to the tangent pair d."""
     E = residual(X, p)
     _check_tangent(p, d)
-    out_G, out_H = _hessian_action(p.W, p.S, E, d.G, d.H)
-    return TangentPair(G=out_G, H=out_H)
+    W, S, G, H = p.W, p.S, d.G, d.H
+    return TangentPair(G=G @ (S @ S.T) + W @ H @ S.T + E @ H.T,
+                       H=(W.T @ W) @ H + W.T @ G @ S + G.T @ E)
 
 
 def second_derivative(X, p, d):

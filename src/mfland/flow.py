@@ -9,8 +9,8 @@ of the next step and gives that point's sample.  The difference of the two
 embedded solutions is the local error estimate that decides acceptance.
 The steps run on one (8, N) block of the flat (W, S) state and its stage
 slopes.  Every stage product and the two Gram products of each sample's
-drift write through np.dot into buffers allocated once per flow, so a step
-allocates no arrays.  The trajectory counts rejected steps and RHS
+drift write through ndarray.dot into buffers allocated once per flow, so a
+step allocates no arrays.  The trajectory counts rejected steps and RHS
 evaluations and records the range of step sizes the controller chose.
 
 Near a limit the step size settles at the method's stability edge, where
@@ -150,8 +150,9 @@ class _Stepper:
     the stage buffer into row 0, and its slope k7 into row 1.  Every product
     of a step (the stage and error combinations and the three products of
     each RHS evaluation) and each Gram product of the drift goes through
-    np.dot into one of these buffers.  Loading p0 evaluates its slope k1 and
-    fixes the invariant C = W^T W - S S^T that the drift is measured from.
+    ndarray.dot, which skips np.dot's dispatcher, into one of these buffers.
+    Loading p0 evaluates its slope k1 and fixes the invariant
+    C = W^T W - S S^T that the drift is measured from.
     """
 
     def __init__(self, X, p0):
@@ -164,8 +165,9 @@ class _Stepper:
         self.stages = [(self.coef[r, : r + 2], self.a[: r + 2], self.rows[r + 2])
                        for r in range(6)]
         self.diff = np.empty(k * (m + n))
-        # The residual X - W S of the latest RHS evaluation.
+        # The residual X - W S of the latest RHS evaluation and its flat view.
         self.D = np.empty((m, n))
+        self.D_flat = self.D.reshape(-1)
         # The two Gram products of the drift and its flat view.
         self.G, self.H = np.empty((2, k, k))
         self.flat = self.G.reshape(-1)
@@ -178,24 +180,24 @@ class _Stepper:
     def rhs(self, y, slope):
         """Write -grad J at y into slope, and the residual X - W S into D."""
         self.rhs_evals += 1
-        D, dot = self.D, np.dot
-        dot(y.W, y.S, out=D)
+        D = self.D
+        y.W.dot(y.S, out=D)
         np.subtract(self.X, D, out=D)
-        dot(D, y.ST, out=slope.W)
-        dot(y.WT, D, out=slope.S)
+        D.dot(y.ST, out=slope.W)
+        y.WT.dot(D, out=slope.S)
 
     def attempt(self, h):
         """Take one step of size h from row 0 and return the norm of its local
         error estimate.  The fifth-order solution is left in the stage
         buffer, its slope in row 7 and its residual in D."""
-        stage, coef, rhs, dot, diff = self.stage, self.coef, self.rhs, np.dot, self.diff
+        stage, coef, rhs, diff = self.stage, self.coef, self.rhs, self.diff
         np.multiply(_TABLEAU, h, out=coef)
         coef[:6, 0] = 1.0
         for c, rows, slope in self.stages:
-            dot(c, rows, out=stage.y)
+            c.dot(rows, out=stage.y)
             rhs(stage, slope)
-        dot(coef[6, 1:], self.a[1:], out=diff)
-        return math.sqrt(dot(diff, diff))
+        coef[6, 1:].dot(self.a[1:], out=diff)
+        return math.sqrt(diff.dot(diff))
 
     def accept(self):
         self.a[0] = self.stage.y
@@ -206,15 +208,15 @@ class _Stepper:
         D of the RHS evaluation that gave it, and its ||y||^2 as ysq.  The
         drift ||W^T W - S S^T - C||_F is computed as np.linalg.norm does: the
         square root of the dot product of the flat difference with itself."""
-        y, k1, G, H, dot = self.rows[0], self.a[1], self.G, self.H, np.dot
-        self.ysq = float(dot(y.y, y.y))
-        dot(y.WT, y.W, out=G)
-        dot(y.S, y.ST, out=H)
+        y, k1, G, H, D = self.rows[0], self.a[1], self.G, self.H, self.D_flat
+        self.ysq = float(y.y.dot(y.y))
+        y.WT.dot(y.W, out=G)
+        y.S.dot(y.ST, out=H)
         np.subtract(G, H, out=G)
         np.subtract(G, self.C, out=G)
-        return FlowSample(t=float(t), J=0.5 * float(np.vdot(self.D, self.D)),
-                          grad_norm=math.sqrt(dot(k1, k1)),
-                          drift=math.sqrt(dot(self.flat, self.flat)))
+        return FlowSample(t=float(t), J=0.5 * float(D.dot(D)),
+                          grad_norm=math.sqrt(k1.dot(k1)),
+                          drift=math.sqrt(self.flat.dot(self.flat)))
 
     def point(self):
         """The current point, copied out of the buffer the next step reuses."""

@@ -6,20 +6,23 @@ owns the tangent coordinates: ``flatten_tangent``, ``action_matrix`` and the
 dense Hessian share them, so any closed-form claim elsewhere in the package
 can be validated against plain ``numpy.linalg.eigh`` on that matrix.
 
-The dense Hessian is the Hessian action on stacked blocks of unit tangents:
-blocks of G-only tangents, then blocks of H-only tangents, each paired with
-one broadcast zero slice of the other factor.  Each block lands in contiguous
-rows of the transposed raw matrix A^T; one more N x N buffer then takes
-A - A^T, whose norm is the asymmetry, and is overwritten with (A + A^T) / 2.
-So assembly holds two N x N arrays at most, and the matrix is the same, bit
-for bit, as one built column by column with ``calculus.hessian_apply``.
+The dense Hessian is written block by block into one N x N array, in
+flatten_tangent's order: kron(S S^T, I_m) on the G-G block, kron(I_n, W^T W)
+on the H-H block, and on each cross block the products W[a, l] S[d, b], plus
+an entry of E where the two tangents share their index in 1..k.  Each cross
+block comes from its own half of the Hessian action: the G-unit columns and
+the H-unit columns.  Every entry is the one product or sum that
+``calculus.hessian_apply`` forms for it, with the action's +0 in place of a
+-0, so the matrix is the same, bit for bit, as one built column by column.
+The asymmetry is taken only over the blocks where it can be nonzero, and the
+matrix is averaged with its transpose only when it is.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _hessian_action, gradient, second_derivative
+from .calculus import gradient, second_derivative
 from .errors import InvalidInput, NumericalFailure, TooLarge
 # inertia_from_values lives in the model, which the closed forms may import.
 from .model import (FactorPair, TangentPair, check_pair, check_seed, evaluate_J,
@@ -33,9 +36,6 @@ FD_STEP_GRADIENT = 1e-5
 FD_STEP_SECOND = 1e-4
 # FDReport.ok's bounds on the two relative errors.
 _FD_TOL_GRADIENT, _FD_TOL_SECOND = 1e-6, 1e-4
-# Bytes that one intermediate of a block of unit tangents in dense_hessian may
-# take: per column none is larger than max(m, k) x max(n, k) (W H is m x n).
-_BLOCK_BYTES = 1 << 20
 # balanced_flow_exact: the largest sigma_1 * t it evaluates, and the
 # imbalance ||W^T W - S S^T||_F / ||(W, S)||^2 it accepts as balanced.
 EXACT_FLOW_MAX_SIGMA_T = 8.0
@@ -68,11 +68,11 @@ def action_matrix(g, m, n):
 
 @dataclass(frozen=True)
 class DenseHessian:
-    """Symmetrized dense Hessian in the frozen tangent coordinates.
+    """Symmetric dense Hessian in the frozen tangent coordinates.
 
-    ``asymmetry`` is the Frobenius norm of the skew part of the raw
-    assembled matrix before averaging; for a correct Hessian action it
-    sits at rounding level.
+    ``asymmetry`` is the Frobenius norm of A - A^T for the raw assembled
+    matrix A, and ``matrix`` is (A + A^T) / 2.  For a correct Hessian action
+    the asymmetry is zero and the matrix is A itself.
     """
 
     matrix: np.ndarray
@@ -93,45 +93,47 @@ def dense_hessian(X, p):
         raise TooLarge(f"dense Hessian would be {N} x {N} (limit {MAX_DENSE_DIM})")
     W, S = p.W, p.S
     mk = m * k
-    # Column c of the raw matrix A is the action on the c-th unit tangent,
-    # written in flatten_tangent's order to the contiguous row c of At = A^T.
-    # A block holds G-columns (c < mk) or H-columns only, and the other factor
-    # is one zero slice that the action broadcasts.  Each tangent holds one
-    # unit entry, so every entry of every term of the action is a single
-    # product: the matrix is the same, bit for bit, as one built column by
-    # column.
-    b = max(1, _BLOCK_BYTES // (8 * max(m, k) * max(n, k)))
-    At = np.empty((N, N))
+    A = np.empty((N, N))
+    GG, GH, HG, HH = A[:mk, :mk], A[:mk, mk:], A[mk:, :mk], A[mk:, mk:]
+    # Entry (r, c) is coordinate r of the action on the c-th unit tangent:
+    # with G = e_i e_j^T it is S S^T[j, d] at G-coordinate (i, d) and
+    # W[i, c] S[j, b] + [c = j] E[i, b] at H-coordinate (c, b); with H = e_l e_b^T,
+    # W^T W[c, l] at H-coordinate (c, b) and W[a, l] S[d, b] + [d = l] E[a, b]
+    # at G-coordinate (a, d).  The action adds to each of them a product
+    # with the zero factor of the unit tangent, +0, which turns a -0 product
+    # W S into +0: hence the "+= 0.0".  S S^T, W^T W and E are sums that start
+    # from +0, never -0.  np.einsum with a repeated index is a writeable view
+    # of that diagonal.
     with np.errstate(over="ignore", invalid="ignore"):
         E = W @ S - X.X
-        zero_G, zero_H = np.zeros((1, m, k)), np.zeros((1, k, n))
-        for c0 in [*range(0, mk, b), *range(mk, N, b)]:
-            c1 = min(c0 + b, mk if c0 < mk else N)
-            rows = At[c0:c1]
-            i = np.arange(c1 - c0)
-            if c0 < mk:
-                G = np.zeros((c1 - c0, m, k))
-                c = np.arange(c0, c1)
-                G[i, c % m, c // m] = 1.0
-                out_G, out_H = _hessian_action(W, S, E, G, zero_H)
-            else:
-                H = np.zeros((c1 - c0, k, n))
-                c = np.arange(c0, c1) - mk
-                H[i, c % k, c // k] = 1.0
-                out_G, out_H = _hessian_action(W, S, E, zero_G, H)
-            rows[:, :mk].reshape(-1, k, m)[...] = np.swapaxes(out_G, 1, 2)
-            rows[:, mk:].reshape(-1, n, k)[...] = np.swapaxes(out_H, 1, 2)
-        # One N x N buffer holds A - A^T, then the symmetrized matrix.  The
-        # asymmetry is np.linalg.norm's sqrt(dot) over A - A^T in C order; it
-        # is non-finite whenever A is: an inf or nan entry meets its transpose.
-        sym = np.subtract(At.T, At, out=np.empty((N, N)))
-        flat = sym.reshape(-1)
-        asym = float(np.sqrt(np.dot(flat, flat)))
+        SST, WTW = S @ S.T, W.T @ W
+        HG4 = HG.reshape(n, k, k, m)   # [b, c, j, i]: the G-unit columns
+        GH4 = GH.reshape(k, m, n, k)   # [d, a, b, l]: the H-unit columns
+        np.multiply(W.T[None, :, None, :], S.T[:, None, :, None], out=HG4)
+        np.multiply(W[None, :, None, :], S[:, None, :, None], out=GH4)
+        HG += 0.0
+        GH += 0.0
+        np.einsum("bcci->bci", HG4)[...] += E.T[:, None, :]
+        np.einsum("dabd->dab", GH4)[...] += E
+        # ||A - A^T||^2 over the G-G block is m ||S S^T - (S S^T)^T||^2, over
+        # the H-H block n ||W^T W - (W^T W)^T||^2, and the cross blocks count
+        # twice.  HH's first m k columns (X is stored with m <= n) hold
+        # HG - GH^T before the block is written.  The sum is non-finite
+        # whenever an entry of A is.
+        skew = np.subtract(HG, GH.T, out=HH[:, :mk])
+        dS, dW = SST - SST.T, WTW - WTW.T
+        asym = float(np.sqrt(m * np.vdot(dS, dS) + n * np.vdot(dW, dW)
+                             + 2.0 * np.einsum("ij,ij->", skew, skew)))
     if not np.isfinite(asym):
         raise NumericalFailure(f"dense Hessian has non-finite entries (asymmetry {asym})")
-    np.add(At.T, At, out=sym)
-    sym *= 0.5
-    return DenseHessian(matrix=sym, asymmetry=asym)
+    GG.fill(0.0)
+    HH.fill(0.0)
+    np.einsum("daja->dja", GG.reshape(k, m, k, m))[...] = SST.T[:, :, None]
+    np.einsum("bcbl->bcl", HH.reshape(n, k, n, k))[...] = WTW
+    if asym:
+        np.add(A, A.T, out=A)
+        A *= 0.5
+    return DenseHessian(matrix=A, asymmetry=asym)
 
 
 def numeric_spectrum(X, p):

@@ -35,7 +35,7 @@ from mfland import (
 from mfland import spectrum
 from mfland.canonical import _split_pair
 from mfland.spectrum import EigPair, _canonical_eigpairs, _report
-from matrix_kinds import KINDS, X21, X321, gaussian, matrix_of_kind
+from matrix_kinds import KINDS, X21, X321, gaussian, haar, matrix_of_kind
 
 MATCH_TOL = 1e-8
 # A kind of X, the exponent of its scale 10^e and the seed it is drawn from.
@@ -224,6 +224,13 @@ def _large_point():
                            Selection((0, 1, 2, 3, 5)), 10, C0=rng.standard_normal((100, 5)))
 
 
+def _residual(X, p, e):
+    """||hess J(p) v - value v|| for the eigenpair e at p."""
+    v = e.vector
+    hv = hessian_apply(X, p, v)
+    return np.sqrt(np.sum((hv.G - e.value * v.G) ** 2) + np.sum((hv.H - e.value * v.H) ** 2))
+
+
 def test_spectrum_memory_is_linear_in_N():
     """N = 5000: eigenvectors are kept as factors and built one at a time."""
     cp = _large_point()
@@ -238,11 +245,22 @@ def test_spectrum_memory_is_linear_in_N():
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
     for e in rep.eigpairs[::97] + rep.eigpairs[-1:]:
-        v = e.vector
-        hv = hessian_apply(cp.X, rep.point, v)
-        resid = np.sqrt(np.sum((hv.G - e.value * v.G) ** 2)
-                        + np.sum((hv.H - e.value * v.H) ** 2))
-        assert resid <= 1e-9
+        assert _residual(cp.X, rep.point, e) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["rank-deficient", "tall", "generic"])
+def test_a_small_singular_value_of_C0_keeps_its_kernel_column_live(kind):
+    """C0 with singular values gamma_1 and 1e-6 gamma_1 in a random frame:
+    the small one is coupled to the selected column like the large one, so
+    every closed-form eigenpair has a residual within 1e-9 sigma_1^2.  Taking
+    its kernel column as dead leaves residuals of the order of gamma_2."""
+    rng = np.random.default_rng(11)
+    X = load_data_matrix(matrix_of_kind(kind, rng))
+    gamma = np.sqrt(float(X.sigma[0])) * np.array([1.5, 1.5e-6])
+    C0 = (haar(rng, X.n - X.r)[:, :2] * gamma) @ haar(rng, 2).T
+    rep = spectrum_deficient_rank(build_canonical(X, Selection((0,)), 3, C0=C0))
+    for e in rep.eigpairs:
+        assert _residual(X, rep.point, e) <= 1e-9 * float(X.sigma[0]) ** 2, e.value
 
 
 def _all_families_report():
