@@ -256,13 +256,13 @@ def _lambda_min(cp, d=1.0):
     orbit the result can leave float64; NumericalFailure is raised then.
     """
     X, sel, q, k = cp.X, cp.selection, cp.q, cp.k
-    chosen = set(sel.indices)
-    sigma_dag = max((float(X.sigma[i]) for i in range(X.m) if i not in chosen),
-                    default=0.0)
+    unselected = np.ones(X.m, dtype=bool)
+    unselected[list(sel.indices)] = False
+    sigma_dag = float(np.max(X.sigma, where=unselected, initial=0.0))
     if sigma_dag == 0.0 or (q == k and first_defect(X, sel) is None):
         raise NotASaddle("every unselected direction has nonnegative curvature: "
                          "the canonical point is a global minimum")
-    d2 = np.broadcast_to(np.asarray(d, dtype=float), (q,)) ** 2
+    d2 = np.full(q, d, dtype=float) ** 2
     lows = _split_pair(np.float_power(cp.lambdas, 2.0) / d2, -sigma_dag, d2)[1]
     if q < k:
         gs = np.linalg.svd(cp.C0, compute_uv=False)

@@ -24,14 +24,17 @@ eigenvectors) come out exactly.  The 2 x 2 families:
 plus 1 x 1 families for left kernel rows (l_j^2/d_j^2 or w_l), dead
 coordinates, and the right kernel (d_j^2 or 0).
 
-A spectrum is built once, as aligned arrays over all k (m + n) eigenpairs:
-every family broadcasts its block entries over its index grid and the 2 x 2
-blocks are split by ``canonical._split_pair``.  Each eigenvector is a pair
-of rank-one matrices kept as indices into the singular bases and a table of
-coefficient vectors, so a spectrum costs O(k (m + n)) memory.  An
-:class:`EigPair` is made only when one is read from
-``SpectrumReport.eigpairs``, and its dense tangent pair only when
-``EigPair.vector`` is read.
+A spectrum is built once, into tables allocated at their final size.  The
+block table has one column per 1 x 1 or 2 x 2 block: it starts at the
+defaults (zero factors, zero entries), and every family writes only the
+fields it sets, broadcast over its index grid.  The 2 x 2 blocks are split
+by ``canonical._split_pair``, and the eigenpair tables (value, coefficients
+and coupling; branch and block) hold one column per eigenpair, all
+k (m + n) of them.  Each eigenvector is a pair of rank-one matrices kept as
+indices into the singular bases and a table of coefficient vectors, so a
+spectrum costs O(k (m + n)) memory.  An :class:`EigPair` is made only when
+one is read from ``SpectrumReport.eigpairs``, and its dense tangent pair
+only when ``EigPair.vector`` is read.
 """
 
 from collections.abc import Sequence
@@ -55,6 +58,10 @@ from .model import TangentPair, _zero_floor, inertia_from_values
 
 # |value| <= INERTIA_REL * max(sigma_1, |largest value|) counts as zero.
 INERTIA_REL = 1e-10
+
+# Relative gap between two sums of squares under which _pair_vectors takes
+# its choice of eigenvector form from pow() squares (see there).
+_NEAR_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,40 +123,46 @@ _FAMILIES = (
 # 2 x 2 block whose determinant is exactly zero.
 _LEFT, _RIGHT, _PAIR, _ZERO_PAIR = range(4)
 
-# Fields of a block: kind, family, the two provenance indices, the entries
-# [[p11, p12], [p12, p22]], the column u of X.U, the rows cg and ch of the
-# coefficient table and the column v of the right basis (X.V, then zeta).
+# Fields of a block: kind, family, the two provenance indices, the column u
+# of X.U, the rows cg and ch of the coefficient table, the column v of the
+# right basis (X.V, then zeta) and the entries [[p11, p12], [p12, p22]].
 # Index -1 (u, v) and the table's last row (cg, ch) stand for a zero factor.
-_FIELDS = ("kind", "family", "ia", "ib", "p11", "p12", "p22", "u", "cg", "ch", "v")
+_INDEX_FIELDS = ("kind", "family", "ia", "ib", "u", "cg", "ch", "v")
+_ENTRY_FIELDS = ("p11", "p12", "p22")
+# Field -> (table, row): table 0 holds the index fields, table 1 the entries.
+_FIELD_ROW = {key: (table, row)
+              for table, keys in enumerate((_INDEX_FIELDS, _ENTRY_FIELDS))
+              for row, key in enumerate(keys)}
 
 
 class _EigPairs(Sequence):
-    """The eigenpairs of one spectrum as aligned arrays.
+    """The eigenpairs of one spectrum as two aligned tables.
 
-    Per eigenpair: ``value``, ``cl``, ``cr``, ``coupling`` (NaN on 1 x 1
-    blocks), ``branch`` (-1 lower, +1 upper, 0 for 1 x 1) and ``block``, a
-    row of the block table, which holds the family, the provenance indices
-    and the factor indices (``_FIELDS``).  Item i is an :class:`EigPair`
-    made on read; slices return tuples of them.
+    Per eigenpair, as a column of ``floats``: ``value``, ``cl``, ``cr`` and
+    ``coupling`` (NaN on 1 x 1 blocks); and of ``ints``: ``branch`` (-1
+    lower, +1 upper, 0 for 1 x 1) and ``block``, a column of the block table,
+    which holds the family, the provenance indices, the factor indices and
+    the entries (``blocks`` maps each of ``_INDEX_FIELDS`` and
+    ``_ENTRY_FIELDS`` to its row).  Item i is an :class:`EigPair` made on
+    read; slices return tuples of them.
     """
 
-    def __init__(self, cols, blocks, bases):
-        for a in cols.values():
-            a.flags.writeable = False
-        self._cols = cols
+    def __init__(self, floats, ints, blocks, bases):
+        floats.flags.writeable = ints.flags.writeable = False
+        self._floats, self._ints = floats, ints
         self._blocks = blocks
         self._bases = bases  # (U, V, zeta, coef, zero_m, zero_n)
 
     @property
     def values(self):
-        return self._cols["value"]
+        return self._floats[0]
 
     def take(self, order):
-        return _EigPairs({key: a[order] for key, a in self._cols.items()},
+        return _EigPairs(self._floats.take(order, axis=1), self._ints.take(order, axis=1),
                          self._blocks, self._bases)
 
     def __len__(self):
-        return self._cols["value"].size
+        return self._floats.shape[1]
 
     def __getitem__(self, i):
         j = range(len(self))[i]
@@ -159,12 +172,12 @@ class _EigPairs(Sequence):
         return map(self._pair, range(len(self)))
 
     def _pair(self, j):
-        c, b = self._cols, self._blocks
+        b = self._blocks
         U, V, zeta, coef, zm, zn = self._bases
-        blk = c["block"][j]
+        value, cl, cr, coupling = self._floats[:, j].tolist()
+        branch, blk = self._ints[:, j].tolist()
         name, ia, ib = _FAMILIES[b["family"][blk]]
         prov = f"{name}({ia}={b['ia'][blk]},{ib}={b['ib'][blk]})"
-        branch = c["branch"][j]
         if branch:
             prov += ",branch=-" if branch < 0 else ",branch=+"
         u, v = b["u"][blk], b["v"][blk]
@@ -172,11 +185,9 @@ class _EigPairs(Sequence):
             vH = zn
         else:
             vH = V[:, v] if v < V.shape[1] else zeta[:, v - V.shape[1]]
-        return EigPair(value=float(c["value"][j]), cl=float(c["cl"][j]),
-                       uG=U[:, u] if u >= 0 else zm, cG=coef[b["cg"][blk]],
-                       cr=float(c["cr"][j]), cH=coef[b["ch"][blk]], vH=vH,
-                       provenance=prov,
-                       coupling=float(c["coupling"][j]) if branch else None)
+        return EigPair(value=value, cl=cl, uG=U[:, u] if u >= 0 else zm,
+                       cG=coef[b["cg"][blk]], cr=cr, cH=coef[b["ch"][blk]], vH=vH,
+                       provenance=prov, coupling=coupling if branch else None)
 
 
 @dataclass(frozen=True)
@@ -216,17 +227,30 @@ def _pair_vectors(p11, p12, p22, rho):
     """Unit eigenvectors of [[p11, p12], [p12, p22]] for eigenvalues rho,
     elementwise.
 
-    Returns (c_left, c_right).  Of the two analytically equivalent forms the
-    better-conditioned one is used; p12 != 0 guarantees both components are
-    nonzero.
+    Returns (c_left, c_right), normalized from the first of the analytically
+    equivalent forms (p12, rho - p11) and (rho - p22, p12) unless the second
+    has the larger sum of squares; p12 != 0 guarantees both components are
+    nonzero.  The JSON contract fixes that choice to squares taken with pow()
+    (np.float_power), which can differ from x * x in the last bit.
+
+    pow(x, 2) is within 1 ulp of x * x (the most seen over 1e8 draws of x^2
+    from 1e-323 to 1e308, glibc 2.36 libm on x86-64), so a sum of squares s
+    and its pow() counterpart differ by at most 4 * 2^-53 * s, plus 2^-1074
+    per square below the normal range.  Where |s1 - s2| exceeds _NEAR_TIE *
+    max(s1, s2, tiny), with tiny = 2^-1022 the smallest normal float64, the
+    gap is over 1000 times the two errors together, so x * x makes the same
+    choice as pow(); pow() decides only the rest, NaN and inf included.
     """
     a1, b1 = p12, rho - p11
     a2, b2 = rho - p22, p12
-    # Squares go through pow() (np.float_power), which can differ from x * x
-    # in the last bit.  That bit decides the near-ties (p11 = p22 at balanced
-    # points), and the JSON contract fixes the choice to pow()'s.
-    sq = np.float_power
-    first = sq(a1, 2.0) + sq(b1, 2.0) >= sq(a2, 2.0) + sq(b2, 2.0)
+    s1, s2 = a1 * a1 + b1 * b1, a2 * a2 + b2 * b2
+    first = s1 >= s2
+    band = _NEAR_TIE * np.maximum(np.maximum(s1, s2), 2.0**-1022)  # tiny
+    near = ~(np.abs(s1 - s2) > band)
+    if near.any():
+        sq = np.float_power
+        first[near] = (sq(a1[near], 2.0) + sq(b1[near], 2.0)
+                       >= sq(a2[near], 2.0) + sq(b2[near], 2.0))
     c0, c1 = np.where(first, a1, a2), np.where(first, b1, b2)
     nrm = np.hypot(c0, c1)
     return c0 / nrm, c1 / nrm
@@ -246,7 +270,7 @@ def _canonical_eigpairs(cp, d=1.0):
     """
     X, q, k = cp.X, cp.q, cp.k
     m, n, r = X.m, X.n, X.r
-    d = np.broadcast_to(np.asarray(d, dtype=float), (q,))
+    d = np.full(q, d, dtype=float)
     d2 = d * d
     idx = np.array(cp.selection.indices, dtype=np.intp)
     lam = cp.lambdas
@@ -277,23 +301,6 @@ def _canonical_eigpairs(cp, d=1.0):
     coef[:k] = np.eye(k)
     coef[k:-1, q:] = Z.T
     zero_row = coef.shape[0] - 1
-    defaults = dict(p11=0.0, p12=0.0, p22=0.0, u=-1, cg=zero_row, ch=zero_row, v=-1)
-
-    def grid(nrows, common, *parts):
-        """Blocks over a row-major grid whose rows run through the columns of
-        every part in turn.  A part is (ncols, fields); fields broadcast to
-        (nrows, ncols) and fall back on ``common`` and then the defaults."""
-        width = sum(ncols for ncols, _ in parts)
-        out = {key: np.empty((nrows, width), dtype=float if key[0] == "p" else np.intp)
-               for key in _FIELDS}
-        start = 0
-        for ncols, fields in parts:
-            fields = {**defaults, **common, **fields}
-            for key in _FIELDS:
-                out[key][:, start:start + ncols] = fields[key]
-            start += ncols
-        return {key: a.ravel() for key, a in out.items()}
-
     jq, lk = np.arange(q), np.arange(k - q)
     lam_w = np.float_power(lam, 2.0) / d2  # l_j^2 / d_j^2; pow() as in _pair_vectors
     ln = np.arange(n - r)
@@ -302,38 +309,65 @@ def _canonical_eigpairs(cp, d=1.0):
     live = g_n > gtol  # kernel columns coupled to the selected ones through C0
     dead = np.flatnonzero(gamma <= gtol)
     pos = lam > 0
-    jcol, idx_col = jq[:, None], idx[:, None]
+    jcol, idx_col, ur, um = jq[:, None], idx[:, None], us_r[:, None], us_m[:, None]
+    klk = k + lk  # rows of the kernel directions in the coefficient table
 
-    blocks = [
+    # Each family's blocks form a row-major grid whose rows run through the
+    # columns of every part in turn: (nrows, common fields, (ncols, fields)
+    # per part).  Fields broadcast to (nrows, ncols); a part's fields take
+    # precedence over the common ones.
+    grids = [
         # Unselected positive singular values against every column of W / row of S.
-        grid(us_r.size, dict(kind=_PAIR, ia=us_r[:, None], u=us_r[:, None],
-                             v=us_r[:, None], p12=-X.sigma[us_r][:, None]),
-             (q, dict(family=_SIGMA_LAMBDA, ib=jq, p11=lam_w, p22=d2, cg=jq, ch=jq)),
-             (k - q, dict(family=_SIGMA_OMEGA, ib=lk, p11=omega, cg=k + lk,
-                          ch=k + lk))),
+        (us_r.size, dict(kind=_PAIR, ia=ur, u=ur, v=ur, p12=-X.sigma[ur]),
+         (q, dict(family=_SIGMA_LAMBDA, ib=jq, p11=lam_w, p22=d2, cg=jq, ch=jq)),
+         (k - q, dict(family=_SIGMA_OMEGA, ib=lk, p11=omega, cg=klk, ch=klk))),
         # Left kernel rows (sigma_i = 0) only feel S S^T.
-        grid(us_m.size, dict(kind=_LEFT, ia=us_m[:, None], u=us_m[:, None]),
-             (q, dict(family=_LEFT_LAMBDA, ib=jq, p11=lam_w, cg=jq)),
-             (k - q, dict(family=_LEFT_OMEGA, ib=lk, p11=omega, cg=k + lk))),
+        (us_m.size, dict(kind=_LEFT, ia=um, u=um),
+         (q, dict(family=_LEFT_LAMBDA, ib=jq, p11=lam_w, cg=jq)),
+         (k - q, dict(family=_LEFT_OMEGA, ib=lk, p11=omega, cg=klk))),
         # Selected columns coupled with selected rows and with the C0 block.
-        grid(q, dict(ia=jcol, u=idx_col, p22=d2[:, None]),
-             (q, dict(kind=np.where(pos, _ZERO_PAIR, _LEFT),
-                      family=np.where(pos, _SELECTED_CROSS, _ZERO_LAMBDA), ib=jq,
-                      p11=lam_w, p12=lam * (d[:, None] / d), cg=jq,
-                      ch=np.where(pos, jcol, zero_row), v=np.where(pos, idx, -1))),
-             (n - r, dict(kind=np.where(live, _ZERO_PAIR, _RIGHT),
-                          family=np.where(live, _C0_CROSS, _RIGHT_SELECTED), ib=ln,
-                          p11=g_n**2,
-                          p12=g_n * d[:, None], u=np.where(live, idx_col, -1),
-                          cg=np.where(live, k + ln, zero_row), ch=jcol, v=n + ln)),
-             (dead.size, dict(kind=_LEFT, family=_C0_DEAD, ib=dead, cg=k + dead))),
+        (q, dict(ia=jcol, u=idx_col, p22=d2[:, None]),
+         (q, dict(kind=np.where(pos, _ZERO_PAIR, _LEFT),
+                  family=np.where(pos, _SELECTED_CROSS, _ZERO_LAMBDA), ib=jq,
+                  p11=lam_w, p12=lam * (d[:, None] / d), cg=jq,
+                  ch=np.where(pos, jcol, zero_row), v=np.where(pos, idx, -1))),
+         (n - r, dict(kind=np.where(live, _ZERO_PAIR, _RIGHT),
+                      family=np.where(live, _C0_CROSS, _RIGHT_SELECTED), ib=ln,
+                      p11=g_n**2, p12=g_n * d[:, None], u=np.where(live, idx_col, -1),
+                      cg=np.where(live, k + ln, zero_row), ch=jcol, v=n + ln)),
+         (dead.size, dict(kind=_LEFT, family=_C0_DEAD, ib=dead, cg=k + dead))),
         # Rows of S carried by the zero columns of W never feel the Hessian.
-        grid(k - q, dict(kind=_RIGHT, ia=lk[:, None], ch=k + lk[:, None]),
-             (int(np.count_nonzero(pos)),
-              dict(family=_RIGHT_NULL_S, ib=jq[pos], v=idx[pos])),
-             (n - r, dict(family=_RIGHT_NULL_Z, ib=ln, v=n + ln))),
+        (k - q, dict(kind=_RIGHT, ia=lk[:, None], ch=klk[:, None]),
+         (int(np.count_nonzero(pos)), dict(family=_RIGHT_NULL_S, ib=jq[pos], v=idx[pos])),
+         (n - r, dict(family=_RIGHT_NULL_Z, ib=ln, v=n + ln))),
     ]
-    b = {key: np.concatenate([blk[key] for blk in blocks]) for key in _FIELDS}
+
+    # The block table: one row per index field and one per entry, one column
+    # per block, in grid order.  Every grid writes kind, family, ia and ib;
+    # the factor fields start as zero factors and the entries as 0.
+    widths = [sum(ncols for ncols, _ in parts) for _, _, *parts in grids]
+    nblk = sum(g[0] * w for g, w in zip(grids, widths))
+    index = np.empty((len(_INDEX_FIELDS), nblk), dtype=np.intp)
+    index[4:] = ((-1,), (zero_row,), (zero_row,), (-1,))  # u, cg, ch, v
+    entry = np.zeros((len(_ENTRY_FIELDS), nblk))
+    start = 0
+    for (nrows, common, *parts), width in zip(grids, widths):
+        size = nrows * width
+        if not size:
+            continue
+        tables = (index[:, start:start + size].reshape(-1, nrows, width),
+                  entry[:, start:start + size].reshape(-1, nrows, width))
+        start += size
+        cuts, col = [(slice(None), common)], 0
+        for ncols, fields in parts:
+            if ncols:
+                cuts.append((slice(col, col + ncols), fields))
+            col += ncols
+        for cut, fields in cuts:
+            for key, val in fields.items():
+                table, row = _FIELD_ROW[key]
+                tables[table][row, :, cut] = val
+    b = dict(zip(_INDEX_FIELDS, index)) | dict(zip(_ENTRY_FIELDS, entry))
 
     # Block values: (lower, upper) branch, or the 1 x 1 value twice.
     kind, p11, p12, p22 = b["kind"], b["p11"], b["p12"], b["p22"]
@@ -345,23 +379,25 @@ def _canonical_eigpairs(cp, d=1.0):
 
     # One eigenpair per 1 x 1 block, the lower then the upper branch per 2 x 2.
     two = kind >= _PAIR
-    blk = np.repeat(np.arange(kind.size), np.where(two, 2, 1))
+    blk = np.repeat(np.arange(nblk), two + 1)
     assert blk.size == k * (m + n), (blk.size, k * (m + n))
     upper = np.zeros(blk.size, dtype=bool)
     upper[1:] = blk[1:] == blk[:-1]
-    branch = np.where(two[blk], np.where(upper, 1, -1), 0).astype(np.int8)
-    value = np.where(upper, hi[blk], lo[blk])
-    cl = (kind[blk] != _RIGHT).astype(float)
-    cr = 1.0 - cl
-    coupling = np.full(blk.size, np.nan)
-    mix = branch != 0
+    mix = two[blk]
+    ints = np.empty((2, blk.size), dtype=np.intp)  # branch, block
+    ints[0] = np.where(mix, np.where(upper, 1, -1), 0)
+    ints[1] = blk
+    floats = np.empty((4, blk.size))
+    value, cl, cr, coupling = floats
+    value[:] = np.where(upper, hi[blk], lo[blk])
+    cl[:] = kind[blk] != _RIGHT
+    np.subtract(1.0, cl, out=cr)
+    coupling[:] = np.nan
     bm = blk[mix]
     cl[mix], cr[mix] = _pair_vectors(p11[bm], p12[bm], p22[bm], value[mix])
     coupling[mix] = cr[mix] / cl[mix]
-    _check_finite("spectrum", d, value, cl, cr)
-
-    cols = dict(value=value, cl=cl, cr=cr, coupling=coupling, branch=branch, block=blk)
-    return _EigPairs(cols, b, (X.U, X.V, zeta, coef, np.zeros(m), np.zeros(n)))
+    _check_finite("spectrum", d, floats[:3])
+    return _EigPairs(floats, ints, b, (X.U, X.V, zeta, coef, np.zeros(m), np.zeros(n)))
 
 
 def spectrum_zero_family(X, C0, k):

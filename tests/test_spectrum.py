@@ -337,6 +337,16 @@ def test_spectrum_makes_no_eigpair_until_one_is_read(monkeypatch):
     assert type(e) is Counting and made == [e.provenance]
 
 
+def _reference_pair_vector(p11, p12, p22, rho):
+    """(c_left, c_right) of one 2 x 2 block and eigenvalue rho with scalar
+    arithmetic: the form (p12, rho - p11) unless (rho - p22, p12) has the
+    larger sum of ** squares."""
+    c1, c2 = (p12, rho - p11), (rho - p22, p12)
+    c = c1 if c1[0] ** 2 + c1[1] ** 2 >= c2[0] ** 2 + c2[1] ** 2 else c2
+    nrm = np.hypot(c[0], c[1])
+    return c[0] / nrm, c[1] / nrm
+
+
 def _reference_eigpairs(cp, d):
     """The closed-form eigenpairs one block at a time with scalar arithmetic,
     in emission order: (value, provenance, coupling, G, H) per eigenpair."""
@@ -378,10 +388,7 @@ def _reference_eigpairs(cp, d):
             det = p11 * p22 - p12 * p12
             lo = det / hi if hi != 0.0 else 0.5 * (tr - disc)
         for rho, tag in ((lo, "-"), (hi, "+")):
-            c1, c2 = (p12, rho - p11), (rho - p22, p12)
-            c = c1 if c1[0] ** 2 + c1[1] ** 2 >= c2[0] ** 2 + c2[1] ** 2 else c2
-            nrm = np.hypot(c[0], c[1])
-            cl, cr = c[0] / nrm, c[1] / nrm
+            cl, cr = _reference_pair_vector(p11, p12, p22, rho)
             out.append((float(rho), f"{prov},branch={tag}", float(cr / cl),
                         cl * np.outer(u, cG), cr * np.outer(cH, v)))
 
@@ -451,6 +458,58 @@ def test_array_spectrum_equals_the_per_block_reference(kind, exponent, seed):
             assert (e.value, e.provenance, e.coupling) == (value, prov, coupling)
             np.testing.assert_array_equal(e.vector.G, G)
             np.testing.assert_array_equal(e.vector.H, H)
+
+
+# Near ties (p22 - p11 of 3 and 2 ulp) at which x * x and ** squares choose
+# different forms for the lower branch: their x * x sums tie exactly at the
+# first and are 1 ulp apart at the second.
+FLIPPED_BLOCKS = [(2.5678035669078074, -7.621063981934202, 2.5678035669078088),
+                  (3.865637782032914, -7.016661291440385, 3.865637782032915)]
+
+
+def _blocks_of_delicate_choice(rng, n=600):
+    """(p11, p12, p22) with p11, p22 >= 0 and p12 < 0, as the families make
+    them: the flipped blocks; exact ties, ties a few ulp apart and unrelated
+    diagonals at scales 10^[-162, 150], whose low end puts the sums of
+    squares below the normal range; and blocks where both sums of squares
+    overflow (|p12| in [9.48e153, 1.34e154]) and the branches don't."""
+    scale = 10.0 ** rng.uniform(-162, 150, n)
+    p11 = rng.uniform(0.0, 3.0, n) * scale
+    p12 = -rng.uniform(0.1, 3.0, n) * scale
+    p22 = p11 + rng.integers(-4, 5, n) * np.spacing(p11)
+    p22[: n // 4] = p11[: n // 4]
+    p22[-n // 4:] = rng.uniform(0.0, 3.0, n // 4) * scale[-n // 4:]
+    big12 = -rng.uniform(9.48e153, 1.34e154, n)
+    big11, big22 = 10.0 ** rng.uniform(140, 155, (2, n))
+    big22[: n // 4] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi, lo = _split_pair(big11, big12, big22)
+        s1 = big12 * big12 + (lo - big11) ** 2
+        s2 = (lo - big22) ** 2 + big12 * big12
+    both = np.isinf(s1) & np.isinf(s2) & np.isfinite(hi) & np.isfinite(lo)
+    assert np.count_nonzero(both) >= 20
+    flipped = np.array(FLIPPED_BLOCKS).T
+    return [np.concatenate(c) for c in zip(flipped, (p11, p12, p22),
+                                           (big11[both], big12[both], big22[both]))]
+
+
+def test_pair_vectors_choose_the_form_that_pow_squares_choose():
+    """Bit for bit against the scalar reference on both branches of blocks
+    where the choice is delicate; at FLIPPED_BLOCKS the x * x sums alone
+    would choose the other form."""
+    for p11, p12, p22 in FLIPPED_BLOCKS:
+        rho = float(_split_pair(p11, p12, p22)[1])
+        a1, b1, a2, b2 = p12, rho - p11, rho - p22, p12
+        assert (a1 * a1 + b1 * b1 >= a2 * a2 + b2 * b2) != (
+            a1 ** 2 + b1 ** 2 >= a2 ** 2 + b2 ** 2)
+    p11, p12, p22 = _blocks_of_delicate_choice(np.random.default_rng(5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rho in _split_pair(p11, p12, p22):
+            cl, cr = spectrum._pair_vectors(p11, p12, p22, rho)
+            ref = np.array([_reference_pair_vector(*block)
+                            for block in zip(p11, p12, p22, rho)])
+            assert cl.tobytes() == ref[:, 0].tobytes()
+            assert cr.tobytes() == ref[:, 1].tobytes()
 
 
 def test_coupled_pair_vectors_multiply_to_minus_one():
