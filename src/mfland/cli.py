@@ -191,6 +191,8 @@ def _cmd_orbit(args):
     cp = _load_point(args, X, _parse_selection(args.select))
     k = cp.k
     if args.a:
+        if args.scale is not None:
+            raise InvalidInput("orbit takes --a FILE or --scale VALUE, not both")
         A = read_matrix_csv(args.a)
     elif args.scale is not None:
         check_scale(args.scale)

@@ -28,15 +28,17 @@ A spectrum is built once, into tables allocated at their final size.  The
 block table has one column per 1 x 1 or 2 x 2 block: it starts at the
 defaults (zero factors, zero entries), and every family writes only the
 fields it sets, broadcast over its index grid.  The 2 x 2 blocks are split
-by ``canonical._split_pair``, and the eigenpair tables (value, coefficients
-and coupling; branch and block) hold one column per eigenpair, all
-k (m + n) of them.  Each eigenvector is a pair of rank-one matrices kept as
-indices into the singular bases and a table of coefficient vectors, so a
-spectrum costs O(k (m + n)) memory.  An :class:`EigPair` is made only when
-one is read from ``SpectrumReport.eigpairs``, and its dense tangent pair
-only when ``EigPair.vector`` is read.
+by ``canonical._split_pair``, and the eigenpair tables (value and the two
+coefficients, whose ratio is the coupling; branch and block) hold one
+column per eigenpair, all k (m + n) of them.  Each eigenvector is a pair of
+rank-one matrices kept as indices into the singular bases and a table of
+coefficient vectors, so a spectrum costs O(k (m + n)) memory.  An
+:class:`EigPair` is made only when one is read from
+``SpectrumReport.eigpairs``, and its dense tangent pair only when
+``EigPair.vector`` is read.
 """
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -138,19 +140,18 @@ _FIELD_ROW = {key: (table, row)
 class _EigPairs(Sequence):
     """The eigenpairs of one spectrum as two aligned tables.
 
-    Per eigenpair, as a column of ``floats``: ``value``, ``cl``, ``cr`` and
-    ``coupling`` (NaN on 1 x 1 blocks); and of ``ints``: ``branch`` (-1
-    lower, +1 upper, 0 for 1 x 1) and ``block``, a column of the block table,
-    which holds the family, the provenance indices, the factor indices and
-    the entries (``blocks`` maps each of ``_INDEX_FIELDS`` and
-    ``_ENTRY_FIELDS`` to its row).  Item i is an :class:`EigPair` made on
-    read; slices return tuples of them.
+    Per eigenpair, as a column of ``floats``: ``value``, ``cl`` and ``cr``;
+    and of ``ints``: ``branch`` (-1 lower, +1 upper, 0 for 1 x 1) and
+    ``block``, a column of ``index``, the block table's rows of
+    ``_INDEX_FIELDS`` (family, provenance indices, factor indices).  Item i
+    is an :class:`EigPair` made on read, its coupling ``cr / cl`` on a 2 x 2
+    branch; slices return tuples of them.
     """
 
-    def __init__(self, floats, ints, blocks, bases):
+    def __init__(self, floats, ints, index, bases):
         floats.flags.writeable = ints.flags.writeable = False
         self._floats, self._ints = floats, ints
-        self._blocks = blocks
+        self._index = index
         self._bases = bases  # (U, V, zeta, coef, zero_m, zero_n)
 
     @property
@@ -159,7 +160,7 @@ class _EigPairs(Sequence):
 
     def take(self, order):
         return _EigPairs(self._floats.take(order, axis=1), self._ints.take(order, axis=1),
-                         self._blocks, self._bases)
+                         self._index, self._bases)
 
     def __len__(self):
         return self._floats.shape[1]
@@ -172,22 +173,23 @@ class _EigPairs(Sequence):
         return map(self._pair, range(len(self)))
 
     def _pair(self, j):
-        b = self._blocks
         U, V, zeta, coef, zm, zn = self._bases
-        value, cl, cr, coupling = self._floats[:, j].tolist()
+        value, cl, cr = self._floats[:, j].tolist()
         branch, blk = self._ints[:, j].tolist()
-        name, ia, ib = _FAMILIES[b["family"][blk]]
-        prov = f"{name}({ia}={b['ia'][blk]},{ib}={b['ib'][blk]})"
+        _, family, ia, ib, u, cg, ch, v = self._index[:, blk].tolist()
+        name, na, nb = _FAMILIES[family]
+        prov = f"{name}({na}={ia},{nb}={ib})"
+        coupling = None
         if branch:
             prov += ",branch=-" if branch < 0 else ",branch=+"
-        u, v = b["u"][blk], b["v"][blk]
+            # cl underflows to +-0 far out on an orbit: IEEE x / +-0, which Python refuses
+            coupling = cr / cl if cl else cr * math.copysign(math.inf, cl)
         if v < 0:
             vH = zn
         else:
             vH = V[:, v] if v < V.shape[1] else zeta[:, v - V.shape[1]]
         return EigPair(value=value, cl=cl, uG=U[:, u] if u >= 0 else zm,
-                       cG=coef[b["cg"][blk]], cr=cr, cH=coef[b["ch"][blk]], vH=vH,
-                       provenance=prov, coupling=coupling if branch else None)
+                       cG=coef[cg], cr=cr, cH=coef[ch], vH=vH, provenance=prov, coupling=coupling)
 
 
 @dataclass(frozen=True)
@@ -367,10 +369,9 @@ def _canonical_eigpairs(cp, d=1.0):
             for key, val in fields.items():
                 table, row = _FIELD_ROW[key]
                 tables[table][row, :, cut] = val
-    b = dict(zip(_INDEX_FIELDS, index)) | dict(zip(_ENTRY_FIELDS, entry))
 
     # Block values: (lower, upper) branch, or the 1 x 1 value twice.
-    kind, p11, p12, p22 = b["kind"], b["p11"], b["p12"], b["p22"]
+    kind, (p11, p12, p22) = index[0], entry
     lo = np.where(kind == _RIGHT, p22, p11)
     hi = lo.copy()
     split, zdet = kind == _PAIR, kind == _ZERO_PAIR
@@ -387,17 +388,15 @@ def _canonical_eigpairs(cp, d=1.0):
     ints = np.empty((2, blk.size), dtype=np.intp)  # branch, block
     ints[0] = np.where(mix, np.where(upper, 1, -1), 0)
     ints[1] = blk
-    floats = np.empty((4, blk.size))
-    value, cl, cr, coupling = floats
+    floats = np.empty((3, blk.size))
+    value, cl, cr = floats
     value[:] = np.where(upper, hi[blk], lo[blk])
     cl[:] = kind[blk] != _RIGHT
     np.subtract(1.0, cl, out=cr)
-    coupling[:] = np.nan
     bm = blk[mix]
     cl[mix], cr[mix] = _pair_vectors(p11[bm], p12[bm], p22[bm], value[mix])
-    coupling[mix] = cr[mix] / cl[mix]
-    _check_finite("spectrum", d, floats[:3])
-    return _EigPairs(floats, ints, b, (X.U, X.V, zeta, coef, np.zeros(m), np.zeros(n)))
+    _check_finite("spectrum", d, floats)
+    return _EigPairs(floats, ints, index, (X.U, X.V, zeta, coef, np.zeros(m), np.zeros(n)))
 
 
 def spectrum_zero_family(X, C0, k):

@@ -368,6 +368,18 @@ def test_orbit_scale_is_checked_before_A_is_formed(capsys, x_csv, scale, shown):
     assert err == f"error: scale must be a nonzero finite number, got {shown}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--a", "/nonexistent.csv", "--scale", "2"],
+     "orbit takes --a FILE or --scale VALUE, not both"),
+    ([], "orbit needs --a FILE or --scale VALUE"),
+], ids=["both", "neither"])
+def test_orbit_takes_one_group_element(capsys, x_csv, flags, message):
+    """Exactly one of --a and --scale; both are refused before A is read,
+    so the missing file here is never opened."""
+    code, out, err = _run(capsys, "orbit", "--x", x_csv, "--k", "1", "--select", "2", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_spectrum_parses_select_once(capsys, x46_csv, monkeypatch):
     from mfland import cli
 

@@ -672,7 +672,7 @@ def test_flow_is_the_reference_loop_bit_for_bit(kind, exponent, init, tau, seed,
     the flows in the endgame zone.  Samples and terminal factors are
     compared as bytes, so signed zeros count too."""
     X, t_max = _family(kind, exponent, tau, seed)
-    gtol = min(grad_tol, flow.LIMIT_TOL) * max(1.0, float(np.linalg.norm(X.X)))
+    gtol = min(grad_tol, flow.LIMIT_TOL) * X.tol_scale
     for k in range(1, X.m + 1):
         # A start drawn from X's own stream can be X's exact factors.
         p0 = init(X, k, seed + 1)
@@ -705,7 +705,7 @@ def test_flow_is_the_reference_loop_bit_for_bit_at_workload_sizes(init):
     t_max = 20.0
     for X, k in flows:
         p0 = init(X, k, 1)
-        gtol = GRAD_TOL * float(np.linalg.norm(X.X))
+        gtol = GRAD_TOL * X.tol_scale
         status, samples, y, steps, chosen, rejected, evals = _dop853_flow(X, p0, t_max, gtol)
         with mock.patch.object(flow, "reduce_to_canonical", _accept_every_limit):
             traj = integrate_flow(X, p0, t_max=t_max, grad_tol=GRAD_TOL)

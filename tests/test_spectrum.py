@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mfland import (
     CanonicalPoint,
@@ -88,66 +88,17 @@ def test_scaled_worked_value():
 
 # ------------------------------------------------------- oracle agreement ---
 
-@pytest.mark.parametrize("seed", range(8))
-def test_full_rank_scaled_matches_oracle(seed):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 6))
-    n = int(rng.integers(m + 1, 9))
-    X = load_data_matrix(rng.standard_normal((m, n)))
-    k = int(rng.integers(1, m + 1))
-    sel = Selection(tuple(sorted(rng.choice(X.r, size=min(k, X.r), replace=False).tolist())))
-    if sel.q != k:
-        k = sel.q
-    a = float(rng.uniform(0.3, 2.5))
-    rep = spectrum_full_rank_scaled(X, sel, a=a)
-    _assert_match(X, rep)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_deficient_rank_matches_oracle(seed):
-    rng = np.random.default_rng(100 + seed)
-    X = load_data_matrix(rng.standard_normal((4, 6)))
-    q = int(rng.integers(1, 3))
-    k = q + int(rng.integers(1, 3))
-    sel = Selection(tuple(sorted(rng.choice(X.r, size=q, replace=False).tolist())))
-    C0 = rng.standard_normal((X.n - X.r, k - q))
-    rep = spectrum_deficient_rank(build_canonical(X, sel, k, C0=C0))
-    _assert_match(X, rep)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_zero_family_matches_oracle(seed):
-    rng = np.random.default_rng(200 + seed)
-    X = load_data_matrix(rng.standard_normal((3, 6)))
-    k = int(rng.integers(1, 4))
-    C0 = rng.standard_normal((X.n - X.r, k))
-    rep = spectrum_zero_family(X, C0, k)
-    _assert_match(X, rep)
-
-
-def test_repeated_sigma_matches_oracle():
-    X = load_data_matrix(np.diag([2.0, 2.0, 1.0]) @ np.eye(3, 5))
-    for sel, k in [((0,), 1), ((1,), 2), ((0, 1), 2), ((2,), 1)]:
-        rep = (
-            spectrum_full_rank_scaled(X, Selection(sel), a=1.0)
-            if len(sel) == k
-            else spectrum_deficient_rank(build_canonical(X, Selection(sel), k))
-        )
-        _assert_match(X, rep)
-
-
-def test_balanced_matches_oracle():
-    for sel, k in [((1,), 1), ((0,), 2), ((1,), 2), ((0, 1), 2)]:
-        rep = spectrum_balanced(X321, Selection(sel), k)
-        _assert_match(X321, rep)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(KINDS), st.integers(0, 2**16))
+@example("tied", 0)
+@example("rank-deficient", 0)
+@example("tall", 0)
+@example("square", 0)
+@example("generic", 0)
 def test_closed_forms_match_the_oracle_everywhere(kind, seed):
     """Every k <= m and 0 <= q <= min(k, r): the zero family at q = 0, the
-    full-rank point at a scale a != 1 at q = k, the deficient point with a
-    C0 in between, and the balanced point at every q >= 1."""
+    full-rank point at a scale a != 1 at q = k, and the deficient point with a
+    C0 in between.  The balanced point has the stricter property below."""
     rng = np.random.default_rng(seed)
     X = load_data_matrix(matrix_of_kind(kind, rng))
     for k in range(1, X.m + 1):
@@ -157,7 +108,6 @@ def test_closed_forms_match_the_oracle_everywhere(kind, seed):
             if q == 0:
                 _assert_match(X, spectrum_zero_family(X, C0, k))
                 continue
-            _assert_match(X, spectrum_balanced(X, sel, k))
             _assert_match(X, spectrum_full_rank_scaled(X, sel, a=float(rng.uniform(0.3, 2.5)))
                           if q == k else spectrum_deficient_rank(build_canonical(X, sel, k, C0=C0)))
 
@@ -514,14 +464,15 @@ def test_pair_vectors_choose_the_form_that_pow_squares_choose():
 
 def test_coupled_pair_vectors_multiply_to_minus_one():
     rep = spectrum_full_rank_scaled(X321, Selection((2,)), a=1.7)
-    seen = [e for e in rep.eigpairs if e.coupling is not None]
-    assert seen, "expected coupled two-by-two blocks"
     by_block = {}
-    for e in seen:
-        by_block.setdefault(e.provenance.split(",branch")[0], []).append(e)
-    for block, pair in by_block.items():
-        if len(pair) == 2:
-            assert pair[0].coupling * pair[1].coupling == pytest.approx(-1.0, rel=1e-9)
+    for e in rep.eigpairs:
+        if e.coupling is not None:
+            by_block.setdefault(e.provenance.split(",branch")[0], []).append(e.coupling)
+    assert by_block, "expected coupled two-by-two blocks"
+    for c1, c2 in by_block.values():
+        assert c1 * c2 == pytest.approx(-1.0, rel=1e-9)
+    far = spectrum_full_rank_scaled(load_data_matrix(1e-150 * X321.X), Selection((2,)), a=1e100)
+    assert {e.coupling for e in far.eigpairs} >= {-np.inf, np.inf}  # cl underflows to +-0
 
 
 # ----------------------------------------------------------- lambda_min -----
