@@ -15,7 +15,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .canonical import CanonicalPoint, Selection, check_scale, classify_canonical
+from .canonical import CanonicalPoint, Selection, _check_finite, check_scale, classify_canonical
 from .errors import InvalidInput, MflandError
 from .flow import classify_limit, integrate_flow, random_balanced_pair, random_pair
 from .model import _open_text, load_data_matrix, read_matrix_csv, write_matrix_csv
@@ -143,9 +143,13 @@ def _cmd_spectrum(args):
         else:
             rep = spectrum_deficient_rank(cp)
             family = "canonical-deficient"
+    pairs = list(rep.eigpairs)
+    for e in pairs:
+        if e.coupling is not None:
+            _check_finite(f"coupling of {e.provenance}", scale, e.coupling)
     if args.format == "csv":
         lines = ["value,provenance,coupling"]
-        for e in rep.eigpairs:
+        for e in pairs:
             cpl = "" if e.coupling is None else _fmt_float(e.coupling)
             lines.append(f'{_fmt_float(e.value)},"{e.provenance}",{cpl}')
         return "\n".join(lines)
@@ -156,13 +160,13 @@ def _cmd_spectrum(args):
         "family": family,
         "selection": [i + 1 for i in sel.indices] if sel is not None else None,
         "scale": scale,
-        "count": len(rep.eigpairs),
+        "count": len(pairs),
         "eigenvalues": rep.values.tolist(),
         "inertia": list(rep.inertia),
         "lambda_min": rep.lambda_min,
         "eigenpairs": [
             {"value": e.value, "provenance": e.provenance, "coupling": e.coupling}
-            for e in rep.eigpairs
+            for e in pairs
         ],
     }
 
@@ -249,7 +253,7 @@ def _cmd_flow(args):
     }
     if traj.status == "Converged":
         diag = classify_limit(X, traj)
-        report["limit"] = {f.name: getattr(diag, f.name) for f in fields(diag) if f.name != "J"}
+        report["limit"] = {f.name: getattr(diag, f.name) for f in fields(diag)}
     return report
 
 

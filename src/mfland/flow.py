@@ -60,7 +60,7 @@ from .errors import (
     RankAmbiguous,
     StiffnessFailure,
 )
-from .model import FactorPair, check_pair, check_seed, evaluate_J
+from .model import FactorPair, check_pair, check_seed
 from .orbit import balance_residual
 
 DIVERGENCE_NORM = 1e12
@@ -386,7 +386,6 @@ class LimitDiagnosis:
     p: int | None
     lambda_min: float | None
     balance_residual: float
-    J: float
 
 
 def classify_limit(X, traj):
@@ -413,7 +412,6 @@ def classify_limit(X, traj):
         p=res.p,
         lambda_min=res.lambda_min_closed_form,
         balance_residual=balance_residual(traj.terminal),
-        J=evaluate_J(X, traj.terminal),
     )
 
 

@@ -28,7 +28,6 @@ from . import (
     integrate_flow,
     intersect_M0,
     lambda_min_closed_form,
-    load_data_matrix,
     numeric_spectrum,
     push_gradient,
     random_balanced_pair,
@@ -327,13 +326,11 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(X=None, seed=0):
-    """Run every check; returns a list of dicts in a deterministic order.
-    A seed that is not a nonnegative integer raises InvalidInput before any
-    check runs."""
+def run_all(X, seed=0):
+    """Run every check on X (a DataMatrixSVD); returns a list of dicts in a
+    deterministic order.  A seed that is not a nonnegative integer raises
+    InvalidInput before any check runs."""
     check_seed(seed)
-    if X is None:
-        X = load_data_matrix(_default_data(seed))
 
     out = []
     for name, fn in ALL_CHECKS:

@@ -1,20 +1,39 @@
 import json
+import shlex
 import warnings
 
 import numpy as np
 import pytest
 
-from mfland import InvalidInput, Selection, spectrum_full_rank_scaled, write_matrix_csv
-from mfland import cli
+from mfland import InvalidInput, Selection, flow, spectrum_full_rank_scaled, write_matrix_csv
+from mfland import NumericalFailure, cli
 from mfland.cli import main
-from matrix_kinds import X21
+from matrix_kinds import X21, X321
+
+X46 = np.random.default_rng(0).standard_normal((4, 6))
+# The matrices the CLI tests read, by the name that stands for their CSV path.
+INPUTS = {"x": X21.X, "x46": X46, "huge": 1e200 * X46, "tiny": 1e-150 * X321.X,
+          "c0": 1.0, "c0nan": np.nan}
 
 
 @pytest.fixture()
-def x_csv(tmp_path):
-    path = tmp_path / "x.csv"
-    write_matrix_csv(path, X21.X)
-    return str(path)
+def paths(tmp_path):
+    """INPUTS written as CSV, and "missing": a path in a directory that does not exist."""
+    out = {"missing": str(tmp_path / "missing" / "out.txt")}
+    for name, M in INPUTS.items():
+        out[name] = str(tmp_path / f"{name}.csv")
+        write_matrix_csv(out[name], M)
+    return out
+
+
+@pytest.fixture()
+def x_csv(paths):
+    return paths["x"]
+
+
+@pytest.fixture()
+def x46_csv(paths):
+    return paths["x46"]
 
 
 def _run(capsys, *argv):
@@ -86,15 +105,6 @@ def test_classify_rank_deficient_minimum(capsys, tmp_path):
     assert doc["p"] is None and doc["lambda_min_closed_form"] is None
 
 
-@pytest.mark.parametrize("cmd", [
-    ["classify"], ["spectrum"], ["orbit", "--scale", "2"],
-])
-def test_selection_larger_than_k_is_exit_2(capsys, x_csv, cmd):
-    code, _, err = _run(capsys, *cmd, "--x", x_csv, "--k", "1", "--select", "1,2")
-    assert code == 2
-    assert "q = 2 > min(k, m) = 1" in err
-
-
 def test_orbit_bound(capsys, x_csv, tmp_path):
     a = tmp_path / "a.csv"
     a.write_text("2\n")
@@ -149,8 +159,6 @@ def test_flow_with_loose_grad_tol_classifies_its_limit(capsys, x_csv):
 
 
 def test_uncertified_flow_prints_no_limit(capsys, x_csv, monkeypatch):
-    from mfland import NumericalFailure, flow
-
     def refuse(X, p, tol):
         raise NumericalFailure("orbit reconstruction residual refused")
 
@@ -231,123 +239,6 @@ def test_orbit_takes_two_svds_of_A(capsys, x46_csv, tmp_path, monkeypatch):
     assert (code, len(svds_of_A)) == (0, 2)
 
 
-def test_missing_file_is_exit_2(capsys):
-    code, _, err = _run(capsys, "spectrum", "--x", "/nonexistent.csv", "--k", "1")
-    assert code == 2
-    assert "error:" in err
-
-
-def test_bad_selection_is_exit_2(capsys, x_csv):
-    code, _, err = _run(capsys, "spectrum", "--x", x_csv, "--k", "1", "--select", "0")
-    assert code == 2
-    assert "1-based" in err
-
-
-@pytest.mark.parametrize("flag,value", [
-    ("--t-max", "nan"), ("--t-max", "inf"), ("--grad-tol", "-1e-9"),
-])
-def test_bad_flow_argument_is_exit_2(capsys, x_csv, flag, value):
-    code, _, err = _run(capsys, "flow", "--x", x_csv, "--k", "1", f"{flag}={value}")
-    assert code == 2
-    assert flag[2:].replace("-", "_") in err
-
-
-@pytest.fixture()
-def x46_csv(tmp_path):
-    path = tmp_path / "x46.csv"
-    np.savetxt(path, np.random.default_rng(0).standard_normal((4, 6)), delimiter=",")
-    return str(path)
-
-
-@pytest.mark.parametrize("init", ["balanced", "random"])
-@pytest.mark.parametrize("k", [5, 7])
-def test_flow_with_k_above_min_m_n_is_exit_2(capsys, x46_csv, monkeypatch, k, init):
-    """k outside [1, min(m, n)] is refused before the start is drawn or any
-    step is taken, with the message a canonical point gives."""
-    from mfland import flow
-
-    def no_step(self, h):
-        raise AssertionError("a step was attempted")
-
-    monkeypatch.setattr(flow._Stepper, "attempt", no_step)
-    code, out, err = _run(capsys, "flow", "--x", x46_csv, "--k", str(k), "--init", init)
-    assert (code, out) == (2, "")
-    assert err == f"error: k = {k} outside [1, min(m, n) = 4]\n"
-
-
-@pytest.mark.parametrize("argv", [
-    ["flow", "--x", "X", "--k", "1", "--init", "balanced"],
-    ["flow", "--x", "X", "--k", "1", "--init", "random"],
-    ["verify"],
-    ["verify", "--x", "X"],
-], ids=["flow-balanced", "flow-random", "verify", "verify-x"])
-def test_negative_seed_is_exit_2(capsys, x46_csv, argv):
-    """A negative seed is invalid input, not a crash or a failed check."""
-    argv = [x46_csv if a == "X" else a for a in argv]
-    code, out, err = _run(capsys, *argv, "--seed", "-1")
-    assert (code, out) == (2, "")
-    assert err == "error: seed must be a nonnegative integer, got -1\n"
-
-
-def test_nonfinite_c0_is_exit_2(capsys, x_csv, tmp_path):
-    c0 = tmp_path / "c0.csv"
-    c0.write_text("nan\n")
-    for cmd in ("classify", "spectrum"):
-        code, _, err = _run(
-            capsys, cmd, "--x", x_csv, "--k", "2", "--select", "1", "--c0", str(c0)
-        )
-        assert code == 2
-        assert "C0" in err
-
-
-def test_scale_rejected_for_deficient(capsys, x_csv):
-    code, _, err = _run(
-        capsys, "spectrum", "--x", x_csv, "--k", "2", "--select", "1", "--scale", "3"
-    )
-    assert code == 2
-
-
-@pytest.mark.parametrize("flags", [
-    ["--k", "1"], ["--k", "1", "--select", "1", "--balanced"],
-], ids=["zero", "balanced"])
-def test_spectrum_scale_off_the_full_rank_point_is_exit_2(capsys, x_csv, flags):
-    """--scale would otherwise be printed for a spectrum taken at scale 1."""
-    code, out, err = _run(capsys, "spectrum", "--x", x_csv, *flags, "--scale", "2")
-    assert code == 2
-    assert out == ""
-    assert "--scale" in err
-
-
-def test_spectrum_c0_at_full_rank_is_checked_as_in_orbit(capsys, x_csv, tmp_path):
-    """At q = k the kernel block has no columns, so a C0 file cannot fit."""
-    c0 = tmp_path / "c0.csv"
-    c0.write_text("1\n")
-    point = ["--x", x_csv, "--k", "1", "--select", "1", "--c0", str(c0)]
-    code, _, err = _run(capsys, "spectrum", *point)
-    assert code == 2
-    assert "C0 must be (1, 0), got (1, 1)" in err
-    orbit_code, _, orbit_err = _run(capsys, "orbit", *point, "--scale", "2")
-    assert (code, err) == (orbit_code, orbit_err)
-
-
-def test_spectrum_c0_with_balanced_is_exit_2(capsys, x_csv, tmp_path):
-    c0 = tmp_path / "c0.csv"
-    c0.write_text("1\n")
-    code, out, err = _run(capsys, "spectrum", "--x", x_csv, "--k", "2", "--select", "1",
-                          "--balanced", "--c0", str(c0))
-    assert code == 2
-    assert out == ""
-    assert "--c0" in err
-
-
-def test_verify_stdout_ignores_thread_variable(capsys, monkeypatch):
-    monkeypatch.delenv("MFLAND_THREADS", raising=False)
-    _, plain, _ = _run(capsys, "verify", "--seed", "0")
-    monkeypatch.setenv("MFLAND_THREADS", "4")
-    _, threaded, _ = _run(capsys, "verify", "--seed", "0")
-    assert plain == threaded
-
-
 def test_verify_passes(capsys):
     code, out, _ = _run(capsys, "verify", "--seed", "0")
     assert code == 0
@@ -356,87 +247,13 @@ def test_verify_passes(capsys):
     assert len(doc["checks"]) >= 10
 
 
-@pytest.mark.parametrize("scale, shown", [("inf", "inf"), ("nan", "nan"), ("0", "0.0")])
-def test_orbit_scale_is_checked_before_A_is_formed(capsys, x_csv, scale, shown):
-    """--scale follows the orbit-scale rule of the library, and is refused
-    before scale * I is formed, so NumPy has nothing to warn about."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = _run(capsys, "orbit", "--x", x_csv, "--k", "1",
-                              "--select", "2", "--scale", scale)
-    assert (code, out) == (2, "")
-    assert err == f"error: scale must be a nonzero finite number, got {shown}\n"
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--a", "/nonexistent.csv", "--scale", "2"],
-     "orbit takes --a FILE or --scale VALUE, not both"),
-    ([], "orbit needs --a FILE or --scale VALUE"),
-], ids=["both", "neither"])
-def test_orbit_takes_one_group_element(capsys, x_csv, flags, message):
-    """Exactly one of --a and --scale; both are refused before A is read,
-    so the missing file here is never opened."""
-    code, out, err = _run(capsys, "orbit", "--x", x_csv, "--k", "1", "--select", "2", *flags)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
-
-
 def test_spectrum_parses_select_once(capsys, x46_csv, monkeypatch):
-    from mfland import cli
-
     seen = []
     parse = cli._parse_selection
     monkeypatch.setattr(cli, "_parse_selection", lambda raw: seen.append(raw) or parse(raw))
     code, _, _ = _run(capsys, "spectrum", "--x", x46_csv, "--k", "2", "--select", "1,3")
     assert code == 0
     assert seen == ["1,3"]
-
-
-@pytest.mark.parametrize("scale", ["1e300", "1e-200"])
-def test_orbit_point_that_overflows_is_exit_2(capsys, x46_csv, scale):
-    """A scale far out on the orbit overflows the dense Hessian of the moved
-    point: the oracle refuses it as a numerical failure, with one error line
-    and no NumPy warning, instead of a traceback."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = _run(capsys, "orbit", "--x", x46_csv, "--k", "2",
-                              "--select", "1,3", "--scale", scale)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: dense Hessian has non-finite entries")
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("scale", ["1e300", "1e-200"])
-def test_spectrum_scale_that_overflows_is_exit_2(capsys, x46_csv, scale):
-    """The closed-form spectrum far out on the orbit is refused as a numerical
-    failure with one error line naming the scale, not NumPy warnings and a
-    NaN that the renderer refuses."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = _run(capsys, "spectrum", "--x", x46_csv, "--k", "2",
-                              "--select", "1,3", "--scale", scale)
-    assert (code, out) == (2, "")
-    assert err == (f"error: the closed-form spectrum at scale {float(scale):g} "
-                   "is not finite in float64\n")
-
-
-@pytest.fixture()
-def x46_huge_csv(tmp_path):
-    path = tmp_path / "x46-huge.csv"
-    np.savetxt(path, 1e200 * np.random.default_rng(0).standard_normal((4, 6)), delimiter=",")
-    return str(path)
-
-
-@pytest.mark.parametrize("select, quantity", [(["--select", "1,3"], "lambda_min at scale 1"),
-                                              (["--select", "1,2"], "J"),
-                                              ([], "lambda_min at scale 1")])
-def test_classify_that_overflows_is_exit_2(capsys, x46_huge_csv, select, quantity):
-    """At 1e200 X the closed-form scalars overflow: one error line naming the
-    quantity, not NumPy warnings and a NaN or an inf in the report."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = _run(capsys, "classify", "--x", x46_huge_csv, "--k", "2", *select)
-    assert (code, out) == (2, "")
-    assert err == f"error: the closed-form {quantity} is not finite in float64\n"
 
 
 @pytest.mark.parametrize("value, name", [(float("nan"), "NaN"), (float("inf"), "inf"),
@@ -446,25 +263,88 @@ def test_renderer_refuses_non_finite_floats_by_name(value, name):
         cli._render({"x": [1.0, value]})
 
 
-@pytest.mark.parametrize("cmd", [
-    ["spectrum", "--k", "2", "--select", "1,3", "--output"],
-    ["flow", "--k", "2", "--trajectory"],
-], ids=["output", "trajectory"])
-def test_unwritable_output_path_is_exit_2(capsys, tmp_path, x46_csv, cmd):
-    path = str(tmp_path / "missing" / "out.txt")
-    code, out, err = _run(capsys, *cmd[:1], "--x", x46_csv, *cmd[1:], path)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot write {path}: ")
-    assert err.count("\n") == 1
+# Every CLI refusal but the no-index --select (below): an argv, {name} a path
+# of the paths fixture, and the one stderr line after "error: ".  A line
+# ending in "..." is compared up to there; the operating system's text follows.
+SCALE_OFF_Q_EQUALS_K = "--scale is only supported at a canonical point with q = k"
+REFUSALS = [
+    ("classify --x {x} --k 1 --select 1,2", "selection has q = 2 > min(k, m) = 1"),
+    ("spectrum --x {x} --k 1 --select 1,2", "selection has q = 2 > min(k, m) = 1"),
+    ("orbit --x {x} --k 1 --select 1,2 --scale 2", "selection has q = 2 > min(k, m) = 1"),
+    ("spectrum --x {x} --k 1 --select 0", "selection indices are 1-based"),
+    ("spectrum --x {x} --k 1 --select 1,x", "could not parse selection '1,x'; expect e.g. 1,3"),
+    ("spectrum --x /nonexistent.csv --k 1", "cannot read /nonexistent.csv: ..."),
+    ("spectrum --x {x46} --k 2 --select 1,3 --output {missing}", "cannot write {missing}: ..."),
+    ("flow --x {x46} --k 2 --trajectory {missing}", "cannot write {missing}: ..."),
+    ("classify --x {x} --k 2 --select 1 --c0 {c0nan}", "C0 contains non-finite entries"),
+    ("spectrum --x {x} --k 2 --select 1 --c0 {c0nan}", "C0 contains non-finite entries"),
+    ("spectrum --x {x} --k 1 --select 1 --c0 {c0}", "C0 must be (1, 0), got (1, 1)"),
+    ("orbit --x {x} --k 1 --select 1 --c0 {c0} --scale 2", "C0 must be (1, 0), got (1, 1)"),
+    ("spectrum --x {x} --k 1 --balanced", "--balanced requires --select"),
+    ("spectrum --x {x} --k 2 --select 1 --balanced --c0 {c0}",
+     "--c0 is not used with --balanced"),
+    ("spectrum --x {x} --k 2 --select 1 --scale 3", SCALE_OFF_Q_EQUALS_K),
+    ("spectrum --x {x} --k 1 --scale 2", SCALE_OFF_Q_EQUALS_K),
+    ("spectrum --x {x} --k 1 --select 1 --balanced --scale 2", SCALE_OFF_Q_EQUALS_K),
+    ("spectrum --x {x46} --k 2 --select 1,3 --scale 1e300",
+     "the closed-form spectrum at scale 1e+300 is not finite in float64"),
+    ("spectrum --x {x46} --k 2 --select 1,3 --scale 1e-200",
+     "the closed-form spectrum at scale 1e-200 is not finite in float64"),
+    *((f"spectrum --x {{tiny}} --k 1 --select 3 --scale 1e100 --format {fmt}",
+       "the closed-form coupling of sigma_lambda_pair(i=0,j=0),branch=+ at scale 1e+100"
+       " is not finite in float64") for fmt in ("json", "csv")),
+    ("classify --x {huge} --k 2 --select 1,3",
+     "the closed-form lambda_min at scale 1 is not finite in float64"),
+    ("classify --x {huge} --k 2 --select 1,2", "the closed-form J is not finite in float64"),
+    ("classify --x {huge} --k 2",
+     "the closed-form lambda_min at scale 1 is not finite in float64"),
+    *((f"orbit --x {{x}} --k 1 --select 2 --scale {scale}",
+       f"scale must be a nonzero finite number, got {shown}")
+      for scale, shown in (("inf", "inf"), ("nan", "nan"), ("0", "0.0"))),
+    # --a names a missing file, which is never opened
+    ("orbit --x {x} --k 1 --select 2 --a /nonexistent.csv --scale 2",
+     "orbit takes --a FILE or --scale VALUE, not both"),
+    ("orbit --x {x} --k 1 --select 2", "orbit needs --a FILE or --scale VALUE"),
+    ("orbit --x {x46} --k 2 --select 1,3 --scale 1e300",
+     "dense Hessian has non-finite entries ..."),
+    ("orbit --x {x46} --k 2 --select 1,3 --scale 1e-200",
+     "dense Hessian has non-finite entries ..."),
+    ("flow --x {x} --k 1 --t-max=nan", "t_max must be positive and finite, got nan"),
+    ("flow --x {x} --k 1 --t-max=inf", "t_max must be positive and finite, got inf"),
+    ("flow --x {x} --k 1 --grad-tol=-1e-9", "grad_tol must be nonnegative, got -1e-09"),
+    *((f"flow --x {{x46}} --k {k} --init {init}", f"k = {k} outside [1, min(m, n) = 4]")
+      for k in (5, 7) for init in ("balanced", "random")),
+    *((f"{cmd} --seed -1", "seed must be a nonnegative integer, got -1")
+      for cmd in ("flow --x {x46} --k 1 --init balanced", "flow --x {x46} --k 1 --init random",
+                  "verify", "verify --x {x46}")),
+]
+
+
+def _no_step(self, h):
+    raise AssertionError("a flow step was attempted")
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[argv for argv, _ in REFUSALS])
+def test_refusal(capsys, monkeypatch, paths, argv, message):
+    """Exit 2, no stdout, one stderr line and no NumPy warning.  No flow step
+    is attempted, except for --trajectory, which is refused after the flow."""
+    if "--trajectory" not in argv:
+        monkeypatch.setattr(flow._Stepper, "attempt", _no_step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, *shlex.split(argv.format(**paths)))
+    assert (code, out, err.count("\n"), err[-1:]) == (2, "", 1, "\n")
+    line = "error: " + message.format(**paths)
+    if line.endswith("..."):
+        assert err.startswith(line[:-3])
+    else:
+        assert err == line + "\n"
 
 
 @pytest.mark.parametrize("select", [",", " , ", ""])
-@pytest.mark.parametrize("cmd", [["classify"], ["spectrum"], ["spectrum", "--balanced"],
-                                 ["orbit", "--scale", "2"]],
+@pytest.mark.parametrize("cmd", ["classify", "spectrum", "spectrum --balanced", "orbit --scale 2"],
                          ids=["classify", "spectrum", "spectrum-balanced", "orbit"])
-def test_select_that_lists_no_index_is_exit_2(capsys, x46_csv, cmd, select):
-    """A --select that lists no index is refused, not read as the empty
-    selection (the zero family or the origin)."""
-    code, out, err = _run(capsys, *cmd, "--x", x46_csv, "--k", "2", "--select", select)
-    assert (code, out) == (2, "")
-    assert err == f"error: selection {select!r} lists no index; expect e.g. 1,3\n"
+def test_select_that_lists_no_index_is_exit_2(capsys, monkeypatch, paths, cmd, select):
+    """Refused, not read as the empty selection (the zero family or the origin)."""
+    test_refusal(capsys, monkeypatch, paths, f"{cmd} --x {{x46}} --k 2 --select '{select}'",
+                 f"selection {select!r} lists no index; expect e.g. 1,3")

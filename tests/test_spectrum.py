@@ -15,6 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from mfland import (
     CanonicalPoint,
+    InvalidInput,
+    InvalidSelection,
+    MflandError,
     NotASaddle,
     NumericalFailure,
     Selection,
@@ -529,6 +532,19 @@ def test_lambda_min_refuses_global_minimum():
         lambda_min_closed_form(X321, Selection((0, 1, 2)), 3)
     with pytest.raises(NotASaddle):
         lambda_min_balanced(X321, Selection((0, 1)), 2)
+
+
+@pytest.mark.parametrize("point, error, message", [
+    (CanonicalPoint(X321, Selection(()), 2), InvalidSelection,
+     "deficient-rank spectrum needs 1 <= q < k, got q=0, k=2"),
+    (CanonicalPoint(X321, Selection((0, 2)), 2), InvalidSelection,
+     "deficient-rank spectrum needs 1 <= q < k, got q=2, k=2"),
+    (X321, InvalidInput, "spectrum_deficient_rank expects a CanonicalPoint"),
+], ids=["q=0", "q=k", "not-a-point"])
+def test_deficient_rank_spectrum_refuses_other_points(point, error, message):
+    with pytest.raises(MflandError) as info:
+        spectrum_deficient_rank(point)
+    assert (info.type, str(info.value)) == (error, message)
 
 
 def test_balanced_lambda_min_worked_cases():
