@@ -63,6 +63,7 @@ from .oracle import (
     FDReport,
     action_matrix,
     balanced_flow_exact,
+    block_spectrum,
     dense_hessian,
     fd_validate,
     flatten_tangent,

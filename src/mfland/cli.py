@@ -19,12 +19,12 @@ from .canonical import CanonicalPoint, Selection, _check_finite, check_scale, cl
 from .errors import InvalidInput, MflandError
 from .flow import classify_limit, integrate_flow, random_balanced_pair, random_pair
 from .model import _open_text, load_data_matrix, read_matrix_csv, write_matrix_csv
-from .oracle import numeric_spectrum
+from .oracle import block_spectrum
 from .orbit import (
     GroupElement,
     apply_group_action,
+    count_inertia,
     induced_norm,
-    inertia_of,
     transported_lambda_min_bound,
     transported_zero_tol,
 )
@@ -207,11 +207,11 @@ def _cmd_orbit(args):
     base = cp.materialize()
     moved = apply_group_action(base, g)
     res = classify_canonical(cp)
+    evs_base, evs = block_spectrum(X, base), block_spectrum(X, moved)
     if res.kind == "StrictSaddle":
         lam_base = res.lambda_min_closed_form
     else:
-        lam_base = float(numeric_spectrum(X, base)[0][0])
-    evs, _ = numeric_spectrum(X, moved)
+        lam_base = float(evs_base[0])
     return {
         "k": k,
         "selection": [i + 1 for i in cp.selection.indices],
@@ -221,8 +221,8 @@ def _cmd_orbit(args):
         "lambda_min_base": lam_base,
         "transported_bound": transported_lambda_min_bound(lam_base, g),
         "lambda_min_transported": float(evs[0]),
-        "inertia_base": list(inertia_of(X, base)),
-        "inertia_transported": list(inertia_of(X, moved, zero_tol=transported_zero_tol(g))),
+        "inertia_base": list(count_inertia(X, evs_base)),
+        "inertia_transported": list(count_inertia(X, evs, transported_zero_tol(g))),
     }
 
 

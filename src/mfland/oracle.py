@@ -1,5 +1,6 @@
-"""Independent numerical checks: dense Hessian, eigh spectrum, finite
-differences, and the exact gradient flow from a balanced start.
+"""Independent numerical checks: dense Hessian, eigh spectrum, the block
+spectrum, finite differences, and the exact gradient flow from a balanced
+start.
 
 Nothing in here knows about closed-form spectra or the flow integrator.  It
 owns the tangent coordinates: ``flatten_tangent``, ``action_matrix`` and the
@@ -16,6 +17,18 @@ the H-unit columns.  Every entry is the one product or sum that
 -0, so the matrix is the same, bit for bit, as one built column by column.
 The asymmetry is taken only over the blocks where it can be nonzero, and the
 matrix is averaged with its transpose only when it is.
+
+``block_spectrum`` gets the same eigenvalues from blocks, which are small
+at a critical point.  At every point the Hessian form is
+||dW S + W dS||^2 + 2 <E, dW dS>, E = W S - X.  In X's singular basis, with
+the kernel of X turned so that S meets at most k of its columns, a row i of G and a column j of H interact only
+through w_i s_j^T + E'_ij I, where w_i is row i of U^T W, s_j column j of
+S V and E' = U^T W S V - diag(sigma).  The rows W touches and the columns S
+touches, each index taken as a row and as a column, make one core block,
+which holds every off-diagonal entry of E'.  Each other sigma_i > 0 pairs
+row i with column i through E'_ii = -sigma_i, and the remaining rows and
+columns feel only S S^T or W^T W.  Away from a critical point the core
+is larger, up to every index, and the split is as exact.
 """
 
 from dataclasses import dataclass
@@ -40,6 +53,9 @@ _FD_TOL_GRADIENT, _FD_TOL_SECOND = 1e-6, 1e-4
 # imbalance ||W^T W - S S^T||_F / ||(W, S)||^2 it accepts as balanced.
 EXACT_FLOW_MAX_SIGMA_T = 8.0
 EXACT_FLOW_BALANCE_TOL = 1e-10
+# block_spectrum: a row of U^T W or a column of S V is zero at or below
+# LEAK_REL times its factor's Frobenius norm.
+LEAK_REL = 1e-13
 
 
 def flatten_tangent(d):
@@ -124,8 +140,7 @@ def dense_hessian(X, p):
         dS, dW = SST - SST.T, WTW - WTW.T
         asym = float(np.sqrt(m * np.vdot(dS, dS) + n * np.vdot(dW, dW)
                              + 2.0 * np.einsum("ij,ij->", skew, skew)))
-    if not np.isfinite(asym):
-        raise NumericalFailure(f"dense Hessian has non-finite entries (asymmetry {asym})")
+    _check_finite_hessian("the dense Hessian", p, asym)
     GG.fill(0.0)
     HH.fill(0.0)
     np.einsum("daja->dja", GG.reshape(k, m, k, m))[...] = SST.T[:, :, None]
@@ -134,6 +149,99 @@ def dense_hessian(X, p):
         np.add(A, A.T, out=A)
         A *= 0.5
     return DenseHessian(matrix=A, asymmetry=asym)
+
+
+def _check_finite_hessian(what, p, *arrays):
+    """NumericalFailure naming the largest |entry| of W and of S unless every
+    entry of arrays is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalFailure(
+            f"{what} is not finite in float64: max |W| = {np.abs(p.W).max():.3g}, "
+            f"max |S| = {np.abs(p.S).max():.3g}")
+
+
+def _unit(M):
+    """M over its largest |entry| (M itself when zero), so that no square of
+    an entry over- or underflows."""
+    top = np.abs(M).max(initial=0.0)
+    return M / top if top else M
+
+
+def _touched(M, axis):
+    """The rows (axis 1) or columns (axis 0) of M whose norm exceeds LEAK_REL
+    times M's."""
+    norms = np.linalg.norm(_unit(M), axis=axis)
+    return norms > LEAK_REL * np.linalg.norm(norms)
+
+
+def block_spectrum(X, p):
+    """All k (m + n) Hessian eigenvalues at p, ascending, from exact
+    blocks; at a critical point the blocks are small and no N x N matrix
+    is formed.
+
+    Rows of U^T W and columns of S V (kernel turned by the SVD of S V0) above
+    LEAK_REL times their factor's norm, and their indices as rows and as
+    columns, make the core: its dense Hessian has S S^T and W^T W on the
+    diagonal blocks and w_i s_j^T + E'_ij I between row i and column j, with
+    E' = U^T W S V - diag(sigma).  Every other index i < r gives the 2k x 2k
+    block [[S S^T, -sigma_i I], [-sigma_i I, W^T W]] (one batched eigvalsh),
+    and every other row and column a copy of the eigenvalues of S S^T or of
+    W^T W.  Raises NumericalFailure when the Hessian leaves float64, and
+    TooLarge when the core passes MAX_DENSE_DIM; the core is never larger
+    than the dense Hessian.
+    """
+    check_pair(X, p)
+    m, n, r, k = X.m, X.n, X.r, p.k
+    W, S = p.W, p.S
+    with np.errstate(over="ignore", invalid="ignore"):
+        SST, WTW = S @ S.T, W.T @ W
+        E = W @ S - X.X
+    _check_finite_hessian("the Hessian", p, SST, WTW, E)
+    Wr = X.U.T @ W
+    Sr = np.zeros((k, n))
+    Sr[:, :r] = S @ X.V[:, :r]
+    if n > r:
+        P, c, _ = np.linalg.svd(S @ X.V0, full_matrices=False)
+        Sr[:, r:r + c.size] = P * c
+    core = np.zeros(n, dtype=bool)
+    core[:m] = _touched(Wr, axis=1)
+    core |= _touched(Sr, axis=0)
+    idx = np.flatnonzero(core)
+    rows = idx[idx < m]  # the first a entries of idx
+    a, b = rows.size, idx.size
+    if (a + b) * k > MAX_DENSE_DIM:
+        raise TooLarge(f"block_spectrum's core would be {(a + b) * k} x {(a + b) * k} "
+                       f"(limit {MAX_DENSE_DIM})")
+
+    # Core: G rows (i, c) then H columns (j, c), k coordinates each.
+    Wc, Sc = Wr[rows], Sr[:, idx]
+    Ec = Wc @ Sc
+    Ec[np.arange(a), np.arange(a)] -= X.sigma[rows]
+    H = np.zeros(((a + b) * k,) * 2)
+    ak = a * k
+    np.einsum("icid->icd", H[:ak, :ak].reshape(a, k, a, k))[...] = SST
+    np.einsum("jcjd->jcd", H[ak:, ak:].reshape(b, k, b, k))[...] = WTW
+    HG = H[ak:, :ak].reshape(b, k, a, k)  # [j, c, i, d]
+    np.multiply(Wc.T[None, :, :, None], Sc.T[:, None, None, :], out=HG)
+    np.einsum("jcic->jci", HG)[...] += Ec.T[:, None, :]
+    H[:ak, ak:] = H[ak:, :ak].T
+
+    # The other sigma_i > 0: one 2k x 2k block each.
+    pair = np.flatnonzero(~core[:r])
+    blocks = np.zeros((pair.size, 2 * k, 2 * k))
+    blocks[:, :k, :k] = SST
+    blocks[:, k:, k:] = WTW
+    diag = np.einsum("pii->pi", blocks[:, :k, k:])
+    diag[...] = -X.sigma[pair, None]
+    blocks[:, k:, :k] = blocks[:, :k, k:]
+
+    left, right = np.count_nonzero(~core[r:m]), np.count_nonzero(~core[r:])
+    vals = np.concatenate([
+        np.linalg.eigvalsh(H), np.linalg.eigvalsh(blocks).ravel(),
+        np.tile(np.linalg.eigvalsh(SST), left), np.tile(np.linalg.eigvalsh(WTW), right)])
+    assert vals.size == k * (m + n), (vals.size, k * (m + n))
+    vals.sort()
+    return vals
 
 
 def numeric_spectrum(X, p):

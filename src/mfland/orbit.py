@@ -112,16 +112,21 @@ def balance_residual(p):
 
 
 def inertia_of(X, p, zero_tol=None):
-    """Numerical inertia (n_pos, n_neg, n_zero) of the dense Hessian at p.
+    """Inertia (n_pos, n_neg, n_zero) of the Hessian at p, counted on
+    ``oracle.block_spectrum``.
 
     A zero_tol of None counts |value| <= 1e-8 * max(sigma_1, |largest value|)
-    as zero; any other must pass check_zero_tol, which is checked before the
-    dense Hessian is built."""
-    from .oracle import dense_hessian
+    as zero; any other must pass check_zero_tol, which is checked before any
+    block is built."""
+    from .oracle import block_spectrum
 
     if zero_tol is not None:
         check_zero_tol(zero_tol)
-    evals = np.linalg.eigvalsh(dense_hessian(X, p).matrix)
+    return count_inertia(X, block_spectrum(X, p), zero_tol)
+
+
+def count_inertia(X, evals, zero_tol=None):
+    """inertia_of's count on the Hessian eigenvalues evals at a point of X."""
     if zero_tol is None:
         zero_tol = _zero_floor(X, evals, _ORACLE_INERTIA_REL)
     return inertia_from_values(evals, zero_tol)

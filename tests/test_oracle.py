@@ -18,10 +18,12 @@ from mfland import (
     TooLarge,
     apply_group_action,
     balanced_flow_exact,
+    block_spectrum,
     build_canonical,
     dense_hessian,
     fd_validate,
     flatten_tangent,
+    gradient_norm,
     hessian_apply,
     inertia_from_values,
     inertia_of,
@@ -29,6 +31,7 @@ from mfland import (
     numeric_spectrum,
     random_balanced_pair,
     random_pair,
+    transported_zero_tol,
     unflatten_tangent,
 )
 from mfland import oracle
@@ -100,16 +103,36 @@ def test_size_guard():
 @pytest.mark.parametrize("scale", [1e300, 1e-200])
 def test_non_finite_dense_hessian_is_a_numerical_failure(scale):
     """Far out on the orbit of a canonical point the Hessian overflows; the
-    oracle refuses the non-finite matrix without a NumPy warning, so neither
-    eigh nor an inertia count sees it."""
+    oracle refuses it without a NumPy warning, naming the largest |entry| of
+    W and of S, so neither eigh nor an inertia count sees it."""
     X = gaussian(0)
     base = CanonicalPoint(X, Selection((0, 2)), 2).materialize()
     far = apply_group_action(base, GroupElement.from_matrix(scale * np.eye(2)))
+    sizes = f"max |W| = {np.abs(far.W).max():.3g}, max |S| = {np.abs(far.S).max():.3g}"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f in (numeric_spectrum, inertia_of):
-            with pytest.raises(NumericalFailure, match="dense Hessian has non-finite entries"):
+        for f, what in ((numeric_spectrum, "the dense Hessian"), (block_spectrum, "the Hessian"),
+                        (inertia_of, "the Hessian")):
+            with pytest.raises(NumericalFailure) as info:
                 f(X, far)
+            assert str(info.value) == f"{what} is not finite in float64: {sizes}"
+
+
+def test_block_spectrum_guards_its_core_not_N():
+    """A 300 x 400 X with k = 10 has N = 7000, past MAX_DENSE_DIM.  The block
+    path answers at a canonical saddle, whose core is 20 indices wide, and
+    refuses a random point, whose core holds every row and 310 columns."""
+    rng = np.random.default_rng(0)
+    X = load_data_matrix(rng.standard_normal((300, 400)))
+    p = CanonicalPoint(X, Selection(tuple(range(9)) + (10,)), 10).materialize()
+    vals = block_spectrum(X, p)
+    trace = 300 * np.sum(p.S * p.S) + 400 * np.sum(p.W * p.W)
+    assert vals.size == 7000 and vals[0] < 0
+    assert abs(np.sum(vals) - trace) <= 1e-12 * 7000 * X.sigma[0] ** 2
+    generic = FactorPair(rng.standard_normal((300, 10)), rng.standard_normal((10, 400)))
+    with pytest.raises(TooLarge) as info:
+        block_spectrum(X, generic)
+    assert str(info.value) == "block_spectrum's core would be 6100 x 6100 (limit 5000)"
 
 
 def test_size_guard_allocates_nothing():
@@ -211,10 +234,9 @@ def test_an_asymmetric_raw_matrix_is_averaged_with_its_transpose():
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(KINDS), st.integers(-6, 6), st.integers(0, 2**16))
 def test_lapack_sees_the_per_column_matrix(kind, exponent, seed):
-    """numeric_spectrum and inertia_of hand eigh and eigvalsh the matrix of
-    the per-column loop, bytes and layout included, and return exactly what
-    LAPACK returns on it, at critical and at random points of every kind and
-    scale."""
+    """numeric_spectrum hands eigh the matrix of the per-column loop, bytes
+    and layout included, and returns exactly what LAPACK returns on it, at
+    critical and at random points of every kind and scale."""
     rng = np.random.default_rng(seed)
     scale = 10.0**exponent
     X = load_data_matrix(scale * matrix_of_kind(kind, rng))
@@ -235,32 +257,89 @@ def test_lapack_sees_the_per_column_matrix(kind, exponent, seed):
     for p in (critical, generic):
         matrix, _ = _per_column_reference(X, p)
         seen.clear()
-        with mock.patch.object(np.linalg, "eigh", spy(np.linalg.eigh)), \
-                mock.patch.object(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh)):
+        with mock.patch.object(np.linalg, "eigh", spy(np.linalg.eigh)):
             evals, evecs = numeric_spectrum(X, p)
-            inertia = inertia_of(X, p)
-        assert len(seen) == 2
+        assert len(seen) == 1
         for a, c_order in seen:
             assert c_order and a.tobytes() == matrix.tobytes()
         ref_vals, ref_vecs = np.linalg.eigh(matrix)
         assert evals.tobytes() == ref_vals.tobytes()
         assert evecs.tobytes() == ref_vecs.tobytes()
-        ref = np.linalg.eigvalsh(matrix)
-        tol = 1e-8 * max(float(X.sigma[0]), float(np.max(np.abs(ref))))
-        assert inertia == inertia_from_values(ref, tol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(-3, 3), st.sampled_from([-50, 0, 50]),
+       st.integers(0, 2**16))
+def test_block_spectrum_equals_the_dense_spectrum(kind, exponent, orbit_exponent, seed):
+    """At every k and every selection of every kind and scale (ties, q < k
+    and indices past the rank included), moved by a random A at orbit scale
+    10^orbit_exponent from a canonical point with a random C0, and at a
+    random point of each k, which is not critical, the sorted block values
+    equal eigvalsh of the dense Hessian to 1e-12 of the largest |value|.
+    inertia_of counts them as the dense values count, at the default floor,
+    and at critical points also at transported_zero_tol where that tolerance
+    exceeds 1e-12 of the largest |value|.  It is absolute (1e-8 cond(A)^2),
+    so below that it can sit inside the dense spectrum's rounding, which then
+    decides the count: seed 654, rank-deficient kind at 10^2, k = 1 and selection
+    (0,), has a dense 7.2e-8 against a tolerance of 1e-8 and a block 3e-18."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    X = load_data_matrix(scale * matrix_of_kind(kind, rng))
+
+    def agree(p, tols):
+        ref = np.linalg.eigvalsh(dense_hessian(X, p).matrix)
+        got = block_spectrum(X, p)
+        big = float(np.max(np.abs(ref)))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * big
+        for tol in [None] + [t for t in tols if t > 1e-12 * big]:
+            floor = 1e-8 * max(float(X.sigma[0]), big) if tol is None else tol
+            assert inertia_of(X, p, zero_tol=tol) == inertia_from_values(ref, floor)
+
+    for k in range(1, X.m + 1):
+        agree(FactorPair(np.sqrt(scale) * rng.standard_normal((X.m, k)),
+                         np.sqrt(scale) * rng.standard_normal((k, X.n))), [])
+        for q in range(k + 1):
+            for sel in combinations(range(X.m), q):
+                C0 = np.sqrt(scale) * rng.standard_normal((X.n - X.r, k - q))
+                base = CanonicalPoint(X, Selection(sel), k, C0).materialize()
+                g = GroupElement.from_matrix(
+                    10.0**orbit_exponent * (np.eye(k) + 0.5 * rng.standard_normal((k, k))))
+                agree(apply_group_action(base, g), [transported_zero_tol(g)])
+
+
+def _ill_conditioned():
+    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
+    return (Q * [1.0, 1e-9]) @ Q.T
+
+
+@pytest.mark.parametrize("A", [1e8 * np.eye(2), _ill_conditioned()], ids=["1e8 I", "cond 1e9"])
+def test_block_spectrum_answers_far_along_an_orbit(A):
+    """The golden 4 x 6 X of seed 1 with --select 1,3, moved by 1e8 I or
+    by Q diag(1, 1e-9) Q^T: the absolute gradient test at
+    1e-8 * max(1, ||X||_F) would refuse either, and a test relative to
+    ||W||_F, which A scales unevenly, the second; its block spectrum and
+    inertia are the dense ones."""
+    X = load_data_matrix(np.random.default_rng([1, 4, 6]).standard_normal((4, 6)))
+    base = CanonicalPoint(X, Selection((0, 2)), 2).materialize()
+    p = apply_group_action(base, GroupElement.from_matrix(A))
+    assert gradient_norm(X, p) > 1e-8 * X.tol_scale
+    ref = np.linalg.eigvalsh(dense_hessian(X, p).matrix)
+    assert np.max(np.abs(block_spectrum(X, p) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    floor = 1e-8 * max(float(X.sigma[0]), float(np.max(np.abs(ref))))
+    assert inertia_of(X, p) == inertia_from_values(ref, floor)
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, "1e-8"], ids=repr)
 def test_a_bad_zero_tolerance_is_refused_before_assembly(tol, monkeypatch):
     """A negative, NaN, infinite or non-numeric tolerance once gave counts
     that do not sum to N, (0, 0, 0) or a raw NumPy error; both inertia
-    counters now refuse it, inertia_of before it builds the dense Hessian.
+    counters now refuse it, inertia_of before it builds any Hessian block.
     zero_tol=None keeps inertia_of's default."""
     X = gaussian(0)
     p = CanonicalPoint(X, Selection((0, 2)), 2).materialize()
     built = []
-    assemble = oracle.dense_hessian
-    monkeypatch.setattr(oracle, "dense_hessian", lambda *a: built.append(a) or assemble(*a))
+    assemble = oracle.block_spectrum
+    monkeypatch.setattr(oracle, "block_spectrum", lambda *a: built.append(a) or assemble(*a))
     match = "zero tolerance must be a nonnegative finite number"
     with pytest.raises(InvalidInput, match=match):
         inertia_from_values(np.array([-1.0, 0.0, 1.0]), tol)

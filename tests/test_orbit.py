@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,32 @@ def test_inertia_of_is_scale_covariant(c):
     p = build_canonical(X, sel, 2).materialize(scale=np.sqrt(c))
     assert spectrum_full_rank_scaled(X, sel, a=np.sqrt(c)).inertia == (15, 1, 4)
     assert inertia_of(X, p) == (15, 1, 4)
+
+
+def test_inertia_of_hands_lapack_no_matrix_past_the_core():
+    """The spectrum workload's orbit_transport point, 48 x 72 with k = 10,
+    the full selection and A = I + 0.3 Z / sqrt(k): inertia_of gives eigh
+    and eigvalsh no matrix larger than 2 k q x 2 k q = 200 x 200, where the
+    dense Hessian is N x N = 1200 x 1200."""
+    rng = np.random.default_rng(0)
+    m, n, k = 48, 72, 10
+    X = load_data_matrix(rng.standard_normal((m, n)))
+    base = build_canonical(X, Selection(tuple(range(k - 1)) + (k,)), k).materialize()
+    A = np.eye(k) + 0.3 * rng.standard_normal((k, k)) / np.sqrt(k)
+    moved = apply_group_action(base, GroupElement.from_matrix(A))
+    sizes = []
+
+    def spy(fn):
+        def call(a, *args, **kwargs):
+            sizes.append(a.shape[-1])
+            return fn(a, *args, **kwargs)
+        return call
+
+    with mock.patch.object(np.linalg, "eigh", spy(np.linalg.eigh)), \
+            mock.patch.object(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh)):
+        inertia = inertia_of(X, moved)
+    assert sum(inertia) == k * (m + n) and inertia[1] >= 1
+    assert sizes and max(sizes) <= 2 * k * k
 
 
 def test_intersect_M0_conditions():
