@@ -18,12 +18,13 @@ import numpy as np
 from .canonical import CanonicalPoint, Selection, _check_finite, check_scale, classify_canonical
 from .errors import InvalidInput, MflandError
 from .flow import classify_limit, integrate_flow, random_balanced_pair, random_pair
-from .model import _open_text, load_data_matrix, read_matrix_csv, write_matrix_csv
+from .model import (_open_text, inertia_from_values, load_data_matrix, read_matrix_csv,
+                    write_matrix_csv)
 from .oracle import block_spectrum
 from .orbit import (
     GroupElement,
     apply_group_action,
-    count_inertia,
+    default_zero_tol,
     induced_norm,
     transported_lambda_min_bound,
     transported_zero_tol,
@@ -208,10 +209,11 @@ def _cmd_orbit(args):
     moved = apply_group_action(base, g)
     res = classify_canonical(cp)
     evs_base, evs = block_spectrum(X, base), block_spectrum(X, moved)
+    tol_base, tol = default_zero_tol(X, evs_base), transported_zero_tol(g)
     if res.kind == "StrictSaddle":
         lam_base = res.lambda_min_closed_form
     else:
-        lam_base = float(evs_base[0])
+        lam_base = _zero_floored(float(evs_base[0]), tol_base)
     return {
         "k": k,
         "selection": [i + 1 for i in cp.selection.indices],
@@ -220,10 +222,15 @@ def _cmd_orbit(args):
         "cond_A": g.cond(),
         "lambda_min_base": lam_base,
         "transported_bound": transported_lambda_min_bound(lam_base, g),
-        "lambda_min_transported": float(evs[0]),
-        "inertia_base": list(count_inertia(X, evs_base)),
-        "inertia_transported": list(count_inertia(X, evs, transported_zero_tol(g))),
+        "lambda_min_transported": _zero_floored(float(evs[0]), tol),
+        "inertia_base": list(inertia_from_values(evs_base, tol_base)),
+        "inertia_transported": list(inertia_from_values(evs, tol)),
     }
+
+
+def _zero_floored(value, tol):
+    """value, or 0.0 (never -0.0) where an inertia count at tol calls it zero."""
+    return 0.0 if abs(value) <= tol else value
 
 
 def _cmd_flow(args):

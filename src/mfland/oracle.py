@@ -1,6 +1,6 @@
-"""Independent numerical checks: dense Hessian, eigh spectrum, the block
-spectrum, finite differences, and the exact gradient flow from a balanced
-start.
+"""Independent numerical checks: dense Hessian, the Hessian spectrum from
+exact blocks, finite differences, and the exact gradient flow from a
+balanced start.
 
 Nothing in here knows about closed-form spectra or the flow integrator.  It
 owns the tangent coordinates: ``flatten_tangent``, ``action_matrix`` and the
@@ -18,17 +18,19 @@ the H-unit columns.  Every entry is the one product or sum that
 The asymmetry is taken only over the blocks where it can be nonzero, and the
 matrix is averaged with its transpose only when it is.
 
-``block_spectrum`` gets the same eigenvalues from blocks, which are small
-at a critical point.  At every point the Hessian form is
-||dW S + W dS||^2 + 2 <E, dW dS>, E = W S - X.  In X's singular basis, with
-the kernel of X turned so that S meets at most k of its columns, a row i of G and a column j of H interact only
-through w_i s_j^T + E'_ij I, where w_i is row i of U^T W, s_j column j of
-S V and E' = U^T W S V - diag(sigma).  The rows W touches and the columns S
-touches, each index taken as a row and as a column, make one core block,
+``block_spectrum`` (eigenvalues) and ``numeric_spectrum`` (eigenpairs) get
+the spectrum from blocks instead, which are small at a critical point.  At
+every point the Hessian form is ||dW S + W dS||^2 + 2 <E, dW dS>,
+E = W S - X.  In X's singular basis, with the kernel of X turned so that S
+meets at most k of its columns, a row i of G and a column j of H interact
+only through w_i s_j^T + E'_ij I, where w_i is row i of U^T W, s_j column j
+of S V and E' = U^T W S V - diag(sigma).  The rows W touches and the columns
+S touches, each index taken as a row and as a column, make one core block,
 which holds every off-diagonal entry of E'.  Each other sigma_i > 0 pairs
 row i with column i through E'_ii = -sigma_i, and the remaining rows and
 columns feel only S S^T or W^T W.  Away from a critical point the core
-is larger, up to every index, and the split is as exact.
+is larger, up to every index, and the split is as exact.  The dense Hessian
+is the ground truth both are tested against.
 """
 
 from dataclasses import dataclass
@@ -174,23 +176,44 @@ def _touched(M, axis):
     return norms > LEAK_REL * np.linalg.norm(norms)
 
 
-def block_spectrum(X, p):
-    """All k (m + n) Hessian eigenvalues at p, ascending, from exact
-    blocks; at a critical point the blocks are small and no N x N matrix
-    is formed.
+@dataclass(frozen=True)
+class _Blocks:
+    """The Hessian at p as exact blocks in X's singular basis.
 
-    Rows of U^T W and columns of S V (kernel turned by the SVD of S V0) above
-    LEAK_REL times their factor's norm, and their indices as rows and as
-    columns, make the core: its dense Hessian has S S^T and W^T W on the
-    diagonal blocks and w_i s_j^T + E'_ij I between row i and column j, with
-    E' = U^T W S V - diag(sigma).  Every other index i < r gives the 2k x 2k
-    block [[S S^T, -sigma_i I], [-sigma_i I, W^T W]] (one batched eigvalsh),
-    and every other row and column a copy of the eigenvalues of S S^T or of
-    W^T W.  Raises NumericalFailure when the Hessian leaves float64, and
+    A G row i stands for the tangent U[:, i] g^T and an H column j for
+    h V[:, j]^T, g and h in R^k, where V is X.V with its kernel columns
+    turned by the SVD of S V0.  ``core`` is the dense Hessian over the G
+    rows ``rows`` (k coordinates each), then the H columns ``cols``.
+    ``pairs[t]`` is the 2k x 2k block of G row and H column ``pair[t]``;
+    every G row in ``left`` has the block S S^T, and every H column in
+    ``right`` the block W^T W.  ``V`` is the turned basis, when asked for.
+    """
+
+    core: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    pairs: np.ndarray
+    pair: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    SST: np.ndarray
+    WTW: np.ndarray
+    V: np.ndarray = None
+
+
+def _blocks(X, p, basis=False):
+    """The _Blocks of the Hessian at p, with the turned V when basis is
+    true (the kernel then turned by the full SVD of S V0).
+
+    Rows of U^T W and columns of S V above LEAK_REL times their factor's
+    norm, and their indices as rows and as columns, make the core: its dense
+    Hessian has S S^T and W^T W on the diagonal blocks and w_i s_j^T + E'_ij I
+    between row i and column j, with E' = U^T W S V - diag(sigma).  Every
+    other index i < r gives the block [[S S^T, -sigma_i I], [-sigma_i I,
+    W^T W]].  Raises NumericalFailure when the Hessian leaves float64, and
     TooLarge when the core passes MAX_DENSE_DIM; the core is never larger
     than the dense Hessian.
     """
-    check_pair(X, p)
     m, n, r, k = X.m, X.n, X.r, p.k
     W, S = p.W, p.S
     with np.errstate(over="ignore", invalid="ignore"):
@@ -200,21 +223,24 @@ def block_spectrum(X, p):
     Wr = X.U.T @ W
     Sr = np.zeros((k, n))
     Sr[:, :r] = S @ X.V[:, :r]
+    V = X.V if basis else None
     if n > r:
-        P, c, _ = np.linalg.svd(S @ X.V0, full_matrices=False)
-        Sr[:, r:r + c.size] = P * c
+        P, c, Qt = np.linalg.svd(S @ X.V0, full_matrices=basis)
+        Sr[:, r:r + c.size] = P[:, :c.size] * c
+        if basis:
+            V = np.hstack([X.V[:, :r], X.V0 @ Qt.T])
     core = np.zeros(n, dtype=bool)
     core[:m] = _touched(Wr, axis=1)
     core |= _touched(Sr, axis=0)
-    idx = np.flatnonzero(core)
-    rows = idx[idx < m]  # the first a entries of idx
-    a, b = rows.size, idx.size
+    cols = np.flatnonzero(core)
+    rows = cols[cols < m]  # the first a entries of cols
+    a, b = rows.size, cols.size
     if (a + b) * k > MAX_DENSE_DIM:
         raise TooLarge(f"block_spectrum's core would be {(a + b) * k} x {(a + b) * k} "
                        f"(limit {MAX_DENSE_DIM})")
 
     # Core: G rows (i, c) then H columns (j, c), k coordinates each.
-    Wc, Sc = Wr[rows], Sr[:, idx]
+    Wc, Sc = Wr[rows], Sr[:, cols]
     Ec = Wc @ Sc
     Ec[np.arange(a), np.arange(a)] -= X.sigma[rows]
     H = np.zeros(((a + b) * k,) * 2)
@@ -234,19 +260,70 @@ def block_spectrum(X, p):
     diag = np.einsum("pii->pi", blocks[:, :k, k:])
     diag[...] = -X.sigma[pair, None]
     blocks[:, k:, :k] = blocks[:, :k, k:]
+    return _Blocks(core=H, rows=rows, cols=cols, pairs=blocks, pair=pair,
+                   left=r + np.flatnonzero(~core[r:m]), right=r + np.flatnonzero(~core[r:]),
+                   SST=SST, WTW=WTW, V=V)
 
-    left, right = np.count_nonzero(~core[r:m]), np.count_nonzero(~core[r:])
+
+def block_spectrum(X, p):
+    """All k (m + n) Hessian eigenvalues at p, ascending, from the exact
+    blocks of _blocks: eigvalsh of the core, one batched eigvalsh of the
+    2k x 2k blocks, and copies of the eigenvalues of S S^T and W^T W.  At a
+    critical point the blocks are small and no N x N matrix is formed.
+    """
+    check_pair(X, p)
+    b = _blocks(X, p)
     vals = np.concatenate([
-        np.linalg.eigvalsh(H), np.linalg.eigvalsh(blocks).ravel(),
-        np.tile(np.linalg.eigvalsh(SST), left), np.tile(np.linalg.eigvalsh(WTW), right)])
-    assert vals.size == k * (m + n), (vals.size, k * (m + n))
+        np.linalg.eigvalsh(b.core), np.linalg.eigvalsh(b.pairs).ravel(),
+        np.tile(np.linalg.eigvalsh(b.SST), b.left.size),
+        np.tile(np.linalg.eigvalsh(b.WTW), b.right.size)])
+    assert vals.size == p.k * (X.m + X.n), (vals.size, p.k * (X.m + X.n))
     vals.sort()
     return vals
 
 
 def numeric_spectrum(X, p):
-    """Eigen-decomposition of the dense Hessian, eigenvalues ascending."""
-    return np.linalg.eigh(dense_hessian(X, p).matrix)
+    """Eigenvalues of the Hessian at p, ascending, and an orthonormal N x N
+    matrix of eigenvectors in flatten_tangent's coordinates, column i for
+    value i.
+
+    Each block of _blocks is diagonalized with eigh, and its eigenvectors
+    are lifted through X.U (G rows) and the turned V (H columns) into their
+    sorted columns: O(N^2) work, with no N x N product or eigenproblem.
+    The matrix is Fortran-ordered, so each eigenvector is contiguous.
+    Raises TooLarge when N passes MAX_DENSE_DIM, before anything is built,
+    and NumericalFailure as _blocks does.
+    """
+    check_pair(X, p)
+    m, n, k = X.m, X.n, p.k
+    N = k * (m + n)
+    if N > MAX_DENSE_DIM:
+        raise TooLarge(f"numeric_spectrum's eigenvectors would be {N} x {N} "
+                       f"(limit {MAX_DENSE_DIM})")
+    b = _blocks(X, p, basis=True)
+    U, V = X.U, b.V
+    (cv, cY), (pv, pZ), (sv, sQ), (wv, wQ) = (
+        np.linalg.eigh(M) for M in (b.core, b.pairs, b.SST, b.WTW))
+    vals = np.concatenate([cv, pv.ravel(), np.tile(sv, b.left.size), np.tile(wv, b.right.size)])
+    order = np.argsort(vals, kind="stable")
+    at = np.empty(N, dtype=np.intp)  # the sorted column of each value
+    at[order] = np.arange(N)
+    # Row t of T is the eigenvector in column t: its G part [c, i] (G[i, c]),
+    # then its H part [j, c] (H[c, j]).  Each group's rows, in the order of
+    # vals: core, pairs, left, right.
+    mk, a, nc = m * k, b.rows.size, cv.size
+    core, pairs, left, right = np.split(at, np.cumsum([nc, pv.size, k * b.left.size]))
+    T = np.zeros((N, N))
+    Yg = cY[:a * k].T.reshape(nc, a, k).transpose(0, 2, 1)  # [v, c, row]
+    Yh = cY[a * k:].T.reshape(nc, b.cols.size, k)          # [v, column, c]
+    T[core, :mk] = (Yg @ U[:, b.rows].T).reshape(-1, mk)
+    T[core, mk:] = (V[:, b.cols] @ Yh).reshape(-1, N - mk)
+    Zt = pZ.transpose(0, 2, 1)  # [t, v, coordinate]
+    T[pairs, :mk] = (Zt[:, :, :k, None] * U[:, b.pair].T[:, None, None, :]).reshape(-1, mk)
+    T[pairs, mk:] = (V[:, b.pair].T[:, None, :, None] * Zt[:, :, None, k:]).reshape(-1, N - mk)
+    T[left, :mk] = (sQ.T[None, :, :, None] * U[:, b.left].T[:, None, None, :]).reshape(-1, mk)
+    T[right, mk:] = (V[:, b.right].T[:, None, :, None] * wQ.T[None, :, None, :]).reshape(-1, N - mk)
+    return vals[order], T.T
 
 
 @dataclass(frozen=True)

@@ -122,14 +122,14 @@ def inertia_of(X, p, zero_tol=None):
 
     if zero_tol is not None:
         check_zero_tol(zero_tol)
-    return count_inertia(X, block_spectrum(X, p), zero_tol)
+    evals = block_spectrum(X, p)
+    return inertia_from_values(evals, default_zero_tol(X, evals) if zero_tol is None else zero_tol)
 
 
-def count_inertia(X, evals, zero_tol=None):
-    """inertia_of's count on the Hessian eigenvalues evals at a point of X."""
-    if zero_tol is None:
-        zero_tol = _zero_floor(X, evals, _ORACLE_INERTIA_REL)
-    return inertia_from_values(evals, zero_tol)
+def default_zero_tol(X, evals):
+    """inertia_of's zero tolerance for the Hessian eigenvalues evals at a
+    point of X: 1e-8 * max(sigma_1, |largest value|)."""
+    return _zero_floor(X, evals, _ORACLE_INERTIA_REL)
 
 
 def intersect_M0(cp):

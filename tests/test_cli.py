@@ -119,6 +119,26 @@ def test_orbit_bound(capsys, x_csv, tmp_path):
     assert doc["inertia_base"] == doc["inertia_transported"]
 
 
+@pytest.mark.parametrize("M, argv", [
+    (np.diag([2.0, 2.0, 1.0]) @ np.eye(3, 5), "--k 1 --select 1 --scale 1e8"),
+    (np.random.default_rng(5).standard_normal((7, 4)), "--k 2 --select 1,2 --scale 1e-3"),
+], ids=["diag-1e8", "tall-7x4-1e-3"])
+def test_orbit_prints_lambda_min_as_its_inertia_counts_it(capsys, tmp_path, M, argv):
+    """At a global minimum lambda_min is 0 in exact arithmetic; its rounding
+    noise (4.9e-32 transported in the first case, -3.0e-9 in the second) is
+    printed as 0, never -0, because the inertia beside it counts it as
+    zero: at transported_zero_tol and at the default floor for the base."""
+    x = tmp_path / "x.csv"
+    write_matrix_csv(str(x), M)
+    code, out, _ = _run(capsys, "orbit", "--x", str(x), *shlex.split(argv))
+    doc = json.loads(out)
+    assert code == 0 and doc["kind"] == "GlobalMinimum"
+    for key, inertia in (("lambda_min_base", "inertia_base"),
+                         ("lambda_min_transported", "inertia_transported")):
+        assert f'"{key}": 0,' in out
+        assert doc[inertia][1] == 0 and doc[inertia][2] >= 1
+
+
 def test_flow_writes_trajectory(capsys, x_csv, tmp_path):
     traj = tmp_path / "traj.csv"
     code, out, _ = _run(

@@ -111,8 +111,8 @@ def test_non_finite_dense_hessian_is_a_numerical_failure(scale):
     sizes = f"max |W| = {np.abs(far.W).max():.3g}, max |S| = {np.abs(far.S).max():.3g}"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f, what in ((numeric_spectrum, "the dense Hessian"), (block_spectrum, "the Hessian"),
-                        (inertia_of, "the Hessian")):
+        for f, what in ((dense_hessian, "the dense Hessian"), (numeric_spectrum, "the Hessian"),
+                        (block_spectrum, "the Hessian"), (inertia_of, "the Hessian")):
             with pytest.raises(NumericalFailure) as info:
                 f(X, far)
             assert str(info.value) == f"{what} is not finite in float64: {sizes}"
@@ -136,19 +136,24 @@ def test_block_spectrum_guards_its_core_not_N():
 
 
 def test_size_guard_allocates_nothing():
-    """One past MAX_DENSE_DIM is refused before any N-sized array exists."""
+    """One past MAX_DENSE_DIM, dense_hessian and numeric_spectrum refuse
+    before any N-sized array exists, each naming the N x N array it would
+    build."""
     N = MAX_DENSE_DIM + 1
     k = N // 3  # N = k (m + n) with a 1 x 2 X
     X = load_data_matrix(np.array([[2.0, 1.0]]))
     p = FactorPair(np.ones((1, k)), np.ones((k, 2)))
-    tracemalloc.start()
-    try:
-        with pytest.raises(TooLarge):
-            dense_hessian(X, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * N, f"peak {peak} B"
+    for f, what in ((dense_hessian, "dense Hessian"),
+                    (numeric_spectrum, "numeric_spectrum's eigenvectors")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge) as info:
+                f(X, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * N, f"{what}: peak {peak} B"
+        assert str(info.value) == f"{what} would be {N} x {N} (limit {MAX_DENSE_DIM})"
 
 
 def test_dense_hessian_memory_is_the_matrix_and_one_block():
@@ -234,9 +239,9 @@ def test_an_asymmetric_raw_matrix_is_averaged_with_its_transpose():
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(KINDS), st.integers(-6, 6), st.integers(0, 2**16))
 def test_lapack_sees_the_per_column_matrix(kind, exponent, seed):
-    """numeric_spectrum hands eigh the matrix of the per-column loop, bytes
-    and layout included, and returns exactly what LAPACK returns on it, at
-    critical and at random points of every kind and scale."""
+    """The ground truth, eigh of dense_hessian's matrix, sees the matrix of
+    the per-column loop, bytes and C layout included, at critical and at
+    random points of every kind and scale."""
     rng = np.random.default_rng(seed)
     scale = 10.0**exponent
     X = load_data_matrix(scale * matrix_of_kind(kind, rng))
@@ -246,25 +251,10 @@ def test_lapack_sees_the_per_column_matrix(kind, exponent, seed):
     critical = CanonicalPoint(X, sel, k).materialize()
     generic = FactorPair(np.sqrt(scale) * rng.standard_normal((X.m, k)),
                          np.sqrt(scale) * rng.standard_normal((k, X.n)))
-    seen = []
-
-    def spy(fn):
-        def call(a):
-            seen.append((a.copy(order="K"), a.flags.c_contiguous))
-            return fn(a)
-        return call
-
     for p in (critical, generic):
         matrix, _ = _per_column_reference(X, p)
-        seen.clear()
-        with mock.patch.object(np.linalg, "eigh", spy(np.linalg.eigh)):
-            evals, evecs = numeric_spectrum(X, p)
-        assert len(seen) == 1
-        for a, c_order in seen:
-            assert c_order and a.tobytes() == matrix.tobytes()
-        ref_vals, ref_vecs = np.linalg.eigh(matrix)
-        assert evals.tobytes() == ref_vals.tobytes()
-        assert evecs.tobytes() == ref_vecs.tobytes()
+        a = dense_hessian(X, p).matrix
+        assert a.flags.c_contiguous and a.tobytes() == matrix.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -275,7 +265,10 @@ def test_block_spectrum_equals_the_dense_spectrum(kind, exponent, orbit_exponent
     and indices past the rank included), moved by a random A at orbit scale
     10^orbit_exponent from a canonical point with a random C0, and at a
     random point of each k, which is not critical, the sorted block values
-    equal eigvalsh of the dense Hessian to 1e-12 of the largest |value|.
+    equal eigvalsh of the dense Hessian to 1e-12 of the largest |value|, and
+    so do numeric_spectrum's values; each of its eigenvectors has a residual
+    against the dense matrix within 1e-12 of that value, and V^T V is I to
+    1e-12.
     inertia_of counts them as the dense values count, at the default floor,
     and at critical points also at transported_zero_tol where that tolerance
     exceeds 1e-12 of the largest |value|.  It is absolute (1e-8 cond(A)^2),
@@ -287,10 +280,14 @@ def test_block_spectrum_equals_the_dense_spectrum(kind, exponent, orbit_exponent
     X = load_data_matrix(scale * matrix_of_kind(kind, rng))
 
     def agree(p, tols):
-        ref = np.linalg.eigvalsh(dense_hessian(X, p).matrix)
-        got = block_spectrum(X, p)
+        dense = dense_hessian(X, p).matrix
+        ref = np.linalg.eigvalsh(dense)
         big = float(np.max(np.abs(ref)))
-        assert np.max(np.abs(got - ref)) <= 1e-12 * big
+        assert np.max(np.abs(block_spectrum(X, p) - ref)) <= 1e-12 * big
+        vals, vecs = numeric_spectrum(X, p)
+        assert np.max(np.abs(vals - ref)) <= 1e-12 * big
+        assert np.max(np.linalg.norm(dense @ vecs - vecs * vals, axis=0)) <= 1e-12 * big
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(ref.size))) <= 1e-12
         for tol in [None] + [t for t in tols if t > 1e-12 * big]:
             floor = 1e-8 * max(float(X.sigma[0]), big) if tol is None else tol
             assert inertia_of(X, p, zero_tol=tol) == inertia_from_values(ref, floor)

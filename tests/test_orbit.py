@@ -22,6 +22,7 @@ from mfland import (
     inertia_of,
     intersect_M0,
     load_data_matrix,
+    numeric_spectrum,
     push_gradient,
     second_derivative,
     spectrum_full_rank_scaled,
@@ -118,11 +119,11 @@ def test_inertia_of_is_scale_covariant(c):
     assert inertia_of(X, p) == (15, 1, 4)
 
 
-def test_inertia_of_hands_lapack_no_matrix_past_the_core():
-    """The spectrum workload's orbit_transport point, 48 x 72 with k = 10,
-    the full selection and A = I + 0.3 Z / sqrt(k): inertia_of gives eigh
-    and eigvalsh no matrix larger than 2 k q x 2 k q = 200 x 200, where the
-    dense Hessian is N x N = 1200 x 1200."""
+def _lapack_sizes_at_transport(f):
+    """f(X, p) at the spectrum workload's orbit_transport point, 48 x 72 with
+    k = 10, the full selection and A = I + 0.3 Z / sqrt(k), where the dense
+    Hessian is N x N = 1200 x 1200: its result, and the width of every matrix
+    it hands eigh and eigvalsh."""
     rng = np.random.default_rng(0)
     m, n, k = 48, 72, 10
     X = load_data_matrix(rng.standard_normal((m, n)))
@@ -139,9 +140,23 @@ def test_inertia_of_hands_lapack_no_matrix_past_the_core():
 
     with mock.patch.object(np.linalg, "eigh", spy(np.linalg.eigh)), \
             mock.patch.object(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh)):
-        inertia = inertia_of(X, moved)
-    assert sum(inertia) == k * (m + n) and inertia[1] >= 1
-    assert sizes and max(sizes) <= 2 * k * k
+        return f(X, moved), sizes
+
+
+def test_inertia_of_hands_lapack_no_matrix_past_the_core():
+    """inertia_of gives eigh and eigvalsh no matrix larger than
+    2 k q x 2 k q = 200 x 200 at the workload's transport point."""
+    inertia, sizes = _lapack_sizes_at_transport(inertia_of)
+    assert sum(inertia) == 1200 and inertia[1] >= 1
+    assert sizes and max(sizes) <= 200
+
+
+def test_numeric_spectrum_hands_lapack_no_matrix_past_the_core():
+    """numeric_spectrum, too, returns all 1200 eigenpairs there from matrices
+    no wider than 2 k q = 200."""
+    (vals, vecs), sizes = _lapack_sizes_at_transport(numeric_spectrum)
+    assert vals.shape == (1200,) and vecs.shape == (1200, 1200) and vals[0] < 0
+    assert sizes and max(sizes) <= 200
 
 
 def test_intersect_M0_conditions():
