@@ -1,12 +1,22 @@
 """The verify battery passes on every kind of X in matrix_kinds, not only on
-the default 4 x 6 Gaussian one."""
+the default 4 x 6 Gaussian one; each fault in FAULTS fails the check named
+with it; and the README's claims ledger names only real checks and
+acceptance criteria."""
+
+import inspect
+import re
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfland import load_data_matrix
-from mfland.verify import check_scaling_trichotomy, run_all
+import mfland.verify as verify
+from mfland import canonical, load_data_matrix, orbit
+from mfland.verify import ALL_CHECKS, _default_data, check_scaling_trichotomy, run_all
 from matrix_kinds import KINDS, matrix_of_kind
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -24,3 +34,60 @@ def test_scaling_check_reads_lambda_min_past_its_peak():
     X = load_data_matrix(np.diag([3.0, 2.5]) @ np.eye(2, 3))
     passed, detail = check_scaling_trichotomy(X, seed=0)
     assert passed, detail
+
+
+# (module, function, source text, faulty text, the check that must fail)
+FAULTS = [
+    pytest.param(canonical, "first_defect", "lam[j] > tol", "lam[j] > -tol",
+                 "families_critical", id="first_defect-tie-sign"),
+    pytest.param(canonical, "reduce_to_canonical",
+                 "E[q:, :q] = -(Sb @ X.V[:, sel_idx]) * inv_lam", "E[q:, :q] = 0.0",
+                 "congruence_inertia", id="reduce-unipotent-factor"),
+    pytest.param(canonical, "reduce_to_canonical",
+                 "C0 = X.V0.T @ Sb.T", "C0 = 1.001 * (X.V0.T @ Sb.T)",
+                 "congruence_inertia", id="reduce-C0-readout"),
+    pytest.param(orbit, "balance_residual",
+                 "return float(np.linalg.norm(p.W.T @ p.W - p.S @ p.S.T))", "return 0.0",
+                 "balanced_set", id="balance_residual-zero"),
+    pytest.param(orbit, "induced_norm", "return float(max(", "return 1.01 * float(max(",
+                 "lambda_min_bound", id="induced_norm-inflated"),
+]
+
+
+@pytest.mark.parametrize("module, name, old, new, check", FAULTS)
+def test_each_fault_fails_its_check(module, name, old, new, check, monkeypatch):
+    """The function rebuilt from its source with one text replaced, bound
+    wherever the battery looks it up, fails the named check on the X of
+    `mfland verify --seed 1`, which passes it unchanged."""
+    X = load_data_matrix(_default_data(1))
+
+    def outcome():
+        return next(c for c in run_all(X, seed=1) if c["name"] == check)
+
+    assert outcome()["passed"]
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    for where in (module, verify):
+        if hasattr(where, name):
+            monkeypatch.setattr(where, name, namespace[name])
+    result = outcome()
+    assert not result["passed"], result["detail"]
+
+
+def test_readme_ledger_names_real_checks_and_criteria():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Claims ledger\n", 1)[1].split("\n## ", 1)[0]
+    # the cells of each claim row: the table rows after the header and its rule
+    rows = [[cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+            for line in section.splitlines() if line.startswith("| ")][2:]
+    assert [row[0] for row in rows] == list("abcdefg")
+    names = {name for name, _ in ALL_CHECKS}
+    named = {c for row in rows for c in re.findall(r"`(\w+)`", row[2])}
+    assert named <= names, named - names
+    assert set(re.findall(r"`(\w+)`", section)) >= names
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    for row in rows:
+        for number in re.findall(r"\b\d\d\b", row[3]):
+            assert f"def test_criterion_{number}_" in acceptance, (row[0], number)
