@@ -7,16 +7,9 @@ owns the tangent coordinates: ``flatten_tangent``, ``action_matrix`` and the
 dense Hessian share them, so any closed-form claim elsewhere in the package
 can be validated against plain ``numpy.linalg.eigh`` on that matrix.
 
-The dense Hessian is written block by block into one N x N array, in
-flatten_tangent's order: kron(S S^T, I_m) on the G-G block, kron(I_n, W^T W)
-on the H-H block, and on each cross block the products W[a, l] S[d, b], plus
-an entry of E where the two tangents share their index in 1..k.  Each cross
-block comes from its own half of the Hessian action: the G-unit columns and
-the H-unit columns.  Every entry is the one product or sum that
-``calculus.hessian_apply`` forms for it, with the action's +0 in place of a
--0, so the matrix is the same, bit for bit, as one built column by column.
-The asymmetry is taken only over the blocks where it can be nonzero, and the
-matrix is averaged with its transpose only when it is.
+The dense Hessian is the Hessian action itself, column by column: column c
+is ``calculus.hessian_apply`` on the c-th unit tangent, flattened.  It costs
+N action calls, so only ``mfland verify`` and the tests build it.
 
 ``block_spectrum`` (eigenvalues) and ``numeric_spectrum`` (eigenpairs) get
 the spectrum from blocks instead, which are small at a critical point.  At
@@ -37,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import gradient, second_derivative
+from .calculus import gradient, hessian_apply, second_derivative
 from .errors import InvalidInput, NumericalFailure, TooLarge
 # inertia_from_values lives in the model, which the closed forms may import.
 from .model import (FactorPair, TangentPair, check_pair, check_seed, evaluate_J,
@@ -88,9 +81,9 @@ def action_matrix(g, m, n):
 class DenseHessian:
     """Symmetric dense Hessian in the frozen tangent coordinates.
 
-    ``asymmetry`` is the Frobenius norm of A - A^T for the raw assembled
-    matrix A, and ``matrix`` is (A + A^T) / 2.  For a correct Hessian action
-    the asymmetry is zero and the matrix is A itself.
+    ``asymmetry`` is the Frobenius norm of A - A^T for the raw matrix A of
+    the action's columns, and ``matrix`` is (A + A^T) / 2.  For a correct
+    Hessian action the asymmetry is zero and the matrix is A itself.
     """
 
     matrix: np.ndarray
@@ -102,51 +95,31 @@ class DenseHessian:
 
 
 def dense_hessian(X, p):
-    """The DenseHessian at p; raises NumericalFailure when the assembled
-    matrix is not finite, as far out on an orbit, where it overflows."""
+    """The DenseHessian at p, column c the Hessian action on the c-th unit
+    tangent; raises NumericalFailure when the Hessian is not finite, as far
+    out on an orbit, where it overflows."""
     check_pair(X, p)
     m, n, k = X.m, X.n, p.k
     N = k * (m + n)
     if N > MAX_DENSE_DIM:
         raise TooLarge(f"dense Hessian would be {N} x {N} (limit {MAX_DENSE_DIM})")
     W, S = p.W, p.S
-    mk = m * k
-    A = np.empty((N, N))
-    GG, GH, HG, HH = A[:mk, :mk], A[:mk, mk:], A[mk:, :mk], A[mk:, mk:]
-    # Entry (r, c) is coordinate r of the action on the c-th unit tangent:
-    # with G = e_i e_j^T it is S S^T[j, d] at G-coordinate (i, d) and
-    # W[i, c] S[j, b] + [c = j] E[i, b] at H-coordinate (c, b); with H = e_l e_b^T,
-    # W^T W[c, l] at H-coordinate (c, b) and W[a, l] S[d, b] + [d = l] E[a, b]
-    # at G-coordinate (a, d).  The action adds to each of them a product
-    # with the zero factor of the unit tangent, +0, which turns a -0 product
-    # W S into +0: hence the "+= 0.0".  S S^T, W^T W and E are sums that start
-    # from +0, never -0.  np.einsum with a repeated index is a writeable view
-    # of that diagonal.
+    # Each entry of the action on a unit tangent is an entry of S S^T or of
+    # W^T W, or a product W[a, l] S[d, b] plus at most one entry of E, so
+    # these bound every column; TangentPair would refuse a non-finite one.
     with np.errstate(over="ignore", invalid="ignore"):
-        E = W @ S - X.X
-        SST, WTW = S @ S.T, W.T @ W
-        HG4 = HG.reshape(n, k, k, m)   # [b, c, j, i]: the G-unit columns
-        GH4 = GH.reshape(k, m, n, k)   # [d, a, b, l]: the H-unit columns
-        np.multiply(W.T[None, :, None, :], S.T[:, None, :, None], out=HG4)
-        np.multiply(W[None, :, None, :], S[:, None, :, None], out=GH4)
-        HG += 0.0
-        GH += 0.0
-        np.einsum("bcci->bci", HG4)[...] += E.T[:, None, :]
-        np.einsum("dabd->dab", GH4)[...] += E
-        # ||A - A^T||^2 over the G-G block is m ||S S^T - (S S^T)^T||^2, over
-        # the H-H block n ||W^T W - (W^T W)^T||^2, and the cross blocks count
-        # twice.  HH's first m k columns (X is stored with m <= n) hold
-        # HG - GH^T before the block is written.  The sum is non-finite
-        # whenever an entry of A is.
-        skew = np.subtract(HG, GH.T, out=HH[:, :mk])
-        dS, dW = SST - SST.T, WTW - WTW.T
-        asym = float(np.sqrt(m * np.vdot(dS, dS) + n * np.vdot(dW, dW)
-                             + 2.0 * np.einsum("ij,ij->", skew, skew)))
-    _check_finite_hessian("the dense Hessian", p, asym)
-    GG.fill(0.0)
-    HH.fill(0.0)
-    np.einsum("daja->dja", GG.reshape(k, m, k, m))[...] = SST.T[:, :, None]
-    np.einsum("bcbl->bcl", HH.reshape(n, k, n, k))[...] = WTW
+        SST, WTW, E = S @ S.T, W.T @ W, W @ S - X.X
+        cross = np.abs(W).max() * np.abs(S).max() + np.abs(E).max()
+    _check_finite_hessian("the dense Hessian", p, SST, WTW, E, cross)
+    A = np.empty((N, N))
+    e = np.zeros(N)
+    for c in range(N):
+        e[c] = 1.0
+        A[:, c] = flatten_tangent(hessian_apply(X, p, unflatten_tangent(e, m, n, k)))
+        e[c] = 0.0
+    # ||A - A^T||_F^2 is twice its sum over the strict upper triangle.
+    skew = sum(float(np.sum((A[c, c + 1:] - A[c + 1:, c]) ** 2)) for c in range(N - 1))
+    asym = float(np.sqrt(2.0 * skew))
     if asym:
         np.add(A, A.T, out=A)
         A *= 0.5

@@ -1,7 +1,6 @@
 import tracemalloc
 import warnings
 from itertools import combinations
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from mfland import (
     numeric_spectrum,
     random_balanced_pair,
     random_pair,
+    second_derivative,
     transported_zero_tol,
     unflatten_tangent,
 )
@@ -56,19 +56,36 @@ def test_flatten_round_trip():
     np.testing.assert_array_equal(back.H, d.H)
 
 
-def test_dense_matches_operator():
-    X, p, rng = _setup()
-    H = dense_hessian(X, p)
-    assert H.asymmetry < 1e-12
-    for _ in range(5):
-        d = TangentPair(
-            rng.standard_normal((X.m, p.k)), rng.standard_normal((p.k, X.n))
-        )
-        np.testing.assert_allclose(
-            H.matrix @ flatten_tangent(d),
-            flatten_tangent(hessian_apply(X, p, d)),
-            atol=1e-10 * max(1.0, p.norm()) ** 2,
-        )
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(-3, 3), st.integers(0, 2**16))
+def test_dense_matches_operator(kind, exponent, seed):
+    """At a canonical point with a random C0 and at a random point, for every
+    k, of every kind at scale 10^exponent: the dense matrix H times v is the
+    action on v, and v^T H v is second_derivative's quadratic form, which
+    fd_validate ties to J, each within 1e-12 of ||v||^2 max|H| (||v|| max|H|
+    for the action), for random directions v."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    X = load_data_matrix(scale * matrix_of_kind(kind, rng))
+    for k in range(1, X.m + 1):
+        q = int(rng.integers(0, k + 1))
+        sel = Selection(tuple(sorted(rng.choice(X.m, size=q, replace=False).tolist())))
+        C0 = np.sqrt(scale) * rng.standard_normal((X.n - X.r, k - q))
+        critical = CanonicalPoint(X, sel, k, C0).materialize(
+            float(np.exp(rng.uniform(-1.0, 1.0))))
+        generic = FactorPair(np.sqrt(scale) * rng.standard_normal((X.m, k)),
+                             np.sqrt(scale) * rng.standard_normal((k, X.n)))
+        for p in (critical, generic):
+            h = dense_hessian(X, p)
+            big = float(np.max(np.abs(h.matrix)))
+            assert h.asymmetry <= 1e-12 * big
+            for _ in range(3):
+                d = TangentPair(rng.standard_normal((X.m, k)), rng.standard_normal((k, X.n)))
+                v = flatten_tangent(d)
+                nrm = float(np.linalg.norm(v))
+                action = flatten_tangent(hessian_apply(X, p, d))
+                assert np.linalg.norm(h.matrix @ v - action) <= 1e-12 * nrm * big
+                assert abs(v @ h.matrix @ v - second_derivative(X, p, d)) <= 1e-12 * nrm**2 * big
 
 
 def test_numeric_spectrum_sorted_and_consistent():
@@ -116,6 +133,16 @@ def test_non_finite_dense_hessian_is_a_numerical_failure(scale):
             with pytest.raises(NumericalFailure) as info:
                 f(X, far)
             assert str(info.value) == f"{what} is not finite in float64: {sizes}"
+
+
+def test_an_overflowing_cross_entry_is_a_numerical_failure():
+    """At X = (1e-300) and W = S = (1.15e154), S S^T, W^T W and E are finite
+    but the cross entry W S + E is not: dense_hessian refuses the point as
+    the overflow it is, before the action builds a non-finite column."""
+    X = load_data_matrix(np.array([[1e-300]]))
+    p = FactorPair(np.full((1, 1), 1.15e154), np.full((1, 1), 1.15e154))
+    with pytest.raises(NumericalFailure, match="^the dense Hessian is not finite in float64"):
+        dense_hessian(X, p)
 
 
 def test_block_spectrum_guards_its_core_not_N():
@@ -175,86 +202,30 @@ def test_dense_hessian_memory_is_the_matrix_and_one_block():
     assert peak < N * N * 8 + m * k * n * k * 8, f"peak {peak / 2**20:.1f} MB"
 
 
-def _per_column_reference(X, p):
-    """The dense Hessian built one hessian_apply call per column: (matrix,
-    asymmetry) exactly as the stacked assembly must reproduce them."""
-    m, n, k = X.m, X.n, p.k
-    N = k * (m + n)
-    A = np.empty((N, N))
-    e = np.zeros(N)
-    for c in range(N):
-        e[c] = 1.0
-        A[:, c] = flatten_tangent(hessian_apply(X, p, unflatten_tangent(e, m, n, k)))
-        e[c] = 0.0
-    return 0.5 * (A + A.T), float(np.linalg.norm(A - A.T))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(KINDS), st.integers(-6, 6), st.integers(0, 2**16))
-def test_stacked_assembly_equals_the_per_column_loop(kind, exponent, seed):
-    """Bit for bit, at critical points (canonical, scaled) and at random
-    non-critical points, for every k <= min(m, n)."""
-    rng = np.random.default_rng(seed)
-    scale = 10.0**exponent
-    X = load_data_matrix(scale * matrix_of_kind(kind, rng))
-    for k in range(1, X.m + 1):
-        q = int(rng.integers(0, k + 1))
-        sel = Selection(tuple(sorted(rng.choice(X.m, size=q, replace=False).tolist())))
-        C0 = np.sqrt(scale) * rng.standard_normal((X.n - X.r, k - q))
-        critical = CanonicalPoint(X, sel, k, C0).materialize(
-            float(np.exp(rng.uniform(-1.0, 1.0))))
-        generic = FactorPair(np.sqrt(scale) * rng.standard_normal((X.m, k)),
-                             np.sqrt(scale) * rng.standard_normal((k, X.n)))
-        for p in (critical, generic):
-            matrix, asymmetry = _per_column_reference(X, p)
-            h = dense_hessian(X, p)
-            assert np.array_equal(h.matrix, matrix)
-            assert h.matrix.tobytes() == matrix.tobytes()  # signed zeros too
-            assert h.asymmetry == asymmetry
-
-
-def test_an_asymmetric_raw_matrix_is_averaged_with_its_transpose():
+def test_an_asymmetric_raw_matrix_is_averaged_with_its_transpose(monkeypatch):
     """The raw matrix is exactly symmetric, so dense_hessian averages nothing.
-    With one cross entry of the G-unit columns moved by delta, the asymmetry
-    is ||A - A^T||_F and the matrix is (A + A^T) / 2 of that raw A, entry by
-    entry."""
+    With the action on the first unit tangent moved by delta in one H
+    coordinate, the asymmetry is ||A - A^T||_F and the matrix is (A + A^T) / 2
+    of that raw A, entry by entry."""
     X = gaussian(0)
     p = CanonicalPoint(X, Selection((0, 2)), 2).materialize()
     A = dense_hessian(X, p).matrix.copy()
     mk, delta = X.m * p.k, 0.25
-    multiply = np.multiply
+    exact = oracle.hessian_apply
 
-    def skewed(a, b, out):
-        multiply(a, b, out=out)
-        if out.shape == (X.n, p.k, p.k, X.m):  # the G-unit columns' cross block
-            out[0, 1, 0, 0] += delta  # row (H, b = 0, c = 1), column (G, 0, 0)
+    def skewed(X, p, d):
+        out = exact(X, p, d)
+        if d.G[0, 0] != 1.0:
+            return out
+        H = out.H.copy()
+        H[1, 0] += delta  # row (H, b = 0, c = 1) of column (G, 0, 0)
+        return TangentPair(G=out.G, H=H)
 
-    with mock.patch.object(np, "multiply", skewed):
-        h = dense_hessian(X, p)
+    monkeypatch.setattr(oracle, "hessian_apply", skewed)
+    h = dense_hessian(X, p)
     A[mk + 1, 0] += delta
     assert h.asymmetry == float(np.linalg.norm(A - A.T)) > 0
     assert h.matrix.tobytes() == (0.5 * (A + A.T)).tobytes()
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from(KINDS), st.integers(-6, 6), st.integers(0, 2**16))
-def test_lapack_sees_the_per_column_matrix(kind, exponent, seed):
-    """The ground truth, eigh of dense_hessian's matrix, sees the matrix of
-    the per-column loop, bytes and C layout included, at critical and at
-    random points of every kind and scale."""
-    rng = np.random.default_rng(seed)
-    scale = 10.0**exponent
-    X = load_data_matrix(scale * matrix_of_kind(kind, rng))
-    k = int(rng.integers(1, X.m + 1))
-    q = int(rng.integers(0, min(k, X.r) + 1))
-    sel = Selection(tuple(sorted(rng.choice(X.r, size=q, replace=False).tolist())))
-    critical = CanonicalPoint(X, sel, k).materialize()
-    generic = FactorPair(np.sqrt(scale) * rng.standard_normal((X.m, k)),
-                         np.sqrt(scale) * rng.standard_normal((k, X.n)))
-    for p in (critical, generic):
-        matrix, _ = _per_column_reference(X, p)
-        a = dense_hessian(X, p).matrix
-        assert a.flags.c_contiguous and a.tobytes() == matrix.tobytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mfland.verify as verify
-from mfland import canonical, load_data_matrix, orbit
+from mfland import calculus, canonical, load_data_matrix, oracle, orbit
 from mfland.verify import ALL_CHECKS, _default_data, check_scaling_trichotomy, run_all
 from matrix_kinds import KINDS, matrix_of_kind
 
@@ -51,6 +51,8 @@ FAULTS = [
                  "balanced_set", id="balance_residual-zero"),
     pytest.param(orbit, "induced_norm", "return float(max(", "return 1.01 * float(max(",
                  "lambda_min_bound", id="induced_norm-inflated"),
+    pytest.param(calculus, "hessian_apply", "E = residual(X, p)", "E = 2.0 * residual(X, p)",
+                 "spectra_match_oracle", id="hessian_apply-E-doubled"),
 ]
 
 
@@ -69,7 +71,7 @@ def test_each_fault_fails_its_check(module, name, old, new, check, monkeypatch):
     assert source.count(old) == 1
     namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
-    for where in (module, verify):
+    for where in (module, verify, oracle):
         if hasattr(where, name):
             monkeypatch.setattr(where, name, namespace[name])
     result = outcome()
