@@ -12,8 +12,10 @@ is ``calculus.hessian_apply`` on the c-th unit tangent, flattened.  It costs
 N action calls, so only ``mfland verify`` and the tests build it.
 
 ``block_spectrum`` (eigenvalues) and ``numeric_spectrum`` (eigenpairs) get
-the spectrum from blocks instead, which are small at a critical point.  At
-every point the Hessian form is ||dW S + W dS||^2 + 2 <E, dW dS>,
+the spectrum from blocks instead, which are small at a critical point;
+``numeric_spectrum`` keeps each block's eigenvectors and lifts one into
+flatten_tangent's coordinates only when it is read (``BlockEigenvectors``).
+At every point the Hessian form is ||dW S + W dS||^2 + 2 <E, dW dS>,
 E = W S - X.  In X's singular basis, with the kernel of X turned so that S
 meets at most k of its columns, a row i of G and a column j of H interact
 only through w_i s_j^T + E'_ij I, where w_i is row i of U^T W, s_j column j
@@ -103,14 +105,7 @@ def dense_hessian(X, p):
     N = k * (m + n)
     if N > MAX_DENSE_DIM:
         raise TooLarge(f"dense Hessian would be {N} x {N} (limit {MAX_DENSE_DIM})")
-    W, S = p.W, p.S
-    # Each entry of the action on a unit tangent is an entry of S S^T or of
-    # W^T W, or a product W[a, l] S[d, b] plus at most one entry of E, so
-    # these bound every column; TangentPair would refuse a non-finite one.
-    with np.errstate(over="ignore", invalid="ignore"):
-        SST, WTW, E = S @ S.T, W.T @ W, W @ S - X.X
-        cross = np.abs(W).max() * np.abs(S).max() + np.abs(E).max()
-    _check_finite_hessian("the dense Hessian", p, SST, WTW, E, cross)
+    _finite_hessian("the dense Hessian", X, p)
     A = np.empty((N, N))
     e = np.zeros(N)
     for c in range(N):
@@ -126,13 +121,24 @@ def dense_hessian(X, p):
     return DenseHessian(matrix=A, asymmetry=asym)
 
 
-def _check_finite_hessian(what, p, *arrays):
-    """NumericalFailure naming the largest |entry| of W and of S unless every
-    entry of arrays is finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
+def _finite_hessian(what, X, p):
+    """S S^T and W^T W at p, once they, E = W S - X and the bound
+    max|W| max|S| + max|E| on a cross entry are finite; NumericalFailure
+    naming the largest |entry| of W and of S otherwise.
+
+    Each entry of the action on a unit tangent is an entry of S S^T or of
+    W^T W, or a product W[a, l] S[d, b] plus at most one entry of E, so these
+    bound every entry of the Hessian.
+    """
+    W, S = p.W, p.S
+    with np.errstate(over="ignore", invalid="ignore"):
+        SST, WTW, E = S @ S.T, W.T @ W, W @ S - X.X
+        cross = np.abs(W).max() * np.abs(S).max() + np.abs(E).max()
+    if not all(np.isfinite(a).all() for a in (SST, WTW, E, cross)):
         raise NumericalFailure(
             f"{what} is not finite in float64: max |W| = {np.abs(p.W).max():.3g}, "
             f"max |S| = {np.abs(p.S).max():.3g}")
+    return SST, WTW
 
 
 def _unit(M):
@@ -189,10 +195,7 @@ def _blocks(X, p, basis=False):
     """
     m, n, r, k = X.m, X.n, X.r, p.k
     W, S = p.W, p.S
-    with np.errstate(over="ignore", invalid="ignore"):
-        SST, WTW = S @ S.T, W.T @ W
-        E = W @ S - X.X
-    _check_finite_hessian("the Hessian", p, SST, WTW, E)
+    SST, WTW = _finite_hessian("the Hessian", X, p)
     Wr = X.U.T @ W
     Sr = np.zeros((k, n))
     Sr[:, :r] = S @ X.V[:, :r]
@@ -256,47 +259,111 @@ def block_spectrum(X, p):
 
 
 def numeric_spectrum(X, p):
-    """Eigenvalues of the Hessian at p, ascending, and an orthonormal N x N
-    matrix of eigenvectors in flatten_tangent's coordinates, column i for
-    value i.
+    """Eigenvalues of the Hessian at p, ascending, and their orthonormal
+    eigenvectors as a BlockEigenvectors, column i for value i in
+    flatten_tangent's coordinates.
 
-    Each block of _blocks is diagonalized with eigh, and its eigenvectors
-    are lifted through X.U (G rows) and the turned V (H columns) into their
-    sorted columns: O(N^2) work, with no N x N product or eigenproblem.
-    The matrix is Fortran-ordered, so each eigenvector is contiguous.
-    Raises TooLarge when N passes MAX_DENSE_DIM, before anything is built,
-    and NumericalFailure as _blocks does.
+    Each block of _blocks is diagonalized with eigh and the values sorted
+    here, so every LAPACK call and any NumericalFailure (as _blocks raises
+    it) happen in this call; an eigenvector is lifted through X.U (G rows)
+    and the turned V (H columns) only when it is read, and no N x N array,
+    product or eigenproblem is formed.  Raises TooLarge when N passes
+    MAX_DENSE_DIM, before anything is built, since np.asarray of the
+    eigenvectors builds the N x N matrix.
     """
     check_pair(X, p)
-    m, n, k = X.m, X.n, p.k
-    N = k * (m + n)
+    N = p.k * (X.m + X.n)
     if N > MAX_DENSE_DIM:
         raise TooLarge(f"numeric_spectrum's eigenvectors would be {N} x {N} "
                        f"(limit {MAX_DENSE_DIM})")
     b = _blocks(X, p, basis=True)
-    U, V = X.U, b.V
-    (cv, cY), (pv, pZ), (sv, sQ), (wv, wQ) = (
-        np.linalg.eigh(M) for M in (b.core, b.pairs, b.SST, b.WTW))
+    eighs = [np.linalg.eigh(M) for M in (b.core, b.pairs, b.SST, b.WTW)]
+    (cv, _), (pv, _), (sv, _), (wv, _) = eighs
     vals = np.concatenate([cv, pv.ravel(), np.tile(sv, b.left.size), np.tile(wv, b.right.size)])
     order = np.argsort(vals, kind="stable")
-    at = np.empty(N, dtype=np.intp)  # the sorted column of each value
-    at[order] = np.arange(N)
-    # Row t of T is the eigenvector in column t: its G part [c, i] (G[i, c]),
-    # then its H part [j, c] (H[c, j]).  Each group's rows, in the order of
-    # vals: core, pairs, left, right.
-    mk, a, nc = m * k, b.rows.size, cv.size
-    core, pairs, left, right = np.split(at, np.cumsum([nc, pv.size, k * b.left.size]))
-    T = np.zeros((N, N))
-    Yg = cY[:a * k].T.reshape(nc, a, k).transpose(0, 2, 1)  # [v, c, row]
-    Yh = cY[a * k:].T.reshape(nc, b.cols.size, k)          # [v, column, c]
-    T[core, :mk] = (Yg @ U[:, b.rows].T).reshape(-1, mk)
-    T[core, mk:] = (V[:, b.cols] @ Yh).reshape(-1, N - mk)
-    Zt = pZ.transpose(0, 2, 1)  # [t, v, coordinate]
-    T[pairs, :mk] = (Zt[:, :, :k, None] * U[:, b.pair].T[:, None, None, :]).reshape(-1, mk)
-    T[pairs, mk:] = (V[:, b.pair].T[:, None, :, None] * Zt[:, :, None, k:]).reshape(-1, N - mk)
-    T[left, :mk] = (sQ.T[None, :, :, None] * U[:, b.left].T[:, None, None, :]).reshape(-1, mk)
-    T[right, mk:] = (V[:, b.right].T[:, None, :, None] * wQ.T[None, :, None, :]).reshape(-1, N - mk)
-    return vals[order], T.T
+    return vals[order], BlockEigenvectors(X, b, eighs, order)
+
+
+class BlockEigenvectors:
+    """numeric_spectrum's N x N eigenvector matrix, kept as its blocks'
+    eigenvectors, the basis (X.U and the turned V) and the sort order.
+
+    ``vectors[:, i]`` (any integer i, negatives included) lifts column i
+    alone into a new length-N array: O(N) for a pair, left or right column,
+    O((m a + n b) k) for a core one, a and b the core's rows and columns.
+    ``np.asarray(vectors)`` lifts all N columns into the Fortran-ordered
+    matrix.  Any other key raises TypeError.
+    """
+
+    def __init__(self, X, b, eighs, order):
+        self._m, self._k, self._N = X.m, b.SST.shape[0], order.size
+        self._U, self._V = X.U, b.V
+        self._rows, self._cols, self._pair, self._left, self._right = (
+            b.rows, b.cols, b.pair, b.left, b.right)
+        (cv, self._cY), (pv, self._pZ), (sv, self._sQ), (wv, self._wQ) = eighs
+        self._order = order
+        # Where each group starts in numeric_spectrum's unsorted values:
+        # core, pairs, left, right.
+        self._starts = np.cumsum([0, cv.size, pv.size, sv.size * b.left.size,
+                                  wv.size * b.right.size])
+
+    @property
+    def shape(self):
+        return (self._N, self._N)
+
+    def __getitem__(self, key):
+        if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], slice)
+                and key[0] == slice(None) and isinstance(key[1], (int, np.integer))):
+            raise TypeError(f"eigenvectors are read as [:, i] with an integer i, not [{key!r}]")
+        i, N = int(key[1]), self._N
+        if not -N <= i < N:
+            raise IndexError(f"eigenvector {i} is out of range for N = {N}")
+        return self._lift(np.array([i % N]))[0]
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("the eigenvector matrix is built on request, never viewed")
+        M = self._lift(np.arange(self._N)).T
+        return M if dtype is None else M.astype(dtype, copy=False)
+
+    def _lift(self, at):
+        """The eigenvectors of sorted columns at, as the rows of an
+        at.size x N array.  Row t holds the G part [c, i] (G[i, c]), then the
+        H part [j, c] (H[c, j])."""
+        m, k, U, V = self._m, self._k, self._U, self._V
+        N, mk = self._N, m * k
+        T = np.zeros((at.size, N))
+        src = self._order[at]
+
+        def group(g):
+            """The rows of T in group g, and their values' indices within it."""
+            t = np.flatnonzero((src >= self._starts[g]) & (src < self._starts[g + 1]))
+            return t, src[t] - self._starts[g]
+
+        def lift_G(t, coef, i):  # G = U[:, i] coef^T, per row
+            T[t, :mk] = (coef[:, :, None] * U[:, i].T[:, None, :]).reshape(-1, mk)
+
+        def lift_H(t, coef, j):  # H = coef V[:, j]^T, per row
+            T[t, mk:] = (V[:, j].T[:, :, None] * coef[:, None, :]).reshape(-1, N - mk)
+
+        t, v = group(0)
+        a, Y = self._rows.size, self._cY[:, v]
+        Yg = Y[:a * k].T.reshape(v.size, a, k).transpose(0, 2, 1)  # [v, c, row]
+        Yh = Y[a * k:].T.reshape(v.size, self._cols.size, k)      # [v, column, c]
+        T[t, :mk] = (Yg @ U[:, self._rows].T).reshape(-1, mk)
+        T[t, mk:] = (V[:, self._cols] @ Yh).reshape(-1, N - mk)
+        t, v = group(1)
+        blk, j = np.divmod(v, 2 * k)
+        Z = self._pZ[blk, :, j]
+        lift_G(t, Z[:, :k], self._pair[blk])
+        lift_H(t, Z[:, k:], self._pair[blk])
+        t, v = group(2)
+        l, j = np.divmod(v, k)
+        lift_G(t, self._sQ[:, j].T, self._left[l])
+        t, v = group(3)
+        l, j = np.divmod(v, k)
+        lift_H(t, self._wQ[:, j].T, self._right[l])
+        return T
 
 
 @dataclass(frozen=True)

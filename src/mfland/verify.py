@@ -15,6 +15,7 @@ from . import (
     action_matrix,
     apply_group_action,
     balance_residual,
+    block_spectrum,
     build_balanced,
     build_canonical,
     classify_canonical,
@@ -144,9 +145,13 @@ def check_spectra_match_oracle(X, seed):
         cp = build_canonical(X, Selection((1,)), k, C0=rng.standard_normal((X.n - X.r, k - 1)))
         cases.append(spectrum_deficient_rank(cp))
     cases.append(spectrum_balanced(X, Selection((0,)), k))
-    worst = max(float(np.max(np.abs(rep.values - _dense_values(X, rep.point))))
-                for rep in cases)
-    return worst < 1e-8, f"worst |closed - numeric| = {worst:.2e}"
+    worst = block = 0.0
+    for rep in cases:
+        dense = _dense_values(X, rep.point)
+        worst = max(worst, float(np.max(np.abs(rep.values - dense))))
+        block = max(block, float(np.max(np.abs(block_spectrum(X, rep.point) - dense))))
+    return worst < 1e-8 and block < 1e-8, (
+        f"worst |closed - numeric| = {worst:.2e} block={block:.2e}")
 
 
 def check_eigpair_quality(X, seed):

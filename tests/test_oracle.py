@@ -137,12 +137,17 @@ def test_non_finite_dense_hessian_is_a_numerical_failure(scale):
 
 def test_an_overflowing_cross_entry_is_a_numerical_failure():
     """At X = (1e-300) and W = S = (1.15e154), S S^T, W^T W and E are finite
-    but the cross entry W S + E is not: dense_hessian refuses the point as
-    the overflow it is, before the action builds a non-finite column."""
+    but the cross entry W S + E is not: the dense oracle and the block
+    spectra refuse the point as the overflow it is, without a NumPy warning,
+    before the action builds a non-finite column or eigh sees a block."""
     X = load_data_matrix(np.array([[1e-300]]))
     p = FactorPair(np.full((1, 1), 1.15e154), np.full((1, 1), 1.15e154))
-    with pytest.raises(NumericalFailure, match="^the dense Hessian is not finite in float64"):
-        dense_hessian(X, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, what in ((dense_hessian, "the dense Hessian"), (numeric_spectrum, "the Hessian"),
+                        (block_spectrum, "the Hessian"), (inertia_of, "the Hessian")):
+            with pytest.raises(NumericalFailure, match=f"^{what} is not finite in float64: "):
+                f(X, p)
 
 
 def test_block_spectrum_guards_its_core_not_N():
@@ -160,6 +165,20 @@ def test_block_spectrum_guards_its_core_not_N():
     with pytest.raises(TooLarge) as info:
         block_spectrum(X, generic)
     assert str(info.value) == "block_spectrum's core would be 6100 x 6100 (limit 5000)"
+
+
+def test_eigenvectors_are_read_one_column_at_a_time():
+    """numeric_spectrum's eigenvectors are an N x N matrix read as [:, i]:
+    a row, a slice of columns or a column past N is refused."""
+    X, p, _ = _setup(5)
+    _, vecs = numeric_spectrum(X, p)
+    N = vecs.shape[1]
+    assert vecs.shape == (N, N) == (p.k * (X.m + X.n),) * 2
+    for key in (0, np.s_[:, 1:3]):
+        with pytest.raises(TypeError, match=r"\[:, i\]"):
+            vecs[key]
+    with pytest.raises(IndexError):
+        vecs[:, N]
 
 
 def test_size_guard_allocates_nothing():
@@ -239,7 +258,8 @@ def test_block_spectrum_equals_the_dense_spectrum(kind, exponent, orbit_exponent
     equal eigvalsh of the dense Hessian to 1e-12 of the largest |value|, and
     so do numeric_spectrum's values; each of its eigenvectors has a residual
     against the dense matrix within 1e-12 of that value, and V^T V is I to
-    1e-12.
+    1e-12, where V is the matrix np.asarray lifts, whose columns the reads
+    [:, i] equal bit for bit.
     inertia_of counts them as the dense values count, at the default floor,
     and at critical points also at transported_zero_tol where that tolerance
     exceeds 1e-12 of the largest |value|.  It is absolute (1e-8 cond(A)^2),
@@ -247,6 +267,7 @@ def test_block_spectrum_equals_the_dense_spectrum(kind, exponent, orbit_exponent
     decides the count: seed 654, rank-deficient kind at 10^2, k = 1 and selection
     (0,), has a dense 7.2e-8 against a tolerance of 1e-8 and a block 3e-18."""
     rng = np.random.default_rng(seed)
+    pick = np.random.default_rng([seed, 1])  # the random column read, apart from rng
     scale = 10.0**exponent
     X = load_data_matrix(scale * matrix_of_kind(kind, rng))
 
@@ -256,9 +277,12 @@ def test_block_spectrum_equals_the_dense_spectrum(kind, exponent, orbit_exponent
         big = float(np.max(np.abs(ref)))
         assert np.max(np.abs(block_spectrum(X, p) - ref)) <= 1e-12 * big
         vals, vecs = numeric_spectrum(X, p)
+        V = np.asarray(vecs)
         assert np.max(np.abs(vals - ref)) <= 1e-12 * big
-        assert np.max(np.linalg.norm(dense @ vecs - vecs * vals, axis=0)) <= 1e-12 * big
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(ref.size))) <= 1e-12
+        assert np.max(np.linalg.norm(dense @ V - V * vals, axis=0)) <= 1e-12 * big
+        assert np.max(np.abs(V.T @ V - np.eye(ref.size))) <= 1e-12
+        for i in (0, ref.size - 1, -1, pick.integers(ref.size)):
+            assert vecs[:, i].tobytes() == V[:, i].tobytes()
         for tol in [None] + [t for t in tols if t > 1e-12 * big]:
             floor = 1e-8 * max(float(X.sigma[0]), big) if tol is None else tol
             assert inertia_of(X, p, zero_tol=tol) == inertia_from_values(ref, floor)

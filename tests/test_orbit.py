@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -119,17 +120,22 @@ def test_inertia_of_is_scale_covariant(c):
     assert inertia_of(X, p) == (15, 1, 4)
 
 
-def _lapack_sizes_at_transport(f):
-    """f(X, p) at the spectrum workload's orbit_transport point, 48 x 72 with
-    k = 10, the full selection and A = I + 0.3 Z / sqrt(k), where the dense
-    Hessian is N x N = 1200 x 1200: its result, and the width of every matrix
-    it hands eigh and eigvalsh."""
+def _transport_point():
+    """X and the point of the spectrum workload's orbit_transport op, 48 x 72
+    with k = 10, the full selection and A = I + 0.3 Z / sqrt(k), where the
+    dense Hessian is N x N = 1200 x 1200."""
     rng = np.random.default_rng(0)
     m, n, k = 48, 72, 10
     X = load_data_matrix(rng.standard_normal((m, n)))
     base = build_canonical(X, Selection(tuple(range(k - 1)) + (k,)), k).materialize()
     A = np.eye(k) + 0.3 * rng.standard_normal((k, k)) / np.sqrt(k)
-    moved = apply_group_action(base, GroupElement.from_matrix(A))
+    return X, apply_group_action(base, GroupElement.from_matrix(A))
+
+
+def _lapack_sizes_at_transport(f):
+    """f(X, p) at _transport_point: its result, and the width of every
+    matrix it hands eigh and eigvalsh."""
+    X, moved = _transport_point()
     sizes = []
 
     def spy(fn):
@@ -157,6 +163,22 @@ def test_numeric_spectrum_hands_lapack_no_matrix_past_the_core():
     (vals, vecs), sizes = _lapack_sizes_at_transport(numeric_spectrum)
     assert vals.shape == (1200,) and vecs.shape == (1200, 1200) and vals[0] < 0
     assert sizes and max(sizes) <= 200
+
+
+def test_numeric_spectrum_builds_no_N_by_N_array():
+    """numeric_spectrum's traced peak at _transport_point stays below a
+    quarter of an N x N float64 array: it lifts no eigenvector until one is
+    read."""
+    X, moved = _transport_point()
+    N = moved.k * (X.m + X.n)
+    tracemalloc.start()
+    try:
+        vals, vecs = numeric_spectrum(X, moved)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.size == N == 1200 and vecs.shape == (N, N)
+    assert peak < N * N * 8 / 4, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_intersect_M0_conditions():

@@ -36,33 +36,40 @@ def test_scaling_check_reads_lambda_min_past_its_peak():
     assert passed, detail
 
 
-# (module, function, source text, faulty text, the check that must fail)
+# The X of `mfland verify --seed 1`, and a rank-2 4 x 6 X, whose G rows 2 and 3
+# (along X's left kernel) can make block_spectrum's left family, which is
+# empty at a full-rank X.
+SEED_1_X = load_data_matrix(_default_data(1))
+RANK_2_X = load_data_matrix(matrix_of_kind("rank-deficient", np.random.default_rng(0)))
+
+# (module, function, source text, faulty text, the check that must fail, X)
 FAULTS = [
     pytest.param(canonical, "first_defect", "lam[j] > tol", "lam[j] > -tol",
-                 "families_critical", id="first_defect-tie-sign"),
+                 "families_critical", SEED_1_X, id="first_defect-tie-sign"),
     pytest.param(canonical, "reduce_to_canonical",
                  "E[q:, :q] = -(Sb @ X.V[:, sel_idx]) * inv_lam", "E[q:, :q] = 0.0",
-                 "congruence_inertia", id="reduce-unipotent-factor"),
+                 "congruence_inertia", SEED_1_X, id="reduce-unipotent-factor"),
     pytest.param(canonical, "reduce_to_canonical",
                  "C0 = X.V0.T @ Sb.T", "C0 = 1.001 * (X.V0.T @ Sb.T)",
-                 "congruence_inertia", id="reduce-C0-readout"),
+                 "congruence_inertia", SEED_1_X, id="reduce-C0-readout"),
     pytest.param(orbit, "balance_residual",
                  "return float(np.linalg.norm(p.W.T @ p.W - p.S @ p.S.T))", "return 0.0",
-                 "balanced_set", id="balance_residual-zero"),
+                 "balanced_set", SEED_1_X, id="balance_residual-zero"),
     pytest.param(orbit, "induced_norm", "return float(max(", "return 1.01 * float(max(",
-                 "lambda_min_bound", id="induced_norm-inflated"),
+                 "lambda_min_bound", SEED_1_X, id="induced_norm-inflated"),
     pytest.param(calculus, "hessian_apply", "E = residual(X, p)", "E = 2.0 * residual(X, p)",
-                 "spectra_match_oracle", id="hessian_apply-E-doubled"),
+                 "spectra_match_oracle", SEED_1_X, id="hessian_apply-E-doubled"),
+    pytest.param(oracle, "block_spectrum", "np.tile(np.linalg.eigvalsh(b.SST), b.left.size)",
+                 "np.tile(np.linalg.eigvalsh(b.WTW), b.left.size)",
+                 "spectra_match_oracle", RANK_2_X, id="block_spectrum-left-rows-WTW"),
 ]
 
 
-@pytest.mark.parametrize("module, name, old, new, check", FAULTS)
-def test_each_fault_fails_its_check(module, name, old, new, check, monkeypatch):
+@pytest.mark.parametrize("module, name, old, new, check, X", FAULTS)
+def test_each_fault_fails_its_check(module, name, old, new, check, X, monkeypatch):
     """The function rebuilt from its source with one text replaced, bound
-    wherever the battery looks it up, fails the named check on the X of
-    `mfland verify --seed 1`, which passes it unchanged."""
-    X = load_data_matrix(_default_data(1))
-
+    wherever the battery looks it up, fails the named check at seed 1 on the
+    row's X, which passes it unchanged."""
     def outcome():
         return next(c for c in run_all(X, seed=1) if c["name"] == check)
 
