@@ -51,6 +51,7 @@ from .model import (
     FactorPair,
     TangentPair,
     evaluate_J,
+    inertia_at_nullity,
     inertia_from_values,
     inner,
     load_data_matrix,
@@ -79,7 +80,6 @@ from .orbit import (
     intersect_M0,
     push_gradient,
     transported_lambda_min_bound,
-    transported_zero_tol,
 )
 from .spectrum import (
     EigPair,

@@ -18,23 +18,12 @@ import numpy as np
 from .canonical import CanonicalPoint, Selection, _check_finite, check_scale, classify_canonical
 from .errors import InvalidInput, MflandError
 from .flow import classify_limit, integrate_flow, random_balanced_pair, random_pair
-from .model import (_open_text, inertia_from_values, load_data_matrix, read_matrix_csv,
+from .model import (_open_text, inertia_at_nullity, load_data_matrix, read_matrix_csv,
                     write_matrix_csv)
 from .oracle import block_spectrum
-from .orbit import (
-    GroupElement,
-    apply_group_action,
-    default_zero_tol,
-    induced_norm,
-    transported_lambda_min_bound,
-    transported_zero_tol,
-)
-from .spectrum import (
-    spectrum_balanced,
-    spectrum_deficient_rank,
-    spectrum_full_rank_scaled,
-    spectrum_zero_family,
-)
+from .orbit import GroupElement, apply_group_action, induced_norm, transported_lambda_min_bound
+from .spectrum import (spectrum_balanced, spectrum_deficient_rank, spectrum_full_rank_scaled,
+                       spectrum_zero_family)
 
 SCHEMA_VERSION = 1
 
@@ -112,6 +101,16 @@ def _load_point(args, X, sel):
     return CanonicalPoint(X, Selection(()) if sel is None else sel, args.k, C0)
 
 
+def _canonical_spectrum(cp, scale=1.0):
+    """The closed-form spectrum of cp (at orbit scale `scale` when q = k)
+    and the name of its family."""
+    if not cp.q:
+        return spectrum_zero_family(cp.X, cp.C0, cp.k), "zero"
+    if cp.q == cp.k:
+        return spectrum_full_rank_scaled(cp.X, cp.selection, a=scale), "canonical-full-rank"
+    return spectrum_deficient_rank(cp), "canonical-deficient"
+
+
 # ------------------------------------------------------------- commands -----
 #
 # A command returns the fields of its report (main adds the schema version
@@ -124,9 +123,8 @@ def _cmd_spectrum(args):
     sel = _parse_selection(args.select)
     if args.balanced and sel is None:
         raise InvalidInput("--balanced requires --select")
-    full_rank = sel is not None and sel.q == k and not args.balanced
     scale = args.scale if args.scale is not None else 1.0
-    if scale != 1.0 and not full_rank:
+    if scale != 1.0 and (sel is None or sel.q != k or args.balanced):
         raise InvalidInput("--scale is only supported at a canonical point with q = k")
     if args.balanced:
         if args.c0:
@@ -134,16 +132,7 @@ def _cmd_spectrum(args):
         rep = spectrum_balanced(X, sel, k)
         family = "balanced"
     else:
-        cp = _load_point(args, X, sel)
-        if sel is None:
-            rep = spectrum_zero_family(X, cp.C0, k)
-            family = "zero"
-        elif full_rank:
-            rep = spectrum_full_rank_scaled(X, sel, a=scale)
-            family = "canonical-full-rank"
-        else:
-            rep = spectrum_deficient_rank(cp)
-            family = "canonical-deficient"
+        rep, family = _canonical_spectrum(_load_point(args, X, sel), scale)
     pairs = list(rep.eigpairs)
     for e in pairs:
         if e.coupling is not None:
@@ -205,15 +194,13 @@ def _cmd_orbit(args):
     else:
         raise InvalidInput("orbit needs --a FILE or --scale VALUE")
     g = GroupElement.from_matrix(A)
-    base = cp.materialize()
-    moved = apply_group_action(base, g)
     res = classify_canonical(cp)
-    evs_base, evs = block_spectrum(X, base), block_spectrum(X, moved)
-    tol_base, tol = default_zero_tol(X, evs_base), transported_zero_tol(g)
-    if res.kind == "StrictSaddle":
-        lam_base = res.lambda_min_closed_form
-    else:
-        lam_base = _zero_floored(float(evs_base[0]), tol_base)
+    # The orbit has the inertia of cp, whose z zeros are zero by formula: they
+    # are the moved point's z smallest |values|, and hold lambda_min at a minimum.
+    inertia = _canonical_spectrum(cp)[0].inertia
+    evs = block_spectrum(X, apply_group_action(cp.materialize(), g))
+    moved = inertia_at_nullity(evs, inertia[2])
+    lam_base = res.lambda_min_closed_form if res.kind == "StrictSaddle" else 0.0
     return {
         "k": k,
         "selection": [i + 1 for i in cp.selection.indices],
@@ -222,15 +209,10 @@ def _cmd_orbit(args):
         "cond_A": g.cond(),
         "lambda_min_base": lam_base,
         "transported_bound": transported_lambda_min_bound(lam_base, g),
-        "lambda_min_transported": _zero_floored(float(evs[0]), tol),
-        "inertia_base": list(inertia_from_values(evs_base, tol_base)),
-        "inertia_transported": list(inertia_from_values(evs, tol)),
+        "lambda_min_transported": float(evs[0]) if moved[1] else 0.0,
+        "inertia_base": list(inertia),
+        "inertia_transported": list(moved),
     }
-
-
-def _zero_floored(value, tol):
-    """value, or 0.0 (never -0.0) where an inertia count at tol calls it zero."""
-    return 0.0 if abs(value) <= tol else value
 
 
 def _cmd_flow(args):

@@ -12,7 +12,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInput
+from .errors import DimensionError, InvalidInput, NumericalFailure
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -210,9 +210,16 @@ def inertia_from_values(evals, tol):
     return (n_pos, n_neg, n_zero)
 
 
-def _zero_floor(X, evals, rel):
-    """rel * max(sigma_1, max |evals|), the zero tolerance of a Hessian spectrum at X."""
-    return rel * max(float(X.sigma[0]), float(np.max(np.abs(evals))))
+def inertia_at_nullity(evals, z):
+    """(n_pos, n_neg, z) for Hessian eigenvalues evals of nullity z, known from
+    structure: the z smallest |values| are the zeros, the others count by
+    sign.  NumericalFailure where one of those is 0.0, its sign lost."""
+    evals = np.asarray(evals, dtype=float)
+    signed = evals[np.argsort(np.abs(evals), kind="stable")[z:]]
+    if not signed.all():
+        raise NumericalFailure(f"{signed.size - np.count_nonzero(signed)} Hessian eigenvalue(s) past "
+                               f"the nullity {z} are 0.0 in float64: their signs are lost")
+    return (int(np.count_nonzero(signed > 0)), int(np.count_nonzero(signed < 0)), z)
 
 
 def residual(X, p):

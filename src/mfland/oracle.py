@@ -215,17 +215,22 @@ def _blocks(X, p, basis=False):
         raise TooLarge(f"block_spectrum's core would be {(a + b) * k} x {(a + b) * k} "
                        f"(limit {MAX_DENSE_DIM})")
 
-    # Core: G rows (i, c) then H columns (j, c), k coordinates each.
+    # Core: G rows (i, c) then H columns (j, c), k coordinates each; U^T W and
+    # S V can overflow it where the dense Hessian is finite.
     Wc, Sc = Wr[rows], Sr[:, cols]
-    Ec = Wc @ Sc
-    Ec[np.arange(a), np.arange(a)] -= X.sigma[rows]
     H = np.zeros(((a + b) * k,) * 2)
     ak = a * k
     np.einsum("icid->icd", H[:ak, :ak].reshape(a, k, a, k))[...] = SST
     np.einsum("jcjd->jcd", H[ak:, ak:].reshape(b, k, b, k))[...] = WTW
     HG = H[ak:, :ak].reshape(b, k, a, k)  # [j, c, i, d]
-    np.multiply(Wc.T[None, :, :, None], Sc.T[:, None, None, :], out=HG)
-    np.einsum("jcic->jci", HG)[...] += Ec.T[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ec = Wc @ Sc
+        Ec[np.arange(a), np.arange(a)] -= X.sigma[rows]
+        np.multiply(Wc.T[None, :, :, None], Sc.T[:, None, None, :], out=HG)
+        np.einsum("jcic->jci", HG)[...] += Ec.T[:, None, :]
+    if not np.isfinite(HG).all():
+        raise NumericalFailure(f"the Hessian's rotated core is not finite in float64: max "
+                               f"|U^T W| = {np.abs(Wc).max():.3g}, max |S V| = {np.abs(Sc).max():.3g}")
     H[:ak, ak:] = H[ak:, :ak].T
 
     # The other sigma_i > 0: one 2k x 2k block each.

@@ -4,7 +4,8 @@ J is constant along orbits, so the action transports critical points to
 critical points; the composition law is L_A(L_B(p)) = L_{BA}(p).  As an
 operator on tangent pairs L_A has norm max(s_max(A), 1/s_min(A)) >= 1,
 with equality exactly for orthogonal A.  The Hessians at p and L_A(p) are
-congruent (inertia is preserved) and the minimum eigenvalue obeys
+congruent, so (Sylvester) an orbit has the inertia of its canonical point,
+whose zeros are zero by formula (``spectrum``), and the minimum eigenvalue obeys
 
     lambda_min(L_A p) <= lambda_min(p) / ||L_A||^2
 
@@ -18,10 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, InvalidSelection, SingularGroupElement
-from .model import _as_matrix, _freeze, _zero_floor, check_zero_tol, inertia_from_values
-
-# inertia_of's default zero floor, in units of max(sigma_1, |largest value|).
-_ORACLE_INERTIA_REL = 1e-8
+from .model import _as_matrix, _freeze, check_zero_tol, inertia_from_values
 
 
 @dataclass(frozen=True)
@@ -100,11 +98,6 @@ def transported_lambda_min_bound(lambda_min_at_p, g):
     return float(lambda_min_at_p) / (nrm * nrm)
 
 
-def transported_zero_tol(g):
-    """1e-8 * cond(A)^2, the zero tolerance of ``inertia_of`` at a point L_A(p)."""
-    return 1e-8 * g.cond() ** 2
-
-
 def balance_residual(p):
     """|| W^T W - S S^T ||_F, the size of the quantity gradient flow
     conserves; a zero value places p in the balanced set."""
@@ -113,23 +106,20 @@ def balance_residual(p):
 
 def inertia_of(X, p, zero_tol=None):
     """Inertia (n_pos, n_neg, n_zero) of the Hessian at p, counted on
-    ``oracle.block_spectrum``.
+    ``oracle.block_spectrum`` with |value| <= zero_tol as zero.
 
     A zero_tol of None counts |value| <= 1e-8 * max(sigma_1, |largest value|)
-    as zero; any other must pass check_zero_tol, which is checked before any
-    block is built."""
+    as zero, a floor that swallows genuine values spread over many scales
+    (``model.inertia_at_nullity`` counts at a known nullity instead); any other
+    must pass check_zero_tol, which is checked before any block is built."""
     from .oracle import block_spectrum
 
     if zero_tol is not None:
         check_zero_tol(zero_tol)
     evals = block_spectrum(X, p)
-    return inertia_from_values(evals, default_zero_tol(X, evals) if zero_tol is None else zero_tol)
-
-
-def default_zero_tol(X, evals):
-    """inertia_of's zero tolerance for the Hessian eigenvalues evals at a
-    point of X: 1e-8 * max(sigma_1, |largest value|)."""
-    return _zero_floor(X, evals, _ORACLE_INERTIA_REL)
+    if zero_tol is None:
+        zero_tol = 1e-8 * max(float(X.sigma[0]), float(np.max(np.abs(evals))))
+    return inertia_from_values(evals, zero_tol)
 
 
 def intersect_M0(cp):

@@ -22,7 +22,11 @@ eigenvectors) come out exactly.  The 2 x 2 families:
         zero: branches 0 and w_l + d_j^2).
 
 plus 1 x 1 families for left kernel rows (l_j^2/d_j^2 or w_l), dead
-coordinates, and the right kernel (d_j^2 or 0).
+coordinates, and the right kernel (d_j^2 or 0).  Every zero is zero by
+formula: the lower branch of a determinant-zero family or of a
+sigma_lambda_pair whose s_i ties l_j (``canonical._tie_tol``), and the 1 x 1
+values of l_j = 0, of a dead coordinate and of the right kernel's null rows.
+The inertia counts exactly these as zero, and every other value by its sign.
 
 A spectrum is built once, into tables allocated at their final size.  The
 block table has one column per 1 x 1 or 2 x 2 block: it starts at the
@@ -51,15 +55,13 @@ from .canonical import (
     _check_finite,
     _lambda_min,
     _split_pair,
+    _tie_tol,
     build_canonical,
     check_scale,
     zero_family_point,
 )
-from .errors import InvalidInput, InvalidSelection
-from .model import TangentPair, _zero_floor, inertia_from_values
-
-# |value| <= INERTIA_REL * max(sigma_1, |largest value|) counts as zero.
-INERTIA_REL = 1e-10
+from .errors import InvalidInput, InvalidSelection, NumericalFailure
+from .model import TangentPair
 
 # Relative gap between two sums of squares under which _pair_vectors takes
 # its choice of eigenvector form from pow() squares (see there).
@@ -127,9 +129,10 @@ _LEFT, _RIGHT, _PAIR, _ZERO_PAIR = range(4)
 
 # Fields of a block: kind, family, the two provenance indices, the column u
 # of X.U, the rows cg and ch of the coefficient table, the column v of the
-# right basis (X.V, then zeta) and the entries [[p11, p12], [p12, p22]].
-# Index -1 (u, v) and the table's last row (cg, ch) stand for a zero factor.
-_INDEX_FIELDS = ("kind", "family", "ia", "ib", "u", "cg", "ch", "v")
+# right basis (X.V, then zeta), 1 where the 1 x 1 or lower value is zero by
+# formula, and the entries [[p11, p12], [p12, p22]].  Index -1 (u, v) and the
+# table's last row (cg, ch) stand for a zero factor.
+_INDEX_FIELDS = ("kind", "family", "ia", "ib", "u", "cg", "ch", "v", "zero")
 _ENTRY_FIELDS = ("p11", "p12", "p22")
 # Field -> (table, row): table 0 holds the index fields, table 1 the entries.
 _FIELD_ROW = {key: (table, row)
@@ -141,8 +144,9 @@ class _EigPairs(Sequence):
     """The eigenpairs of one spectrum as two aligned tables.
 
     Per eigenpair, as a column of ``floats``: ``value``, ``cl`` and ``cr``;
-    and of ``ints``: ``branch`` (-1 lower, +1 upper, 0 for 1 x 1) and
-    ``block``, a column of ``index``, the block table's rows of
+    and of ``ints``: ``branch`` (-1 lower, +1 upper, 0 for 1 x 1), ``zero``
+    (1 where the value is zero by formula) and ``block``, a column of
+    ``index``, the block table's rows of
     ``_INDEX_FIELDS`` (family, provenance indices, factor indices).  Item i
     is an :class:`EigPair` made on read, its coupling ``cr / cl`` on a 2 x 2
     branch; slices return tuples of them.
@@ -157,6 +161,10 @@ class _EigPairs(Sequence):
     @property
     def values(self):
         return self._floats[0]
+
+    @property
+    def zero(self):
+        return self._ints[1] != 0
 
     def take(self, order):
         return _EigPairs(self._floats.take(order, axis=1), self._ints.take(order, axis=1),
@@ -175,8 +183,8 @@ class _EigPairs(Sequence):
     def _pair(self, j):
         U, V, zeta, coef, zm, zn = self._bases
         value, cl, cr = self._floats[:, j].tolist()
-        branch, blk = self._ints[:, j].tolist()
-        _, family, ia, ib, u, cg, ch, v = self._index[:, blk].tolist()
+        branch, _, blk = self._ints[:, j].tolist()
+        _, family, ia, ib, u, cg, ch, v, _ = self._index[:, blk].tolist()
         name, na, nb = _FAMILIES[family]
         prov = f"{name}({na}={ia},{nb}={ib})"
         coupling = None
@@ -184,10 +192,7 @@ class _EigPairs(Sequence):
             prov += ",branch=-" if branch < 0 else ",branch=+"
             # cl underflows to +-0 far out on an orbit: IEEE x / +-0, which Python refuses
             coupling = cr / cl if cl else cr * math.copysign(math.inf, cl)
-        if v < 0:
-            vH = zn
-        else:
-            vH = V[:, v] if v < V.shape[1] else zeta[:, v - V.shape[1]]
+        vH = zn if v < 0 else V[:, v] if v < V.shape[1] else zeta[:, v - V.shape[1]]
         return EigPair(value=value, cl=cl, uG=U[:, u] if u >= 0 else zm,
                        cG=coef[cg], cr=cr, cH=coef[ch], vH=vH, provenance=prov, coupling=coupling)
 
@@ -214,12 +219,18 @@ class SpectrumReport:
         return np.array([e.value for e in self.eigpairs])
 
 
-def _report(X, eigpairs, point):
+def _report(eigpairs, point):
     eigpairs = eigpairs.take(np.argsort(eigpairs.values, kind="stable"))
-    vals = eigpairs.values
+    vals, zero = eigpairs.values, eigpairs.zero
+    signed = vals[~zero]
+    if not signed.all():
+        lost = eigpairs[int(np.flatnonzero(~zero & (vals == 0.0))[0])]
+        raise NumericalFailure(f"the closed-form value of {lost.provenance} is 0.0 in "
+                               "float64, but it is not zero by formula")
+    n_pos = int(np.count_nonzero(signed > 0))
     return SpectrumReport(
         eigpairs=eigpairs,
-        inertia=inertia_from_values(vals, _zero_floor(X, vals, INERTIA_REL)),
+        inertia=(n_pos, signed.size - n_pos, vals.size - signed.size),
         lambda_min=float(vals[0]),
         point=point,
     )
@@ -321,25 +332,26 @@ def _canonical_eigpairs(cp, d=1.0):
     grids = [
         # Unselected positive singular values against every column of W / row of S.
         (us_r.size, dict(kind=_PAIR, ia=ur, u=ur, v=ur, p12=-X.sigma[ur]),
-         (q, dict(family=_SIGMA_LAMBDA, ib=jq, p11=lam_w, p22=d2, cg=jq, ch=jq)),
+         (q, dict(family=_SIGMA_LAMBDA, ib=jq, p11=lam_w, p22=d2, cg=jq, ch=jq,
+                  zero=np.abs(X.sigma[ur] - lam) <= _tie_tol(X))),
          (k - q, dict(family=_SIGMA_OMEGA, ib=lk, p11=omega, cg=klk, ch=klk))),
         # Left kernel rows (sigma_i = 0) only feel S S^T.
         (us_m.size, dict(kind=_LEFT, ia=um, u=um),
-         (q, dict(family=_LEFT_LAMBDA, ib=jq, p11=lam_w, cg=jq)),
-         (k - q, dict(family=_LEFT_OMEGA, ib=lk, p11=omega, cg=klk))),
+         (q, dict(family=_LEFT_LAMBDA, ib=jq, p11=lam_w, cg=jq, zero=~pos)),
+         (k - q, dict(family=_LEFT_OMEGA, ib=lk, p11=omega, cg=klk, zero=gamma <= gtol))),
         # Selected columns coupled with selected rows and with the C0 block.
         (q, dict(ia=jcol, u=idx_col, p22=d2[:, None]),
          (q, dict(kind=np.where(pos, _ZERO_PAIR, _LEFT),
                   family=np.where(pos, _SELECTED_CROSS, _ZERO_LAMBDA), ib=jq,
                   p11=lam_w, p12=lam * (d[:, None] / d), cg=jq,
-                  ch=np.where(pos, jcol, zero_row), v=np.where(pos, idx, -1))),
+                  ch=np.where(pos, jcol, zero_row), v=np.where(pos, idx, -1), zero=True)),
          (n - r, dict(kind=np.where(live, _ZERO_PAIR, _RIGHT),
                       family=np.where(live, _C0_CROSS, _RIGHT_SELECTED), ib=ln,
                       p11=g_n**2, p12=g_n * d[:, None], u=np.where(live, idx_col, -1),
-                      cg=np.where(live, k + ln, zero_row), ch=jcol, v=n + ln)),
-         (dead.size, dict(kind=_LEFT, family=_C0_DEAD, ib=dead, cg=k + dead))),
+                      cg=np.where(live, k + ln, zero_row), ch=jcol, v=n + ln, zero=live)),
+         (dead.size, dict(kind=_LEFT, family=_C0_DEAD, ib=dead, cg=k + dead, zero=True))),
         # Rows of S carried by the zero columns of W never feel the Hessian.
-        (k - q, dict(kind=_RIGHT, ia=lk[:, None], ch=klk[:, None]),
+        (k - q, dict(kind=_RIGHT, ia=lk[:, None], ch=klk[:, None], zero=True),
          (int(np.count_nonzero(pos)), dict(family=_RIGHT_NULL_S, ib=jq[pos], v=idx[pos])),
          (n - r, dict(family=_RIGHT_NULL_Z, ib=ln, v=n + ln))),
     ]
@@ -350,7 +362,7 @@ def _canonical_eigpairs(cp, d=1.0):
     widths = [sum(ncols for ncols, _ in parts) for _, _, *parts in grids]
     nblk = sum(g[0] * w for g, w in zip(grids, widths))
     index = np.empty((len(_INDEX_FIELDS), nblk), dtype=np.intp)
-    index[4:] = ((-1,), (zero_row,), (zero_row,), (-1,))  # u, cg, ch, v
+    index[4:] = ((-1,), (zero_row,), (zero_row,), (-1,), (0,))  # u, cg, ch, v, zero
     entry = np.zeros((len(_ENTRY_FIELDS), nblk))
     start = 0
     for (nrows, common, *parts), width in zip(grids, widths):
@@ -385,9 +397,10 @@ def _canonical_eigpairs(cp, d=1.0):
     upper = np.zeros(blk.size, dtype=bool)
     upper[1:] = blk[1:] == blk[:-1]
     mix = two[blk]
-    ints = np.empty((2, blk.size), dtype=np.intp)  # branch, block
+    ints = np.empty((3, blk.size), dtype=np.intp)  # branch, zero, block
     ints[0] = np.where(mix, np.where(upper, 1, -1), 0)
-    ints[1] = blk
+    np.multiply(index[-1].take(blk), ~upper, out=ints[1])  # a zero is a 1 x 1 or lower value
+    ints[2] = blk
     floats = np.empty((3, blk.size))
     value, cl, cr = floats
     value[:] = np.where(upper, hi[blk], lo[blk])
@@ -402,14 +415,14 @@ def _canonical_eigpairs(cp, d=1.0):
 def spectrum_zero_family(X, C0, k):
     """Spectrum at the zero-family point (0, C0^T V0^T)."""
     cp = zero_family_point(X, np.asarray(C0, dtype=float), k)
-    return _report(X, _canonical_eigpairs(cp), cp.materialize())
+    return _report(_canonical_eigpairs(cp), cp.materialize())
 
 
 def spectrum_full_rank_scaled(X, sel, a=1.0):
     """Spectrum at (a W_c, a^-1 S_c) for a full-rank selection (q = k)."""
     check_scale(a)
     cp = build_canonical(X, sel, k=sel.q)
-    return _report(X, _canonical_eigpairs(cp, d=a), cp.materialize(scale=a))
+    return _report(_canonical_eigpairs(cp, d=a), cp.materialize(scale=a))
 
 
 def spectrum_deficient_rank(cp):
@@ -420,7 +433,7 @@ def spectrum_deficient_rank(cp):
         raise InvalidSelection(
             f"deficient-rank spectrum needs 1 <= q < k, got q={cp.q}, k={cp.k}"
         )
-    return _report(cp.X, _canonical_eigpairs(cp), cp.materialize())
+    return _report(_canonical_eigpairs(cp), cp.materialize())
 
 
 def spectrum_balanced(X, sel, k):
@@ -434,7 +447,7 @@ def spectrum_balanced(X, sel, k):
     """
     cp = CanonicalPoint(X, sel, k)
     root = cp.balanced_scales()
-    return _report(X, _canonical_eigpairs(cp, d=root), _balanced_point(cp, root))
+    return _report(_canonical_eigpairs(cp, d=root), _balanced_point(cp, root))
 
 
 def lambda_min_closed_form(X, sel, k, C0=None, a=1.0):

@@ -27,7 +27,7 @@ from . import (
     gradient_norm,
     hessian_apply,
     induced_norm,
-    inertia_of,
+    inertia_at_nullity,
     integrate_flow,
     intersect_M0,
     lambda_min_closed_form,
@@ -41,7 +41,6 @@ from . import (
     spectrum_full_rank_scaled,
     spectrum_zero_family,
     transported_lambda_min_bound,
-    transported_zero_tol,
     zero_family_point,
 )
 from .model import check_seed
@@ -167,16 +166,11 @@ def check_eigpair_quality(X, seed):
     gram = float(np.max(np.abs(V.T @ V - np.eye(V.shape[1]))))
     count_ok = len(rep.eigpairs) == k * (X.m + X.n)
     # coupled branches of one 2x2 block multiply to -1
-    worst_c = 0.0
     by_block = {}
     for e in rep.eigpairs:
-        if e.coupling is None:
-            continue
-        key = e.provenance.split(",branch")[0]
-        by_block.setdefault(key, []).append(e.coupling)
-    for c in by_block.values():
-        if len(c) == 2:
-            worst_c = max(worst_c, abs(c[0] * c[1] + 1.0))
+        if e.coupling is not None:
+            by_block.setdefault(e.provenance.split(",branch")[0], []).append(e.coupling)
+    worst_c = max([0.0] + [abs(c1 * c2 + 1.0) for c1, c2 in by_block.values()])
     ok = res < 1e-9 and gram < 1e-9 and count_ok and worst_c < 1e-9
     return ok, f"residual={res:.2e} gram={gram:.2e} coupling={worst_c:.2e}"
 
@@ -240,7 +234,10 @@ def check_congruence_inertia(X, seed):
     Hq = dense_hessian(X, pg).matrix
     M = action_matrix(g.inverse(), X.m, X.n)
     cong = float(np.linalg.norm(Hq - M.T @ Hp @ M) / max(1.0, np.linalg.norm(Hq)))
-    same = inertia_of(X, p) == inertia_of(X, pg, zero_tol=transported_zero_tol(g))
+    # both counted at the nullity of cp's closed form, whose zeros are zero by formula
+    z = (spectrum_deficient_rank(cp) if k > 1 else spectrum_full_rank_scaled(X, cp.selection)
+         ).inertia[2]
+    same = inertia_at_nullity(block_spectrum(X, p), z) == inertia_at_nullity(block_spectrum(X, pg), z)
     # the orbit of pg has a canonical point, with the selected values of cp
     back, _ = reduce_to_canonical(X, pg)
     canon = (float(np.max(np.abs(np.sort(back.lambdas) - np.sort(cp.lambdas))))

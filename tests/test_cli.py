@@ -8,12 +8,13 @@ import pytest
 from mfland import InvalidInput, Selection, flow, spectrum_full_rank_scaled, write_matrix_csv
 from mfland import NumericalFailure, cli
 from mfland.cli import main
-from matrix_kinds import X21, X321
+from exact_hessian import hadamard_x
+from matrix_kinds import X21, X321, matrix_of_kind
 
 X46 = np.random.default_rng(0).standard_normal((4, 6))
 # The matrices the CLI tests read, by the name that stands for their CSV path.
 INPUTS = {"x": X21.X, "x46": X46, "huge": 1e200 * X46, "tiny": 1e-150 * X321.X,
-          "c0": 1.0, "c0nan": np.nan}
+          "tiny_row": np.array([[1e-150, 0.0]]), "c0": 1.0, "c0nan": np.nan}
 
 
 @pytest.fixture()
@@ -119,15 +120,47 @@ def test_orbit_bound(capsys, x_csv, tmp_path):
     assert doc["inertia_base"] == doc["inertia_transported"]
 
 
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e4, 1e5, 1e6])
+def test_spectrum_inertia_of_a_global_minimum_is_the_same_at_every_scale(capsys, tmp_path, c):
+    """--k 2 --select 1,2 on c times the square X of default_rng(1) is a global
+    minimum with 4 zeros by formula, its selected cross pairs.  A zero floor
+    of 1e-10 max(sigma_1, |largest value|) counted 8 at c = 1e-6, 1e5 and 1e6."""
+    x = tmp_path / "x.csv"
+    write_matrix_csv(str(x), c * matrix_of_kind("square", np.random.default_rng(1)))
+    code, out, _ = _run(capsys, "spectrum", "--x", str(x), "--k", "2", "--select", "1,2")
+    assert code == 0 and json.loads(out)["inertia"] == [12, 0, 4]
+
+
+@pytest.mark.parametrize("c, how", [(1e-5, "--scale 2"), (1e5, "--scale 2"), (1e5, "--a {a}")])
+def test_orbit_inertia_of_a_strict_saddle_is_exact_at_every_scale(capsys, tmp_path, c, how):
+    """The Hadamard X of exact_hessian.py at k = 2 and --select 2,4 is a strict
+    saddle of exact inertia (10, 3, 5) at every scale (tests/exact_hessian.py
+    counts it), at the canonical point and along its orbit.  Zero floors
+    printed (10, 0, 8) twice at c = 1e-5, with no negative direction, and
+    (8, 0, 10) against (13, 3, 2) at c = 1e5."""
+    x, a = tmp_path / "x.csv", tmp_path / "a.csv"
+    write_matrix_csv(str(x), c * np.array(hadamard_x(), dtype=float))
+    write_matrix_csv(str(a), np.array([[2.0, 1.0], [-1.0 / 3.0, 0.5]]))
+    argv = ["--x", str(x), "--k", "2", "--select", "2,4"]
+    code, out, _ = _run(capsys, "spectrum", *argv)
+    assert code == 0 and json.loads(out)["inertia"] == [10, 3, 5]
+    code, out, _ = _run(capsys, "orbit", *argv, *shlex.split(how.format(a=a)))
+    doc = json.loads(out)
+    assert code == 0 and doc["inertia_base"] == doc["inertia_transported"] == [10, 3, 5]
+    assert doc["lambda_min_base"] < 0 and doc["lambda_min_transported"] < 0
+
+
 @pytest.mark.parametrize("M, argv", [
     (np.diag([2.0, 2.0, 1.0]) @ np.eye(3, 5), "--k 1 --select 1 --scale 1e8"),
     (np.random.default_rng(5).standard_normal((7, 4)), "--k 2 --select 1,2 --scale 1e-3"),
 ], ids=["diag-1e8", "tall-7x4-1e-3"])
 def test_orbit_prints_lambda_min_as_its_inertia_counts_it(capsys, tmp_path, M, argv):
-    """At a global minimum lambda_min is 0 in exact arithmetic; its rounding
-    noise (4.9e-32 transported in the first case, -3.0e-9 in the second) is
-    printed as 0, never -0, because the inertia beside it counts it as
-    zero: at transported_zero_tol and at the default floor for the base."""
+    """At a global minimum lambda_min is 0 in exact arithmetic.  The base
+    value is printed as exactly 0, and the transported value's rounding noise
+    (4.9e-32 in the first case) as 0, never -0, because it is one of the z
+    smallest |values|, z the nullity of the canonical point's closed form,
+    whose zeros are zero by formula; the inertia beside it counts those z as
+    zero."""
     x = tmp_path / "x.csv"
     write_matrix_csv(str(x), M)
     code, out, _ = _run(capsys, "orbit", "--x", str(x), *shlex.split(argv))
@@ -310,8 +343,12 @@ REFUSALS = [
      "the closed-form spectrum at scale 1e+300 is not finite in float64"),
     ("spectrum --x {x46} --k 2 --select 1,3 --scale 1e-200",
      "the closed-form spectrum at scale 1e-200 is not finite in float64"),
+    # the negative lower branch underflows to 0.0, and with it its sign
     *((f"spectrum --x {{tiny}} --k 1 --select 3 --scale 1e100 --format {fmt}",
-       "the closed-form coupling of sigma_lambda_pair(i=0,j=0),branch=+ at scale 1e+100"
+       "the closed-form value of sigma_lambda_pair(i=0,j=0),branch=- is 0.0 in float64,"
+       " but it is not zero by formula") for fmt in ("json", "csv")),
+    *((f"spectrum --x {{tiny_row}} --k 1 --select 1 --scale 1e100 --format {fmt}",
+       "the closed-form coupling of selected_cross_pair(j=0,s=0),branch=+ at scale 1e+100"
        " is not finite in float64") for fmt in ("json", "csv")),
     ("classify --x {huge} --k 2 --select 1,3",
      "the closed-form lambda_min at scale 1 is not finite in float64"),
@@ -329,6 +366,10 @@ REFUSALS = [
      "the Hessian is not finite in float64: max |W| = 9.32e+299, max |S| = 2.59e-300"),
     ("orbit --x {x46} --k 2 --select 1,3 --scale 1e-200",
      "the Hessian is not finite in float64: max |W| = 9.32e-201, max |S| = 2.59e+200"),
+    # W^T W = 1e300 and S S^T = 4e-300: eigvalsh returns the pair block's
+    # genuine 3e-300 as 0.0, whose sign a count cannot take
+    ("orbit --x {x} --k 1 --select 1 --scale 1e150",
+     "1 Hessian eigenvalue(s) past the nullity 1 are 0.0 in float64: their signs are lost"),
     ("flow --x {x} --k 1 --t-max=nan", "t_max must be positive and finite, got nan"),
     ("flow --x {x} --k 1 --t-max=inf", "t_max must be positive and finite, got inf"),
     ("flow --x {x} --k 1 --grad-tol=-1e-9", "grad_tol must be nonnegative, got -1e-09"),

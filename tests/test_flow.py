@@ -459,11 +459,11 @@ def _reference_rk4_step(X, W, S, h, k1W, k1S, count):
     return Wn, Sn
 
 
-def _rk4_flow(X, p0, t_max):
+def _rk4_flow(X, p0, t_max, tol_scale=1.0):
     """The accuracy reference: classical RK4 with step-doubling error control
     and local extrapolation on separate W and S arrays, at the step
-    tolerance ATOL + RTOL * ||(W, S)||, with no gradient test.  It starts
-    from H0 or a shorter step scaled to the start."""
+    tolerance tol_scale * (ATOL + RTOL * ||(W, S)||), with no gradient
+    test.  It starts from H0 or a shorter step scaled to the start."""
     W, S = p0.W.copy(), p0.S.copy()
     C_init = W.T @ W - S @ S.T
     count, accepted, rejected = [0], [], 0
@@ -494,7 +494,7 @@ def _rk4_flow(X, p0, t_max):
         W2, S2 = _reference_rk4_step(X, Wh, Sh, 0.5 * h, kW, kS, count)
         err = np.sqrt(np.sum((W1 - W2) ** 2) + np.sum((S1 - S2) ** 2)) / 15.0
         ynorm = np.sqrt(np.sum(W * W) + np.sum(S * S))
-        tol_step = flow.ATOL + flow.RTOL * ynorm
+        tol_step = tol_scale * (flow.ATOL + flow.RTOL * ynorm)
         if err <= tol_step:
             W = W2 + (W2 - W1) / 15.0
             S = S2 + (S2 - S1) / 15.0
@@ -718,22 +718,30 @@ def test_flow_is_the_reference_loop_bit_for_bit_at_workload_sizes(init):
 
 
 # |J_DOP853(t_max) - J_RK4(t_max)| <= AGREEMENT_TOL * sigma_1^2 at sigma_1 >= 1,
-# where the step tolerances of both, 1e-10 in absolute terms, are tight
-# relative to X; below sigma_1 = 1 the bound is that of sigma_1 = 1.
+# where the step tolerance of Dormand-Prince, 1e-10 in absolute terms, is
+# tight relative to X; below sigma_1 = 1 the bound is that of sigma_1 = 1.
 AGREEMENT_TOL = 1e-8
+# The reference runs at REFERENCE_TOL_SCALE times the step tolerance of
+# Dormand-Prince.  At the same tolerance its global error alone can pass
+# AGREEMENT_TOL on a flow that lingers by a saddle: on the pinned square
+# draw, at k = 4, RK4 missed by 4.9e-8 at the horizon and Dormand-Prince
+# by 2e-12, both against a run at 1e-14.  RK4's miss there falls a
+# hundredfold per tenfold tighter tolerance.
+REFERENCE_TOL_SCALE = 1e-2
 
 
 @settings(max_examples=30, deadline=None)
 @given(*FAMILY)
+@example("square", 0, random_balanced_pair, 34.0, 1876)
 def test_flow_agrees_with_the_rk4_reference(kind, exponent, init, tau, seed):
-    """Dormand-Prince and the step-doubling RK4 reference, both at the step
-    tolerance ATOL + RTOL ||(W, S)||, stop with the same status and agree
-    on J at the horizon."""
+    """Dormand-Prince at the step tolerance ATOL + RTOL ||(W, S)|| and the
+    step-doubling RK4 reference at REFERENCE_TOL_SCALE times it stop with
+    the same status and agree on J at the horizon."""
     X, t_max = _family(kind, exponent, tau, seed)
     unit = max(1.0, float(X.sigma[0])) ** 2
     for k in range(1, X.m + 1):
         p0 = init(X, k, seed + 1)
-        status, samples, *_ = _rk4_flow(X, p0, t_max)
+        status, samples, *_ = _rk4_flow(X, p0, t_max, REFERENCE_TOL_SCALE)
         traj = integrate_flow(X, p0, t_max=t_max, grad_tol=0.0)
         assert traj.status == status
         assert abs(traj.samples[-1].J - samples[-1][1]) <= AGREEMENT_TOL * unit

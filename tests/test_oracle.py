@@ -24,6 +24,7 @@ from mfland import (
     flatten_tangent,
     gradient_norm,
     hessian_apply,
+    inertia_at_nullity,
     inertia_from_values,
     inertia_of,
     load_data_matrix,
@@ -31,7 +32,6 @@ from mfland import (
     random_balanced_pair,
     random_pair,
     second_derivative,
-    transported_zero_tol,
     unflatten_tangent,
 )
 from mfland import oracle
@@ -102,12 +102,25 @@ def test_inertia_from_values():
     assert inertia_from_values(vals, tol=1e-16) == (3, 2, 1)
 
 
+def test_inertia_at_nullity_drops_the_smallest_magnitudes():
+    """The z smallest |values| are the zeros, whatever their size; the others
+    count by sign, and a 0.0 among them, its sign lost, is refused."""
+    vals = np.array([-2.0, -1e-15, 3e-12, 1e-3, 5.0])
+    assert inertia_at_nullity(vals, 2) == (2, 1, 2)
+    assert inertia_at_nullity(vals, 0) == (3, 2, 0)
+    with pytest.raises(NumericalFailure, match=r"^1 Hessian eigenvalue\(s\) past the nullity 1 "
+                                               r"are 0\.0 in float64: their signs are lost$"):
+        inertia_at_nullity(np.array([0.0, 0.0, 1.0]), 1)
+
+
 def test_inertia_count_has_one_home():
-    """The closed-form spectra and the oracle count inertia with the same
-    function, which the oracle re-exports from the model."""
-    from mfland import model, spectrum
+    """The oracle counts inertia at a zero floor with the model's function,
+    which it re-exports; the CLI and verify count at a nullity known from
+    structure with the model's other one.  The closed-form spectra count
+    their own zeros, which are zero by formula."""
+    from mfland import cli, model, verify
     assert oracle.inertia_from_values is model.inertia_from_values
-    assert spectrum.inertia_from_values is model.inertia_from_values
+    assert cli.inertia_at_nullity is verify.inertia_at_nullity is model.inertia_at_nullity
 
 
 def test_size_guard():
@@ -139,15 +152,28 @@ def test_an_overflowing_cross_entry_is_a_numerical_failure():
     """At X = (1e-300) and W = S = (1.15e154), S S^T, W^T W and E are finite
     but the cross entry W S + E is not: the dense oracle and the block
     spectra refuse the point as the overflow it is, without a NumPy warning,
-    before the action builds a non-finite column or eigh sees a block."""
+    before the action builds a non-finite column or eigh sees a block.
+    At X = 1e-300 H diag(4, 3, 2, 1) H^T, H the Hadamard matrix over 2 (its
+    first column ones(4) / 2), and W = S^T = sqrt(4e307) ones(4, 1), the dense
+    Hessian is finite, but U^T W and S V are twice W and S, and the block
+    spectra's rotated core overflows."""
     X = load_data_matrix(np.array([[1e-300]]))
     p = FactorPair(np.full((1, 1), 1.15e154), np.full((1, 1), 1.15e154))
+    H = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+    Xr = load_data_matrix(1e-300 * (H * [4.0, 3.0, 2.0, 1.0]) @ H.T)
+    w = np.full((4, 1), np.sqrt(4e307))
+    pr = FactorPair(w, w.T)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for f, what in ((dense_hessian, "the dense Hessian"), (numeric_spectrum, "the Hessian"),
                         (block_spectrum, "the Hessian"), (inertia_of, "the Hessian")):
             with pytest.raises(NumericalFailure, match=f"^{what} is not finite in float64: "):
                 f(X, p)
+        assert np.isfinite(dense_hessian(Xr, pr).matrix).all()
+        for f in (numeric_spectrum, block_spectrum, inertia_of):
+            with pytest.raises(NumericalFailure, match="^the Hessian's rotated core is not "
+                                                       "finite in float64: max [|]U"):
+                f(Xr, pr)
 
 
 def test_block_spectrum_guards_its_core_not_N():
@@ -261,8 +287,8 @@ def test_block_spectrum_equals_the_dense_spectrum(kind, exponent, orbit_exponent
     1e-12, where V is the matrix np.asarray lifts, whose columns the reads
     [:, i] equal bit for bit.
     inertia_of counts them as the dense values count, at the default floor,
-    and at critical points also at transported_zero_tol where that tolerance
-    exceeds 1e-12 of the largest |value|.  It is absolute (1e-8 cond(A)^2),
+    and at critical points also at zero_tol = 1e-8 cond(A)^2 where that
+    tolerance exceeds 1e-12 of the largest |value|.  It is absolute,
     so below that it can sit inside the dense spectrum's rounding, which then
     decides the count: seed 654, rank-deficient kind at 10^2, k = 1 and selection
     (0,), has a dense 7.2e-8 against a tolerance of 1e-8 and a block 3e-18."""
@@ -296,7 +322,7 @@ def test_block_spectrum_equals_the_dense_spectrum(kind, exponent, orbit_exponent
                 base = CanonicalPoint(X, Selection(sel), k, C0).materialize()
                 g = GroupElement.from_matrix(
                     10.0**orbit_exponent * (np.eye(k) + 0.5 * rng.standard_normal((k, k))))
-                agree(apply_group_action(base, g), [transported_zero_tol(g)])
+                agree(apply_group_action(base, g), [1e-8 * g.cond() ** 2])
 
 
 def _ill_conditioned():

@@ -27,7 +27,6 @@ from mfland import (
     push_gradient,
     second_derivative,
     spectrum_full_rank_scaled,
-    transported_zero_tol,
     zero_family_point,
 )
 from matrix_kinds import X321
@@ -246,10 +245,3 @@ def test_cond_and_induced_norm_are_the_per_call_svd_formulas():
         for _ in range(2):
             assert g.cond() == float(sv[0] / sv[-1])
             assert induced_norm(g) == float(max(sv[0], 1.0 / sv[-1]))
-
-
-def test_transported_zero_tol_is_the_cond_squared_rule():
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        g = GroupElement.from_matrix(rng.standard_normal((2, 2)) + 2.5 * np.eye(2))
-        assert transported_zero_tol(g) == 1e-8 * g.cond() ** 2

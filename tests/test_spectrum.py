@@ -8,6 +8,7 @@ rounding noise.
 import dataclasses
 import tracemalloc
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,15 +18,19 @@ from mfland import (
     CanonicalPoint,
     InvalidInput,
     InvalidSelection,
+    FactorPair,
     MflandError,
     NotASaddle,
     NumericalFailure,
     Selection,
+    TangentPair,
+    block_spectrum,
     build_canonical,
     classify_canonical,
     flatten_tangent,
     dense_hessian,
     hessian_apply,
+    inertia_of,
     lambda_min_balanced,
     lambda_min_closed_form,
     load_data_matrix,
@@ -166,6 +171,83 @@ def test_classification_and_inertia_are_scale_covariant(c):
     for rep, rep_c in pairs:
         assert rep_c.inertia == rep.inertia
         assert rep_c.lambda_min == pytest.approx(c * rep.lambda_min, rel=1e-9)
+
+
+def _canonical_inertia(X, sel, k, C0):
+    """The closed-form inertia at the scale-1 canonical point of sel, C0."""
+    if not sel:
+        return spectrum_zero_family(X, C0, k).inertia
+    if len(sel) == k:
+        return spectrum_full_rank_scaled(X, Selection(sel)).inertia
+    return spectrum_deficient_rank(CanonicalPoint(X, Selection(sel), k, C0)).inertia
+
+
+def _canonical_points(kind, c):
+    """(X, c X, selection, k, C0) over seeds 0-3 of the kind, every k <= 3,
+    q <= k and selection, with a Gaussian C0 for X."""
+    for seed in range(4):
+        raw = matrix_of_kind(kind, np.random.default_rng(seed))
+        X, Xc = load_data_matrix(raw), load_data_matrix(c * raw)
+        rng = np.random.default_rng([seed, 7])
+        for k in range(1, min(3, X.m) + 1):
+            for q in range(k + 1):
+                for sel in combinations(range(X.m), q):
+                    yield X, Xc, sel, k, rng.standard_normal((X.n - X.r, k - q))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_closed_form_inertia_is_the_oracle_count_at_unit_scale(kind):
+    """At sigma_1 of order 1 every genuine value is far above the oracle's
+    floor, so the values zero by formula and the signs of the rest count as
+    inertia_of counts block_spectrum's values."""
+    for X, _, sel, k, C0 in _canonical_points(kind, 1.0):
+        p = CanonicalPoint(X, Selection(sel), k, C0).materialize()
+        assert _canonical_inertia(X, sel, k, C0) == inertia_of(X, p), (k, sel)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])
+@pytest.mark.parametrize("kind", KINDS)
+def test_closed_form_inertia_is_the_same_at_every_scale(kind, c):
+    """The canonical point of c X, with C0 times sqrt(c), has the inertia of
+    X's, since its zeros are zero by formula.  A zero floor of 1e-10
+    max(sigma_1, |largest value|) miscounted 975 of these 2288 points: the
+    genuine values run from O(1) to O(sigma_1^2)."""
+    for X, Xc, sel, k, C0 in _canonical_points(kind, c):
+        assert (_canonical_inertia(Xc, sel, k, np.sqrt(c) * C0)
+                == _canonical_inertia(X, sel, k, C0)), (k, sel)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*LANDSCAPE)
+def test_per_column_scales_with_a_live_C0_match_the_oracle(kind, exponent, seed):
+    """At every k > 1, a random 1 <= q < k and a Gaussian C0, the point
+    ([U_sel diag(d), 0], [diag(lambda / d) V_sel^T; C0^T V0^T]) is critical for
+    every d; with a random d per column, the closed-form values equal
+    block_spectrum's there to 1e-12 of the largest |value|, and each
+    closed-form eigenvector has a Hessian-action residual within 1e-12 of it.
+    The c0_cross_pair's coupling g_l d_j is reached here only: its value
+    does not depend on it."""
+    rng = np.random.default_rng(seed)
+    X = load_data_matrix(10.0**exponent * matrix_of_kind(kind, rng))
+    for k in range(2, X.m + 1):
+        q = int(rng.integers(1, k))
+        idx = sorted(rng.choice(X.m, size=q, replace=False).tolist())
+        C0 = 10.0 ** (exponent / 2) * rng.standard_normal((X.n - X.r, k - q))
+        d = np.exp(rng.uniform(-1.0, 1.0, q))
+        cp = CanonicalPoint(X, Selection(tuple(idx)), k, C0)
+        W, S = np.zeros((X.m, k)), np.zeros((k, X.n))
+        W[:, :q] = X.U[:, idx] * d
+        S[:q] = (cp.lambdas / d)[:, None] * X.V[:, idx].T
+        S[q:] = C0.T @ X.V0.T
+        p = FactorPair(W, S)
+        pairs = _canonical_eigpairs(cp, d)
+        ref = block_spectrum(X, p)
+        big = float(np.max(np.abs(ref)))
+        assert np.max(np.abs(np.sort(pairs.values) - ref)) <= 1e-12 * big
+        for e in pairs:
+            v = e.vector
+            assert hessian_apply(X, p, v).distance(
+                TangentPair(e.value * v.G, e.value * v.H)) <= 1e-12 * big
 
 
 # --------------------------------------------------------- eigpair quality --
@@ -404,7 +486,7 @@ def test_array_spectrum_equals_the_per_block_reference(kind, exponent, seed):
         got = _canonical_eigpairs(cp, d)
         assert [e.provenance for e in got] == [p for _, p, _, _, _ in ref]
         assert got.values.tolist() == [v for v, _, _, _, _ in ref]
-        rep = _report(X, got, None)
+        rep = _report(got, None)
         order = sorted(range(len(ref)), key=lambda i: ref[i][0])
         for e, i in zip(rep.eigpairs, order):
             value, prov, coupling, G, H = ref[i]
@@ -474,8 +556,14 @@ def test_coupled_pair_vectors_multiply_to_minus_one():
     assert by_block, "expected coupled two-by-two blocks"
     for c1, c2 in by_block.values():
         assert c1 * c2 == pytest.approx(-1.0, rel=1e-9)
-    far = spectrum_full_rank_scaled(load_data_matrix(1e-150 * X321.X), Selection((2,)), a=1e100)
-    assert {e.coupling for e in far.eigpairs} >= {-np.inf, np.inf}  # cl underflows to +-0
+    # Far out on the orbit cl underflows to +-0, and so does the negative lower
+    # branch of sigma_lambda_pair(i=0,j=0): the report refuses the lost sign,
+    # and the eigenpairs read IEEE's +-inf couplings.
+    far = load_data_matrix(1e-150 * X321.X), Selection((2,))
+    with pytest.raises(NumericalFailure, match=r"sigma_lambda_pair\(i=0,j=0\),branch=- is 0\.0"):
+        spectrum_full_rank_scaled(*far, a=1e100)
+    pairs = _canonical_eigpairs(build_canonical(*far, k=1), d=1e100)
+    assert {e.coupling for e in pairs} >= {-np.inf, np.inf}
 
 
 # ----------------------------------------------------------- lambda_min -----
@@ -515,7 +603,7 @@ def test_lambda_min_is_the_spectrum_minimum_everywhere(kind, exponent, seed):
                        else spectrum_zero_family(X, C0, k))
                 # (a W_c, a^-1 S_c) is the representative with d = a and C0 / a.
                 scaled = _canonical_eigpairs(CanonicalPoint(X, sel, k, C0 / a), d=a)
-                reps = [(rep, 1.0), (_report(X, scaled, None), a)]
+                reps = [(rep, 1.0), (_report(scaled, None), a)]
             for rep, s in reps:
                 try:
                     lam = lambda_min_closed_form(X, sel, k, C0=None if q == k else C0, a=s)

@@ -13,7 +13,8 @@ import pytest
 
 import mfland.verify as verify
 from mfland import calculus, canonical, load_data_matrix, oracle, orbit
-from mfland.verify import ALL_CHECKS, _default_data, check_scaling_trichotomy, run_all
+from mfland.verify import (ALL_CHECKS, _default_data, check_congruence_inertia,
+                           check_scaling_trichotomy, run_all)
 from matrix_kinds import KINDS, matrix_of_kind
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,6 +25,23 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_run_all_passes(kind, seed):
     X = load_data_matrix(matrix_of_kind(kind, np.random.default_rng(seed)))
     failed = [c for c in run_all(X, seed=seed) if not c["passed"]]
+    assert not failed
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_congruence_inertia_holds_at_every_scale(c):
+    """Claim (c) on c X for every kind and seeds 0-5, at verify seeds 0 and 1:
+    both inertias are counted at the nullity of the canonical point's closed
+    form.  Counted at zero floors, the check failed 47 of these 60 at c = 1e6
+    and 6 at c = 1e-3."""
+    failed = []
+    for kind in KINDS:
+        for seed in range(6):
+            X = load_data_matrix(c * matrix_of_kind(kind, np.random.default_rng(seed)))
+            for verify_seed in (0, 1):
+                passed, detail = check_congruence_inertia(X, verify_seed)
+                if not passed:
+                    failed.append((kind, seed, verify_seed, detail))
     assert not failed
 
 
