@@ -23,7 +23,6 @@ from numbers import Real
 
 import numpy as np
 
-from .calculus import gradient_norm, is_critical
 from .errors import (
     DimensionError,
     InvalidInput,
@@ -320,41 +319,31 @@ def reduce_to_canonical(X, p, tol=1e-8):
     """Express a critical point p as L_A of a canonical point.
 
     Returns ``(cp, g)`` with ``p approx (W_c A, A^{-1} S_c)``.  The rank of W
-    is read off its singular values at relative threshold ``tol``; values
+    is read off its singular values at threshold ``tol`` relative to the
+    largest, so p is in the zero family (q = 0) exactly when W = 0; values
     within a factor of 10 of the threshold raise RankAmbiguous.  Inside a
     group of tied singular values the SVD of X is fixed only up to a
     rotation, so ``cp.X`` may be a rebased SVD of the same X (same X, sigma
     and r, other U and V columns inside a tied group); it is the input
-    object whenever no tied group needed a new basis.  A final
-    reconstruction residual above 1e-8 * max(1, ||p||) raises
-    NumericalFailure.
-    """
-    if not is_critical(X, p, tol):
-        bound = tol * X.tol_scale
-        raise NotCritical(
-            "reduce_to_canonical requires a critical point: gradient norm "
-            f"{gradient_norm(X, p):.3e} exceeds tol * max(1, ||X||_F) = {bound:.3e}"
-        )
-    W, S, k = p.W, p.S, p.k
-    scale = max(1.0, p.norm())
+    object whenever no tied group needed a new basis.
 
+    The one test of criticality is the reconstruction: p is accepted when
+    L_A of the exactly critical cp is within 1e-8 ||W|| of W and within
+    1e-8 ||S|| of S.  Each bound is in its factor's own units, so the test
+    is the same at every scale of X and along every orbit.  A miss, or a
+    column space of W that does not split along the singular subspaces of
+    X, raises NotCritical.
+    """
+    W, S, k = p.W, p.S, p.k
     Uw, sW, Vwt = np.linalg.svd(W)
-    wmax = float(sW[0]) if sW.size else 0.0
-    if wmax <= tol * scale:
-        q = 0
-    else:
-        lo = int(np.count_nonzero(sW > 10 * tol * wmax))
-        hi = int(np.count_nonzero(sW > 0.1 * tol * wmax))
-        if lo != hi:
-            raise RankAmbiguous(
-                f"rank of W ambiguous at tolerance {tol}: between {lo} and {hi}"
-            )
-        q = lo
+    q, hi = (int(np.count_nonzero(sW > f * tol * sW[0])) for f in (10, 0.1))
+    if q != hi:
+        raise RankAmbiguous(f"rank of W ambiguous at tolerance {tol}: between {q} and {hi}")
 
     if q == 0:
         C0 = X.V0.T @ S.T
         cp = zero_family_point(X, C0, k)
-        return _check_reduction(p, scale, cp, GroupElement.identity(k))
+        return _check_reduction(p, cp, GroupElement.identity(k))
 
     # (i)-(ii) W = Uw diag(sW) Vwt gives an orthonormal basis Uh of the
     # column space and W = [Uh, 0] C_full, C_full = [diag(sW[:q]) Vwt[:q];
@@ -378,7 +367,7 @@ def reduce_to_canonical(X, p, tol=1e-8):
             rebased = True
         sel_idx.extend(g_idx[:d])
     if len(sel_idx) != q:
-        raise NumericalFailure(
+        raise NotCritical(
             "column space of W does not split along the singular subspaces of X"
         )
     if rebased:
@@ -399,16 +388,16 @@ def reduce_to_canonical(X, p, tol=1e-8):
     A = E @ A1
 
     cp = CanonicalPoint(X=X, selection=Selection(tuple(sel_idx)), k=k, C0=C0)
-    return _check_reduction(p, scale, cp, GroupElement.from_matrix(A))
+    return _check_reduction(p, cp, GroupElement.from_matrix(A))
 
 
-def _check_reduction(p, scale, cp, g):
-    """(cp, g), or NumericalFailure unless L_A maps cp within 1e-8 * scale of p."""
+def _check_reduction(p, cp, g):
+    """(cp, g), or NotCritical unless L_A maps cp within 1e-8 ||W|| of W and
+    within 1e-8 ||S|| of S."""
     pc = apply_group_action(cp.materialize(), g)
-    bound = 1e-8 * scale
-    err = pc.distance(p)
-    if err > bound:
-        raise NumericalFailure(
-            f"orbit reconstruction residual {err:.3e} exceeds {bound:.3e}"
-        )
+    for name, rebuilt, given in (("W", pc.W, p.W), ("S", pc.S, p.S)):
+        err, bound = np.linalg.norm(rebuilt - given), 1e-8 * np.linalg.norm(given)
+        if err > bound:
+            raise NotCritical(f"orbit reconstruction residual of {name} {err:.3e} "
+                              f"exceeds 1e-8 ||{name}|| = {bound:.3e}")
     return cp, g

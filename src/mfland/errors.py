@@ -18,7 +18,8 @@ class InvalidSelection(MflandError):
 
 
 class NotCritical(MflandError):
-    """A point required to be critical fails the first-order test."""
+    """A point required to be critical is not rebuilt, to the reduction's
+    bound, from an exactly critical canonical point."""
 
 
 class RankAmbiguous(MflandError):

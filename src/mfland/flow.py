@@ -29,11 +29,12 @@ bounds the largest Hessian eigenvalue, so the stiff modes stay below the
 gradient test instead of levelling off above it.
 
 A flow that passes its gradient test is reported Converged only once
-``reduce_to_canonical`` reconstructs its terminal point within the
-reduction's residual bound, so that every Converged limit carries its
-canonical point.  Each refusal (not critical, ambiguous rank, residual
-above the bound) tightens the gradient test tenfold and the flow steps on,
-a refused start too, at most three times before it stops Uncertified.
+``reduce_to_canonical`` rebuilds its terminal point from a canonical point,
+each factor within 1e-8 of its own norm, so that every Converged limit
+carries its canonical point.  Each refusal (ambiguous rank, or a
+reconstruction above that bound) tightens the gradient test tenfold and the
+flow steps on, a refused start too, at most three times before it stops
+Uncertified.
 One block of checks runs at the start, where only the gradient test
 applies, and after each accepted step, in the order Diverged, gradient
 test, MaxTimeReached.  MaxStepsReached ends the flow once MAX_STEPS steps
@@ -77,12 +78,14 @@ MAX_STEPS = 200000
 # ||(W, S)||^2 + ||W S - X||_F on the Hessian's largest eigenvalue.
 ENDGAME_ZONE = 10.0
 ENDGAME_SHARE = 0.5
-# The tolerance a limit is reduced to its canonical point at.
+# The tolerance a limit is reduced to its canonical point at: W's rank is
+# read at LIMIT_TOL times its largest singular value.
 LIMIT_TOL = 1e-6
 # How many times a converged point that the reduction refuses sends the flow
 # on with a gradient tolerance ten times tighter before it is Uncertified.
-# From LIMIT_TOL, three reach 1e-9 * scale, about what the reduction's
-# residual bound needs on limits that two tightenings left Uncertified.
+# The reconstruction residual falls with the gradient norm, and from
+# LIMIT_TOL three reach 1e-9 * scale, about what the reconstruction bound
+# needs on limits that two tightenings left Uncertified.
 TIGHTENINGS = 3
 
 # Dormand-Prince 8(5,3), the coefficients of Hairer's dop853.f (Hairer,

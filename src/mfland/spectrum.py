@@ -305,7 +305,7 @@ def _canonical_eigpairs(cp, d=1.0):
         Z = np.eye(k - q)
         gamma = np.zeros(k - q)
         zeta = X.V0
-    gtol = 1e-13 * max(1.0, gamma[0] if gamma.size else 0.0)
+    gtol = 1e-13 * (gamma[0] if gamma.size else 0.0)
     omega = gamma**2
 
     # Coefficient table: e_j is row j, kernel direction l (its coefficients

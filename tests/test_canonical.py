@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from mfland import (
     classify_canonical,
     evaluate_J,
     first_defect,
-    gradient_norm,
     intersect_M0,
     is_critical,
     lambda_min_balanced,
@@ -36,7 +36,7 @@ from mfland import (
     zero_family_point,
 )
 from mfland.canonical import selected_values
-from matrix_kinds import X21, X321, fixed_spectrum, gaussian
+from matrix_kinds import KINDS, X21, X321, fixed_spectrum, gaussian, haar, matrix_of_kind
 
 
 # --------------------------------------------------------------- selection --
@@ -299,17 +299,68 @@ def test_reduce_rejects_non_critical():
 
 
 def test_not_critical_message_names_norm_and_threshold():
-    # A gradient norm of order 1e-7 is above the 1e-8 * ||X|| threshold but
-    # rounds to 0.0 at three decimals, so the message must not round it.
+    # W is off the orbit by 1e-7 (0, 1, 1), above the 1e-8 ||W|| bound but
+    # 0.0 at three decimals, so the message must not round it.
     p = build_canonical(X321, Selection((0,)), 1).materialize()
     p_near = type(p)(p.W + 1e-7, p.S)
-    gnorm = gradient_norm(X321, p_near)
-    bound = 1e-8 * np.linalg.norm(X321.X)
-    assert 1e-8 < gnorm < 1e-5 and gnorm > bound
+    residual = 1e-7 * np.sqrt(2.0)
+    bound = 1e-8 * np.linalg.norm(p_near.W)
     with pytest.raises(NotCritical) as info:
         reduce_to_canonical(X321, p_near)
-    assert f"{gnorm:.3e}" in str(info.value)
-    assert f"{bound:.3e}" in str(info.value)
+    assert str(info.value) == (f"orbit reconstruction residual of W {residual:.3e} "
+                               f"exceeds 1e-8 ||W|| = {bound:.3e}")
+
+
+def _probe_points(c, a=1.0, cond=None):
+    """(X, its canonical point, the point reduced) over the matrix_kinds kinds
+    of c X, seeds 0-1, every k, q <= k and selection, with C0 = sqrt(c) ones:
+    the canonical point at orbit scale a, moved by Q1 diag(geomspace(1,
+    1/cond)) Q2 with Haar Q1, Q2 when cond is given."""
+    for kind in KINDS:
+        for seed in range(2):
+            X = load_data_matrix(c * matrix_of_kind(kind, np.random.default_rng(seed)))
+            rng = np.random.default_rng([seed, 5])
+            for k in range(1, X.m + 1):
+                for q in range(k + 1):
+                    for sel in combinations(range(X.m), q):
+                        cp = CanonicalPoint(X, Selection(sel), k,
+                                            np.sqrt(c) * np.ones((X.n - X.r, k - q)))
+                        p = cp.materialize(a)
+                        if cond is not None:
+                            A = (haar(rng, k) * np.geomspace(1.0, 1.0 / cond, k)) @ haar(rng, k)
+                            p = apply_group_action(p, GroupElement.from_matrix(A))
+                        yield X, cp, p
+
+
+@pytest.mark.parametrize("c, a, cond", [
+    *[(c, 1.0, None) for c in (1e-30, 1e-12, 1e9, 1e20, 1e50, 1e150)],
+    *[(1.0, a, None) for a in (1e-8, 1e-6, 1e-4, 1e4, 1e6, 1e8)],
+    *[(c, 1.0, cond) for c in (1e-6, 1.0, 1e6) for cond in (1e3, 1e6)],
+])
+def test_reduce_exact_critical_points_at_every_scale_and_orbit(c, a, cond):
+    """An exact critical point reduces to its build's q and lambda, and g
+    rebuilds each factor to 1e-8 of its own norm, whatever sigma_1, the
+    orbit scale and cond(A).  Thresholds in units of max(1, ||X||_F) or
+    max(1, ||p||) refused exact points from sigma_1 = 1e9, at a <= 1e-4
+    and a = 1e8, and at cond(A) = 1e6, and read W = 1e-4 U_2 as zero."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X, cp0, p in _probe_points(c, a, cond):
+            cp, g = reduce_to_canonical(X, p)
+            assert cp.q == cp0.q, cp0.selection
+            np.testing.assert_allclose(np.sort(cp.lambdas), np.sort(cp0.lambdas),
+                                       rtol=0, atol=1e-8 * X.sigma[0])
+            back = apply_group_action(cp.materialize(), g)
+            assert np.linalg.norm(back.W - p.W) <= 1e-8 * np.linalg.norm(p.W)
+            assert np.linalg.norm(back.S - p.S) <= 1e-8 * np.linalg.norm(p.S)
+
+
+def test_small_w_far_along_the_orbit_is_not_the_zero_family():
+    """W = [1e-4 U_2, 0] is not zero, though S of order 1e4 dominates ||p||."""
+    X = load_data_matrix(matrix_of_kind("rank-deficient", np.random.default_rng(0)))
+    p = CanonicalPoint(X, Selection((2,)), 2, np.ones((X.n - X.r, 1))).materialize(1e-4)
+    cp, _ = reduce_to_canonical(X, p)
+    assert cp.q == 1
 
 
 # ------------------------------------------- one rule, every entry point ---

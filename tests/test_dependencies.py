@@ -108,6 +108,23 @@ def test_no_import_cycle_between_canonical_spectrum_and_orbit():
             assert not used, f"{name}:{line} imports {sorted(used)}"
 
 
+def test_closed_form_modules_have_no_unit_floor():
+    """A check that depends on the units of X is a bug: canonical and
+    spectrum never read X.tol_scale (max(1, ||X||_F)) nor floor a quantity
+    at max(1, .), so every test they make is the same at every scale of X
+    and along every orbit."""
+    for name in ("canonical.py", "spectrum.py"):
+        tree = ast.parse((SRC / "mfland" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "tol_scale"), (
+                f"{name}:{node.lineno} reads tol_scale")
+            assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "max" and node.args
+                        and isinstance(node.args[0], ast.Constant)
+                        and node.args[0].value == 1), (
+                f"{name}:{node.lineno} floors at max(1, .)")
+
+
 def _dotted(node):
     """"a.b.c" for a chain of attribute reads on a name, else None."""
     parts = []

@@ -205,13 +205,15 @@ def test_closed_form_inertia_is_the_oracle_count_at_unit_scale(kind):
         assert _canonical_inertia(X, sel, k, C0) == inertia_of(X, p), (k, sel)
 
 
-@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])
+@pytest.mark.parametrize("c", [1e-30, 1e-20, 1e-6, 1e-3, 1e3, 1e6, 1e20, 1e30])
 @pytest.mark.parametrize("kind", KINDS)
 def test_closed_form_inertia_is_the_same_at_every_scale(kind, c):
     """The canonical point of c X, with C0 times sqrt(c), has the inertia of
     X's, since its zeros are zero by formula.  A zero floor of 1e-10
     max(sigma_1, |largest value|) miscounted 975 of these 2288 points: the
-    genuine values run from O(1) to O(sigma_1^2)."""
+    genuine values run from O(1) to O(sigma_1^2).  C0's columns are dead
+    below 1e-13 gamma_1, not below 1e-13 max(1, gamma_1), which called every
+    column of C0 dead at c = 1e-30."""
     for X, Xc, sel, k, C0 in _canonical_points(kind, c):
         assert (_canonical_inertia(Xc, sel, k, np.sqrt(c) * C0)
                 == _canonical_inertia(X, sel, k, C0)), (k, sel)
