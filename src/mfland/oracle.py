@@ -12,9 +12,10 @@ is ``calculus.hessian_apply`` on the c-th unit tangent, flattened.  It costs
 N action calls, so only ``mfland verify`` and the tests build it.
 
 ``block_spectrum`` (eigenvalues) and ``numeric_spectrum`` (eigenpairs) get
-the spectrum from blocks instead, which are small at a critical point;
-``numeric_spectrum`` keeps each block's eigenvectors and lifts one into
-flatten_tangent's coordinates only when it is read (``BlockEigenvectors``).
+the spectrum from one build of blocks instead, which are small at a critical
+point, so neither is capped at N, only at its core; ``numeric_spectrum``
+keeps each block's eigenvectors and lifts one into flatten_tangent's
+coordinates only when it is read (``BlockEigenvectors``).
 At every point the Hessian form is ||dW S + W dS||^2 + 2 <E, dW dS>,
 E = W S - X.  In X's singular basis, with the kernel of X turned so that S
 meets at most k of its columns, a row i of G and a column j of H interact
@@ -161,11 +162,13 @@ class _Blocks:
 
     A G row i stands for the tangent U[:, i] g^T and an H column j for
     h V[:, j]^T, g and h in R^k, where V is X.V with its kernel columns
-    turned by the SVD of S V0.  ``core`` is the dense Hessian over the G
-    rows ``rows`` (k coordinates each), then the H columns ``cols``.
-    ``pairs[t]`` is the 2k x 2k block of G row and H column ``pair[t]``;
-    every G row in ``left`` has the block S S^T, and every H column in
-    ``right`` the block W^T W.  ``V`` is the turned basis, when asked for.
+    turned by the SVD of S V0: the rows of ``turn`` (the SVD's right
+    singular vectors, in V0's coordinates) lead, and any orthonormal
+    completion of them follows, since S meets none of those columns.
+    ``core`` is the dense Hessian over the G rows ``rows`` (k coordinates
+    each), then the H columns ``cols``.  ``pairs[t]`` is the 2k x 2k block of
+    G row and H column ``pair[t]``; every G row in ``left`` has the block
+    S S^T, and every H column in ``right`` the block W^T W.
     """
 
     core: np.ndarray
@@ -177,12 +180,12 @@ class _Blocks:
     right: np.ndarray
     SST: np.ndarray
     WTW: np.ndarray
-    V: np.ndarray = None
+    turn: np.ndarray
 
 
-def _blocks(X, p, basis=False):
-    """The _Blocks of the Hessian at p, with the turned V when basis is
-    true (the kernel then turned by the full SVD of S V0).
+def _blocks(X, p):
+    """The _Blocks of the Hessian at p, X's kernel turned by the thin SVD of
+    S V0.
 
     Rows of U^T W and columns of S V above LEAK_REL times their factor's
     norm, and their indices as rows and as columns, make the core: its dense
@@ -199,12 +202,8 @@ def _blocks(X, p, basis=False):
     Wr = X.U.T @ W
     Sr = np.zeros((k, n))
     Sr[:, :r] = S @ X.V[:, :r]
-    V = X.V if basis else None
-    if n > r:
-        P, c, Qt = np.linalg.svd(S @ X.V0, full_matrices=basis)
-        Sr[:, r:r + c.size] = P[:, :c.size] * c
-        if basis:
-            V = np.hstack([X.V[:, :r], X.V0 @ Qt.T])
+    P, c, turn = np.linalg.svd(S @ X.V0, full_matrices=False)
+    Sr[:, r:r + c.size] = P * c
     core = np.zeros(n, dtype=bool)
     core[:m] = _touched(Wr, axis=1)
     core |= _touched(Sr, axis=0)
@@ -212,7 +211,7 @@ def _blocks(X, p, basis=False):
     rows = cols[cols < m]  # the first a entries of cols
     a, b = rows.size, cols.size
     if (a + b) * k > MAX_DENSE_DIM:
-        raise TooLarge(f"block_spectrum's core would be {(a + b) * k} x {(a + b) * k} "
+        raise TooLarge(f"the Hessian's core would be {(a + b) * k} x {(a + b) * k} "
                        f"(limit {MAX_DENSE_DIM})")
 
     # Core: G rows (i, c) then H columns (j, c), k coordinates each; U^T W and
@@ -243,7 +242,7 @@ def _blocks(X, p, basis=False):
     blocks[:, k:, :k] = blocks[:, :k, k:]
     return _Blocks(core=H, rows=rows, cols=cols, pairs=blocks, pair=pair,
                    left=r + np.flatnonzero(~core[r:m]), right=r + np.flatnonzero(~core[r:]),
-                   SST=SST, WTW=WTW, V=V)
+                   SST=SST, WTW=WTW, turn=turn)
 
 
 def block_spectrum(X, p):
@@ -269,19 +268,13 @@ def numeric_spectrum(X, p):
     flatten_tangent's coordinates.
 
     Each block of _blocks is diagonalized with eigh and the values sorted
-    here, so every LAPACK call and any NumericalFailure (as _blocks raises
-    it) happen in this call; an eigenvector is lifted through X.U (G rows)
-    and the turned V (H columns) only when it is read, and no N x N array,
-    product or eigenproblem is formed.  Raises TooLarge when N passes
-    MAX_DENSE_DIM, before anything is built, since np.asarray of the
-    eigenvectors builds the N x N matrix.
+    here, so every LAPACK call and any NumericalFailure or TooLarge (as
+    _blocks raises them) happen in this call; an eigenvector is lifted
+    through X.U (G rows) and the turned V (H columns) only when it is read,
+    and no N x N array, product or eigenproblem is formed.
     """
     check_pair(X, p)
-    N = p.k * (X.m + X.n)
-    if N > MAX_DENSE_DIM:
-        raise TooLarge(f"numeric_spectrum's eigenvectors would be {N} x {N} "
-                       f"(limit {MAX_DENSE_DIM})")
-    b = _blocks(X, p, basis=True)
+    b = _blocks(X, p)
     eighs = [np.linalg.eigh(M) for M in (b.core, b.pairs, b.SST, b.WTW)]
     (cv, _), (pv, _), (sv, _), (wv, _) = eighs
     vals = np.concatenate([cv, pv.ravel(), np.tile(sv, b.left.size), np.tile(wv, b.right.size)])
@@ -291,18 +284,23 @@ def numeric_spectrum(X, p):
 
 class BlockEigenvectors:
     """numeric_spectrum's N x N eigenvector matrix, kept as its blocks'
-    eigenvectors, the basis (X.U and the turned V) and the sort order.
+    eigenvectors, the basis (X.U, X.V and the kernel's turn) and the sort
+    order.
 
     ``vectors[:, i]`` (any integer i, negatives included) lifts column i
     alone into a new length-N array: O(N) for a pair, left or right column,
-    O((m a + n b) k) for a core one, a and b the core's rows and columns.
-    ``np.asarray(vectors)`` lifts all N columns into the Fortran-ordered
-    matrix.  Any other key raises TypeError.
+    O((m a + n b) k) for a core one, a and b the core's rows and columns,
+    plus O(n (n - r)) for each kernel column of V it turns.  Any other key
+    raises TypeError; the matrix itself is never built.
     """
 
     def __init__(self, X, b, eighs, order):
-        self._m, self._k, self._N = X.m, b.SST.shape[0], order.size
-        self._U, self._V = X.U, b.V
+        self._m, self._r, self._k, self._N = X.m, X.r, b.SST.shape[0], order.size
+        self._U, self._V = X.U, X.V
+        # The turn completed to an orthonormal basis of V0's coordinates by
+        # Householder QR, with the turn's own rows as its leading columns.
+        self._Q = np.linalg.qr(b.turn.T, mode="complete")[0]
+        self._Q[:, :b.turn.shape[0]] = b.turn.T
         self._rows, self._cols, self._pair, self._left, self._right = (
             b.rows, b.cols, b.pair, b.left, b.right)
         (cv, self._cY), (pv, self._pZ), (sv, self._sQ), (wv, self._wQ) = eighs
@@ -323,52 +321,39 @@ class BlockEigenvectors:
         i, N = int(key[1]), self._N
         if not -N <= i < N:
             raise IndexError(f"eigenvector {i} is out of range for N = {N}")
-        return self._lift(np.array([i % N]))[0]
+        return self._lift(i % N)
 
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("the eigenvector matrix is built on request, never viewed")
-        M = self._lift(np.arange(self._N)).T
-        return M if dtype is None else M.astype(dtype, copy=False)
+    def _basis(self, j):
+        """Columns j (an index array) of the turned V."""
+        B, kernel = self._V[:, j], j >= self._r
+        B[:, kernel] = self._V[:, self._r:] @ self._Q[:, j[kernel] - self._r]
+        return B
 
-    def _lift(self, at):
-        """The eigenvectors of sorted columns at, as the rows of an
-        at.size x N array.  Row t holds the G part [c, i] (G[i, c]), then the
-        H part [j, c] (H[c, j])."""
-        m, k, U, V = self._m, self._k, self._U, self._V
-        N, mk = self._N, m * k
-        T = np.zeros((at.size, N))
-        src = self._order[at]
-
-        def group(g):
-            """The rows of T in group g, and their values' indices within it."""
-            t = np.flatnonzero((src >= self._starts[g]) & (src < self._starts[g + 1]))
-            return t, src[t] - self._starts[g]
-
-        def lift_G(t, coef, i):  # G = U[:, i] coef^T, per row
-            T[t, :mk] = (coef[:, :, None] * U[:, i].T[:, None, :]).reshape(-1, mk)
-
-        def lift_H(t, coef, j):  # H = coef V[:, j]^T, per row
-            T[t, mk:] = (V[:, j].T[:, :, None] * coef[:, None, :]).reshape(-1, N - mk)
-
-        t, v = group(0)
-        a, Y = self._rows.size, self._cY[:, v]
-        Yg = Y[:a * k].T.reshape(v.size, a, k).transpose(0, 2, 1)  # [v, c, row]
-        Yh = Y[a * k:].T.reshape(v.size, self._cols.size, k)      # [v, column, c]
-        T[t, :mk] = (Yg @ U[:, self._rows].T).reshape(-1, mk)
-        T[t, mk:] = (V[:, self._cols] @ Yh).reshape(-1, N - mk)
-        t, v = group(1)
-        blk, j = np.divmod(v, 2 * k)
-        Z = self._pZ[blk, :, j]
-        lift_G(t, Z[:, :k], self._pair[blk])
-        lift_H(t, Z[:, k:], self._pair[blk])
-        t, v = group(2)
-        l, j = np.divmod(v, k)
-        lift_G(t, self._sQ[:, j].T, self._left[l])
-        t, v = group(3)
-        l, j = np.divmod(v, k)
-        lift_H(t, self._wQ[:, j].T, self._right[l])
-        return T
+    def _lift(self, i):
+        """Sorted column i: the G part [c, r] (G[r, c]), then the H part
+        [j, c] (H[c, j]), each written through a view of the column."""
+        m, k, U = self._m, self._k, self._U
+        x = np.zeros(self._N)
+        G, H = x[:m * k].reshape(k, m), x[m * k:].reshape(-1, k)
+        src = int(self._order[i])
+        g = int(np.searchsorted(self._starts, src, side="right")) - 1
+        v = src - int(self._starts[g])
+        if g == 0:  # core: G rows (r, c), then H columns (j, c)
+            a, y = self._rows.size, self._cY[:, v]
+            np.matmul(y[:a * k].reshape(a, k).T, U[:, self._rows].T, out=G)
+            np.matmul(self._basis(self._cols), y[a * k:].reshape(-1, k), out=H)
+        elif g == 1:  # pair t: G row pair[t], then H column pair[t] < r
+            t, j = divmod(v, 2 * k)
+            z, at = self._pZ[t, :, j], self._pair[t]
+            np.outer(z[:k], U[:, at], out=G)
+            np.outer(self._V[:, at], z[k:], out=H)
+        elif g == 2:
+            l, j = divmod(v, k)
+            np.outer(self._sQ[:, j], U[:, self._left[l]], out=G)
+        else:
+            l, j = divmod(v, k)
+            np.outer(self._basis(self._right[l:l + 1]), self._wQ[:, j], out=H)
+        return x
 
 
 @dataclass(frozen=True)

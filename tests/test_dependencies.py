@@ -125,6 +125,26 @@ def test_closed_form_modules_have_no_unit_floor():
                 f"{name}:{node.lineno} floors at max(1, .)")
 
 
+def test_only_what_is_built_is_capped_at_MAX_DENSE_DIM():
+    """Guard only what is built: the oracle compares MAX_DENSE_DIM in
+    dense_hessian, which builds the N x N matrix, and in _blocks, which
+    builds the core, and nowhere else, so numeric_spectrum and
+    block_spectrum answer at every N where their core fits."""
+    tree = ast.parse((SRC / "mfland" / "oracle.py").read_text(encoding="utf-8"))
+
+    def compared(node):
+        """The line of every comparison with MAX_DENSE_DIM under node."""
+        return {c.lineno for c in ast.walk(node) if isinstance(c, ast.Compare)
+                and any(isinstance(x, ast.Name) and x.id == "MAX_DENSE_DIM"
+                        for x in [c.left, *c.comparators])}
+
+    guards = {fn.name: compared(fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+              and fn.name in ("dense_hessian", "_blocks")}
+    assert len(guards) == 2 and all(guards.values()), guards
+    stray = compared(tree) - set().union(*guards.values())
+    assert not stray, f"oracle.py compares MAX_DENSE_DIM on lines {sorted(stray)}"
+
+
 def _dotted(node):
     """"a.b.c" for a chain of attribute reads on a name, else None."""
     parts = []

@@ -93,7 +93,13 @@ def test_numeric_spectrum_sorted_and_consistent():
     evals, evecs = numeric_spectrum(X, p)
     assert np.all(np.diff(evals) >= 0)
     H = dense_hessian(X, p).matrix
-    np.testing.assert_allclose(H @ evecs, evecs * evals, atol=1e-10)
+    V = _columns(evecs)
+    np.testing.assert_allclose(H @ V, V * evals, atol=1e-10)
+
+
+def _columns(vecs):
+    """The eigenvector matrix, read one column at a time."""
+    return np.column_stack([vecs[:, i] for i in range(vecs.shape[1])])
 
 
 def test_inertia_from_values():
@@ -177,9 +183,9 @@ def test_an_overflowing_cross_entry_is_a_numerical_failure():
 
 
 def test_block_spectrum_guards_its_core_not_N():
-    """A 300 x 400 X with k = 10 has N = 7000, past MAX_DENSE_DIM.  The block
-    path answers at a canonical saddle, whose core is 20 indices wide, and
-    refuses a random point, whose core holds every row and 310 columns."""
+    """A 300 x 400 X with k = 10 has N = 7000, past MAX_DENSE_DIM.  Both block
+    oracles answer at a canonical saddle, whose core is 20 indices wide, and
+    refuse a random point, whose core holds every row and 310 columns."""
     rng = np.random.default_rng(0)
     X = load_data_matrix(rng.standard_normal((300, 400)))
     p = CanonicalPoint(X, Selection(tuple(range(9)) + (10,)), 10).materialize()
@@ -187,19 +193,56 @@ def test_block_spectrum_guards_its_core_not_N():
     trace = 300 * np.sum(p.S * p.S) + 400 * np.sum(p.W * p.W)
     assert vals.size == 7000 and vals[0] < 0
     assert abs(np.sum(vals) - trace) <= 1e-12 * 7000 * X.sigma[0] ** 2
+    evals, vecs = numeric_spectrum(X, p)
+    assert vecs.shape == (7000, 7000)
+    assert np.max(np.abs(evals - vals)) <= 1e-12 * np.max(np.abs(vals))
     generic = FactorPair(rng.standard_normal((300, 10)), rng.standard_normal((10, 400)))
-    with pytest.raises(TooLarge) as info:
-        block_spectrum(X, generic)
-    assert str(info.value) == "block_spectrum's core would be 6100 x 6100 (limit 5000)"
+    for f in (block_spectrum, numeric_spectrum):
+        with pytest.raises(TooLarge) as info:
+            f(X, generic)
+        assert str(info.value) == "the Hessian's core would be 6100 x 6100 (limit 5000)"
+
+
+def test_numeric_spectrum_answers_at_the_largest_ladder_point():
+    """At the spectrum workload's N = 5000 point (a 200 x 300 X, k = 10, the
+    full selection moved by A = I + 0.3 Z / sqrt(k)) the eigenpairs come
+    without an N x N array: the traced peak stays below a quarter of one, the
+    values are block_spectrum's to 1e-12 of the largest |value|, and the
+    columns of the smallest and largest value and a seeded random one have
+    residuals within 1e-10 sigma_1^2 under hessian_apply."""
+    rng = np.random.default_rng(0)
+    m, n, k = 200, 300, 10
+    X = load_data_matrix(rng.standard_normal((m, n)))
+    base = CanonicalPoint(X, Selection(tuple(range(k - 1)) + (k,)), k).materialize()
+    A = np.eye(k) + 0.3 * rng.standard_normal((k, k)) / np.sqrt(k)
+    p = apply_group_action(base, GroupElement.from_matrix(A))
+    N = k * (m + n)
+    tracemalloc.start()
+    try:
+        vals, vecs = numeric_spectrum(X, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.size == N == MAX_DENSE_DIM and vecs.shape == (N, N)
+    assert peak < N * N * 8 / 4, f"peak {peak / 2**20:.2f} MB"
+    ref = block_spectrum(X, p)
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for i in (0, N - 1, int(rng.integers(N))):
+        v = unflatten_tangent(vecs[:, i], m, n, k)
+        hv = hessian_apply(X, p, v)
+        res = np.sqrt(np.sum((hv.G - vals[i] * v.G) ** 2) + np.sum((hv.H - vals[i] * v.H) ** 2))
+        assert res <= 1e-10 * X.sigma[0] ** 2, (i, res)
 
 
 def test_eigenvectors_are_read_one_column_at_a_time():
-    """numeric_spectrum's eigenvectors are an N x N matrix read as [:, i]:
-    a row, a slice of columns or a column past N is refused."""
+    """numeric_spectrum's eigenvectors are an N x N matrix read as [:, i],
+    i negative too: a row, a slice of columns or a column past N is
+    refused."""
     X, p, _ = _setup(5)
     _, vecs = numeric_spectrum(X, p)
     N = vecs.shape[1]
     assert vecs.shape == (N, N) == (p.k * (X.m + X.n),) * 2
+    assert vecs[:, -1].tobytes() == vecs[:, N - 1].tobytes()
     for key in (0, np.s_[:, 1:3]):
         with pytest.raises(TypeError, match=r"\[:, i\]"):
             vecs[key]
@@ -208,24 +251,22 @@ def test_eigenvectors_are_read_one_column_at_a_time():
 
 
 def test_size_guard_allocates_nothing():
-    """One past MAX_DENSE_DIM, dense_hessian and numeric_spectrum refuse
-    before any N-sized array exists, each naming the N x N array it would
-    build."""
+    """One past MAX_DENSE_DIM, dense_hessian refuses before any N-sized array
+    exists, naming the N x N matrix it would build.  It is the one oracle
+    capped at N; the block oracles cap only their core."""
     N = MAX_DENSE_DIM + 1
     k = N // 3  # N = k (m + n) with a 1 x 2 X
     X = load_data_matrix(np.array([[2.0, 1.0]]))
     p = FactorPair(np.ones((1, k)), np.ones((k, 2)))
-    for f, what in ((dense_hessian, "dense Hessian"),
-                    (numeric_spectrum, "numeric_spectrum's eigenvectors")):
-        tracemalloc.start()
-        try:
-            with pytest.raises(TooLarge) as info:
-                f(X, p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * N, f"{what}: peak {peak} B"
-        assert str(info.value) == f"{what} would be {N} x {N} (limit {MAX_DENSE_DIM})"
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge) as info:
+            dense_hessian(X, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N, f"peak {peak} B"
+    assert str(info.value) == f"dense Hessian would be {N} x {N} (limit {MAX_DENSE_DIM})"
 
 
 def test_dense_hessian_memory_is_the_matrix_and_one_block():
@@ -282,10 +323,9 @@ def test_block_spectrum_equals_the_dense_spectrum(kind, exponent, orbit_exponent
     10^orbit_exponent from a canonical point with a random C0, and at a
     random point of each k, which is not critical, the sorted block values
     equal eigvalsh of the dense Hessian to 1e-12 of the largest |value|, and
-    so do numeric_spectrum's values; each of its eigenvectors has a residual
-    against the dense matrix within 1e-12 of that value, and V^T V is I to
-    1e-12, where V is the matrix np.asarray lifts, whose columns the reads
-    [:, i] equal bit for bit.
+    so do numeric_spectrum's values; each of its eigenvectors, read as
+    [:, i], has a residual against the dense matrix within 1e-12 of that
+    value, and V^T V is I to 1e-12 for the matrix V of those columns.
     inertia_of counts them as the dense values count, at the default floor,
     and at critical points also at zero_tol = 1e-8 cond(A)^2 where that
     tolerance exceeds 1e-12 of the largest |value|.  It is absolute,
@@ -293,7 +333,6 @@ def test_block_spectrum_equals_the_dense_spectrum(kind, exponent, orbit_exponent
     decides the count: seed 654, rank-deficient kind at 10^2, k = 1 and selection
     (0,), has a dense 7.2e-8 against a tolerance of 1e-8 and a block 3e-18."""
     rng = np.random.default_rng(seed)
-    pick = np.random.default_rng([seed, 1])  # the random column read, apart from rng
     scale = 10.0**exponent
     X = load_data_matrix(scale * matrix_of_kind(kind, rng))
 
@@ -303,12 +342,10 @@ def test_block_spectrum_equals_the_dense_spectrum(kind, exponent, orbit_exponent
         big = float(np.max(np.abs(ref)))
         assert np.max(np.abs(block_spectrum(X, p) - ref)) <= 1e-12 * big
         vals, vecs = numeric_spectrum(X, p)
-        V = np.asarray(vecs)
+        V = _columns(vecs)
         assert np.max(np.abs(vals - ref)) <= 1e-12 * big
         assert np.max(np.linalg.norm(dense @ V - V * vals, axis=0)) <= 1e-12 * big
         assert np.max(np.abs(V.T @ V - np.eye(ref.size))) <= 1e-12
-        for i in (0, ref.size - 1, -1, pick.integers(ref.size)):
-            assert vecs[:, i].tobytes() == V[:, i].tobytes()
         for tol in [None] + [t for t in tols if t > 1e-12 * big]:
             floor = 1e-8 * max(float(X.sigma[0]), big) if tol is None else tol
             assert inertia_of(X, p, zero_tol=tol) == inertia_from_values(ref, floor)
