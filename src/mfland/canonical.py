@@ -233,6 +233,14 @@ def _split_pair(p11, p12, p22):
     return rho_hi, rho_lo
 
 
+def _c0_svd(C0):
+    """The SVD Y diag(gamma) Z^T of C0 that every closed form shares: thin,
+    or full where C0 has fewer rows than columns, so that Z^T is square.
+    Both give the same singular values bit for bit, and compute_uv=False
+    does not."""
+    return np.linalg.svd(C0, full_matrices=C0.shape[0] < C0.shape[1])
+
+
 def _check_finite(what, d, *arrays):
     """Raise NumericalFailure, naming the closed-form quantity what and the
     orbit scales d (None: no scale), unless every entry of arrays is finite."""
@@ -264,8 +272,9 @@ def _lambda_min(cp, d=1.0):
     d2 = np.full(q, d, dtype=float) ** 2
     lows = _split_pair(np.float_power(cp.lambdas, 2.0) / d2, -sigma_dag, d2)[1]
     if q < k:
-        gs = np.linalg.svd(cp.C0, compute_uv=False)
-        w_min = float(gs[-1] ** 2) if gs.size == k - q else 0.0
+        gs = _c0_svd(cp.C0)[1]
+        # x * x, as the spectrum squares gamma
+        w_min = float(gs[-1] * gs[-1]) if gs.size == k - q else 0.0
         lows = np.append(lows, _split_pair(w_min, -sigma_dag, 0.0)[1])
     lam_min = float(np.min(lows))
     _check_finite("lambda_min", d, lam_min)

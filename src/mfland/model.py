@@ -77,6 +77,44 @@ class DataMatrixSVD:
         return float(np.linalg.norm(approx - self.X))
 
 
+class KernelFrame:
+    """An orthonormal basis V0 Q of the kernel of X whose leading columns are
+    V0 @ lead, read by column.
+
+    ``lead`` is (n - r) x p with orthonormal columns in V0's coordinates.  Q
+    is the orthogonal factor of the Householder QR of lead, kept as its p
+    reflectors in the compact WY form Q = I - Y T Y^T (Golub & Van Loan,
+    Matrix Computations, section 5.1), so column z >= p is
+    V0[:, z] - (V0 Y T) Y[z]^T.  The first read takes the QR and forms the
+    n x p products V0 @ lead and V0 Y T; after that a column costs O(n p).
+    No (n - r) x (n - r) array and no n x (n - r) product is formed.
+    """
+
+    def __init__(self, X, lead):
+        self._V0, self._lead = X.V0, lead
+        self._products = None
+
+    def _lift(self):
+        """(V0 @ lead, V0 Y T, Y)."""
+        if self._products is None:
+            h, tau = np.linalg.qr(self._lead, mode="raw")
+            p = tau.size
+            Y = np.tril(h.T, -1)
+            Y[np.arange(p), np.arange(p)] = 1.0
+            # T upper triangular, column by column as LAPACK's dlarft.
+            T, YtY = np.zeros((p, p)), Y.T @ Y
+            for i in range(p):
+                T[:i, i] = -tau[i] * (T[:i, :i] @ YtY[:i, i])
+                T[i, i] = tau[i]
+            self._products = self._V0 @ self._lead, (self._V0 @ Y) @ T, Y
+        return self._products
+
+    def column(self, z):
+        """Column z of the frame, a length-n array."""
+        lead_cols, VY_T, Y = self._lift()
+        return lead_cols[:, z] if z < lead_cols.shape[1] else self._V0[:, z] - VY_T @ Y[z]
+
+
 def _column_signs(M):
     """Per column of M, the sign (+1 for 0) of its first largest-magnitude entry."""
     lead = M[np.argmax(np.abs(M), axis=0), np.arange(M.shape[1])]

@@ -36,8 +36,8 @@ import numpy as np
 from .calculus import gradient, hessian_apply, second_derivative
 from .errors import InvalidInput, NumericalFailure, TooLarge
 # inertia_from_values lives in the model, which the closed forms may import.
-from .model import (FactorPair, TangentPair, check_pair, check_seed, evaluate_J,
-                    inertia_from_values, inner)
+from .model import (FactorPair, KernelFrame, TangentPair, check_pair, check_seed,
+                    evaluate_J, inertia_from_values, inner)
 
 MAX_DENSE_DIM = 5000
 # fd_validate's random directions, and the steps of its central
@@ -268,10 +268,10 @@ def numeric_spectrum(X, p):
     flatten_tangent's coordinates.
 
     Each block of _blocks is diagonalized with eigh and the values sorted
-    here, so every LAPACK call and any NumericalFailure or TooLarge (as
-    _blocks raises them) happen in this call; an eigenvector is lifted
-    through X.U (G rows) and the turned V (H columns) only when it is read,
-    and no N x N array, product or eigenproblem is formed.
+    here, so every eigh and any NumericalFailure or TooLarge (as _blocks
+    raises them) happen in this call; an eigenvector is lifted through X.U
+    (G rows) and the turned V (H columns) only when it is read, and no N x N
+    array, product or eigenproblem is formed.
     """
     check_pair(X, p)
     b = _blocks(X, p)
@@ -284,23 +284,23 @@ def numeric_spectrum(X, p):
 
 class BlockEigenvectors:
     """numeric_spectrum's N x N eigenvector matrix, kept as its blocks'
-    eigenvectors, the basis (X.U, X.V and the kernel's turn) and the sort
-    order.
+    eigenvectors, the basis (X.U, X.V and the turned kernel as a
+    ``model.KernelFrame`` led by the turn's rows) and the sort order.
 
     ``vectors[:, i]`` (any integer i, negatives included) lifts column i
     alone into a new length-N array: O(N) for a pair, left or right column,
     O((m a + n b) k) for a core one, a and b the core's rows and columns,
-    plus O(n (n - r)) for each kernel column of V it turns.  Any other key
-    raises TypeError; the matrix itself is never built.
+    plus O(n p) for each kernel column of V it turns, p <= k the turn's
+    rows, once the frame has formed its n x p products; no (n - r) x (n - r)
+    completion of the turn is formed.  Any other key raises TypeError; the
+    matrix itself is never built.
     """
 
     def __init__(self, X, b, eighs, order):
         self._m, self._r, self._k, self._N = X.m, X.r, b.SST.shape[0], order.size
         self._U, self._V = X.U, X.V
-        # The turn completed to an orthonormal basis of V0's coordinates by
-        # Householder QR, with the turn's own rows as its leading columns.
-        self._Q = np.linalg.qr(b.turn.T, mode="complete")[0]
-        self._Q[:, :b.turn.shape[0]] = b.turn.T
+        # The turned kernel: a frame led by the turn's rows.
+        self._frame = KernelFrame(X, b.turn.T)
         self._rows, self._cols, self._pair, self._left, self._right = (
             b.rows, b.cols, b.pair, b.left, b.right)
         (cv, self._cY), (pv, self._pZ), (sv, self._sQ), (wv, self._wQ) = eighs
@@ -326,7 +326,8 @@ class BlockEigenvectors:
     def _basis(self, j):
         """Columns j (an index array) of the turned V."""
         B, kernel = self._V[:, j], j >= self._r
-        B[:, kernel] = self._V[:, self._r:] @ self._Q[:, j[kernel] - self._r]
+        for c in np.flatnonzero(kernel):
+            B[:, c] = self._frame.column(j[c] - self._r)
         return B
 
     def _lift(self, i):

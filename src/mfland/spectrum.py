@@ -32,14 +32,15 @@ A spectrum is built once, into tables allocated at their final size.  The
 block table has one column per 1 x 1 or 2 x 2 block: it starts at the
 defaults (zero factors, zero entries), and every family writes only the
 fields it sets, broadcast over its index grid.  The 2 x 2 blocks are split
-by ``canonical._split_pair``, and the eigenpair tables (value and the two
-coefficients, whose ratio is the coupling; branch and block) hold one
-column per eigenpair, all k (m + n) of them.  Each eigenvector is a pair of
-rank-one matrices kept as indices into the singular bases and a table of
+by ``canonical._split_pair``, and the eigenpair tables (value; branch,
+zero mark and block) hold one column per eigenpair, all k (m + n) of them.
+Each eigenvector is a pair of rank-one matrices kept as indices into the
+singular bases, the kernel frame (``model.KernelFrame``) and a table of
 coefficient vectors, so a spectrum costs O(k (m + n)) memory.  An
 :class:`EigPair` is made only when one is read from
-``SpectrumReport.eigpairs``, and its dense tangent pair only when
-``EigPair.vector`` is read.
+``SpectrumReport.eigpairs``: its two block coefficients (``_pair_vectors``)
+and any kernel column are computed then, and its dense tangent pair only
+when ``EigPair.vector`` is read.
 """
 
 import math
@@ -52,6 +53,7 @@ from .canonical import (
     CanonicalPoint,
     Selection,
     _balanced_point,
+    _c0_svd,
     _check_finite,
     _lambda_min,
     _split_pair,
@@ -61,7 +63,7 @@ from .canonical import (
     zero_family_point,
 )
 from .errors import InvalidInput, InvalidSelection, NumericalFailure
-from .model import TangentPair
+from .model import KernelFrame, TangentPair
 
 # Relative gap between two sums of squares under which _pair_vectors takes
 # its choice of eigenvector form from pow() squares (see there).
@@ -74,8 +76,8 @@ class EigPair:
 
     The unit eigenvector is the tangent pair (G, H) with
     ``G = cl * outer(uG, cG)`` and ``H = cr * outer(cH, vH)``: ``uG`` and
-    ``vH`` are columns of ``X.U`` and of ``X.V`` (or of a rotated kernel
-    basis), ``cG`` and ``cH`` are length-k coefficient vectors, and a half
+    ``vH`` are columns of ``X.U`` and of ``X.V`` (or of the kernel
+    frame), ``cG`` and ``cH`` are length-k coefficient vectors, and a half
     that vanishes has coefficient 0 and zero factors.  ``vector`` builds the
     dense TangentPair on every access and does not keep it, so that walking
     all the vectors of a spectrum never holds more than one of them.
@@ -129,8 +131,8 @@ _LEFT, _RIGHT, _PAIR, _ZERO_PAIR = range(4)
 
 # Fields of a block: kind, family, the two provenance indices, the column u
 # of X.U, the rows cg and ch of the coefficient table, the column v of the
-# right basis (X.V, then zeta), 1 where the 1 x 1 or lower value is zero by
-# formula, and the entries [[p11, p12], [p12, p22]].  Index -1 (u, v) and the
+# right basis (X.V, then the kernel frame), 1 where the 1 x 1 or lower value
+# is zero by formula, and the entries [[p11, p12], [p12, p22]].  Index -1 (u, v) and the
 # table's last row (cg, ch) stand for a zero factor.
 _INDEX_FIELDS = ("kind", "family", "ia", "ib", "u", "cg", "ch", "v", "zero")
 _ENTRY_FIELDS = ("p11", "p12", "p22")
@@ -141,37 +143,37 @@ _FIELD_ROW = {key: (table, row)
 
 
 class _EigPairs(Sequence):
-    """The eigenpairs of one spectrum as two aligned tables.
+    """The eigenpairs of one spectrum as aligned tables.
 
-    Per eigenpair, as a column of ``floats``: ``value``, ``cl`` and ``cr``;
-    and of ``ints``: ``branch`` (-1 lower, +1 upper, 0 for 1 x 1), ``zero``
-    (1 where the value is zero by formula) and ``block``, a column of
-    ``index``, the block table's rows of
-    ``_INDEX_FIELDS`` (family, provenance indices, factor indices).  Item i
-    is an :class:`EigPair` made on read, its coupling ``cr / cl`` on a 2 x 2
-    branch; slices return tuples of them.
+    Per eigenpair: its ``value``, and as a column of ``ints`` its ``branch``
+    (-1 lower, +1 upper, 0 for 1 x 1), ``zero`` (1 where the value is zero
+    by formula) and ``block``, a column of the block tables ``index`` (the
+    rows of ``_INDEX_FIELDS``) and ``entry`` (p11, p12, p22).  Item i is an
+    :class:`EigPair` made on read: a 1 x 1 block's coefficients are 1 and 0,
+    a 2 x 2 block's come from ``_pair_vectors`` on its entries and value,
+    and the coupling is ``cr / cl``.  Slices return tuples of them.
     """
 
-    def __init__(self, floats, ints, index, bases):
-        floats.flags.writeable = ints.flags.writeable = False
-        self._floats, self._ints = floats, ints
-        self._index = index
-        self._bases = bases  # (U, V, zeta, coef, zero_m, zero_n)
+    def __init__(self, values, ints, index, entry, bases):
+        values.flags.writeable = ints.flags.writeable = False
+        self._values, self._ints = values, ints
+        self._index, self._entry = index, entry
+        self._bases = bases  # (U, V, frame, coef, zero_m, zero_n)
 
     @property
     def values(self):
-        return self._floats[0]
+        return self._values
 
     @property
     def zero(self):
         return self._ints[1] != 0
 
     def take(self, order):
-        return _EigPairs(self._floats.take(order, axis=1), self._ints.take(order, axis=1),
-                         self._index, self._bases)
+        return _EigPairs(self._values.take(order), self._ints.take(order, axis=1),
+                         self._index, self._entry, self._bases)
 
     def __len__(self):
-        return self._floats.shape[1]
+        return self._values.size
 
     def __getitem__(self, i):
         j = range(len(self))[i]
@@ -181,18 +183,23 @@ class _EigPairs(Sequence):
         return map(self._pair, range(len(self)))
 
     def _pair(self, j):
-        U, V, zeta, coef, zm, zn = self._bases
-        value, cl, cr = self._floats[:, j].tolist()
+        U, V, frame, coef, zm, zn = self._bases
+        value = float(self._values[j])
         branch, _, blk = self._ints[:, j].tolist()
-        _, family, ia, ib, u, cg, ch, v, _ = self._index[:, blk].tolist()
+        kind, family, ia, ib, u, cg, ch, v, _ = self._index[:, blk].tolist()
         name, na, nb = _FAMILIES[family]
         prov = f"{name}({na}={ia},{nb}={ib})"
         coupling = None
         if branch:
             prov += ",branch=-" if branch < 0 else ",branch=+"
+            cl, cr = _pair_vectors(*self._entry[:, blk].tolist(), value)
             # cl underflows to +-0 far out on an orbit: IEEE x / +-0, which Python refuses
             coupling = cr / cl if cl else cr * math.copysign(math.inf, cl)
-        vH = zn if v < 0 else V[:, v] if v < V.shape[1] else zeta[:, v - V.shape[1]]
+        else:
+            cl = float(kind != _RIGHT)
+            cr = 1.0 - cl
+        n = V.shape[1]
+        vH = zn if v < 0 else V[:, v] if v < n else frame.column(v - n)
         return EigPair(value=value, cl=cl, uG=U[:, u] if u >= 0 else zm,
                        cG=coef[cg], cr=cr, cH=coef[ch], vH=vH, provenance=prov, coupling=coupling)
 
@@ -237,13 +244,13 @@ def _report(eigpairs, point):
 
 
 def _pair_vectors(p11, p12, p22, rho):
-    """Unit eigenvectors of [[p11, p12], [p12, p22]] for eigenvalues rho,
-    elementwise.
+    """Unit eigenvector (c_left, c_right) of [[p11, p12], [p12, p22]] for
+    its eigenvalue rho, all four Python floats.
 
-    Returns (c_left, c_right), normalized from the first of the analytically
-    equivalent forms (p12, rho - p11) and (rho - p22, p12) unless the second
-    has the larger sum of squares; p12 != 0 guarantees both components are
-    nonzero.  The JSON contract fixes that choice to squares taken with pow()
+    Normalized from the first of the analytically equivalent forms
+    (p12, rho - p11) and (rho - p22, p12) unless the second has the larger
+    sum of squares; p12 != 0 guarantees both components are nonzero.  The
+    JSON contract fixes that choice to squares taken with pow()
     (np.float_power), which can differ from x * x in the last bit.
 
     pow(x, 2) is within 1 ulp of x * x (the most seen over 1e8 draws of x^2
@@ -252,20 +259,18 @@ def _pair_vectors(p11, p12, p22, rho):
     per square below the normal range.  Where |s1 - s2| exceeds _NEAR_TIE *
     max(s1, s2, tiny), with tiny = 2^-1022 the smallest normal float64, the
     gap is over 1000 times the two errors together, so x * x makes the same
-    choice as pow(); pow() decides only the rest, NaN and inf included.
+    choice as pow(); pow() decides only the rest, inf included.
     """
     a1, b1 = p12, rho - p11
     a2, b2 = rho - p22, p12
     s1, s2 = a1 * a1 + b1 * b1, a2 * a2 + b2 * b2
     first = s1 >= s2
-    band = _NEAR_TIE * np.maximum(np.maximum(s1, s2), 2.0**-1022)  # tiny
-    near = ~(np.abs(s1 - s2) > band)
-    if near.any():
-        sq = np.float_power
-        first[near] = (sq(a1[near], 2.0) + sq(b1[near], 2.0)
-                       >= sq(a2[near], 2.0) + sq(b2[near], 2.0))
-    c0, c1 = np.where(first, a1, a2), np.where(first, b1, b2)
-    nrm = np.hypot(c0, c1)
+    if not abs(s1 - s2) > _NEAR_TIE * max(s1, s2, 2.0**-1022):  # tiny
+        with np.errstate(over="ignore"):
+            sq = np.float_power
+            first = bool(sq(a1, 2.0) + sq(b1, 2.0) >= sq(a2, 2.0) + sq(b2, 2.0))
+    c0, c1 = (a1, b1) if first else (a2, b2)
+    nrm = float(np.hypot(c0, c1))
     return c0 / nrm, c1 / nrm
 
 
@@ -277,9 +282,16 @@ def _canonical_eigpairs(cp, d=1.0):
 
     Far out on an orbit (d = 1e300 or 1e-200 at sigma_1 = 1) the block
     entries overflow or divide by an underflowed d^2; instead of NumPy
-    warnings and NaN values this raises NumericalFailure when a value or an
-    eigenvector coefficient is not finite, an O(N) check on the finished
-    arrays.
+    warnings and NaN values this raises NumericalFailure when a value is not
+    finite or a 2 x 2 block's p12 is 0, an O(N) check on the finished
+    arrays.  That is what makes every eigenvector coefficient read later
+    finite.  A 2 x 2 block's entries are finite where its branches are, and
+    so is each component of both forms of ``_pair_vectors``: p12, or a
+    branch less p11 >= 0 or p22 >= 0, all bounded by p11 + p22 + 2 |p12|,
+    from which the upper branch is computed.  Both forms carry p12, so the
+    norm they are divided by is at least |p12| > 0.  p12 (-s_i, g_l d_j or
+    l_s d_j / d_s) is a product of positive factors; it underflows to 0 only
+    far out on an orbit with q < k, where no public spectrum is built.
     """
     X, q, k = cp.X, cp.q, cp.k
     m, n, r = X.m, X.n, X.r
@@ -292,19 +304,17 @@ def _canonical_eigpairs(cp, d=1.0):
     us_r = np.flatnonzero(unselected[:r])
     us_m = r + np.flatnonzero(unselected[r:])
 
-    # Adapted bases: rotate the kernel columns of V so that C0 = Y diag(gamma) Z^T
-    # becomes diagonal across them.  With q = k there is no C0 and the raw
-    # kernel basis serves as zeta.
+    # Adapted bases: turn the kernel columns of V so that C0 = Y diag(gamma) Z^T
+    # becomes diagonal across them, a frame led by Y.  With q = k there is
+    # no C0 and the raw kernel basis serves.
+    gamma = np.zeros(k - q)
     if k > q and n > r:
-        Y, gs, Zt = np.linalg.svd(cp.C0, full_matrices=True)
+        Y, gs, Zt = _c0_svd(cp.C0)
         Z = Zt.T
-        gamma = np.zeros(k - q)
         gamma[: gs.size] = gs
-        zeta = X.V0 @ Y
     else:
-        Z = np.eye(k - q)
-        gamma = np.zeros(k - q)
-        zeta = X.V0
+        Y, Z = np.zeros((n - r, 0)), np.eye(k - q)
+    frame = KernelFrame(X, Y)
     gtol = 1e-13 * (gamma[0] if gamma.size else 0.0)
     omega = gamma**2
 
@@ -401,15 +411,11 @@ def _canonical_eigpairs(cp, d=1.0):
     ints[0] = np.where(mix, np.where(upper, 1, -1), 0)
     np.multiply(index[-1].take(blk), ~upper, out=ints[1])  # a zero is a 1 x 1 or lower value
     ints[2] = blk
-    floats = np.empty((3, blk.size))
-    value, cl, cr = floats
-    value[:] = np.where(upper, hi[blk], lo[blk])
-    cl[:] = kind[blk] != _RIGHT
-    np.subtract(1.0, cl, out=cr)
-    bm = blk[mix]
-    cl[mix], cr[mix] = _pair_vectors(p11[bm], p12[bm], p22[bm], value[mix])
-    _check_finite("spectrum", d, floats)
-    return _EigPairs(floats, ints, index, (X.U, X.V, zeta, coef, np.zeros(m), np.zeros(n)))
+    value = np.where(upper, hi[blk], lo[blk])
+    # p12 / p12 is NaN where p12 has underflowed to 0: no eigenvector form
+    # of that block is sure to be nonzero (see above).
+    _check_finite("spectrum", d, value, p12[two] / p12[two])
+    return _EigPairs(value, ints, index, entry, (X.U, X.V, frame, coef, np.zeros(m), np.zeros(n)))
 
 
 def spectrum_zero_family(X, C0, k):

@@ -21,6 +21,7 @@ from mfland import (
     residual,
     write_matrix_csv,
 )
+from mfland.model import KernelFrame
 from mfland.verify import run_all
 from matrix_kinds import KINDS, X21, gaussian, matrix_of_kind
 
@@ -251,3 +252,21 @@ def test_distance_needs_a_pair_of_the_same_type_and_shapes():
     with pytest.raises(DimensionError, match=re.escape(
             "distance from a FactorPair (2, 1) x (1, 3) to a FactorPair (2, 2) x (2, 3)")):
         p.distance(FactorPair(np.ones((2, 2)), np.ones((2, 3))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KINDS), st.floats(-6, 6), st.integers(0, 2**32 - 1))
+def test_kernel_frame_is_an_orthonormal_kernel_basis_led_by_its_lead(kind, exponent, seed):
+    """Every lead width p from 0 to n - r: the frame's n - r columns are
+    orthonormal to 1e-12 and lie in the kernel of X to 1e-12 sigma_1, and
+    the first p are V0 @ lead bit for bit."""
+    rng = np.random.default_rng(seed)
+    X = load_data_matrix(10.0**exponent * matrix_of_kind(kind, rng))
+    dim = X.n - X.r
+    for p in range(dim + 1):
+        lead = np.linalg.qr(rng.standard_normal((dim, p)))[0]
+        frame = KernelFrame(X, lead)
+        B = np.column_stack([frame.column(z) for z in range(dim)] or [np.zeros((X.n, 0))])
+        assert np.abs(B.T @ B - np.eye(dim)).max(initial=0.0) <= 1e-12
+        assert np.abs(X.X @ B).max(initial=0.0) <= 1e-12 * float(X.sigma[0])
+        assert B[:, :p].tobytes() == (X.V0 @ lead).tobytes()

@@ -6,6 +6,9 @@ rounding noise.
 """
 
 import dataclasses
+import functools
+import math
+import re
 import tracemalloc
 import warnings
 from itertools import combinations
@@ -41,7 +44,7 @@ from mfland import (
     spectrum_zero_family,
 )
 from mfland import spectrum
-from mfland.canonical import _split_pair
+from mfland.canonical import _split_pair, zero_family_point
 from mfland.spectrum import EigPair, _canonical_eigpairs, _report
 from matrix_kinds import KINDS, X21, X321, gaussian, haar, matrix_of_kind
 
@@ -300,6 +303,99 @@ def test_a_small_singular_value_of_C0_keeps_its_kernel_column_live(kind):
         assert _residual(X, rep.point, e) <= 1e-9 * float(X.sigma[0]) ** 2, e.value
 
 
+@pytest.fixture(scope="module")
+def wide_points():
+    """A 10 x 2000 Gaussian X with k = 2: its deficient point (q = 1) and a
+    zero-family point, each as (X, point, spectrum builder)."""
+    rng = np.random.default_rng(21)
+    X = load_data_matrix(rng.standard_normal((10, 2000)))
+    cp = build_canonical(X, Selection((1,)), 2, C0=rng.standard_normal((X.n - X.r, 1)))
+    C0 = rng.standard_normal((X.n - X.r, 2))
+    return {"deficient": (X, cp.materialize(), lambda: spectrum_deficient_rank(cp)),
+            "zero": (X, zero_family_point(X, C0, 2).materialize(),
+                     lambda: spectrum_zero_family(X, C0, 2))}
+
+
+def _traced_peak(build):
+    """(build(), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", ["deficient", "zero"])
+def test_a_wide_kernel_is_turned_column_by_column(wide_points, family):
+    """n - r = 1990: the spectrum allocates under a quarter of one
+    (n - r) x (n - r) array, its extreme eigenpairs and a right_kernel_null
+    one have residuals within 1e-9 sigma_1^2, and five kernel columns, the
+    frame's leading ones among them, are orthonormal."""
+    X, point, build = wide_points[family]
+    rep, peak = _traced_peak(build)
+    assert peak < (X.n - X.r) ** 2 * 8 / 4, f"peak {peak / 2**20:.1f} MiB"
+    zeros = np.flatnonzero(rep.eigpairs.zero)
+    null = rep.eigpairs[int(zeros[zeros.size // 2])]
+    assert null.provenance.startswith("right_kernel_null") and ",z=" in null.provenance
+    s2 = float(X.sigma[0]) ** 2
+    for e in (rep.eigpairs[0], rep.eigpairs[-1], null):
+        assert _residual(X, point, e) <= 1e-9 * s2, e.provenance
+    columns = {}
+    for i in list(zeros[:8]) + [zeros[-1], zeros[zeros.size // 3]]:
+        e = rep.eigpairs[int(i)]
+        if ",z=" in e.provenance:
+            columns[int(e.provenance.split(",z=")[1].rstrip(")"))] = e.vH
+    assert {0, 1} <= set(columns) and len(columns) >= 5
+    B = np.column_stack([columns[z] for z in sorted(columns)[:3] + sorted(columns)[-2:]])
+    assert np.abs(B.T @ B - np.eye(5)).max() <= 1e-12
+
+
+def test_numeric_spectrum_of_a_wide_kernel_allocates_no_kernel_square(wide_points):
+    """The oracle at the wide deficient point stays under the same bound."""
+    X, point, _ = wide_points["deficient"]
+    (vals, _), peak = _traced_peak(lambda: numeric_spectrum(X, point))
+    assert peak < (X.n - X.r) ** 2 * 8 / 4, f"peak {peak / 2**20:.1f} MiB"
+    assert vals.size == 2 * (X.m + X.n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KINDS), st.floats(-150, 154), st.integers(0, 2**16))
+def test_every_built_spectrum_reads_finite_coefficients(kind, exponent, seed):
+    """At scales 10^[-150, 154], every k and q, and C0 zero, random or with a
+    dead column: wherever a spectrum builds, each of its eigenpairs reads
+    finite cl and cr without a NumPy warning.  A coupling may still be
+    +-inf where cl underflows."""
+    rng = np.random.default_rng(seed)
+    c = 10.0**exponent
+    X = load_data_matrix(c * matrix_of_kind(kind, rng))
+    for k in range(1, X.m + 1):
+        for q in range(k + 1):
+            sel = Selection(tuple(sorted(rng.choice(X.m, size=q, replace=False).tolist())))
+            C0 = c * rng.standard_normal((X.n - X.r, k - q))
+            dead = C0.copy()
+            dead[:, -1:] = 0.0
+            builds = [functools.partial(spectrum_balanced, X, sel, k)]
+            if q == k:
+                a = float(np.exp(rng.uniform(-1.0, 1.0)))
+                builds.append(functools.partial(spectrum_full_rank_scaled, X, sel, a))
+            for C in (np.zeros_like(C0), C0, dead) if q < k else ():
+                if q:
+                    builds.append(functools.partial(spectrum_deficient_rank,
+                                                    CanonicalPoint(X, sel, k, C)))
+                else:
+                    builds.append(functools.partial(spectrum_zero_family, X, C, k))
+            for build in builds:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        rep = build()
+                    except (NumericalFailure, InvalidSelection):
+                        continue
+                    for e in rep.eigpairs:
+                        assert math.isfinite(e.cl) and math.isfinite(e.cr), e.provenance
+
+
 def _all_families_report():
     """Selection (1, 3) of diag(3, 2, 1, 0, 0), k = 4, with one dead kernel
     coordinate: every family occurs."""
@@ -467,11 +563,35 @@ def _reference_eigpairs(cp, d):
     return out
 
 
+def _diagonal_point(cp, d):
+    """The diagonal representative of cp whose selected columns carry the
+    scales d: (U_sel D, [D^-1 diag(lambda) V_sel^T ; C0^T V0^T])."""
+    X, q, k = cp.X, cp.q, cp.k
+    d = np.broadcast_to(np.asarray(d, dtype=float), (q,))
+    idx = list(cp.selection.indices)
+    W, S = np.zeros((X.m, k)), np.zeros((k, X.n))
+    W[:, :q] = X.U[:, idx] * d
+    S[:q] = (cp.lambdas / d)[:, None] * X.V[:, idx].T
+    S[q:] = cp.C0.T @ X.V0.T
+    return FactorPair(W=W, S=S)
+
+
+# Families whose right factor is a kernel column, its index the last in the
+# provenance.
+KERNEL_COLUMN = re.compile(r"^(c0_cross_pair|right_kernel_selected)\(.*=(\d+)\)"
+                           r"|^right_kernel_null\(l=\d+,z=(\d+)\)")
+
+
 @settings(max_examples=30, deadline=None)
 @given(*LANDSCAPE)
 def test_array_spectrum_equals_the_per_block_reference(kind, exponent, seed):
     """Bit for bit, in emission order and after the stable sort by value,
-    which fixes the order of tied values."""
+    which fixes the order of tied values: values, provenance, couplings and
+    G.  H is bit for bit too, except where its right factor is a kernel
+    column: the reference turns the kernel by C0's full SVD and the spectrum
+    by its kernel frame, two orthonormal bases of one space.  There the
+    eigenpair's residual is checked, and the kernel columns read must be
+    orthonormal and in the kernel of X."""
     rng = np.random.default_rng(seed)
     X = load_data_matrix(10.0**exponent * matrix_of_kind(kind, rng))
     for k in range(1, X.m + 1):
@@ -490,11 +610,29 @@ def test_array_spectrum_equals_the_per_block_reference(kind, exponent, seed):
         assert got.values.tolist() == [v for v, _, _, _, _ in ref]
         rep = _report(got, None)
         order = sorted(range(len(ref)), key=lambda i: ref[i][0])
+        point = _diagonal_point(cp, d)
+        tol = 1e-12 * float(np.abs(got.values).max())
+        kernel = {}
         for e, i in zip(rep.eigpairs, order):
             value, prov, coupling, G, H = ref[i]
             assert (e.value, e.provenance, e.coupling) == (value, prov, coupling)
-            np.testing.assert_array_equal(e.vector.G, G)
-            np.testing.assert_array_equal(e.vector.H, H)
+            v = e.vector
+            np.testing.assert_array_equal(v.G, G)
+            match = KERNEL_COLUMN.match(prov)
+            if match is None:
+                np.testing.assert_array_equal(v.H, H)
+                continue
+            z = int(match.group(2) or match.group(3))
+            assert kernel.setdefault(z, e.vH).tobytes() == e.vH.tobytes()
+            hv = hessian_apply(X, point, v)
+            assert np.sqrt(np.sum((hv.G - value * v.G) ** 2)
+                           + np.sum((hv.H - value * v.H) ** 2)) <= tol
+        if k > q or q and X.n > X.r:
+            assert sorted(kernel) == list(range(X.n - X.r))
+        if kernel:
+            B = np.column_stack([kernel[z] for z in sorted(kernel)])
+            assert np.abs(B.T @ B - np.eye(B.shape[1])).max() <= 1e-12
+            assert np.abs(X.X @ B).max() <= 1e-12 * float(X.sigma[0])
 
 
 # Near ties (p22 - p11 of 3 and 2 ulp) at which x * x and ** squares choose
@@ -542,11 +680,9 @@ def test_pair_vectors_choose_the_form_that_pow_squares_choose():
     p11, p12, p22 = _blocks_of_delicate_choice(np.random.default_rng(5))
     with np.errstate(over="ignore", invalid="ignore"):
         for rho in _split_pair(p11, p12, p22):
-            cl, cr = spectrum._pair_vectors(p11, p12, p22, rho)
-            ref = np.array([_reference_pair_vector(*block)
-                            for block in zip(p11, p12, p22, rho)])
-            assert cl.tobytes() == ref[:, 0].tobytes()
-            assert cr.tobytes() == ref[:, 1].tobytes()
+            for block in zip(p11, p12, p22, rho):
+                got = np.array(spectrum._pair_vectors(*map(float, block)))
+                assert got.tobytes() == np.array(_reference_pair_vector(*block)).tobytes()
 
 
 def test_coupled_pair_vectors_multiply_to_minus_one():
@@ -617,6 +753,25 @@ def test_lambda_min_is_the_spectrum_minimum_everywhere(kind, exponent, seed):
                 assert abs(lam - rep.lambda_min) <= 1e-14 * s1
 
 
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "square"])
+def test_classify_lambda_min_is_the_spectrum_minimum_bit_for_bit(kind):
+    """classify_canonical's lambda_min and the deficient-rank and zero-family
+    spectra take C0's singular values from one SVD and square them alike, so
+    at every k and q < k, with C0 at scales 10^[-2, 2], they agree to the
+    last bit."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        X = load_data_matrix(matrix_of_kind(kind, rng))
+        for k in range(1, X.m + 1):
+            for q in range(k):
+                sel = Selection(tuple(sorted(rng.choice(X.m, size=q, replace=False).tolist())))
+                C0 = 10.0 ** rng.uniform(-2, 2) * rng.standard_normal((X.n - X.r, k - q))
+                cp = CanonicalPoint(X, sel, k, C0)
+                rep = spectrum_deficient_rank(cp) if q else spectrum_zero_family(X, C0, k)
+                lam = classify_canonical(cp).lambda_min_closed_form
+                assert lam is None or lam == rep.lambda_min, (k, q, lam, rep.lambda_min)
+
+
 def test_lambda_min_refuses_global_minimum():
     with pytest.raises(NotASaddle):
         lambda_min_closed_form(X321, Selection((0, 1, 2)), 3)
@@ -654,6 +809,21 @@ def test_spectrum_far_out_on_the_orbit_is_a_numerical_failure(scale):
             spectrum_full_rank_scaled(gaussian(0), Selection((0, 2)), a=scale)
     assert str(info.value) == (f"the closed-form spectrum at scale {scale:g} "
                                "is not finite in float64")
+
+
+def test_an_underflowed_coupling_is_refused_when_the_spectrum_is_built():
+    """At sigma_1 ~ 1e-170 with q < k and d = 1e-160, the c0_cross_pair's
+    p12 = gamma d underflows to 0 while every value is finite; its lower
+    branch would then have no eigenvector form to normalize, so the build
+    refuses it rather than a read failing."""
+    rng = np.random.default_rng(0)
+    X = load_data_matrix(1e-170 * rng.standard_normal((3, 5)))
+    cp = CanonicalPoint(X, Selection((0,)), 2, 1e-170 * rng.standard_normal((2, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=r"^the closed-form spectrum at scale "
+                                                   r"1e-160 is not finite in float64$"):
+            _canonical_eigpairs(cp, d=1e-160)
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-200])
