@@ -10,7 +10,6 @@ from .calculus import (
     gradient,
     gradient_norm,
     hessian_apply,
-    is_critical,
     second_derivative,
 )
 from .canonical import (

@@ -56,8 +56,3 @@ def second_derivative(X, p, d):
 def gradient_norm(X, p):
     g = gradient(X, p)
     return g.norm()
-
-
-def is_critical(X, p, tol=1e-10):
-    """First-order test: both E S^T and W^T E vanish, in units of X.tol_scale."""
-    return gradient_norm(X, p) <= tol * X.tol_scale

@@ -35,9 +35,8 @@ import numpy as np
 
 from .calculus import gradient, hessian_apply, second_derivative
 from .errors import InvalidInput, NumericalFailure, TooLarge
-# inertia_from_values lives in the model, which the closed forms may import.
 from .model import (FactorPair, KernelFrame, TangentPair, check_pair, check_seed,
-                    evaluate_J, inertia_from_values, inner)
+                    evaluate_J, inner)
 
 MAX_DENSE_DIM = 5000
 # fd_validate's random directions, and the steps of its central

@@ -28,24 +28,28 @@ sigma_lambda_pair whose s_i ties l_j (``canonical._tie_tol``), and the 1 x 1
 values of l_j = 0, of a dead coordinate and of the right kernel's null rows.
 The inertia counts exactly these as zero, and every other value by its sign.
 
-A spectrum is built once, into tables allocated at their final size.  The
-block table has one column per 1 x 1 or 2 x 2 block: it starts at the
-defaults (zero factors, zero entries), and every family writes only the
-fields it sets, broadcast over its index grid.  The 2 x 2 blocks are split
-by ``canonical._split_pair``, and the eigenpair tables (value; branch,
-zero mark and block) hold one column per eigenpair, all k (m + n) of them.
-Each eigenvector is a pair of rank-one matrices kept as indices into the
-singular bases, the kernel frame (``model.KernelFrame``) and a table of
-coefficient vectors, so a spectrum costs O(k (m + n)) memory.  An
+A spectrum keeps its values and zero marks, written grid by grid into two
+arrays in emission order (a 2 x 2 block's lower branch before its upper
+one, blocks row-major within a grid), the stable order that sorts them, and
+each grid's small index vectors; the 2 x 2 blocks are split by
+``canonical._split_pair``.  Nothing is kept per block or per eigenvector,
+so a spectrum holds 17 bytes per eigenpair plus O(m + n + k).  An
 :class:`EigPair` is made only when one is read from
-``SpectrumReport.eigpairs``: its two block coefficients (``_pair_vectors``)
-and any kernel column are computed then, and its dense tangent pair only
-when ``EigPair.vector`` is read.
+``SpectrumReport.eigpairs``: its grid, row, column and branch come from its
+emission position, and its family, indices and block entries, its two
+block coefficients (``_pair_vectors``) and any kernel column
+(``model.KernelFrame``) are computed then, each by the expression that gave
+its value; its dense tangent pair only when ``EigPair.vector`` is read.
+Each eigenvector is a pair of rank-one matrices whose factors are columns
+of the singular bases or of the kernel frame and rows of a coefficient
+table.
 """
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -107,58 +111,111 @@ class EigPair:
                            H=self.cr * np.outer(self.cH, self.vH))
 
 
-# Family codes: the family's name and the names of its two indices.
+# Family codes: the family's name, the letters of its two indices and the
+# kind of its blocks.  A letter says what its index names: i a singular pair
+# (u_i, v_i) of X, j and s a selected column, l a kernel direction (and,
+# second, the kernel column it turns), z a kernel column.
+_LEFT, _RIGHT, _PAIR = range(3)  # 1 x 1 over a left or a right direction, 2 x 2
 _FAMILIES = (
-    ("sigma_lambda_pair", "i", "j"),
-    ("sigma_omega_pair", "i", "l"),
-    ("left_kernel_lambda", "i", "j"),
-    ("left_kernel_omega", "i", "l"),
-    ("selected_cross_pair", "j", "s"),
-    ("zero_lambda_column", "j", "s"),
-    ("c0_cross_pair", "j", "l"),
-    ("right_kernel_selected", "j", "l"),
-    ("c0_dead_coord", "j", "l"),
-    ("right_kernel_null", "l", "s"),
-    ("right_kernel_null", "l", "z"),
+    ("sigma_lambda_pair", "i", "j", _PAIR),
+    ("sigma_omega_pair", "i", "l", _PAIR),
+    ("left_kernel_lambda", "i", "j", _LEFT),
+    ("left_kernel_omega", "i", "l", _LEFT),
+    ("selected_cross_pair", "j", "s", _PAIR),
+    ("zero_lambda_column", "j", "s", _LEFT),
+    ("c0_cross_pair", "j", "l", _PAIR),
+    ("right_kernel_selected", "j", "l", _RIGHT),
+    ("c0_dead_coord", "j", "l", _LEFT),
+    ("right_kernel_null", "l", "s", _RIGHT),
+    ("right_kernel_null", "l", "z", _RIGHT),
 )
 (_SIGMA_LAMBDA, _SIGMA_OMEGA, _LEFT_LAMBDA, _LEFT_OMEGA, _SELECTED_CROSS,
  _ZERO_LAMBDA, _C0_CROSS, _RIGHT_SELECTED, _C0_DEAD, _RIGHT_NULL_S,
  _RIGHT_NULL_Z) = range(len(_FAMILIES))
 
-# Block kinds: 1 x 1 over a left or a right direction, a 2 x 2 block, and a
-# 2 x 2 block whose determinant is exactly zero.
-_LEFT, _RIGHT, _PAIR, _ZERO_PAIR = range(4)
 
-# Fields of a block: kind, family, the two provenance indices, the column u
-# of X.U, the rows cg and ch of the coefficient table, the column v of the
-# right basis (X.V, then the kernel frame), 1 where the 1 x 1 or lower value
-# is zero by formula, and the entries [[p11, p12], [p12, p22]].  Index -1 (u, v) and the
-# table's last row (cg, ch) stand for a zero factor.
-_INDEX_FIELDS = ("kind", "family", "ia", "ib", "u", "cg", "ch", "v", "zero")
-_ENTRY_FIELDS = ("p11", "p12", "p22")
-# Field -> (table, row): table 0 holds the index fields, table 1 the entries.
-_FIELD_ROW = {key: (table, row)
-              for table, keys in enumerate((_INDEX_FIELDS, _ENTRY_FIELDS))
-              for row, key in enumerate(keys)}
+class _Grids:
+    """Where each eigenpair of one spectrum comes from, by its emission
+    position.
+
+    The blocks form four row-major grids, ``(start, rows, width, slots,
+    parts)`` each: its first emission position, the first index of each
+    row, the eigenpairs per row, the first slot of each column within a row (a
+    2 x 2 block takes two, lower branch first; a list, which bisection reads
+    about 4x faster than a range), and its parts, ``(ncols, family, second
+    index)`` over the columns in turn, the family code and the second index
+    each given per column.  The rest are the spectrum's small vectors: the selected indices, values and scales, gamma over the kernel
+    columns, and per slot t (selected column j at t = j, kernel direction l
+    at t = q + l) the squared norms of row t of S and of column t of W,
+    which are the diagonal entries of every block.  The coefficient table
+    has a row per slot and a zero last row.
+    """
+
+    def __init__(self, grids, X, idx, lam, d, g_n, s_sq, w_sq, coef, frame):
+        self.grids, self.starts = grids, [g[0] for g in grids]
+        self.X, self.g_n, self.coef, self.frame = X, g_n, coef, frame
+        self.idx, self.lam, self.d, self.s_sq, self.w_sq = (
+            v.tolist() for v in (idx, lam, d, s_sq, w_sq))
+        self.zm, self.zn = np.zeros(X.m), np.zeros(X.n)
+
+    def eigpair(self, p, value):
+        """The EigPair at emission position p, of the given value: the grid by
+        its start, the row by division and the column by a search over the
+        row's slots; then the block's indices, factors and entries, each entry
+        by the expression that gave the value."""
+        start, rows, width, slots, parts = self.grids[bisect_right(self.starts, p) - 1]
+        row, rem = divmod(p - start, width)
+        c = bisect_right(slots, rem) - 1
+        upper = rem > slots[c]
+        for ncols, family, second in parts:
+            if c < ncols:
+                break
+            c -= ncols
+        a, b = int(rows[row]), second[c]
+        name, na, nb, kind = _FAMILIES[family[c]]
+        prov = f"{name}({na}={a},{nb}={b})"
+        X, idx, coef, q = self.X, self.idx, self.coef, len(self.d)
+        g = b if nb in "js" else q + b  # the slot of the G half
+        h = g if na == "i" else a if na == "j" else q + a  # and of the H half
+        if kind == _RIGHT:
+            uG, cG = self.zm, coef[-1]
+        else:
+            uG, cG = X.U[:, a if na == "i" else idx[a]], coef[g]
+        if kind == _LEFT:
+            cH, vH = coef[-1], self.zn
+        else:
+            cH = coef[h]
+            vH = (X.V[:, a] if na == "i" else X.V[:, idx[b]] if nb == "s"
+                  else self.frame.column(b))
+        coupling = None
+        if kind == _PAIR:
+            prov += ",branch=+" if upper else ",branch=-"
+            d = self.d
+            p12 = (-float(X.sigma[a]) if na == "i" else self.lam[b] * (d[a] / d[b])
+                   if nb == "s" else float(self.g_n[b]) * d[a])
+            cl, cr = _pair_vectors(self.s_sq[g], p12, self.w_sq[h], value)
+            # cl underflows to +-0 far out on an orbit: IEEE x / +-0, which Python refuses
+            coupling = cr / cl if cl else cr * math.copysign(math.inf, cl)
+        else:
+            cl = float(kind == _LEFT)
+            cr = 1.0 - cl
+        return EigPair(value=value, cl=cl, uG=uG, cG=cG, cr=cr, cH=cH, vH=vH,
+                       provenance=prov, coupling=coupling)
 
 
 class _EigPairs(Sequence):
-    """The eigenpairs of one spectrum as aligned tables.
-
-    Per eigenpair: its ``value``, and as a column of ``ints`` its ``branch``
-    (-1 lower, +1 upper, 0 for 1 x 1), ``zero`` (1 where the value is zero
-    by formula) and ``block``, a column of the block tables ``index`` (the
-    rows of ``_INDEX_FIELDS``) and ``entry`` (p11, p12, p22).  Item i is an
-    :class:`EigPair` made on read: a 1 x 1 block's coefficients are 1 and 0,
-    a 2 x 2 block's come from ``_pair_vectors`` on its entries and value,
-    and the coupling is ``cr / cl``.  Slices return tuples of them.
+    """The eigenpairs of one spectrum: per item its ``value``, its ``zero``
+    mark (True where the value is zero by formula) and its emission position
+    (``pos``; None while the items are in emission order).  Item i is an
+    :class:`EigPair` decoded by ``_Grids.eigpair`` from its emission
+    position when it is read: a 1 x 1 block's coefficients are 1 and 0, a
+    2 x 2 block's come from ``_pair_vectors`` on its entries and value, and
+    the coupling is ``cr / cl``.  Slices return tuples of them.
     """
 
-    def __init__(self, values, ints, index, entry, bases):
-        values.flags.writeable = ints.flags.writeable = False
-        self._values, self._ints = values, ints
-        self._index, self._entry = index, entry
-        self._bases = bases  # (U, V, frame, coef, zero_m, zero_n)
+    def __init__(self, values, zero, pos, grids):
+        values.flags.writeable = zero.flags.writeable = False
+        self._values, self._zero, self._pos, self._grids = values, zero, pos, grids
 
     @property
     def values(self):
@@ -166,11 +223,11 @@ class _EigPairs(Sequence):
 
     @property
     def zero(self):
-        return self._ints[1] != 0
+        return self._zero
 
     def take(self, order):
-        return _EigPairs(self._values.take(order), self._ints.take(order, axis=1),
-                         self._index, self._entry, self._bases)
+        pos = order if self._pos is None else self._pos.take(order)
+        return _EigPairs(self._values.take(order), self._zero.take(order), pos, self._grids)
 
     def __len__(self):
         return self._values.size
@@ -182,26 +239,9 @@ class _EigPairs(Sequence):
     def __iter__(self):
         return map(self._pair, range(len(self)))
 
-    def _pair(self, j):
-        U, V, frame, coef, zm, zn = self._bases
-        value = float(self._values[j])
-        branch, _, blk = self._ints[:, j].tolist()
-        kind, family, ia, ib, u, cg, ch, v, _ = self._index[:, blk].tolist()
-        name, na, nb = _FAMILIES[family]
-        prov = f"{name}({na}={ia},{nb}={ib})"
-        coupling = None
-        if branch:
-            prov += ",branch=-" if branch < 0 else ",branch=+"
-            cl, cr = _pair_vectors(*self._entry[:, blk].tolist(), value)
-            # cl underflows to +-0 far out on an orbit: IEEE x / +-0, which Python refuses
-            coupling = cr / cl if cl else cr * math.copysign(math.inf, cl)
-        else:
-            cl = float(kind != _RIGHT)
-            cr = 1.0 - cl
-        n = V.shape[1]
-        vH = zn if v < 0 else V[:, v] if v < n else frame.column(v - n)
-        return EigPair(value=value, cl=cl, uG=U[:, u] if u >= 0 else zm,
-                       cG=coef[cg], cr=cr, cH=coef[ch], vH=vH, provenance=prov, coupling=coupling)
+    def _pair(self, i):
+        p = i if self._pos is None else int(self._pos[i])
+        return self._grids.eigpair(p, float(self._values[i]))
 
 
 @dataclass(frozen=True)
@@ -278,14 +318,14 @@ def _pair_vectors(p11, p12, p22, rho):
 def _canonical_eigpairs(cp, d=1.0):
     """All k (m + n) closed-form eigenpairs at the diagonal representative of
     cp whose selected columns carry the scales d (a scalar or q values),
-    unsorted: each loop nest of blocks in turn, row by row.
+    unsorted: each grid of blocks in turn, row by row.
 
     Far out on an orbit (d = 1e300 or 1e-200 at sigma_1 = 1) the block
     entries overflow or divide by an underflowed d^2; instead of NumPy
     warnings and NaN values this raises NumericalFailure when a value is not
-    finite or a 2 x 2 block's p12 is 0, an O(N) check on the finished
-    arrays.  That is what makes every eigenvector coefficient read later
-    finite.  A 2 x 2 block's entries are finite where its branches are, and
+    finite or a 2 x 2 block's p12 is 0, an O(N) check on the values and the
+    p12 of every 2 x 2 block.  That is what makes every eigenvector
+    coefficient read later finite.  A 2 x 2 block's entries are finite where its branches are, and
     so is each component of both forms of ``_pair_vectors``: p12, or a
     branch less p11 >= 0 or p22 >= 0, all bounded by p11 + p22 + 2 |p12|,
     from which the upper branch is computed.  Both forms carry p12, so the
@@ -316,106 +356,77 @@ def _canonical_eigpairs(cp, d=1.0):
         Y, Z = np.zeros((n - r, 0)), np.eye(k - q)
     frame = KernelFrame(X, Y)
     gtol = 1e-13 * (gamma[0] if gamma.size else 0.0)
-    omega = gamma**2
 
-    # Coefficient table: e_j is row j, kernel direction l (its coefficients
-    # over all k slots) is row k + l, and the last row is zero.
-    coef = np.zeros((2 * k - q + 1, k))
-    coef[:k] = np.eye(k)
-    coef[k:-1, q:] = Z.T
-    zero_row = coef.shape[0] - 1
-    jq, lk = np.arange(q), np.arange(k - q)
-    lam_w = np.float_power(lam, 2.0) / d2  # l_j^2 / d_j^2; pow() as in _pair_vectors
-    ln = np.arange(n - r)
+    # Coefficient table: a row per slot, e_j for selected column j and at
+    # q + l kernel direction l (its coefficients over all k columns), and a
+    # zero last row.
+    coef = np.zeros((k + 1, k))
+    coef[:q, :q] = np.eye(q)
+    coef[q:k, q:] = Z.T
     g_n = np.zeros(n - r)  # gamma over the kernel columns, 0 past k - q
     g_n[: min(k - q, n - r)] = gamma[: n - r]
     live = g_n > gtol  # kernel columns coupled to the selected ones through C0
     dead = np.flatnonzero(gamma <= gtol)
     pos = lam > 0
-    jcol, idx_col, ur, um = jq[:, None], idx[:, None], us_r[:, None], us_m[:, None]
-    klk = k + lk  # rows of the kernel directions in the coefficient table
-
-    # Each family's blocks form a row-major grid whose rows run through the
-    # columns of every part in turn: (nrows, common fields, (ncols, fields)
-    # per part).  Fields broadcast to (nrows, ncols); a part's fields take
-    # precedence over the common ones.
+    # Per slot, the squared norms of that row of S (l_j^2 / d_j^2 with pow()
+    # as in _pair_vectors, or gamma_l^2) and of that column of W.
+    s_sq = np.concatenate((np.float_power(lam, 2.0) / d2, gamma**2))
+    w_sq = np.concatenate((d2, np.zeros(k - q)))
+    # The columns of the third grid, which are 2 x 2 (two) or right 1 x 1.
+    two = np.concatenate((pos, live, np.zeros(dead.size, dtype=bool)))
+    right = np.concatenate((np.zeros(q, dtype=bool), ~live, np.zeros(dead.size, dtype=bool)))
+    counts = two + 1
+    slots, width = np.cumsum(counts) - counts, int(counts.sum())
+    s_pos = np.flatnonzero(pos)
+    null_width = s_pos.size + n - r
     grids = [
-        # Unselected positive singular values against every column of W / row of S.
-        (us_r.size, dict(kind=_PAIR, ia=ur, u=ur, v=ur, p12=-X.sigma[ur]),
-         (q, dict(family=_SIGMA_LAMBDA, ib=jq, p11=lam_w, p22=d2, cg=jq, ch=jq,
-                  zero=np.abs(X.sigma[ur] - lam) <= _tie_tol(X))),
-         (k - q, dict(family=_SIGMA_OMEGA, ib=lk, p11=omega, cg=klk, ch=klk))),
+        # Unselected positive singular values against every slot.
+        (us_r, 2 * k, list(range(0, 2 * k, 2)),
+         ((q, [_SIGMA_LAMBDA] * q, range(q)), (k - q, [_SIGMA_OMEGA] * (k - q), range(k - q)))),
         # Left kernel rows (sigma_i = 0) only feel S S^T.
-        (us_m.size, dict(kind=_LEFT, ia=um, u=um),
-         (q, dict(family=_LEFT_LAMBDA, ib=jq, p11=lam_w, cg=jq, zero=~pos)),
-         (k - q, dict(family=_LEFT_OMEGA, ib=lk, p11=omega, cg=klk, zero=gamma <= gtol))),
-        # Selected columns coupled with selected rows and with the C0 block.
-        (q, dict(ia=jcol, u=idx_col, p22=d2[:, None]),
-         (q, dict(kind=np.where(pos, _ZERO_PAIR, _LEFT),
-                  family=np.where(pos, _SELECTED_CROSS, _ZERO_LAMBDA), ib=jq,
-                  p11=lam_w, p12=lam * (d[:, None] / d), cg=jq,
-                  ch=np.where(pos, jcol, zero_row), v=np.where(pos, idx, -1), zero=True)),
-         (n - r, dict(kind=np.where(live, _ZERO_PAIR, _RIGHT),
-                      family=np.where(live, _C0_CROSS, _RIGHT_SELECTED), ib=ln,
-                      p11=g_n**2, p12=g_n * d[:, None], u=np.where(live, idx_col, -1),
-                      cg=np.where(live, k + ln, zero_row), ch=jcol, v=n + ln, zero=live)),
-         (dead.size, dict(kind=_LEFT, family=_C0_DEAD, ib=dead, cg=k + dead, zero=True))),
+        (us_m, k, list(range(k)),
+         ((q, [_LEFT_LAMBDA] * q, range(q)), (k - q, [_LEFT_OMEGA] * (k - q), range(k - q)))),
+        # Selected column j against the selected rows (2 x 2 where l_s > 0),
+        # the kernel columns (2 x 2 where live) and the dead coordinates.
+        (range(q), width, slots.tolist(),
+         ((q, np.where(pos, _SELECTED_CROSS, _ZERO_LAMBDA).tolist(), range(q)),
+          (n - r, np.where(live, _C0_CROSS, _RIGHT_SELECTED).tolist(), range(n - r)),
+          (dead.size, [_C0_DEAD] * dead.size, dead.tolist()))),
         # Rows of S carried by the zero columns of W never feel the Hessian.
-        (k - q, dict(kind=_RIGHT, ia=lk[:, None], ch=klk[:, None], zero=True),
-         (int(np.count_nonzero(pos)), dict(family=_RIGHT_NULL_S, ib=jq[pos], v=idx[pos])),
-         (n - r, dict(family=_RIGHT_NULL_Z, ib=ln, v=n + ln))),
+        (range(k - q), null_width, list(range(null_width)),
+         ((s_pos.size, [_RIGHT_NULL_S] * s_pos.size, s_pos.tolist()),
+          (n - r, [_RIGHT_NULL_Z] * (n - r), range(n - r)))),
     ]
+    a0, a1, a2, a3, a4 = starts = list(accumulate(
+        (len(rows) * w for rows, w, _, _ in grids), initial=0))
+    assert a4 == k * (m + n), (a4, k * (m + n))
 
-    # The block table: one row per index field and one per entry, one column
-    # per block, in grid order.  Every grid writes kind, family, ia and ib;
-    # the factor fields start as zero factors and the entries as 0.
-    widths = [sum(ncols for ncols, _ in parts) for _, _, *parts in grids]
-    nblk = sum(g[0] * w for g, w in zip(grids, widths))
-    index = np.empty((len(_INDEX_FIELDS), nblk), dtype=np.intp)
-    index[4:] = ((-1,), (zero_row,), (zero_row,), (-1,), (0,))  # u, cg, ch, v, zero
-    entry = np.zeros((len(_ENTRY_FIELDS), nblk))
-    start = 0
-    for (nrows, common, *parts), width in zip(grids, widths):
-        size = nrows * width
-        if not size:
-            continue
-        tables = (index[:, start:start + size].reshape(-1, nrows, width),
-                  entry[:, start:start + size].reshape(-1, nrows, width))
-        start += size
-        cuts, col = [(slice(None), common)], 0
-        for ncols, fields in parts:
-            if ncols:
-                cuts.append((slice(col, col + ncols), fields))
-            col += ncols
-        for cut, fields in cuts:
-            for key, val in fields.items():
-                table, row = _FIELD_ROW[key]
-                tables[table][row, :, cut] = val
+    # The values and zero marks, grid by grid in emission order: a 2 x 2
+    # block's lower branch, then its upper one.
+    values, zero = np.empty(a4), np.zeros(a4, dtype=bool)
+    p12_sigma = -X.sigma[us_r]
+    hi, lo = _split_pair(s_sq, p12_sigma[:, None], w_sq)
+    block = values[a0:a1].reshape(us_r.size, k, 2)
+    block[..., 0], block[..., 1] = lo, hi
+    zero[a0:a1].reshape(us_r.size, k, 2)[:, :q, 0] = (
+        np.abs(X.sigma[us_r, None] - lam) <= _tie_tol(X))
+    values[a1:a2].reshape(us_m.size, k)[:] = s_sq
+    zero[a1:a2].reshape(us_m.size, k)[:] = np.concatenate((~pos, gamma <= gtol))
+    p11 = np.concatenate((s_sq[:q], g_n**2, np.zeros(dead.size)))
+    block = values[a2:a3].reshape(q, width)
+    block[:, slots] = np.where(right, d2[:, None], np.where(two, 0.0, p11))
+    block[:, slots[two] + 1] = p11[two] + d2[:, None]
+    zero[a2:a3].reshape(q, width)[:, slots] = ~right
+    values[a3:a4], zero[a3:a4] = 0.0, True
 
-    # Block values: (lower, upper) branch, or the 1 x 1 value twice.
-    kind, (p11, p12, p22) = index[0], entry
-    lo = np.where(kind == _RIGHT, p22, p11)
-    hi = lo.copy()
-    split, zdet = kind == _PAIR, kind == _ZERO_PAIR
-    hi[split], lo[split] = _split_pair(p11[split], p12[split], p22[split])
-    hi[zdet], lo[zdet] = p11[zdet] + p22[zdet], 0.0
-
-    # One eigenpair per 1 x 1 block, the lower then the upper branch per 2 x 2.
-    two = kind >= _PAIR
-    blk = np.repeat(np.arange(nblk), two + 1)
-    assert blk.size == k * (m + n), (blk.size, k * (m + n))
-    upper = np.zeros(blk.size, dtype=bool)
-    upper[1:] = blk[1:] == blk[:-1]
-    mix = two[blk]
-    ints = np.empty((3, blk.size), dtype=np.intp)  # branch, zero, block
-    ints[0] = np.where(mix, np.where(upper, 1, -1), 0)
-    np.multiply(index[-1].take(blk), ~upper, out=ints[1])  # a zero is a 1 x 1 or lower value
-    ints[2] = blk
-    value = np.where(upper, hi[blk], lo[blk])
-    # p12 / p12 is NaN where p12 has underflowed to 0: no eigenvector form
-    # of that block is sure to be nonzero (see above).
-    _check_finite("spectrum", d, value, p12[two] / p12[two])
-    return _EigPairs(value, ints, index, entry, (X.U, X.V, frame, coef, np.zeros(m), np.zeros(n)))
+    # The couplings p12 of the 2 x 2 blocks: p12 / p12 is NaN where p12 has
+    # underflowed to 0, and then no eigenvector form of that block is sure
+    # to be nonzero (see above).
+    p12 = (p12_sigma, lam[pos] * (d[:, None] / d[pos]), g_n[live] * d[:, None])
+    _check_finite("spectrum", d, values, *(c / c for c in p12))
+    grids = _Grids([(a, *grid) for a, grid in zip(starts, grids)],
+                   X, idx, lam, d, g_n, s_sq, w_sq, coef, frame)
+    return _EigPairs(values, zero, None, grids)
 
 
 def spectrum_zero_family(X, C0, k):

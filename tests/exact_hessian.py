@@ -14,15 +14,21 @@ count is independent of the closed forms and of the float oracle alike.
   signs counts them exactly: the nullity is the index of the lowest nonzero
   coefficient, the positive roots are the sign changes of p(t) and the
   negative ones those of p(-t).
+- ``roots_below`` compares the roots with any rational b the same way: the
+  roots of p below b are the negative roots of p(t + b) (``shifted``), and
+  the multiplicity of b is the index of its lowest nonzero coefficient.
 
 The exact points come from Hadamard frames, which are exact in float64 too:
 X = H4 diag(3, 2, 2, 1) [H4 (+) 1][:, :4]^T is 4 x 5, with
 H4 = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]] / 2.
 Scaled by c = 2^e, c X stays exact, and so does its canonical point
-(W, S) = (U_sel, c diag(sigma_sel) V_sel^T) at orbit scale 1.
+(W, S) = (U_sel, c diag(sigma_sel) V_sel^T) at orbit scale 1.  With other
+singular values that are perfect squares, the balanced point
+(U_sel sqrt(L), [sqrt(L) V_sel^T; 0]) is rational too.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 H4 = [[Fraction(x, 2) for x in row]
       for row in ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))]
@@ -40,9 +46,9 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def hadamard_x(c=1):
-    """c X, 4 x 5, as rows of Fractions."""
-    US = [[u * (c * s) for u, s in zip(row, SIGMA)] for row in U]
+def hadamard_x(c=1, sigma=SIGMA):
+    """c X, 4 x 5, as rows of Fractions; X has the singular values sigma."""
+    US = [[u * (c * s) for u, s in zip(row, sigma)] for row in U]
     return matmul(US, transpose([row[:4] for row in V]))
 
 
@@ -51,6 +57,18 @@ def canonical_point(sel, c=1):
     0-based selection sel of c X at orbit scale 1, with k = len(sel)."""
     W = [[row[i] for i in sel] for row in U]
     S = [[c * SIGMA[i] * V[j][i] for j in range(len(V))] for i in sel]
+    return W, S
+
+
+def balanced_point(sel, k, sigma):
+    """(W, S) = ([U_sel sqrt(L), 0], [sqrt(L) V_sel^T; 0]), the balanced point
+    of the 0-based selection sel of hadamard_x(1, sigma) with k columns;
+    every selected value must be a perfect square."""
+    root = [isqrt(sigma[i]) for i in sel]
+    assert all(x * x == sigma[i] for x, i in zip(root, sel)), (sel, sigma)
+    W = [[row[i] * x for i, x in zip(sel, root)] + [Fraction(0)] * (k - len(sel)) for row in U]
+    S = ([[x * V[j][i] for j in range(len(V))] for i, x in zip(sel, root)]
+         + [[Fraction(0)] * len(V) for _ in range(k - len(sel))])
     return W, S
 
 
@@ -127,12 +145,32 @@ def _sign_changes(coefs):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def shifted(p, b):
+    """Coefficients of p(t + b), highest degree first like p's, by repeated
+    synthetic division (Taylor shift)."""
+    q = list(p)
+    for i in range(len(q) - 1, 0, -1):
+        for j in range(1, i + 1):
+            q[j] += b * q[j - 1]
+    return q
+
+
+def roots_below(p, b):
+    """(the number of roots of p below b, the multiplicity of b as a root),
+    for p with only real roots, such as a characteristic polynomial of a
+    symmetric matrix: the negative roots of p(t + b) by Descartes' rule, and
+    the index of its lowest nonzero coefficient."""
+    q = shifted(p, b)
+    N = len(q) - 1
+    mult = next(i for i, c in enumerate(reversed(q)) if c != 0)
+    return _sign_changes([c if (N - i) % 2 == 0 else -c for i, c in enumerate(q)]), mult
+
+
 def inertia(M):
     """(n_pos, n_neg, n_zero) of the symmetric rational matrix M, exactly."""
     p = charpoly(M)
     N = len(p) - 1
-    zero = next(i for i, c in enumerate(reversed(p)) if c != 0)
+    neg, zero = roots_below(p, 0)
     pos = _sign_changes(p)
-    neg = _sign_changes([c if (N - i) % 2 == 0 else -c for i, c in enumerate(p)])
     assert pos + neg + zero == N, (pos, neg, zero, N)
     return pos, neg, zero

@@ -10,7 +10,6 @@ from mfland import (
     gradient_norm,
     hessian_apply,
     inner,
-    is_critical,
     load_data_matrix,
     second_derivative,
 )
@@ -75,10 +74,9 @@ def test_hessian_apply_linear():
 
 def test_critical_at_canonical_not_at_random():
     X, p, _, _ = _random_problem(5)
-    assert not is_critical(X, p)
+    assert gradient_norm(X, p) > 1e-10 * X.tol_scale
     cp = build_canonical(X, Selection((0, 2)), 2)
     q = cp.materialize()
-    assert is_critical(X, q)
     assert gradient_norm(X, q) < 1e-12 * X.tol_scale
 
 

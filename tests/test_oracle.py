@@ -120,12 +120,13 @@ def test_inertia_at_nullity_drops_the_smallest_magnitudes():
 
 
 def test_inertia_count_has_one_home():
-    """The oracle counts inertia at a zero floor with the model's function,
-    which it re-exports; the CLI and verify count at a nullity known from
-    structure with the model's other one.  The closed-form spectra count
-    their own zeros, which are zero by formula."""
-    from mfland import cli, model, verify
-    assert oracle.inertia_from_values is model.inertia_from_values
+    """inertia_of counts inertia at a zero floor with the model's function,
+    which the oracle does not re-export; the CLI and verify count at a
+    nullity known from structure with the model's other one.  The
+    closed-form spectra count their own zeros, which are zero by formula."""
+    from mfland import cli, model, orbit, verify
+    assert orbit.inertia_from_values is model.inertia_from_values
+    assert not hasattr(oracle, "inertia_from_values")
     assert cli.inertia_at_nullity is verify.inertia_at_nullity is model.inertia_at_nullity
 
 

@@ -288,6 +288,29 @@ def test_spectrum_memory_is_linear_in_N():
         assert _residual(cp.X, rep.point, e) <= 1e-9
 
 
+@pytest.mark.parametrize("family", ["full-rank", "deficient", "zero"])
+def test_a_sorted_spectrum_holds_at_most_40_bytes_per_eigenpair(family):
+    """N = 5000 on _large_point()'s X: once built and sorted, a spectrum
+    keeps its values, zero marks and sort order and its grids' small
+    vectors, at most 40 N bytes as tracemalloc counts them.  Block and
+    eigenpair tables held about 91 N."""
+    cp = _large_point()
+    X, rng = cp.X, np.random.default_rng(1)
+    cp, d = {"full-rank": (build_canonical(X, Selection(tuple(range(9)) + (10,)), 10), 1.5),
+             "deficient": (cp, 1.0),
+             "zero": (zero_family_point(X, rng.standard_normal((100, 10)), 10), 1.0)}[family]
+    _report(_canonical_eigpairs(cp, d), None)  # anything cached on first use
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = _report(_canonical_eigpairs(cp, d), None)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rep.eigpairs) == 5000
+    assert held <= 40 * 5000, f"{held / 5000:.1f} bytes per eigenpair"
+
+
 @pytest.mark.parametrize("kind", ["rank-deficient", "tall", "generic"])
 def test_a_small_singular_value_of_C0_keeps_its_kernel_column_live(kind):
     """C0 with singular values gamma_1 and 1e-6 gamma_1 in a random frame:
