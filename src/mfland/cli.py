@@ -16,12 +16,12 @@ from dataclasses import fields
 import numpy as np
 
 from .canonical import CanonicalPoint, Selection, _check_finite, check_scale, classify_canonical
-from .errors import InvalidInput, MflandError
+from .errors import InvalidInput, MflandError, NumericalFailure
 from .flow import classify_limit, integrate_flow, random_balanced_pair, random_pair
-from .model import (_open_text, inertia_at_nullity, load_data_matrix, read_matrix_csv,
-                    write_matrix_csv)
+from .model import _open_text, load_data_matrix, read_matrix_csv, write_matrix_csv
 from .oracle import block_spectrum
-from .orbit import GroupElement, apply_group_action, induced_norm, transported_lambda_min_bound
+from .orbit import (GroupElement, apply_group_action, induced_norm, inertia_of,
+                    transported_lambda_min_bound)
 from .spectrum import (spectrum_balanced, spectrum_deficient_rank, spectrum_full_rank_scaled,
                        spectrum_zero_family)
 
@@ -198,8 +198,14 @@ def _cmd_orbit(args):
     # The orbit has the inertia of cp, whose z zeros are zero by formula: they
     # are the moved point's z smallest |values|, and hold lambda_min at a minimum.
     inertia = _canonical_spectrum(cp)[0].inertia
-    evs = block_spectrum(X, apply_group_action(cp.materialize(), g))
-    moved = inertia_at_nullity(evs, inertia[2])
+    p = apply_group_action(cp.materialize(), g)
+    moved = inertia_of(X, p, nullity=inertia[2])
+    lam = 0.0
+    if moved[1]:
+        lam = float(block_spectrum(X, p)[0])
+        if lam >= 0:
+            raise NumericalFailure(f"lambda_min_transported = {lam:.3g} in float64, but the "
+                                   f"moved point has {moved[1]} negative Hessian eigenvalue(s)")
     lam_base = res.lambda_min_closed_form if res.kind == "StrictSaddle" else 0.0
     return {
         "k": k,
@@ -209,7 +215,7 @@ def _cmd_orbit(args):
         "cond_A": g.cond(),
         "lambda_min_base": lam_base,
         "transported_bound": transported_lambda_min_bound(lam_base, g),
-        "lambda_min_transported": float(evs[0]) if moved[1] else 0.0,
+        "lambda_min_transported": lam,
         "inertia_base": list(inertia),
         "inertia_transported": list(moved),
     }

@@ -242,10 +242,7 @@ def inertia_from_values(evals, tol):
     pass check_zero_tol."""
     check_zero_tol(tol)
     evals = np.asarray(evals, dtype=float)
-    n_zero = int(np.count_nonzero(np.abs(evals) <= tol))
-    n_pos = int(np.count_nonzero(evals > tol))
-    n_neg = int(np.count_nonzero(evals < -tol))
-    return (n_pos, n_neg, n_zero)
+    return inertia_at_nullity(evals, int(np.count_nonzero(np.abs(evals) <= tol)))
 
 
 def inertia_at_nullity(evals, z):

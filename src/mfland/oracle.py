@@ -16,6 +16,8 @@ the spectrum from one build of blocks instead, which are small at a critical
 point, so neither is capped at N, only at its core; ``numeric_spectrum``
 keeps each block's eigenvectors and lifts one into flatten_tangent's
 coordinates only when it is read (``BlockEigenvectors``).
+``equilibrated_values`` scales the same blocks by a diagonal congruence, for
+inertia counts (``orbit.inertia_of``).
 At every point the Hessian form is ||dW S + W dS||^2 + 2 <E, dW dS>,
 E = W S - X.  In X's singular basis, with the kernel of X turned so that S
 meets at most k of its columns, a row i of G and a column j of H interact
@@ -244,6 +246,32 @@ def _blocks(X, p):
                    SST=SST, WTW=WTW, turn=turn)
 
 
+def _stacks(b):
+    """The block stacks of b, each with the number of times its values
+    repeat: the core, the 2k x 2k pairs, S S^T per left row and W^T W per
+    right column."""
+    return ((b.core, 1), (b.pairs, 1), (b.SST, b.left.size), (b.WTW, b.right.size))
+
+
+def _stack_values(stacks):
+    """eigvalsh of each stack, repeated and concatenated in stack order."""
+    return np.concatenate([np.tile(np.linalg.eigvalsh(M).ravel(), reps) for M, reps in stacks])
+
+
+def _jacobi(M):
+    """D M D for each block M of a stack, D = |diag M|^{-1/2} (1 where the
+    diagonal is 0): a congruence, so (Sylvester) each block keeps its
+    inertia, with the grading of its diagonal taken out.  A diagonal entry
+    below 1e-300 of its block's largest |entry| is scaled as if it were that,
+    so no entry passes 1e300 (at W = S = 1e-160 ones, a ratio of 1e320)."""
+    diag = np.abs(np.einsum("...ii->...i", M))
+    top = np.abs(M).max(axis=(-2, -1), initial=0.0)[..., None]
+    d = 1.0 / np.sqrt(np.where(diag > 0, np.maximum(diag, 1e-300 * top), 1.0))
+    out = M * d[..., :, None]
+    out *= d[..., None, :]  # in place: a second temporary stack costs more than the product
+    return out
+
+
 def block_spectrum(X, p):
     """All k (m + n) Hessian eigenvalues at p, ascending, from the exact
     blocks of _blocks: eigvalsh of the core, one batched eigvalsh of the
@@ -251,14 +279,23 @@ def block_spectrum(X, p):
     critical point the blocks are small and no N x N matrix is formed.
     """
     check_pair(X, p)
-    b = _blocks(X, p)
-    vals = np.concatenate([
-        np.linalg.eigvalsh(b.core), np.linalg.eigvalsh(b.pairs).ravel(),
-        np.tile(np.linalg.eigvalsh(b.SST), b.left.size),
-        np.tile(np.linalg.eigvalsh(b.WTW), b.right.size)])
+    vals = _stack_values(_stacks(_blocks(X, p)))
     assert vals.size == p.k * (X.m + X.n), (vals.size, p.k * (X.m + X.n))
     vals.sort()
     return vals
+
+
+def equilibrated_values(X, p):
+    """k (m + n) values with the inertia of the Hessian at p, unsorted: as
+    block_spectrum, but of D B D for each block B of _blocks, D =
+    |diag B|^{-1/2}.  Sylvester's law keeps each block's inertia, and taking
+    out the diagonal's grading (far along an orbit, at sigma_1 far from 1,
+    under an ill-conditioned A) keeps eigvalsh's rounding, a fraction of a
+    block's largest |value|, from flipping the signs of genuine small values
+    (Demmel and Veselic 1992).  The values themselves are not the Hessian's.
+    """
+    check_pair(X, p)
+    return _stack_values([(_jacobi(M), reps) for M, reps in _stacks(_blocks(X, p))])
 
 
 def numeric_spectrum(X, p):
@@ -274,9 +311,9 @@ def numeric_spectrum(X, p):
     """
     check_pair(X, p)
     b = _blocks(X, p)
-    eighs = [np.linalg.eigh(M) for M in (b.core, b.pairs, b.SST, b.WTW)]
-    (cv, _), (pv, _), (sv, _), (wv, _) = eighs
-    vals = np.concatenate([cv, pv.ravel(), np.tile(sv, b.left.size), np.tile(wv, b.right.size)])
+    stacks = _stacks(b)
+    eighs = [np.linalg.eigh(M) for M, _ in stacks]
+    vals = np.concatenate([np.tile(w.ravel(), reps) for (w, _), (_, reps) in zip(eighs, stacks)])
     order = np.argsort(vals, kind="stable")
     return vals[order], BlockEigenvectors(X, b, eighs, order)
 

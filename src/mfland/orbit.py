@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, InvalidSelection, SingularGroupElement
-from .model import _as_matrix, _freeze, check_zero_tol, inertia_from_values
+from .model import (_as_matrix, _freeze, check_zero_tol, inertia_at_nullity,
+                    inertia_from_values)
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,7 @@ class GroupElement:
             )
         A_inv = np.linalg.solve(A, np.eye(A.shape[0]))
         g = cls(A=_freeze(A.copy()), A_inv=_freeze(A_inv))
+        object.__setattr__(g, "_sv", sv)  # seeds the cached _sv: the same SVD of the same A
         cond = sv[0] / sv[-1]
         err = np.linalg.norm(A @ A_inv - np.eye(A.shape[0]))
         if err > 1e-10 * cond:
@@ -104,22 +106,29 @@ def balance_residual(p):
     return float(np.linalg.norm(p.W.T @ p.W - p.S @ p.S.T))
 
 
-def inertia_of(X, p, zero_tol=None):
+def inertia_of(X, p, zero_tol=None, nullity=None):
     """Inertia (n_pos, n_neg, n_zero) of the Hessian at p, counted on
-    ``oracle.block_spectrum`` with |value| <= zero_tol as zero.
+    ``oracle.equilibrated_values``, which have the Hessian's inertia
+    without its grading.
 
-    A zero_tol of None counts |value| <= 1e-8 * max(sigma_1, |largest value|)
-    as zero, a floor that swallows genuine values spread over many scales
-    (``model.inertia_at_nullity`` counts at a known nullity instead); any other
-    must pass check_zero_tol, which is checked before any block is built."""
-    from .oracle import block_spectrum
+    With nullity z, known from structure, the z smallest |values| are the
+    zeros and the rest count by sign (``model.inertia_at_nullity``).
+    Otherwise |value| <= zero_tol counts as zero, zero_tol applying to the
+    equilibrated values; None stands for 1e-12 times their largest |value|,
+    a floor free of units.  zero_tol must pass check_zero_tol, and giving
+    both is InvalidInput, each checked before any block is built."""
+    from .oracle import equilibrated_values
 
     if zero_tol is not None:
+        if nullity is not None:
+            raise InvalidInput("inertia_of takes zero_tol or nullity, not both")
         check_zero_tol(zero_tol)
-    evals = block_spectrum(X, p)
+    vals = equilibrated_values(X, p)
+    if nullity is not None:
+        return inertia_at_nullity(vals, nullity)
     if zero_tol is None:
-        zero_tol = 1e-8 * max(float(X.sigma[0]), float(np.max(np.abs(evals))))
-    return inertia_from_values(evals, zero_tol)
+        zero_tol = 1e-12 * float(np.abs(vals).max())
+    return inertia_from_values(vals, zero_tol)
 
 
 def intersect_M0(cp):

@@ -27,7 +27,7 @@ from . import (
     gradient_norm,
     hessian_apply,
     induced_norm,
-    inertia_at_nullity,
+    inertia_of,
     integrate_flow,
     intersect_M0,
     lambda_min_closed_form,
@@ -234,10 +234,11 @@ def check_congruence_inertia(X, seed):
     Hq = dense_hessian(X, pg).matrix
     M = action_matrix(g.inverse(), X.m, X.n)
     cong = float(np.linalg.norm(Hq - M.T @ Hp @ M) / max(1.0, np.linalg.norm(Hq)))
-    # both counted at the nullity of cp's closed form, whose zeros are zero by formula
-    z = (spectrum_deficient_rank(cp) if k > 1 else spectrum_full_rank_scaled(X, cp.selection)
-         ).inertia[2]
-    same = inertia_at_nullity(block_spectrum(X, p), z) == inertia_at_nullity(block_spectrum(X, pg), z)
+    # both counted at the nullity of cp's closed form, whose zeros are zero by
+    # formula, and checked against its inertia
+    want = (spectrum_deficient_rank(cp) if k > 1 else spectrum_full_rank_scaled(X, cp.selection)
+            ).inertia
+    same = inertia_of(X, p, nullity=want[2]) == inertia_of(X, pg, nullity=want[2]) == want
     # the orbit of pg has a canonical point, with the selected values of cp
     back, _ = reduce_to_canonical(X, pg)
     canon = (float(np.max(np.abs(np.sort(back.lambdas) - np.sort(cp.lambdas))))

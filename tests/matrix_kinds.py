@@ -1,10 +1,12 @@
 """The one home of the test inputs: the two worked matrices, Gaussian X,
 small data matrices of every kind the package must handle, and X of a fixed
-spectrum in Haar-random frames."""
+spectrum in Haar-random frames; and the closed-form inertia of a canonical
+point, which every oracle count is held to."""
 
 import numpy as np
 
-from mfland import load_data_matrix
+from mfland import (CanonicalPoint, Selection, load_data_matrix, spectrum_deficient_rank,
+                    spectrum_full_rank_scaled, spectrum_zero_family)
 
 X21 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
 X321 = load_data_matrix(np.diag([3.0, 2.0, 1.0]) @ np.eye(3, 4))
@@ -43,3 +45,12 @@ def matrix_of_kind(kind, rng):
     if kind == "square":
         return rng.standard_normal((4, 4))
     return rng.standard_normal((4, 6))
+
+
+def canonical_inertia(X, sel, k, C0):
+    """The closed-form inertia at the scale-1 canonical point of sel, C0."""
+    if not sel:
+        return spectrum_zero_family(X, C0, k).inertia
+    if len(sel) == k:
+        return spectrum_full_rank_scaled(X, Selection(sel)).inertia
+    return spectrum_deficient_rank(CanonicalPoint(X, Selection(sel), k, C0)).inertia

@@ -13,7 +13,8 @@ from matrix_kinds import X21, X321, matrix_of_kind
 
 X46 = np.random.default_rng(0).standard_normal((4, 6))
 # The matrices the CLI tests read, by the name that stands for their CSV path.
-INPUTS = {"x": X21.X, "x46": X46, "huge": 1e200 * X46, "tiny": 1e-150 * X321.X,
+INPUTS = {"x": X21.X, "x46": X46, "x35": np.random.default_rng(0).standard_normal((3, 5)),
+          "huge": 1e200 * X46, "tiny": 1e-150 * X321.X,
           "tiny_row": np.array([[1e-150, 0.0]]), "c0": 1.0, "c0nan": np.nan}
 
 
@@ -150,6 +151,17 @@ def test_orbit_inertia_of_a_strict_saddle_is_exact_at_every_scale(capsys, tmp_pa
     assert doc["lambda_min_base"] < 0 and doc["lambda_min_transported"] < 0
 
 
+def test_orbit_counts_the_inertia_at_an_extreme_scale(capsys, x_csv):
+    """At X21, --select 1 moved by 1e150 I has W^T W = 1e300 and S S^T =
+    4e-300, and eigvalsh returns the pair block's genuine 3e-300 as 0.0,
+    whose sign a count of the plain values cannot take; the equilibrated
+    block keeps it, and the orbit keeps its inertia."""
+    code, out, _ = _run(capsys, "orbit", "--x", x_csv, "--k", "1", "--select", "1",
+                        "--scale", "1e150")
+    doc = json.loads(out)
+    assert code == 0 and doc["inertia_transported"] == doc["inertia_base"] == [4, 0, 1]
+
+
 @pytest.mark.parametrize("M, argv", [
     (np.diag([2.0, 2.0, 1.0]) @ np.eye(3, 5), "--k 1 --select 1 --scale 1e8"),
     (np.random.default_rng(5).standard_normal((7, 4)), "--k 2 --select 1,2 --scale 1e-3"),
@@ -272,10 +284,10 @@ def test_rank_tol_is_passed_only_when_given(capsys, x_csv, monkeypatch, argv,
     assert (code, err) == (2, "error: rank_tol must lie in (0, 1), got 2.0\n")
 
 
-def test_orbit_takes_two_svds_of_A(capsys, x46_csv, tmp_path, monkeypatch):
-    """One in GroupElement.from_matrix's singularity check and one kept on
-    the element, which cond_A, induced_norm, the transported bound and the
-    transported zero tolerance all read."""
+def test_orbit_takes_one_svd_of_A(capsys, x46_csv, tmp_path, monkeypatch):
+    """GroupElement.from_matrix's singularity check takes it and keeps it on
+    the element, where cond_A, induced_norm and the transported bound read
+    it, so no read takes a second one."""
     A = np.array([[1.2, 0.3], [-0.1, 0.9]])
     a_csv = tmp_path / "a.csv"
     np.savetxt(a_csv, A, delimiter=",")
@@ -289,7 +301,7 @@ def test_orbit_takes_two_svds_of_A(capsys, x46_csv, tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", svd)
     code, _, _ = _run(capsys, "orbit", "--x", x46_csv, "--k", "2", "--select", "1,3",
                       "--a", str(a_csv))
-    assert (code, len(svds_of_A)) == (0, 2)
+    assert (code, len(svds_of_A)) == (0, 1)
 
 
 def test_verify_passes(capsys):
@@ -366,10 +378,11 @@ REFUSALS = [
      "the Hessian is not finite in float64: max |W| = 9.32e+299, max |S| = 2.59e-300"),
     ("orbit --x {x46} --k 2 --select 1,3 --scale 1e-200",
      "the Hessian is not finite in float64: max |W| = 9.32e-201, max |S| = 2.59e+200"),
-    # W^T W = 1e300 and S S^T = 4e-300: eigvalsh returns the pair block's
-    # genuine 3e-300 as 0.0, whose sign a count cannot take
-    ("orbit --x {x} --k 1 --select 1 --scale 1e150",
-     "1 Hessian eigenvalue(s) past the nullity 1 are 0.0 in float64: their signs are lost"),
+    # the count finds the saddle's negative value, which eigvalsh of the plain
+    # pair block returns as 0.0
+    ("orbit --x {x35} --k 1 --select 2 --scale 1e150",
+     "lambda_min_transported = 0 in float64, but the moved point has 1 negative Hessian "
+     "eigenvalue(s)"),
     ("flow --x {x} --k 1 --t-max=nan", "t_max must be positive and finite, got nan"),
     ("flow --x {x} --k 1 --t-max=inf", "t_max must be positive and finite, got inf"),
     ("flow --x {x} --k 1 --grad-tol=-1e-9", "grad_tol must be nonnegative, got -1e-09"),

@@ -108,21 +108,33 @@ def test_no_import_cycle_between_canonical_spectrum_and_orbit():
             assert not used, f"{name}:{line} imports {sorted(used)}"
 
 
+def _unit_floors(name, attrs=("tol_scale",)):
+    """Every line of mfland/<name> that reads one of attrs or floors a
+    quantity at max(1, .), with what it does."""
+    tree = ast.parse((SRC / "mfland" / name).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in attrs:
+            yield f"{name}:{node.lineno} reads {node.attr}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "max" and node.args
+                and isinstance(node.args[0], ast.Constant) and node.args[0].value == 1):
+            yield f"{name}:{node.lineno} floors at max(1, .)"
+
+
 def test_closed_form_modules_have_no_unit_floor():
     """A check that depends on the units of X is a bug: canonical and
     spectrum never read X.tol_scale (max(1, ||X||_F)) nor floor a quantity
     at max(1, .), so every test they make is the same at every scale of X
     and along every orbit."""
     for name in ("canonical.py", "spectrum.py"):
-        tree = ast.parse((SRC / "mfland" / name).read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            assert not (isinstance(node, ast.Attribute) and node.attr == "tol_scale"), (
-                f"{name}:{node.lineno} reads tol_scale")
-            assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id == "max" and node.args
-                        and isinstance(node.args[0], ast.Constant)
-                        and node.args[0].value == 1), (
-                f"{name}:{node.lineno} floors at max(1, .)")
+        assert not list(_unit_floors(name))
+
+
+def test_inertia_count_has_no_unit_floor():
+    """Nor does orbit, where inertia_of counts: it reads neither X.sigma nor
+    X.tol_scale and floors nothing at max(1, .), so its default zero floor
+    stays a fraction of the largest equilibrated value, which has no unit."""
+    assert not list(_unit_floors("orbit.py", ("sigma", "tol_scale")))
 
 
 def test_only_what_is_built_is_capped_at_MAX_DENSE_DIM():

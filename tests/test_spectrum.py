@@ -46,7 +46,7 @@ from mfland import (
 from mfland import spectrum
 from mfland.canonical import _split_pair, zero_family_point
 from mfland.spectrum import EigPair, _canonical_eigpairs, _report
-from matrix_kinds import KINDS, X21, X321, gaussian, haar, matrix_of_kind
+from matrix_kinds import KINDS, X21, X321, canonical_inertia, gaussian, haar, matrix_of_kind
 
 MATCH_TOL = 1e-8
 # A kind of X, the exponent of its scale 10^e and the seed it is drawn from.
@@ -176,15 +176,6 @@ def test_classification_and_inertia_are_scale_covariant(c):
         assert rep_c.lambda_min == pytest.approx(c * rep.lambda_min, rel=1e-9)
 
 
-def _canonical_inertia(X, sel, k, C0):
-    """The closed-form inertia at the scale-1 canonical point of sel, C0."""
-    if not sel:
-        return spectrum_zero_family(X, C0, k).inertia
-    if len(sel) == k:
-        return spectrum_full_rank_scaled(X, Selection(sel)).inertia
-    return spectrum_deficient_rank(CanonicalPoint(X, Selection(sel), k, C0)).inertia
-
-
 def _canonical_points(kind, c):
     """(X, c X, selection, k, C0) over seeds 0-3 of the kind, every k <= 3,
     q <= k and selection, with a Gaussian C0 for X."""
@@ -202,10 +193,10 @@ def _canonical_points(kind, c):
 def test_closed_form_inertia_is_the_oracle_count_at_unit_scale(kind):
     """At sigma_1 of order 1 every genuine value is far above the oracle's
     floor, so the values zero by formula and the signs of the rest count as
-    inertia_of counts block_spectrum's values."""
+    inertia_of counts the oracle's equilibrated values at its default floor."""
     for X, _, sel, k, C0 in _canonical_points(kind, 1.0):
         p = CanonicalPoint(X, Selection(sel), k, C0).materialize()
-        assert _canonical_inertia(X, sel, k, C0) == inertia_of(X, p), (k, sel)
+        assert canonical_inertia(X, sel, k, C0) == inertia_of(X, p), (k, sel)
 
 
 @pytest.mark.parametrize("c", [1e-30, 1e-20, 1e-6, 1e-3, 1e3, 1e6, 1e20, 1e30])
@@ -218,8 +209,8 @@ def test_closed_form_inertia_is_the_same_at_every_scale(kind, c):
     below 1e-13 gamma_1, not below 1e-13 max(1, gamma_1), which called every
     column of C0 dead at c = 1e-30."""
     for X, Xc, sel, k, C0 in _canonical_points(kind, c):
-        assert (_canonical_inertia(Xc, sel, k, np.sqrt(c) * C0)
-                == _canonical_inertia(X, sel, k, C0)), (k, sel)
+        assert (canonical_inertia(Xc, sel, k, np.sqrt(c) * C0)
+                == canonical_inertia(X, sel, k, C0)), (k, sel)
 
 
 @settings(max_examples=40, deadline=None)
