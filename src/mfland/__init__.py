@@ -21,6 +21,7 @@ from .canonical import (
     classify_canonical,
     first_defect,
     reduce_to_canonical,
+    uniform_saddle_bound,
     zero_family_point,
 )
 from .errors import (

@@ -13,12 +13,15 @@ square roots of lambda gives the balanced points with W^T W = S S^T.
 This module builds those representatives, classifies them, and inverts the
 parametrization: ``reduce_to_canonical`` maps any critical point back to a
 canonical point plus the group element connecting them.  The saddle rule
-(``_lambda_min``, with its 2 x 2 evaluator ``_split_pair``) lives here too.
+(``_lambda_min``, with its 2 x 2 evaluator ``_split_pair``) lives here too,
+and so does the uniform saddle gap on M_0 that it implies
+(``uniform_saddle_bound``, checked against ``balanced_lambda_min_sup``).
 """
 
 import dataclasses
 import operator
 from dataclasses import dataclass
+from itertools import combinations
 from numbers import Real
 
 import numpy as np
@@ -151,22 +154,24 @@ class CanonicalPoint:
     def balanced_scales(self):
         """sqrt(lambda), the column scales that carry this point into the
         balanced set M_0.  InvalidSelection unless every selected singular
-        value is positive and C0 = 0 (the empty selection: the origin)."""
+        value is positive and C0 = 0, to within 1e-12 sigma_1 in norm (the
+        empty selection: the origin)."""
         lam = self.lambdas
         if np.any(lam <= 0):
             raise InvalidSelection(
                 "balanced points require strictly positive selected singular values"
             )
-        if np.linalg.norm(self.C0) > 1e-12:
+        if np.linalg.norm(self.C0) > 1e-12 * float(self.X.sigma[0]):
             raise InvalidSelection("balanced points require C0 = 0")
         return np.sqrt(lam)
 
     @np.errstate(over="ignore", invalid="ignore")
     def objective_value(self):
-        """J at the point: half the unexplained spectral energy.
-        NumericalFailure when it is not finite in float64."""
-        lam = self.lambdas
-        J = 0.5 * float(np.sum(self.X.sigma**2) - np.sum(lam**2))
+        """J at the point: half the unexplained spectral energy, the sum of
+        the squared unselected singular values (a difference of two sums
+        would lose it to cancellation).  NumericalFailure when it is not
+        finite in float64."""
+        J = 0.5 * float(np.sum(np.delete(self.X.sigma, self.selection.indices) ** 2))
         _check_finite("J", None, J)
         return J
 
@@ -317,6 +322,55 @@ def _sigma_groups(X):
             groups.append(list(range(start, i)))
             start = i
     return groups
+
+
+def uniform_saddle_bound(X, k):
+    """(beta, term): every strict saddle on M_0 with k columns has
+    lambda_min <= -beta, and one of them has lambda_min = -beta, in O(r).
+
+    A balanced saddle whose selection has q < k columns has lambda_min =
+    -sigma_dag, the largest unselected sigma; with q = k it is the least
+    selected sigma less sigma_dag, so the best saddle of that kind selects
+    every sigma above a value a, leaves at least one sigma_a out and takes
+    at least one of the next value b.  Hence beta = min(sigma_min(k, r),
+    gaps), gaps holding sigma_a - sigma_b for each pair of adjacent distinct
+    positive values with G + 1 <= k <= G + A - 1 + B, G the number of sigma
+    above sigma_a and A, B the sizes of the tied groups of sigma_a and
+    sigma_b (``_sigma_groups``).  term names what sets beta by 0-based
+    indices: (i,) for sigma_i, (a, b) for sigma_a - sigma_b, each the first
+    of its group.  ``balanced_lambda_min_sup`` finds -beta by enumeration.
+    """
+    _check_k(X, k)
+    i = min(k, X.r) - 1
+    beta, term = float(X.sigma[i]), (i,)
+    groups = [g[: X.r - g[0]] for g in _sigma_groups(X) if g[0] < X.r]
+    above = 0
+    for ga, gb in zip(groups, groups[1:]):
+        gap = float(X.sigma[ga[0]] - X.sigma[gb[0]])
+        if above + 1 <= k <= above + len(ga) - 1 + len(gb) and gap < beta:
+            beta, term = gap, (ga[0], gb[0])
+        above += len(ga)
+    return beta, term
+
+
+def balanced_lambda_min_sup(X, k):
+    """(lambda_min, selection): the largest closed-form lambda_min over the
+    balanced strict saddles of every selection of at most k indices with
+    sigma > 0, by enumeration, and the first selection that attains it.  It
+    is -beta of ``uniform_saddle_bound``, at the cost of sum_q C(r, q)
+    evaluations."""
+    _check_k(X, k)
+    best = None
+    for q in range(k + 1):
+        for idx in combinations(range(X.r), q):
+            cp = CanonicalPoint(X, Selection(idx), k)
+            try:
+                lam = _lambda_min(cp, d=cp.balanced_scales())
+            except (NotASaddle, InvalidSelection):
+                continue
+            if best is None or lam > best[0]:
+                best = (lam, cp.selection)
+    return best
 
 
 def _polar_orthogonal(M):

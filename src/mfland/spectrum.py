@@ -30,25 +30,29 @@ The inertia counts exactly these as zero, and every other value by its sign.
 
 A spectrum keeps its values and zero marks, written grid by grid into two
 arrays in emission order (a 2 x 2 block's lower branch before its upper
-one, blocks row-major within a grid), the stable order that sorts them, and
-each grid's small index vectors; the 2 x 2 blocks are split by
+one, blocks row-major within a grid), the stable order that sorts them, its
+inertia and lambda_min; the 2 x 2 blocks are split by
 ``canonical._split_pair``.  Nothing is kept per block or per eigenvector,
-so a spectrum holds 17 bytes per eigenpair plus O(m + n + k).  An
-:class:`EigPair` is made only when one is read from
-``SpectrumReport.eigpairs``: its grid, row, column and branch come from its
-emission position, and its family, indices and block entries, its two
-block coefficients (``_pair_vectors``) and any kernel column
-(``model.KernelFrame``) are computed then, each by the expression that gave
-its value; its dense tangent pair only when ``EigPair.vector`` is read.
-Each eigenvector is a pair of rank-one matrices whose factors are columns
-of the singular bases or of the kernel frame and rows of a coefficient
-table.
+so a spectrum holds 17 bytes per eigenpair plus O(m + n + k).  Everything
+else is made on the first read that needs it, and then kept: the factor
+pair ``SpectrumReport.point``, and, on the first eigenpair read, the tables
+that decode an eigenpair (``_Grids``: each grid's index and slot lists, the
+coefficient table and the kernel frame).  An :class:`EigPair` is made only
+when one is read from ``SpectrumReport.eigpairs``: its grid, row, column
+and branch come from its emission position, and its family, indices and
+block entries, its two block coefficients (``_pair_vectors``) and any
+kernel column (``model.KernelFrame``) are computed then, each by the
+expression that gave its value; its dense tangent pair only when
+``EigPair.vector`` is read.  Each eigenvector is a pair of rank-one
+matrices whose factors are columns of the singular bases or of the kernel
+frame and rows of a coefficient table.
 """
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -210,7 +214,9 @@ class _EigPairs(Sequence):
     :class:`EigPair` decoded by ``_Grids.eigpair`` from its emission
     position when it is read: a 1 x 1 block's coefficients are 1 and 0, a
     2 x 2 block's come from ``_pair_vectors`` on its entries and value, and
-    the coupling is ``cr / cl``.  Slices return tuples of them.
+    the coupling is ``cr / cl``.  Slices return tuples of them.  ``grids``
+    is a cached function that makes the _Grids on its first call; a
+    sequence made by ``take`` calls the same one.
     """
 
     def __init__(self, values, zero, pos, grids):
@@ -241,7 +247,7 @@ class _EigPairs(Sequence):
 
     def _pair(self, i):
         p = i if self._pos is None else int(self._pos[i])
-        return self._grids.eigpair(p, float(self._values[i]))
+        return self._grids().eigpair(p, float(self._values[i]))
 
 
 @dataclass(frozen=True)
@@ -249,15 +255,22 @@ class SpectrumReport:
     """A closed-form spectrum sorted by value.
 
     ``eigpairs`` is a read-only sequence built once as arrays; indexing or
-    iterating it makes each :class:`EigPair` on read.  ``values`` is the
-    sorted value array it holds (read-only), or, when ``eigpairs`` has been
-    replaced by a plain tuple, the values of its items.
+    iterating it makes each :class:`EigPair` on read, and the first read
+    makes the tables that decode them.  ``values`` is the sorted value
+    array it holds (read-only), or, when ``eigpairs`` has been replaced by a
+    plain tuple, the values of its items.  ``point``, the FactorPair the
+    spectrum belongs to, is made by the cached function ``make_point`` on
+    its first read and kept.
     """
 
     eigpairs: Sequence
     inertia: tuple  # (positive, negative, zero)
     lambda_min: float
-    point: object  # the FactorPair the spectrum belongs to
+    make_point: Callable = field(repr=False, compare=False)
+
+    @property
+    def point(self):
+        return self.make_point()
 
     @property
     def values(self):
@@ -266,7 +279,7 @@ class SpectrumReport:
         return np.array([e.value for e in self.eigpairs])
 
 
-def _report(eigpairs, point):
+def _report(eigpairs, make_point):
     eigpairs = eigpairs.take(np.argsort(eigpairs.values, kind="stable"))
     vals, zero = eigpairs.values, eigpairs.zero
     signed = vals[~zero]
@@ -279,7 +292,7 @@ def _report(eigpairs, point):
         eigpairs=eigpairs,
         inertia=(n_pos, signed.size - n_pos, vals.size - signed.size),
         lambda_min=float(vals[0]),
-        point=point,
+        make_point=make_point,
     )
 
 
@@ -354,15 +367,7 @@ def _canonical_eigpairs(cp, d=1.0):
         gamma[: gs.size] = gs
     else:
         Y, Z = np.zeros((n - r, 0)), np.eye(k - q)
-    frame = KernelFrame(X, Y)
     gtol = 1e-13 * (gamma[0] if gamma.size else 0.0)
-
-    # Coefficient table: a row per slot, e_j for selected column j and at
-    # q + l kernel direction l (its coefficients over all k columns), and a
-    # zero last row.
-    coef = np.zeros((k + 1, k))
-    coef[:q, :q] = np.eye(q)
-    coef[q:k, q:] = Z.T
     g_n = np.zeros(n - r)  # gamma over the kernel columns, 0 past k - q
     g_n[: min(k - q, n - r)] = gamma[: n - r]
     live = g_n > gtol  # kernel columns coupled to the selected ones through C0
@@ -379,26 +384,8 @@ def _canonical_eigpairs(cp, d=1.0):
     slots, width = np.cumsum(counts) - counts, int(counts.sum())
     s_pos = np.flatnonzero(pos)
     null_width = s_pos.size + n - r
-    grids = [
-        # Unselected positive singular values against every slot.
-        (us_r, 2 * k, list(range(0, 2 * k, 2)),
-         ((q, [_SIGMA_LAMBDA] * q, range(q)), (k - q, [_SIGMA_OMEGA] * (k - q), range(k - q)))),
-        # Left kernel rows (sigma_i = 0) only feel S S^T.
-        (us_m, k, list(range(k)),
-         ((q, [_LEFT_LAMBDA] * q, range(q)), (k - q, [_LEFT_OMEGA] * (k - q), range(k - q)))),
-        # Selected column j against the selected rows (2 x 2 where l_s > 0),
-        # the kernel columns (2 x 2 where live) and the dead coordinates.
-        (range(q), width, slots.tolist(),
-         ((q, np.where(pos, _SELECTED_CROSS, _ZERO_LAMBDA).tolist(), range(q)),
-          (n - r, np.where(live, _C0_CROSS, _RIGHT_SELECTED).tolist(), range(n - r)),
-          (dead.size, [_C0_DEAD] * dead.size, dead.tolist()))),
-        # Rows of S carried by the zero columns of W never feel the Hessian.
-        (range(k - q), null_width, list(range(null_width)),
-         ((s_pos.size, [_RIGHT_NULL_S] * s_pos.size, s_pos.tolist()),
-          (n - r, [_RIGHT_NULL_Z] * (n - r), range(n - r)))),
-    ]
     a0, a1, a2, a3, a4 = starts = list(accumulate(
-        (len(rows) * w for rows, w, _, _ in grids), initial=0))
+        (us_r.size * 2 * k, us_m.size * k, q * width, (k - q) * null_width), initial=0))
     assert a4 == k * (m + n), (a4, k * (m + n))
 
     # The values and zero marks, grid by grid in emission order: a 2 x 2
@@ -424,22 +411,52 @@ def _canonical_eigpairs(cp, d=1.0):
     # to be nonzero (see above).
     p12 = (p12_sigma, lam[pos] * (d[:, None] / d[pos]), g_n[live] * d[:, None])
     _check_finite("spectrum", d, values, *(c / c for c in p12))
-    grids = _Grids([(a, *grid) for a, grid in zip(starts, grids)],
-                   X, idx, lam, d, g_n, s_sq, w_sq, coef, frame)
-    return _EigPairs(values, zero, None, grids)
+
+    def make_grids():
+        """The _Grids that decodes these eigenpairs, made on the first read."""
+        # Coefficient table: a row per slot, e_j for selected column j and at
+        # q + l kernel direction l (its coefficients over all k columns), and
+        # a zero last row.
+        coef = np.zeros((k + 1, k))
+        coef[:q, :q] = np.eye(q)
+        coef[q:k, q:] = Z.T
+        grids = [
+            # Unselected positive singular values against every slot.
+            (us_r, 2 * k, list(range(0, 2 * k, 2)),
+             ((q, [_SIGMA_LAMBDA] * q, range(q)),
+              (k - q, [_SIGMA_OMEGA] * (k - q), range(k - q)))),
+            # Left kernel rows (sigma_i = 0) only feel S S^T.
+            (us_m, k, list(range(k)),
+             ((q, [_LEFT_LAMBDA] * q, range(q)),
+              (k - q, [_LEFT_OMEGA] * (k - q), range(k - q)))),
+            # Selected column j against the selected rows (2 x 2 where l_s > 0),
+            # the kernel columns (2 x 2 where live) and the dead coordinates.
+            (range(q), width, slots.tolist(),
+             ((q, np.where(pos, _SELECTED_CROSS, _ZERO_LAMBDA).tolist(), range(q)),
+              (n - r, np.where(live, _C0_CROSS, _RIGHT_SELECTED).tolist(), range(n - r)),
+              (dead.size, [_C0_DEAD] * dead.size, dead.tolist()))),
+            # Rows of S carried by the zero columns of W never feel the Hessian.
+            (range(k - q), null_width, list(range(null_width)),
+             ((s_pos.size, [_RIGHT_NULL_S] * s_pos.size, s_pos.tolist()),
+              (n - r, [_RIGHT_NULL_Z] * (n - r), range(n - r)))),
+        ]
+        return _Grids([(a, *grid) for a, grid in zip(starts, grids)],
+                      X, idx, lam, d, g_n, s_sq, w_sq, coef, KernelFrame(X, Y))
+
+    return _EigPairs(values, zero, None, cache(make_grids))
 
 
 def spectrum_zero_family(X, C0, k):
     """Spectrum at the zero-family point (0, C0^T V0^T)."""
     cp = zero_family_point(X, np.asarray(C0, dtype=float), k)
-    return _report(_canonical_eigpairs(cp), cp.materialize())
+    return _report(_canonical_eigpairs(cp), cache(lambda: cp.materialize()))
 
 
 def spectrum_full_rank_scaled(X, sel, a=1.0):
     """Spectrum at (a W_c, a^-1 S_c) for a full-rank selection (q = k)."""
     check_scale(a)
     cp = build_canonical(X, sel, k=sel.q)
-    return _report(_canonical_eigpairs(cp, d=a), cp.materialize(scale=a))
+    return _report(_canonical_eigpairs(cp, d=a), cache(lambda: cp.materialize(scale=a)))
 
 
 def spectrum_deficient_rank(cp):
@@ -450,7 +467,7 @@ def spectrum_deficient_rank(cp):
         raise InvalidSelection(
             f"deficient-rank spectrum needs 1 <= q < k, got q={cp.q}, k={cp.k}"
         )
-    return _report(_canonical_eigpairs(cp), cp.materialize())
+    return _report(_canonical_eigpairs(cp), cache(lambda: cp.materialize()))
 
 
 def spectrum_balanced(X, sel, k):
@@ -464,7 +481,7 @@ def spectrum_balanced(X, sel, k):
     """
     cp = CanonicalPoint(X, sel, k)
     root = cp.balanced_scales()
-    return _report(_canonical_eigpairs(cp, d=root), _balanced_point(cp, root))
+    return _report(_canonical_eigpairs(cp, d=root), cache(lambda: _balanced_point(cp, root)))
 
 
 def lambda_min_closed_form(X, sel, k, C0=None, a=1.0):

@@ -102,6 +102,16 @@ def test_objective_value_formula():
     assert evaluate_J(X321, cp.materialize()) == pytest.approx(expect, abs=1e-12)
 
 
+def test_objective_value_keeps_J_beside_a_large_sigma():
+    """J = 0.5 sigma_2^2 = 0.5 at X = diag(1e8, 1), selection {1}: summing the
+    unselected squares keeps it, where sum(sigma^2) - sum(lambda^2) cancelled
+    to 0.0."""
+    X = load_data_matrix(np.diag([1e8, 1.0]) @ np.eye(2, 3))
+    cp = CanonicalPoint(X, Selection((0,)), 1)
+    assert cp.objective_value() == 0.5
+    assert evaluate_J(X, cp.materialize()) == pytest.approx(0.5, rel=1e-12)
+
+
 def test_scaled_materialization_same_product():
     cp = build_canonical(X321, Selection((0, 1)), 2)
     p1, p2 = cp.materialize(), cp.materialize(scale=3.0)
@@ -423,6 +433,22 @@ def test_m0_refuses_a_nonzero_c0():
         cp.balanced_scales()
     assert intersect_M0(cp) is None
     assert CanonicalPoint(X321, Selection((0,)), 2, C0=[[1e-13]]).balanced_scales() == [np.sqrt(3.0)]
+
+
+@pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+def test_m0_bounds_c0_in_units_of_sigma_1(c):
+    """C0 counts as zero up to 1e-12 sigma_1 in norm at every scale of X: at
+    c = 1e-20 a C0 of 1e-13 (4e6 sigma_1) is refused, and at c = 1e20 one of
+    1e-3 (4e-24 sigma_1) is accepted."""
+    X = load_data_matrix(c * np.random.default_rng(0).standard_normal((3, 5)))
+    s1 = float(X.sigma[0])
+    for size, accepted in ((0.5e-12 * s1, True), (2e-12 * s1, False),
+                           (1e-13, c >= 1.0), (1e-3, c > 1.0)):
+        cp = CanonicalPoint(X, Selection((0,)), 2, C0=np.full((2, 1), size / np.sqrt(2)))
+        assert (intersect_M0(cp) is not None) == accepted, (size, c)
+        if not accepted:
+            with pytest.raises(InvalidSelection, match="C0 = 0"):
+                cp.balanced_scales()
 
 
 @pytest.mark.parametrize("X", [gaussian(4), XDEF], ids=["full-rank", "rank-deficient"])

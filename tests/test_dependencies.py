@@ -108,24 +108,57 @@ def test_no_import_cycle_between_canonical_spectrum_and_orbit():
             assert not used, f"{name}:{line} imports {sorted(used)}"
 
 
-def _unit_floors(name, attrs=("tol_scale",)):
-    """Every line of mfland/<name> that reads one of attrs or floors a
-    quantity at max(1, .), with what it does."""
-    tree = ast.parse((SRC / "mfland" / name).read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
+def _bare_number(node):
+    """Whether node is a nonzero numeric literal, signed or not."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and node.value != 0)
+
+
+def _unit_floors(name, attrs=("tol_scale",), source=None):
+    """Every line of mfland/<name> (or of source) that reads one of attrs,
+    floors a quantity at max(1, .) or compares a call's result, such as
+    np.linalg.norm(...), with a bare nonzero number, with what it does."""
+    if source is None:
+        source = (SRC / "mfland" / name).read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr in attrs:
             yield f"{name}:{node.lineno} reads {node.attr}"
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "max" and node.args
                 and isinstance(node.args[0], ast.Constant) and node.args[0].value == 1):
             yield f"{name}:{node.lineno} floors at max(1, .)"
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(x, ast.Call) for x in sides)
+                    and any(_bare_number(x) for x in sides)):
+                yield f"{name}:{node.lineno} compares a call with a bare number"
+
+
+def test_unit_floor_guard_flags_each_kind_of_floor():
+    """The guard below fires on what it is meant to catch, absolute bounds
+    on a computed quantity among them, and passes a bound in units of
+    sigma_1 and a comparison with 0."""
+    flagged = {
+        "tol = X.tol_scale": "reads tol_scale",
+        "tol = max(1, s1)": "floors at max(1, .)",
+        "if np.linalg.norm(self.C0) > 1e-12:\n    pass": "compares a call with a bare number",
+        "ok = abs(f(x)) <= 1e-9": "compares a call with a bare number",
+        "ok = -1 < float(x)": "compares a call with a bare number",
+    }
+    for source, what in flagged.items():
+        assert [f.split(" ", 1)[1] for f in _unit_floors("t.py", source=source)] == [what]
+    for source in ("if np.linalg.norm(C0) > 1e-12 * s1:\n    pass",
+                   "ok = float(x) > 0", "ok = n > 1", "ok = len(a) == k"):
+        assert not list(_unit_floors("t.py", source=source)), source
 
 
 def test_closed_form_modules_have_no_unit_floor():
     """A check that depends on the units of X is a bug: canonical and
-    spectrum never read X.tol_scale (max(1, ||X||_F)) nor floor a quantity
-    at max(1, .), so every test they make is the same at every scale of X
-    and along every orbit."""
+    spectrum never read X.tol_scale (max(1, ||X||_F)), floor a quantity at
+    max(1, .) nor compare a computed quantity with a bare number, so every
+    test they make is the same at every scale of X and along every orbit."""
     for name in ("canonical.py", "spectrum.py"):
         assert not list(_unit_floors(name))
 

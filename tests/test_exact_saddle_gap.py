@@ -10,7 +10,8 @@ the multiplicity of -beta are counted with Descartes' rule, with no floor.
 beta comes from the uniform-gap rule, written here in Fractions:
 beta = min(sigma_min(k, r), gaps), where gaps holds sigma_a - sigma_b for each
 pair of adjacent distinct positive values with G + 1 <= k <= G + A - 1 + B,
-G = #{sigma > sigma_a} and A, B the multiplicities of sigma_a and sigma_b.
+G = #{sigma > sigma_a} and A, B the multiplicities of sigma_a and sigma_b;
+the library's ``uniform_saddle_bound`` must give the same beta.
 Only lambda_min is bounded: at the origin of sigma = (9, 4, 4, 1) the other
 negative eigenvalues, -4, -4 and -1, lie above -beta = -5.
 """
@@ -22,7 +23,8 @@ import numpy as np
 import pytest
 
 import exact_hessian as exact
-from mfland import NotASaddle, Selection, lambda_min_balanced, load_data_matrix
+from mfland import (NotASaddle, Selection, lambda_min_balanced, load_data_matrix,
+                    uniform_saddle_bound)
 
 # (sigma, k) -> beta, as a float enumeration of the balanced saddles found it.
 BETA = {((9, 4, 4, 1), 1): 5, ((9, 4, 4, 1), 2): 3,
@@ -49,6 +51,8 @@ def test_claim_g_every_balanced_strict_saddle_is_beta_below_zero(sigma, k):
     assert beta == BETA[sigma, k]
     X = exact.hadamard_x(1, sigma)
     Xf = load_data_matrix(np.array(X, dtype=float))
+    # the library's closed form is the exact rule, to rounding of the SVD
+    assert uniform_saddle_bound(Xf, k)[0] == pytest.approx(beta, rel=0, abs=1e-12 * sigma[0])
     positive = [i for i, s in enumerate(sigma) if s > 0]
     saddles = attained = 0
     for q in range(k + 1):

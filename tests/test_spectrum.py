@@ -28,6 +28,7 @@ from mfland import (
     Selection,
     TangentPair,
     block_spectrum,
+    build_balanced,
     build_canonical,
     classify_canonical,
     flatten_tangent,
@@ -466,6 +467,54 @@ def test_values_follow_a_replaced_eigpair_tuple():
     moved = dataclasses.replace(e, value=2.5)
     assert (moved.value, moved.provenance) == (2.5, e.provenance)
     np.testing.assert_array_equal(moved.vector.G, e.vector.G)
+
+
+def test_point_and_decoding_tables_are_made_on_first_read(monkeypatch):
+    """Building any of the four spectra and reading its values, inertia,
+    lambda_min and eigenpairs calls neither CanonicalPoint.materialize nor
+    _balanced_point.  The first read of point has the bits of the eager
+    build and later reads return the same object; each spectrum makes its
+    decoding tables (one _Grids) once, on its first eigenpair read, and a
+    sequence taken from its eigenpairs reads the same tables."""
+    rng = np.random.default_rng(5)
+    X = load_data_matrix(rng.standard_normal((4, 6)))
+    C0_half, C0_zero = rng.standard_normal((2, 1)), rng.standard_normal((2, 2))
+    sel, half = Selection((0, 2)), CanonicalPoint(X, Selection((1,)), 2, C0_half)
+    cases = {
+        "full-rank": (lambda: spectrum_full_rank_scaled(X, sel, a=1.5),
+                      lambda: build_canonical(X, sel, 2).materialize(scale=1.5)),
+        "deficient": (lambda: spectrum_deficient_rank(half), half.materialize),
+        "zero": (lambda: spectrum_zero_family(X, C0_zero, 2),
+                 lambda: zero_family_point(X, C0_zero, 2).materialize()),
+        "balanced": (lambda: spectrum_balanced(X, sel, 2),
+                     lambda: build_balanced(X, sel, 2)),
+    }
+    made = []
+
+    class Counted(spectrum._Grids):
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the point was built")
+
+    monkeypatch.setattr(spectrum, "_Grids", Counted)
+    with monkeypatch.context() as patch:
+        patch.setattr(CanonicalPoint, "materialize", refuse)
+        patch.setattr(spectrum, "_balanced_point", refuse)
+        reps = {name: build() for name, (build, _) in cases.items()}
+        assert not made
+        for i, rep in enumerate(reps.values(), start=1):
+            assert rep.values.size == sum(rep.inertia) == 20 and rep.lambda_min < 0
+            first = rep.eigpairs[0]
+            assert [e.provenance for e in rep.eigpairs][0] == first.provenance
+            assert rep.eigpairs.take(np.arange(3))[0].value == rep.eigpairs[0].value
+            assert len(made) == i
+    for name, (_, eager) in cases.items():
+        point, want = reps[name].point, eager()
+        assert point.W.tobytes() == want.W.tobytes() and point.S.tobytes() == want.S.tobytes()
+        assert reps[name].point is point, name
 
 
 def test_spectrum_makes_no_eigpair_until_one_is_read(monkeypatch):
