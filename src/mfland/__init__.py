@@ -84,6 +84,7 @@ from .orbit import (
 from .spectrum import (
     EigPair,
     SpectrumReport,
+    canonical_spectrum,
     lambda_min_balanced,
     lambda_min_closed_form,
     spectrum_balanced,

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .model import _open_text, load_data_matrix, read_matrix_csv, write_matrix_c
 from .oracle import block_spectrum
 from .orbit import (GroupElement, apply_group_action, induced_norm, inertia_of,
                     transported_lambda_min_bound)
-from .spectrum import (spectrum_balanced, spectrum_deficient_rank, spectrum_full_rank_scaled,
-                       spectrum_zero_family)
+from .spectrum import canonical_spectrum, spectrum_balanced
 
 SCHEMA_VERSION = 1
 
@@ -61,6 +60,11 @@ def _render(obj, indent=0):
     return json.dumps(obj)
 
 
+def _one_based(indices):
+    """The 1-based list printed for 0-based selection indices, or None."""
+    return None if indices is None else [i + 1 for i in indices]
+
+
 def _emit(text, path):
     if path is None or path == "-":
         sys.stdout.write(text + "\n")
@@ -71,19 +75,25 @@ def _emit(text, path):
 
 # ---------------------------------------------------------------- parsing ---
 
-def _parse_selection(raw):
-    """None when --select is absent; a --select that lists no index is refused."""
+def _parse_selection(raw, m):
+    """The 0-based Selection of the 1-based --select list raw, or None when
+    it is absent; refused by its 1-based number, an index repeated or past m."""
     if raw is None:
         return None
     try:
-        one_based = [int(tok) for tok in raw.split(",") if tok.strip()]
+        one_based = sorted(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
         raise InvalidInput(f"could not parse selection {raw!r}; expect e.g. 1,3")
     if not one_based:
         raise InvalidInput(f"selection {raw!r} lists no index; expect e.g. 1,3")
-    if any(i < 1 for i in one_based):
+    if one_based[0] < 1:
         raise InvalidInput("selection indices are 1-based")
-    return Selection(tuple(sorted(i - 1 for i in one_based)))
+    for i, j in zip(one_based, one_based[1:]):
+        if i == j:
+            raise InvalidInput(f"selection repeats index {i}")
+    if one_based[-1] > m:
+        raise InvalidInput(f"selection index {one_based[-1]} out of range for m = {m}")
+    return Selection(tuple(i - 1 for i in one_based))
 
 
 def _given(args, *names):
@@ -101,16 +111,6 @@ def _load_point(args, X, sel):
     return CanonicalPoint(X, Selection(()) if sel is None else sel, args.k, C0)
 
 
-def _canonical_spectrum(cp, scale=1.0):
-    """The closed-form spectrum of cp (at orbit scale `scale` when q = k)
-    and the name of its family."""
-    if not cp.q:
-        return spectrum_zero_family(cp.X, cp.C0, cp.k), "zero"
-    if cp.q == cp.k:
-        return spectrum_full_rank_scaled(cp.X, cp.selection, a=scale), "canonical-full-rank"
-    return spectrum_deficient_rank(cp), "canonical-deficient"
-
-
 # ------------------------------------------------------------- commands -----
 #
 # A command returns the fields of its report (main adds the schema version
@@ -119,24 +119,21 @@ def _canonical_spectrum(cp, scale=1.0):
 
 def _cmd_spectrum(args):
     X = _load_X(args)
-    k = args.k
-    sel = _parse_selection(args.select)
-    if args.balanced and sel is None:
-        raise InvalidInput("--balanced requires --select")
-    scale = args.scale if args.scale is not None else 1.0
-    if scale != 1.0 and (sel is None or sel.q != k or args.balanced):
-        raise InvalidInput("--scale is only supported at a canonical point with q = k")
+    sel = _parse_selection(args.select, X.m)
     if args.balanced:
+        if sel is None:
+            raise InvalidInput("--balanced requires --select")
+        if args.scale != 1.0:
+            raise InvalidInput("--scale is only supported at a canonical point with q = k")
         if args.c0:
             raise InvalidInput("--c0 is not used with --balanced")
-        rep = spectrum_balanced(X, sel, k)
-        family = "balanced"
+        rep, family = spectrum_balanced(X, sel, args.k), "balanced"
     else:
-        rep, family = _canonical_spectrum(_load_point(args, X, sel), scale)
+        rep, family = canonical_spectrum(_load_point(args, X, sel), args.scale)
     pairs = list(rep.eigpairs)
     for e in pairs:
         if e.coupling is not None:
-            _check_finite(f"coupling of {e.provenance}", scale, e.coupling)
+            _check_finite(f"coupling of {e.provenance}", args.scale, e.coupling)
     if args.format == "csv":
         lines = ["value,provenance,coupling"]
         for e in pairs:
@@ -148,8 +145,8 @@ def _cmd_spectrum(args):
         "n": X.n,
         "transposed": X.transposed,
         "family": family,
-        "selection": [i + 1 for i in sel.indices] if sel is not None else None,
-        "scale": scale,
+        "selection": _one_based(None if sel is None else sel.indices),
+        "scale": args.scale,
         "count": len(pairs),
         "eigenvalues": rep.values.tolist(),
         "inertia": list(rep.inertia),
@@ -163,7 +160,7 @@ def _cmd_spectrum(args):
 
 def _cmd_classify(args):
     X = _load_X(args)
-    cp = _load_point(args, X, _parse_selection(args.select))
+    cp = _load_point(args, X, _parse_selection(args.select, X.m))
     res = classify_canonical(cp)
     return {
         "m": X.m,
@@ -171,7 +168,7 @@ def _cmd_classify(args):
         "transposed": X.transposed,
         "k": cp.k,
         "q": cp.q,
-        "selection": [i + 1 for i in cp.selection.indices],
+        "selection": _one_based(cp.selection.indices),
         "kind": res.kind,
         "maximal": res.maximal,
         "p": res.p,
@@ -182,7 +179,7 @@ def _cmd_classify(args):
 
 def _cmd_orbit(args):
     X = _load_X(args)
-    cp = _load_point(args, X, _parse_selection(args.select))
+    cp = _load_point(args, X, _parse_selection(args.select, X.m))
     k = cp.k
     if args.a:
         if args.scale is not None:
@@ -197,7 +194,7 @@ def _cmd_orbit(args):
     res = classify_canonical(cp)
     # The orbit has the inertia of cp, whose z zeros are zero by formula: they
     # are the moved point's z smallest |values|, and hold lambda_min at a minimum.
-    inertia = _canonical_spectrum(cp)[0].inertia
+    inertia = canonical_spectrum(cp)[0].inertia
     p = apply_group_action(cp.materialize(), g)
     moved = inertia_of(X, p, nullity=inertia[2])
     lam = 0.0
@@ -209,7 +206,7 @@ def _cmd_orbit(args):
     lam_base = res.lambda_min_closed_form if res.kind == "StrictSaddle" else 0.0
     return {
         "k": k,
-        "selection": [i + 1 for i in cp.selection.indices],
+        "selection": _one_based(cp.selection.indices),
         "kind": res.kind,
         "induced_norm": induced_norm(g),
         "cond_A": g.cond(),
@@ -248,7 +245,7 @@ def _cmd_flow(args):
     }
     if traj.status == "Converged":
         diag = classify_limit(X, traj)
-        report["limit"] = {f.name: getattr(diag, f.name) for f in fields(diag)}
+        report["limit"] = {**asdict(diag), "selection": _one_based(diag.selection)}
     return report
 
 
@@ -285,7 +282,7 @@ def _build_parser():
     p = sub.add_parser("spectrum", help="closed-form Hessian spectrum at a family point")
     common(p)
     point(p)
-    p.add_argument("--scale", type=float, default=None, help="orbit scale a (q = k only)")
+    p.add_argument("--scale", type=float, default=1.0, help="orbit scale a (q = k only)")
     p.add_argument("--balanced", action="store_true", help="use the balanced representative")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_spectrum)

@@ -384,7 +384,7 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
 class LimitDiagnosis:
     kind: str
     q: int
-    selection: tuple  # 1-based indices
+    selection: tuple  # 0-based indices
     lambdas: tuple
     p: int | None
     lambda_min: float | None
@@ -410,7 +410,7 @@ def classify_limit(X, traj):
     return LimitDiagnosis(
         kind=res.kind,
         q=cp.q,
-        selection=tuple(i + 1 for i in cp.selection.indices),
+        selection=cp.selection.indices,
         lambdas=tuple(float(v) for v in cp.lambdas),
         p=res.p,
         lambda_min=res.lambda_min_closed_form,

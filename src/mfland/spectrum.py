@@ -28,24 +28,14 @@ sigma_lambda_pair whose s_i ties l_j (``canonical._tie_tol``), and the 1 x 1
 values of l_j = 0, of a dead coordinate and of the right kernel's null rows.
 The inertia counts exactly these as zero, and every other value by its sign.
 
-A spectrum keeps its values and zero marks, written grid by grid into two
-arrays in emission order (a 2 x 2 block's lower branch before its upper
-one, blocks row-major within a grid), the stable order that sorts them, its
-inertia and lambda_min; the 2 x 2 blocks are split by
-``canonical._split_pair``.  Nothing is kept per block or per eigenvector,
-so a spectrum holds 17 bytes per eigenpair plus O(m + n + k).  Everything
-else is made on the first read that needs it, and then kept: the factor
-pair ``SpectrumReport.point``, and, on the first eigenpair read, the tables
-that decode an eigenpair (``_Grids``: each grid's index and slot lists, the
-coefficient table and the kernel frame).  An :class:`EigPair` is made only
-when one is read from ``SpectrumReport.eigpairs``: its grid, row, column
-and branch come from its emission position, and its family, indices and
-block entries, its two block coefficients (``_pair_vectors``) and any
-kernel column (``model.KernelFrame``) are computed then, each by the
-expression that gave its value; its dense tangent pair only when
-``EigPair.vector`` is read.  Each eigenvector is a pair of rank-one
-matrices whose factors are columns of the singular bases or of the kernel
-frame and rows of a coefficient table.
+A spectrum keeps its values and zero marks in emission order (grid by grid,
+blocks row-major, a 2 x 2 block's lower branch first), the stable order that
+sorts them, its inertia and lambda_min: 17 bytes per eigenpair plus
+O(m + n + k).  Its factor pair and the tables that decode an eigenpair
+(``_Grids``) are made on their first read and kept, and an :class:`EigPair`,
+its eigenvector kept as rank-one factors, is decoded from its emission
+position when it is read.  ``canonical_spectrum`` is the one code that picks
+a canonical point's builder by q.
 """
 
 import math
@@ -468,6 +458,18 @@ def spectrum_deficient_rank(cp):
             f"deficient-rank spectrum needs 1 <= q < k, got q={cp.q}, k={cp.k}"
         )
     return _report(_canonical_eigpairs(cp), cache(lambda: cp.materialize()))
+
+
+def canonical_spectrum(cp, a=1.0):
+    """(report, family name): the spectrum of canonical point cp at orbit
+    scale a, by the builder its q picks; InvalidInput for a != 1 unless q = k."""
+    if a != 1.0 and cp.q != cp.k:
+        raise InvalidInput(f"an orbit scale a != 1 needs q = k, got q = {cp.q}, k = {cp.k}")
+    if not cp.q:
+        return spectrum_zero_family(cp.X, cp.C0, cp.k), "zero"
+    if cp.q == cp.k:
+        return spectrum_full_rank_scaled(cp.X, cp.selection, a=a), "canonical-full-rank"
+    return spectrum_deficient_rank(cp), "canonical-deficient"
 
 
 def spectrum_balanced(X, sel, k):

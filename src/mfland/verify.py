@@ -18,6 +18,7 @@ from . import (
     block_spectrum,
     build_balanced,
     build_canonical,
+    canonical_spectrum,
     classify_canonical,
     dense_hessian,
     evaluate_J,
@@ -51,11 +52,15 @@ def _default_data(seed):
     return np.random.default_rng(seed).standard_normal((4, 6))
 
 
-def _random_group(k, rng, cond_max=50.0):
+# The largest condition number of a group element the checks draw.
+GROUP_COND_MAX = 50.0
+
+
+def _random_group(k, rng):
     while True:
         A = rng.standard_normal((k, k))
         sv = np.linalg.svd(A, compute_uv=False)
-        if sv[-1] > 0 and sv[0] / sv[-1] <= cond_max:
+        if sv[-1] > 0 and sv[0] / sv[-1] <= GROUP_COND_MAX:
             return GroupElement.from_matrix(A)
 
 
@@ -157,8 +162,7 @@ def check_eigpair_quality(X, seed):
     rng, k = _draw(X, seed)
     cp = build_canonical(X, Selection((0,)), k,
                          C0=rng.standard_normal((X.n - X.r, k - 1)))
-    rep = (spectrum_deficient_rank(cp) if k > 1
-           else spectrum_full_rank_scaled(X, Selection((0,)), a=1.0))
+    rep = canonical_spectrum(cp)[0]
     h = dense_hessian(X, rep.point)
     V = np.column_stack([flatten_tangent(e.vector) for e in rep.eigpairs])
     vals = rep.values
@@ -236,8 +240,7 @@ def check_congruence_inertia(X, seed):
     cong = float(np.linalg.norm(Hq - M.T @ Hp @ M) / max(1.0, np.linalg.norm(Hq)))
     # both counted at the nullity of cp's closed form, whose zeros are zero by
     # formula, and checked against its inertia
-    want = (spectrum_deficient_rank(cp) if k > 1 else spectrum_full_rank_scaled(X, cp.selection)
-            ).inertia
+    want = canonical_spectrum(cp)[0].inertia
     same = inertia_of(X, p, nullity=want[2]) == inertia_of(X, pg, nullity=want[2]) == want
     # the orbit of pg has a canonical point, with the selected values of cp
     back, _ = reduce_to_canonical(X, pg)

@@ -5,8 +5,7 @@ point, which every oracle count is held to."""
 
 import numpy as np
 
-from mfland import (CanonicalPoint, Selection, load_data_matrix, spectrum_deficient_rank,
-                    spectrum_full_rank_scaled, spectrum_zero_family)
+from mfland import CanonicalPoint, Selection, canonical_spectrum, load_data_matrix
 
 X21 = load_data_matrix(np.diag([2.0, 1.0]) @ np.eye(2, 3))
 X321 = load_data_matrix(np.diag([3.0, 2.0, 1.0]) @ np.eye(3, 4))
@@ -49,8 +48,4 @@ def matrix_of_kind(kind, rng):
 
 def canonical_inertia(X, sel, k, C0):
     """The closed-form inertia at the scale-1 canonical point of sel, C0."""
-    if not sel:
-        return spectrum_zero_family(X, C0, k).inertia
-    if len(sel) == k:
-        return spectrum_full_rank_scaled(X, Selection(sel)).inertia
-    return spectrum_deficient_rank(CanonicalPoint(X, Selection(sel), k, C0)).inertia
+    return canonical_spectrum(CanonicalPoint(X, Selection(sel), k, C0))[0].inertia

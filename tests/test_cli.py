@@ -315,7 +315,8 @@ def test_verify_passes(capsys):
 def test_spectrum_parses_select_once(capsys, x46_csv, monkeypatch):
     seen = []
     parse = cli._parse_selection
-    monkeypatch.setattr(cli, "_parse_selection", lambda raw: seen.append(raw) or parse(raw))
+    monkeypatch.setattr(cli, "_parse_selection",
+                        lambda raw, m: seen.append(raw) or parse(raw, m))
     code, _, _ = _run(capsys, "spectrum", "--x", x46_csv, "--k", "2", "--select", "1,3")
     assert code == 0
     assert seen == ["1,3"]
@@ -331,13 +332,14 @@ def test_renderer_refuses_non_finite_floats_by_name(value, name):
 # Every CLI refusal but the no-index --select (below): an argv, {name} a path
 # of the paths fixture, and the one stderr line after "error: ".  A line
 # ending in "..." is compared up to there; the operating system's text follows.
-SCALE_OFF_Q_EQUALS_K = "--scale is only supported at a canonical point with q = k"
 REFUSALS = [
     ("classify --x {x} --k 1 --select 1,2", "selection has q = 2 > min(k, m) = 1"),
     ("spectrum --x {x} --k 1 --select 1,2", "selection has q = 2 > min(k, m) = 1"),
     ("orbit --x {x} --k 1 --select 1,2 --scale 2", "selection has q = 2 > min(k, m) = 1"),
     ("spectrum --x {x} --k 1 --select 0", "selection indices are 1-based"),
     ("spectrum --x {x} --k 1 --select 1,x", "could not parse selection '1,x'; expect e.g. 1,3"),
+    ("spectrum --x {x46} --k 2 --select 1,1", "selection repeats index 1"),
+    ("classify --x {x46} --k 2 --select 2,7", "selection index 7 out of range for m = 4"),
     ("spectrum --x /nonexistent.csv --k 1", "cannot read /nonexistent.csv: ..."),
     ("spectrum --x {x46} --k 2 --select 1,3 --output {missing}", "cannot write {missing}: ..."),
     ("flow --x {x46} --k 2 --trajectory {missing}", "cannot write {missing}: ..."),
@@ -348,9 +350,11 @@ REFUSALS = [
     ("spectrum --x {x} --k 1 --balanced", "--balanced requires --select"),
     ("spectrum --x {x} --k 2 --select 1 --balanced --c0 {c0}",
      "--c0 is not used with --balanced"),
-    ("spectrum --x {x} --k 2 --select 1 --scale 3", SCALE_OFF_Q_EQUALS_K),
-    ("spectrum --x {x} --k 1 --scale 2", SCALE_OFF_Q_EQUALS_K),
-    ("spectrum --x {x} --k 1 --select 1 --balanced --scale 2", SCALE_OFF_Q_EQUALS_K),
+    ("spectrum --x {x} --k 2 --select 1 --scale 3",
+     "an orbit scale a != 1 needs q = k, got q = 1, k = 2"),
+    ("spectrum --x {x} --k 1 --scale 2", "an orbit scale a != 1 needs q = k, got q = 0, k = 1"),
+    ("spectrum --x {x} --k 1 --select 1 --balanced --scale 2",
+     "--scale is only supported at a canonical point with q = k"),
     ("spectrum --x {x46} --k 2 --select 1,3 --scale 1e300",
      "the closed-form spectrum at scale 1e+300 is not finite in float64"),
     ("spectrum --x {x46} --k 2 --select 1,3 --scale 1e-200",

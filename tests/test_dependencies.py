@@ -108,6 +108,69 @@ def test_no_import_cycle_between_canonical_spectrum_and_orbit():
             assert not used, f"{name}:{line} imports {sorted(used)}"
 
 
+def test_only_canonical_spectrum_picks_a_closed_form_by_q():
+    """The command line reaches the canonical spectra through
+    spectrum.canonical_spectrum alone: cli.py names none of the builders
+    that function picks among by q."""
+    builders = {"spectrum_zero_family", "spectrum_full_rank_scaled", "spectrum_deficient_rank"}
+    tree = ast.parse((SRC / "mfland" / "cli.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        names = ({a.name for a in node.names} if isinstance(node, (ast.Import, ast.ImportFrom))
+                 else {node.id} if isinstance(node, ast.Name)
+                 else {node.attr} if isinstance(node, ast.Attribute) else set())
+        assert not names & builders, f"cli.py:{node.lineno} names {sorted(names & builders)}"
+
+
+def _one_based_turns(name, source=None):
+    """Every line of mfland/<name> (or of source) that adds 1 to a variable
+    bound by a loop, a comprehension or a lambda, outside a subscript: the
+    turn of a 0-based index into a 1-based one."""
+    if source is None:
+        source = (SRC / "mfland" / name).read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    offsets = {id(n) for s in ast.walk(tree) if isinstance(s, ast.Subscript)
+               for n in ast.walk(s.slice)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                             ast.DictComp)):
+            targets = [node.target] if isinstance(node, ast.For) else [
+                g.target for g in node.generators]
+            bound = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, ast.Lambda):
+            bound = {a.arg for a in node.args.args}
+        else:
+            continue
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Add)
+                    and id(sub) not in offsets
+                    and {type(sub.left), type(sub.right)} == {ast.Name, ast.Constant}):
+                var, one = sorted((sub.left, sub.right), key=lambda x: type(x) is ast.Constant)
+                if var.id in bound and one.value == 1:
+                    yield f"{name}:{sub.lineno}"
+
+
+def test_one_based_guard_flags_each_kind_of_turn():
+    """The guard below fires on i + 1 over a comprehension's, a loop's or a
+    lambda's variable, and passes other sums with 1 and index offsets."""
+    for source in ("sel = tuple(i + 1 for i in cp.selection.indices)",
+                   "sel = [1 + j for j in idx]",
+                   "for i in idx:\n    out.append(i + 1)",
+                   "f = lambda i: i + 1"):
+        assert len(list(_one_based_turns("t.py", source=source))) == 1, source
+    for source in ("p = defect + 1", "r = range(1, m + 1)", "n = [i + 2 for i in idx]",
+                   "s = [A[c, c + 1:] for c in idx]",
+                   "for i in idx:\n    n = k + 1"):
+        assert not list(_one_based_turns("t.py", source=source)), source
+
+
+def test_only_the_command_line_turns_indices_one_based():
+    """Selections are 0-based in the library; cli.py turns them 1-based on
+    the way out in one place (and back on the way in, by i - 1)."""
+    for path in sorted((SRC / "mfland").glob("*.py")):
+        turns = list(_one_based_turns(path.name))
+        assert len(turns) == (path.name == "cli.py"), turns
+
+
 def _bare_number(node):
     """Whether node is a nonzero numeric literal, signed or not."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):

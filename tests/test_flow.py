@@ -73,7 +73,7 @@ def test_tied_top_sigma_limit_is_a_global_minimum(sigma, init):
         traj = integrate_flow(X, init(X, 1, seed), grad_tol=GRAD_TOL)
         assert traj.status == "Converged"
         diag = classify_limit(X, traj)
-        assert (diag.kind, diag.selection) == ("GlobalMinimum", (1,))
+        assert (diag.kind, diag.selection) == ("GlobalMinimum", (0,))
         assert diag.lambdas == pytest.approx((sigma[0],), abs=1e-9)
 
 
@@ -90,7 +90,7 @@ def test_tied_bulk_limit_is_certified(init):
     traj = integrate_flow(X, init(X, 1, 0), grad_tol=GRAD_TOL)
     assert traj.status == "Converged"
     diag = classify_limit(X, traj)
-    assert (diag.kind, diag.selection) == ("GlobalMinimum", (1,))
+    assert (diag.kind, diag.selection) == ("GlobalMinimum", (0,))
     assert diag.lambdas == pytest.approx((s[0],), rel=1e-9)
 
 
@@ -172,7 +172,7 @@ def test_rank_ambiguous_refusal_tightens_and_then_certifies(monkeypatch):
     assert traj.canonical is not None
     diag = classify_limit(X21, traj)
     assert len(grads) == 2
-    assert (diag.kind, diag.selection) == ("GlobalMinimum", (1,))
+    assert (diag.kind, diag.selection) == ("GlobalMinimum", (0,))
 
 
 def test_k_outside_the_range_is_refused_before_any_step(monkeypatch):
@@ -246,7 +246,7 @@ def test_loose_grad_tol_certifies_its_limit(k):
     traj = integrate_flow(X, random_pair(X, k, seed=0), grad_tol=1e-5)
     assert traj.status == "Converged"
     diag = classify_limit(X, traj)
-    assert (diag.kind, diag.selection) == ("GlobalMinimum", tuple(range(1, k + 1)))
+    assert (diag.kind, diag.selection) == ("GlobalMinimum", tuple(range(k)))
 
 
 @pytest.mark.parametrize("start", ["random", "saddle"])
@@ -271,7 +271,7 @@ def test_classify_limit_reuses_the_certifying_reduction(monkeypatch, start):
     assert len(calls) == 2
     res = classify_canonical(cp)
     assert diag == flow.LimitDiagnosis(
-        kind=res.kind, q=cp.q, selection=tuple(i + 1 for i in cp.selection.indices),
+        kind=res.kind, q=cp.q, selection=cp.selection.indices,
         lambdas=tuple(float(v) for v in cp.lambdas), p=res.p,
         lambda_min=res.lambda_min_closed_form,
         balance_residual=balance_residual(traj.terminal),

@@ -30,6 +30,7 @@ from mfland import (
     block_spectrum,
     build_balanced,
     build_canonical,
+    canonical_spectrum,
     classify_canonical,
     flatten_tangent,
     dense_hessian,
@@ -117,11 +118,57 @@ def test_closed_forms_match_the_oracle_everywhere(kind, seed):
         for q in range(min(k, X.r) + 1):
             sel = Selection(tuple(sorted(rng.choice(X.r, size=q, replace=False).tolist())))
             C0 = rng.standard_normal((X.n - X.r, k - q))
-            if q == 0:
-                _assert_match(X, spectrum_zero_family(X, C0, k))
-                continue
-            _assert_match(X, spectrum_full_rank_scaled(X, sel, a=float(rng.uniform(0.3, 2.5)))
-                          if q == k else spectrum_deficient_rank(build_canonical(X, sel, k, C0=C0)))
+            a = float(rng.uniform(0.3, 2.5)) if q == k else 1.0
+            _assert_match(X, canonical_spectrum(CanonicalPoint(X, sel, k, C0), a)[0])
+
+
+def _built(build):
+    """What a spectrum build gives: its values and zero marks, inertia,
+    lambda_min and point, as bytes, or the type and message it raises."""
+    try:
+        rep = build()
+    except MflandError as exc:
+        return type(exc), str(exc)
+    return (rep.values.tobytes(), rep.eigpairs.zero.tobytes(), rep.inertia,
+            rep.lambda_min, rep.point.W.tobytes(), rep.point.S.tobytes())
+
+
+@settings(max_examples=30, deadline=None)
+@given(*LANDSCAPE)
+@example("tied", 0.0, 0)
+@example("rank-deficient", 0.0, 0)
+@example("tall", 0.0, 0)
+@example("square", 0.0, 0)
+@example("generic", 0.0, 0)
+def test_canonical_spectrum_is_the_builder_its_q_picks(kind, exponent, seed):
+    """At every k and q, and at q = k at orbit scales that build and that are
+    refused, canonical_spectrum gives what the builder of its family gives,
+    bit for bit, or raises its error with its message."""
+    rng = np.random.default_rng(seed)
+    X = load_data_matrix(10.0**exponent * matrix_of_kind(kind, rng))
+    for k in range(1, X.m + 1):
+        for q in range(min(k, X.r) + 1):
+            sel = Selection(tuple(sorted(rng.choice(X.r, size=q, replace=False).tolist())))
+            cp = CanonicalPoint(X, sel, k, rng.standard_normal((X.n - X.r, k - q)))
+            scales = (1.0,)
+            if q == k:
+                scales += (-float(rng.uniform(0.3, 2.5)), 1e300, 1e-200, 0.0, math.inf)
+            for a in scales:
+                want = _built(lambda: spectrum_zero_family(X, cp.C0, k) if q == 0
+                              else spectrum_deficient_rank(cp) if q < k
+                              else spectrum_full_rank_scaled(X, sel, a=a))
+                assert _built(lambda: canonical_spectrum(cp, a)[0]) == want, (k, sel, a)
+            family = {0: "zero", k: "canonical-full-rank"}.get(q, "canonical-deficient")
+            assert canonical_spectrum(cp)[1] == family
+
+
+@pytest.mark.parametrize("sel, k", [((), 1), ((0,), 2), ((1,), 3)])
+def test_canonical_spectrum_refuses_an_orbit_scale_off_q_equals_k(sel, k):
+    """Only a point with q = k has orbit scales; the refusal names q and k."""
+    cp = CanonicalPoint(X321, Selection(sel), k)
+    with pytest.raises(InvalidInput, match=rf"^an orbit scale a != 1 needs q = k, "
+                                           rf"got q = {len(sel)}, k = {k}$"):
+        canonical_spectrum(cp, 2.0)
 
 
 @settings(max_examples=30, deadline=None)
