@@ -124,7 +124,7 @@ def _cmd_spectrum(args):
         if sel is None:
             raise InvalidInput("--balanced requires --select")
         if args.scale != 1.0:
-            raise InvalidInput("--scale is only supported at a canonical point with q = k")
+            raise InvalidInput("--scale is not used with --balanced")
         if args.c0:
             raise InvalidInput("--c0 is not used with --balanced")
         rep, family = spectrum_balanced(X, sel, args.k), "balanced"

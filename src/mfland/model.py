@@ -106,13 +106,13 @@ class KernelFrame:
             for i in range(p):
                 T[:i, i] = -tau[i] * (T[:i, :i] @ YtY[:i, i])
                 T[i, i] = tau[i]
-            self._products = self._V0 @ self._lead, (self._V0 @ Y) @ T, Y
+            self._products = _freeze(self._V0 @ self._lead), (self._V0 @ Y) @ T, Y
         return self._products
 
     def column(self, z):
-        """Column z of the frame, a length-n array."""
+        """Column z of the frame, a read-only length-n array."""
         lead_cols, VY_T, Y = self._lift()
-        return lead_cols[:, z] if z < lead_cols.shape[1] else self._V0[:, z] - VY_T @ Y[z]
+        return lead_cols[:, z] if z < lead_cols.shape[1] else _freeze(self._V0[:, z] - VY_T @ Y[z])
 
 
 def _column_signs(M):

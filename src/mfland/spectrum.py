@@ -28,14 +28,14 @@ sigma_lambda_pair whose s_i ties l_j (``canonical._tie_tol``), and the 1 x 1
 values of l_j = 0, of a dead coordinate and of the right kernel's null rows.
 The inertia counts exactly these as zero, and every other value by its sign.
 
-A spectrum keeps its values and zero marks in emission order (grid by grid,
-blocks row-major, a 2 x 2 block's lower branch first), the stable order that
-sorts them, its inertia and lambda_min: 17 bytes per eigenpair plus
-O(m + n + k).  Its factor pair and the tables that decode an eigenpair
+A spectrum keeps its values and zero marks sorted stably by value, each
+with its emission position (grid by grid, blocks row-major, a 2 x 2 block's
+lower branch first), and its inertia and lambda_min: 17 bytes per eigenpair
+plus O(m + n + k).  Its factor pair and the tables that decode an eigenpair
 (``_Grids``) are made on their first read and kept, and an :class:`EigPair`,
-its eigenvector kept as rank-one factors, is decoded from its emission
-position when it is read.  ``canonical_spectrum`` is the one code that picks
-a canonical point's builder by q.
+its eigenvector kept as rank-one factors in read-only arrays, is decoded
+from its emission position when it is read.  ``canonical_spectrum`` is the
+one code that picks a canonical point's builder by q.
 """
 
 import math
@@ -61,11 +61,7 @@ from .canonical import (
     zero_family_point,
 )
 from .errors import InvalidInput, InvalidSelection, NumericalFailure
-from .model import KernelFrame, TangentPair
-
-# Relative gap between two sums of squares under which _pair_vectors takes
-# its choice of eigenvector form from pow() squares (see there).
-_NEAR_TIE = 1e-12
+from .model import KernelFrame, TangentPair, _freeze
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,8 @@ class EigPair:
     ``G = cl * outer(uG, cG)`` and ``H = cr * outer(cH, vH)``: ``uG`` and
     ``vH`` are columns of ``X.U`` and of ``X.V`` (or of the kernel
     frame), ``cG`` and ``cH`` are length-k coefficient vectors, and a half
-    that vanishes has coefficient 0 and zero factors.  ``vector`` builds the
+    that vanishes has coefficient 0 and zero factors.  All four are
+    read-only: they view tables the whole spectrum shares.  ``vector`` builds the
     dense TangentPair on every access and does not keep it, so that walking
     all the vectors of a spectrum never holds more than one of them.
 
@@ -138,19 +135,20 @@ class _Grids:
     2 x 2 block takes two, lower branch first; a list, which bisection reads
     about 4x faster than a range), and its parts, ``(ncols, family, second
     index)`` over the columns in turn, the family code and the second index
-    each given per column.  The rest are the spectrum's small vectors: the selected indices, values and scales, gamma over the kernel
-    columns, and per slot t (selected column j at t = j, kernel direction l
-    at t = q + l) the squared norms of row t of S and of column t of W,
-    which are the diagonal entries of every block.  The coefficient table
-    has a row per slot and a zero last row.
+    each given per column.  The rest are the spectrum's small vectors: the
+    selected indices, values and scales, gamma over the kernel columns, and
+    per slot t (selected column j at t = j, kernel direction l at t = q + l)
+    the squared norms of row t of S and of column t of W, which are the
+    diagonal entries of every block.  The coefficient table (read-only) has
+    a row per slot and a zero last row.
     """
 
     def __init__(self, grids, X, idx, lam, d, g_n, s_sq, w_sq, coef, frame):
         self.grids, self.starts = grids, [g[0] for g in grids]
-        self.X, self.g_n, self.coef, self.frame = X, g_n, coef, frame
+        self.X, self.g_n, self.coef, self.frame = X, g_n, _freeze(coef), frame
         self.idx, self.lam, self.d, self.s_sq, self.w_sq = (
             v.tolist() for v in (idx, lam, d, s_sq, w_sq))
-        self.zm, self.zn = np.zeros(X.m), np.zeros(X.n)
+        self.zm, self.zn = _freeze(np.zeros(X.m)), _freeze(np.zeros(X.n))
 
     def eigpair(self, p, value):
         """The EigPair at emission position p, of the given value: the grid by
@@ -198,35 +196,22 @@ class _Grids:
 
 
 class _EigPairs(Sequence):
-    """The eigenpairs of one spectrum: per item its ``value``, its ``zero``
-    mark (True where the value is zero by formula) and its emission position
-    (``pos``; None while the items are in emission order).  Item i is an
-    :class:`EigPair` decoded by ``_Grids.eigpair`` from its emission
-    position when it is read: a 1 x 1 block's coefficients are 1 and 0, a
-    2 x 2 block's come from ``_pair_vectors`` on its entries and value, and
-    the coupling is ``cr / cl``.  Slices return tuples of them.  ``grids``
-    is a cached function that makes the _Grids on its first call; a
-    sequence made by ``take`` calls the same one.
+    """The eigenpairs of one spectrum sorted by value: per item its ``value``,
+    its ``zero`` mark (True where the value is zero by formula) and its
+    emission position, read-only arrays each.  Item i is an :class:`EigPair`
+    decoded by ``_Grids.eigpair`` from its emission position when it is read:
+    a 1 x 1 block's coefficients are 1 and 0, a 2 x 2 block's come from
+    ``_pair_vectors`` on its entries and value, and the coupling is
+    ``cr / cl``.  Slices return tuples of them.  ``grids`` is a cached
+    function that makes the _Grids on its first call.
     """
 
     def __init__(self, values, zero, pos, grids):
-        values.flags.writeable = zero.flags.writeable = False
-        self._values, self._zero, self._pos, self._grids = values, zero, pos, grids
-
-    @property
-    def values(self):
-        return self._values
-
-    @property
-    def zero(self):
-        return self._zero
-
-    def take(self, order):
-        pos = order if self._pos is None else self._pos.take(order)
-        return _EigPairs(self._values.take(order), self._zero.take(order), pos, self._grids)
+        values.flags.writeable = zero.flags.writeable = pos.flags.writeable = False
+        self.values, self.zero, self._pos, self._grids = values, zero, pos, grids
 
     def __len__(self):
-        return self._values.size
+        return self.values.size
 
     def __getitem__(self, i):
         j = range(len(self))[i]
@@ -236,8 +221,7 @@ class _EigPairs(Sequence):
         return map(self._pair, range(len(self)))
 
     def _pair(self, i):
-        p = i if self._pos is None else int(self._pos[i])
-        return self._grids().eigpair(p, float(self._values[i]))
+        return self._grids().eigpair(int(self._pos[i]), float(self.values[i]))
 
 
 @dataclass(frozen=True)
@@ -270,7 +254,6 @@ class SpectrumReport:
 
 
 def _report(eigpairs, make_point):
-    eigpairs = eigpairs.take(np.argsort(eigpairs.values, kind="stable"))
     vals, zero = eigpairs.values, eigpairs.zero
     signed = vals[~zero]
     if not signed.all():
@@ -286,6 +269,15 @@ def _report(eigpairs, make_point):
     )
 
 
+def _sq(x):
+    """x ** 2.0 for a Python float x, or inf where it overflows: pow()'s
+    square, bit for bit np.float_power(x, 2.0)."""
+    try:
+        return x ** 2.0
+    except OverflowError:
+        return math.inf
+
+
 def _pair_vectors(p11, p12, p22, rho):
     """Unit eigenvector (c_left, c_right) of [[p11, p12], [p12, p22]] for
     its eigenvalue rho, all four Python floats.
@@ -293,26 +285,12 @@ def _pair_vectors(p11, p12, p22, rho):
     Normalized from the first of the analytically equivalent forms
     (p12, rho - p11) and (rho - p22, p12) unless the second has the larger
     sum of squares; p12 != 0 guarantees both components are nonzero.  The
-    JSON contract fixes that choice to squares taken with pow()
-    (np.float_power), which can differ from x * x in the last bit.
-
-    pow(x, 2) is within 1 ulp of x * x (the most seen over 1e8 draws of x^2
-    from 1e-323 to 1e308, glibc 2.36 libm on x86-64), so a sum of squares s
-    and its pow() counterpart differ by at most 4 * 2^-53 * s, plus 2^-1074
-    per square below the normal range.  Where |s1 - s2| exceeds _NEAR_TIE *
-    max(s1, s2, tiny), with tiny = 2^-1022 the smallest normal float64, the
-    gap is over 1000 times the two errors together, so x * x makes the same
-    choice as pow(); pow() decides only the rest, inf included.
+    JSON contract fixes that choice to squares taken with pow() (``_sq``),
+    which can differ from x * x in the last bit.
     """
     a1, b1 = p12, rho - p11
     a2, b2 = rho - p22, p12
-    s1, s2 = a1 * a1 + b1 * b1, a2 * a2 + b2 * b2
-    first = s1 >= s2
-    if not abs(s1 - s2) > _NEAR_TIE * max(s1, s2, 2.0**-1022):  # tiny
-        with np.errstate(over="ignore"):
-            sq = np.float_power
-            first = bool(sq(a1, 2.0) + sq(b1, 2.0) >= sq(a2, 2.0) + sq(b2, 2.0))
-    c0, c1 = (a1, b1) if first else (a2, b2)
+    c0, c1 = (a1, b1) if _sq(a1) + _sq(b1) >= _sq(a2) + _sq(b2) else (a2, b2)
     nrm = float(np.hypot(c0, c1))
     return c0 / nrm, c1 / nrm
 
@@ -321,7 +299,8 @@ def _pair_vectors(p11, p12, p22, rho):
 def _canonical_eigpairs(cp, d=1.0):
     """All k (m + n) closed-form eigenpairs at the diagonal representative of
     cp whose selected columns carry the scales d (a scalar or q values),
-    unsorted: each grid of blocks in turn, row by row.
+    sorted stably by value from emission order: each grid of blocks in turn,
+    row by row.
 
     Far out on an orbit (d = 1e300 or 1e-200 at sigma_1 = 1) the block
     entries overflow or divide by an underflowed d^2; instead of NumPy
@@ -433,7 +412,8 @@ def _canonical_eigpairs(cp, d=1.0):
         return _Grids([(a, *grid) for a, grid in zip(starts, grids)],
                       X, idx, lam, d, g_n, s_sq, w_sq, coef, KernelFrame(X, Y))
 
-    return _EigPairs(values, zero, None, cache(make_grids))
+    order = np.argsort(values, kind="stable")
+    return _EigPairs(values.take(order), zero.take(order), order, cache(make_grids))
 
 
 def spectrum_zero_family(X, C0, k):

@@ -354,7 +354,7 @@ REFUSALS = [
      "an orbit scale a != 1 needs q = k, got q = 1, k = 2"),
     ("spectrum --x {x} --k 1 --scale 2", "an orbit scale a != 1 needs q = k, got q = 0, k = 1"),
     ("spectrum --x {x} --k 1 --select 1 --balanced --scale 2",
-     "--scale is only supported at a canonical point with q = k"),
+     "--scale is not used with --balanced"),
     ("spectrum --x {x46} --k 2 --select 1,3 --scale 1e300",
      "the closed-form spectrum at scale 1e+300 is not finite in float64"),
     ("spectrum --x {x46} --k 2 --select 1,3 --scale 1e-200",

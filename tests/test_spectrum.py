@@ -501,6 +501,22 @@ def test_values_are_the_sorted_read_only_eigenvalues():
         vals[0] = 1.0
 
 
+def test_eigpair_arrays_are_read_only():
+    """Every factor and coefficient array of every eigenpair refuses a write,
+    so no caller can change the eigenvectors read after it through the
+    tables and kernel columns a spectrum shares."""
+    for rep in (_all_families_report(), spectrum_balanced(X321, Selection((0, 2)), 3)):
+        before = [(e.vector.G.tobytes(), e.vector.H.tobytes()) for e in rep.eigpairs]
+        for e in rep.eigpairs:
+            for name in ("uG", "cG", "cH", "vH"):
+                a = getattr(e, name)
+                assert not a.flags.writeable, (e.provenance, name)
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+        after = [(e.vector.G.tobytes(), e.vector.H.tobytes()) for e in rep.eigpairs]
+        assert after == before
+
+
 def test_values_follow_a_replaced_eigpair_tuple():
     rep = _all_families_report()
     pairs = list(rep.eigpairs)
@@ -521,8 +537,7 @@ def test_point_and_decoding_tables_are_made_on_first_read(monkeypatch):
     lambda_min and eigenpairs calls neither CanonicalPoint.materialize nor
     _balanced_point.  The first read of point has the bits of the eager
     build and later reads return the same object; each spectrum makes its
-    decoding tables (one _Grids) once, on its first eigenpair read, and a
-    sequence taken from its eigenpairs reads the same tables."""
+    decoding tables (one _Grids) once, on its first eigenpair read."""
     rng = np.random.default_rng(5)
     X = load_data_matrix(rng.standard_normal((4, 6)))
     C0_half, C0_zero = rng.standard_normal((2, 1)), rng.standard_normal((2, 2))
@@ -556,7 +571,6 @@ def test_point_and_decoding_tables_are_made_on_first_read(monkeypatch):
             assert rep.values.size == sum(rep.inertia) == 20 and rep.lambda_min < 0
             first = rep.eigpairs[0]
             assert [e.provenance for e in rep.eigpairs][0] == first.provenance
-            assert rep.eigpairs.take(np.arange(3))[0].value == rep.eigpairs[0].value
             assert len(made) == i
     for name, (_, eager) in cases.items():
         point, want = reps[name].point, eager()
@@ -695,11 +709,11 @@ KERNEL_COLUMN = re.compile(r"^(c0_cross_pair|right_kernel_selected)\(.*=(\d+)\)"
 @settings(max_examples=30, deadline=None)
 @given(*LANDSCAPE)
 def test_array_spectrum_equals_the_per_block_reference(kind, exponent, seed):
-    """Bit for bit, in emission order and after the stable sort by value,
-    which fixes the order of tied values: values, provenance, couplings and
-    G.  H is bit for bit too, except where its right factor is a kernel
-    column: the reference turns the kernel by C0's full SVD and the spectrum
-    by its kernel frame, two orthonormal bases of one space.  There the
+    """Bit for bit against the reference sorted stably by value, which fixes
+    the order of tied values: values, provenance, couplings and G.  H is bit
+    for bit too, except where its right factor is a kernel column: the
+    reference turns the kernel by C0's full SVD and the spectrum by its
+    kernel frame, two orthonormal bases of one space.  There the
     eigenpair's residual is checked, and the kernel columns read must be
     orthonormal and in the kernel of X."""
     rng = np.random.default_rng(seed)
@@ -715,13 +729,10 @@ def test_array_spectrum_equals_the_per_block_reference(kind, exponent, seed):
         d = np.sqrt(lam) if q and np.all(lam > 0) and rng.uniform() < 0.5 else \
             float(np.exp(rng.uniform(-1.0, 1.0)))
         ref = _reference_eigpairs(cp, d)
-        got = _canonical_eigpairs(cp, d)
-        assert [e.provenance for e in got] == [p for _, p, _, _, _ in ref]
-        assert got.values.tolist() == [v for v, _, _, _, _ in ref]
-        rep = _report(got, None)
+        rep = _report(_canonical_eigpairs(cp, d), None)
         order = sorted(range(len(ref)), key=lambda i: ref[i][0])
         point = _diagonal_point(cp, d)
-        tol = 1e-12 * float(np.abs(got.values).max())
+        tol = 1e-12 * float(np.abs(rep.values).max())
         kernel = {}
         for e, i in zip(rep.eigpairs, order):
             value, prov, coupling, G, H = ref[i]
@@ -781,7 +792,9 @@ def _blocks_of_delicate_choice(rng, n=600):
 def test_pair_vectors_choose_the_form_that_pow_squares_choose():
     """Bit for bit against the scalar reference on both branches of blocks
     where the choice is delicate; at FLIPPED_BLOCKS the x * x sums alone
-    would choose the other form."""
+    would choose the other form.  The squares _pair_vectors takes, _sq, are
+    np.float_power's bit for bit on every form component, subnormal squares
+    and squares that overflow to inf included."""
     for p11, p12, p22 in FLIPPED_BLOCKS:
         rho = float(_split_pair(p11, p12, p22)[1])
         a1, b1, a2, b2 = p12, rho - p11, rho - p22, p12
@@ -789,10 +802,15 @@ def test_pair_vectors_choose_the_form_that_pow_squares_choose():
             a1 ** 2 + b1 ** 2 >= a2 ** 2 + b2 ** 2)
     p11, p12, p22 = _blocks_of_delicate_choice(np.random.default_rng(5))
     with np.errstate(over="ignore", invalid="ignore"):
-        for rho in _split_pair(p11, p12, p22):
+        rhos = _split_pair(p11, p12, p22)
+        for rho in rhos:
             for block in zip(p11, p12, p22, rho):
                 got = np.array(spectrum._pair_vectors(*map(float, block)))
                 assert got.tobytes() == np.array(_reference_pair_vector(*block)).tobytes()
+        parts = np.concatenate([p12, *(rho - p for rho in rhos for p in (p11, p22))])
+        squares = np.float_power(parts, 2.0)
+    assert np.array([spectrum._sq(float(x)) for x in parts]).tobytes() == squares.tobytes()
+    assert np.isinf(squares).any() and ((0 < squares) & (squares < 2.0**-1022)).any()
 
 
 def test_coupled_pair_vectors_multiply_to_minus_one():
