@@ -52,7 +52,6 @@ from .model import (
     TangentPair,
     evaluate_J,
     inertia_at_nullity,
-    inertia_from_values,
     inner,
     load_data_matrix,
     read_matrix_csv,

@@ -31,10 +31,10 @@ gradient test instead of levelling off above it.
 A flow that passes its gradient test is reported Converged only once
 ``reduce_to_canonical`` rebuilds its terminal point from a canonical point,
 each factor within 1e-8 of its own norm, so that every Converged limit
-carries its canonical point.  Each refusal (ambiguous rank, or a
-reconstruction above that bound) tightens the gradient test tenfold and the
-flow steps on, a refused start too, at most three times before it stops
-Uncertified.
+carries its canonical point.  Each refusal (ambiguous rank, a group element
+singular to working precision, or a reconstruction above that bound)
+tightens the gradient test tenfold and the flow steps on, a refused start
+too, at most three times before it stops Uncertified.
 One block of checks runs at the start, where only the gradient test
 applies, and after each accepted step, in the order Diverged, gradient
 test, MaxTimeReached.  MaxStepsReached ends the flow once MAX_STEPS steps
@@ -59,6 +59,7 @@ from .errors import (
     NotCritical,
     NumericalFailure,
     RankAmbiguous,
+    SingularGroupElement,
     StiffnessFailure,
 )
 from .model import FactorPair, check_pair, check_seed
@@ -299,8 +300,9 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
     The gradient test starts at min(grad_tol, LIMIT_TOL) * X.tol_scale.  A
     point that passes it is Converged when ``reduce_to_canonical`` accepts it
     at LIMIT_TOL, and the trajectory carries that reduction.  Each refusal
-    (NotCritical, NumericalFailure or RankAmbiguous) divides the test by 10
-    and steps on, at most TIGHTENINGS times, before the flow is Uncertified.
+    (NotCritical, NumericalFailure, RankAmbiguous or SingularGroupElement)
+    divides the test by 10 and steps on, at most TIGHTENINGS times, before
+    the flow is Uncertified.
 
     Raises DimensionError when p0 does not fit X, InvalidSelection for
     k = p0.k outside [1, min(m, n)], InvalidInput for a t_max that is not a
@@ -333,7 +335,7 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
                 try:
                     canonical, _ = reduce_to_canonical(X, stepper.point(), tol=LIMIT_TOL)
                     status = "Converged"
-                except (NotCritical, NumericalFailure, RankAmbiguous):
+                except (NotCritical, NumericalFailure, RankAmbiguous, SingularGroupElement):
                     if tightened == TIGHTENINGS:
                         status = "Uncertified"
                     tightened, gtol = tightened + 1, gtol / 10.0

@@ -237,14 +237,6 @@ def check_zero_tol(tol):
             f"zero tolerance must be a nonnegative finite number, got {tol!r}")
 
 
-def inertia_from_values(evals, tol):
-    """(n_pos, n_neg, n_zero) with |value| <= tol counted as zero; tol must
-    pass check_zero_tol."""
-    check_zero_tol(tol)
-    evals = np.asarray(evals, dtype=float)
-    return inertia_at_nullity(evals, int(np.count_nonzero(np.abs(evals) <= tol)))
-
-
 def inertia_at_nullity(evals, z):
     """(n_pos, n_neg, z) for Hessian eigenvalues evals of nullity z, known from
     structure: the z smallest |values| are the zeros, the others count by

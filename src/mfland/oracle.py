@@ -157,46 +157,32 @@ def _touched(M, axis):
     return norms > LEAK_REL * np.linalg.norm(norms)
 
 
-@dataclass(frozen=True)
-class _Blocks:
-    """The Hessian at p as exact blocks in X's singular basis.
+def _blocks(X, p):
+    """The Hessian at p as exact blocks in X's singular basis, and the turn
+    of X's kernel: the right singular vectors of the thin SVD of S V0, in
+    V0's coordinates.
 
     A G row i stands for the tangent U[:, i] g^T and an H column j for
     h V[:, j]^T, g and h in R^k, where V is X.V with its kernel columns
-    turned by the SVD of S V0: the rows of ``turn`` (the SVD's right
-    singular vectors, in V0's coordinates) lead, and any orthonormal
-    completion of them follows, since S meets none of those columns.
-    ``core`` is the dense Hessian over the G rows ``rows`` (k coordinates
-    each), then the H columns ``cols``.  ``pairs[t]`` is the 2k x 2k block of
-    G row and H column ``pair[t]``; every G row in ``left`` has the block
-    S S^T, and every H column in ``right`` the block W^T W.
+    turned: the turn's rows lead, and any orthonormal completion of them
+    follows, since S meets none of those columns.  Rows of U^T W and columns
+    of S V above LEAK_REL times their factor's norm, and their indices as
+    rows and as columns, make the core: its dense Hessian has S S^T and W^T W
+    on the diagonal blocks and w_i s_j^T + E'_ij I between row i and column
+    j, with E' = U^T W S V - diag(sigma).  Every other index i < r gives the
+    block [[S S^T, -sigma_i I], [-sigma_i I, W^T W]], every other G row the
+    block S S^T and every other H column W^T W.
+
+    Each stack is (M, reps, rows, cols): a stack M of blocks, whose values
+    repeat reps times, and for each instance (block t % len(M), copy
+    t // len(M)) the G rows rows[t], k coordinates each, then the H columns
+    cols[t] that its coordinates stand for.  The stacks are the core, the
+    2k x 2k pairs, S S^T per left row and W^T W per right column.  Raises
+    NumericalFailure when the Hessian leaves float64, and TooLarge when the
+    core passes MAX_DENSE_DIM; the core is never larger than the dense
+    Hessian.
     """
-
-    core: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    pairs: np.ndarray
-    pair: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    SST: np.ndarray
-    WTW: np.ndarray
-    turn: np.ndarray
-
-
-def _blocks(X, p):
-    """The _Blocks of the Hessian at p, X's kernel turned by the thin SVD of
-    S V0.
-
-    Rows of U^T W and columns of S V above LEAK_REL times their factor's
-    norm, and their indices as rows and as columns, make the core: its dense
-    Hessian has S S^T and W^T W on the diagonal blocks and w_i s_j^T + E'_ij I
-    between row i and column j, with E' = U^T W S V - diag(sigma).  Every
-    other index i < r gives the block [[S S^T, -sigma_i I], [-sigma_i I,
-    W^T W]].  Raises NumericalFailure when the Hessian leaves float64, and
-    TooLarge when the core passes MAX_DENSE_DIM; the core is never larger
-    than the dense Hessian.
-    """
+    check_pair(X, p)
     m, n, r, k = X.m, X.n, X.r, p.k
     W, S = p.W, p.S
     SST, WTW = _finite_hessian("the Hessian", X, p)
@@ -234,28 +220,21 @@ def _blocks(X, p):
     H[:ak, ak:] = H[ak:, :ak].T
 
     # The other sigma_i > 0: one 2k x 2k block each.
-    pair = np.flatnonzero(~core[:r])
+    pair = np.flatnonzero(~core[:r])[:, None]
     blocks = np.zeros((pair.size, 2 * k, 2 * k))
     blocks[:, :k, :k] = SST
     blocks[:, k:, k:] = WTW
-    diag = np.einsum("pii->pi", blocks[:, :k, k:])
-    diag[...] = -X.sigma[pair, None]
+    np.einsum("pii->pi", blocks[:, :k, k:])[...] = -X.sigma[pair]
     blocks[:, k:, :k] = blocks[:, :k, k:]
-    return _Blocks(core=H, rows=rows, cols=cols, pairs=blocks, pair=pair,
-                   left=r + np.flatnonzero(~core[r:m]), right=r + np.flatnonzero(~core[r:]),
-                   SST=SST, WTW=WTW, turn=turn)
-
-
-def _stacks(b):
-    """The block stacks of b, each with the number of times its values
-    repeat: the core, the 2k x 2k pairs, S S^T per left row and W^T W per
-    right column."""
-    return ((b.core, 1), (b.pairs, 1), (b.SST, b.left.size), (b.WTW, b.right.size))
+    left, right = r + np.flatnonzero(~core[r:m])[:, None], r + np.flatnonzero(~core[r:])[:, None]
+    return [(H[None], 1, rows[None], cols[None]), (blocks, 1, pair, pair),
+            (SST[None], left.size, left, left[:, :0]),
+            (WTW[None], right.size, right[:, :0], right)], turn
 
 
 def _stack_values(stacks):
     """eigvalsh of each stack, repeated and concatenated in stack order."""
-    return np.concatenate([np.tile(np.linalg.eigvalsh(M).ravel(), reps) for M, reps in stacks])
+    return np.concatenate([np.tile(np.linalg.eigvalsh(M).ravel(), reps) for M, reps, *_ in stacks])
 
 
 def _jacobi(M):
@@ -278,8 +257,7 @@ def block_spectrum(X, p):
     2k x 2k blocks, and copies of the eigenvalues of S S^T and W^T W.  At a
     critical point the blocks are small and no N x N matrix is formed.
     """
-    check_pair(X, p)
-    vals = _stack_values(_stacks(_blocks(X, p)))
+    vals = _stack_values(_blocks(X, p)[0])
     assert vals.size == p.k * (X.m + X.n), (vals.size, p.k * (X.m + X.n))
     vals.sort()
     return vals
@@ -294,8 +272,7 @@ def equilibrated_values(X, p):
     block's largest |value|, from flipping the signs of genuine small values
     (Demmel and Veselic 1992).  The values themselves are not the Hessian's.
     """
-    check_pair(X, p)
-    return _stack_values([(_jacobi(M), reps) for M, reps in _stacks(_blocks(X, p))])
+    return _stack_values([(_jacobi(M), reps) for M, reps, *_ in _blocks(X, p)[0]])
 
 
 def numeric_spectrum(X, p):
@@ -309,19 +286,19 @@ def numeric_spectrum(X, p):
     (G rows) and the turned V (H columns) only when it is read, and no N x N
     array, product or eigenproblem is formed.
     """
-    check_pair(X, p)
-    b = _blocks(X, p)
-    stacks = _stacks(b)
-    eighs = [np.linalg.eigh(M) for M, _ in stacks]
-    vals = np.concatenate([np.tile(w.ravel(), reps) for (w, _), (_, reps) in zip(eighs, stacks)])
+    stacks, turn = _blocks(X, p)
+    eighs = [np.linalg.eigh(M) for M, *_ in stacks]
+    vals = np.concatenate([np.tile(w.ravel(), reps)
+                           for (w, _), (_, reps, *_) in zip(eighs, stacks)])
     order = np.argsort(vals, kind="stable")
-    return vals[order], BlockEigenvectors(X, b, eighs, order)
+    return vals[order], BlockEigenvectors(X, stacks, eighs, turn, order)
 
 
 class BlockEigenvectors:
     """numeric_spectrum's N x N eigenvector matrix, kept as its blocks'
-    eigenvectors, the basis (X.U, X.V and the turned kernel as a
-    ``model.KernelFrame`` led by the turn's rows) and the sort order.
+    eigenvectors with the G rows and H columns of each instance, the basis
+    (X.U, X.V and the turned kernel as a ``model.KernelFrame`` led by the
+    turn's rows) and the sort order.
 
     ``vectors[:, i]`` (any integer i, negatives included) lifts column i
     alone into a new length-N array: O(N) for a pair, left or right column,
@@ -332,19 +309,16 @@ class BlockEigenvectors:
     matrix itself is never built.
     """
 
-    def __init__(self, X, b, eighs, order):
-        self._m, self._r, self._k, self._N = X.m, X.r, b.SST.shape[0], order.size
+    def __init__(self, X, stacks, eighs, turn, order):
+        self._m, self._r, self._N = X.m, X.r, order.size
+        self._k = order.size // (X.m + X.n)
         self._U, self._V = X.U, X.V
-        # The turned kernel: a frame led by the turn's rows.
-        self._frame = KernelFrame(X, b.turn.T)
-        self._rows, self._cols, self._pair, self._left, self._right = (
-            b.rows, b.cols, b.pair, b.left, b.right)
-        (cv, self._cY), (pv, self._pZ), (sv, self._sQ), (wv, self._wQ) = eighs
+        self._frame = KernelFrame(X, turn.T)
+        # Each stack's block eigenvectors, with its instances' G rows and H columns.
+        self._stacks = [(Z, rows, cols) for (_, Z), (*_, rows, cols) in zip(eighs, stacks)]
         self._order = order
-        # Where each group starts in numeric_spectrum's unsorted values:
-        # core, pairs, left, right.
-        self._starts = np.cumsum([0, cv.size, pv.size, sv.size * b.left.size,
-                                  wv.size * b.right.size])
+        # Where each stack starts in numeric_spectrum's unsorted values.
+        self._starts = np.cumsum([0] + [rows.shape[0] * Z.shape[-1] for Z, rows, _ in self._stacks])
 
     @property
     def shape(self):
@@ -367,29 +341,20 @@ class BlockEigenvectors:
         return B
 
     def _lift(self, i):
-        """Sorted column i: the G part [c, r] (G[r, c]), then the H part
-        [j, c] (H[c, j]), each written through a view of the column."""
-        m, k, U = self._m, self._k, self._U
+        """Sorted column i, from eigenvector j of its instance t: the G part
+        [c, r] (G[r, c]) through X.U's columns of the instance's G rows, then
+        the H part [j, c] (H[c, j]) through the turned V's columns of its H
+        columns, each written through a view of the column."""
+        m, k = self._m, self._k
         x = np.zeros(self._N)
         G, H = x[:m * k].reshape(k, m), x[m * k:].reshape(-1, k)
         src = int(self._order[i])
-        g = int(np.searchsorted(self._starts, src, side="right")) - 1
-        v = src - int(self._starts[g])
-        if g == 0:  # core: G rows (r, c), then H columns (j, c)
-            a, y = self._rows.size, self._cY[:, v]
-            np.matmul(y[:a * k].reshape(a, k).T, U[:, self._rows].T, out=G)
-            np.matmul(self._basis(self._cols), y[a * k:].reshape(-1, k), out=H)
-        elif g == 1:  # pair t: G row pair[t], then H column pair[t] < r
-            t, j = divmod(v, 2 * k)
-            z, at = self._pZ[t, :, j], self._pair[t]
-            np.outer(z[:k], U[:, at], out=G)
-            np.outer(self._V[:, at], z[k:], out=H)
-        elif g == 2:
-            l, j = divmod(v, k)
-            np.outer(self._sQ[:, j], U[:, self._left[l]], out=G)
-        else:
-            l, j = divmod(v, k)
-            np.outer(self._basis(self._right[l:l + 1]), self._wQ[:, j], out=H)
+        s = int(np.searchsorted(self._starts, src, side="right")) - 1
+        Z, rows, cols = self._stacks[s]
+        t, j = divmod(src - int(self._starts[s]), Z.shape[-1])
+        y, a = Z[t % len(Z), :, j], rows.shape[1]
+        np.matmul(y[:a * k].reshape(a, k).T, self._U[:, rows[t]].T, out=G)
+        np.matmul(self._basis(cols[t]), y[a * k:].reshape(-1, k), out=H)
         return x
 
 
@@ -463,9 +428,8 @@ def balanced_flow_exact(X, p0, t):
     On the balanced set R obeys the Riccati equation R' = G R + R G - R^2
     with G = [[0, X], [X^T, 0]], so R(t) = Y K^-1 Y^T with Y = e^{G t} Z0 and
     K = I + Z0^T (int_0^t e^{2 G s} ds) Z0.  Both are evaluated in G's
-    eigenbasis, built from an SVD of X taken here: +-sigma_i on
-    (u_i, +-v_i) / sqrt(2) and 0 on the kernel (0, v_j), j > m (X is stored
-    with m <= n).  The top-right m x n block of R is W S.
+    eigenbasis, taken here with eigh: G's eigenvalues are +-sigma_i and
+    zeros, with sigma_1 the largest.  The top-right m x n block of R is W S.
 
     K's condition number grows like exp(2 sigma_1 t), so this naive
     evaluation refuses sigma_1 * t > EXACT_FLOW_MAX_SIGMA_T with
@@ -484,20 +448,16 @@ def balanced_flow_exact(X, p0, t):
             f"{EXACT_FLOW_BALANCE_TOL:g} * ||(W, S)||^2"
         )
     m, n = X.m, X.n
-    U, s, Vt = np.linalg.svd(X.X)
-    sigma_t = float(s[0]) * t
+    G = np.zeros((m + n, m + n))
+    G[:m, m:] = X.X
+    G[m:, :m] = X.X.T
+    gamma, Q = np.linalg.eigh(G)
+    sigma_t = float(gamma[-1]) * t
     if sigma_t > EXACT_FLOW_MAX_SIGMA_T:
         raise InvalidInput(
             f"sigma_1 * t = {sigma_t:.3e} > {EXACT_FLOW_MAX_SIGMA_T:g}: "
             "K is too ill-conditioned for the exact flow"
         )
-    V = Vt.T
-    Q = np.zeros((m + n, m + n))
-    Q[:m, :m] = Q[:m, m:2 * m] = U / np.sqrt(2.0)
-    Q[m:, :m] = V[:, :m] / np.sqrt(2.0)
-    Q[m:, m:2 * m] = -Q[m:, :m]
-    Q[m:, 2 * m:] = V[:, m:]
-    gamma = np.concatenate([s, -s, np.zeros(n - m)])
     Zq = Q.T @ Z0
     Y = Q @ (np.exp(gamma * t)[:, None] * Zq)
     # int_0^t e^{2 gamma s} ds, which is t where gamma = 0

@@ -19,8 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, InvalidSelection, SingularGroupElement
-from .model import (_as_matrix, _freeze, check_zero_tol, inertia_at_nullity,
-                    inertia_from_values)
+from .model import _as_matrix, _freeze, check_zero_tol, inertia_at_nullity
 
 
 @dataclass(frozen=True)
@@ -113,10 +112,11 @@ def inertia_of(X, p, zero_tol=None, nullity=None):
 
     With nullity z, known from structure, the z smallest |values| are the
     zeros and the rest count by sign (``model.inertia_at_nullity``).
-    Otherwise |value| <= zero_tol counts as zero, zero_tol applying to the
-    equilibrated values; None stands for 1e-12 times their largest |value|,
-    a floor free of units.  zero_tol must pass check_zero_tol, and giving
-    both is InvalidInput, each checked before any block is built."""
+    Otherwise the values with |value| <= zero_tol are the zeros, counted as
+    that nullity, zero_tol applying to the equilibrated values; None stands
+    for 1e-12 times their largest |value|, a floor free of units.  zero_tol
+    must pass check_zero_tol, and giving both is InvalidInput, each checked
+    before any block is built."""
     from .oracle import equilibrated_values
 
     if zero_tol is not None:
@@ -124,11 +124,11 @@ def inertia_of(X, p, zero_tol=None, nullity=None):
             raise InvalidInput("inertia_of takes zero_tol or nullity, not both")
         check_zero_tol(zero_tol)
     vals = equilibrated_values(X, p)
-    if nullity is not None:
-        return inertia_at_nullity(vals, nullity)
-    if zero_tol is None:
-        zero_tol = 1e-12 * float(np.abs(vals).max())
-    return inertia_from_values(vals, zero_tol)
+    if nullity is None:
+        if zero_tol is None:
+            zero_tol = 1e-12 * float(np.abs(vals).max())
+        nullity = int(np.count_nonzero(np.abs(vals) <= zero_tol))
+    return inertia_at_nullity(vals, nullity)
 
 
 def intersect_M0(cp):

@@ -15,6 +15,7 @@ from mfland import (
     NotCritical,
     NumericalFailure,
     RankAmbiguous,
+    SingularGroupElement,
     balance_residual,
     build_balanced,
     classify_canonical,
@@ -94,7 +95,8 @@ def test_tied_bulk_limit_is_certified(init):
     assert diag.lambdas == pytest.approx((s[0],), rel=1e-9)
 
 
-@pytest.mark.parametrize("refusal", [NumericalFailure, NotCritical, RankAmbiguous])
+@pytest.mark.parametrize("refusal", [NumericalFailure, NotCritical, RankAmbiguous,
+                                     SingularGroupElement])
 def test_refused_limit_is_uncertified(monkeypatch, refusal):
     """A point the reduction keeps refusing, for whatever reason, sends the
     flow on at grad_tol / 10 three times, along the same trajectory, and then
@@ -126,7 +128,8 @@ def test_refused_limit_is_uncertified(monkeypatch, refusal):
         classify_limit(X21, traj)
 
 
-@pytest.mark.parametrize("refusal", [NumericalFailure, NotCritical, RankAmbiguous])
+@pytest.mark.parametrize("refusal", [NumericalFailure, NotCritical, RankAmbiguous,
+                                     SingularGroupElement])
 def test_refused_start_tightens_and_steps_on(monkeypatch, refusal):
     """A start that passes the gradient test but that the reduction refuses
     is treated like a later limit: the flow tightens the test tenfold and

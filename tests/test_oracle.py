@@ -25,7 +25,6 @@ from mfland import (
     gradient_norm,
     hessian_apply,
     inertia_at_nullity,
-    inertia_from_values,
     inertia_of,
     load_data_matrix,
     numeric_spectrum,
@@ -102,10 +101,13 @@ def _columns(vecs):
     return np.column_stack([vecs[:, i] for i in range(vecs.shape[1])])
 
 
-def test_inertia_from_values():
+def test_inertia_of_counts_at_a_zero_tolerance(monkeypatch):
+    """|value| <= zero_tol counts as zero and the rest by sign."""
     vals = np.array([-2.0, -1e-15, 0.0, 3e-12, 5.0, 7.0])
-    assert inertia_from_values(vals, tol=1e-9) == (2, 1, 3)
-    assert inertia_from_values(vals, tol=1e-16) == (3, 2, 1)
+    monkeypatch.setattr(oracle, "equilibrated_values", lambda X, p: vals)
+    p = random_pair(X21, 1, seed=0)
+    assert inertia_of(X21, p, zero_tol=1e-9) == (2, 1, 3)
+    assert inertia_of(X21, p, zero_tol=1e-16) == (3, 2, 1)
 
 
 def test_inertia_at_nullity_drops_the_smallest_magnitudes():
@@ -126,17 +128,20 @@ def test_inertia_count_has_one_home(monkeypatch):
     structure instead of counting for themselves.  There is one counting
     rule: a zero floor counts at the nullity of the values under it.  The
     closed-form spectra count their own zeros, which are zero by formula."""
+    import mfland
     from mfland import cli, model, orbit, verify
-    assert orbit.inertia_from_values is model.inertia_from_values
     assert orbit.inertia_at_nullity is model.inertia_at_nullity
     assert cli.inertia_of is verify.inertia_of is orbit.inertia_of
-    for module in (oracle, cli, verify):
+    for module in (mfland, model, orbit, oracle, cli, verify):
         assert not hasattr(module, "inertia_from_values")
+    for module in (oracle, cli, verify):
         assert not hasattr(module, "inertia_at_nullity")
     seen = []
     count = model.inertia_at_nullity
-    monkeypatch.setattr(model, "inertia_at_nullity", lambda v, z: seen.append(z) or count(v, z))
-    assert inertia_from_values(np.array([-2.0, -1e-15, 0.0, 3e-12, 5.0]), 1e-9) == (1, 1, 3)
+    monkeypatch.setattr(orbit, "inertia_at_nullity", lambda v, z: seen.append(z) or count(v, z))
+    monkeypatch.setattr(oracle, "equilibrated_values",
+                        lambda X, p: np.array([-2.0, -1e-15, 0.0, 3e-12, 5.0]))
+    assert inertia_of(X21, random_pair(X21, 1, seed=0), zero_tol=1e-9) == (1, 1, 3)
     assert seen == [3]
 
 
@@ -433,19 +438,15 @@ def test_inertia_of_answers_far_along_an_orbit(A):
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, "1e-8"], ids=repr)
 def test_a_bad_zero_tolerance_is_refused_before_assembly(tol, monkeypatch):
     """A negative, NaN, infinite or non-numeric tolerance once gave counts
-    that do not sum to N, (0, 0, 0) or a raw NumPy error; both inertia
-    counters now refuse it, inertia_of before it builds any Hessian block,
-    as it does a zero_tol given with a nullity.  zero_tol=None keeps
-    inertia_of's default."""
+    that do not sum to N, (0, 0, 0) or a raw NumPy error; inertia_of now
+    refuses it before it builds any Hessian block, as it does a zero_tol
+    given with a nullity.  zero_tol=None keeps inertia_of's default."""
     X = gaussian(0)
     p = CanonicalPoint(X, Selection((0, 2)), 2).materialize()
     built = []
     assemble = oracle._blocks
     monkeypatch.setattr(oracle, "_blocks", lambda *a: built.append(a) or assemble(*a))
-    match = "zero tolerance must be a nonnegative finite number"
-    with pytest.raises(InvalidInput, match=match):
-        inertia_from_values(np.array([-1.0, 0.0, 1.0]), tol)
-    with pytest.raises(InvalidInput, match=match):
+    with pytest.raises(InvalidInput, match="zero tolerance must be a nonnegative finite number"):
         inertia_of(X, p, zero_tol=tol)
     with pytest.raises(InvalidInput, match="^inertia_of takes zero_tol or nullity, not both$"):
         inertia_of(X, p, zero_tol=1e-8, nullity=4)
@@ -483,12 +484,16 @@ def test_fd_validate_deterministic():
     assert fd_validate(X, p, seed=9) == fd_validate(X, p, seed=9)
 
 
-@pytest.mark.parametrize("shape,k", [((3, 5), 2), ((4, 4), 3), ((2, 6), 2)])
+@pytest.mark.parametrize("shape,k", [((3, 5), 2), ((4, 4), 3), ((2, 6), 2)]
+                         + [(kind, 3) for kind in KINDS])
 def test_balanced_flow_exact_solves_the_riccati_equation(shape, k):
     """R(0) = Z0 Z0^T, and a central difference of R in t matches
-    G R + R G - R^2 at sigma_1 t = 0.5 and 4, where G = [[0, X], [X^T, 0]]."""
+    G R + R G - R^2 at sigma_1 t = 0.5 and 4, where G = [[0, X], [X^T, 0]].
+    X is Gaussian of the given shape or of a matrix_kinds kind, whose tied,
+    repeated or zero sigma give G repeated and extra zero eigenvalues."""
     rng = np.random.default_rng(3)
-    X = load_data_matrix(rng.standard_normal(shape))
+    raw = matrix_of_kind(shape, rng) if isinstance(shape, str) else rng.standard_normal(shape)
+    X = load_data_matrix(raw)
     p0 = random_balanced_pair(X, k, seed=4)
     Z0 = np.vstack([p0.W, p0.S.T])
     assert np.allclose(balanced_flow_exact(X, p0, 0.0), Z0 @ Z0.T, rtol=0, atol=1e-13)

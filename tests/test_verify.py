@@ -77,7 +77,7 @@ FAULTS = [
                  "lambda_min_bound", SEED_1_X, id="induced_norm-inflated"),
     pytest.param(calculus, "hessian_apply", "E = residual(X, p)", "E = 2.0 * residual(X, p)",
                  "spectra_match_oracle", SEED_1_X, id="hessian_apply-E-doubled"),
-    pytest.param(oracle, "_stacks", "(b.SST, b.left.size)", "(b.WTW, b.left.size)",
+    pytest.param(oracle, "_blocks", "(SST[None], left.size", "(WTW[None], left.size",
                  "spectra_match_oracle", RANK_2_X, id="block_spectrum-left-rows-WTW"),
 ]
 
