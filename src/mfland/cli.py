@@ -197,6 +197,9 @@ def _cmd_orbit(args):
     inertia = canonical_spectrum(cp)[0].inertia
     p = apply_group_action(cp.materialize(), g)
     moved = inertia_of(X, p, nullity=inertia[2])
+    if moved != inertia:
+        raise NumericalFailure(f"inertia_transported = {list(moved)} in float64, but Sylvester's "
+                               f"law gives the orbit the base's {list(inertia)}")
     lam = 0.0
     if moved[1]:
         lam = float(block_spectrum(X, p)[0])

@@ -35,11 +35,12 @@ carries its canonical point.  Each refusal (ambiguous rank, a group element
 singular to working precision, or a reconstruction above that bound)
 tightens the gradient test tenfold and the flow steps on, a refused start
 too, at most three times before it stops Uncertified.
-One block of checks runs at the start, where only the gradient test
-applies, and after each accepted step, in the order Diverged, gradient
-test, MaxTimeReached.  MaxStepsReached ends the flow once MAX_STEPS steps
-are accepted, and StiffnessFailure once a step-size update, made after the
-checks, falls below H_MIN.
+A start whose J, gradient norm or drift overflows float64 is refused with
+NumericalFailure before any step.  One block of checks runs at the start,
+where only the gradient test applies, and after each accepted step, in the
+order Diverged, gradient test, MaxTimeReached.  MaxStepsReached ends the
+flow once MAX_STEPS steps are accepted, and StiffnessFailure once a
+step-size update, made after the checks, falls below H_MIN.
 """
 
 import math
@@ -307,7 +308,9 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
     Raises DimensionError when p0 does not fit X, InvalidSelection for
     k = p0.k outside [1, min(m, n)], InvalidInput for a t_max that is not a
     positive finite number and a grad_tol that is not a nonnegative number,
-    and StiffnessFailure if the accepted step size underflows H_MIN.
+    NumericalFailure when J, the gradient or the drift at p0 is not finite
+    in float64, and StiffnessFailure if the accepted step size underflows
+    H_MIN.
     """
     check_pair(X, p0)
     _check_k(X, p0.k)
@@ -315,11 +318,18 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
         raise InvalidInput(f"t_max must be positive and finite, got {t_max!r}")
     if not (isinstance(grad_tol, Real) and grad_tol >= 0):
         raise InvalidInput(f"grad_tol must be nonnegative, got {grad_tol!r}")
-    stepper = _Stepper(X, p0)
     gtol, tightened, canonical = min(grad_tol, LIMIT_TOL) * X.tol_scale, 0, None
     t, steps, rejected, h_min, h_max = 0.0, 0, 0, math.inf, 0.0
-    samples = [stepper.sample(t)]
-    h, grad0 = H0, samples[0].grad_norm
+    # The start's products may overflow float64; such a start is refused here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepper = _Stepper(X, p0)
+        start = stepper.sample(t)
+    if not all(map(math.isfinite, (start.J, start.grad_norm, start.drift, stepper.ysq))):
+        raise NumericalFailure(
+            f"the flow's start is not finite in float64: max |W| = {np.abs(p0.W).max():.3g}, "
+            f"max |S| = {np.abs(p0.S).max():.3g}")
+    samples = [start]
+    h, grad0 = H0, start.grad_norm
     if grad0 > 0.0:
         h = min(H0, 0.01 * math.sqrt(stepper.ysq) / grad0)
     # moved: the point is new (the start, or the end of an accepted step), so

@@ -143,17 +143,12 @@ def _finite_hessian(what, X, p):
     return SST, WTW
 
 
-def _unit(M):
-    """M over its largest |entry| (M itself when zero), so that no square of
-    an entry over- or underflows."""
-    top = np.abs(M).max(initial=0.0)
-    return M / top if top else M
-
-
 def _touched(M, axis):
     """The rows (axis 1) or columns (axis 0) of M whose norm exceeds LEAK_REL
-    times M's."""
-    norms = np.linalg.norm(_unit(M), axis=axis)
+    times M's, taken on M over its largest |entry| so that no square of an
+    entry over- or underflows."""
+    top = np.abs(M).max(initial=0.0)
+    norms = np.linalg.norm(M / top if top else M, axis=axis)
     return norms > LEAK_REL * np.linalg.norm(norms)
 
 
@@ -177,7 +172,8 @@ def _blocks(X, p):
     repeat reps times, and for each instance (block t % len(M), copy
     t // len(M)) the G rows rows[t], k coordinates each, then the H columns
     cols[t] that its coordinates stand for.  The stacks are the core, the
-    2k x 2k pairs, S S^T per left row and W^T W per right column.  Raises
+    2k x 2k pairs, S S^T per left row and W^T W per right column, each listed
+    only when it has an instance (the core always has one).  Raises
     NumericalFailure when the Hessian leaves float64, and TooLarge when the
     core passes MAX_DENSE_DIM; the core is never larger than the dense
     Hessian.
@@ -227,14 +223,16 @@ def _blocks(X, p):
     np.einsum("pii->pi", blocks[:, :k, k:])[...] = -X.sigma[pair]
     blocks[:, k:, :k] = blocks[:, :k, k:]
     left, right = r + np.flatnonzero(~core[r:m])[:, None], r + np.flatnonzero(~core[r:])[:, None]
-    return [(H[None], 1, rows[None], cols[None]), (blocks, 1, pair, pair),
-            (SST[None], left.size, left, left[:, :0]),
-            (WTW[None], right.size, right[:, :0], right)], turn
+    stacks = [(H[None], 1, rows[None], cols[None]), (blocks, 1, pair, pair),
+              (SST[None], left.size, left, left[:, :0]),
+              (WTW[None], right.size, right[:, :0], right)]
+    return [s for s in stacks if len(s[2])], turn
 
 
-def _stack_values(stacks):
-    """eigvalsh of each stack, repeated and concatenated in stack order."""
-    return np.concatenate([np.tile(np.linalg.eigvalsh(M).ravel(), reps) for M, reps, *_ in stacks])
+def _tiled(values):
+    """Each stack's block values, from (values, reps) pairs, repeated reps
+    times and concatenated in stack order."""
+    return np.concatenate([np.tile(w.ravel(), reps) for w, reps in values])
 
 
 def _jacobi(M):
@@ -257,7 +255,7 @@ def block_spectrum(X, p):
     2k x 2k blocks, and copies of the eigenvalues of S S^T and W^T W.  At a
     critical point the blocks are small and no N x N matrix is formed.
     """
-    vals = _stack_values(_blocks(X, p)[0])
+    vals = _tiled((np.linalg.eigvalsh(M), reps) for M, reps, *_ in _blocks(X, p)[0])
     assert vals.size == p.k * (X.m + X.n), (vals.size, p.k * (X.m + X.n))
     vals.sort()
     return vals
@@ -272,7 +270,7 @@ def equilibrated_values(X, p):
     block's largest |value|, from flipping the signs of genuine small values
     (Demmel and Veselic 1992).  The values themselves are not the Hessian's.
     """
-    return _stack_values([(_jacobi(M), reps) for M, reps, *_ in _blocks(X, p)[0]])
+    return _tiled((np.linalg.eigvalsh(_jacobi(M)), reps) for M, reps, *_ in _blocks(X, p)[0])
 
 
 def numeric_spectrum(X, p):
@@ -288,8 +286,7 @@ def numeric_spectrum(X, p):
     """
     stacks, turn = _blocks(X, p)
     eighs = [np.linalg.eigh(M) for M, *_ in stacks]
-    vals = np.concatenate([np.tile(w.ravel(), reps)
-                           for (w, _), (_, reps, *_) in zip(eighs, stacks)])
+    vals = _tiled((w, reps) for (w, _), (_, reps, *_) in zip(eighs, stacks))
     order = np.argsort(vals, kind="stable")
     return vals[order], BlockEigenvectors(X, stacks, eighs, turn, order)
 

@@ -14,6 +14,7 @@ from mfland import (
     InvalidSelection,
     NotCritical,
     NumericalFailure,
+    RankAmbiguous,
     Selection,
     apply_group_action,
     balance_residual,
@@ -46,6 +47,16 @@ def test_selection_must_increase():
         Selection((1, 1))
     with pytest.raises(InvalidSelection):
         Selection((2, 0))
+
+
+def test_selection_index_must_be_nonnegative():
+    with pytest.raises(InvalidSelection, match=r"^negative selection index in \(-1,\)$"):
+        Selection((-1,))
+
+
+def test_build_canonical_needs_a_selected_index():
+    with pytest.raises(InvalidSelection, match="^build_canonical needs at least one selected index$"):
+        build_canonical(X321, Selection(()), 1)
 
 
 def test_selection_out_of_range():
@@ -306,6 +317,17 @@ def test_reduce_rejects_non_critical():
     p_bad = type(p_bad)(p_bad.W + rng.standard_normal(p_bad.W.shape), p_bad.S)
     with pytest.raises(NotCritical):
         reduce_to_canonical(X321, p_bad)
+
+
+def test_reduce_refuses_a_rank_between_its_thresholds():
+    """The canonical point of X321, (0, 1), moved by A = diag(1, 5 tol): W's
+    singular values are 1 and 5 tol, between 0.1 tol and 10 tol, so the rank
+    of W is ambiguous."""
+    tol = 1e-8
+    g = GroupElement.from_matrix(np.diag([1.0, 5 * tol]))
+    p = apply_group_action(build_canonical(X321, Selection((0, 1)), 2).materialize(), g)
+    with pytest.raises(RankAmbiguous, match=r"^rank of W ambiguous at tolerance 1e-08: between 1 and 2$"):
+        reduce_to_canonical(X321, p, tol=tol)
 
 
 def test_not_critical_message_names_norm_and_threshold():

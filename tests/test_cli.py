@@ -15,7 +15,8 @@ X46 = np.random.default_rng(0).standard_normal((4, 6))
 # The matrices the CLI tests read, by the name that stands for their CSV path.
 INPUTS = {"x": X21.X, "x46": X46, "x35": np.random.default_rng(0).standard_normal((3, 5)),
           "huge": 1e200 * X46, "tiny": 1e-150 * X321.X,
-          "tiny_row": np.array([[1e-150, 0.0]]), "c0": 1.0, "c0nan": np.nan}
+          "tiny_row": np.array([[1e-150, 0.0]]), "c0": 1.0, "c0nan": np.nan,
+          "rank2": matrix_of_kind("rank-deficient", np.random.default_rng(0))}
 
 
 @pytest.fixture()
@@ -387,6 +388,11 @@ REFUSALS = [
     ("orbit --x {x35} --k 1 --select 2 --scale 1e150",
      "lambda_min_transported = 0 in float64, but the moved point has 1 negative Hessian "
      "eigenvalue(s)"),
+    # far along the orbit of a zero-sigma selection the count turns a
+    # negative value positive, which Sylvester's law rules out
+    ("orbit --x {rank2} --k 2 --select 3,4 --scale 1e9",
+     "inertia_transported = [13, 3, 4] in float64, but Sylvester's law gives the orbit "
+     "the base's [12, 4, 4]"),
     ("flow --x {x} --k 1 --t-max=nan", "t_max must be positive and finite, got nan"),
     ("flow --x {x} --k 1 --t-max=inf", "t_max must be positive and finite, got inf"),
     ("flow --x {x} --k 1 --grad-tol=-1e-9", "grad_tol must be nonnegative, got -1e-09"),

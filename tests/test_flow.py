@@ -199,6 +199,40 @@ def test_k_outside_the_range_is_refused_before_any_step(monkeypatch):
             make(X21, 1, -1)
 
 
+def _scaled_start(c):
+    """c times the k = 2 random start of seed 0 on the 4 x 6 X of default_rng(0)."""
+    X = load_data_matrix(np.random.default_rng(0).standard_normal((4, 6)))
+    p = random_pair(X, 2, 0)
+    return X, FactorPair(W=c * p.W, S=c * p.S)
+
+
+@pytest.mark.parametrize("c", [1e100, 1e160])
+def test_a_start_that_overflows_is_refused_before_any_step(monkeypatch, c):
+    """A start whose J, gradient or drift leaves float64 raises
+    NumericalFailure naming the largest |entry| of W and of S, with no NumPy
+    warning (pytest makes one an error) and no step attempted."""
+    X, p0 = _scaled_start(c)
+
+    def no_step(self, h):
+        raise AssertionError("a step was attempted")
+
+    monkeypatch.setattr(flow._Stepper, "attempt", no_step)
+    message = (f"the flow's start is not finite in float64: max |W| = {np.abs(p0.W).max():.3g}, "
+               f"max |S| = {np.abs(p0.S).max():.3g}")
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+        integrate_flow(X, p0)
+
+
+@pytest.mark.parametrize("c", [1e6, 1e13])
+def test_a_finite_stiff_start_underflows_the_step_size(c):
+    """A finite start far off the data's scale is too stiff for any step of
+    at least H_MIN: the flow raises StiffnessFailure at t = 0."""
+    X, p0 = _scaled_start(c)
+    with pytest.raises(StiffnessFailure,
+                       match=r"^step size underflowed \(\S+ < 1\.00e-13\) at t = 0\.000e\+00$"):
+        integrate_flow(X, p0, t_max=1.0)
+
+
 @pytest.mark.parametrize("make", [random_pair, random_balanced_pair])
 @pytest.mark.parametrize("seed", [1.5, 2.0, "1", None])
 def test_non_integer_seed_is_invalid_input(make, seed):

@@ -114,6 +114,14 @@ def test_csv_round_trip_exact(tmp_path):
     assert (read_matrix_csv(path) == A).all()  # blank lines are skipped
 
 
+@pytest.mark.parametrize("text", ["", " \n\n\t\n"], ids=["empty", "blank"])
+def test_csv_without_a_row_rejected(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidInput, match="empty matrix file$"):
+        read_matrix_csv(path)
+
+
 def test_csv_ragged_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2,3\n4,5\n")

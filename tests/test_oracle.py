@@ -96,6 +96,22 @@ def test_numeric_spectrum_sorted_and_consistent():
     np.testing.assert_allclose(H @ V, V * evals, atol=1e-10)
 
 
+@pytest.mark.parametrize("kind, sel, stacks", [
+    ("generic", (0, 2), [(1, 2, 2), (2, 1, 1), (2, 0, 1)]),  # m = r: no S S^T stack
+    ("square", (0, 2), [(1, 2, 2), (2, 1, 1)]),  # n = r: neither S S^T nor W^T W
+    ("rank-deficient", (0, 1), [(1, 2, 2), (2, 1, 0), (4, 0, 1)]),  # the core holds every sigma > 0
+], ids=["m=r", "n=r", "no-pairs"])
+def test_blocks_lists_only_stacks_with_instances(kind, sel, stacks):
+    """_blocks lists a stack only when it has an instance, so no walker
+    factors an empty one: each stack is given here as (instances, G rows and
+    H columns per instance), the core first, then the pairs, S S^T and
+    W^T W, at k = 2 canonical points of seed 0's X."""
+    X = load_data_matrix(matrix_of_kind(kind, np.random.default_rng(0)))
+    p = CanonicalPoint(X, Selection(sel), 2).materialize()
+    listed, _ = oracle._blocks(X, p)
+    assert [(len(rows), rows.shape[1], cols.shape[1]) for *_, rows, cols in listed] == stacks
+
+
 def _columns(vecs):
     """The eigenvector matrix, read one column at a time."""
     return np.column_stack([vecs[:, i] for i in range(vecs.shape[1])])

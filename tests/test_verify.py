@@ -28,6 +28,15 @@ def test_run_all_passes(kind, seed):
     assert not failed
 
 
+def test_run_all_on_a_row_skips_the_saddle_checks():
+    """A 1 x 3 X offers no q = k = 1 strict saddle: every check passes, and
+    the two that need one say they were skipped."""
+    checks = run_all(load_data_matrix(np.array([[3.0, 1.0, 2.0]])), seed=0)
+    assert all(c["passed"] for c in checks)
+    skipped = {c["name"] for c in checks if c["detail"].startswith("skipped")}
+    assert skipped == {"lambda_min_bound", "scaling_trichotomy"}
+
+
 @pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3, 1e6])
 def test_congruence_inertia_holds_at_every_scale(c):
     """Claim (c) on c X for every kind and seeds 0-5, at verify seeds 0 and 1:
