@@ -207,90 +207,93 @@ class _Stepper:
     One (14, N) array holds the point y, the stage slopes k1, ..., k12 and
     the stage input, with a _Buffer per row.  Each stage input, the solution
     and each error estimate are one product of a row of h * tableau (with 1
-    for y) and the rows.  The solution is left in the stage input, so
-    accepting a step copies it into row 0 and evaluates its slope, the next
-    step's k1, into row 1.  Every product of a step (the stage and error
-    combinations and the three products of each RHS evaluation) and each
-    Gram product of the drift goes through ndarray.dot, which skips np.dot's
-    dispatcher, into one of these buffers.  Loading p0 evaluates its slope
-    k1 and fixes the invariant C = W^T W - S S^T that the drift is measured
-    from.
+    for y) and the rows.  A stage is five array calls: its input product,
+    then the RHS there, W S and D = X - W S into the residual D, and D S^T
+    and W^T D into the stage's slope.  The solution is left in the stage
+    input, so accepting a step copies it into row 0 and evaluates its slope,
+    the next step's k1, into row 1; loading p0 does the same after it fixes
+    the invariant C = W^T W - S S^T that the drift is measured from.  Every
+    product (those of the stages, the solution and error combinations and
+    the two Gram products of the drift) goes through ndarray.dot, which
+    skips np.dot's dispatcher, into one of these buffers.  The views and
+    bound dot methods each call needs are fetched here, once, so the stage
+    loop, accept and sample look up no attribute.
     """
 
     def __init__(self, X, p0):
         m, n, k = X.m, X.n, p0.k
-        self.X = X.X
-        self.a = np.empty((14, k * (m + n)))
-        self.rows = [_Buffer(row, m, k) for row in self.a]
-        self.stage = self.rows[13]
-        self.coef = np.empty_like(_TABLEAU)
-        self.stages = [(self.coef[r, : r + 2], self.a[: r + 2], self.rows[r + 2])
+        self.a = a = np.empty((14, k * (m + n)))
+        y, k1, *_, s = rows = [_Buffer(row, m, k) for row in a]
+        self.coef = coef = np.empty_like(_TABLEAU)
+        # The residual X - W S of the latest RHS evaluation, the error
+        # estimate, and the two Gram products of the drift.
+        D, diff, (G, H) = np.empty((m, n)), np.empty(k * (m + n)), np.empty((2, k, k))
+        self.stages = [(coef[r, : r + 2].dot, a[: r + 2], rows[r + 2].W, rows[r + 2].S)
                        for r in range(11)]
-        self.diff = np.empty(k * (m + n))
-        # The residual X - W S of the latest RHS evaluation and its flat view.
-        self.D = np.empty((m, n))
-        self.D_flat = self.D.reshape(-1)
-        # The two Gram products of the drift and its flat view.
-        self.G, self.H = np.empty((2, k, k))
-        self.flat = self.G.reshape(-1)
-        self.rhs_evals = 0
-        y = self.rows[0]
-        y.W[...], y.S[...] = p0.W, p0.S
-        self.C = y.WT @ y.W - y.S @ y.ST
-        self.rhs(y, self.rows[1])
-
-    def rhs(self, y, slope):
-        """Write -grad J at y into slope, and the residual X - W S into D."""
-        self.rhs_evals += 1
-        D = self.D
-        y.W.dot(y.S, out=D)
-        np.subtract(self.X, D, out=D)
-        D.dot(y.ST, out=slope.W)
-        y.WT.dot(D, out=slope.S)
+        # An RHS evaluation at the stage input: W.dot, S, D.dot, S^T, W^T.dot.
+        self.stage_rhs = (s.y, s.W.dot, s.S, X.X, D, D.dot, s.ST, s.WT.dot)
+        self.finish = (coef[11].dot, a[:13], coef[12, 1:].dot, coef[13, 1:].dot, a[1:13],
+                       diff, diff.dot)
+        self.move = (y.y, s.y, y.W.dot, y.S, X.X, D, D.dot, y.ST, y.WT.dot, k1.W, k1.S)
+        s.W[...], s.S[...] = p0.W, p0.S
+        C = s.WT @ s.W - s.S @ s.ST
+        self.gram = (y.y.dot, y.y, y.WT.dot, y.W, y.S.dot, y.ST, G, H, C,
+                     G.reshape(-1).dot, G.reshape(-1), D.reshape(-1).dot, D.reshape(-1),
+                     k1.y.dot, k1.y)
+        self.W, self.S, self.rhs_evals = y.W, y.S, 0
+        self.accept()
 
     def attempt(self, h):
         """Take one step of size h from row 0 and return its local error
         estimate: n5 / sqrt(n5 + 0.01 n3) from the squared norms n5 and n3 of
         the fifth- and third-order estimates, as in dop853.f, and 0 when n5
         is.  The eighth-order solution is left in the stage input."""
-        stage, coef, rhs, diff = self.stage, self.coef, self.rhs, self.diff
-        slopes = self.a[1:13]
+        coef, subtract = self.coef, np.subtract
+        y, Wdot, S, X, D, Ddot, ST, WTdot = self.stage_rhs
         np.multiply(_TABLEAU, h, out=coef)
         coef[:12, 0] = 1.0
-        for c, rows, slope in self.stages:
-            c.dot(rows, out=stage.y)
-            rhs(stage, slope)
-        coef[11].dot(self.a[:13], out=stage.y)
-        coef[12, 1:].dot(slopes, out=diff)
-        n5 = float(diff.dot(diff))
-        coef[13, 1:].dot(slopes, out=diff)
-        n3 = float(diff.dot(diff))
+        for cdot, rows, kW, kS in self.stages:
+            cdot(rows, out=y)
+            Wdot(S, out=D)
+            subtract(X, D, out=D)
+            Ddot(ST, out=kW)
+            WTdot(D, out=kS)
+        self.rhs_evals += 11
+        bdot, rows, e5dot, e3dot, slopes, diff, ddot = self.finish
+        bdot(rows, out=y)
+        e5dot(slopes, out=diff)
+        n5 = float(ddot(diff))
+        e3dot(slopes, out=diff)
+        n3 = float(ddot(diff))
         return n5 / math.sqrt(n5 + 0.01 * n3) if n5 else 0.0
 
     def accept(self):
         """Move to the solution and evaluate its slope and residual."""
-        self.a[0] = self.stage.y
-        self.rhs(self.rows[0], self.rows[1])
+        y, solution, Wdot, S, X, D, Ddot, ST, WTdot, kW, kS = self.move
+        y[...] = solution
+        Wdot(S, out=D)
+        np.subtract(X, D, out=D)
+        Ddot(ST, out=kW)
+        WTdot(D, out=kS)
+        self.rhs_evals += 1
 
     def sample(self, t):
         """The sample at the current point, from its slope k1 and the residual
         D of the RHS evaluation that gave it, and its ||y||^2 as ysq.  The
         drift ||W^T W - S S^T - C||_F is computed as np.linalg.norm does: the
         square root of the dot product of the flat difference with itself."""
-        y, k1, G, H, D = self.rows[0], self.a[1], self.G, self.H, self.D_flat
-        self.ysq = float(y.y.dot(y.y))
-        y.WT.dot(y.W, out=G)
-        y.S.dot(y.ST, out=H)
+        ydot, y, WTdot, W, Sdot, ST, G, H, C, gdot, g, Ddot, D, kdot, k1 = self.gram
+        self.ysq = float(ydot(y))
+        WTdot(W, out=G)
+        Sdot(ST, out=H)
         np.subtract(G, H, out=G)
-        np.subtract(G, self.C, out=G)
-        return FlowSample(t=float(t), J=0.5 * float(D.dot(D)),
-                          grad_norm=math.sqrt(k1.dot(k1)),
-                          drift=math.sqrt(self.flat.dot(self.flat)))
+        np.subtract(G, C, out=G)
+        return FlowSample(t=float(t), J=0.5 * float(Ddot(D)),
+                          grad_norm=math.sqrt(kdot(k1)), drift=math.sqrt(gdot(g)))
 
     def point(self):
         """The current point, copied out of the buffer the next step reuses."""
-        y = self.rows[0]
-        return FactorPair(W=y.W.copy(), S=y.S.copy())
+        return FactorPair(W=self.W.copy(), S=self.S.copy())
 
 
 def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
@@ -335,11 +338,12 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
     # moved: the point is new (the start, or the end of an accepted step), so
     # the stop checks run on it; growth: the step-size factor of the last
     # attempt, applied after those checks (1.0 leaves the first step as it is).
-    status, moved, growth = None, True, 1.0
+    status, moved, growth, samp = None, True, 1.0, start
+    attempt, accept, sample = stepper.attempt, stepper.accept, stepper.sample
+    record, isfinite, sqrt = samples.append, math.isfinite, math.sqrt
     while True:
         if moved:
-            samp = samples[-1]
-            if steps and (not math.isfinite(samp.J) or stepper.ysq > DIVERGENCE_NORM ** 2):
+            if steps and (not isfinite(samp.J) or stepper.ysq > DIVERGENCE_NORM ** 2):
                 status = "Diverged"
             elif samp.grad_norm <= gtol:
                 try:
@@ -366,20 +370,21 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
         if clipped:
             h = t_max - t
         ysq = stepper.ysq
-        tol_step = ATOL + RTOL * math.sqrt(ysq)
+        tol_step = ATOL + RTOL * sqrt(ysq)
         if samp.grad_norm <= ENDGAME_ZONE * gtol:
-            tol_step = min(tol_step, ENDGAME_SHARE * gtol / (ysq + math.sqrt(2.0 * samp.J)))
-        err = stepper.attempt(h)
+            tol_step = min(tol_step, ENDGAME_SHARE * gtol / (ysq + sqrt(2.0 * samp.J)))
+        err = attempt(h)
         # The step-size factor and its clamp are the defaults of dop853.f.
         growth = min(6.0, max(0.333, 0.9 * (tol_step / max(err, 1e-300)) ** 0.125))
         moved = err <= tol_step
         if moved:
-            stepper.accept()
+            accept()
             t = t_max if clipped else t + h
             steps += 1
             if not clipped:
                 h_min, h_max = min(h_min, h), max(h_max, h)
-            samples.append(stepper.sample(t))
+            samp = sample(t)
+            record(samp)
         else:
             rejected += 1
 
