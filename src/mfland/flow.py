@@ -10,11 +10,15 @@ no weight to the slope at the new point, so that slope is evaluated only
 once a step is accepted: it gives that point's sample and is the first
 stage slope of the next step.  An attempted step thus costs eleven RHS
 evaluations and an accepted one twelve.  The steps run on one (14, N) block
-of the flat (W, S) state, its stage slopes and the stage input.  Every
-stage product and the two Gram products of each sample's drift write
-through ndarray.dot into buffers allocated once per flow, so a step
-allocates no arrays.  The trajectory counts rejected steps and RHS
-evaluations and records the range of step sizes the controller chose.
+of the flat (W, S) state, its stage slopes and the stage input.  A stage is
+five array calls, its input product and the RHS's W S, X - W S, D S^T and
+W^T D, on views and bound ndarray.dot methods fetched once per flow.  These,
+the solution and error products and the two Gram products of each sample's
+drift write into buffers allocated once per flow, so a step allocates no
+arrays.  The step-size factor and its clamp are those of dop853.f, and so is
+its rule that the step accepted right after a rejection does not grow the
+next one.  The trajectory counts rejected steps and RHS evaluations and
+records the range of step sizes the controller chose.
 
 The first step is H0, or 0.01 ||y|| / ||y'|| at the start y where that is
 shorter (Hairer, Norsett and Wanner, Solving ODEs I, II.4), so that a large
@@ -206,18 +210,15 @@ class _Stepper:
 
     One (14, N) array holds the point y, the stage slopes k1, ..., k12 and
     the stage input, with a _Buffer per row.  Each stage input, the solution
-    and each error estimate are one product of a row of h * tableau (with 1
-    for y) and the rows.  A stage is five array calls: its input product,
-    then the RHS there, W S and D = X - W S into the residual D, and D S^T
-    and W^T D into the stage's slope.  The solution is left in the stage
-    input, so accepting a step copies it into row 0 and evaluates its slope,
-    the next step's k1, into row 1; loading p0 does the same after it fixes
-    the invariant C = W^T W - S S^T that the drift is measured from.  Every
-    product (those of the stages, the solution and error combinations and
-    the two Gram products of the drift) goes through ndarray.dot, which
-    skips np.dot's dispatcher, into one of these buffers.  The views and
-    bound dot methods each call needs are fetched here, once, so the stage
-    loop, accept and sample look up no attribute.
+    and each error estimate are one ndarray.dot product, which skips
+    np.dot's dispatcher, of a row of h * tableau (with 1 for y) and the
+    rows.  A stage is that product and the RHS at its input: W S and
+    X - W S into the residual D, D S^T and W^T D into its slope.  The
+    solution is left in the stage input; accepting a step copies it into
+    row 0 and evaluates its slope, the next step's k1, into row 1, and so
+    does loading p0, once it fixes the invariant C = W^T W - S S^T of the
+    drift.  The views and bound dot methods of every call are fetched here,
+    so the stage loop, accept and sample look up no attribute.
     """
 
     def __init__(self, X, p0):
@@ -374,8 +375,11 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
         if samp.grad_norm <= ENDGAME_ZONE * gtol:
             tol_step = min(tol_step, ENDGAME_SHARE * gtol / (ysq + sqrt(2.0 * samp.J)))
         err = attempt(h)
-        # The step-size factor and its clamp are the defaults of dop853.f.
-        growth = min(6.0, max(0.333, 0.9 * (tol_step / max(err, 1e-300)) ** 0.125))
+        # The step-size factor and its clamp are the defaults of dop853.f; as
+        # there, the step accepted right after a rejection (moved is still the
+        # last attempt's outcome) does not grow the next one.
+        factor = 0.9 * (tol_step / max(err, 1e-300)) ** 0.125
+        growth = min(6.0 if moved else 1.0, max(0.333, factor))
         moved = err <= tol_step
         if moved:
             accept()
