@@ -9,16 +9,17 @@ estimates is the local error that decides acceptance.  The estimates give
 no weight to the slope at the new point, so that slope is evaluated only
 once a step is accepted: it gives that point's sample and is the first
 stage slope of the next step.  An attempted step thus costs eleven RHS
-evaluations and an accepted one twelve.  The steps run on one (14, N) block
-of the flat (W, S) state, its stage slopes and the stage input.  A stage is
-five array calls, its input product and the RHS's W S, X - W S, D S^T and
-W^T D, on views and bound ndarray.dot methods fetched once per flow.  These,
-the solution and error products and the two Gram products of each sample's
-drift write into buffers allocated once per flow, so a step allocates no
-arrays.  The step-size factor and its clamp are those of dop853.f, and so is
-its rule that the step accepted right after a rejection does not grow the
-next one.  The trajectory counts rejected steps and RHS evaluations and
-records the range of step sizes the controller chose.
+evaluations and an accepted one twelve.  The steps run on one (16, N) block
+of the flat (W, S) state, its stage slopes, the stage input and the two
+error estimates.  A stage is five array calls, its input product and the
+RHS's W S, X - W S, D S^T and W^T D, on views and bound ndarray.dot methods
+fetched once per flow; one more product gives the solution and both error
+estimates.  These and the two Gram products of each sample's drift write
+into buffers allocated once per flow, so a step allocates no arrays.  The
+step-size factor and its clamp are those of dop853.f, and so is its rule
+that the step accepted right after a rejection does not grow the next one.
+The trajectory counts rejected steps and RHS evaluations and records the
+range of step sizes the controller chose.
 
 The first step is H0, or 0.01 ||y|| / ||y'|| at the start y where that is
 shorter (Hairer, Norsett and Wanner, Solving ODEs I, II.4), so that a large
@@ -208,33 +209,34 @@ class _Stepper:
     """Dormand-Prince 8(5,3) on flat (W, S) buffers allocated once, counting
     RHS evaluations; the only code that knows their layout.
 
-    One (14, N) array holds the point y, the stage slopes k1, ..., k12 and
-    the stage input, with a _Buffer per row.  Each stage input, the solution
-    and each error estimate are one ndarray.dot product, which skips
-    np.dot's dispatcher, of a row of h * tableau (with 1 for y) and the
-    rows.  A stage is that product and the RHS at its input: W S and
-    X - W S into the residual D, D S^T and W^T D into its slope.  The
-    solution is left in the stage input; accepting a step copies it into
-    row 0 and evaluates its slope, the next step's k1, into row 1, and so
-    does loading p0, once it fixes the invariant C = W^T W - S S^T of the
+    One (16, N) array holds the point y, the stage slopes k1, ..., k12, the
+    stage input and the fifth- and third-order error estimates, with a
+    _Buffer per row.  Each stage input is one ndarray.dot product, which
+    skips np.dot's dispatcher, of a row of h * tableau (with 1 for y) and
+    the rows; the last three rows of h * tableau give the solution, into
+    the stage input, and both estimates in one product.  A stage is its
+    input product and the RHS there: W S and X - W S into the residual D,
+    D S^T and W^T D into its slope.  Accepting a step copies the solution
+    into row 0 and evaluates its slope, the next step's k1, into row 1, and
+    so does loading p0, once it fixes the invariant C = W^T W - S S^T of the
     drift.  The views and bound dot methods of every call are fetched here,
-    so the stage loop, accept and sample look up no attribute.
+    so the stage loop, accept and sample look up no attribute; each call
+    takes the buffer it writes as its last argument.
     """
 
     def __init__(self, X, p0):
         m, n, k = X.m, X.n, p0.k
-        self.a = a = np.empty((14, k * (m + n)))
-        y, k1, *_, s = rows = [_Buffer(row, m, k) for row in a]
+        self.a = a = np.empty((16, k * (m + n)))
+        y, k1, *_, s, e5, e3 = rows = [_Buffer(row, m, k) for row in a]
         self.coef = coef = np.empty_like(_TABLEAU)
-        # The residual X - W S of the latest RHS evaluation, the error
-        # estimate, and the two Gram products of the drift.
-        D, diff, (G, H) = np.empty((m, n)), np.empty(k * (m + n)), np.empty((2, k, k))
+        # The residual X - W S of the latest RHS evaluation and the two Gram
+        # products of the drift.
+        D, (G, H) = np.empty((m, n)), np.empty((2, k, k))
         self.stages = [(coef[r, : r + 2].dot, a[: r + 2], rows[r + 2].W, rows[r + 2].S)
                        for r in range(11)]
         # An RHS evaluation at the stage input: W.dot, S, D.dot, S^T, W^T.dot.
         self.stage_rhs = (s.y, s.W.dot, s.S, X.X, D, D.dot, s.ST, s.WT.dot)
-        self.finish = (coef[11].dot, a[:13], coef[12, 1:].dot, coef[13, 1:].dot, a[1:13],
-                       diff, diff.dot)
+        self.finish = (coef[11:].dot, a[:13], a[13:], e5.y.dot, e5.y, e3.y.dot, e3.y)
         self.move = (y.y, s.y, y.W.dot, y.S, X.X, D, D.dot, y.ST, y.WT.dot, k1.W, k1.S)
         s.W[...], s.S[...] = p0.W, p0.S
         C = s.WT @ s.W - s.S @ s.ST
@@ -251,31 +253,28 @@ class _Stepper:
         is.  The eighth-order solution is left in the stage input."""
         coef, subtract = self.coef, np.subtract
         y, Wdot, S, X, D, Ddot, ST, WTdot = self.stage_rhs
-        np.multiply(_TABLEAU, h, out=coef)
+        np.multiply(_TABLEAU, h, coef)
         coef[:12, 0] = 1.0
         for cdot, rows, kW, kS in self.stages:
-            cdot(rows, out=y)
-            Wdot(S, out=D)
-            subtract(X, D, out=D)
-            Ddot(ST, out=kW)
-            WTdot(D, out=kS)
+            cdot(rows, y)
+            Wdot(S, D)
+            subtract(X, D, D)
+            Ddot(ST, kW)
+            WTdot(D, kS)
         self.rhs_evals += 11
-        bdot, rows, e5dot, e3dot, slopes, diff, ddot = self.finish
-        bdot(rows, out=y)
-        e5dot(slopes, out=diff)
-        n5 = float(ddot(diff))
-        e3dot(slopes, out=diff)
-        n3 = float(ddot(diff))
+        cdot, rows, out, e5dot, e5, e3dot, e3 = self.finish
+        cdot(rows, out)
+        n5, n3 = float(e5dot(e5)), float(e3dot(e3))
         return n5 / math.sqrt(n5 + 0.01 * n3) if n5 else 0.0
 
     def accept(self):
         """Move to the solution and evaluate its slope and residual."""
         y, solution, Wdot, S, X, D, Ddot, ST, WTdot, kW, kS = self.move
         y[...] = solution
-        Wdot(S, out=D)
-        np.subtract(X, D, out=D)
-        Ddot(ST, out=kW)
-        WTdot(D, out=kS)
+        Wdot(S, D)
+        np.subtract(X, D, D)
+        Ddot(ST, kW)
+        WTdot(D, kS)
         self.rhs_evals += 1
 
     def sample(self, t):
@@ -285,10 +284,10 @@ class _Stepper:
         square root of the dot product of the flat difference with itself."""
         ydot, y, WTdot, W, Sdot, ST, G, H, C, gdot, g, Ddot, D, kdot, k1 = self.gram
         self.ysq = float(ydot(y))
-        WTdot(W, out=G)
-        Sdot(ST, out=H)
-        np.subtract(G, H, out=G)
-        np.subtract(G, C, out=G)
+        WTdot(W, G)
+        Sdot(ST, H)
+        np.subtract(G, H, G)
+        np.subtract(G, C, G)
         return FlowSample(t=float(t), J=0.5 * float(Ddot(D)),
                           grad_norm=math.sqrt(kdot(k1)), drift=math.sqrt(gdot(g)))
 

@@ -656,15 +656,17 @@ def _dop853_flow(X, p0, t_max, gtol):
     test_dop853_tableau_has_its_orders pins.
 
     The first step is H0, or 0.01 ||y|| / ||y'|| where that is shorter.
-    Each stage input and the solution are the product of (1, h a_1, ...,
-    h a_j) with the stacked (y, k1, ..., kj); the error estimate is
-    n5 / sqrt(n5 + 0.01 n3), n5 and n3 the squared norms of h E5 and h E3
-    with (k1, ..., k12).  The slope at the solution is evaluated once the
-    step is accepted.  The step tolerance is ATOL + RTOL ||y||, capped at
-    ENDGAME_SHARE gtol / (||y||^2 + ||W S - X||_F) while the gradient norm
-    is at most ENDGAME_ZONE gtol.  A step cut short to land on t_max is not
-    one the controller chose.  As in dop853.f, the step accepted right after
-    a rejection is not followed by a longer one (HNEW <= H)."""
+    Each stage input is the product of (1, h a_1, ..., h a_j) with the
+    stacked (y, k1, ..., kj).  The solution and the differences d5 and d3
+    from the embedded solutions are one product of three rows, (1, h b),
+    (0, h E5) and (0, h E3), with (y, k1, ..., k12); the error estimate is
+    n5 / sqrt(n5 + 0.01 n3), n5 and n3 the squared norms of d5 and d3.
+    The slope at the solution is evaluated once the step is accepted.  The
+    step tolerance is ATOL + RTOL ||y||, capped at ENDGAME_SHARE gtol /
+    (||y||^2 + ||W S - X||_F) while the gradient norm is at most
+    ENDGAME_ZONE gtol.  A step cut short to land on t_max is not one the
+    controller chose.  As in dop853.f, the step accepted right after a
+    rejection is not followed by a longer one (HNEW <= H)."""
     m, k = X.m, p0.k
     rows = flow._TABLEAU[:, 1:].tolist()
     A, E5, E3 = [row[: r + 1] for r, row in enumerate(rows[:12])], rows[12], rows[13]
@@ -704,9 +706,8 @@ def _dop853_flow(X, p0, t_max, gtol):
             stage = np.array([1.0] + [h * a for a in row]) @ np.array([y] + ks)
             ks.append(rhs(stage)[0])
         evals += 11
-        y_new = np.array([1.0] + [h * a for a in A[11]]) @ np.array([y] + ks)
-        d5 = np.array([h * e for e in E5]) @ np.array(ks)
-        d3 = np.array([h * e for e in E3]) @ np.array(ks)
+        y_new, d5, d3 = np.array([[1.0] + [h * a for a in A[11]], [0.0] + [h * e for e in E5],
+                                  [0.0] + [h * e for e in E3]]) @ np.array([y] + ks)
         n5, n3 = float(np.dot(d5, d5)), float(np.dot(d3, d3))
         err = n5 / np.sqrt(n5 + 0.01 * n3) if n5 else 0.0
         if err <= tol_step:
