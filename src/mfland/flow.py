@@ -220,13 +220,13 @@ class _Stepper:
     into row 0 and evaluates its slope, the next step's k1, into row 1, and
     so does loading p0, once it fixes the invariant C = W^T W - S S^T of the
     drift.  The views and bound dot methods of every call are fetched here,
-    so the stage loop, accept and sample look up no attribute; each call
-    takes the buffer it writes as its last argument.
+    once, so the stage loop looks up no attribute; each call takes the
+    buffer it writes as its last argument.
     """
 
     def __init__(self, X, p0):
         m, n, k = X.m, X.n, p0.k
-        self.a = a = np.empty((16, k * (m + n)))
+        a = np.empty((16, k * (m + n)))
         y, k1, *_, s, e5, e3 = rows = [_Buffer(row, m, k) for row in a]
         self.coef = coef = np.empty_like(_TABLEAU)
         # The residual X - W S of the latest RHS evaluation and the two Gram
@@ -234,15 +234,15 @@ class _Stepper:
         D, (G, H) = np.empty((m, n)), np.empty((2, k, k))
         self.stages = [(coef[r, : r + 2].dot, a[: r + 2], rows[r + 2].W, rows[r + 2].S)
                        for r in range(11)]
-        # An RHS evaluation at the stage input: W.dot, S, D.dot, S^T, W^T.dot.
+        # The stage input's flat y and what an RHS evaluation there calls.
         self.stage_rhs = (s.y, s.W.dot, s.S, X.X, D, D.dot, s.ST, s.WT.dot)
         self.finish = (coef[11:].dot, a[:13], a[13:], e5.y.dot, e5.y, e3.y.dot, e3.y)
         self.move = (y.y, s.y, y.W.dot, y.S, X.X, D, D.dot, y.ST, y.WT.dot, k1.W, k1.S)
         s.W[...], s.S[...] = p0.W, p0.S
         C = s.WT @ s.W - s.S @ s.ST
-        self.gram = (y.y.dot, y.y, y.WT.dot, y.W, y.S.dot, y.ST, G, H, C,
-                     G.reshape(-1).dot, G.reshape(-1), D.reshape(-1).dot, D.reshape(-1),
-                     k1.y.dot, k1.y)
+        self.measure = (y.y.dot, y.y, y.WT.dot, y.W, y.S.dot, y.ST, G, H, C,
+                        G.reshape(-1).dot, G.reshape(-1), D.reshape(-1).dot, D.reshape(-1),
+                        k1.y.dot, k1.y)
         self.W, self.S, self.rhs_evals = y.W, y.S, 0
         self.accept()
 
@@ -282,7 +282,7 @@ class _Stepper:
         D of the RHS evaluation that gave it, and its ||y||^2 as ysq.  The
         drift ||W^T W - S S^T - C||_F is computed as np.linalg.norm does: the
         square root of the dot product of the flat difference with itself."""
-        ydot, y, WTdot, W, Sdot, ST, G, H, C, gdot, g, Ddot, D, kdot, k1 = self.gram
+        ydot, y, WTdot, W, Sdot, ST, G, H, C, gdot, g, Ddot, D, kdot, k1 = self.measure
         self.ysq = float(ydot(y))
         WTdot(W, G)
         Sdot(ST, H)
