@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: spectrum, classify, orbit, flow, verify.  Matrices travel as
-CSV (row per line, no header); selections are 1-based on the command line.
-Reports are JSON with floats printed at 17 significant digits, so a given
-input and seed always produces byte-identical output.  Exit codes: 0 on
-success, 1 when `verify` finds a failing check, 2 on invalid input.
+Subcommands: spectrum, classify, orbit, bound, flow, verify.  Matrices
+travel as CSV (row per line, no header); selections are 1-based on the
+command line.  Reports are JSON with floats printed at 17 significant
+digits, so a given input and seed always produces byte-identical output.
+Exit codes: 0 on success, 1 when `verify` finds a failing check, 2 on
+invalid input.
 """
 
 import argparse
@@ -15,7 +16,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .canonical import CanonicalPoint, Selection, _check_finite, check_scale, classify_canonical
+from .canonical import (CanonicalPoint, Selection, _check_finite, check_scale, classify_canonical,
+                        uniform_saddle_bound)
 from .errors import InvalidInput, MflandError, NumericalFailure
 from .flow import classify_limit, integrate_flow, random_balanced_pair, random_pair
 from .model import _open_text, load_data_matrix, read_matrix_csv, write_matrix_csv
@@ -221,6 +223,13 @@ def _cmd_orbit(args):
     }
 
 
+def _cmd_bound(args):
+    X = _load_X(args)
+    beta, term = uniform_saddle_bound(X, args.k)
+    return {"m": X.m, "n": X.n, "transposed": X.transposed, "k": args.k, "r": X.r,
+            "beta": beta, "term": _one_based(term)}
+
+
 def _cmd_flow(args):
     X = _load_X(args)
     k = args.k
@@ -301,6 +310,11 @@ def _build_parser():
     p.add_argument("--a", default=None, help="CSV for the group element A")
     p.add_argument("--scale", type=float, default=None, help="use A = scale * I")
     p.set_defaults(fn=_cmd_orbit)
+
+    p = sub.add_parser("bound", help="the bound lambda_min <= -beta over the balanced strict saddles")
+    common(p)
+    p.add_argument("--k", type=int, required=True)
+    p.set_defaults(fn=_cmd_bound)
 
     p = sub.add_parser("flow", help="integrate gradient flow from a seeded start")
     common(p)

@@ -1,7 +1,17 @@
 """Gradient flow (W', S') = -grad J, with invariant tracking.
 
 The flow conserves W^T W - S S^T exactly, so the integrator reports its
-drift alongside J and the gradient norm at every accepted step.  Time
+drift alongside J and the gradient norm at every accepted step.  It also
+keeps two spans: W's rows in the left kernel of X move as W0' = -W0 S S^T
+and S's columns in its kernel as S0' = -W^T W S0.  So a flow runs in a
+frame built once from its start (_Frame): orthonormal bases of range(X)
+plus the span of W0's kernel part, r + min(k, m - r) columns, and of
+range(X^T) plus that of S0's, r + min(k, n - r) columns.  There the state
+is k (2 r + min(k, m - r) + min(k, n - r)) floats, not k (m + n), and X is
+the stored rank-r X = U_r diag(sigma_r) V_r^T, the X of every closed form
+and of reduce_to_canonical: singular values under the rank cutoff are not
+followed.  A point is mapped back to m x k and k x n factors only for the
+reduction at a gradient-test pass and for the terminal point.  Time
 stepping is Dormand and Prince's explicit Runge-Kutta pair of order 8 with
 embedded estimates of orders 5 and 3 (DOP853): twelve stage slopes give the
 eighth-order solution, and Hairer's combination of the two embedded
@@ -192,6 +202,43 @@ class FlowTrajectory:
         return self.samples[-1].t
 
 
+def _mix(d):
+    """The Householder reflector I - 2 v v^T / (v^T v), v = (1, 2, ..., d): a
+    fixed orthogonal d x d matrix whose rows each have d - 1 nonzero entries
+    or more.  (I - (2/d) 1 1^T is a signed swap at d = 2, which mixes nothing.)"""
+    v = np.arange(1.0, d + 1.0)
+    return np.eye(d) - (2.0 / (v @ v)) * np.outer(v, v)
+
+
+class _Frame:
+    """The coordinates a flow from p0 runs in (see the module docstring):
+    orthonormal bases U, m x (r + k'), and V, n x (r + k''), k' = min(k, m - r)
+    and k'' = min(k, n - r); X = U^T X_r V and the start (U^T W0, S0 V).
+
+    The kernel columns are U0 and V0 times the Q factors of thin QRs of
+    U0^T W0 and V0^T S0^T, orthonormal also when those blocks are rank
+    deficient or zero.  Each basis is then turned by the fixed reflector
+    _mix, so that no coordinate is one of X's singular directions: the
+    coordinates along the directions a flow leaves decay towards zero, and
+    products of subnormal floats are slow.
+    """
+
+    __slots__ = ("U", "V", "X", "start")
+
+    def __init__(self, X, p0):
+        r = X.r
+        Ur, Vr, U0, V0 = X.U[:, :r], X.V[:, :r], X.U[:, r:], X.V[:, r:]
+        QW, QS = np.linalg.qr(U0.T @ p0.W)[0], np.linalg.qr(V0.T @ p0.S.T)[0]
+        self.U = np.hstack([Ur, U0 @ QW]) @ _mix(r + QW.shape[1])
+        self.V = np.hstack([Vr, V0 @ QS]) @ _mix(r + QS.shape[1])
+        self.X = ((self.U.T @ Ur) * X.sigma[:r]) @ (Vr.T @ self.V)
+        self.start = FactorPair(W=self.U.T @ p0.W, S=p0.S @ self.V)
+
+    def lift(self, W, S):
+        """The point (U W, S V^T) of the full problem."""
+        return FactorPair(W=self.U @ W, S=S @ self.V.T)
+
+
 class _Buffer:
     """A flat (W, S) vector y of length k(m + n), with W, S and their
     transposes as views into it."""
@@ -207,7 +254,8 @@ class _Buffer:
 
 class _Stepper:
     """Dormand-Prince 8(5,3) on flat (W, S) buffers allocated once, counting
-    RHS evaluations; the only code that knows their layout.
+    RHS evaluations; the only code that knows their layout.  W, S and X are
+    those of the flow's _Frame, and point() maps the current point back.
 
     One (16, N) array holds the point y, the stage slopes k1, ..., k12, the
     stage input and the fifth- and third-order error estimates, with a
@@ -225,7 +273,9 @@ class _Stepper:
     """
 
     def __init__(self, X, p0):
-        m, n, k = X.m, X.n, p0.k
+        self.frame = frame = _Frame(X, p0)
+        X, p0 = frame.X, frame.start
+        (m, n), k = X.shape, p0.k
         a = np.empty((16, k * (m + n)))
         y, k1, *_, s, e5, e3 = rows = [_Buffer(row, m, k) for row in a]
         self.coef = coef = np.empty_like(_TABLEAU)
@@ -235,9 +285,9 @@ class _Stepper:
         self.stages = [(coef[r, : r + 2].dot, a[: r + 2], rows[r + 2].W, rows[r + 2].S)
                        for r in range(11)]
         # The stage input's flat y and what an RHS evaluation there calls.
-        self.stage_rhs = (s.y, s.W.dot, s.S, X.X, D, D.dot, s.ST, s.WT.dot)
+        self.stage_rhs = (s.y, s.W.dot, s.S, X, D, D.dot, s.ST, s.WT.dot)
         self.finish = (coef[11:].dot, a[:13], a[13:], e5.y.dot, e5.y, e3.y.dot, e3.y)
-        self.move = (y.y, s.y, y.W.dot, y.S, X.X, D, D.dot, y.ST, y.WT.dot, k1.W, k1.S)
+        self.move = (y.y, s.y, y.W.dot, y.S, X, D, D.dot, y.ST, y.WT.dot, k1.W, k1.S)
         s.W[...], s.S[...] = p0.W, p0.S
         C = s.WT @ s.W - s.S @ s.ST
         self.measure = (y.y.dot, y.y, y.WT.dot, y.W, y.S.dot, y.ST, G, H, C,
@@ -292,14 +342,19 @@ class _Stepper:
                           grad_norm=math.sqrt(kdot(k1)), drift=math.sqrt(gdot(g)))
 
     def point(self):
-        """The current point, copied out of the buffer the next step reuses."""
-        return FactorPair(W=self.W.copy(), S=self.S.copy())
+        """The current point, mapped back to the full problem."""
+        return self.frame.lift(self.W, self.S)
 
 
 def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
     """Integrate gradient flow from p0 until the point is certified as a
     limit, time runs out, MAX_STEPS steps have been accepted, or the iterate
     diverges; the module docstring gives the order of these checks.
+
+    The flow is that of the stored rank-r X, whose singular values under the
+    rank cutoff are zero: J, the gradient and the gradient test are taken
+    against it, not against the raw X.X.  The two gradients differ by at
+    most ||X - X_r||_2 ||(W, S)||.
 
     The gradient test starts at min(grad_tol, LIMIT_TOL) * X.tol_scale.  A
     point that passes it is Converged when ``reduce_to_canonical`` accepts it

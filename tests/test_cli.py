@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mfland import InvalidInput, Selection, flow, spectrum_full_rank_scaled, write_matrix_csv
+from mfland import (InvalidInput, Selection, flow, load_data_matrix, spectrum_full_rank_scaled,
+                    uniform_saddle_bound, write_matrix_csv)
 from mfland import NumericalFailure, cli
 from mfland.cli import main
 from exact_hessian import hadamard_x
@@ -54,6 +55,19 @@ def test_spectrum_json(capsys, x_csv):
     assert doc["eigenvalues"] == [-1, 0, 1, 2, 3]
     assert doc["inertia"] == [3, 1, 1]
     assert doc["lambda_min"] == -1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_bound_prints_beta_and_its_term_one_based(capsys, x46_csv, k):
+    """bound prints uniform_saddle_bound's beta exactly and its term in
+    1-based indices."""
+    code, out, _ = _run(capsys, "bound", "--x", x46_csv, "--k", str(k))
+    assert code == 0
+    doc = json.loads(out)
+    X = load_data_matrix(X46)
+    beta, term = uniform_saddle_bound(X, k)
+    assert (doc["command"], doc["k"], doc["r"]) == ("bound", k, X.r)
+    assert doc["beta"] == beta and doc["term"] == [i + 1 for i in term]
 
 
 def test_spectrum_floats_round_trip_exactly(capsys, x_csv):
@@ -393,6 +407,8 @@ REFUSALS = [
     ("orbit --x {rank2} --k 2 --select 3,4 --scale 1e9",
      "inertia_transported = [13, 3, 4] in float64, but Sylvester's law gives the orbit "
      "the base's [12, 4, 4]"),
+    ("bound --x {x} --k 3", "k = 3 outside [1, min(m, n) = 2]"),
+    ("bound --x /nonexistent.csv --k 1", "cannot read /nonexistent.csv: ..."),
     ("flow --x {x} --k 1 --t-max=nan", "t_max must be positive and finite, got nan"),
     ("flow --x {x} --k 1 --t-max=inf", "t_max must be positive and finite, got inf"),
     ("flow --x {x} --k 1 --grad-tol=-1e-9", "grad_tol must be nonnegative, got -1e-09"),

@@ -65,8 +65,9 @@ def _imports(name):
 
 
 def test_closed_form_modules_do_not_import_the_oracle():
-    """The oracle checks the closed forms, so they must not be built from it."""
-    for name in ("spectrum.py", "canonical.py"):
+    """The oracle checks the closed forms, and the flow against
+    balanced_flow_exact, so none of them may be built from it."""
+    for name in ("spectrum.py", "canonical.py", "flow.py"):
         for line, names in _imports(name):
             assert not any(part == "oracle" for n in names for part in n.split(".")), (
                 f"{name}:{line} imports the oracle"

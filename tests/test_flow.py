@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mfland import (
+    CanonicalPoint,
     DimensionError,
     FactorPair,
     InvalidInput,
@@ -22,6 +23,7 @@ from mfland import (
     build_balanced,
     classify_canonical,
     classify_limit,
+    evaluate_J,
     gradient_norm,
     integrate_flow,
     load_data_matrix,
@@ -32,6 +34,7 @@ from mfland import (
     balanced_flow_exact,
 )
 from mfland import flow, oracle
+from mfland.model import DEFAULT_RANK_TOL
 from matrix_kinds import KINDS as MATRIX_KINDS, X21, fixed_spectrum, gaussian, matrix_of_kind
 
 GRAD_TOL = 1e-9
@@ -141,17 +144,26 @@ def test_refused_start_tightens_and_steps_on(monkeypatch, refusal):
     flow stops Uncertified."""
     p0 = build_balanced(X21, Selection((1,)), 1)
     scale = X21.tol_scale
-    grads = []
+    grads, points = [], []
 
     def refuse(X, p, tol):
         grads.append(gradient_norm(X, p))
+        points.append(p)
         raise refusal("the reduction refused the point")
 
     monkeypatch.setattr(flow, "reduce_to_canonical", refuse)
     traj = integrate_flow(X21, p0, grad_tol=GRAD_TOL)
     assert traj.status == "Uncertified"
     assert (len(grads), traj.steps) == (4, 3)
-    assert grads[0] == traj.samples[0].grad_norm == gradient_norm(X21, p0)
+    # The first point reduced is the start, mapped back from the flow's frame:
+    # p0 to rounding, its gradient and the start sample's rounding too.
+    frame = flow._Frame(X21, p0)
+    start = frame.lift(frame.start.W, frame.start.S)
+    assert (points[0].W.tobytes(), points[0].S.tobytes()) == (start.W.tobytes(),
+                                                              start.S.tobytes())
+    assert points[0].distance(p0) <= 1e-15 * p0.norm()
+    assert gradient_norm(X21, p0) == 0.0
+    assert max(grads[0], traj.samples[0].grad_norm) <= 1e-15 * scale
     assert all(g <= tol * scale for g, tol in zip(grads, (1e-9, 1e-10, 1e-11, 1e-12)))
     assert traj.canonical is None
 
@@ -650,9 +662,10 @@ def _rk4_flow(X, p0, t_max, tol_scale=1.0):
 
 
 def _dop853_flow(X, p0, t_max, gtol):
-    """Dormand-Prince 8(5,3), one fresh array per stage on the flat vector
-    y = (W, S), stopping as Converged where the gradient norm is at most
-    gtol.  The coefficients are the rows of flow._TABLEAU, which
+    """Dormand-Prince 8(5,3) on the m x n matrix X, in the coordinates p0 is
+    given in, one fresh array per stage on the flat vector y = (W, S),
+    stopping as Converged where the gradient norm is at most gtol.  The
+    coefficients are the rows of flow._TABLEAU, which
     test_dop853_tableau_has_its_orders pins.
 
     The first step is H0, or 0.01 ||y|| / ||y'|| where that is shorter.
@@ -667,13 +680,13 @@ def _dop853_flow(X, p0, t_max, gtol):
     ENDGAME_ZONE gtol.  A step cut short to land on t_max is not one the
     controller chose.  As in dop853.f, the step accepted right after a
     rejection is not followed by a longer one (HNEW <= H)."""
-    m, k = X.m, p0.k
+    m, k = p0.W.shape
     rows = flow._TABLEAU[:, 1:].tolist()
     A, E5, E3 = [row[: r + 1] for r, row in enumerate(rows[:12])], rows[12], rows[13]
 
     def rhs(y):
         W, S = y[: m * k].reshape(m, k), y[m * k:].reshape(k, -1)
-        D = X.X - W @ S
+        D = X - W @ S
         return np.concatenate([(D @ S.T).ravel(), (W.T @ D).ravel()]), D
 
     y = np.concatenate([p0.W.ravel(), p0.S.ravel()])
@@ -739,6 +752,16 @@ def _dop853_flow(X, p0, t_max, gtol):
     return status, samples, y, accepted, chosen, rejected, evals
 
 
+def _frame_reference(X, p0, t_max, gtol):
+    """_dop853_flow on the frame problem integrate_flow builds from p0, with
+    its terminal point mapped back to the full problem as a flat (W, S)."""
+    frame = flow._Frame(X, p0)
+    status, samples, y, *counts = _dop853_flow(frame.X, frame.start, t_max, gtol)
+    d, k = frame.start.W.shape
+    end = frame.lift(y[: d * k].reshape(d, k), y[d * k:].reshape(k, -1))
+    return (status, samples, np.concatenate([end.W.ravel(), end.S.ravel()]), *counts)
+
+
 def test_dop853_tableau_has_its_orders():
     """The coefficients in flow._TABLEAU against transcription slips.  The
     stage rows sum to the nodes c of dop853.f, each within the rounding of
@@ -796,7 +819,8 @@ FAMILY = (KINDS, st.integers(-3, 3), INITS, st.floats(0.1, 100.0), st.integers(0
 @given(*FAMILY, st.sampled_from([0.0, 1e-9, 1e-7, 1e-5]))
 def test_flow_is_the_reference_loop_bit_for_bit(kind, exponent, init, tau, seed, grad_tol):
     """integrate_flow on its flat buffers takes the steps of the plain
-    DOP853 loop, float for float, for every k <= min(m, n).
+    DOP853 loop on the frame problem it builds, float for float, for every
+    k <= min(m, n).
 
     Every limit is taken as certified, so a flow stops at its first point
     that meets the gradient test; a loose grad_tol puts about a third of
@@ -807,7 +831,7 @@ def test_flow_is_the_reference_loop_bit_for_bit(kind, exponent, init, tau, seed,
     for k in range(1, X.m + 1):
         # A start drawn from X's own stream can be X's exact factors.
         p0 = init(X, k, seed + 1)
-        status, samples, y, steps, chosen, rejected, evals = _dop853_flow(X, p0, t_max, gtol)
+        status, samples, y, steps, chosen, rejected, evals = _frame_reference(X, p0, t_max, gtol)
         with mock.patch.object(flow, "reduce_to_canonical", _accept_every_limit):
             traj = integrate_flow(X, p0, t_max=t_max, grad_tol=grad_tol)
         assert (traj.status, traj.steps, traj.rejected) == (status, steps, rejected)
@@ -822,24 +846,29 @@ def test_flow_is_the_reference_loop_bit_for_bit(kind, exponent, init, tau, seed,
         assert terminal.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("init", [random_pair, random_balanced_pair])
-def test_flow_is_the_reference_loop_bit_for_bit_at_workload_sizes(init):
-    """The benchmark's shapes, wider than the hypothesis family's: 20 x 30
-    and 30 x 45 X with the bulk spectrum at k = 5 and k = 6 and a rank-2
-    40 x 60 X at k = 3, all in Haar frames.  Over a horizon of a hundred
-    steps or more, rejected ones among them (the 30 x 45 flow from a random
-    start has its first rejection after t = 20), integrate_flow takes the
-    steps of the plain DOP853 loop, compared as bytes."""
+def _workload_flows():
+    """(X, k, t_max) at the benchmark's shapes: 20 x 30 and 30 x 45 X with the
+    bulk spectrum at k = 5 and k = 6 and a rank-2 40 x 60 X at k = 3, all in
+    Haar frames."""
     rng = np.random.default_rng(3)
     bulk = np.linspace(np.sqrt(30) + np.sqrt(20), np.sqrt(30) - np.sqrt(20), 20)
     bulk45 = np.linspace(np.sqrt(45) + np.sqrt(30), np.sqrt(45) - np.sqrt(30), 30)
-    flows = [(load_data_matrix(fixed_spectrum(rng, 20, 30, bulk)), 5, 20.0),
-             (load_data_matrix(fixed_spectrum(rng, 40, 60, np.array([10.0, 6.0]))), 3, 20.0),
-             (load_data_matrix(fixed_spectrum(rng, 30, 45, bulk45)), 6, 40.0)]
-    for X, k, t_max in flows:
+    return [(load_data_matrix(fixed_spectrum(rng, 20, 30, bulk)), 5, 20.0),
+            (load_data_matrix(fixed_spectrum(rng, 40, 60, np.array([10.0, 6.0]))), 3, 20.0),
+            (load_data_matrix(fixed_spectrum(rng, 30, 45, bulk45)), 6, 40.0)]
+
+
+@pytest.mark.parametrize("init", [random_pair, random_balanced_pair])
+def test_flow_is_the_reference_loop_bit_for_bit_at_workload_sizes(init):
+    """The benchmark's shapes, wider than the hypothesis family's (see
+    _workload_flows).  Over a horizon of a hundred
+    steps or more, rejected ones among them (the 30 x 45 flow from a random
+    start has its first rejection after t = 20), integrate_flow takes the
+    steps of the plain DOP853 loop on the frame problem, compared as bytes."""
+    for X, k, t_max in _workload_flows():
         p0 = init(X, k, 1)
         gtol = GRAD_TOL * X.tol_scale
-        status, samples, y, steps, chosen, rejected, evals = _dop853_flow(X, p0, t_max, gtol)
+        status, samples, y, steps, chosen, rejected, evals = _frame_reference(X, p0, t_max, gtol)
         with mock.patch.object(flow, "reduce_to_canonical", _accept_every_limit):
             traj = integrate_flow(X, p0, t_max=t_max, grad_tol=GRAD_TOL)
         assert status == "MaxTimeReached" and steps >= 100 and rejected > 0
@@ -850,6 +879,91 @@ def test_flow_is_the_reference_loop_bit_for_bit_at_workload_sizes(init):
         assert got.tobytes() == np.array(samples).tobytes()
         terminal = np.concatenate([traj.terminal.W.ravel(), traj.terminal.S.ravel()])
         assert terminal.tobytes() == y.tobytes()
+
+
+# The frame start's J, gradient norm, ||(W, S)||^2 and C are p0's within
+# FRAME_TOL times their units: (||X||_F + ||W||_F ||S||_F)^2 for J, that
+# times ||(W, S)|| over ||X||_F + ||W||_F ||S||_F for the gradient norm, and
+# ||(W, S)||^2 for the last two; the frame maps back to p0 within FRAME_TOL
+# ||(W, S)||.  Over 3,040 starts on 400 draws of the family below the
+# largest ratios were 1.6e-15 (J), 1.5e-15 (gradient), 1.8e-15
+# (||(W, S)||^2), 1.9e-15 (C) and 1.9e-15 (map back).
+FRAME_TOL = 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(KINDS, st.integers(-3, 3), INITS, st.integers(0, 2**16))
+@example("rank-deficient", 0, random_pair, 0)  # the only kind with a left kernel
+def test_frame_changes_coordinates_exactly(kind, exponent, init, seed):
+    """The frame a flow runs in is a change of coordinates: at every k, from
+    the random start and from the canonical point of the top min(k, r)
+    singular values, whose kernel blocks are zero, the frame start keeps J,
+    the gradient norm, ||(W, S)||^2 and the invariant C = W^T W - S S^T, and
+    maps back to p0.  The stepper's state is the frame's, k (2 r + k' + k'')
+    floats, k' = min(k, m - r) and k'' = min(k, n - r), and not k (m + n)."""
+    X, _ = _family(kind, exponent, 1.0, seed)
+    x = float(np.linalg.norm(X.X))
+    for k in range(1, X.m + 1):
+        top = Selection(tuple(range(min(k, X.r))))
+        for p0 in (init(X, k, seed + 1), CanonicalPoint(X, top, k).materialize()):
+            frame = flow._Frame(X, p0)
+            W, S = frame.start.W, frame.start.S
+            norm_sq = p0.norm() ** 2
+            unit = x + np.linalg.norm(p0.W) * np.linalg.norm(p0.S)
+            D = frame.X - W @ S
+            assert abs(0.5 * np.sum(D**2) - evaluate_J(X, p0)) <= FRAME_TOL * unit**2
+            grad_norm = math.sqrt(np.sum((D @ S.T) ** 2) + np.sum((W.T @ D) ** 2))
+            assert abs(grad_norm - gradient_norm(X, p0)) <= FRAME_TOL * unit * math.sqrt(norm_sq)
+            assert abs(frame.start.norm() ** 2 - norm_sq) <= FRAME_TOL * norm_sq
+            C, C0 = W.T @ W - S @ S.T, p0.W.T @ p0.W - p0.S @ p0.S.T
+            assert np.linalg.norm(C - C0) <= FRAME_TOL * norm_sq
+            assert frame.lift(W, S).distance(p0) <= FRAME_TOL * math.sqrt(norm_sq)
+            stepper = flow._Stepper(X, p0)
+            assert stepper.W.size + stepper.S.size == k * (
+                2 * X.r + min(k, X.m - X.r) + min(k, X.n - X.r))
+
+
+@pytest.mark.parametrize("init", [random_pair, random_balanced_pair])
+def test_flow_agrees_with_the_loop_in_full_coordinates(init):
+    """At the workload shapes of the bit-for-bit test, integrate_flow in its
+    frame and the plain DOP853 loop on the full m x n X stop with the same
+    status at t_max = 20, J at the horizon within 1e-13 sigma_1^2 and W S at
+    the terminal within 1e-10 sigma_1 in Frobenius norm.  The largest
+    differences measured were 5.2e-15 sigma_1^2 and 2.0e-11 sigma_1, both
+    on the 20 x 30 flow from a random start: the two loops round
+    differently, and each step's local error is held only at the step
+    tolerance, about 1e-10 ||(W, S)||."""
+    for X, k, _ in _workload_flows():
+        p0 = init(X, k, 1)
+        gtol = GRAD_TOL * X.tol_scale
+        status, samples, y, *_ = _dop853_flow(X.X, p0, 20.0, gtol)
+        with mock.patch.object(flow, "reduce_to_canonical", _accept_every_limit):
+            traj = integrate_flow(X, p0, t_max=20.0, grad_tol=GRAD_TOL)
+        s1 = float(X.sigma[0])
+        W, S = y[: X.m * k].reshape(X.m, k), y[X.m * k:].reshape(k, -1)
+        assert traj.status == status
+        assert abs(traj.samples[-1].J - samples[-1][1]) <= 1e-13 * s1**2
+        assert np.linalg.norm(traj.terminal.W @ traj.terminal.S - W @ S) <= 1e-10 * s1
+
+
+@pytest.mark.parametrize("init", [random_pair, random_balanced_pair])
+def test_flow_follows_the_stored_rank_r_X(init):
+    """The flow runs on the stored rank-r X, not the raw one.  On a 4 x 6 X
+    whose fourth singular value is half the rank cutoff, 0.5 *
+    DEFAULT_RANK_TOL * sigma_1, so that r = 3, flows at every k <= r
+    converge, and the terminal gradient against the raw X is at most the
+    gradient test plus ||X - X_r||_2 ||(W, S)||, what the tail can add.  (At
+    k = 4 the balanced start heads for a cone point, which the flow nears
+    only slowly, and runs into t_max.)"""
+    sigma = np.array([3.0, 2.0, 1.0, 1.5 * DEFAULT_RANK_TOL])
+    X = load_data_matrix(fixed_spectrum(np.random.default_rng(5), 4, 6, sigma))
+    assert X.r == 3
+    tail = np.linalg.norm(X.X - (X.U[:, :3] * X.sigma[:3]) @ X.V[:, :3].T, 2)
+    for k in (1, 2, 3):
+        traj = integrate_flow(X, init(X, k, 0), grad_tol=GRAD_TOL)
+        assert traj.status == "Converged"
+        bound = GRAD_TOL * X.tol_scale + tail * traj.terminal.norm()
+        assert gradient_norm(X, traj.terminal) <= bound
 
 
 # |J_DOP853(t_max) - J_RK4(t_max)| <= AGREEMENT_TOL * sigma_1^2 at sigma_1 >= 1,

@@ -1,9 +1,10 @@
-"""Byte-identity guard: stdout and exit code of thirteen CLI commands.
+"""Byte-identity guard: stdout and exit code of fourteen CLI commands.
 
 Eleven commands and their seed-1 inputs are those of the benchmark's cli
 workload.  The twelfth runs the verify battery on the tied T.csv, a
 non-default X.  The thirteenth runs an imbalanced flow and also compares
-every sample of the trajectory CSV it writes.  A refactor that keeps the
+every sample of the trajectory CSV it writes.  The fourteenth prints the
+saddle bound beta of A.csv at k = 2.  A refactor that keeps the
 CLI's behaviour keeps these bytes; a deliberate contract change
 regenerates them with
 
@@ -39,6 +40,7 @@ COMMANDS = {
     "verify-tied": "verify --x T.csv --seed {seed}",
     "flow-random-trajectory":
         "flow --x A.csv --k 2 --seed {seed} --init random --trajectory traj.csv",
+    "bound": "bound --x A.csv --k 2",
 }
 # Commands whose output file is compared too, as golden/<name>.csv.
 OUTPUT_FILES = {"flow-random-trajectory": "traj.csv"}
