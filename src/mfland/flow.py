@@ -202,37 +202,31 @@ class FlowTrajectory:
         return self.samples[-1].t
 
 
-def _mix(d):
-    """The Householder reflector I - 2 v v^T / (v^T v), v = (1, 2, ..., d): a
-    fixed orthogonal d x d matrix whose rows each have d - 1 nonzero entries
-    or more.  (I - (2/d) 1 1^T is a signed swap at d = 2, which mixes nothing.)"""
-    v = np.arange(1.0, d + 1.0)
-    return np.eye(d) - (2.0 / (v @ v)) * np.outer(v, v)
-
-
 class _Frame:
     """The coordinates a flow from p0 runs in (see the module docstring):
     orthonormal bases U, m x (r + k'), and V, n x (r + k''), k' = min(k, m - r)
-    and k'' = min(k, n - r); X = U^T X_r V and the start (U^T W0, S0 V).
+    and k'' = min(k, n - r); X = U^T X_r V and the start W = U^T W0,
+    S = S0 V.
 
     The kernel columns are U0 and V0 times the Q factors of thin QRs of
     U0^T W0 and V0^T S0^T, orthonormal also when those blocks are rank
-    deficient or zero.  Each basis is then turned by the fixed reflector
-    _mix, so that no coordinate is one of X's singular directions: the
-    coordinates along the directions a flow leaves decay towards zero, and
-    products of subnormal floats are slow.
+    deficient or zero.  The coordinates are X's singular directions, and
+    those a flow leaves decay, but only to the rounding of the products that
+    form X here; an exact diag(sigma_r) would let them sink towards
+    subnormal floats, which slow every product down.  The start is kept as
+    two arrays, not a FactorPair, so that one that overflows float64
+    reaches integrate_flow's finiteness check.
     """
 
-    __slots__ = ("U", "V", "X", "start")
+    __slots__ = ("U", "V", "X", "W", "S")
 
     def __init__(self, X, p0):
         r = X.r
-        Ur, Vr, U0, V0 = X.U[:, :r], X.V[:, :r], X.U[:, r:], X.V[:, r:]
+        Ur, Vr, U0, V0 = X.U[:, :r], X.V[:, :r], X.U[:, r:], X.V0
         QW, QS = np.linalg.qr(U0.T @ p0.W)[0], np.linalg.qr(V0.T @ p0.S.T)[0]
-        self.U = np.hstack([Ur, U0 @ QW]) @ _mix(r + QW.shape[1])
-        self.V = np.hstack([Vr, V0 @ QS]) @ _mix(r + QS.shape[1])
+        self.U, self.V = np.hstack([Ur, U0 @ QW]), np.hstack([Vr, V0 @ QS])
         self.X = ((self.U.T @ Ur) * X.sigma[:r]) @ (Vr.T @ self.V)
-        self.start = FactorPair(W=self.U.T @ p0.W, S=p0.S @ self.V)
+        self.W, self.S = self.U.T @ p0.W, p0.S @ self.V
 
     def lift(self, W, S):
         """The point (U W, S V^T) of the full problem."""
@@ -274,7 +268,7 @@ class _Stepper:
 
     def __init__(self, X, p0):
         self.frame = frame = _Frame(X, p0)
-        X, p0 = frame.X, frame.start
+        X = frame.X
         (m, n), k = X.shape, p0.k
         a = np.empty((16, k * (m + n)))
         y, k1, *_, s, e5, e3 = rows = [_Buffer(row, m, k) for row in a]
@@ -288,7 +282,7 @@ class _Stepper:
         self.stage_rhs = (s.y, s.W.dot, s.S, X, D, D.dot, s.ST, s.WT.dot)
         self.finish = (coef[11:].dot, a[:13], a[13:], e5.y.dot, e5.y, e3.y.dot, e3.y)
         self.move = (y.y, s.y, y.W.dot, y.S, X, D, D.dot, y.ST, y.WT.dot, k1.W, k1.S)
-        s.W[...], s.S[...] = p0.W, p0.S
+        s.W[...], s.S[...] = frame.W, frame.S
         C = s.WT @ s.W - s.S @ s.ST
         self.measure = (y.y.dot, y.y, y.WT.dot, y.W, y.S.dot, y.ST, G, H, C,
                         G.reshape(-1).dot, G.reshape(-1), D.reshape(-1).dot, D.reshape(-1),
