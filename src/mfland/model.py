@@ -7,8 +7,8 @@ singular vectors get a deterministic sign, and singular values below the rank
 cutoff are stored as exact zeros.
 """
 
+import operator
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -229,19 +229,19 @@ def check_seed(seed):
         raise InvalidInput(f"seed must be a nonnegative integer, got {seed!r}")
 
 
-def check_zero_tol(tol):
-    """Raise InvalidInput unless the zero tolerance tol is a nonnegative
-    finite real."""
-    if not (isinstance(tol, Real) and np.isfinite(tol) and tol >= 0):
-        raise InvalidInput(
-            f"zero tolerance must be a nonnegative finite number, got {tol!r}")
+def check_nullity(z, N):
+    """z as an int, after raising InvalidInput unless it is an integer 0 <= z <= N."""
+    if not (hasattr(type(z), "__index__") and 0 <= operator.index(z) <= N):
+        raise InvalidInput(f"nullity must be an integer 0 <= z <= N = {N}, got z = {z!r}")
+    return operator.index(z)
 
 
 def inertia_at_nullity(evals, z):
     """(n_pos, n_neg, z) for Hessian eigenvalues evals of nullity z, known from
-    structure: the z smallest |values| are the zeros, the others count by
-    sign.  NumericalFailure where one of those is 0.0, its sign lost."""
+    structure (check_nullity): the z smallest |values| are the zeros, the
+    others count by sign.  NumericalFailure where one is 0.0, its sign lost."""
     evals = np.asarray(evals, dtype=float)
+    z = check_nullity(z, evals.size)
     signed = evals[np.argsort(np.abs(evals), kind="stable")[z:]]
     if not signed.all():
         raise NumericalFailure(f"{signed.size - np.count_nonzero(signed)} Hessian eigenvalue(s) past "

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, InvalidSelection, SingularGroupElement
-from .model import _as_matrix, _freeze, check_zero_tol, inertia_at_nullity
+from .model import _as_matrix, _freeze, check_nullity, inertia_at_nullity
 
 
 @dataclass(frozen=True)
@@ -105,29 +105,23 @@ def balance_residual(p):
     return float(np.linalg.norm(p.W.T @ p.W - p.S @ p.S.T))
 
 
-def inertia_of(X, p, zero_tol=None, nullity=None):
+def inertia_of(X, p, *, nullity=None):
     """Inertia (n_pos, n_neg, n_zero) of the Hessian at p, counted on
     ``oracle.equilibrated_values``, which have the Hessian's inertia
     without its grading.
 
     With nullity z, known from structure, the z smallest |values| are the
-    zeros and the rest count by sign (``model.inertia_at_nullity``).
-    Otherwise the values with |value| <= zero_tol are the zeros, counted as
-    that nullity, zero_tol applying to the equilibrated values; None stands
-    for 1e-12 times their largest |value|, a floor free of units.  zero_tol
-    must pass check_zero_tol, and giving both is InvalidInput, each checked
-    before any block is built."""
+    zeros and the rest count by sign (``model.inertia_at_nullity``); z must
+    pass ``model.check_nullity`` for N = k(m + n), checked before any block
+    is built.  With none, the values with |value| <= 1e-12 times the largest
+    |value|, a floor free of units, are the zeros, counted as that nullity."""
     from .oracle import equilibrated_values
 
-    if zero_tol is not None:
-        if nullity is not None:
-            raise InvalidInput("inertia_of takes zero_tol or nullity, not both")
-        check_zero_tol(zero_tol)
+    if nullity is not None:
+        check_nullity(nullity, p.k * (X.m + X.n))
     vals = equilibrated_values(X, p)
     if nullity is None:
-        if zero_tol is None:
-            zero_tol = 1e-12 * float(np.abs(vals).max())
-        nullity = int(np.count_nonzero(np.abs(vals) <= zero_tol))
+        nullity = int(np.count_nonzero(np.abs(vals) <= 1e-12 * float(np.abs(vals).max())))
     return inertia_at_nullity(vals, nullity)
 
 

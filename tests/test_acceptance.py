@@ -151,7 +151,7 @@ def test_criterion_04_inertia_invariance_under_transport():
         assert g.cond() <= 100.0 + 1e-6
         moved = apply_group_action(p, g)
         base = inertia_of(X, p)
-        assert inertia_of(X, moved, zero_tol=1e-8 * g.cond() ** 2) == base
+        assert inertia_of(X, moved) == base
         # orthogonal transport leaves the whole sorted spectrum unchanged
         Q, _ = np.linalg.qr(rng.standard_normal((cp.k, cp.k)))
         e0, _ = numeric_spectrum(X, p)

@@ -5,6 +5,7 @@ reaches into the package by name, so every name it uses must exist."""
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -271,32 +272,50 @@ def _constant(tree, name):
             return node.value
 
 
+def _mfland_imports(tree):
+    """(line, dotted name imported, local name bound, dotted name it binds)
+    for every import of mfland in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mfland":
+            for a in node.names:
+                name = f"{node.module}.{a.name}"
+                yield node.lineno, name, a.asname or a.name, name
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "mfland":
+                    bound = a.name if a.asname else "mfland"
+                    yield node.lineno, a.name, a.asname or "mfland", bound
+
+
+def _bench_trees():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in BENCH.glob("*.py")}
+
+
+def _mfland_name(node, bound):
+    """The dotted mfland name of node, a name or a chain of attribute reads
+    on one that an mfland import bound (bound maps it to its dotted name),
+    else None."""
+    name = _dotted(node)
+    if name and name.split(".")[0] in bound:
+        head, _, rest = name.partition(".")
+        return ".".join(filter(None, (bound[head], rest)))
+
+
 def _bench_names():
     """(where, dotted name) for every mfland name bench/*.py reaches: what it
     imports from mfland, the attributes it reads on what those imports bind,
     and the spans it wraps or reads by name (spans.LAYERS and
     SPECTRUM_ENTRIES, and the <layer>.<function>.<metric> keys of
     worker.PER_LAYER, whose verify checks are worker.VERIFY_CHECKS)."""
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
-             for p in BENCH.glob("*.py")}
+    trees = _bench_trees()
     for stem, tree in sorted(trees.items()):
         bound = {}
+        for line, name, local, dotted in _mfland_imports(tree):
+            bound[local] = dotted
+            yield f"{stem}:{line}", name
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (
-                    (node.module or "").split(".")[0] == "mfland"):
-                for a in node.names:
-                    bound[a.asname or a.name] = f"{node.module}.{a.name}"
-                    yield f"{stem}:{node.lineno}", f"{node.module}.{a.name}"
-            elif isinstance(node, ast.Import):
-                for a in node.names:
-                    if a.name.split(".")[0] == "mfland":
-                        bound[a.asname or "mfland"] = a.name if a.asname else "mfland"
-                        yield f"{stem}:{node.lineno}", a.name
-        for node in ast.walk(tree):
-            name = _dotted(node) if isinstance(node, ast.Attribute) else None
-            if name and name.split(".")[0] in bound:
-                head, _, rest = name.partition(".")
-                yield f"{stem}:{node.lineno}", f"{bound[head]}.{rest}"
+            if isinstance(node, ast.Attribute) and (name := _mfland_name(node, bound)):
+                yield f"{stem}:{node.lineno}", name
     spans, worker = trees["spans"], trees["worker"]
     for layer in ast.literal_eval(_constant(spans, "LAYERS")):
         yield "spans.LAYERS", f"mfland.{layer}"
@@ -309,8 +328,21 @@ def _bench_names():
         yield "worker.VERIFY_CHECKS", f"mfland.verify.check_{check}"
 
 
-def _resolves(dotted):
-    """Whether the attribute chain resolves, importing submodules on the way."""
+def _bench_keywords():
+    """(where, dotted name, keyword) for every keyword argument bench/*.py
+    passes by name to an mfland function or class it reaches."""
+    for stem, tree in sorted(_bench_trees().items()):
+        bound = {local: dotted for *_, local, dotted in _mfland_imports(tree)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (name := _mfland_name(node.func, bound)):
+                for kw in node.keywords:
+                    if kw.arg is not None:  # None for a **mapping
+                        yield f"{stem}:{node.lineno}", name, kw.arg
+
+
+def _resolve(dotted):
+    """The object at the attribute chain, importing submodules on the way;
+    AttributeError where it does not resolve."""
     parts = dotted.split(".")
     obj = importlib.import_module(parts[0])
     for i, part in enumerate(parts[1:], start=2):
@@ -318,10 +350,16 @@ def _resolves(dotted):
             try:
                 importlib.import_module(".".join(parts[:i]))
             except ImportError:
-                return False
-            if not hasattr(obj, part):
-                return False
+                pass
         obj = getattr(obj, part)
+    return obj
+
+
+def _resolves(dotted):
+    try:
+        _resolve(dotted)
+    except AttributeError:
+        return False
     return True
 
 
@@ -333,3 +371,18 @@ def test_every_mfland_name_the_benchmark_uses_exists():
     missing = sorted({f"{where}: {name}" for where, name in names
                       if not _resolves(name)})
     assert not missing, "bench/ uses names mfland lacks:\n" + "\n".join(missing)
+
+
+def test_every_keyword_the_benchmark_passes_is_a_parameter():
+    """Nor may a cut to an option: every keyword argument bench/*.py passes
+    to an mfland function or class names one of its parameters."""
+    calls = list(_bench_keywords())
+    assert ("mfland.flow.integrate_flow", "t_max") in {(n, kw) for _, n, kw in calls}
+    unknown = []
+    for where, name, kw in calls:
+        params = inspect.signature(_resolve(name)).parameters
+        named = params.get(kw) is not None and params[kw].kind in (
+            inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+        if not (named or any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())):
+            unknown.append(f"{where}: {name}({kw}=...)")
+    assert not unknown, "bench/ passes keywords mfland lacks:\n" + "\n".join(sorted(unknown))

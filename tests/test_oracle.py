@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from itertools import combinations
@@ -117,13 +118,14 @@ def _columns(vecs):
     return np.column_stack([vecs[:, i] for i in range(vecs.shape[1])])
 
 
-def test_inertia_of_counts_at_a_zero_tolerance(monkeypatch):
-    """|value| <= zero_tol counts as zero and the rest by sign."""
+def test_inertia_of_counts_at_its_zero_floor(monkeypatch):
+    """With no nullity, |value| <= 1e-12 max|value| counts as zero and the
+    rest by sign; at a nullity the smallest |values| are the zeros."""
     vals = np.array([-2.0, -1e-15, 0.0, 3e-12, 5.0, 7.0])
     monkeypatch.setattr(oracle, "equilibrated_values", lambda X, p: vals)
     p = random_pair(X21, 1, seed=0)
-    assert inertia_of(X21, p, zero_tol=1e-9) == (2, 1, 3)
-    assert inertia_of(X21, p, zero_tol=1e-16) == (3, 2, 1)
+    assert inertia_of(X21, p) == (2, 1, 3)
+    assert inertia_of(X21, p, nullity=1) == (3, 2, 1)
 
 
 def test_inertia_at_nullity_drops_the_smallest_magnitudes():
@@ -135,6 +137,9 @@ def test_inertia_at_nullity_drops_the_smallest_magnitudes():
     with pytest.raises(NumericalFailure, match=r"^1 Hessian eigenvalue\(s\) past the nullity 1 "
                                                r"are 0\.0 in float64: their signs are lost$"):
         inertia_at_nullity(np.array([0.0, 0.0, 1.0]), 1)
+    for z in (-1, 6, 1.5, "2"):
+        with pytest.raises(InvalidInput, match=r"^nullity must be an integer 0 <= z <= N = 5, "):
+            inertia_at_nullity(vals, z)
 
 
 def test_inertia_count_has_one_home(monkeypatch):
@@ -157,7 +162,7 @@ def test_inertia_count_has_one_home(monkeypatch):
     monkeypatch.setattr(orbit, "inertia_at_nullity", lambda v, z: seen.append(z) or count(v, z))
     monkeypatch.setattr(oracle, "equilibrated_values",
                         lambda X, p: np.array([-2.0, -1e-15, 0.0, 3e-12, 5.0]))
-    assert inertia_of(X21, random_pair(X21, 1, seed=0), zero_tol=1e-9) == (1, 1, 3)
+    assert inertia_of(X21, random_pair(X21, 1, seed=0)) == (1, 1, 3)
     assert seen == [3]
 
 
@@ -451,25 +456,29 @@ def test_inertia_of_answers_far_along_an_orbit(A):
     assert inertia_of(X, p, nullity=4) == inertia_of(X, p) == (15, 1, 4)
 
 
-@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, "1e-8"], ids=repr)
-def test_a_bad_zero_tolerance_is_refused_before_assembly(tol, monkeypatch):
-    """A negative, NaN, infinite or non-numeric tolerance once gave counts
-    that do not sum to N, (0, 0, 0) or a raw NumPy error; inertia_of now
-    refuses it before it builds any Hessian block, as it does a zero_tol
-    given with a nullity.  zero_tol=None keeps inertia_of's default."""
-    X = gaussian(0)
-    p = CanonicalPoint(X, Selection((0, 2)), 2).materialize()
+@pytest.mark.parametrize("z", [-1, 6, 1.5, "4"], ids=repr)
+def test_a_bad_nullity_is_refused_before_assembly(z, monkeypatch):
+    """On X21 at selection (1,), N = 5, a nullity of -1 once counted
+    (1, 0, -1), one of 7 counted (0, 0, 7), and 1.5 ended in a raw TypeError
+    from slicing; inertia_of now refuses a nullity that is not an integer
+    0 <= z <= N before it builds any Hessian block.  None, 0, the
+    structural nullity and a NumPy integer count as before."""
+    p = CanonicalPoint(X21, Selection((1,)), 1).materialize()
     built = []
     assemble = oracle._blocks
     monkeypatch.setattr(oracle, "_blocks", lambda *a: built.append(a) or assemble(*a))
-    with pytest.raises(InvalidInput, match="zero tolerance must be a nonnegative finite number"):
-        inertia_of(X, p, zero_tol=tol)
-    with pytest.raises(InvalidInput, match="^inertia_of takes zero_tol or nullity, not both$"):
-        inertia_of(X, p, zero_tol=1e-8, nullity=4)
+    with pytest.raises(InvalidInput, match=r"^nullity must be an integer 0 <= z <= N = 5, "
+                                           rf"got z = {re.escape(repr(z))}$"):
+        inertia_of(X21, p, nullity=z)
     assert built == []
-    for ok in (None, 0, 0.0, np.float64(1e-8)):
-        assert sum(inertia_of(X, p, zero_tol=ok)) == 16
-    assert len(built) == 4
+    want = canonical_inertia(X21, (1,), 1, None)
+    for ok in (None, want[2], np.int64(want[2])):
+        assert inertia_of(X21, p, nullity=ok) == want
+    with pytest.raises(NumericalFailure, match="past the nullity 0 are 0.0"):
+        inertia_of(X21, p, nullity=0)  # its structural zero is 0.0 here
+    generic = random_pair(X21, 1, seed=0)
+    assert inertia_of(X21, generic, nullity=0) == inertia_of(X21, generic) == (3, 2, 0)
+    assert len(built) == 6
 
 
 def test_fd_validate_clean_point():

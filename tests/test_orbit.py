@@ -204,6 +204,36 @@ def test_inertia_of_hands_lapack_no_matrix_past_the_core():
     assert sizes and max(sizes) <= 200
 
 
+def _benchmark_transport_points():
+    """(X, moved point, closed-form inertia of its canonical point) for the
+    spectrum benchmark's orbit_transport op by its recipe in
+    bench/workloads.py: seeds 1-3 and (m, n, k) = (40, 60, 5) and
+    (48, 72, 10), so N = 500 and 1200, drawn from default_rng([seed, m, n,
+    k]) in its order: X, two C0 it does not use here, then A."""
+    for seed in (1, 2, 3):
+        for m, n, k in ((40, 60, 5), (48, 72, 10)):
+            rng = np.random.default_rng([seed, m, n, k])
+            X = load_data_matrix(rng.standard_normal((m, n)))
+            rng.standard_normal((n - m, k - k // 2))
+            rng.standard_normal((n - m, k))
+            A = np.eye(k) + 0.3 * rng.standard_normal((k, k)) / np.sqrt(k)
+            sel = tuple(range(k - 1)) + (k,)
+            base = build_canonical(X, Selection(sel), k).materialize()
+            yield X, apply_group_action(base, GroupElement.from_matrix(A)), \
+                canonical_inertia(X, sel, k, None)
+
+
+def test_the_default_floor_counts_the_benchmark_transport_points():
+    """The benchmark's orbit_transport op is the one caller that counts at
+    the default floor, and its own check asks only for a sum of N and a
+    negative value: there the floor counts the closed-form inertia, as the
+    structural nullity does."""
+    counts = [(inertia_of(X, moved), inertia_of(X, moved, nullity=want[2]), want)
+              for X, moved, want in _benchmark_transport_points()]
+    assert [c[2] for c in counts] == [(474, 1, 25), (1099, 1, 100)] * 3
+    assert all(floor == at_nullity == want for floor, at_nullity, want in counts)
+
+
 def test_numeric_spectrum_hands_lapack_no_matrix_past_the_core():
     """numeric_spectrum, too, returns all 1200 eigenpairs there from matrices
     no wider than 2 k q = 200."""
