@@ -416,24 +416,27 @@ def reduce_to_canonical(X, p, tol=1e-8):
 
     # (iii) rebase the SVD of X inside each tied group that the column space
     # meets in part, so that it occupies the group's leading d columns.  The
-    # zero group turns U alone: its columns pair with no column of V.
-    U, V = X.U.copy(), X.V.copy()
-    rebased = False
+    # zero group turns U alone: its columns pair with no column of V.  A group
+    # of one is never rebased, and its 1 x q block's one singular value is its norm.
+    U = V = None
     sel_idx = []
     for g_idx in _sigma_groups(X):
-        Y, sv, _ = np.linalg.svd(U[:, g_idx].T @ Uh)
+        i, *tied = g_idx
+        if tied:
+            Y, sv, _ = np.linalg.svd(X.U[:, g_idx].T @ Uh)
+        else:
+            sv = np.linalg.norm(X.U[:, i] @ Uh)
         d = int(np.count_nonzero(sv > 0.5))
         if 0 < d < len(g_idx):
-            U[:, g_idx] = U[:, g_idx] @ Y
-            if X.sigma[g_idx[0]] > 0:
-                V[:, g_idx] = V[:, g_idx] @ Y
-            rebased = True
+            if U is None:
+                U, V = X.U.copy(), X.V.copy()
+            U[:, g_idx] = X.U[:, g_idx] @ Y
+            if X.sigma[i] > 0:
+                V[:, g_idx] = X.V[:, g_idx] @ Y
         sel_idx.extend(g_idx[:d])
     if len(sel_idx) != q:
-        raise NotCritical(
-            "column space of W does not split along the singular subspaces of X"
-        )
-    if rebased:
+        raise NotCritical("column space of W does not split along the singular subspaces of X")
+    if U is not None:
         X = dataclasses.replace(X, U=_freeze(U), V=_freeze(V))
     Q = _polar_orthogonal(X.U[:, sel_idx].T @ Uh)
 

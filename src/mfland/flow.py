@@ -17,19 +17,21 @@ embedded estimates of orders 5 and 3 (DOP853): twelve stage slopes give the
 eighth-order solution, and Hairer's combination of the two embedded
 estimates is the local error that decides acceptance.  The estimates give
 no weight to the slope at the new point, so that slope is evaluated only
-once a step is accepted: it gives that point's sample and is the first
-stage slope of the next step.  An attempted step thus costs eleven RHS
-evaluations and an accepted one twelve.  The steps run on one (16, N) block
-of the flat (W, S) state, its stage slopes, the stage input and the two
-error estimates.  A stage is five array calls, its input product and the
-RHS's W S, X - W S, D S^T and W^T D, on views and bound ndarray.dot methods
-fetched once per flow; one more product gives the solution and both error
-estimates.  These and the two Gram products of each sample's drift write
-into buffers allocated once per flow, so a step allocates no arrays.  The
-step-size factor and its clamp are those of dop853.f, and so is its rule
-that the step accepted right after a rejection does not grow the next one.
-The trajectory counts rejected steps and RHS evaluations and records the
-range of step sizes the controller chose.
+once a step is accepted: accepting a point, the start too, evaluates its
+slope, which gives the point's sample and is the first stage slope of the
+next step.  An attempted step thus costs eleven RHS evaluations and an
+accepted one twelve.  The steps run on one (16, N) block of the flat (W, S)
+state, its stage slopes, the stage input and the two error estimates, and
+one table of views slices every row's W and S from it.  A stage is five
+array calls, its input product and the RHS's W S, X - W S, D S^T and W^T D,
+on those views and bound ndarray.dot methods fetched once per flow; one more
+product gives the solution and both error estimates.  These and the two
+Gram products of each sample's drift write into buffers allocated once per
+flow, so a step allocates no arrays.  The step-size factor and its clamp
+are those of dop853.f, and so is its rule that the step accepted right
+after a rejection does not grow the next one.  The trajectory counts
+rejected steps and RHS evaluations and records the range of step sizes the
+controller chose.
 
 The first step is H0, or 0.01 ||y|| / ||y'|| at the start y where that is
 shorter (Hairer, Norsett and Wanner, Solving ODEs I, II.4), so that a large
@@ -233,37 +235,25 @@ class _Frame:
         return FactorPair(W=self.U @ W, S=S @ self.V.T)
 
 
-class _Buffer:
-    """A flat (W, S) vector y of length k(m + n), with W, S and their
-    transposes as views into it."""
-
-    __slots__ = ("y", "W", "S", "WT", "ST")
-
-    def __init__(self, y, m, k):
-        self.y = y
-        self.W = y[: m * k].reshape(m, k)
-        self.S = y[m * k:].reshape(k, -1)
-        self.WT, self.ST = self.W.T, self.S.T
-
-
 class _Stepper:
     """Dormand-Prince 8(5,3) on flat (W, S) buffers allocated once, counting
     RHS evaluations; the only code that knows their layout.  W, S and X are
     those of the flow's _Frame, and point() maps the current point back.
 
     One (16, N) array holds the point y, the stage slopes k1, ..., k12, the
-    stage input and the fifth- and third-order error estimates, with a
-    _Buffer per row.  Each stage input is one ndarray.dot product, which
-    skips np.dot's dispatcher, of a row of h * tableau (with 1 for y) and
-    the rows; the last three rows of h * tableau give the solution, into
-    the stage input, and both estimates in one product.  A stage is its
-    input product and the RHS there: W S and X - W S into the residual D,
-    D S^T and W^T D into its slope.  Accepting a step copies the solution
-    into row 0 and evaluates its slope, the next step's k1, into row 1, and
-    so does loading p0, once it fixes the invariant C = W^T W - S S^T of the
-    drift.  The views and bound dot methods of every call are fetched here,
-    once, so the stage loop looks up no attribute; each call takes the
-    buffer it writes as its last argument.
+    stage input and the fifth- and third-order error estimates, a flat
+    (W, S) vector per row, and one view table gives every row's W and S:
+    a[:, :mk].reshape(16, m, k) and a[:, mk:].reshape(16, k, n).  Each
+    stage input is one ndarray.dot product, which skips np.dot's dispatcher,
+    of a row of h * tableau (with 1 for y) and the rows; the last three rows
+    of h * tableau give the solution, into the stage input, and both
+    estimates in one product.  A stage is its input product and the RHS
+    there: W S and X - W S into the residual D, D S^T and W^T D into its
+    slope.  accept(t) moves to the stage input, which holds the solution of
+    the last attempt or, before the first one, the start.  The views and
+    bound dot methods of every stage call are fetched here, once, so the
+    stage loop looks up no attribute; each call takes the buffer it writes
+    as its last argument.
     """
 
     def __init__(self, X, p0):
@@ -271,24 +261,20 @@ class _Stepper:
         X = frame.X
         (m, n), k = X.shape, p0.k
         a = np.empty((16, k * (m + n)))
-        y, k1, *_, s, e5, e3 = rows = [_Buffer(row, m, k) for row in a]
+        W, S = a[:, : m * k].reshape(16, m, k), a[:, m * k:].reshape(16, k, n)
         self.coef = coef = np.empty_like(_TABLEAU)
         # The residual X - W S of the latest RHS evaluation and the two Gram
         # products of the drift.
         D, (G, H) = np.empty((m, n)), np.empty((2, k, k))
-        self.stages = [(coef[r, : r + 2].dot, a[: r + 2], rows[r + 2].W, rows[r + 2].S)
-                       for r in range(11)]
+        self.stages = [(coef[r, : r + 2].dot, a[: r + 2], W[r + 2], S[r + 2]) for r in range(11)]
         # The stage input's flat y and what an RHS evaluation there calls.
-        self.stage_rhs = (s.y, s.W.dot, s.S, X, D, D.dot, s.ST, s.WT.dot)
-        self.finish = (coef[11:].dot, a[:13], a[13:], e5.y.dot, e5.y, e3.y.dot, e3.y)
-        self.move = (y.y, s.y, y.W.dot, y.S, X, D, D.dot, y.ST, y.WT.dot, k1.W, k1.S)
-        s.W[...], s.S[...] = frame.W, frame.S
-        C = s.WT @ s.W - s.S @ s.ST
-        self.measure = (y.y.dot, y.y, y.WT.dot, y.W, y.S.dot, y.ST, G, H, C,
-                        G.reshape(-1).dot, G.reshape(-1), D.reshape(-1).dot, D.reshape(-1),
-                        k1.y.dot, k1.y)
-        self.W, self.S, self.rhs_evals = y.W, y.S, 0
-        self.accept()
+        self.stage_rhs = (a[13], W[13].dot, S[13], X, D, D.dot, S[13].T, W[13].T.dot)
+        self.finish = (coef[11:].dot, a[:13], a[13:], a[14].dot, a[14], a[15].dot, a[15])
+        W[13], S[13] = frame.W, frame.S
+        C = W[13].T @ W[13] - S[13] @ S[13].T
+        self.move = (a[0], a[13], W[0], W[0].T, S[0], S[0].T, X, D, W[1], S[1], a[1],
+                     G, H, C, G.reshape(-1), D.reshape(-1))
+        self.W, self.S, self.rhs_evals = W[0], S[0], 0
 
     def attempt(self, h):
         """Take one step of size h from row 0 and return its local error
@@ -311,29 +297,26 @@ class _Stepper:
         n5, n3 = float(e5dot(e5)), float(e3dot(e3))
         return n5 / math.sqrt(n5 + 0.01 * n3) if n5 else 0.0
 
-    def accept(self):
-        """Move to the solution and evaluate its slope and residual."""
-        y, solution, Wdot, S, X, D, Ddot, ST, WTdot, kW, kS = self.move
+    def accept(self, t):
+        """Move to the stage input, evaluate the RHS there, its slope into k1
+        and its residual into D, and return the point's sample at time t,
+        keeping ||y||^2 as ysq.  The drift ||W^T W - S S^T - C||_F is computed
+        as np.linalg.norm does: the square root of the dot product of the
+        flat difference with itself."""
+        y, solution, W, WT, S, ST, X, D, kW, kS, k1, G, H, C, g, d = self.move
         y[...] = solution
-        Wdot(S, D)
+        W.dot(S, D)
         np.subtract(X, D, D)
-        Ddot(ST, kW)
-        WTdot(D, kS)
+        D.dot(ST, kW)
+        WT.dot(D, kS)
         self.rhs_evals += 1
-
-    def sample(self, t):
-        """The sample at the current point, from its slope k1 and the residual
-        D of the RHS evaluation that gave it, and its ||y||^2 as ysq.  The
-        drift ||W^T W - S S^T - C||_F is computed as np.linalg.norm does: the
-        square root of the dot product of the flat difference with itself."""
-        ydot, y, WTdot, W, Sdot, ST, G, H, C, gdot, g, Ddot, D, kdot, k1 = self.measure
-        self.ysq = float(ydot(y))
-        WTdot(W, G)
-        Sdot(ST, H)
+        self.ysq = float(y.dot(y))
+        WT.dot(W, G)
+        S.dot(ST, H)
         np.subtract(G, H, G)
         np.subtract(G, C, G)
-        return FlowSample(t=float(t), J=0.5 * float(Ddot(D)),
-                          grad_norm=math.sqrt(kdot(k1)), drift=math.sqrt(gdot(g)))
+        return FlowSample(t=float(t), J=0.5 * float(d.dot(d)),
+                          grad_norm=math.sqrt(k1.dot(k1)), drift=math.sqrt(g.dot(g)))
 
     def point(self):
         """The current point, mapped back to the full problem."""
@@ -375,20 +358,19 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
     # The start's products may overflow float64; such a start is refused here.
     with np.errstate(over="ignore", invalid="ignore"):
         stepper = _Stepper(X, p0)
-        start = stepper.sample(t)
+        start = stepper.accept(0.0)
     if not all(map(math.isfinite, (start.J, start.grad_norm, start.drift, stepper.ysq))):
         raise NumericalFailure(
             f"the flow's start is not finite in float64: max |W| = {np.abs(p0.W).max():.3g}, "
             f"max |S| = {np.abs(p0.S).max():.3g}")
     samples = [start]
-    h, grad0 = H0, start.grad_norm
-    if grad0 > 0.0:
-        h = min(H0, 0.01 * math.sqrt(stepper.ysq) / grad0)
+    grad0 = start.grad_norm
+    h = min(H0, 0.01 * math.sqrt(stepper.ysq) / grad0) if grad0 > 0.0 else H0
     # moved: the point is new (the start, or the end of an accepted step), so
     # the stop checks run on it; growth: the step-size factor of the last
     # attempt, applied after those checks (1.0 leaves the first step as it is).
     status, moved, growth, samp = None, True, 1.0, start
-    attempt, accept, sample = stepper.attempt, stepper.accept, stepper.sample
+    attempt, accept = stepper.attempt, stepper.accept
     record, isfinite, sqrt = samples.append, math.isfinite, math.sqrt
     while True:
         if moved:
@@ -430,12 +412,11 @@ def integrate_flow(X, p0, t_max=200.0, grad_tol=1e-9):
         growth = min(6.0 if moved else 1.0, max(0.333, factor))
         moved = err <= tol_step
         if moved:
-            accept()
             t = t_max if clipped else t + h
             steps += 1
             if not clipped:
                 h_min, h_max = min(h_min, h), max(h_max, h)
-            samp = sample(t)
+            samp = accept(t)
             record(samp)
         else:
             rejected += 1

@@ -35,7 +35,7 @@ plus O(m + n + k).  Its factor pair and the tables that decode an eigenpair
 (``_Grids``) are made on their first read and kept, and an :class:`EigPair`,
 its eigenvector kept as rank-one factors in read-only arrays, is decoded
 from its emission position when it is read.  ``canonical_spectrum`` is the
-one code that picks a canonical point's builder by q.
+one builder of a canonical point's spectrum.
 """
 
 import math
@@ -418,15 +418,14 @@ def _canonical_eigpairs(cp, d=1.0):
 
 def spectrum_zero_family(X, C0, k):
     """Spectrum at the zero-family point (0, C0^T V0^T)."""
-    cp = zero_family_point(X, np.asarray(C0, dtype=float), k)
-    return _report(_canonical_eigpairs(cp), cache(lambda: cp.materialize()))
+    return canonical_spectrum(zero_family_point(X, np.asarray(C0, dtype=float), k))[0]
 
 
 def spectrum_full_rank_scaled(X, sel, a=1.0):
-    """Spectrum at (a W_c, a^-1 S_c) for a full-rank selection (q = k)."""
+    """Spectrum at (a W_c, a^-1 S_c) for a full-rank selection (q = k); a
+    refused scale is reported before a refused selection."""
     check_scale(a)
-    cp = build_canonical(X, sel, k=sel.q)
-    return _report(_canonical_eigpairs(cp, d=a), cache(lambda: cp.materialize(scale=a)))
+    return canonical_spectrum(build_canonical(X, sel, k=sel.q), a)[0]
 
 
 def spectrum_deficient_rank(cp):
@@ -434,22 +433,19 @@ def spectrum_deficient_rank(cp):
     if not isinstance(cp, CanonicalPoint):
         raise InvalidInput("spectrum_deficient_rank expects a CanonicalPoint")
     if not (1 <= cp.q < cp.k):
-        raise InvalidSelection(
-            f"deficient-rank spectrum needs 1 <= q < k, got q={cp.q}, k={cp.k}"
-        )
-    return _report(_canonical_eigpairs(cp), cache(lambda: cp.materialize()))
+        raise InvalidSelection(f"deficient-rank spectrum needs 1 <= q < k, got q={cp.q}, k={cp.k}")
+    return canonical_spectrum(cp)[0]
 
 
 def canonical_spectrum(cp, a=1.0):
-    """(report, family name): the spectrum of canonical point cp at orbit
-    scale a, by the builder its q picks; InvalidInput for a != 1 unless q = k."""
+    """(report, family name) of canonical point cp at orbit scale a, the one
+    builder of the canonical spectra: InvalidInput for a != 1 unless q = k,
+    and then for a scale that check_scale refuses."""
     if a != 1.0 and cp.q != cp.k:
         raise InvalidInput(f"an orbit scale a != 1 needs q = k, got q = {cp.q}, k = {cp.k}")
-    if not cp.q:
-        return spectrum_zero_family(cp.X, cp.C0, cp.k), "zero"
-    if cp.q == cp.k:
-        return spectrum_full_rank_scaled(cp.X, cp.selection, a=a), "canonical-full-rank"
-    return spectrum_deficient_rank(cp), "canonical-deficient"
+    check_scale(a)
+    family = {0: "zero", cp.k: "canonical-full-rank"}.get(cp.q, "canonical-deficient")
+    return _report(_canonical_eigpairs(cp, d=a), cache(lambda: cp.materialize(scale=a))), family
 
 
 def spectrum_balanced(X, sel, k):

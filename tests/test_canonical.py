@@ -16,6 +16,7 @@ from mfland import (
     NumericalFailure,
     RankAmbiguous,
     Selection,
+    SingularGroupElement,
     apply_group_action,
     balance_residual,
     build_balanced,
@@ -393,6 +394,48 @@ def test_small_w_far_along_the_orbit_is_not_the_zero_family():
     p = CanonicalPoint(X, Selection((2,)), 2, np.ones((X.n - X.r, 1))).materialize(1e-4)
     cp, _ = reduce_to_canonical(X, p)
     assert cp.q == 1
+
+
+def test_a_reduction_takes_no_svd_per_untied_singular_value(monkeypatch):
+    """On an X without tied singular values every group of one is read from
+    the norm of its 1 x q block, its one singular value, with no SVD: one
+    reduction of a point on the orbit of the selection (0, 2) at k = 3 makes
+    as many np.linalg.svd calls at m = 3 as at m = 24."""
+    svd, calls, counts = np.linalg.svd, [0], []
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for m in (3, 6, 12, 24):
+        rng = np.random.default_rng(m)
+        X = load_data_matrix(rng.standard_normal((m, m + 2)))
+        cp0 = build_canonical(X, Selection((0, 2)), 3, C0=np.ones((2, 1)))
+        A = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+        p = apply_group_action(cp0.materialize(), GroupElement.from_matrix(A))
+        calls[0] = 0
+        cp, _ = reduce_to_canonical(X, p)
+        assert cp.selection == cp0.selection and cp.X is X
+        counts.append(calls[0])
+    assert counts == counts[:1] * 4, counts
+
+
+@pytest.mark.xfail(raises=SingularGroupElement, strict=True,
+                   reason="ROADMAP item 6, FOUND 201: at sigma_1 ~ 1e-100 the unipotent "
+                          "factor divides Sb's rounding by lambda, and the group element is "
+                          "singular to working precision (cond ~ 3.5e49)")
+def test_reduce_accepts_the_exact_critical_point_at_sigma_1e_minus_100():
+    """The exact critical point of selection (0,) at k = 2 with C0 = 1e-50
+    ones on 1e-100 times the generic 4 x 6 X of default_rng(0) reduces to its
+    selection, as the same point at scale 1 does."""
+    for c in (1.0, 1e-100):
+        X = load_data_matrix(c * matrix_of_kind("generic", np.random.default_rng(0)))
+        p = CanonicalPoint(X, Selection((0,)), 2, np.sqrt(c) * np.ones((2, 1))).materialize()
+        cp, g = reduce_to_canonical(X, p)
+        assert cp.selection == Selection((0,))
+        back = apply_group_action(cp.materialize(), g)
+        assert np.linalg.norm(back.W - p.W) <= 1e-8 * np.linalg.norm(p.W)
 
 
 # ------------------------------------------- one rule, every entry point ---

@@ -477,10 +477,10 @@ def _recorded_attempts(monkeypatch):
         attempts.append([h, False])
         return attempt(self, h)
 
-    def recorded_accept(self):
+    def recorded_accept(self, t):
         if attempts:
             attempts[-1][1] = True
-        accept(self)
+        return accept(self, t)
 
     monkeypatch.setattr(flow._Stepper, "attempt", recorded_attempt)
     monkeypatch.setattr(flow._Stepper, "accept", recorded_accept)
@@ -532,7 +532,7 @@ def test_a_step_allocates_no_arrays(monkeypatch):
     bulk = np.linspace(np.sqrt(30) + np.sqrt(20), np.sqrt(30) - np.sqrt(20), 20)
     X, k, first, last = load_data_matrix(fixed_spectrum(rng, 20, 30, bulk)), 5, 11, 311
     N = k * (X.m + X.n)
-    sample, calls, marks, since, rise = flow._Stepper.sample, [0], [], [0], [0]
+    accept, calls, marks, since, rise = flow._Stepper.accept, [0], [], [0], [0]
 
     def marked(self, t):
         calls[0] += 1
@@ -544,9 +544,9 @@ def test_a_step_allocates_no_arrays(monkeypatch):
                 rise[0] = max(rise[0], peak - since[0])
             tracemalloc.reset_peak()
             since[0] = tracemalloc.get_traced_memory()[0]
-        return sample(self, t)
+        return accept(self, t)
 
-    monkeypatch.setattr(flow._Stepper, "sample", marked)
+    monkeypatch.setattr(flow._Stepper, "accept", marked)
     monkeypatch.setattr(flow, "MAX_STEPS", last)
     tracemalloc.start()
     try:
